@@ -15,22 +15,38 @@ DroneCamera::DroneCamera(Options opts) : opts_(opts) {
 
 std::vector<double> DroneCamera::depth_scan(const ObstacleWorld& world,
                                             Vec2 pose, double heading) const {
+  return depth_scan(ObstacleNeighbourhood(world, pose, opts_.max_range), pose,
+                    heading);
+}
+
+std::vector<double> DroneCamera::depth_scan(const ObstacleNeighbourhood& near,
+                                            Vec2 pose, double heading) const {
   std::vector<double> depths(opts_.width);
   for (std::size_t c = 0; c < opts_.width; ++c) {
     // Columns sweep left (+fov/2) to right (-fov/2).
     const double frac =
         (static_cast<double>(c) + 0.5) / static_cast<double>(opts_.width);
     const double angle = heading + opts_.fov * (0.5 - frac);
-    depths[c] = world.cast_ray(pose, angle, opts_.max_range);
+    depths[c] = near.cast_ray(pose, angle, opts_.max_range);
   }
   return depths;
 }
 
 Tensor DroneCamera::render(const ObstacleWorld& world, Vec2 pose,
                            double heading) const {
-  const std::vector<double> depths = depth_scan(world, pose, heading);
+  return render(ObstacleNeighbourhood(world, pose, opts_.max_range), pose,
+                heading);
+}
+
+Tensor DroneCamera::render(const ObstacleNeighbourhood& near, Vec2 pose,
+                           double heading) const {
+  const std::vector<double> depths = depth_scan(near, pose, heading);
   const std::size_t h = opts_.height, w = opts_.width;
   Tensor img({3, h, w});
+  // Channel planes of the (3, H, W) image; pixel (r, c) is at r * w + c.
+  float* const obstacle_plane = img.data().data();
+  float* const shade_plane = obstacle_plane + h * w;
+  float* const depth_plane = shade_plane + h * w;
   const double horizon = static_cast<double>(h) / 2.0;
 
   for (std::size_t c = 0; c < w; ++c) {
@@ -44,9 +60,10 @@ Tensor DroneCamera::render(const ObstacleWorld& world, Vec2 pose,
       const double row_off = std::abs(static_cast<double>(r) + 0.5 - horizon);
       const bool obstacle_px = half_rows > 0.0 && row_off < half_rows;
       const bool ground_px = static_cast<double>(r) + 0.5 > horizon;
+      const std::size_t px = r * w + c;
 
       // Channel 0: obstacle intensity (closer = brighter).
-      img.at3(0, r, c) =
+      obstacle_plane[px] =
           obstacle_px ? static_cast<float>(1.0 - depth_norm) : 0.0f;
       // Channel 1: scene shading — sky gradient above the horizon, ground
       // gradient below, dimmed where an obstacle occludes.
@@ -54,10 +71,9 @@ Tensor DroneCamera::render(const ObstacleWorld& world, Vec2 pose,
                          ? (static_cast<double>(r) + 0.5 - horizon) / horizon
                          : 0.3 * (1.0 - (static_cast<double>(r) + 0.5) / horizon);
       if (obstacle_px) shade *= 0.2;
-      img.at3(1, r, c) = static_cast<float>(shade);
+      shade_plane[px] = static_cast<float>(shade);
       // Channel 2: depth map (1 = far/free).
-      img.at3(2, r, c) =
-          obstacle_px ? static_cast<float>(depth_norm) : 1.0f;
+      depth_plane[px] = obstacle_px ? static_cast<float>(depth_norm) : 1.0f;
     }
   }
   return img;

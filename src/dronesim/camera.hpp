@@ -40,8 +40,18 @@ class DroneCamera {
   std::vector<double> depth_scan(const ObstacleWorld& world, Vec2 pose,
                                  double heading) const;
 
+  /// depth_scan over a prebuilt neighbourhood (ideally centred on the
+  /// cell of `pose`); bit-identical to the ObstacleWorld overload.
+  std::vector<double> depth_scan(const ObstacleNeighbourhood& near, Vec2 pose,
+                                 double heading) const;
+
   /// Full (3, H, W) render.
   Tensor render(const ObstacleWorld& world, Vec2 pose, double heading) const;
+
+  /// render over a prebuilt neighbourhood; bit-identical to the
+  /// ObstacleWorld overload.
+  Tensor render(const ObstacleNeighbourhood& near, Vec2 pose,
+                double heading) const;
 
   /// Geometry in force.
   const Options& options() const { return opts_; }

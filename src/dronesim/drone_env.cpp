@@ -12,7 +12,8 @@ DroneNavEnv::DroneNavEnv(std::uint64_t world_seed, Options opts,
     : base_seed_(world_seed),
       opts_(opts),
       camera_(camera_opts),
-      world_(world_seed, opts.world) {
+      world_(world_seed, opts.world),
+      near_(world_, state_.position, camera_.options().max_range) {
   FRLFI_CHECK(opts_.dt > 0.0);
   FRLFI_CHECK(opts_.min_speed > 0.0 && opts_.max_speed >= opts_.min_speed);
   FRLFI_CHECK(opts_.max_distance > 0.0);
@@ -43,6 +44,9 @@ Tensor DroneNavEnv::reset(Rng& rng) {
     world_ = ObstacleWorld(variant, world_.options());
   }
   state_ = DroneState{};
+  if (opts_.randomize_world || !near_.centred_on(state_.position))
+    near_ = ObstacleNeighbourhood(world_, state_.position,
+                                  camera_.options().max_range);
   // Launch toward open space: scan 16 candidate headings and take the
   // clearest (with a small random jitter). A blind random heading next to
   // the tight spawn clearance would make even perfect pilots start boxed
@@ -53,7 +57,7 @@ Tensor DroneNavEnv::reset(Rng& rng) {
   for (int k = 0; k < 16; ++k) {
     const double h = phase + kTau * k / 16.0;
     const double d =
-        world_.cast_ray(state_.position, h, camera_.options().max_range);
+        near_.cast_ray(state_.position, h, camera_.options().max_range);
     if (d > best_depth) {
       best_depth = d;
       best_heading = h;
@@ -64,7 +68,7 @@ Tensor DroneNavEnv::reset(Rng& rng) {
   done_ = false;
   stall_anchor_ = state_.position;
   stall_anchor_step_ = 0;
-  return camera_.render(world_, state_.position, state_.heading);
+  return camera_.render(near_, state_.position, state_.heading);
 }
 
 StepResult DroneNavEnv::step(std::size_t action, Rng& rng) {
@@ -85,7 +89,7 @@ StepResult DroneNavEnv::step(std::size_t action, Rng& rng) {
     const double t = travel * static_cast<double>(s) /
                      static_cast<double>(sub_steps);
     const Vec2 p{state_.position.x + dir.x * t, state_.position.y + dir.y * t};
-    if (world_.clearance(p, 10.0) < opts_.body_radius) {
+    if (near_.clearance(p, 10.0) < opts_.body_radius) {
       crashed = true;
       state_.position = p;
       state_.distance += t;
@@ -97,6 +101,9 @@ StepResult DroneNavEnv::step(std::size_t action, Rng& rng) {
     state_.distance += travel;
   }
   ++steps_;
+  if (!near_.centred_on(state_.position))
+    near_ = ObstacleNeighbourhood(world_, state_.position,
+                                  camera_.options().max_range);
 
   if (crashed) {
     result.reward = opts_.crash_penalty;
@@ -105,8 +112,8 @@ StepResult DroneNavEnv::step(std::size_t action, Rng& rng) {
   } else {
     // Depth-based reward: forward progress weighted by clearance ahead,
     // encouraging the drone to stay away from obstacles (§IV-B.1).
-    const double ahead = world_.cast_ray(state_.position, state_.heading,
-                                         camera_.options().max_range);
+    const double ahead = near_.cast_ray(state_.position, state_.heading,
+                                        camera_.options().max_range);
     const double clearance_norm = ahead / camera_.options().max_range;
     const double speed_norm = speed / opts_.max_speed;
     result.reward = static_cast<float>(
@@ -133,7 +140,7 @@ StepResult DroneNavEnv::step(std::size_t action, Rng& rng) {
   }
   done_ = result.done;
   result.observation =
-      camera_.render(world_, state_.position, state_.heading);
+      camera_.render(near_, state_.position, state_.heading);
   return result;
 }
 

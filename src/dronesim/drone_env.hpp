@@ -86,6 +86,10 @@ class DroneNavEnv final : public Environment {
   /// The world currently being flown.
   const ObstacleWorld& world() const { return world_; }
 
+  /// The obstacles around the drone's current lattice cell, sized for the
+  /// camera's range; every env query reads from it.
+  const ObstacleNeighbourhood& neighbourhood() const { return near_; }
+
   /// The camera (shared by the heuristic pilot).
   const DroneCamera& camera() const { return camera_; }
 
@@ -101,6 +105,8 @@ class DroneNavEnv final : public Environment {
   DroneCamera camera_;
   ObstacleWorld world_;
   DroneState state_;
+  /// Rebuilt only when the world is re-drawn or the drone changes cell.
+  ObstacleNeighbourhood near_;
   std::size_t steps_ = 0;
   bool done_ = true;
   Vec2 stall_anchor_;

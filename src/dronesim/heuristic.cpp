@@ -12,7 +12,7 @@ HeuristicPilot::HeuristicPilot(const DroneNavEnv& env)
 
 std::size_t HeuristicPilot::act(const DroneNavEnv& env) const {
   const std::vector<double> depths = env.camera().depth_scan(
-      env.world(), env.state().position, env.state().heading);
+      env.neighbourhood(), env.state().position, env.state().heading);
   return act_from_depths(depths);
 }
 

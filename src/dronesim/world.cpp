@@ -13,6 +13,9 @@ double sq(double v) { return v * v; }
 
 double dist(Vec2 a, Vec2 b) { return std::sqrt(sq(a.x - b.x) + sq(a.y - b.y)); }
 
+// Largest half-width of an ObstacleNeighbourhood window, in cells.
+constexpr std::int64_t kMaxReach = 16;
+
 }  // namespace
 
 ObstacleWorld::ObstacleWorld(std::uint64_t seed, Options opts)
@@ -43,8 +46,10 @@ std::optional<Obstacle> ObstacleWorld::obstacle_in_cell(std::int64_t cx,
   const double radius =
       opts_.min_radius + u_r * (opts_.max_radius - opts_.min_radius);
 
-  // Jitter the centre, keeping the full disk inside the cell so the 3x3
-  // neighbourhood search in collides()/clearance() is exhaustive.
+  // Jitter the centre, keeping the full disk inside the cell: a point
+  // inside a disk then lies in the disk's own cell, so the 5x5 scan in
+  // clearance() sees every obstacle within one cell of the point and
+  // collides() (a negative clearance) misses no hit.
   const double margin = radius;
   const double span = opts_.cell_size - 2.0 * margin;
   const double u_x = static_cast<double>(sm.next() >> 11) * 0x1.0p-53;
@@ -64,21 +69,13 @@ std::optional<Obstacle> ObstacleWorld::obstacle_in_cell(std::int64_t cx,
   return ob;
 }
 
-bool ObstacleWorld::collides(Vec2 p) const {
-  const auto cx = static_cast<std::int64_t>(std::floor(p.x / opts_.cell_size));
-  const auto cy = static_cast<std::int64_t>(std::floor(p.y / opts_.cell_size));
-  for (std::int64_t dx = -1; dx <= 1; ++dx) {
-    for (std::int64_t dy = -1; dy <= 1; ++dy) {
-      const auto ob = obstacle_in_cell(cx + dx, cy + dy);
-      if (ob && dist(p, ob->center) < ob->radius) return true;
-    }
-  }
-  return false;
+std::int64_t ObstacleWorld::cell_of(double v) const {
+  return static_cast<std::int64_t>(std::floor(v / opts_.cell_size));
 }
 
 double ObstacleWorld::clearance(Vec2 p, double cap) const {
-  const auto cx = static_cast<std::int64_t>(std::floor(p.x / opts_.cell_size));
-  const auto cy = static_cast<std::int64_t>(std::floor(p.y / opts_.cell_size));
+  const std::int64_t cx = cell_of(p.x);
+  const std::int64_t cy = cell_of(p.y);
   double best = cap;
   for (std::int64_t dx = -2; dx <= 2; ++dx) {
     for (std::int64_t dy = -2; dy <= 2; ++dy) {
@@ -91,6 +88,57 @@ double ObstacleWorld::clearance(Vec2 p, double cap) const {
 
 double ObstacleWorld::cast_ray(Vec2 origin, double heading,
                                double max_range) const {
+  return ObstacleNeighbourhood(*this, origin, max_range)
+      .cast_ray(origin, heading, max_range);
+}
+
+ObstacleNeighbourhood::ObstacleNeighbourhood(const ObstacleWorld& world,
+                                             Vec2 centre, double max_range)
+    : world_(world), cx_(world.cell_of(centre.x)), cy_(world.cell_of(centre.y)) {
+  FRLFI_CHECK(max_range > 0.0);
+  const double cells = std::ceil(max_range / world_.options().cell_size);
+  reach_ = 2 + static_cast<std::int64_t>(
+                   std::min(cells, static_cast<double>(kMaxReach - 2)));
+  side_ = 2 * reach_ + 1;
+  slots_.reserve(static_cast<std::size_t>(side_ * side_));
+  for (std::int64_t i = 0; i < side_; ++i)
+    for (std::int64_t j = 0; j < side_; ++j)
+      slots_.push_back(
+          world_.obstacle_in_cell(cx_ - reach_ + i, cy_ - reach_ + j));
+}
+
+bool ObstacleNeighbourhood::centred_on(Vec2 p) const {
+  return world_.cell_of(p.x) == cx_ && world_.cell_of(p.y) == cy_;
+}
+
+double ObstacleNeighbourhood::clearance(Vec2 p, double cap) const {
+  // Offsets of p's cell from the window's lowest cell.
+  const std::int64_t ox = world_.cell_of(p.x) - (cx_ - reach_);
+  const std::int64_t oy = world_.cell_of(p.y) - (cy_ - reach_);
+  if (ox < 2 || oy < 2 || ox > side_ - 3 || oy > side_ - 3)
+    return world_.clearance(p, cap);
+  // Same cells, same dx-outer/dy-inner order and same arithmetic as
+  // ObstacleWorld::clearance. A cell is skipped without the sqrt when its
+  // Chebyshev bound already loses: the rounded sqrt(dx^2 + dy^2) is never
+  // below max(|dx|, |dy|), and rounding is monotone, so such a cell could
+  // not have lowered `best`.
+  double best = cap;
+  for (std::int64_t i = ox - 2; i <= ox + 2; ++i) {
+    const auto* row = &slots_[static_cast<std::size_t>(i * side_ + oy - 2)];
+    for (std::int64_t j = 0; j < 5; ++j) {
+      const auto& ob = row[j];
+      if (!ob) continue;
+      const double bound =
+          std::max(std::abs(p.x - ob->center.x), std::abs(p.y - ob->center.y));
+      if (bound - ob->radius >= best) continue;
+      best = std::min(best, dist(p, ob->center) - ob->radius);
+    }
+  }
+  return best;
+}
+
+double ObstacleNeighbourhood::cast_ray(Vec2 origin, double heading,
+                                       double max_range) const {
   FRLFI_CHECK(max_range > 0.0);
   const Vec2 dir{std::cos(heading), std::sin(heading)};
   // Coarse march with sphere-tracing acceleration: step by the clearance

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 namespace frlfi {
 
@@ -52,16 +53,21 @@ class ObstacleWorld {
   /// The obstacle owned by lattice cell (cx, cy), if any.
   std::optional<Obstacle> obstacle_in_cell(std::int64_t cx, std::int64_t cy) const;
 
+  /// Lattice cell index of coordinate `v` (floor(v / cell_size)).
+  std::int64_t cell_of(double v) const;
+
   /// True when point p lies inside any obstacle.
-  bool collides(Vec2 p) const;
+  bool collides(Vec2 p) const { return clearance(p) < 0.0; }
 
   /// Signed clearance from p to the nearest obstacle surface within the
   /// 5x5 cell neighbourhood (negative = inside an obstacle); returns
-  /// `cap` when nothing is nearby.
+  /// `cap` when nothing is nearby. Hashes all 25 cells per call: the
+  /// reference that ObstacleNeighbourhood is held bit-identical to.
   double clearance(Vec2 p, double cap = 100.0) const;
 
   /// March a ray from `origin` along `heading` (radians) and return the
   /// distance to the first obstacle surface, or `max_range` if free.
+  /// Marches through an ObstacleNeighbourhood built around `origin`.
   double cast_ray(Vec2 origin, double heading, double max_range) const;
 
   /// World seed (diagnostics).
@@ -75,6 +81,41 @@ class ObstacleWorld {
 
   std::uint64_t seed_;
   Options opts_;
+};
+
+/// The obstacles of a square window of lattice cells around a centre
+/// cell, each hashed once and stored by value. Queries give the same bits
+/// as the ObstacleWorld ones; a query whose 5x5 scan leaves the window
+/// falls back to hashing. The window covers every sphere-tracing step of
+/// a ray of length `max_range` cast from inside the centre cell, so a
+/// camera frame, a look-ahead ray or a collision sweep near the centre
+/// costs no hashing at all. Holds a copy of the world (seed and options),
+/// never a pointer, so it stays valid when its owner is copied or moved.
+class ObstacleNeighbourhood {
+ public:
+  /// Window around the cell containing `centre`, sized for rays of
+  /// length `max_range`: centre cell +- (2 + ceil(max_range / cell_size)),
+  /// at most +- 16 cells.
+  ObstacleNeighbourhood(const ObstacleWorld& world, Vec2 centre,
+                        double max_range);
+
+  /// Bit-identical to ObstacleWorld::clearance.
+  double clearance(Vec2 p, double cap = 100.0) const;
+
+  /// Bit-identical to ObstacleWorld::cast_ray.
+  double cast_ray(Vec2 origin, double heading, double max_range) const;
+
+  /// True when `p` lies in the window's centre cell.
+  bool centred_on(Vec2 p) const;
+
+ private:
+  ObstacleWorld world_;
+  std::int64_t cx_ = 0, cy_ = 0;  // centre cell
+  std::int64_t reach_ = 0;        // half-width in cells
+  std::int64_t side_ = 1;         // 2 * reach_ + 1
+  /// One slot per window cell, x-major: cell (cx_ - reach_ + i,
+  /// cy_ - reach_ + j) at i * side_ + j; empty for an obstacle-free cell.
+  std::vector<std::optional<Obstacle>> slots_;
 };
 
 }  // namespace frlfi

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/error.hpp"
 #include "dronesim/camera.hpp"
@@ -293,6 +298,315 @@ TEST(HeuristicPilot, FliesFarInDefaultWorld) {
     total += env.flight_distance();
   }
   EXPECT_GT(total / kEpisodes, 400.0);
+}
+
+// Exact bit equality, so +0.0 vs -0.0 or a last-ulp drift fails.
+template <typename T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+// The ray march as it stood before the neighbourhood cache, driven by the
+// per-query ObstacleWorld::clearance: the oracle for every cast_ray.
+double reference_cast_ray(const ObstacleWorld& w, Vec2 origin, double heading,
+                          double max_range) {
+  const Vec2 dir{std::cos(heading), std::sin(heading)};
+  double t = 0.0;
+  while (t < max_range) {
+    const Vec2 p{origin.x + dir.x * t, origin.y + dir.y * t};
+    const double c = w.clearance(p, max_range);
+    if (c <= 0.0) return t;
+    t += std::max(c, 0.25);
+  }
+  return max_range;
+}
+
+// collides() as it stood: a 3x3 scan for a point strictly inside a disk.
+bool reference_collides(const ObstacleWorld& w, Vec2 p) {
+  const double cell = w.options().cell_size;
+  const auto cx = static_cast<std::int64_t>(std::floor(p.x / cell));
+  const auto cy = static_cast<std::int64_t>(std::floor(p.y / cell));
+  for (std::int64_t dx = -1; dx <= 1; ++dx)
+    for (std::int64_t dy = -1; dy <= 1; ++dy) {
+      const auto ob = w.obstacle_in_cell(cx + dx, cy + dy);
+      if (!ob) continue;
+      const double ex = p.x - ob->center.x, ey = p.y - ob->center.y;
+      if (std::sqrt(ex * ex + ey * ey) < ob->radius) return true;
+    }
+  return false;
+}
+
+// The worlds the equivalence tests sweep: default statistics, a
+// non-default lattice, a dense field without the spawn clearing, and a
+// sparse one where the nearest obstacle is often two cells away (so the
+// outer ring of the 5x5 scan decides the result).
+std::vector<ObstacleWorld> equivalence_worlds() {
+  ObstacleWorld::Options small;
+  small.cell_size = 19.0;
+  small.max_radius = 4.0;
+  small.density = 0.7;
+  ObstacleWorld::Options dense;
+  dense.density = 0.9;
+  dense.spawn_clearance = 0.0;
+  ObstacleWorld::Options sparse;
+  sparse.density = 0.08;
+  return {ObstacleWorld(42), ObstacleWorld(9001, small),
+          ObstacleWorld(3, dense), ObstacleWorld(5, sparse)};
+}
+
+// A random point within `span` of `centre`; three in eight are snapped
+// onto a cell edge or corner, where floor() decides the cell.
+Vec2 probe_point(Rng& rng, Vec2 centre, double span, double cell) {
+  Vec2 p{centre.x + rng.uniform(-span, span), centre.y + rng.uniform(-span, span)};
+  switch (rng.uniform_index(8)) {
+    case 0: p.x = std::round(p.x / cell) * cell; break;
+    case 1: p.y = std::round(p.y / cell) * cell; break;
+    case 2:
+      p.x = std::round(p.x / cell) * cell;
+      p.y = std::round(p.y / cell) * cell;
+      break;
+    default: break;
+  }
+  return p;
+}
+
+TEST(ObstacleNeighbourhood, ClearanceBitIdenticalToWorld) {
+  Rng rng(17);
+  int fallbacks = 0, checked = 0;
+  for (const ObstacleWorld& w : equivalence_worlds()) {
+    const double cell = w.options().cell_size;
+    for (const double range : {60.0, 20.0, 130.0}) {
+      for (int k = 0; k < 12; ++k) {
+        // Centres on both sides of the origin, some exactly on a corner.
+        Vec2 centre{rng.uniform(-400.0, 400.0), rng.uniform(-400.0, 400.0)};
+        if (k % 3 == 0) centre = {std::floor(centre.x / cell) * cell, -cell * k};
+        const ObstacleNeighbourhood near(w, centre, range);
+        // Probe past the window so the hashing fallback runs too.
+        const double span = range + 4.0 * cell;
+        for (int q = 0; q < 300; ++q) {
+          const Vec2 p = probe_point(rng, centre, span, cell);
+          for (const double cap : {100.0, 10.0, range}) {
+            ASSERT_TRUE(same_bits(near.clearance(p, cap), w.clearance(p, cap)))
+                << "p=(" << p.x << ", " << p.y << ") cap=" << cap;
+            ++checked;
+          }
+          const double window = (2.0 + std::ceil(range / cell)) * cell;
+          fallbacks += std::abs(p.x - centre.x) > window + cell;
+        }
+      }
+    }
+  }
+  EXPECT_GT(fallbacks, 100);
+  EXPECT_GT(checked, 10000);
+}
+
+TEST(ObstacleNeighbourhood, CastRayBitIdenticalToReferenceMarch) {
+  Rng rng(23);
+  for (const ObstacleWorld& w : equivalence_worlds()) {
+    const double cell = w.options().cell_size;
+    for (const double range : {60.0, 33.0, 100.0}) {
+      for (int k = 0; k < 10; ++k) {
+        const Vec2 centre{rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0)};
+        const ObstacleNeighbourhood near(w, centre, range);
+        for (int q = 0; q < 40; ++q) {
+          // Origins mostly in the centre cell (the env's case), some a few
+          // cells away so rays leave the window.
+          const double spread = q % 4 == 0 ? 3.0 * cell : 0.5 * cell;
+          const Vec2 o = probe_point(rng, centre, spread, cell);
+          const double h = rng.uniform(-7.0, 7.0);
+          const double ref = reference_cast_ray(w, o, h, range);
+          ASSERT_TRUE(same_bits(near.cast_ray(o, h, range), ref));
+          ASSERT_TRUE(same_bits(w.cast_ray(o, h, range), ref));
+        }
+      }
+    }
+  }
+}
+
+TEST(ObstacleNeighbourhood, CappedWindowFallsBackForLongRays) {
+  // 400 m rays over an 11 m lattice would need a +-39-cell window; the
+  // window stops at +-16 and the rest of each ray hashes as it goes.
+  ObstacleWorld::Options opts;
+  opts.cell_size = 11.0;
+  opts.density = 0.03;
+  const ObstacleWorld w(61, opts);
+  Rng rng(37);
+  for (int k = 0; k < 40; ++k) {
+    const Vec2 o{rng.uniform(-500.0, 500.0), rng.uniform(-500.0, 500.0)};
+    const double h = rng.uniform(-4.0, 4.0);
+    const ObstacleNeighbourhood near(w, o, 400.0);
+    const double ref = reference_cast_ray(w, o, h, 400.0);
+    ASSERT_TRUE(same_bits(near.cast_ray(o, h, 400.0), ref));
+    ASSERT_TRUE(same_bits(w.cast_ray(o, h, 400.0), ref));
+  }
+}
+
+TEST(ObstacleNeighbourhood, CollidesMatchesThreeByThreeScan) {
+  Rng rng(29);
+  int hits = 0;
+  for (const ObstacleWorld& w : equivalence_worlds()) {
+    for (int q = 0; q < 4000; ++q) {
+      const Vec2 p =
+          probe_point(rng, {0.0, 0.0}, 200.0, w.options().cell_size);
+      const bool ref = reference_collides(w, p);
+      ASSERT_EQ(w.collides(p), ref);
+      hits += ref;
+    }
+  }
+  EXPECT_GT(hits, 100);
+}
+
+TEST(DroneCamera, NeighbourhoodScanAndRenderBitIdentical) {
+  Rng rng(31);
+  std::vector<DroneCamera::Options> cams(2);
+  cams[1].width = 20;
+  cams[1].height = 12;
+  cams[1].max_range = 75.0;
+  for (const ObstacleWorld& w : equivalence_worlds()) {
+    const double cell = w.options().cell_size;
+    for (const DroneCamera::Options& copts : cams) {
+      const DroneCamera cam(copts);
+      for (int k = 0; k < 15; ++k) {
+        const Vec2 pose = probe_point(rng, {0.0, 0.0}, 250.0, cell);
+        const double heading = rng.uniform(-4.0, 4.0);
+        // Reference depths column by column from the golden march.
+        const auto depths = cam.depth_scan(w, pose, heading);
+        ASSERT_EQ(depths.size(), copts.width);
+        for (std::size_t c = 0; c < copts.width; ++c) {
+          const double frac = (static_cast<double>(c) + 0.5) /
+                              static_cast<double>(copts.width);
+          const double angle = heading + copts.fov * (0.5 - frac);
+          ASSERT_TRUE(same_bits(
+              depths[c], reference_cast_ray(w, pose, angle, copts.max_range)));
+        }
+        // A window centred on the pose, and one two cells off (partial
+        // fallback), must both reproduce the world overloads.
+        const Tensor img = cam.render(w, pose, heading);
+        for (const Vec2 centre : {pose, Vec2{pose.x + 2 * cell, pose.y - cell}}) {
+          const ObstacleNeighbourhood near(w, centre, copts.max_range);
+          const auto nd = cam.depth_scan(near, pose, heading);
+          for (std::size_t c = 0; c < copts.width; ++c)
+            ASSERT_TRUE(same_bits(nd[c], depths[c]));
+          ASSERT_TRUE(same_bits(cam.render(near, pose, heading), img));
+        }
+      }
+    }
+  }
+}
+
+TEST(DroneNavEnv, CopiedEnvKeepsProducingIdenticalFrames) {
+  DroneNavEnv env(12);
+  Rng rng(4);
+  env.reset(rng);
+  SplitMix64 script(99);
+  for (int t = 0; t < 30; ++t)
+    if (env.step(static_cast<std::size_t>(script.next() % 25), rng).done)
+      env.reset(rng);
+
+  // A copy, a copy-assigned env and a move-constructed one (whose source
+  // is gone) must fly on identically to the original.
+  DroneNavEnv copy = env;
+  DroneNavEnv assigned(1);
+  assigned = env;
+  auto source = std::make_unique<DroneNavEnv>(env);
+  DroneNavEnv moved(std::move(*source));
+  source.reset();
+  std::vector<std::pair<DroneNavEnv*, Rng>> twins{
+      {&copy, rng}, {&assigned, rng}, {&moved, rng}};
+  for (int t = 0; t < 150; ++t) {
+    const auto action = static_cast<std::size_t>(script.next() % 25);
+    const StepResult a = env.step(action, rng);
+    const Tensor next = a.done ? env.reset(rng) : Tensor();
+    for (auto& [twin, twin_rng] : twins) {
+      const StepResult b = twin->step(action, twin_rng);
+      ASSERT_TRUE(same_bits(a.observation, b.observation)) << "step " << t;
+      ASSERT_TRUE(same_bits(a.reward, b.reward));
+      ASSERT_EQ(a.done, b.done);
+      if (a.done) {
+        ASSERT_TRUE(same_bits(next, twin->reset(twin_rng)));
+      }
+    }
+  }
+  for (const auto& twin : twins)
+    EXPECT_TRUE(same_bits(env.flight_distance(), twin.first->flight_distance()));
+}
+
+// FNV-1a over the raw bytes of a value: a digest of exact bit patterns.
+class BitDigest {
+ public:
+  void add_bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= b[i];
+      h_ *= 0x100000001B3ULL;
+    }
+  }
+  template <typename T>
+  void add(T v) {
+    add_bytes(&v, sizeof v);
+  }
+  void add(const Tensor& t) { add_bytes(t.data().data(), t.size() * sizeof(float)); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+// Fly a fixed-seed env through a scripted 300-step action sequence,
+// resetting whenever an episode ends, and digest every observation, every
+// reward and each episode's final distance and pose.
+std::uint64_t scripted_flight_digest(DroneNavEnv& env, std::uint64_t seed) {
+  Rng rng(seed);
+  SplitMix64 script(seed * 31 + 7);
+  BitDigest digest;
+  digest.add(env.reset(rng));
+  int resets = 0;
+  for (int t = 0; t < 300; ++t) {
+    const std::size_t action = static_cast<std::size_t>(script.next() % 25);
+    const StepResult r = env.step(action, rng);
+    digest.add(r.observation);
+    digest.add(r.reward);
+    digest.add(r.done);
+    if (r.done) {
+      digest.add(env.flight_distance());
+      digest.add(env.state().position.x);
+      digest.add(env.state().position.y);
+      digest.add(env.state().heading);
+      digest.add(env.reset(rng));
+      ++resets;
+    }
+  }
+  digest.add(env.flight_distance());
+  EXPECT_GE(resets, 2);  // the script must cross several episodes
+  return digest.value();
+}
+
+// Digests recorded on the simulator before the obstacle neighbourhood
+// cache existed: the cached simulator must fly bit-identical episodes.
+// They pin the portable build's rounding; an FMA-contracting native build
+// flies different (equally valid) bits.
+TEST(DroneNavEnv, GoldenScriptedFlightDigest) {
+#ifdef __FMA__
+  GTEST_SKIP() << "digests are recorded for the portable (no-FMA) build";
+#endif
+  DroneNavEnv env(2024);
+  EXPECT_EQ(scripted_flight_digest(env, 5), 0x94981E1D916F2689ULL);
+
+  DroneNavEnv::Options opts;
+  opts.world.cell_size = 19.0;
+  opts.world.max_radius = 4.0;
+  DroneCamera::Options cam;
+  cam.width = 20;
+  cam.height = 12;
+  cam.max_range = 75.0;
+  DroneNavEnv odd(77, opts, cam);
+  EXPECT_EQ(scripted_flight_digest(odd, 9), 0xDE38793A44936C5DULL);
 }
 
 }  // namespace
