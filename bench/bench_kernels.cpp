@@ -6,8 +6,8 @@
 ///  * batched inference: B single-sample policy forwards vs one
 ///    Network::forward_batch at B in {1,4,16,64} on the drone policy,
 ///  * int8-native inference: the deployed int8 image executed through the
-///    quant kernels (forward_quant / forward_batch_quant) vs the float
-///    plane at the same drone-policy shapes, with a tolerance gate locking
+///    quant kernels (forward_batch_quant) vs the float plane at the same
+///    drone-policy shapes, with a tolerance gate locking
 ///    the int8 logits to the float shadow of the same deployed image,
 ///  * sharded batched inference: a B x threads sweep of forward_batch
 ///    split across a ThreadPool, with a bit-identity check against the
@@ -350,19 +350,17 @@ bool bench_int8_inference(double min_time, Report& report) {
     Rng xr(16);
     const Tensor xb =
         Tensor::random_uniform({batch, 3, 18, 32}, xr, 0.0f, 1.0f);
-    double t_float = 0.0, t_int8 = 0.0;
+    double t_float = 0.0;
     if (batch == 1) {
       Tensor obs({3, 18, 32});
       std::copy_n(xb.data().begin(), obs.size(), obs.data().begin());
       t_float = time_per_call(min_time, [&] { net.forward(obs); });
-      t_int8 =
-          time_per_call(min_time, [&] { net.forward_quant(obs, qview); });
     } else {
       t_float =
           time_per_call(min_time, [&] { net.forward_batch(xb, batch); });
-      t_int8 = time_per_call(
-          min_time, [&] { net.forward_batch_quant(xb, batch, qview); });
     }
+    const double t_int8 = time_per_call(
+        min_time, [&] { net.forward_batch_quant(xb, batch, qview); });
     // Tolerance gate: int8 logits vs the float shadow of the SAME image.
     const std::vector<const WeightView*> shadow_views(batch, &fview);
     const Tensor shadow = net.forward_batch(xb, batch, nullptr, shadow_views);

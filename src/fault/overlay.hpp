@@ -19,9 +19,9 @@
 ///        effective(i) = overlay(i) if present else base(i)
 ///    is bit-for-bit the vector the in-place path would have written.
 ///
-/// A WeightView bundles base + overlay for the forward plane: Network and
-/// the parameterized layers accept an optional view and read effective
-/// weights through it without mutating anything — which is what lets one
+/// A WeightView bundles base + overlay for the forward plane: the
+/// parameterized layers' Layer::infer reads effective weights through a
+/// view ParamSource without mutating anything — which is what lets one
 /// batched forward serve N lanes with N different corrupted weight sets
 /// (see Network::forward_batch) and lets parallel campaigns share a single
 /// read-only policy.

@@ -323,20 +323,20 @@ void DroneFrlSystem::load(std::istream& is) {
   const std::uint64_t n = persist::read_u64(is);
   FRLFI_CHECK_MSG(n == nets_.size(), "state holds " << n << " drones, system has "
                                                     << nets_.size());
+  const std::size_t params = nets_[0]->parameter_count();
   for (std::uint64_t i = 0; i < n; ++i)
-    snap.drone_params.push_back(persist::read_floats(is));
+    snap.drone_params.push_back(persist::read_floats(is, params));
   for (std::uint64_t i = 0; i < n; ++i) {
     ReinforceTrainer::BaselineState b;
-    const std::vector<float> v = persist::read_floats(is);
-    FRLFI_CHECK(v.size() == 1);
-    b.value = v[0];
+    b.value = persist::read_floats(is, 1)[0];
     b.initialized = persist::read_u64(is) != 0;
     snap.baselines.push_back(b);
   }
   // Version-1 files carry no engine block: restore() falls back to the
   // historical position-only semantics.
   if (version >= 2)
-    snap.engine = persist::read_training_state(is, cfg_.n_drones, version);
+    snap.engine =
+        persist::read_training_state(is, cfg_.n_drones, params, version);
   restore(snap);
 }
 

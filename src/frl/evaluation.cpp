@@ -7,13 +7,19 @@
 
 namespace frlfi {
 
-EpisodeStats greedy_episode(Network& policy, Environment& env, Rng& rng,
-                            std::size_t max_steps, const WeightView* view) {
+namespace {
+
+/// The greedy episode loop shared by the serial evaluators: `act(obs, t)`
+/// picks the action at step t (it may draw from `rng` first, as a Trans-1
+/// strike does).
+template <typename Act>
+EpisodeStats run_greedy(Environment& env, Rng& rng, std::size_t max_steps,
+                        Act&& act) {
   FRLFI_CHECK(max_steps >= 1);
   EpisodeStats stats;
   Tensor obs = env.reset(rng);
   for (std::size_t t = 0; t < max_steps; ++t) {
-    const std::size_t action = policy.forward(obs, view).argmax();
+    const std::size_t action = act(obs, t);
     StepResult r = env.step(action, rng);
     stats.total_reward += r.reward;
     ++stats.steps;
@@ -27,25 +33,32 @@ EpisodeStats greedy_episode(Network& policy, Environment& env, Rng& rng,
   return stats;
 }
 
+/// One observation as a width-1 batch for the inference forwards.
+Tensor as_batch(const Tensor& obs) {
+  std::vector<std::size_t> shape{1};
+  shape.insert(shape.end(), obs.shape().begin(), obs.shape().end());
+  return obs.reshaped(std::move(shape));
+}
+
+}  // namespace
+
+EpisodeStats greedy_episode(Network& policy, Environment& env, Rng& rng,
+                            std::size_t max_steps, const WeightView* view) {
+  return run_greedy(env, rng, max_steps, [&](const Tensor& obs, std::size_t) {
+    if (view == nullptr) return policy.forward(obs).argmax();
+    return policy
+        .forward_batch(as_batch(obs), 1, nullptr,
+                       std::span<const WeightView* const>(&view, 1))
+        .argmax();
+  });
+}
+
 EpisodeStats greedy_episode_quant(Network& policy, Environment& env, Rng& rng,
                                   std::size_t max_steps,
                                   const QuantWeightView& qview) {
-  FRLFI_CHECK(max_steps >= 1);
-  EpisodeStats stats;
-  Tensor obs = env.reset(rng);
-  for (std::size_t t = 0; t < max_steps; ++t) {
-    const std::size_t action = policy.forward_quant(obs, qview).argmax();
-    StepResult r = env.step(action, rng);
-    stats.total_reward += r.reward;
-    ++stats.steps;
-    if (r.done) {
-      stats.success = r.success;
-      return stats;
-    }
-    obs = std::move(r.observation);
-  }
-  stats.success = false;
-  return stats;
+  return run_greedy(env, rng, max_steps, [&](const Tensor& obs, std::size_t) {
+    return policy.forward_batch_quant(as_batch(obs), 1, qview).argmax();
+  });
 }
 
 namespace {
@@ -60,6 +73,34 @@ struct Trans1Strikes {
   // out-of-range indices, scanned once per campaign so each strike
   // screens in O(overlay entries).
   const std::vector<std::size_t>* base_hits = nullptr;
+};
+
+/// Per-step strike state of one numeric plane: each striking row's
+/// overlay, the view over it, and the per-row view pointers (null for a
+/// clean row). Overlays and views are sized before any pointer into them
+/// is taken, so a striking row's view stays valid for the whole forward;
+/// the strike clears each reused overlay before recording into it.
+template <typename Overlay, typename View>
+struct LaneStrikes {
+  std::vector<Overlay> overlays;
+  std::vector<View> views;
+  std::vector<const View*> lane_views;
+
+  /// Strike `rows` of an `nb`-row batch in ascending order through
+  /// `strike(row, overlay) -> view`; no rows yields no lane views.
+  template <typename Strike>
+  std::span<const View* const> apply(const std::vector<std::size_t>& rows,
+                                     std::size_t nb, Strike&& strike) {
+    if (rows.empty()) return {};
+    overlays.resize(rows.size());
+    views.resize(rows.size());
+    lane_views.assign(nb, nullptr);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      views[k] = strike(rows[k], overlays[k]);
+      lane_views[rows[k]] = &views[k];
+    }
+    return lane_views;
+  }
 };
 
 /// The single lockstep lane runner behind greedy_episodes_batched and
@@ -118,15 +159,19 @@ std::vector<EpisodeStats> lockstep_episodes(
   }
   const std::size_t sample = obs[0].size();
   Tensor batch;
-  // Per-step strike state; overlays and views are reserved before any
-  // pointer into them is taken, so a striking lane's view stays valid for
-  // the whole forward.
-  std::vector<WeightOverlay> step_overlays;
-  std::vector<WeightView> step_views;
-  std::vector<const WeightView*> lane_views;
-  std::vector<QuantOverlay> step_qoverlays;
-  std::vector<QuantWeightView> step_qviews;
-  std::vector<const QuantWeightView*> lane_qviews;
+  std::vector<std::size_t> strike_rows;
+  LaneStrikes<WeightOverlay, WeightView> float_strikes;
+  LaneStrikes<QuantOverlay, QuantWeightView> quant_strikes;
+  const auto strike_float = [&](std::size_t a, WeightOverlay& overlay) {
+    trans1_strike_overlay(strikes->deployed, strikes->scenario,
+                          rngs[active[a]], overlay, strikes->base_hits);
+    return strikes->deployed.view(&overlay);
+  };
+  const auto strike_quant = [&](std::size_t a, QuantOverlay& overlay) {
+    trans1_strike_overlay_quant(strikes->deployed, strikes->scenario,
+                                rngs[active[a]], overlay, strikes->base_hits);
+    return strikes->deployed.quant_view(&overlay);
+  };
   for (std::size_t t = 0; t < max_steps && !active.empty(); ++t) {
     const std::size_t nb = active.size();
     // The lane count only shrinks as episodes finish, so most steps reuse
@@ -137,60 +182,26 @@ std::vector<EpisodeStats> lockstep_episodes(
                     obs[active[0]].shape().end());
       batch = Tensor(std::move(bshape));
     }
-    std::size_t striking = 0;
+    strike_rows.clear();
     for (std::size_t a = 0; a < nb; ++a) {
       std::copy_n(obs[active[a]].data().begin(), sample,
                   batch.data().begin() + static_cast<std::ptrdiff_t>(a * sample));
       if (strikes != nullptr && strikes->fault_step[active[a]] == t)
-        ++striking;
+        strike_rows.push_back(a);
     }
-    Tensor logits;
-    if (striking > 0 && base_qview != nullptr) {
-      // Int8-native strikes: same per-lane draw order as the float branch
-      // below, with the corruption recorded as int8 words and the forward
-      // executing the struck image directly.
-      step_qoverlays.clear();
-      step_qviews.clear();
-      step_qoverlays.reserve(striking);
-      step_qviews.reserve(striking);
-      lane_qviews.assign(nb, nullptr);
-      for (std::size_t a = 0; a < nb; ++a) {
-        const std::size_t i = active[a];
-        if (strikes->fault_step[i] != t) continue;
-        step_qoverlays.emplace_back();
-        trans1_strike_overlay_quant(strikes->deployed, strikes->scenario,
-                                    rngs[i], step_qoverlays.back(),
-                                    strikes->base_hits);
-        step_qviews.push_back(
-            strikes->deployed.quant_view(&step_qoverlays.back()));
-        lane_qviews[a] = &step_qviews.back();
-      }
-      logits = policy.forward_batch_quant(batch, nb, *base_qview, pool,
-                                          lane_qviews);
-    } else if (striking > 0) {
-      // Each striking lane draws its own corruption from its own stream
-      // (exactly what the serial path consumes at this step) and rides a
-      // private weight view; the other lanes share the clean forward.
-      step_overlays.clear();
-      step_views.clear();
-      step_overlays.reserve(striking);
-      step_views.reserve(striking);
-      lane_views.assign(nb, nullptr);
-      for (std::size_t a = 0; a < nb; ++a) {
-        const std::size_t i = active[a];
-        if (strikes->fault_step[i] != t) continue;
-        step_overlays.emplace_back();
-        trans1_strike_overlay(strikes->deployed, strikes->scenario, rngs[i],
-                              step_overlays.back(), strikes->base_hits);
-        step_views.push_back(strikes->deployed.view(&step_overlays.back()));
-        lane_views[a] = &step_views.back();
-      }
-      logits = policy.forward_batch(batch, nb, pool, lane_views);
-    } else if (base_qview != nullptr) {
-      logits = policy.forward_batch_quant(batch, nb, *base_qview, pool);
-    } else {
-      logits = policy.forward_batch(batch, nb, pool);
-    }
+    // Each striking lane draws its own corruption from its own stream
+    // (exactly what the serial path consumes at this step) and rides a
+    // private view; the other lanes share the clean forward. On the int8
+    // plane the same draws are recorded as words and the forward executes
+    // the struck image directly.
+    const Tensor logits =
+        base_qview != nullptr
+            ? policy.forward_batch_quant(
+                  batch, nb, *base_qview, pool,
+                  quant_strikes.apply(strike_rows, nb, strike_quant))
+            : policy.forward_batch(
+                  batch, nb, pool,
+                  float_strikes.apply(strike_rows, nb, strike_float));
     const std::size_t width = logits.size() / nb;
     std::vector<std::size_t> still_active;
     still_active.reserve(nb);
@@ -340,55 +351,25 @@ EpisodeStats greedy_episode_trans1(Network& policy, Environment& env, Rng& rng,
                     "InferenceMode::Int8 requires an int8 deployment "
                     "(scenario.use_int8)");
     const DeployedWeights deployed = make_deployed_weights(policy, scenario);
-    const QuantWeightView base_view = deployed.quant_view(nullptr);
-    EpisodeStats stats;
-    Tensor obs = env.reset(rng);
-    for (std::size_t t = 0; t < max_steps; ++t) {
-      std::size_t action;
-      if (t == fault_step) {
-        QuantOverlay overlay;
-        trans1_strike_overlay_quant(deployed, scenario, rng, overlay);
-        const QuantWeightView struck = deployed.quant_view(&overlay);
-        action = policy.forward_quant(obs, struck).argmax();
-      } else {
-        action = policy.forward_quant(obs, base_view).argmax();
-      }
-      StepResult r = env.step(action, rng);
-      stats.total_reward += r.reward;
-      ++stats.steps;
-      if (r.done) {
-        stats.success = r.success;
-        return stats;
-      }
-      obs = std::move(r.observation);
-    }
-    stats.success = false;
-    return stats;
+    return run_greedy(
+        env, rng, max_steps, [&](const Tensor& obs, std::size_t t) {
+          QuantOverlay overlay;
+          if (t == fault_step)
+            trans1_strike_overlay_quant(deployed, scenario, rng, overlay);
+          return policy
+              .forward_batch_quant(as_batch(obs), 1,
+                                   deployed.quant_view(&overlay))
+              .argmax();
+        });
   }
 
-  EpisodeStats stats;
-  Tensor obs = env.reset(rng);
-  for (std::size_t t = 0; t < max_steps; ++t) {
-    std::size_t action;
-    if (t == fault_step) {
-      WeightRestoreGuard guard(policy);  // restores after the single read
-      corrupt_policy(policy, scenario, rng);
-      if (scenario.detector) scenario.detector->scan_and_suppress(policy);
-      action = policy.forward(obs).argmax();
-    } else {
-      action = policy.forward(obs).argmax();
-    }
-    StepResult r = env.step(action, rng);
-    stats.total_reward += r.reward;
-    ++stats.steps;
-    if (r.done) {
-      stats.success = r.success;
-      return stats;
-    }
-    obs = std::move(r.observation);
-  }
-  stats.success = false;
-  return stats;
+  return run_greedy(env, rng, max_steps, [&](const Tensor& obs, std::size_t t) {
+    if (t != fault_step) return policy.forward(obs).argmax();
+    WeightRestoreGuard guard(policy);  // restores after the single read
+    corrupt_policy(policy, scenario, rng);
+    if (scenario.detector) scenario.detector->scan_and_suppress(policy);
+    return policy.forward(obs).argmax();
+  });
 }
 
 InjectionReport apply_static_inference_fault(

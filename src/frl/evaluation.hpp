@@ -22,19 +22,21 @@ namespace frlfi {
 
 /// Run one greedy episode (argmax of the network output at every step).
 /// A non-null `view` routes every forward through the fault-overlay plane
-/// (Network::forward(obs, view)): the episode runs exactly as if the
-/// policy held the view's effective weights, but nothing is mutated —
-/// which is how the per-layer ablation replays many fault overlays over
-/// one shared read-only snapshot instead of cloning it per trial.
+/// (a width-1 Network::forward_batch reading the view): the episode runs
+/// exactly as if the policy held the view's effective weights, but nothing
+/// is mutated — which is how the per-layer ablation replays many fault
+/// overlays over one shared read-only snapshot instead of cloning it per
+/// trial.
 EpisodeStats greedy_episode(Network& policy, Environment& env, Rng& rng,
                             std::size_t max_steps,
                             const WeightView* view = nullptr);
 
 /// greedy_episode on the int8-native plane: every action read executes the
-/// deployed int8 words through `qview` (Network::forward_quant) instead of
-/// the float shadow. The serial golden for the batched quant runner —
-/// which reproduces it bit-for-bit at every fleet size and thread count,
-/// since the quant plane has no batch-width tolerance.
+/// deployed int8 words through `qview` (a width-1
+/// Network::forward_batch_quant) instead of the float shadow. The serial
+/// golden for the batched quant runner — which reproduces it bit-for-bit
+/// at every fleet size and thread count, since the quant plane has no
+/// batch-width tolerance.
 EpisodeStats greedy_episode_quant(Network& policy, Environment& env, Rng& rng,
                                   std::size_t max_steps,
                                   const QuantWeightView& qview);
@@ -99,7 +101,7 @@ struct InferenceFaultScenario {
   /// default and golden reference) runs the dequantized float shadow of
   /// the deployed image; Int8 executes the deployed int8 words natively
   /// (weights x requantized activations in int32 — see
-  /// Network::forward_quant) and requires `use_int8`: only an int8
+  /// Network::forward_batch_quant) and requires `use_int8`: only an int8
   /// deployment has an int8 image to execute.
   InferenceMode mode = InferenceMode::Float32;
   /// When set, run range-based anomaly detection + suppression after

@@ -247,12 +247,14 @@ void GridWorldFrlSystem::load(std::istream& is) {
   const std::uint64_t n = persist::read_u64(is);
   FRLFI_CHECK_MSG(n == nets_.size(), "state holds " << n << " agents, system has "
                                                     << nets_.size());
+  const std::size_t params = nets_[0]->parameter_count();
   for (std::uint64_t i = 0; i < n; ++i)
-    snap.agent_params.push_back(persist::read_floats(is));
+    snap.agent_params.push_back(persist::read_floats(is, params));
   // Version-1 files carry no engine block: restore() falls back to the
   // historical position-only semantics.
   if (version >= 2)
-    snap.engine = persist::read_training_state(is, cfg_.n_agents, version);
+    snap.engine =
+        persist::read_training_state(is, cfg_.n_agents, params, version);
   restore(snap);
 }
 

@@ -43,9 +43,11 @@ void write_floats(std::ostream& os, const std::vector<float>& v) {
            static_cast<std::streamsize>(v.size() * sizeof(float)));
 }
 
-std::vector<float> read_floats(std::istream& is) {
+std::vector<float> read_floats(std::istream& is, std::size_t expected,
+                               bool allow_empty) {
   const std::uint64_t n = read_u64(is);
-  FRLFI_CHECK_MSG(n < (1ull << 32), "implausible vector length " << n);
+  FRLFI_CHECK_MSG(n == expected || (allow_empty && n == 0),
+                  "stored vector length " << n << ", expected " << expected);
   std::vector<float> v(static_cast<std::size_t>(n));
   is.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(v.size() * sizeof(float)));
@@ -85,6 +87,7 @@ void write_training_state(std::ostream& os,
 
 FederatedRoundEngine::TrainingState read_training_state(std::istream& is,
                                                         std::size_t n_agents,
+                                                        std::size_t params,
                                                         std::uint32_t version) {
   FederatedRoundEngine::TrainingState state;
   state.episode = static_cast<std::size_t>(read_u64(is));
@@ -98,10 +101,8 @@ FederatedRoundEngine::TrainingState read_training_state(std::istream& is,
     ParameterServer::PendingUpload p;
     p.agent = static_cast<std::size_t>(read_u64(is));
     p.deliver_round = static_cast<std::size_t>(read_u64(is));
-    const std::vector<float> w = read_floats(is);
-    FRLFI_CHECK(w.size() == 1);
-    p.weight = w[0];
-    p.data = read_floats(is);
+    p.weight = read_floats(is, 1)[0];
+    p.data = read_floats(is, params);
     state.pending_uploads.push_back(std::move(p));
   }
   state.has_mitigation_state = read_u64(is) != 0;
@@ -119,7 +120,7 @@ FederatedRoundEngine::TrainingState read_training_state(std::istream& is,
   state.monitor.seen.resize(n_agents);
   for (std::size_t& s : state.monitor.seen)
     s = static_cast<std::size_t>(read_u64(is));
-  state.checkpoints.saved = read_floats(is);
+  state.checkpoints.saved = read_floats(is, params, /*allow_empty=*/true);
   state.checkpoints.snapshots = static_cast<std::size_t>(read_u64(is));
   state.checkpoints.restores = static_cast<std::size_t>(read_u64(is));
   state.stats.agent_recoveries = static_cast<std::size_t>(read_u64(is));

@@ -29,9 +29,12 @@ std::uint64_t read_u64(std::istream& is);
 /// Write a length-prefixed float vector.
 void write_floats(std::ostream& os, const std::vector<float>& v);
 
-/// Read a length-prefixed float vector; throws Error on truncation or an
-/// implausible length.
-std::vector<float> read_floats(std::istream& is);
+/// Read a length-prefixed float vector of `expected` floats (or none, when
+/// `allow_empty`). The stored length is checked before anything is
+/// allocated, so a corrupted length field cannot request a huge buffer.
+/// Throws Error on any other length or on truncation.
+std::vector<float> read_floats(std::istream& is, std::size_t expected,
+                               bool allow_empty = false);
 
 /// Write/read the engine-side training state: timeline counters, pending
 /// server fault, staleness buffer and the §V-A mitigation history — the
@@ -41,11 +44,13 @@ std::vector<float> read_floats(std::istream& is);
 /// weather. Writing always emits the version-3 layout; `version` tells
 /// the reader which fields the file carries (version-2 files load with
 /// channel_seq = 0, the pre-bursty behaviour). `n_agents` bounds the
-/// monitor vectors on read.
+/// monitor vectors and `params` (one agent's parameter count) the upload
+/// payloads and the checkpoint on read.
 void write_training_state(std::ostream& os,
                           const FederatedRoundEngine::TrainingState& state);
 FederatedRoundEngine::TrainingState read_training_state(std::istream& is,
                                                         std::size_t n_agents,
+                                                        std::size_t params,
                                                         std::uint32_t version);
 
 }  // namespace frlfi::persist

@@ -40,15 +40,7 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor ReLU::forward_batch(const Tensor& input, std::size_t batch) {
-  FRLFI_CHECK_MSG(batch >= 1 && input.rank() >= 2 && input.dim(0) == batch,
-                  label_ << ": bad batched input " << input.shape_string());
-  Tensor out = input;
-  relu_inplace(out.data().data(), out.size());
-  return out;
-}
-
-Tensor ReLU::forward_batch_inner(Tensor input, std::size_t batch) {
+Tensor ReLU::infer(Tensor input, std::size_t batch, const ParamSource&) {
   FRLFI_CHECK(batch >= 1 && input.size() % batch == 0);
   relu_inplace(input.data().data(), input.size());
   return input;
@@ -58,44 +50,6 @@ std::string ReLU::name() const { return label_ + "(ReLU)"; }
 
 std::unique_ptr<Layer> ReLU::clone() const {
   return std::make_unique<ReLU>(label_);
-}
-
-Tanh::Tanh(std::string layer_name) : label_(std::move(layer_name)) {}
-
-Tensor Tanh::forward(const Tensor& input) {
-  Tensor out = input;
-  for (auto& v : out.data()) v = std::tanh(v);
-  cached_output_ = out;
-  return out;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-  FRLFI_CHECK_MSG(!cached_output_.empty(), label_ << ": backward before forward");
-  FRLFI_CHECK(grad_output.size() == cached_output_.size());
-  Tensor grad_input = grad_output;
-  for (std::size_t i = 0; i < grad_input.size(); ++i) {
-    const float y = cached_output_[i];
-    grad_input[i] *= (1.0f - y * y);
-  }
-  return grad_input;
-}
-
-Tensor Tanh::forward_batch(const Tensor& input, std::size_t batch) {
-  FRLFI_CHECK_MSG(batch >= 1 && input.rank() >= 2 && input.dim(0) == batch,
-                  label_ << ": bad batched input " << input.shape_string());
-  return forward_batch_inner(input, batch);
-}
-
-Tensor Tanh::forward_batch_inner(Tensor input, std::size_t batch) {
-  FRLFI_CHECK(batch >= 1 && input.size() % batch == 0);
-  for (auto& v : input.data()) v = std::tanh(v);
-  return input;
-}
-
-std::string Tanh::name() const { return label_ + "(Tanh)"; }
-
-std::unique_ptr<Layer> Tanh::clone() const {
-  return std::make_unique<Tanh>(label_);
 }
 
 Tensor softmax(const Tensor& logits) {

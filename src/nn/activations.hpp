@@ -15,41 +15,17 @@ class ReLU final : public Layer {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  /// Elementwise over the whole batch in one pass; bit-identical to the
-  /// per-sample path, no backward cache written.
-  Tensor forward_batch(const Tensor& input, std::size_t batch) override;
-
-  /// Same, in place on the moved-in batch-inner buffer (layout-agnostic).
-  Tensor forward_batch_inner(Tensor input, std::size_t batch) override;
+  /// Elementwise in place on the moved-in batch-inner buffer
+  /// (layout-agnostic); bit-identical to the per-sample path, no backward
+  /// cache written. Parameterless, so every source reads the same.
+  Tensor infer(Tensor input, std::size_t batch,
+               const ParamSource& src) override;
 
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;
 
  private:
   Tensor cached_input_;
-  std::string label_;
-};
-
-/// Hyperbolic tangent activation, any tensor shape.
-class Tanh final : public Layer {
- public:
-  explicit Tanh(std::string layer_name = "tanh");
-
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-
-  /// Elementwise over the whole batch in one pass; bit-identical to the
-  /// per-sample path, no backward cache written.
-  Tensor forward_batch(const Tensor& input, std::size_t batch) override;
-
-  /// Same, in place on the moved-in batch-inner buffer (layout-agnostic).
-  Tensor forward_batch_inner(Tensor input, std::size_t batch) override;
-
-  std::string name() const override;
-  std::unique_ptr<Layer> clone() const override;
-
- private:
-  Tensor cached_output_;
   std::string label_;
 };
 

@@ -189,15 +189,6 @@ Tensor Conv2D::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Conv2D::forward_batch(const Tensor& input, std::size_t batch) {
-  FRLFI_CHECK_MSG(batch >= 1 && input.rank() == 4 && input.dim(0) == batch &&
-                      input.dim(1) == in_c_,
-                  label_ << ": bad batched input " << input.shape_string()
-                         << " for batch " << batch);
-  return batch_to_major(forward_batch_inner(batch_to_inner(input, batch), batch),
-                        batch);
-}
-
 Tensor Conv2D::batch_inner_with(Tensor input, std::size_t batch,
                                 const float* wt, const float* bias) const {
   FRLFI_CHECK_MSG(batch >= 1 && input.rank() == 4 && input.dim(0) == in_c_ &&
@@ -213,15 +204,22 @@ Tensor Conv2D::batch_inner_with(Tensor input, std::size_t batch,
   // degenerates: gather each sample out of the batch-inner layout and run
   // the per-sample im2col+GEMM kernels instead — the exact forward()
   // compute (bit-identical to it at every geometry), minus its caching.
+  // At width 1 the batch-inner tensors ARE the sample and its output, so
+  // the kernels run on them in place.
   if (batch < kBatchInnerWideKernelMin) {
     thread_local std::vector<float> xs, cols, ys;
     const std::size_t sample = in_c_ * s.h * s.w;
     const std::size_t ncols = oh * ow;
-    xs.resize(sample);
     cols.resize(s.rows() * ncols);
-    ys.resize(out_c_ * ncols);
     const float* x = input.data().data();
     float* y = out.data().data();
+    if (batch == 1) {
+      im2col(x, s, cols.data());
+      gemm_bias_rows(wt, cols.data(), bias, y, out_c_, s.rows(), ncols);
+      return out;
+    }
+    xs.resize(sample);
+    ys.resize(out_c_ * ncols);
     for (std::size_t b = 0; b < batch; ++b) {
       for (std::size_t f = 0; f < sample; ++f) xs[f] = x[f * batch + b];
       im2col(xs.data(), s, cols.data());
@@ -237,58 +235,23 @@ Tensor Conv2D::batch_inner_with(Tensor input, std::size_t batch,
   return out;
 }
 
-Tensor Conv2D::forward_batch_inner(Tensor input, std::size_t batch) {
-  return batch_inner_with(std::move(input), batch, weight_.value.data().data(),
-                          bias_.value.data().data());
-}
-
-Tensor Conv2D::forward_view(const Tensor& input, const WeightView& view,
-                            std::size_t param_offset) {
-  FRLFI_CHECK_MSG(input.rank() == 3 && input.dim(0) == in_c_,
-                  label_ << ": bad input shape " << input.shape_string());
-  const ConvShape s = shape_for(input);
-  out_extent(s.h);
-  out_extent(s.w);
-  const std::size_t oh = s.out_h(), ow = s.out_w();
-  const std::size_t rows = s.rows(), ncols = s.cols();
-  // Per-thread scratch (not the member workspaces): view forwards must
-  // leave the training-path caches alone and stay reentrant.
-  thread_local std::vector<float> cols, wbuf, bbuf;
-  cols.resize(rows * ncols);
-  im2col(input.data().data(), s, cols.data());
-  const auto wb = view.weight_bias(param_offset, weight_.value.size(),
-                                   bias_.value.size(), wbuf, bbuf);
-  Tensor out({out_c_, oh, ow});
-  gemm_bias_rows(wb.weight, cols.data(), wb.bias, out.data().data(), out_c_,
-                 rows, ncols);
-  return out;
-}
-
-Tensor Conv2D::forward_batch_inner_view(Tensor input, std::size_t batch,
-                                        const WeightView& view,
-                                        std::size_t param_offset) {
+Tensor Conv2D::infer(Tensor input, std::size_t batch,
+                     const ParamSource& src) {
+  if (src.own())
+    return batch_inner_with(std::move(input), batch,
+                            weight_.value.data().data(),
+                            bias_.value.data().data());
+  if (src.quant != nullptr)
+    return infer_quant(std::move(input), batch, *src.quant, src.offset);
   thread_local std::vector<float> wbuf, bbuf;
-  const auto wb = view.weight_bias(param_offset, weight_.value.size(),
-                                   bias_.value.size(), wbuf, bbuf);
+  const auto wb = src.view->weight_bias(src.offset, weight_.value.size(),
+                                        bias_.value.size(), wbuf, bbuf);
   return batch_inner_with(std::move(input), batch, wb.weight, wb.bias);
 }
 
-Tensor Conv2D::forward_quant(const Tensor& input, const QuantWeightView& qview,
-                             std::size_t param_offset) {
-  // Width-1 batch-inner routing, as Dense::forward_quant: one quant code
-  // path for every width, bit-aligned by the integer kernels.
-  std::vector<std::size_t> in_shape = input.shape();
-  in_shape.push_back(1);
-  Tensor y = forward_batch_inner_quant(input.reshaped(in_shape), 1, qview,
-                                       param_offset);
-  const std::vector<std::size_t> out_shape(y.shape().begin(),
-                                           y.shape().end() - 1);
-  return y.reshaped(out_shape);
-}
-
-Tensor Conv2D::forward_batch_inner_quant(Tensor input, std::size_t batch,
-                                         const QuantWeightView& qview,
-                                         std::size_t param_offset) {
+Tensor Conv2D::infer_quant(Tensor input, std::size_t batch,
+                           const QuantWeightView& qview,
+                           std::size_t param_offset) const {
   FRLFI_CHECK_MSG(batch >= 1 && input.rank() == 4 && input.dim(0) == in_c_ &&
                       input.dim(3) == batch,
                   label_ << ": bad batch-inner input " << input.shape_string()

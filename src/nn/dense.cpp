@@ -32,18 +32,6 @@ Tensor Dense::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Dense::forward_batch(const Tensor& input, std::size_t batch) {
-  FRLFI_CHECK_MSG(batch >= 1 && input.dim(0) == batch &&
-                      input.size() == batch * in_,
-                  label_ << ": bad batched input " << input.shape_string()
-                         << " for batch " << batch);
-  // Yᵀ = bias ⊕ W·Xᵀ in the transposed layout: one fat GEMM whose
-  // per-element chain matches gemv_bias exactly. The two transposes are
-  // O(batch·features) against the GEMM's O(batch·in·out).
-  return batch_to_major(forward_batch_inner(batch_to_inner(input, batch), batch),
-                        batch);
-}
-
 Tensor Dense::batch_inner_with(Tensor input, std::size_t batch,
                                const float* wt, const float* bias) const {
   FRLFI_CHECK_MSG(batch >= 1 && input.size() == batch * in_ &&
@@ -51,6 +39,12 @@ Tensor Dense::batch_inner_with(Tensor input, std::size_t batch,
                   label_ << ": bad batch-inner input " << input.shape_string()
                          << " for batch " << batch);
   Tensor out({out_, batch});
+  if (batch == 1) {
+    // A width-1 batch-inner tensor IS the sample: forward()'s kernel on
+    // the operands in place.
+    gemv_bias(wt, input.data().data(), bias, out.data().data(), out_, in_);
+    return out;
+  }
   if (batch < kBatchInnerWideKernelMin) {
     // Keep the exact gemv chain below the wide-GEMM threshold: gather each
     // sample's strided column, run the per-sample kernel, scatter back.
@@ -71,50 +65,22 @@ Tensor Dense::batch_inner_with(Tensor input, std::size_t batch,
   return out;
 }
 
-Tensor Dense::forward_batch_inner(Tensor input, std::size_t batch) {
-  return batch_inner_with(std::move(input), batch, weight_.value.data().data(),
-                          bias_.value.data().data());
-}
-
-Tensor Dense::forward_view(const Tensor& input, const WeightView& view,
-                           std::size_t param_offset) {
-  FRLFI_CHECK_MSG(input.size() == in_, label_ << ": input size "
-                                              << input.size() << " != " << in_);
+Tensor Dense::infer(Tensor input, std::size_t batch, const ParamSource& src) {
+  if (src.own())
+    return batch_inner_with(std::move(input), batch,
+                            weight_.value.data().data(),
+                            bias_.value.data().data());
+  if (src.quant != nullptr)
+    return infer_quant(std::move(input), batch, *src.quant, src.offset);
   thread_local std::vector<float> wbuf, bbuf;
-  const auto wb = view.weight_bias(param_offset, weight_.value.size(),
-                                   bias_.value.size(), wbuf, bbuf);
-  Tensor out({out_});
-  gemv_bias(wb.weight, input.data().data(), wb.bias, out.data().data(), out_,
-            in_);
-  return out;
-}
-
-Tensor Dense::forward_batch_inner_view(Tensor input, std::size_t batch,
-                                       const WeightView& view,
-                                       std::size_t param_offset) {
-  thread_local std::vector<float> wbuf, bbuf;
-  const auto wb = view.weight_bias(param_offset, weight_.value.size(),
-                                   bias_.value.size(), wbuf, bbuf);
+  const auto wb = src.view->weight_bias(src.offset, weight_.value.size(),
+                                        bias_.value.size(), wbuf, bbuf);
   return batch_inner_with(std::move(input), batch, wb.weight, wb.bias);
 }
 
-Tensor Dense::forward_quant(const Tensor& input, const QuantWeightView& qview,
-                            std::size_t param_offset) {
-  // Width-1 batch-inner routing (the flat sample's layout is unchanged):
-  // one code path for single and batched keeps them bit-aligned by
-  // construction, and the integer kernels make the width immaterial.
-  std::vector<std::size_t> in_shape = input.shape();
-  in_shape.push_back(1);
-  Tensor y = forward_batch_inner_quant(input.reshaped(in_shape), 1, qview,
-                                       param_offset);
-  const std::vector<std::size_t> out_shape(y.shape().begin(),
-                                           y.shape().end() - 1);
-  return y.reshaped(out_shape);
-}
-
-Tensor Dense::forward_batch_inner_quant(Tensor input, std::size_t batch,
-                                        const QuantWeightView& qview,
-                                        std::size_t param_offset) {
+Tensor Dense::infer_quant(Tensor input, std::size_t batch,
+                          const QuantWeightView& qview,
+                          std::size_t param_offset) const {
   FRLFI_CHECK_MSG(batch >= 1 && input.size() == batch * in_ &&
                       input.dim(input.rank() - 1) == batch,
                   label_ << ": bad batch-inner input " << input.shape_string()

@@ -12,13 +12,7 @@ Tensor Flatten::forward(const Tensor& input) {
   return input.reshaped({input.size()});
 }
 
-Tensor Flatten::forward_batch(const Tensor& input, std::size_t batch) {
-  FRLFI_CHECK_MSG(batch >= 1 && input.rank() >= 2 && input.dim(0) == batch,
-                  label_ << ": bad batched input " << input.shape_string());
-  return input.reshaped({batch, input.size() / batch});
-}
-
-Tensor Flatten::forward_batch_inner(Tensor input, std::size_t batch) {
+Tensor Flatten::infer(Tensor input, std::size_t batch, const ParamSource&) {
   FRLFI_CHECK_MSG(batch >= 1 && input.rank() >= 2 &&
                       input.dim(input.rank() - 1) == batch,
                   label_ << ": bad batch-inner input " << input.shape_string());

@@ -8,16 +8,23 @@
 
 namespace frlfi {
 
-Tensor Layer::forward_batch(const Tensor& input, std::size_t batch) {
-  FRLFI_CHECK_MSG(batch >= 1 && input.rank() >= 2 && input.dim(0) == batch,
-                  name() << ": bad batched input " << input.shape_string()
-                         << " for batch " << batch);
-  const std::size_t sample_size = input.size() / batch;
-  Tensor sample(std::vector<std::size_t>(input.shape().begin() + 1,
-                                         input.shape().end()));
+bool ParamSource::own() const {
+  FRLFI_CHECK_MSG(view == nullptr || quant == nullptr,
+                  "a parameter source names one plane, not a weight view "
+                  "and a quant view");
+  return view == nullptr && quant == nullptr;
+}
+
+Tensor Layer::infer(Tensor input, std::size_t batch, const ParamSource& src) {
+  FRLFI_CHECK_MSG(src.own() || parameters().empty(),
+                  name() << ": weight and quant views need an infer override");
+  const Tensor major = batch_to_major(input, batch);
+  const std::size_t sample_size = major.size() / batch;
+  Tensor sample(std::vector<std::size_t>(major.shape().begin() + 1,
+                                         major.shape().end()));
   Tensor out;
   for (std::size_t b = 0; b < batch; ++b) {
-    std::copy_n(input.data().begin() +
+    std::copy_n(major.data().begin() +
                     static_cast<std::ptrdiff_t>(b * sample_size),
                 sample_size, sample.data().begin());
     Tensor y = forward(sample);
@@ -29,71 +36,7 @@ Tensor Layer::forward_batch(const Tensor& input, std::size_t batch) {
     std::copy_n(y.data().begin(), y.size(),
                 out.data().begin() + static_cast<std::ptrdiff_t>(b * y.size()));
   }
-  return out;
-}
-
-Tensor Layer::forward_batch_inner(Tensor input, std::size_t batch) {
-  return batch_to_inner(forward_batch(batch_to_major(input, batch), batch),
-                        batch);
-}
-
-Tensor Layer::forward_view(const Tensor& input, const WeightView& view,
-                           std::size_t param_offset) {
-  FRLFI_CHECK_MSG(parameters().empty(),
-                  name() << ": weight views need a forward_view override");
-  // Run the sample as a width-1 batch-inner tensor — layout-identical to
-  // the sample itself — through the cache-free batch-inner override, so
-  // the default honours the view contract's "nothing is written" rule
-  // (plain forward() would cache and break shared-policy reentrancy).
-  std::vector<std::size_t> in_shape = input.shape();
-  in_shape.push_back(1);
-  Tensor y = forward_batch_inner_view(input.reshaped(in_shape), 1, view,
-                                      param_offset);
-  const std::vector<std::size_t> out_shape(y.shape().begin(),
-                                           y.shape().end() - 1);
-  return y.reshaped(out_shape);
-}
-
-Tensor Layer::forward_batch_inner_view(Tensor input, std::size_t batch,
-                                       const WeightView& /*view*/,
-                                       std::size_t /*param_offset*/) {
-  FRLFI_CHECK_MSG(
-      parameters().empty(),
-      name() << ": weight views need a forward_batch_inner_view override");
-  // Parameterless layers have nothing to read from the view: their own
-  // batch-inner override is the view path. Precondition (same as sharded
-  // forward_batch, see layer.hpp): the layer must actually override
-  // forward_batch_inner cache-free — the base fallback routes through
-  // forward(), which writes the backward caches, and view forwards may
-  // run concurrently on a shared network. All in-tree layers comply.
-  return forward_batch_inner(std::move(input), batch);
-}
-
-Tensor Layer::forward_quant(const Tensor& input, const QuantWeightView& qview,
-                            std::size_t param_offset) {
-  FRLFI_CHECK_MSG(parameters().empty(),
-                  name() << ": quant views need a forward_quant override");
-  // Width-1 batch-inner routing, exactly as forward_view's default: the
-  // sample's layout is unchanged and the batch-inner path is cache-free.
-  std::vector<std::size_t> in_shape = input.shape();
-  in_shape.push_back(1);
-  Tensor y = forward_batch_inner_quant(input.reshaped(in_shape), 1, qview,
-                                       param_offset);
-  const std::vector<std::size_t> out_shape(y.shape().begin(),
-                                           y.shape().end() - 1);
-  return y.reshaped(out_shape);
-}
-
-Tensor Layer::forward_batch_inner_quant(Tensor input, std::size_t batch,
-                                        const QuantWeightView& /*qview*/,
-                                        std::size_t /*param_offset*/) {
-  FRLFI_CHECK_MSG(
-      parameters().empty(),
-      name() << ": quant views need a forward_batch_inner_quant override");
-  // Parameterless layers run their float batch-inner kernel unchanged: the
-  // quant plane only moves the parameterized layers' inner products into
-  // the integer domain. Same cache-free precondition as the view default.
-  return forward_batch_inner(std::move(input), batch);
+  return batch_to_inner(out, batch);
 }
 
 namespace {

@@ -41,16 +41,11 @@ void Network::set_activation_hook(
   activation_hook_ = std::move(hook);
 }
 
-Tensor Network::forward(const Tensor& input, const WeightView* view) {
+Tensor Network::forward(const Tensor& input) {
   FRLFI_CHECK_MSG(!layers_.empty(), "forward on empty network");
-  if (view != nullptr)
-    FRLFI_CHECK_MSG(view->params == param_total_,
-                    "view holds " << view->params << " params, network "
-                                  << param_total_);
   Tensor x = input;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    x = view != nullptr ? layers_[i]->forward_view(x, *view, layer_offsets_[i])
-                        : layers_[i]->forward(x);
+    x = layers_[i]->forward(x);
     if (activation_hook_) activation_hook_(i, x);
   }
   return x;
@@ -66,23 +61,43 @@ std::size_t batch_shard_count(std::size_t batch, std::size_t lanes) {
 
 namespace {
 
+// True when any lane view is set; checks the lane count and that every
+// set view spans the network's flat parameter vector.
+template <typename View>
+bool check_lane_views(std::span<const View* const> lane_views,
+                      std::size_t batch, std::size_t params) {
+  if (lane_views.empty()) return false;
+  FRLFI_CHECK_MSG(lane_views.size() == batch,
+                  "lane_views " << lane_views.size() << " for batch "
+                                << batch);
+  bool any = false;
+  for (const View* v : lane_views) {
+    if (v == nullptr) continue;
+    FRLFI_CHECK_MSG(v->params == params, "view holds " << v->params
+                                                       << " params, network "
+                                                       << params);
+    any = true;
+  }
+  return any;
+}
+
 // Row-range task engine shared by the float and quantized batched
-// forwards: contiguous runs of rows sharing one view pointer (empty
-// lane_views: the whole batch, effective view ViewPtr{}), each run split
-// by the same width-preserving shard planner. Each task takes a
-// contiguous slice of batch-major rows, transposes it to batch-inner,
-// runs `run_stack(x, nb, view)` — the plane-specific layer loop — on its
-// own tensors (per-task workspace; nothing below is shared but the
-// read-only weights/views and the hook), and transposes back. Task
-// outputs are stitched afterwards so no lane writes into a shared buffer.
-template <typename ViewPtr, typename RunStack>
+// forwards: contiguous runs of rows sharing one view pointer (no lane
+// views: the whole batch, effective view View*{}), each run split by the
+// width-preserving shard planner. Each task takes a contiguous slice of
+// batch-major rows, transposes it to batch-inner, runs
+// `run_stack(x, nb, view)` on its own tensors (per-task workspace; nothing
+// below is shared but the read-only weights/views and the hook), and
+// transposes back. Task outputs are stitched afterwards so no lane writes
+// into a shared buffer; a single task skips the slice and stitch copies.
+template <typename View, typename RunStack>
 Tensor run_row_tasks(const Tensor& input, std::size_t batch,
                      std::size_t lanes, ThreadPool* pool,
-                     std::span<const ViewPtr> lane_views,
+                     std::span<const View* const> lane_views,
                      RunStack&& run_stack) {
   struct RowTask {
     std::size_t b0, b1;
-    ViewPtr view;
+    const View* view;
   };
   const bool grouped = !lane_views.empty();
   std::vector<RowTask> tasks;
@@ -95,10 +110,13 @@ Tensor run_row_tasks(const Tensor& input, std::size_t batch,
       std::size_t r0, r1;
       shard_range(run, shards, s, r0, r1);
       tasks.push_back(
-          {run0 + r0, run0 + r1, grouped ? lane_views[run0] : ViewPtr{}});
+          {run0 + r0, run0 + r1, grouped ? lane_views[run0] : nullptr});
     }
     run0 = b;
   }
+  if (tasks.size() == 1)
+    return batch_to_major(
+        run_stack(batch_to_inner(input, batch), batch, tasks[0].view), batch);
   const std::size_t sample = input.size() / batch;
   const std::vector<std::size_t> sample_shape(input.shape().begin() + 1,
                                               input.shape().end());
@@ -118,7 +136,7 @@ Tensor run_row_tasks(const Tensor& input, std::size_t batch,
       task_out[t] = batch_to_major(x, nb);
     }
   };
-  if (pool != nullptr && tasks.size() > 1) {
+  if (pool != nullptr) {
     pool->parallel_for(tasks.size(), run_task);
   } else {
     run_task(0, tasks.size());
@@ -139,64 +157,27 @@ Tensor run_row_tasks(const Tensor& input, std::size_t batch,
 
 }  // namespace
 
+Tensor Network::infer_stack(Tensor x, std::size_t batch, ParamSource src) {
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    src.offset = layer_offsets_[i];
+    x = layers_[i]->infer(std::move(x), batch, src);
+    if (activation_hook_) activation_hook_(i, x);
+  }
+  return x;
+}
+
 Tensor Network::forward_batch(const Tensor& input, std::size_t batch,
                               ThreadPool* pool,
                               std::span<const WeightView* const> lane_views) {
   FRLFI_CHECK_MSG(!layers_.empty(), "forward_batch on empty network");
   FRLFI_CHECK_MSG(batch >= 1 && input.dim(0) == batch,
                   "bad batch input " << input.shape_string());
-  bool any_view = false;
-  if (!lane_views.empty()) {
-    FRLFI_CHECK_MSG(lane_views.size() == batch,
-                    "lane_views " << lane_views.size() << " for batch "
-                                  << batch);
-    for (const WeightView* v : lane_views) {
-      if (v == nullptr) continue;
-      FRLFI_CHECK_MSG(v->params == param_total_,
-                      "view holds " << v->params << " params, network "
-                                    << param_total_);
-      any_view = true;
-    }
-  }
-  const std::size_t lanes = pool ? pool->size() : 1;
-  if (!any_view && batch_shard_count(batch, lanes) <= 1) {
-    // One transpose into batch-innermost layout, the whole stack on the
-    // fast batch-inner kernels, one transpose back.
-    Tensor x = batch_to_inner(input, batch);
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-      x = layers_[i]->forward_batch_inner(std::move(x), batch);
-      if (activation_hook_) activation_hook_(i, x);
-    }
-    return batch_to_major(x, batch);
-  }
-  return run_row_tasks(
-      input, batch, lanes, pool,
-      any_view ? lane_views : std::span<const WeightView* const>{},
-      [&](Tensor x, std::size_t nb, const WeightView* view) {
-        for (std::size_t i = 0; i < layers_.size(); ++i) {
-          x = view != nullptr
-                  ? layers_[i]->forward_batch_inner_view(std::move(x), nb,
-                                                         *view,
-                                                         layer_offsets_[i])
-                  : layers_[i]->forward_batch_inner(std::move(x), nb);
-          if (activation_hook_) activation_hook_(i, x);
-        }
-        return x;
-      });
-}
-
-Tensor Network::forward_quant(const Tensor& input,
-                              const QuantWeightView& qview) {
-  FRLFI_CHECK_MSG(!layers_.empty(), "forward_quant on empty network");
-  FRLFI_CHECK_MSG(qview.params == param_total_,
-                  "quant view holds " << qview.params << " params, network "
-                                      << param_total_);
-  Tensor x = input;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    x = layers_[i]->forward_quant(x, qview, layer_offsets_[i]);
-    if (activation_hook_) activation_hook_(i, x);
-  }
-  return x;
+  if (!check_lane_views(lane_views, batch, param_total_)) lane_views = {};
+  return run_row_tasks(input, batch, pool ? pool->size() : 1, pool, lane_views,
+                       [&](Tensor x, std::size_t nb, const WeightView* view) {
+                         return infer_stack(std::move(x), nb,
+                                            ParamSource{view, nullptr, 0});
+                       });
 }
 
 Tensor Network::forward_batch_quant(
@@ -208,42 +189,14 @@ Tensor Network::forward_batch_quant(
   FRLFI_CHECK_MSG(qview.params == param_total_,
                   "quant view holds " << qview.params << " params, network "
                                       << param_total_);
-  bool any_override = false;
-  if (!lane_views.empty()) {
-    FRLFI_CHECK_MSG(lane_views.size() == batch,
-                    "lane_views " << lane_views.size() << " for batch "
-                                  << batch);
-    for (const QuantWeightView* v : lane_views) {
-      if (v == nullptr) continue;
-      FRLFI_CHECK_MSG(v->params == param_total_,
-                      "quant view holds " << v->params << " params, network "
-                                          << param_total_);
-      any_override = true;
-    }
-  }
-  const std::size_t lanes = pool ? pool->size() : 1;
-  if (!any_override && batch_shard_count(batch, lanes) <= 1) {
-    Tensor x = batch_to_inner(input, batch);
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-      x = layers_[i]->forward_batch_inner_quant(std::move(x), batch, qview,
-                                                layer_offsets_[i]);
-      if (activation_hook_) activation_hook_(i, x);
-    }
-    return batch_to_major(x, batch);
-  }
+  if (!check_lane_views(lane_views, batch, param_total_)) lane_views = {};
   return run_row_tasks(
-      input, batch, lanes, pool,
-      any_override ? lane_views : std::span<const QuantWeightView* const>{},
+      input, batch, pool ? pool->size() : 1, pool, lane_views,
       [&](Tensor x, std::size_t nb, const QuantWeightView* view) {
         // A null lane entry means "the shared base image": unlike the
         // float plane there is no own-weights fallback on this plane.
-        const QuantWeightView& qv = view != nullptr ? *view : qview;
-        for (std::size_t i = 0; i < layers_.size(); ++i) {
-          x = layers_[i]->forward_batch_inner_quant(std::move(x), nb, qv,
-                                                    layer_offsets_[i]);
-          if (activation_hook_) activation_hook_(i, x);
-        }
-        return x;
+        return infer_stack(std::move(x), nb,
+                           ParamSource{nullptr, view ? view : &qview, 0});
       });
 }
 

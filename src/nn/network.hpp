@@ -18,15 +18,14 @@
 namespace frlfi {
 
 class ThreadPool;
-struct WeightView;       // fault/overlay.hpp (see layer.hpp)
-struct QuantWeightView;  // fault/overlay.hpp (see layer.hpp)
 
 /// Numeric plane an inference forward executes on. Float32 — the default
 /// and the golden reference — runs the dequantized shadow of the deployed
 /// weights; Int8 opts into the quantized plane: the deployed int8 words
 /// themselves, multiplied against int8-requantized activations in int32
-/// accumulators (Layer::forward_quant), locked against the float path
-/// within the per-layer quantization tolerance by tests.
+/// accumulators (a QuantWeightView ParamSource, see Layer::infer), locked
+/// against the float path within the per-layer quantization tolerance by
+/// tests.
 enum class InferenceMode { Float32, Int8 };
 
 /// A stack of layers executed in order. Movable, deep-clonable.
@@ -65,24 +64,23 @@ class Network {
     return activation_hook_;
   }
 
-  /// Run the full forward pass. With a non-null `view` (the fault-overlay
-  /// plane, fault/overlay.hpp), every layer reads its parameters through
-  /// the view — deployed base + sparse corruption overlay — instead of its
-  /// own tensors: the result is bit-identical to mutating the network to
-  /// the view's effective weights, forwarding, and restoring, but nothing
-  /// is ever written. The view's length must equal parameter_count().
-  Tensor forward(const Tensor& input, const WeightView* view = nullptr);
+  /// Run the full training forward pass on one sample: every layer caches
+  /// what a following backward() needs.
+  Tensor forward(const Tensor& input);
 
-  /// Run the full forward pass over `batch` stacked samples (leading dim =
-  /// batch; rank-4 (B,C,H,W) for conv stacks, rank-2 (B,features) for MLPs).
-  /// Row b of the result matches forward() of sample b under the layer
-  /// equivalence contracts (see Layer::forward_batch). Internally the stack
-  /// runs in batch-innermost layout (one transpose in, one out; see
-  /// Layer::forward_batch_inner), so the activation hook, when set,
-  /// receives each layer's activations as a *batch-inner* tensor —
-  /// (C,H,W,B)/(features,B) — which elementwise consumers like the range
-  /// screen scan in one pass over the whole batch. Backward caches are
-  /// untouched except through the default per-sample fallback.
+  /// Run the full inference forward pass over `batch` stacked samples
+  /// (leading dim = batch; rank-4 (B,C,H,W) for conv stacks, rank-2
+  /// (B,features) for MLPs). Row b of the result matches forward() of
+  /// sample b under the layers' width contracts (see Layer::infer). The
+  /// stack runs in batch-innermost layout (one transpose in, one out), so
+  /// the activation hook, when set, receives each layer's activations as a
+  /// *batch-inner* tensor — (C,H,W,B)/(features,B) — which elementwise
+  /// consumers like the range screen scan in one pass over the whole
+  /// batch. Nothing is cached: a following backward() still differentiates
+  /// the last forward(), unless a layer relies on the Layer::infer default.
+  /// A single sample runs as a [1, ...] batch: at width 1 the batch-inner
+  /// tensors are the sample itself, and the result is bit-identical to
+  /// forward().
   ///
   /// With a non-null `pool`, the batch is sharded into contiguous
   /// per-lane sub-batches and the full layer stack runs per shard across
@@ -94,46 +92,42 @@ class Network {
   /// hook is then invoked once per (layer, shard), possibly concurrently,
   /// with that shard's batch-inner activations — hooks must be
   /// thread-safe under sharding (the range screen's elementwise suppressor
-  /// is). Precondition of the sharded path: every layer's
-  /// forward_batch_inner must be safe to call concurrently on the same
-  /// layer object — true for all in-tree layers, but NOT for a layer
-  /// relying on the Layer base-class default, which falls back through
-  /// per-sample forward() and mutates the backward caches (see
-  /// layer.hpp). Calling this from inside a pool job is safe: the nested
-  /// dispatch runs inline (see parallel.hpp).
+  /// is). Precondition of the sharded path: every layer's infer must be
+  /// safe to call concurrently on the same layer object — true for all
+  /// in-tree layers, but NOT for a layer relying on the Layer::infer
+  /// default, which falls back through per-sample forward() and mutates
+  /// the backward caches. Calling this from inside a pool job is safe: the
+  /// nested dispatch runs inline (see parallel.hpp).
   ///
   /// `lane_views` (empty, or one entry per batch row) is the fault-overlay
   /// plane: row b reads its parameters through *lane_views[b] (null =
   /// the layer's own weights), so one batched forward serves N lanes with
-  /// N different corrupted weight sets — batched Trans-1. Contiguous rows
-  /// sharing a view run as one sub-batch through the batch-inner stack
-  /// (sharded by the same width-preserving planner); each distinct-view
-  /// run computes exactly what forward_batch of those rows on a network
-  /// holding that view's effective weights would, under the layers' usual
-  /// batch-width equivalence contracts.
+  /// N different corrupted weight sets — batched Trans-1. Every view must
+  /// span parameter_count() values. Contiguous rows sharing a view run as
+  /// one sub-batch through the batch-inner stack (sharded by the same
+  /// width-preserving planner); each distinct-view run computes exactly
+  /// what forward_batch of those rows on a network holding that view's
+  /// effective weights would — at width 1, bit-identical to
+  /// mutate-forward-restore — but nothing is ever written.
   Tensor forward_batch(const Tensor& input, std::size_t batch,
                        ThreadPool* pool = nullptr,
                        std::span<const WeightView* const> lane_views = {});
 
-  /// Int8-native forward (InferenceMode::Int8): every parameterized layer
-  /// executes the deployed int8 words read through `qview` — weights ×
+  /// Batched int8-native forward (InferenceMode::Int8): every
+  /// parameterized layer executes the deployed int8 words — weights x
   /// requantized activations in int32, per-layer scale products — instead
-  /// of its float tensors (Layer::forward_quant). The view's length must
-  /// equal parameter_count(). Bit-identical to forward_batch_quant of the
-  /// same sample at any width; matches the float forward over
-  /// qview-as-float-view within the quantization tolerance.
-  Tensor forward_quant(const Tensor& input, const QuantWeightView& qview);
-
-  /// Batched int8-native forward: forward_batch's layout, sharding and
-  /// lane-view semantics on the quantized plane. `qview` is the shared
-  /// base image every row reads; `lane_views` (empty, or one entry per
-  /// row) overrides it per lane — row b reads *lane_views[b] when
-  /// non-null, else `qview` — so one batched forward serves N quantized
-  /// lanes with N different corrupted word sets (batched Trans-1 on the
-  /// int8 plane). Unlike the float plane there is no width threshold in
-  /// the numeric contract: per-sample activation scales and exact integer
-  /// accumulation make every batch width, shard split, and thread count
-  /// produce identical bits to forward_quant per row.
+  /// of its float tensors, with forward_batch's layout, sharding and
+  /// lane-view semantics. `qview` is the shared base image every row
+  /// reads; `lane_views` (empty, or one entry per row) overrides it per
+  /// lane — row b reads *lane_views[b] when non-null, else `qview` — so
+  /// one batched forward serves N quantized lanes with N different
+  /// corrupted word sets (batched Trans-1 on the int8 plane). Views must
+  /// span parameter_count() words. Unlike the float plane there is no
+  /// width threshold in the numeric contract: per-sample activation scales
+  /// and exact integer accumulation make every batch width, shard split,
+  /// and thread count produce the bits of a width-1 call per row. Matches
+  /// the float forward over qview-as-float-view within the quantization
+  /// tolerance.
   Tensor forward_batch_quant(
       const Tensor& input, std::size_t batch, const QuantWeightView& qview,
       ThreadPool* pool = nullptr,
@@ -177,6 +171,10 @@ class Network {
   void load_parameters(std::istream& is);
 
  private:
+  // The inference layer loop: every layer's infer() reading parameters
+  // from `src` (its offset set per layer), the hook after each.
+  Tensor infer_stack(Tensor x, std::size_t batch, ParamSource src);
+
   std::vector<std::unique_ptr<Layer>> layers_;
   // Flat parameter offset per layer (the coordinate system WeightView
   // overlays index) + running total. Maintained eagerly by add(), so

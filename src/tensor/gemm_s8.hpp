@@ -3,7 +3,7 @@
 /// \file gemm_s8.hpp
 /// Int8 GEMM/GEMV kernels for the quantized inference plane: int8 weights
 /// times int8 activations accumulated in int32, the compute substrate
-/// under the layers' forward_quant paths (see nn/layer.hpp).
+/// under the layers' quant-source infer paths (see nn/layer.hpp).
 ///
 /// Numeric contract. Integer accumulation is exact and associative: unlike
 /// the float kernels in gemm.hpp, *any* summation order of the int32

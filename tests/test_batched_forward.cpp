@@ -1,12 +1,12 @@
 /// \file test_batched_forward.cpp
-/// Batched-vs-single equivalence for the rank-4 inference path: every
-/// layer type, odd batch sizes, whole policies, fault-injected weights,
-/// and the batched activation screening hook.
+/// Batched-vs-single equivalence for the inference path: every layer
+/// type, odd batch sizes, whole policies, fault-injected weights, the
+/// base-class infer default, and source validation.
 ///
-/// Contract under test (see Layer::forward_batch): row b of a batched
-/// forward equals forward() of sample b — bit-identical wherever the GEMM
-/// ordering contract holds (Dense always; Conv2D when a sample has >= 8
-/// output positions; elementwise/pool/flatten always), and within 1e-5
+/// Contract under test (see Layer::infer): column b of a batch-inner
+/// inference equals forward() of sample b — bit-identical wherever the
+/// GEMM ordering contract holds (Dense always; Conv2D when a sample has
+/// >= 8 output positions; elementwise/flatten always), and within 1e-5
 /// relative tolerance at tiny conv outputs where the single-sample path
 /// runs the reassociating packed narrow kernel.
 
@@ -18,13 +18,13 @@
 
 #include "core/error.hpp"
 #include "fault/injector.hpp"
+#include "fault/overlay.hpp"
 #include "frl/policies.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/flatten.hpp"
 #include "nn/network.hpp"
-#include "nn/pool.hpp"
 
 namespace frlfi {
 namespace {
@@ -49,11 +49,13 @@ Tensor slice_sample(const Tensor& batched, std::size_t batch, std::size_t b) {
   return out;
 }
 
-/// Per-sample forwards must match the corresponding batched rows.
+/// Per-sample forwards must match the corresponding rows of one batched
+/// infer() over the same samples.
 void expect_rows_match(Layer& layer, const Tensor& batched, bool exact,
                        const char* what) {
   const std::size_t batch = batched.dim(0);
-  const Tensor out = layer.forward_batch(batched, batch);
+  const Tensor out = batch_to_major(
+      layer.infer(batch_to_inner(batched, batch), batch, {}), batch);
   ASSERT_EQ(out.dim(0), batch) << what;
   for (std::size_t b = 0; b < batch; ++b) {
     const Tensor single = layer.forward(slice_sample(batched, batch, b));
@@ -121,20 +123,17 @@ TEST(BatchedForward, ConvStridePaddingGrid) {
 
 TEST(BatchedForward, ElementwiseAndShapeLayersBitIdentical) {
   ReLU relu("relu");
-  Tanh tanh_layer("tanh");
-  MaxPool2D pool(2, "pool");
   Flatten flat("flat");
   for (const std::size_t batch : kBatches) {
     const Tensor x = random_batch({4, 6, 8}, batch, 60 + batch);
     expect_rows_match(relu, x, true, "relu");
-    expect_rows_match(tanh_layer, x, true, "tanh");
-    expect_rows_match(pool, x, true, "pool");
     expect_rows_match(flat, x, true, "flatten");
   }
 }
 
-/// A layer that deliberately lacks a forward_batch override, to pin the
-/// base-class default (per-sample loop, bit-identical).
+/// A layer that deliberately lacks an infer override, to pin the
+/// base-class default (per-sample loop, bit-identical) — the path a
+/// forward()-only decorator layer relies on.
 class HalfLayer final : public Layer {
  public:
   Tensor forward(const Tensor& input) override { return input * 0.5f; }
@@ -152,6 +151,59 @@ TEST(BatchedForward, DefaultFallbackLoopsPerSample) {
   for (const std::size_t batch : kBatches)
     expect_rows_match(half, random_batch({4, 6, 8}, batch, 70 + batch), true,
                       "default fallback");
+}
+
+/// A parameterized layer without an infer override: forward() only.
+class ScaleLayer final : public Layer {
+ public:
+  ScaleLayer() : scale_("scale", Tensor({1}, 2.0f)) {}
+  Tensor forward(const Tensor& input) override {
+    return input * scale_.value[0];
+  }
+  Tensor backward(const Tensor& grad_output) override {
+    return grad_output * scale_.value[0];
+  }
+  std::vector<Parameter*> parameters() override { return {&scale_}; }
+  std::string name() const override { return "scale"; }
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<ScaleLayer>();
+  }
+
+ private:
+  Parameter scale_;
+};
+
+TEST(BatchedForward, DefaultRejectsViewsOnParameterizedLayers) {
+  // The default cannot read parameters through a view: it would silently
+  // run the layer's own weights instead, so it throws.
+  ScaleLayer layer;
+  const Tensor xb = random_batch({5}, 3, 75);
+  expect_rows_match(layer, xb, true, "own weights");
+  const Tensor x = batch_to_inner(xb, 3);
+  const std::vector<float> base(1, 3.0f);
+  const WeightView view{base.data(), base.size(), nullptr};
+  EXPECT_THROW(layer.infer(x, 3, {&view, nullptr, 0}), Error);
+  const std::vector<std::int8_t> words(1, 3);
+  const QuantWeightView qview{words.data(), words.size(), 1.0f, nullptr};
+  EXPECT_THROW(layer.infer(x, 3, {nullptr, &qview, 0}), Error);
+  // A parameterless layer on the default accepts any source: there is
+  // nothing to read from it.
+  HalfLayer half;
+  EXPECT_NO_THROW(half.infer(x, 3, {&view, nullptr, 0}));
+  EXPECT_NO_THROW(half.infer(x, 3, {nullptr, &qview, 0}));
+}
+
+TEST(BatchedForward, SourceWithBothViewsIsRejected) {
+  Rng rng(12);
+  Dense dense(5, 4, rng, "fc");
+  const std::vector<float> base(dense.weight().value.size() + 4, 0.5f);
+  const WeightView view{base.data(), base.size(), nullptr};
+  const std::vector<std::int8_t> words(base.size(), 1);
+  const QuantWeightView qview{words.data(), words.size(), 1.0f, nullptr};
+  const Tensor x = batch_to_inner(random_batch({5}, 2, 76), 2);
+  EXPECT_THROW(dense.infer(x, 2, {&view, &qview, 0}), Error);
+  EXPECT_NO_THROW(dense.infer(x, 2, {&view, nullptr, 0}));
+  EXPECT_NO_THROW(dense.infer(x, 2, {nullptr, &qview, 0}));
 }
 
 TEST(BatchedForward, GridworldPolicyBitIdentical) {
@@ -253,8 +305,9 @@ TEST(BatchedForward, Validation) {
   Dense dense(8, 4, rng, "fc");
   Conv2D conv(2, 3, 3, 1, 0, rng, "conv");
   const Tensor flat2 = random_batch({8}, 2, 200);
-  EXPECT_THROW(dense.forward_batch(flat2, 3), Error);  // batch mismatch
-  EXPECT_THROW(conv.forward_batch(flat2, 2), Error);   // not rank-4
+  const Tensor inner2 = batch_to_inner(flat2, 2);
+  EXPECT_THROW(dense.infer(inner2, 3, {}), Error);  // batch mismatch
+  EXPECT_THROW(conv.infer(inner2, 2, {}), Error);   // not rank-4
   Network empty;
   EXPECT_THROW(empty.forward_batch(flat2, 2), Error);
 }

@@ -137,6 +137,14 @@ TEST(WeightView, SpanResolvesBaseAndPatchedRanges) {
   EXPECT_EQ(view.at(3), 3.f);
 }
 
+/// One sample through `view`: a width-1 batched forward.
+Tensor view_forward(Network& net, const Tensor& obs, const WeightView& view) {
+  std::vector<std::size_t> shape{1};
+  shape.insert(shape.end(), obs.shape().begin(), obs.shape().end());
+  const WeightView* lane[] = {&view};
+  return net.forward_batch(obs.reshaped(std::move(shape)), 1, nullptr, lane);
+}
+
 /// Forward with a view vs mutate-forward-restore on the same network.
 void expect_view_forward_matches(Network& net, const Tensor& obs,
                                  std::uint64_t seed, bool use_int8) {
@@ -158,7 +166,7 @@ void expect_view_forward_matches(Network& net, const Tensor& obs,
   const Tensor want = net.forward(obs);
   net.set_flat_parameters(clean);
 
-  const Tensor got = net.forward(obs, &view);
+  const Tensor got = view_forward(net, obs, view);
   EXPECT_EQ(got.data(), want.data());
   // And the network really was left clean.
   EXPECT_EQ(net.flat_parameters(), clean);
@@ -434,7 +442,7 @@ TEST(TrainingOverlay, LayerViewForwardMatchesMaterializedInjection) {
       EXPECT_LT(idx, deployed.layer_end());
     }
     const WeightView view = deployed.view(&overlay);
-    const Tensor through_view = shared.forward(obs, &view);
+    const Tensor through_view = view_forward(shared, obs, view);
     Network mutated = shared.clone();
     inject_layer_weights(mutated, li, spec, rng_b);
     const Tensor through_mutated = mutated.forward(obs);

@@ -8,7 +8,6 @@
 #include "nn/dense.hpp"
 #include "nn/flatten.hpp"
 #include "nn/network.hpp"
-#include "nn/pool.hpp"
 
 namespace frlfi {
 namespace {
@@ -154,35 +153,6 @@ TEST(Conv2D, RejectsWrongChannelCount) {
   EXPECT_THROW(c.forward(Tensor({2, 5, 5})), Error);
 }
 
-TEST(MaxPool2D, ForwardPicksMaxima) {
-  MaxPool2D p(2);
-  Tensor x({1, 2, 4});
-  for (std::size_t i = 0; i < 8; ++i) x[i] = static_cast<float>(i);
-  const Tensor y = p.forward(x);
-  ASSERT_EQ(y.shape(), (std::vector<std::size_t>{1, 1, 2}));
-  EXPECT_FLOAT_EQ(y[0], 5.0f);
-  EXPECT_FLOAT_EQ(y[1], 7.0f);
-}
-
-TEST(MaxPool2D, BackwardRoutesToArgmax) {
-  MaxPool2D p(2);
-  Tensor x({1, 2, 2});
-  x[3] = 10.0f;
-  p.forward(x);
-  const Tensor g = p.backward(Tensor({1, 1, 1}, 1.0f));
-  EXPECT_FLOAT_EQ(g[3], 1.0f);
-  EXPECT_FLOAT_EQ(g[0], 0.0f);
-}
-
-TEST(MaxPool2D, GradientCheckThroughNet) {
-  Rng rng(6);
-  Network net;
-  net.add(std::make_unique<Conv2D>(1, 2, 3, 1, 1, rng));
-  net.add(std::make_unique<MaxPool2D>(2));
-  const Tensor x = Tensor::random_uniform({1, 4, 4}, rng, -1, 1);
-  EXPECT_LT(gradient_check(net, x), 1e-3);
-}
-
 TEST(ReLU, ForwardBackward) {
   ReLU r;
   const Tensor y = r.forward(Tensor::from_vector({-1, 0, 2}));
@@ -192,14 +162,6 @@ TEST(ReLU, ForwardBackward) {
   EXPECT_FLOAT_EQ(g[0], 0.0f);
   EXPECT_FLOAT_EQ(g[1], 0.0f);  // gradient is zero at the kink's left side
   EXPECT_FLOAT_EQ(g[2], 5.0f);
-}
-
-TEST(Tanh, ForwardBackwardMatchesDerivative) {
-  Tanh t;
-  const Tensor y = t.forward(Tensor::from_vector({0.5f}));
-  EXPECT_NEAR(y[0], std::tanh(0.5f), 1e-6);
-  const Tensor g = t.backward(Tensor::from_vector({1.0f}));
-  EXPECT_NEAR(g[0], 1.0f - std::tanh(0.5f) * std::tanh(0.5f), 1e-6);
 }
 
 TEST(Flatten, RoundTripsShape) {
@@ -248,7 +210,6 @@ TEST(Layers, NamesDescribeConfiguration) {
   EXPECT_NE(Dense(2, 3, rng, "fc").name().find("2->3"), std::string::npos);
   EXPECT_NE(Conv2D(1, 2, 3, 1, 0, rng, "cv").name().find("k3"),
             std::string::npos);
-  EXPECT_NE(MaxPool2D(2).name().find("2x2"), std::string::npos);
 }
 
 }  // namespace

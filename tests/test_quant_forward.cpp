@@ -1,6 +1,6 @@
 /// \file test_quant_forward.cpp
 /// The int8-native inference plane, end to end:
-///  * quant batched == quant single, BIT-identical, for every batch width,
+///  * quant batched == quant width-1, BIT-identical, for every batch width,
 ///    shard split and thread count, with and without per-lane word
 ///    overlays, for both paper policies (per-sample activation scales +
 ///    exact int32 accumulation leave this plane no width tolerance at all,
@@ -56,13 +56,23 @@ Tensor random_batch(const std::vector<std::size_t>& sample_shape,
   return Tensor::random_uniform(shape, rng, -1.0f, 1.0f);
 }
 
+// Row b of a batch as a width-1 batch.
 Tensor row_of(const Tensor& batch_tensor, std::size_t b,
               const std::vector<std::size_t>& sample_shape) {
-  Tensor s(sample_shape);
+  std::vector<std::size_t> shape{1};
+  shape.insert(shape.end(), sample_shape.begin(), sample_shape.end());
+  Tensor s(std::move(shape));
   std::memcpy(s.data().data(),
               batch_tensor.data().data() + b * s.size(),
               s.size() * sizeof(float));
   return s;
+}
+
+// The float forward of a width-1 batch through `view`.
+Tensor float_view_logits(Network& policy, const Tensor& row,
+                         const WeightView& view) {
+  const WeightView* lane[] = {&view};
+  return policy.forward_batch(row, 1, nullptr, lane);
 }
 
 std::uint32_t bits_of(float v) {
@@ -72,7 +82,7 @@ std::uint32_t bits_of(float v) {
 }
 
 // The exactness centerpiece: batched/sharded/overlaid quant forwards all
-// reproduce the single-sample quant forward bit-for-bit.
+// reproduce the width-1 quant forward of each row bit-for-bit.
 void expect_quant_batched_matches_single(
     Network& policy, const std::vector<std::size_t>& sample_shape,
     const DeployedWeights& deployed, const char* what) {
@@ -87,7 +97,8 @@ void expect_quant_batched_matches_single(
     const Tensor clean = policy.forward_batch_quant(x, batch, qview);
     const std::size_t width = clean.size() / batch;
     for (std::size_t b = 0; b < batch; ++b) {
-      const Tensor y = policy.forward_quant(row_of(x, b, sample_shape), qview);
+      const Tensor y =
+          policy.forward_batch_quant(row_of(x, b, sample_shape), 1, qview);
       ASSERT_EQ(y.size(), width) << what;
       for (std::size_t i = 0; i < width; ++i)
         ASSERT_EQ(bits_of(clean[b * width + i]), bits_of(y[i]))
@@ -109,8 +120,8 @@ void expect_quant_batched_matches_single(
     const Tensor overlaid = policy.forward_batch_quant(x, batch, qview,
                                                        nullptr, lanes);
     for (std::size_t b = 0; b < batch; ++b) {
-      const Tensor y = policy.forward_quant(row_of(x, b, sample_shape),
-                                            lanes[b] ? *lanes[b] : qview);
+      const Tensor y = policy.forward_batch_quant(
+          row_of(x, b, sample_shape), 1, lanes[b] ? *lanes[b] : qview);
       for (std::size_t i = 0; i < width; ++i)
         ASSERT_EQ(bits_of(overlaid[b * width + i]), bits_of(y[i]))
             << what << " overlaid batch " << batch << " row " << b;
@@ -136,9 +147,8 @@ void expect_quant_tracks_float_shadow(
   float max_diff = 0.0f;
   for (std::uint64_t trial = 0; trial < 20; ++trial) {
     const Tensor x = random_batch(sample_shape, 1, 7000 + trial);
-    const Tensor sample = row_of(x, 0, sample_shape);
-    const Tensor qy = policy.forward_quant(sample, qview);
-    const Tensor fy = policy.forward(sample, &fview);
+    const Tensor qy = policy.forward_batch_quant(x, 1, qview);
+    const Tensor fy = float_view_logits(policy, x, fview);
     ASSERT_EQ(qy.shape(), fy.shape()) << what;
     for (std::size_t i = 0; i < qy.size(); ++i)
       max_diff = std::max(max_diff, std::fabs(qy[i] - fy[i]));
@@ -202,9 +212,8 @@ TEST(QuantForward, CorruptedLanesTrackFloatShadow) {
   float max_diff = 0.0f;
   for (std::uint64_t trial = 0; trial < 10; ++trial) {
     const Tensor x = random_batch({10}, 1, 8100 + trial);
-    const Tensor sample = row_of(x, 0, {10});
-    const Tensor qy = policy.forward_quant(sample, qview);
-    const Tensor fy = policy.forward(sample, &fview);
+    const Tensor qy = policy.forward_batch_quant(x, 1, qview);
+    const Tensor fy = float_view_logits(policy, x, fview);
     for (std::size_t i = 0; i < qy.size(); ++i)
       max_diff = std::max(max_diff, std::fabs(qy[i] - fy[i]));
   }
