@@ -7,10 +7,6 @@
 namespace frlfi {
 namespace {
 
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 /// One SplitMix64 absorption step: fold `tag` into `h`. The single seed
 /// mix behind split(), derive_stream() and mix_tags() — their documented
 /// "same absorption" invariant holds because they all call this.
@@ -21,24 +17,23 @@ inline std::uint64_t absorb_tag(std::uint64_t h, std::uint64_t tag) {
 
 }  // namespace
 
+BernoulliThreshold::BernoulliThreshold(double p) {
+  FRLFI_CHECK_MSG(p >= 0.0 && p <= 1.0, "Bernoulli p " << p);
+  if (p == 0.0) return;
+  if (p == 1.0) {
+    certain_ = true;
+    return;
+  }
+  draws_ = true;
+  threshold_ = static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+}
+
 Rng::Rng(std::uint64_t seed) : seed_origin_(seed) {
   SplitMix64 sm(seed);
   for (auto& w : s_) w = sm.next();
   // A zero state would lock xoshiro at zero; SplitMix64 cannot emit four
   // zero words for any seed, but guard anyway.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x1ULL;
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 double Rng::uniform() {

@@ -10,6 +10,7 @@
 /// scheme recommended by the xoshiro authors.
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <initializer_list>
 #include <vector>
@@ -35,6 +36,37 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+/// A Bernoulli(p) trial resolved once into an integer threshold, for
+/// loops that draw many trials at one p (per-bit faults, channel noise).
+/// Rng::bernoulli(const BernoulliThreshold&) returns exactly what
+/// Rng::bernoulli(p) returns and consumes exactly the same draws:
+///  * p <= 0 never hits and p >= 1 always hits, both without drawing
+///    (bernoulli(p)'s early returns);
+///  * otherwise a draw hits iff (next_u64() >> 11) < T, T = ceil(p·2^53).
+///    bernoulli(p) hits iff k·2^-53 < p for the 53-bit integer
+///    k = next_u64() >> 11, and k·2^-53 < p <=> k < p·2^53 <=> k < T
+///    (ldexp is exact, so p·2^53 is exact; k is an integer).
+/// One integer compare per draw instead of an int->double convert, a
+/// multiply and a double compare behind an out-of-line call. The
+/// constructor checks p ∈ [0, 1] (NaN included), so every loop built on
+/// it validates its rate.
+class BernoulliThreshold {
+ public:
+  explicit BernoulliThreshold(double p);
+
+  /// False for p <= 0 and p >= 1: the result is constant, nothing drawn.
+  bool draws() const { return draws_; }
+  /// The constant result when !draws() (true iff p >= 1).
+  bool certain() const { return certain_; }
+  /// T: a draw hits iff (next_u64() >> 11) < T. In [1, 2^53) when draws().
+  std::uint64_t threshold() const { return threshold_; }
+
+ private:
+  std::uint64_t threshold_ = 0;
+  bool draws_ = false;
+  bool certain_ = false;
+};
+
 /// Xoshiro256**: the main generator. Fast, 256-bit state, passes BigCrush.
 /// Satisfies UniformRandomBitGenerator so it can be used with <random>
 /// distributions, but the convenience members below avoid libstdc++
@@ -52,8 +84,19 @@ class Rng {
   /// Next raw 64-bit value.
   result_type operator()() { return next_u64(); }
 
-  /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  /// Next raw 64-bit value. Inline so the xoshiro step folds into the
+  /// per-bit loops of other translation units.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
   double uniform();
@@ -69,6 +112,28 @@ class Rng {
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p);
+
+  /// The same trial as bernoulli(p) for the p `thr` was built from: same
+  /// result, same draws (none when p <= 0 or p >= 1).
+  bool bernoulli(const BernoulliThreshold& thr) {
+    if (!thr.draws()) return thr.certain();
+    return (next_u64() >> 11) < thr.threshold();
+  }
+
+  /// `nbits` (0..32) trials of bernoulli(thr) in order; bit b of the
+  /// result is set iff trial b hits.
+  std::uint32_t bernoulli_mask(const BernoulliThreshold& thr, int nbits) {
+    if (!thr.draws())
+      return thr.certain()
+                 ? static_cast<std::uint32_t>((std::uint64_t{1} << nbits) - 1)
+                 : 0u;
+    std::uint32_t mask = 0;
+    for (int b = 0; b < nbits; ++b)
+      mask |= static_cast<std::uint32_t>((next_u64() >> 11) <
+                                         thr.threshold())
+              << b;
+    return mask;
+  }
 
   /// Standard normal via Box-Muller (deterministic across platforms).
   double normal();

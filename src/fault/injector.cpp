@@ -58,7 +58,7 @@ std::size_t corrupt_bits(std::span<std::uint8_t> bytes, const FaultSpec& spec,
 std::size_t corrupt_bits_burst(std::span<std::uint8_t> bytes,
                                const FaultSpec& spec, Rng& rng,
                                std::size_t word_bits) {
-  FRLFI_CHECK_MSG(spec.ber >= 0.0 && spec.ber <= 1.0, "BER " << spec.ber);
+  const BernoulliThreshold thr(spec.ber);  // checks BER ∈ [0, 1]
   FRLFI_CHECK_MSG(spec.burst.length >= 1,
                   "burst length " << spec.burst.length);
   FRLFI_CHECK_MSG(word_bits >= 1, "word_bits " << word_bits);
@@ -68,10 +68,10 @@ std::size_t corrupt_bits_burst(std::span<std::uint8_t> bytes,
       spec.burst.axis == BurstAxis::Row ? std::size_t{1} : word_bits;
   std::size_t changed = 0;
   for (std::size_t i = 0; i < nbits; ++i) {
-    // The event stream: one draw per bit, exactly flip_bits_ber's /
-    // stick_bits_ber's consumption, so length-1 bursts replay the
-    // single-bit injectors bit for bit.
-    if (!rng.bernoulli(spec.ber)) continue;
+    // The event stream: one draw per bit, exactly what bernoulli(ber)
+    // draws and exactly flip_bits_ber's / stick_bits_ber's consumption,
+    // so length-1 bursts replay the single-bit injectors bit for bit.
+    if (!rng.bernoulli(thr)) continue;
     for (std::size_t k = 0; k < spec.burst.length; ++k) {
       const std::size_t j = i + k * stride;
       if (j >= nbits) break;
@@ -84,7 +84,7 @@ std::size_t corrupt_bits_burst(std::span<std::uint8_t> bytes,
 std::size_t corrupt_fixed_words_burst(std::span<std::uint32_t> words,
                                       int word_bits, const FaultSpec& spec,
                                       Rng& rng) {
-  FRLFI_CHECK_MSG(spec.ber >= 0.0 && spec.ber <= 1.0, "BER " << spec.ber);
+  const BernoulliThreshold thr(spec.ber);  // checks BER ∈ [0, 1]
   FRLFI_CHECK_MSG(spec.burst.length >= 1,
                   "burst length " << spec.burst.length);
   FRLFI_CHECK_MSG(word_bits >= 1, "word_bits " << word_bits);
@@ -113,7 +113,8 @@ std::size_t corrupt_fixed_words_burst(std::span<std::uint32_t> words,
     ++changed;
   };
   for (std::size_t g = 0; g < nbits; ++g) {
-    if (!rng.bernoulli(spec.ber)) continue;
+    // One draw per bit, exactly what bernoulli(ber) draws.
+    if (!rng.bernoulli(thr)) continue;
     for (std::size_t k = 0; k < spec.burst.length; ++k) {
       const std::size_t j = g + k * stride;
       if (j >= nbits) break;
@@ -125,12 +126,13 @@ std::size_t corrupt_fixed_words_burst(std::span<std::uint32_t> words,
 
 std::size_t flip_bits_ber(std::span<std::uint8_t> bytes, double ber, Rng& rng,
                           FlipDirection direction) {
-  FRLFI_CHECK_MSG(ber >= 0.0 && ber <= 1.0, "BER " << ber);
+  const BernoulliThreshold thr(ber);  // checks BER ∈ [0, 1]
   if (ber == 0.0 || bytes.empty()) return 0;
   std::size_t flipped = 0;
   const std::size_t nbits = bit_count(bytes);
   for (std::size_t i = 0; i < nbits; ++i) {
-    if (!rng.bernoulli(ber)) continue;
+    // One draw per bit, exactly what bernoulli(ber) draws.
+    if (!rng.bernoulli(thr)) continue;
     const bool current = get_bit(bytes, i);
     if (direction == FlipDirection::ZeroToOne && current) continue;
     if (direction == FlipDirection::OneToZero && !current) continue;
@@ -159,12 +161,13 @@ std::size_t flip_bits_exact(std::span<std::uint8_t> bytes, std::size_t n_flips,
 
 std::size_t stick_bits_ber(std::span<std::uint8_t> bytes, double ber,
                            bool value, Rng& rng) {
-  FRLFI_CHECK_MSG(ber >= 0.0 && ber <= 1.0, "BER " << ber);
+  const BernoulliThreshold thr(ber);  // checks BER ∈ [0, 1]
   if (ber == 0.0 || bytes.empty()) return 0;
   std::size_t changed = 0;
   const std::size_t nbits = bit_count(bytes);
   for (std::size_t i = 0; i < nbits; ++i) {
-    if (!rng.bernoulli(ber)) continue;
+    // One draw per bit, exactly what bernoulli(ber) draws.
+    if (!rng.bernoulli(thr)) continue;
     if (get_bit(bytes, i) != value) {
       set_bit(bytes, i, value);
       ++changed;
@@ -198,7 +201,7 @@ InjectionReport inject_int8(std::vector<float>& weights, const FaultSpec& spec,
 }
 
 FixedPointFlipper::FixedPointFlipper(const FaultSpec& spec, int word_bits)
-    : ber_(spec.ber),
+    : thr_(spec.ber),
       word_bits_(word_bits),
       // Resolve the model/direction once: the per-word filter is "keep
       // only flips of currently-set bits", "only currently-clear bits",
@@ -215,13 +218,11 @@ FixedPointFlipper::FixedPointFlipper(const FaultSpec& spec, int word_bits)
            spec.direction == FlipDirection::ZeroToOne)) {}
 
 std::uint32_t FixedPointFlipper::flip_mask(std::uint32_t raw, Rng& rng) const {
-  // Draw one Bernoulli per bit (the same stream the reference consumes,
-  // so results are bit-identical), collect the hits into a mask, and
-  // filter it against the whole word at once — no per-bit flip/branch
-  // chain.
-  std::uint32_t mask = 0;
-  for (int b = 0; b < word_bits_; ++b)
-    if (rng.bernoulli(ber_)) mask |= 1u << b;
+  // Draw one Bernoulli per bit (exactly the bernoulli(ber) stream the
+  // reference consumes, so results are bit-identical), collect the hits
+  // into a mask, and filter it against the whole word at once — no
+  // per-bit flip/branch chain.
+  std::uint32_t mask = rng.bernoulli_mask(thr_, word_bits_);
   if (only_set_bits_) mask &= raw;
   if (only_clear_bits_) mask &= ~raw;
   return mask;

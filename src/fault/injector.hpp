@@ -68,10 +68,11 @@ std::size_t corrupt_fixed_words_burst(std::span<std::uint32_t> words,
                                       Rng& rng);
 
 /// Per-word flip-mask generator for fixed-point injection: resolves the
-/// spec's temporal model + direction once, then draws one Bernoulli per
-/// bit per word. The single per-word step shared by inject_fixed_point
-/// and DeployedWeights::inject — sharing it is what keeps their RNG
-/// streams (and therefore every flip site) bit-aligned.
+/// spec's BER (checked to lie in [0, 1]) and temporal model + direction
+/// once, then draws one Bernoulli per bit per word. The single per-word
+/// step shared by inject_fixed_point and DeployedWeights::inject —
+/// sharing it is what keeps their RNG streams (and therefore every flip
+/// site) bit-aligned.
 class FixedPointFlipper {
  public:
   FixedPointFlipper(const FaultSpec& spec, int word_bits);
@@ -81,7 +82,7 @@ class FixedPointFlipper {
   std::uint32_t flip_mask(std::uint32_t raw, Rng& rng) const;
 
  private:
-  double ber_;
+  BernoulliThreshold thr_;
   int word_bits_;
   bool only_set_bits_;    // restrict flips to currently-set bits
   bool only_clear_bits_;  // restrict flips to currently-clear bits

@@ -86,6 +86,7 @@ void CommChannel::transmit_rows(float* rows, std::size_t n_rows,
                                 std::size_t dim, Rng& rng) {
   const bool bursty = bursty_.active && !bursty_degenerate(bursty_);
   const double ber = bursty_.active ? bursty_.ber_good : ber_;
+  const BernoulliThreshold thr(ber);
   for (std::size_t r = 0; r < n_rows; ++r) {
     ++messages_;
     ++seq_;
@@ -97,18 +98,18 @@ void CommChannel::transmit_rows(float* rows, std::size_t n_rows,
     }
     if (ber <= 0.0) continue;
     float* FRLFI_RESTRICT row = rows + r * dim;
-    // Per-row calibration, exactly the scalar transmit's codec.
+    // Per-row calibration, exactly the scalar transmit's codec (and its
+    // finite-scale check), run on every row.
     const Int8Quantizer q =
         Int8Quantizer::calibrate(std::span<const float>(row, dim));
     for (std::size_t d = 0; d < dim; ++d) {
-      const std::uint8_t word = static_cast<std::uint8_t>(q.quantize(row[d]));
-      // Same Bernoulli stream as the scalar loop (one draw per bit,
-      // always), hits collected into one mask and applied with one XOR.
-      std::uint8_t mask = 0;
-      for (int b = 0; b < 8; ++b)
-        if (rng.bernoulli(ber)) mask = static_cast<std::uint8_t>(mask | (1u << b));
+      // Draws exactly what the scalar loop's 8 bernoulli(ber) calls draw;
+      // hits collected into one mask and applied with one XOR. quantize is
+      // pure, so only a hit element needs its word.
+      const auto mask = static_cast<std::uint8_t>(rng.bernoulli_mask(thr, 8));
       if (mask != 0) {
         corrupted_ += static_cast<std::size_t>(std::popcount(mask));
+        const auto word = static_cast<std::uint8_t>(q.quantize(row[d]));
         row[d] = q.dequantize(static_cast<std::int8_t>(word ^ mask));
       }
     }
@@ -169,14 +170,15 @@ void CommChannel::transmit_row_bursty_on(float* row, std::size_t dim,
   // stream. Lost chunks never arrive, so they draw no noise.
   const Int8Quantizer q =
       Int8Quantizer::calibrate(std::span<const float>(row, dim));
+  const BernoulliThreshold thr_good(c.ber_good);
+  const BernoulliThreshold thr_bad(c.ber_bad);
   for (std::size_t d = 0; d < dim; ++d) {
     const std::size_t k = d / chunk;
     if (scratch.chunk_lost[k]) continue;
-    const double ber = scratch.chunk_bad[k] ? c.ber_bad : c.ber_good;
-    if (ber <= 0.0) continue;
-    std::uint8_t mask = 0;
-    for (int b = 0; b < 8; ++b)
-      if (noise.bernoulli(ber)) mask = static_cast<std::uint8_t>(mask | (1u << b));
+    // Draws exactly what 8 noise.bernoulli(ber) calls at the chunk's
+    // state BER draw (none at BER 0).
+    const auto mask = static_cast<std::uint8_t>(noise.bernoulli_mask(
+        scratch.chunk_bad[k] ? thr_bad : thr_good, 8));
     if (mask != 0) {
       cnt.corrupted += static_cast<std::size_t>(std::popcount(mask));
       row[d] = q.dequantize(static_cast<std::int8_t>(
@@ -244,13 +246,14 @@ void CommChannel::transmit_row_fleet(float* row, std::size_t dim,
   float* FRLFI_RESTRICT out = row;
   const Int8Quantizer q =
       Int8Quantizer::calibrate(std::span<const float>(out, dim));
+  const BernoulliThreshold thr(ber);
   for (std::size_t d = 0; d < dim; ++d) {
-    const std::uint8_t word = static_cast<std::uint8_t>(q.quantize(out[d]));
-    std::uint8_t mask = 0;
-    for (int b = 0; b < 8; ++b)
-      if (noise.bernoulli(ber)) mask = static_cast<std::uint8_t>(mask | (1u << b));
+    // Draws exactly what 8 noise.bernoulli(ber) calls draw; only a hit
+    // element is quantized (quantize is pure).
+    const auto mask = static_cast<std::uint8_t>(noise.bernoulli_mask(thr, 8));
     if (mask != 0) {
       cnt.corrupted += static_cast<std::size_t>(std::popcount(mask));
+      const auto word = static_cast<std::uint8_t>(q.quantize(out[d]));
       out[d] = q.dequantize(static_cast<std::int8_t>(word ^ mask));
     }
   }

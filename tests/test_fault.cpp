@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "core/error.hpp"
 #include "fault/injector.hpp"
@@ -158,6 +160,25 @@ TEST(InjectFixedPoint, CleanPassIsQuantizationOnly) {
   EXPECT_EQ(r.bits_flipped, 0u);
   EXPECT_NEAR(w[0], 0.5f, 1e-3f);
   EXPECT_NEAR(w[1], -0.125f, 1e-3f);
+}
+
+TEST(InjectFixedPoint, InvalidBerThrows) {
+  // The non-burst fixed-point path validates its BER like flip_bits_ber
+  // and the burst corruptors: out-of-range and NaN rates throw on the
+  // in-place injector and on the overlay plane alike.
+  const std::vector<float> clean{0.5f, -0.25f, 1.0f};
+  const FixedPointFormat fmt = FixedPointFormat::q1_7_8();
+  const DeployedWeights image = DeployedWeights::fixed_point_image(clean, fmt);
+  for (const double ber :
+       {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.5}) {
+    FaultSpec spec;
+    spec.ber = ber;
+    std::vector<float> w = clean;
+    Rng rng(15);
+    EXPECT_THROW(inject_fixed_point(w, fmt, spec, rng), Error) << ber;
+    WeightOverlay overlay;
+    EXPECT_THROW(image.inject(spec, rng, overlay), Error) << ber;
+  }
 }
 
 TEST(InjectFixedPoint, MaskPathMatchesReferenceExactly) {

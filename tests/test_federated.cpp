@@ -127,8 +127,9 @@ TEST(CommChannel, TransmitRowsMatchesScalarOnEdgeShapes) {
   // The batched path is locked to the scalar golden reference on the
   // shapes most likely to break a vectorized implementation: a single
   // row (n_agents=1) and dims not divisible by any SIMD width — bits,
-  // counters and RNG stream position all identical.
-  for (const double ber : {0.0, 0.02}) {
+  // counters and RNG stream position all identical. The BERs cover the
+  // no-draw thresholds (0 and 1), a tiny p and two ordinary ones.
+  for (const double ber : {0.0, 1e-4, 0.02, 0.5, 1.0}) {
     for (const std::size_t dim :
          {std::size_t{1}, std::size_t{3}, std::size_t{17}, std::size_t{37},
           std::size_t{63}}) {

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
+
+#include "core/error.hpp"
 
 namespace frlfi {
 namespace {
@@ -89,6 +93,69 @@ TEST(Rng, BernoulliEdgeCases) {
     EXPECT_FALSE(rng.bernoulli(0.0));
     EXPECT_TRUE(rng.bernoulli(1.0));
   }
+}
+
+TEST(Rng, BernoulliThresholdIsExact) {
+  // bernoulli(p) hits iff k·2^-53 < p for k = next_u64() >> 11; the
+  // threshold form hits iff k < T. T - 1 must still hit and T must not,
+  // for every p whose threshold is a reachable 53-bit k.
+  constexpr double kTwoM53 = 0x1.0p-53;
+  const double ps[] = {0.0,
+                       std::numeric_limits<double>::denorm_min(),
+                       std::nextafter(kTwoM53, 0.0),
+                       kTwoM53,
+                       std::nextafter(kTwoM53, 1.0),
+                       1e-4,
+                       0.1,
+                       0.5,
+                       std::nextafter(1.0, 0.0),
+                       1.0};
+  constexpr std::uint64_t kMaxK = (std::uint64_t{1} << 53) - 1;
+  for (const double p : ps) {
+    const BernoulliThreshold thr(p);
+    EXPECT_EQ(thr.draws(), p > 0.0 && p < 1.0) << p;
+    EXPECT_EQ(thr.certain(), p == 1.0) << p;
+    if (thr.draws()) {
+      const std::uint64_t t = thr.threshold();
+      ASSERT_GE(t, 1u) << p;
+      EXPECT_LT(static_cast<double>(t - 1) * kTwoM53, p) << p;
+      if (t <= kMaxK) {
+        EXPECT_FALSE(static_cast<double>(t) * kTwoM53 < p) << p;
+      }
+    }
+
+    // Twin streams: the threshold draws agree with bernoulli(p) hit for
+    // hit and leave the stream where bernoulli(p) leaves it.
+    Rng a(71), b(71);
+    for (int i = 0; i < 100000; ++i)
+      ASSERT_EQ(a.bernoulli(thr), b.bernoulli(p)) << p << " draw " << i;
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << p;
+
+    Rng c(72), d(72);
+    for (int i = 0; i < 1000; ++i) {
+      std::uint32_t expected = 0;
+      for (int bit = 0; bit < 8; ++bit)
+        if (d.bernoulli(p)) expected |= 1u << bit;
+      ASSERT_EQ(c.bernoulli_mask(thr, 8), expected) << p << " word " << i;
+    }
+    EXPECT_EQ(c.next_u64(), d.next_u64()) << p;
+  }
+  // The tiny thresholds: denorm_min and 2^-53 hit only k = 0; one ulp
+  // above 2^-53 also hits k = 1.
+  EXPECT_EQ(BernoulliThreshold(std::numeric_limits<double>::denorm_min())
+                .threshold(),
+            1u);
+  EXPECT_EQ(BernoulliThreshold(kTwoM53).threshold(), 1u);
+  EXPECT_EQ(BernoulliThreshold(std::nextafter(kTwoM53, 1.0)).threshold(), 2u);
+  EXPECT_EQ(BernoulliThreshold(std::nextafter(1.0, 0.0)).threshold(), kMaxK);
+}
+
+TEST(Rng, BernoulliThresholdRejectsInvalidP) {
+  EXPECT_THROW(BernoulliThreshold(-0.1), Error);
+  EXPECT_THROW(BernoulliThreshold(1.5), Error);
+  EXPECT_THROW(BernoulliThreshold(std::numeric_limits<double>::quiet_NaN()),
+               Error);
+  EXPECT_NO_THROW(BernoulliThreshold(-0.0));
 }
 
 TEST(Rng, BernoulliFrequencyMatchesP) {
