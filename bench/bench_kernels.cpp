@@ -22,10 +22,9 @@
 ///    GridWorld train() episode throughput at several engine thread
 ///    counts — both with bit-identity gates (batched round == scalar
 ///    round; parallel train == serial train),
-///  * degraded participation: communicate_round vs communicate_rows at the
-///    same shapes (all-present and busy degraded rounds), with two
-///    bit-identity gates — the all-present round must equal the
-///    synchronous round, and train() under an active all-present plan
+///  * degraded participation: a busy degraded communicate_round vs the
+///    synchronous communicate_rows at the same shapes (serial rounds), with
+///    one bit-identity gate — train() under an active all-present plan
 ///    must equal the plan-free train,
 ///  * channel reliability: transmit_rows under the i.i.d. golden path vs
 ///    the Gilbert-Elliott burst plane vs the checksum/retry upload
@@ -146,8 +145,7 @@ struct TrainRoundRow {
 };
 struct ParticipationRow {
   std::size_t agents = 0, dim = 0;
-  double rows_us = 0.0, full_round_us = 0.0, degraded_us = 0.0;
-  bool identical = false;  // all-present communicate_round == communicate_rows
+  double rows_us = 0.0, degraded_us = 0.0;
 };
 struct ChannelRow {
   std::size_t agents = 0, dim = 0;
@@ -542,11 +540,9 @@ bool bench_trans1(double min_time, Report& report) {
 
 // The federated server round: the frozen pre-refactor scalar round —
 // fresh per-round upload vectors through CommChannel::transmit,
-// smoothing_average, mean_parameters (exactly what communicate_if_due +
-// ParameterServer::communicate used to execute) — vs the engine's
-// preallocated row matrix through communicate_rows. The reference is
-// rebuilt from the scalar primitives because ParameterServer::communicate
-// is a wrapper over communicate_rows now; downlinks must agree
+// smoothing_average, mean_parameters (exactly what the retired
+// vector-of-vectors server round executed) — vs the preallocated row
+// matrix through the serial communicate_rows. Downlinks must agree
 // bit-for-bit.
 bool bench_federated_round(double min_time, Report& report) {
   std::printf(
@@ -601,7 +597,7 @@ bool bench_federated_round(double min_time, Report& report) {
       for (std::size_t i = 0; i < agents; ++i)
         std::copy(base[i].begin(), base[i].end(),
                   matrix.begin() + static_cast<std::ptrdiff_t>(i * dim));
-      rows_server.communicate_rows(matrix, rows_rng);
+      rows_server.communicate_rows(matrix, rows_rng, nullptr);
     };
     const double t_rows = time_per_call(min_time, run_rows);
 
@@ -615,7 +611,7 @@ bool bench_federated_round(double min_time, Report& report) {
     for (std::size_t i = 0; i < agents; ++i)
       std::copy(base[i].begin(), base[i].end(),
                 matrix.begin() + static_cast<std::ptrdiff_t>(i * dim));
-    b.communicate_rows(matrix, rb);
+    b.communicate_rows(matrix, rb, nullptr);
     bool identical = ra.next_u64() == rb.next_u64();
     for (std::size_t i = 0; i < agents && identical; ++i)
       for (std::size_t d = 0; d < dim && identical; ++d)
@@ -678,23 +674,21 @@ bool bench_train_round(bool quick, Report& report) {
   return all_identical;
 }
 
-// The degraded-participation plane: communicate_round timing against the
-// synchronous communicate_rows at the same shapes — the all-Present round
-// (which must delegate to communicate_rows bit-for-bit, RNG position
-// included) and a busy degraded round (dropout + straggler + screened
-// Byzantine row). Plus the engine-level lock: a short GridWorld train()
-// under an active all-present plan must match the plan-free train exactly.
+// The degraded-participation plane: a busy degraded communicate_round
+// (dropout + straggler + screened Byzantine row) timed against the
+// synchronous communicate_rows at the same shapes, both serial. Plus the
+// engine-level lock: a short GridWorld train() under an active
+// all-present plan must match the plan-free train exactly.
 bool bench_participation(double min_time, bool quick, Report& report) {
   std::printf(
       "\n== Degraded participation: communicate_round vs communicate_rows "
       "==\n");
   std::printf("(gridworld-policy dim, BER 1e-2, microseconds per round)\n");
-  std::printf("%-8s %8s %12s %12s %12s %14s\n", "agents", "dim", "rows us",
-              "full us", "degraded us", "bit-identical");
+  std::printf("%-8s %8s %12s %12s\n", "agents", "dim", "rows us",
+              "degraded us");
   Rng prng(41);
   const Network policy = make_gridworld_policy(prng);
   const std::size_t dim = policy.parameter_count();
-  bool all_identical = true;
   for (const std::size_t agents : {std::size_t{4}, std::size_t{12}}) {
     std::vector<float> base(agents * dim);
     Rng wrng(42);
@@ -702,64 +696,43 @@ bool bench_participation(double min_time, bool quick, Report& report) {
 
     const AlphaSchedule schedule(agents, 0.5);
     std::vector<float> matrix(agents * dim);
-    const auto reload = [&] { std::copy(base.begin(), base.end(), matrix.begin()); };
 
     ParameterServer rows_server(agents, dim, schedule);
     rows_server.channel().set_bit_error_rate(1e-2);
     Rng rows_rng(43);
     const double t_rows = time_per_call(min_time, [&] {
-      reload();
-      rows_server.communicate_rows(matrix, rows_rng);
+      std::copy(base.begin(), base.end(), matrix.begin());
+      rows_server.communicate_rows(matrix, rows_rng, nullptr);
     });
 
-    const std::vector<AgentRoundStatus> all_present(
-        agents, AgentRoundStatus::Present);
-    ParameterServer::RobustRoundOptions opts;
-    ParameterServer full_server(agents, dim, schedule);
-    full_server.channel().set_bit_error_rate(1e-2);
-    Rng full_rng(43);
-    const double t_full = time_per_call(min_time, [&] {
-      reload();
-      full_server.communicate_round(matrix, all_present, opts, full_rng);
-    });
-
-    // A busy degraded round: one dropped, one straggling, one screened
-    // Byzantine row, L2 screen armed.
+    // A busy degraded round: agent 0 dropped (it sends nothing, so the
+    // compact sender matrix holds agents 1..n-1), agent 1 straggling,
+    // agent 2 a screened Byzantine row, L2 screen armed.
     std::vector<AgentRoundStatus> degraded(agents, AgentRoundStatus::Present);
     degraded[0] = AgentRoundStatus::Dropped;
     degraded[1] = AgentRoundStatus::Straggler;
     degraded[2] = AgentRoundStatus::Byzantine;
+    std::vector<std::size_t> senders;
+    for (std::size_t i = 1; i < agents; ++i) senders.push_back(i);
     ParameterServer::RobustRoundOptions screen_opts;
     screen_opts.screening.l2_norm = true;
     screen_opts.screening.l2_factor = 3.0;
     ParameterServer deg_server(agents, dim, schedule);
     deg_server.channel().set_bit_error_rate(1e-2);
     Rng deg_rng(43);
+    std::vector<float> compact(senders.size() * dim);
     const double t_deg = time_per_call(min_time, [&] {
-      reload();
-      for (std::size_t d = 0; d < dim; ++d)
-        matrix[2 * dim + d] = (d % 2) ? 50.0f : -50.0f;  // screened garbage
-      deg_server.communicate_round(matrix, degraded, screen_opts, deg_rng);
+      std::copy(base.begin() + static_cast<std::ptrdiff_t>(dim), base.end(),
+                compact.begin());
+      for (std::size_t d = 0; d < dim; ++d)  // agent 2: screened garbage
+        compact[1 * dim + d] = (d % 2) ? 50.0f : -50.0f;
+      deg_server.communicate_round(compact, senders, degraded, screen_opts,
+                                   deg_rng, nullptr, /*run_post_hook=*/false);
     });
 
-    // Bit-identity gate at equal round/rng state: one all-present
-    // communicate_round vs one communicate_rows on fresh servers.
-    ParameterServer a(agents, dim, schedule), b(agents, dim, schedule);
-    a.channel().set_bit_error_rate(1e-2);
-    b.channel().set_bit_error_rate(1e-2);
-    Rng ra(44), rb(44);
-    std::vector<float> ma = base, mb = base;
-    a.communicate_rows(ma, ra);
-    b.communicate_round(mb, all_present, opts, rb);
-    bool identical = ma == mb && a.consensus() == b.consensus() &&
-                     ra.next_u64() == rb.next_u64();
-    all_identical = all_identical && identical;
-
-    report.participation.push_back(
-        {agents, dim, t_rows * 1e6, t_full * 1e6, t_deg * 1e6, identical});
-    std::printf("%-8zu %8zu %12.2f %12.2f %12.2f %14s\n", agents, dim,
-                t_rows * 1e6, t_full * 1e6, t_deg * 1e6,
-                identical ? "YES" : "NO  <-- BUG");
+    report.participation.push_back({agents, dim, t_rows * 1e6, t_deg * 1e6});
+    std::printf("%-8zu %8zu %12.2f %12.2f\n", agents, dim, t_rows * 1e6,
+                t_deg * 1e6);
   }
 
   // Engine-level lock: active all-present plan == plan-free train.
@@ -781,7 +754,7 @@ bool bench_participation(double min_time, bool quick, Report& report) {
   report.participation_train_identical = train_identical;
   std::printf("train() under active all-present plan bit-identical: %s\n",
               train_identical ? "YES" : "NO  <-- BUG");
-  return all_identical && train_identical;
+  return train_identical;
 }
 
 // The channel-reliability plane: transmit_rows under the i.i.d. golden
@@ -883,6 +856,8 @@ bool bench_channel_reliability(double min_time, Report& report) {
     const AlphaSchedule schedule(agents, 0.5);
     const std::vector<AgentRoundStatus> all_present(
         agents, AgentRoundStatus::Present);
+    std::vector<std::size_t> everyone(agents);
+    for (std::size_t i = 0; i < agents; ++i) everyone[i] = i;
     ParameterServer plain(agents, dim, schedule);
     ParameterServer zero(agents, dim, schedule);
     plain.channel().set_bursty(stormy);
@@ -892,8 +867,10 @@ bool bench_channel_reliability(double min_time, Report& report) {
     zero_opts.upload.max_retries = 0;
     Rng rp(46), rz(46);
     std::vector<float> mp = base, mz = base;
-    plain.communicate_round(mp, all_present, plain_opts, rp);
-    zero.communicate_round(mz, all_present, zero_opts, rz);
+    plain.communicate_round(mp, everyone, all_present, plain_opts, rp,
+                            nullptr, /*run_post_hook=*/false);
+    zero.communicate_round(mz, everyone, all_present, zero_opts, rz, nullptr,
+                           /*run_post_hook=*/false);
     report.channel_zero_retry_identical =
         mp == mz && plain.consensus() == zero.consensus() &&
         rp.next_u64() == rz.next_u64();
@@ -1177,10 +1154,8 @@ void write_json(const Report& r, const char* path) {
     const auto& row = r.participation[i];
     std::fprintf(f,
                  "      {\"agents\": %zu, \"dim\": %zu, \"rows_us\": %.4f, "
-                 "\"full_round_us\": %.4f, \"degraded_round_us\": %.4f, "
-                 "\"bit_identical\": %s}%s\n",
-                 row.agents, row.dim, row.rows_us, row.full_round_us,
-                 row.degraded_us, row.identical ? "true" : "false",
+                 "\"degraded_round_us\": %.4f}%s\n",
+                 row.agents, row.dim, row.rows_us, row.degraded_us,
                  i + 1 < r.participation.size() ? "," : "");
   }
   std::fprintf(f, "    ],\n    \"train_full_plan_bit_identical\": %s\n  },\n",

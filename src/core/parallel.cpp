@@ -188,4 +188,13 @@ void dispatch_lanes(std::size_t threads, std::size_t n,
   }
 }
 
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t, std::size_t)>& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, body);
+  } else if (n > 0) {
+    body(0, n);
+  }
+}
+
 }  // namespace frlfi

@@ -137,4 +137,11 @@ class ThreadPool {
   std::exception_ptr first_error_;
 };
 
+/// pool->parallel_for(n, body), or body(0, n) on the calling thread when
+/// `pool` is null. A null pool is the one-part partition, so a kernel
+/// whose bits do not depend on the partition takes a nullable pool
+/// instead of keeping a serial twin.
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t, std::size_t)>& body);
+
 }  // namespace frlfi

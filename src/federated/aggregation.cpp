@@ -53,31 +53,7 @@ std::vector<std::vector<float>> smoothing_average(
 
 void smoothing_average_rows(const float* uploads, float* out,
                             float* total_scratch, std::size_t n,
-                            std::size_t dim, double alpha) {
-  FRLFI_CHECK_MSG(n >= 2, "smoothing_average needs >= 2 agents");
-  FRLFI_CHECK_MSG(alpha > 0.0 && alpha < 1.0, "alpha " << alpha);
-  const float beta =
-      static_cast<float>((1.0 - alpha) / static_cast<double>(n - 1));
-  const auto alpha_f = static_cast<float>(alpha);
-
-  // sum_j theta_j accumulated row by row in agent order (alpha = 1.0f
-  // multiplies exactly), matching the scalar reference's summation chain.
-  std::fill(total_scratch, total_scratch + dim, 0.0f);
-  for (std::size_t i = 0; i < n; ++i)
-    axpy(1.0f, uploads + i * dim, total_scratch, dim);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* FRLFI_RESTRICT self = uploads + i * dim;
-    float* FRLFI_RESTRICT dst = out + i * dim;
-#pragma omp simd
-    for (std::size_t d = 0; d < dim; ++d)
-      dst[d] = alpha_f * self[d] + beta * (total_scratch[d] - self[d]);
-  }
-}
-
-void smoothing_average_rows(const float* uploads, float* out,
-                            float* total_scratch, std::size_t n,
-                            std::size_t dim, double alpha, ThreadPool& pool) {
+                            std::size_t dim, double alpha, ThreadPool* pool) {
   FRLFI_CHECK_MSG(n >= 2, "smoothing_average needs >= 2 agents");
   FRLFI_CHECK_MSG(alpha > 0.0 && alpha < 1.0, "alpha " << alpha);
   const float beta =
@@ -85,9 +61,10 @@ void smoothing_average_rows(const float* uploads, float* out,
   const auto alpha_f = static_cast<float>(alpha);
 
   // Column-partitioned row sum: every lane walks the rows in agent order
-  // over its own coordinate slice, so each coordinate's accumulation
-  // chain is the serial one no matter how many lanes run.
-  pool.parallel_for(dim, [&](std::size_t d0, std::size_t d1) {
+  // over its own coordinate slice (alpha = 1.0f multiplies exactly), so
+  // each coordinate's accumulation chain is the scalar reference's no
+  // matter how many lanes run.
+  parallel_for(pool, dim, [&](std::size_t d0, std::size_t d1) {
     std::fill(total_scratch + d0, total_scratch + d1, 0.0f);
     for (std::size_t i = 0; i < n; ++i)
       axpy(1.0f, uploads + i * dim + d0, total_scratch + d0, d1 - d0);
@@ -95,7 +72,7 @@ void smoothing_average_rows(const float* uploads, float* out,
 
   // Row-partitioned combine: each output row depends only on its own
   // upload and the (now frozen) total.
-  pool.parallel_for(n, [&](std::size_t i0, std::size_t i1) {
+  parallel_for(pool, n, [&](std::size_t i0, std::size_t i1) {
     for (std::size_t i = i0; i < i1; ++i) {
       const float* FRLFI_RESTRICT self = uploads + i * dim;
       float* FRLFI_RESTRICT dst = out + i * dim;
@@ -121,20 +98,10 @@ std::vector<float> mean_parameters(
 }
 
 void mean_parameters_rows(const float* rows, std::size_t n, std::size_t dim,
-                          float* mean) {
-  FRLFI_CHECK(n >= 1);
-  std::fill(mean, mean + dim, 0.0f);
-  for (std::size_t i = 0; i < n; ++i) axpy(1.0f, rows + i * dim, mean, dim);
-  const auto inv = static_cast<float>(1.0 / static_cast<double>(n));
-#pragma omp simd
-  for (std::size_t d = 0; d < dim; ++d) mean[d] *= inv;
-}
-
-void mean_parameters_rows(const float* rows, std::size_t n, std::size_t dim,
-                          float* mean, ThreadPool& pool) {
+                          float* mean, ThreadPool* pool) {
   FRLFI_CHECK(n >= 1);
   const auto inv = static_cast<float>(1.0 / static_cast<double>(n));
-  pool.parallel_for(dim, [&](std::size_t d0, std::size_t d1) {
+  parallel_for(pool, dim, [&](std::size_t d0, std::size_t d1) {
     std::fill(mean + d0, mean + d1, 0.0f);
     for (std::size_t i = 0; i < n; ++i)
       axpy(1.0f, rows + i * dim + d0, mean + d0, d1 - d0);
@@ -175,28 +142,14 @@ void trimmed_mean_span(const float* const* rows, std::size_t m,
 }  // namespace
 
 void trimmed_mean_rows(const float* const* rows, std::size_t m,
-                       std::size_t dim, std::size_t trim_k, float* scratch,
-                       float* out) {
-  FRLFI_CHECK_MSG(m > 2 * trim_k,
-                  "trimmed mean needs > 2k rows, got " << m << " for k "
-                                                       << trim_k);
-  trimmed_mean_span(rows, m, trim_k, scratch, out, 0, dim);
-}
-
-void trimmed_mean_rows(const float* const* rows, std::size_t m,
                        std::size_t dim, std::size_t trim_k,
-                       float* lane_scratch, std::size_t lanes, float* out,
-                       ThreadPool& pool) {
+                       float* lane_scratch, float* out, ThreadPool* pool) {
   FRLFI_CHECK_MSG(m > 2 * trim_k,
                   "trimmed mean needs > 2k rows, got " << m << " for k "
                                                        << trim_k);
-  const std::size_t fan = std::min({lanes, pool.size(), dim});
-  if (fan <= 1) {
-    trimmed_mean_span(rows, m, trim_k, lane_scratch, out, 0, dim);
-    return;
-  }
+  const std::size_t fan = std::min(pool ? pool->size() : 1, dim);
   // Lane-indexed fan so each lane owns a private m-float gather buffer.
-  pool.parallel_for(fan, [&](std::size_t l0, std::size_t l1) {
+  parallel_for(pool, fan, [&](std::size_t l0, std::size_t l1) {
     for (std::size_t lane = l0; lane < l1; ++lane) {
       std::size_t d0 = 0, d1 = 0;
       shard_range(dim, fan, lane, d0, d1);

@@ -48,57 +48,41 @@ std::vector<std::vector<float>> smoothing_average(
 /// = agent i's parameters), writing the n per-agent results into the
 /// row-major `out` (same shape; must not alias `uploads`). `total_scratch`
 /// must hold dim floats (the caller — ParameterServer — preallocates it so
-/// a round allocates nothing). Runs on the axpy kernel with the exact
-/// accumulation order of the scalar reference (rows in agent order), so
-/// the results are bit-identical to smoothing_average of the same rows.
+/// a round allocates nothing). The row sum is partitioned by *coordinate*
+/// (each part accumulates its column slice over all rows in agent order on
+/// the axpy kernel, the scalar reference's summation chain) and the
+/// per-agent combine by row, so the results are bit-identical to
+/// smoothing_average of the same rows at any lane count. A null `pool`
+/// runs the one-part partition inline.
 void smoothing_average_rows(const float* uploads, float* out,
                             float* total_scratch, std::size_t n,
-                            std::size_t dim, double alpha);
-
-/// Pool-parallel smoothing average, bit-identical to the serial kernel at
-/// any lane count: the row sum is partitioned by *coordinate* (each lane
-/// accumulates its column slice over all rows in agent order, so every
-/// coordinate sees the exact serial summation chain), and the per-agent
-/// combine by row. The lane partition is pure scheduling — no float
-/// reassociation anywhere.
-void smoothing_average_rows(const float* uploads, float* out,
-                            float* total_scratch, std::size_t n,
-                            std::size_t dim, double alpha, ThreadPool& pool);
+                            std::size_t dim, double alpha, ThreadPool* pool);
 
 /// Plain mean of the uploaded vectors (the consensus policy; used by the
 /// checkpointing scheme and the Table I spread statistic).
 std::vector<float> mean_parameters(const std::vector<std::vector<float>>& uploads);
 
 /// mean_parameters over a row-major n x dim matrix, written into `mean`
-/// (dim floats). Same row-order accumulation — bit-identical to the
-/// vector-of-vectors form.
+/// (dim floats). Coordinate-partitioned like the smoothing kernel, with
+/// the same row-order accumulation per coordinate — bit-identical to the
+/// vector-of-vectors form at any lane count (null `pool`: inline).
 void mean_parameters_rows(const float* rows, std::size_t n, std::size_t dim,
-                          float* mean);
-
-/// Pool-parallel row mean, coordinate-partitioned like the smoothing
-/// kernel — bit-identical to the serial form at any lane count.
-void mean_parameters_rows(const float* rows, std::size_t n, std::size_t dim,
-                          float* mean, ThreadPool& pool);
+                          float* mean, ThreadPool* pool);
 
 /// Coordinate-wise trimmed mean over m (possibly non-contiguous) rows:
 /// for each coordinate, sort the m contributed values, drop the trim_k
 /// smallest and trim_k largest, and average the rest in sorted order.
 /// Non-finite values sort to the top end, so a NaN/Inf garbage row is
-/// among the first trimmed. Requires m > 2 * trim_k. `scratch` must hold
-/// m floats; `out` holds dim floats. This is the robust-aggregation peer
-/// estimate used by ScreeningConfig::trimmed_mean.
-void trimmed_mean_rows(const float* const* rows, std::size_t m,
-                       std::size_t dim, std::size_t trim_k, float* scratch,
-                       float* out);
-
-/// Pool-parallel trimmed mean: coordinates are partitioned across lanes
-/// (each coordinate's gather/sort/sum is self-contained, so the rank order
-/// — and therefore the bits — cannot depend on the partition).
-/// `lane_scratch` must hold lanes * m floats, `lanes` >= the pool size;
-/// lane l works out of lane_scratch[l * m .. (l + 1) * m).
+/// among the first trimmed. Requires m > 2 * trim_k; `out` holds dim
+/// floats. This is the robust-aggregation peer estimate used by
+/// ScreeningConfig::trimmed_mean. Coordinates are partitioned across the
+/// pool's lanes (each coordinate's gather/sort/sum is self-contained, so
+/// the bits cannot depend on the partition); `lane_scratch` must hold
+/// lanes * m floats, where lanes is the pool size (1 for a null `pool`,
+/// which runs inline), and lane l works out of
+/// lane_scratch[l * m .. (l + 1) * m).
 void trimmed_mean_rows(const float* const* rows, std::size_t m,
                        std::size_t dim, std::size_t trim_k,
-                       float* lane_scratch, std::size_t lanes, float* out,
-                       ThreadPool& pool);
+                       float* lane_scratch, float* out, ThreadPool* pool);
 
 }  // namespace frlfi

@@ -299,24 +299,41 @@ CommChannel::UploadOutcome CommChannel::transmit_upload_fleet(
 
 void CommChannel::transmit_uploads(float* const* uploads,
                                    std::size_t n_uploads, std::size_t dim,
-                                   const Rng& rng, ThreadPool& pool,
+                                   Rng& rng, ThreadPool* pool,
                                    const UploadProtocolConfig* proto,
                                    const std::uint8_t* reliable_mask,
                                    UploadOutcome* outcomes) {
   if (n_uploads == 0) return;
+  const bool armed = proto != nullptr && reliable_upload_armed(*proto);
+  const auto reliable = [&](std::size_t u) {
+    return armed && (reliable_mask == nullptr || reliable_mask[u] != 0);
+  };
+  if (pool == nullptr) {
+    // Serial discipline: upload by upload in order on the advancing
+    // stream, each message (retries included) claiming the next sequence
+    // number as it goes.
+    for (std::size_t u = 0; u < n_uploads; ++u) {
+      UploadOutcome o;
+      if (reliable(u))
+        o = transmit_reliable(uploads[u], dim, rng, *proto);
+      else
+        transmit_rows(uploads[u], 1, dim, rng);
+      if (outcomes != nullptr) outcomes[u] = o;
+    }
+    return;
+  }
   // Claim the whole round's sequence numbers up front: upload u rides
   // seq_base + u no matter how the lanes carve the range, which is the
   // entire thread-count-invariance argument.
   const std::uint64_t seq_base = seq_;
   seq_ += n_uploads;
-  const std::size_t lanes = std::min(pool.size(), n_uploads);
+  const std::size_t lanes = std::min(pool->size(), n_uploads);
   if (fleet_scratch_.size() < lanes) fleet_scratch_.resize(lanes);
   fleet_counters_.assign(lanes, LaneCounters{});
-  const bool armed = proto != nullptr && reliable_upload_armed(*proto);
   // Lane-indexed fan: one body index per lane, each lane re-deriving its
   // contiguous upload shard from shard_range so scratch and counters are
   // strictly lane-local until the join.
-  pool.parallel_for(lanes, [&](std::size_t lane_b, std::size_t lane_e) {
+  pool->parallel_for(lanes, [&](std::size_t lane_b, std::size_t lane_e) {
     for (std::size_t lane = lane_b; lane < lane_e; ++lane) {
       RowScratch& scratch = fleet_scratch_[lane];
       LaneCounters& cnt = fleet_counters_[lane];
@@ -324,15 +341,13 @@ void CommChannel::transmit_uploads(float* const* uploads,
       shard_range(n_uploads, lanes, lane, b, e);
       for (std::size_t u = b; u < e; ++u) {
         const std::uint64_t seq = seq_base + u;
-        if (armed && (reliable_mask == nullptr || reliable_mask[u] != 0)) {
-          const UploadOutcome o =
-              transmit_upload_fleet(uploads[u], dim, rng, seq, *proto,
+        UploadOutcome o;
+        if (reliable(u))
+          o = transmit_upload_fleet(uploads[u], dim, rng, seq, *proto,
                                     scratch, cnt);
-          if (outcomes != nullptr) outcomes[u] = o;
-        } else {
+        else
           transmit_row_fleet(uploads[u], dim, rng, seq, 0, scratch, cnt);
-          if (outcomes != nullptr) outcomes[u] = UploadOutcome{};
-        }
+        if (outcomes != nullptr) outcomes[u] = o;
       }
     }
   });
@@ -345,15 +360,6 @@ void CommChannel::transmit_uploads(float* const* uploads,
     chunks_erased_ += cnt.chunks_erased;
     reordered_ += cnt.reordered;
   }
-}
-
-void CommChannel::transmit_rows(float* rows, std::size_t n_rows,
-                                std::size_t dim, const Rng& rng,
-                                ThreadPool& pool) {
-  if (n_rows == 0) return;
-  fleet_rows_.resize(n_rows);
-  for (std::size_t r = 0; r < n_rows; ++r) fleet_rows_[r] = rows + r * dim;
-  transmit_uploads(fleet_rows_.data(), n_rows, dim, rng, pool);
 }
 
 CommChannel::UploadOutcome CommChannel::transmit_reliable(

@@ -29,19 +29,23 @@
 /// timeout upload protocol of UploadProtocolConfig (see server.hpp for
 /// how exhausted uploads degrade into the participation plane).
 ///
-/// **The fleet plane** (transmit_uploads / the pool transmit_rows
-/// overload) is the thousand-agent round path: every upload rides its own
-/// derived (non-advancing) streams keyed by a per-upload sequence number,
-/// so the uploads fan across a ThreadPool with bit-identical results at
-/// any lane count — a 1-lane pool IS the serial golden path. Burst-plane
-/// uploads produce the exact bits the legacy serial path produces (both
-/// are already per-seq derived); i.i.d. flips in fleet mode move onto the
-/// same derived-stream discipline (keyed under the bursty stream_tag, a
-/// valid namespace even when the burst plane is off), which is a
-/// different — equally i.i.d. — noise realization than the legacy
-/// advancing stream, and never advances the caller's RNG. Retry attempt
+/// **Upload fans** (transmit_uploads) carry every server round, and the
+/// i.i.d. noise discipline is chosen there and nowhere else. Without a
+/// pool the uploads go one by one in order on the caller's advancing
+/// stream — exactly transmit_rows / transmit_reliable per upload, the
+/// serial realization of every `server_threads = 0` run. With a pool
+/// (the fleet plane) every upload rides its own derived (non-advancing)
+/// streams keyed by a per-upload sequence number, so the uploads fan
+/// across the lanes with bit-identical results at any lane count — a
+/// 1-lane pool is the serial golden path of that discipline. Burst-plane
+/// uploads carry the same bits under both (they are per-seq derived
+/// either way, and the sequence numbers match while no retry claims an
+/// extra one); pooled i.i.d. flips are keyed under the bursty stream_tag
+/// (a valid namespace even when the burst plane is off), which is a
+/// different — equally i.i.d. — noise realization than the advancing
+/// stream, and never advances the caller's RNG. Pooled retry attempt
 /// k > 0 adds the attempt index to the stream key, so a zero-retry
-/// protocol stays byte-for-byte the plain fleet transmit.
+/// protocol stays byte-for-byte the plain pooled transmit.
 
 #include <cstddef>
 #include <cstdint>
@@ -132,7 +136,8 @@ class CommChannel {
   std::vector<float> transmit(const std::vector<float>& payload, Rng& rng);
 
   /// Transmit n_rows payloads held in a row-major n_rows x dim matrix, in
-  /// place — the batched uplink/downlink of a federated round. Row i is
+  /// place, on the advancing stream (the serial transmit_uploads sends
+  /// each upload through here as a one-row matrix). Row i is
   /// processed exactly as transmit(row i) would be (per-row calibration,
   /// one 8-draw Bernoulli word per element in row-major order), but the
   /// per-element flips collapse into a single XOR mask (the fixed-point
@@ -160,30 +165,22 @@ class CommChannel {
   UploadOutcome transmit_reliable(float* row, std::size_t dim, Rng& rng,
                                   const UploadProtocolConfig& cfg);
 
-  /// Fleet-mode batched transmit: the rows of a row-major n_rows x dim
-  /// matrix fan across `pool`, each riding derived streams keyed by its
-  /// own transmit sequence number (see the file comment). Bit-identical
-  /// at every pool size — a 1-lane pool is the serial golden path — and
-  /// `rng` is never advanced. Burst-plane rows carry the exact bits the
-  /// serial transmit_rows produces; i.i.d. rows carry a derived-stream
-  /// noise realization instead of the legacy advancing one.
-  void transmit_rows(float* rows, std::size_t n_rows, std::size_t dim,
-                     const Rng& rng, ThreadPool& pool);
-
-  /// Fleet-mode upload fan: transmit `n_uploads` payloads (uploads[u]
-  /// points at dim floats, corrupted in place) across `pool` under the
-  /// per-upload derived-stream discipline. One sequence number per
-  /// upload, claimed contiguously up front; retry attempts (when `proto`
-  /// is armed) key their streams by (seq, attempt), so the schedule is
-  /// independent of lane count and of the other uploads' retry activity.
-  /// `reliable_mask` (optional, n_uploads bytes) limits the retry
-  /// protocol to the uploads marked nonzero — unmarked uploads take the
-  /// plain single-attempt path, as the server does for stragglers.
-  /// Outcomes (attempts/delivered/backoff) land in `outcomes[u]` when
-  /// provided. Counters account every attempt, exactly as the serial
-  /// reliable path would.
+  /// Transmit `n_uploads` payloads (uploads[u] points at dim floats,
+  /// corrupted in place) — the uplink and downlink of a server round. A
+  /// null `pool` sends them in order on the advancing `rng`: transmit_rows
+  /// (uploads[u], 1, ...) or transmit_reliable per upload, each message
+  /// claiming its sequence number as it goes. A pool fans them across its
+  /// lanes under the per-upload derived-stream discipline (see the file
+  /// comment): one sequence number per upload, claimed contiguously up
+  /// front, retry attempts keyed by (seq, attempt), so the schedule is
+  /// independent of lane count and of the other uploads' retry activity,
+  /// and `rng` is never advanced. `reliable_mask` (optional, n_uploads
+  /// bytes) limits the retry protocol `proto` to the uploads marked
+  /// nonzero — unmarked uploads take the plain single-attempt path, as the
+  /// server does for stragglers. Outcomes (attempts/delivered/backoff)
+  /// land in `outcomes[u]` when provided; counters account every attempt.
   void transmit_uploads(float* const* uploads, std::size_t n_uploads,
-                        std::size_t dim, const Rng& rng, ThreadPool& pool,
+                        std::size_t dim, Rng& rng, ThreadPool* pool,
                         const UploadProtocolConfig* proto = nullptr,
                         const std::uint8_t* reliable_mask = nullptr,
                         UploadOutcome* outcomes = nullptr);
@@ -293,10 +290,9 @@ class CommChannel {
   // Serial-path scratch, reused across messages.
   RowScratch scratch_;
   // Fleet-fan scratch: one RowScratch + counter block per lane (grow-only
-  // across rounds) and the row-pointer table of the matrix overload.
+  // across rounds).
   std::vector<RowScratch> fleet_scratch_;
   std::vector<LaneCounters> fleet_counters_;
-  std::vector<float*> fleet_rows_;
 };
 
 }  // namespace frlfi

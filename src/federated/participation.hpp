@@ -215,8 +215,6 @@ struct ParticipationStats {
   double backoff_seconds = 0.0;
 
   void accumulate(const RoundParticipationReport& rep);
-  /// Fast path for plan-inactive rounds: everyone present.
-  void accumulate_full_round(std::size_t n_agents);
 };
 
 }  // namespace frlfi

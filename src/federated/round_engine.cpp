@@ -38,8 +38,8 @@ FederatedRoundEngine::FederatedRoundEngine(const Config& cfg,
     server_->channel().set_bit_error_rate(cfg_.channel_ber);
     server_->channel().set_bursty(cfg_.bursty_channel);
     // Fleet mode: a persistent pool for the server round. The round
-    // matrices grow lazily — a compact degraded round never materializes
-    // the full n x dim matrix at all.
+    // matrix grows lazily — a degraded round never materializes the full
+    // n x dim matrix at all.
     if (cfg_.server_threads >= 1)
       server_pool_ = std::make_unique<ThreadPool>(cfg_.server_threads);
     // Server faults corrupt the aggregated rows in place, row by row on
@@ -127,37 +127,85 @@ void FederatedRoundEngine::communicate_if_due() {
   if (!server_) return;
   if ((episode_ + 1) % effective_comm_interval() != 0) return;
 
+  const std::size_t dim = cfg_.parameter_dim;
+  const std::size_t round = server_->round();
+
+  // Participation outcomes live on their own derived RNG plane — split
+  // never advances train_rng_, so an all-present resolution leaves the
+  // training stream exactly where the plan-free engine has it. An
+  // inactive plan resolves everyone Present without a draw.
+  const Rng part_base = train_rng_.split(participation_.stream_tag);
+  status_.resize(cfg_.n_agents);
+  for (std::size_t i = 0; i < cfg_.n_agents; ++i)
+    status_[i] = participation_.active
+                     ? resolve_agent_round_status(participation_, part_base,
+                                                  round, i,
+                                                  byzantine_mask_[i] != 0)
+                     : AgentRoundStatus::Present;
+
+  ParameterServer::RobustRoundOptions opts;
   if (participation_.active) {
-    communicate_degraded_round();
-  } else {
-    const std::size_t dim = cfg_.parameter_dim;
-    round_matrix_.resize(cfg_.n_agents * dim);
-    for (std::size_t i = 0; i < cfg_.n_agents; ++i)
-      hooks_.gather_params(
-          i, std::span<float>(round_matrix_.data() + i * dim, dim));
+    opts.straggler_lag = participation_.straggler_lag;
+    opts.stale_decay = participation_.stale_decay;
+    opts.max_staleness = participation_.max_staleness;
+    opts.screening = participation_.screening;
+    opts.upload = participation_.upload;
+  }
 
-    Rng comm_rng = train_rng_.split(0xC0111 + episode_);
-    if (server_pool_)
-      server_->communicate_rows(std::span<float>(round_matrix_), comm_rng,
-                                *server_pool_);
-    else
-      server_->communicate_rows(round_matrix_, comm_rng);
-
-    for (std::size_t i = 0; i < cfg_.n_agents; ++i)
-      hooks_.scatter_params(
-          i, std::span<const float>(round_matrix_.data() + i * dim, dim));
-
-    part_stats_.accumulate_full_round(cfg_.n_agents);
-    if (hooks_.on_round) {
-      RoundParticipationReport rep;
-      rep.round = server_->round() - 1;
-      rep.present = cfg_.n_agents;
-      rep.contributors = cfg_.n_agents;
-      rep.aggregated = true;
-      rep.status.assign(cfg_.n_agents, AgentRoundStatus::Present);
-      hooks_.on_round(rep);
+  // Gather only the sending agents into the compact matrix (ascending
+  // agent order — the server's compaction contract). A 10^4-agent fleet
+  // at 10% participation allocates ~10^3 rows.
+  compact_agents_.clear();
+  for (std::size_t i = 0; i < cfg_.n_agents; ++i)
+    if (sends_upload(status_[i])) compact_agents_.push_back(i);
+  const std::size_t m_send = compact_agents_.size();
+  // Exact reserve: participant counts wobble round to round, and the
+  // default geometric growth would otherwise hold ~2x the peak round's
+  // rows — the difference between O(participants) and double it.
+  if (compact_matrix_.capacity() < m_send * dim)
+    compact_matrix_.reserve(m_send * dim);
+  compact_matrix_.resize(m_send * dim);
+  for (std::size_t j = 0; j < m_send; ++j) {
+    const std::size_t i = compact_agents_[j];
+    std::span<float> row(compact_matrix_.data() + j * dim, dim);
+    if (status_[i] == AgentRoundStatus::Byzantine) {
+      // Garbage upload from the participation plane (deterministic in
+      // (seed, round, agent), independent of the training stream).
+      Rng garbage =
+          part_base.derive_stream({kParticipationByzantineTag, round, i});
+      for (float& v : row)
+        v = static_cast<float>(garbage.uniform(
+            -participation_.byzantine_magnitude,
+            participation_.byzantine_magnitude));
+    } else {
+      hooks_.gather_params(i, row);
     }
   }
+
+  // The post-aggregate hook only observes anything while a server fault
+  // is pending — skipping it otherwise lets a degraded round stay on
+  // compact O(participants) storage. (Synchronous rounds always run it.)
+  Rng comm_rng = train_rng_.split(0xC0111 + episode_);
+  const RoundParticipationReport rep = server_->communicate_round(
+      std::span<float>(compact_matrix_.data(), m_send * dim), compact_agents_,
+      status_, opts, comm_rng, server_pool_.get(),
+      /*run_post_hook=*/server_fault_pending_);
+
+  // Downlink lands only on receiving agents; dropped agents keep training
+  // on their own stale parameters, stragglers keep the parameters whose
+  // update is still in flight, and an agent whose upload exhausted its
+  // retry budget got no downlink either (its row holds its own clean
+  // payload, not a server aggregate).
+  for (std::size_t j = 0; j < m_send; ++j) {
+    const std::size_t i = compact_agents_[j];
+    if (!receives_downlink(status_[i])) continue;
+    if (i < rep.upload_failed.size() && rep.upload_failed[i]) continue;
+    hooks_.scatter_params(
+        i, std::span<const float>(compact_matrix_.data() + j * dim, dim));
+  }
+
+  part_stats_.accumulate(rep);
+  if (hooks_.on_round) hooks_.on_round(rep);
 
   // Checkpoint the (pre-fault) consensus, pausing while the detector is
   // suspicious so recovery state stays clean. (The consensus can still be
@@ -169,124 +217,9 @@ void FederatedRoundEngine::communicate_if_due() {
   }
 }
 
-void FederatedRoundEngine::communicate_degraded_round() {
-  const std::size_t dim = cfg_.parameter_dim;
-  const std::size_t round = server_->round();
-
-  // Participation outcomes live on their own derived RNG plane — split
-  // never advances train_rng_, so an all-present resolution leaves the
-  // training stream exactly where the plan-free engine has it.
-  const Rng part_base = train_rng_.split(participation_.stream_tag);
-  status_.resize(cfg_.n_agents);
-  for (std::size_t i = 0; i < cfg_.n_agents; ++i)
-    status_[i] = resolve_agent_round_status(participation_, part_base, round,
-                                            i, byzantine_mask_[i] != 0);
-
-  ParameterServer::RobustRoundOptions opts;
-  opts.straggler_lag = participation_.straggler_lag;
-  opts.stale_decay = participation_.stale_decay;
-  opts.max_staleness = participation_.max_staleness;
-  opts.screening = participation_.screening;
-  opts.upload = participation_.upload;
-
-  Rng comm_rng = train_rng_.split(0xC0111 + episode_);
-  RoundParticipationReport rep;
-
-  if (server_pool_) {
-    // Fleet path: gather only the sending agents into the compact
-    // matrix (ascending agent order — the server's compaction contract).
-    // A 10^4-agent fleet at 10% participation allocates ~10^3 rows; the
-    // full n x dim round_matrix_ is never touched here.
-    compact_agents_.clear();
-    for (std::size_t i = 0; i < cfg_.n_agents; ++i)
-      if (sends_upload(status_[i])) compact_agents_.push_back(i);
-    const std::size_t m_send = compact_agents_.size();
-    // Exact reserve: participant counts wobble round to round, and the
-    // default geometric growth would otherwise hold ~2x the peak round's
-    // rows — the difference between O(participants) and double it.
-    if (compact_matrix_.capacity() < m_send * dim)
-      compact_matrix_.reserve(m_send * dim);
-    compact_matrix_.resize(m_send * dim);
-    for (std::size_t j = 0; j < m_send; ++j) {
-      const std::size_t i = compact_agents_[j];
-      std::span<float> row(compact_matrix_.data() + j * dim, dim);
-      if (status_[i] == AgentRoundStatus::Byzantine) {
-        // Garbage upload from the participation plane (deterministic in
-        // (seed, round, agent), independent of the training stream).
-        Rng garbage = part_base.derive_stream(
-            {kParticipationByzantineTag, round, i});
-        for (float& v : row)
-          v = static_cast<float>(garbage.uniform(
-              -participation_.byzantine_magnitude,
-              participation_.byzantine_magnitude));
-      } else {
-        hooks_.gather_params(i, row);
-      }
-    }
-    // The post-aggregate hook only observes anything while a server
-    // fault is pending — skipping it otherwise lets the round stay on
-    // compact O(participants) storage.
-    rep = server_->communicate_round_compact(
-        std::span<float>(compact_matrix_.data(), m_send * dim),
-        compact_agents_, status_, opts, comm_rng, *server_pool_,
-        /*run_post_hook=*/server_fault_pending_);
-    for (std::size_t j = 0; j < m_send; ++j) {
-      const std::size_t i = compact_agents_[j];
-      if (!receives_downlink(status_[i])) continue;
-      if (i < rep.upload_failed.size() && rep.upload_failed[i]) continue;
-      hooks_.scatter_params(
-          i, std::span<const float>(compact_matrix_.data() + j * dim, dim));
-    }
-  } else {
-    round_matrix_.resize(cfg_.n_agents * dim);
-    for (std::size_t i = 0; i < cfg_.n_agents; ++i) {
-      std::span<float> row(round_matrix_.data() + i * dim, dim);
-      switch (status_[i]) {
-        case AgentRoundStatus::Present:
-        case AgentRoundStatus::Straggler:
-          hooks_.gather_params(i, row);
-          break;
-        case AgentRoundStatus::Byzantine: {
-          // Garbage upload from the participation plane (deterministic in
-          // (seed, round, agent), independent of the training stream).
-          Rng garbage = part_base.derive_stream(
-              {kParticipationByzantineTag, round, i});
-          for (float& v : row)
-            v = static_cast<float>(garbage.uniform(
-                -participation_.byzantine_magnitude,
-                participation_.byzantine_magnitude));
-          break;
-        }
-        case AgentRoundStatus::Dropped:
-          // Never transmitted or aggregated; zero-fill so the matrix stays
-          // deterministic for the rows hook.
-          std::fill(row.begin(), row.end(), 0.0f);
-          break;
-      }
-    }
-
-    rep = server_->communicate_round(round_matrix_, status_, opts, comm_rng);
-
-    // Downlink lands only on receiving agents; dropped agents keep
-    // training on their own stale parameters, stragglers keep the
-    // parameters whose update is still in flight, and an agent whose
-    // upload exhausted its retry budget got no downlink either (its row
-    // holds its own clean payload, not a server aggregate).
-    for (std::size_t i = 0; i < cfg_.n_agents; ++i) {
-      if (!receives_downlink(status_[i])) continue;
-      if (i < rep.upload_failed.size() && rep.upload_failed[i]) continue;
-      hooks_.scatter_params(
-          i, std::span<const float>(round_matrix_.data() + i * dim, dim));
-    }
-  }
-
-  part_stats_.accumulate(rep);
-  if (hooks_.on_round) hooks_.on_round(rep);
-}
-
 std::size_t FederatedRoundEngine::round_buffer_bytes() const {
   std::size_t bytes =
-      (round_matrix_.capacity() + compact_matrix_.capacity()) * sizeof(float) +
+      compact_matrix_.capacity() * sizeof(float) +
       compact_agents_.capacity() * sizeof(std::size_t);
   if (server_) bytes += server_->round_buffer_bytes();
   return bytes;

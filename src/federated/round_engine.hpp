@@ -14,25 +14,28 @@
 ///    advances the parent, so fanning agents across core/parallel's
 ///    dispatch_lanes (Config::threads: 1 serial, 0 auto, N explicit)
 ///    produces bit-identical training for every thread count.
-///  * **The batched server round.** Uploads gather straight into a
-///    preallocated row-major n x dim round matrix (no per-agent
-///    flat_parameters() vectors), ParameterServer::communicate_rows runs
-///    the uplink/smoothing/hook/downlink on row kernels, and downlinks
-///    scatter back from the same rows.
+///  * **One server round.** Every communication round is one gather →
+///    round → scatter: the sending agents' uploads gather straight into a
+///    preallocated participant-compacted row matrix (all n rows when
+///    everyone is present; no per-agent flat_parameters() vectors),
+///    ParameterServer::communicate_round runs uplink, aggregation, hook
+///    and downlink on row kernels, and downlinks scatter back to the
+///    receiving agents from the same rows. Config::server_threads only
+///    picks the server's pool (0 = none, the serial round).
 ///  * **Training faults and §V-A mitigation.** Fault timing, victim
 ///    resolution, the post-aggregate server-fault row hook (in-place
 ///    int8 injection over the aggregate rows on the historical RNG
 ///    stream), the reward-drop monitor and the checkpoint store.
 ///  * **The degraded-participation plane.** An armed ParticipationPlan
 ///    resolves per-(round, agent) statuses on its own derived RNG plane
-///    (never the training stream), routes the round through
-///    ParameterServer::communicate_round (partial averaging, staleness
-///    buffer, Byzantine screening), and surfaces per-round reports via
-///    the optional on_round hook. A plan resolving to full participation
-///    with screening off stays bit-identical to the plan-free engine,
-///    RNG stream position included. Dropped agents keep training locally
-///    on their stale parameters — offline means disconnected from the
-///    server, not halted.
+///    (never the training stream; an inactive plan resolves everyone
+///    Present without a draw), which drive the round's partial
+///    averaging, staleness buffer and Byzantine screening, and surfaces
+///    per-round reports via the optional on_round hook. A plan resolving
+///    to full participation with screening off stays bit-identical to
+///    the plan-free engine, RNG stream position included. Dropped agents
+///    keep training locally on their stale parameters — offline means
+///    disconnected from the server, not halted.
 ///
 /// The engine is deliberately ignorant of environments, learners and
 /// network topology — that is the whole system-specific surface, and it
@@ -86,16 +89,18 @@ class FederatedRoundEngine {
     /// every value — per-(episode, agent) derived RNG streams plus
     /// disjoint agent state make the lane partition invisible.
     std::size_t threads = 1;
-    /// Worker lanes for the *server* round — the fleet-scale path. 0
-    /// (default) keeps the legacy serial round byte-for-byte (advancing
-    /// channel RNG, full n x dim matrices). N >= 1 arms the fleet
-    /// discipline: channel transmits fan per-(seq, row) on derived
-    /// streams, the aggregation kernels run pool-parallel, and degraded
-    /// rounds use participant-compacted O(participants) storage. Results
-    /// are bit-identical across all N >= 1 — server_threads == 1 is the
-    /// fleet serial golden path (it differs from the legacy path only in
-    /// the i.i.d. channel-noise realization; burst-plane bits match the
-    /// legacy round exactly).
+    /// Worker lanes for the *server* round. 0 (default) runs the round
+    /// serially on the calling thread with the advancing i.i.d. channel
+    /// realization: every message's flips come off the round's comm
+    /// stream in order. N >= 1 arms the fleet discipline: channel
+    /// transmits fan per-(seq, row) on derived streams and the
+    /// aggregation kernels run pool-parallel. Results are bit-identical
+    /// across all N >= 1 — server_threads == 1 is the fleet serial golden
+    /// path — and differ from 0 only in the i.i.d. channel-noise
+    /// realization (burst-plane bits match exactly while no retry
+    /// protocol claims extra sequence numbers). Every value runs the same
+    /// participant-compacted round, so degraded rounds use
+    /// O(participants) storage either way.
     std::size_t server_threads = 0;
   };
 
@@ -234,7 +239,6 @@ class FederatedRoundEngine {
   void run_training_episode();
   void inject_training_fault_if_due();
   void communicate_if_due();
-  void communicate_degraded_round();
   void apply_mitigation(const std::vector<double>& rewards);
   std::size_t effective_comm_interval() const;
 
@@ -253,11 +257,9 @@ class FederatedRoundEngine {
   std::optional<RewardDropMonitor> monitor_;
   CheckpointStore checkpoints_;
   MitigationStats mit_stats_;
-  // Round matrices, lazily grown and pooled across rounds: the full
-  // n x dim matrix (synchronous rounds and the legacy degraded path) and
-  // the participant-compacted sender matrix + agent index map of the
-  // fleet degraded path (~participants x dim).
-  std::vector<float> round_matrix_;
+  // The round matrix, lazily grown and pooled across rounds: the
+  // participant-compacted sender matrix (~participants x dim; n x dim on
+  // a synchronous round) and its agent index map.
   std::vector<float> compact_matrix_;
   std::vector<std::size_t> compact_agents_;
   std::vector<double> rewards_;
@@ -267,7 +269,7 @@ class FederatedRoundEngine {
   // re-resolves FRLFI_NUM_THREADS per call and reuses the global pool).
   std::unique_ptr<ThreadPool> episode_pool_;
   // Persistent server-round pool (fleet mode; null while
-  // Config::server_threads == 0 keeps the legacy serial round).
+  // Config::server_threads == 0 keeps the serial round).
   std::unique_ptr<ThreadPool> server_pool_;
   std::size_t episode_ = 0;
   bool server_fault_pending_ = false;

@@ -20,356 +20,46 @@ ParameterServer::ParameterServer(std::size_t n_agents, std::size_t parameter_dim
   total_.resize(dim_);
 }
 
-void ParameterServer::communicate_rows(std::span<float> rows, Rng& rng) {
+void ParameterServer::transmit_matrix(
+    float* rows, std::size_t n_rows, Rng& rng, ThreadPool* pool,
+    const UploadProtocolConfig* proto, const std::uint8_t* reliable_mask,
+    CommChannel::UploadOutcome* outcomes) {
+  upload_ptrs_.resize(n_rows);
+  for (std::size_t r = 0; r < n_rows; ++r) upload_ptrs_[r] = rows + r * dim_;
+  channel_.transmit_uploads(upload_ptrs_.data(), n_rows, dim_, rng, pool,
+                            proto, reliable_mask, outcomes);
+}
+
+void ParameterServer::communicate_rows(std::span<float> rows, Rng& rng,
+                                       ThreadPool* pool) {
   FRLFI_CHECK_MSG(rows.size() == n_ * dim_,
                   "round matrix holds " << rows.size() << " floats for " << n_
                                         << " x " << dim_);
   agg_.resize(n_ * dim_);
   // Uplink: every agent's row through the (lossy) channel, in place.
-  channel_.transmit_rows(rows.data(), n_, dim_, rng);
+  transmit_matrix(rows.data(), n_, rng, pool);
 
   // Aggregate into the preallocated matrix; consensus is the
   // post-aggregation row mean, as in the scalar round.
-  smoothing_average_rows(rows.data(), agg_.data(), total_.data(), n_, dim_,
-                         schedule_.at(round_));
-  consensus_.resize(dim_);
-  mean_parameters_rows(agg_.data(), n_, dim_, consensus_.data());
-
-  // Post-aggregation hook (fault injection, checkpoint restore).
-  apply_post_aggregate_hook();
-
-  // Downlink: transmit the aggregates back, landing in the caller's rows.
-  channel_.transmit_rows(agg_.data(), n_, dim_, rng);
-  std::copy(agg_.begin(), agg_.end(), rows.begin());
-
-  ++round_;
-}
-
-void ParameterServer::communicate_rows(std::span<float> rows, const Rng& rng,
-                                       ThreadPool& pool) {
-  FRLFI_CHECK_MSG(rows.size() == n_ * dim_,
-                  "round matrix holds " << rows.size() << " floats for " << n_
-                                        << " x " << dim_);
-  agg_.resize(n_ * dim_);
-  // Uplink fan: every row on its own derived streams, rng untouched.
-  channel_.transmit_rows(rows.data(), n_, dim_, rng, pool);
-
   smoothing_average_rows(rows.data(), agg_.data(), total_.data(), n_, dim_,
                          schedule_.at(round_), pool);
   consensus_.resize(dim_);
   mean_parameters_rows(agg_.data(), n_, dim_, consensus_.data(), pool);
 
-  apply_post_aggregate_hook();
+  // Post-aggregation hook (fault injection, checkpoint restore).
+  if (rows_hook_) rows_hook_(round_, std::span<float>(agg_), dim_);
 
-  channel_.transmit_rows(agg_.data(), n_, dim_, rng, pool);
+  // Downlink: transmit the aggregates back, landing in the caller's rows.
+  transmit_matrix(agg_.data(), n_, rng, pool);
   std::copy(agg_.begin(), agg_.end(), rows.begin());
 
   ++round_;
 }
 
-void ParameterServer::apply_post_aggregate_hook() {
-  // The legacy vector-of-vectors hook is adapted through a pack/unpack so
-  // pre-engine callers see exactly the interface (and bits) they did.
-  if (rows_hook_) {
-    rows_hook_(round_, std::span<float>(agg_), dim_);
-  } else if (hook_) {
-    std::vector<std::vector<float>> agg_vov(n_);
-    for (std::size_t i = 0; i < n_; ++i)
-      agg_vov[i].assign(agg_.begin() + static_cast<std::ptrdiff_t>(i * dim_),
-                        agg_.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim_));
-    hook_(round_, agg_vov);
-    for (std::size_t i = 0; i < n_; ++i) {
-      FRLFI_CHECK_MSG(agg_vov[i].size() == dim_,
-                      "hook resized aggregate " << i << " to "
-                                                << agg_vov[i].size());
-      std::copy(agg_vov[i].begin(), agg_vov[i].end(),
-                agg_.begin() + static_cast<std::ptrdiff_t>(i * dim_));
-    }
-  }
-}
-
 RoundParticipationReport ParameterServer::communicate_round(
-    std::span<float> rows, std::span<const AgentRoundStatus> status,
-    const RobustRoundOptions& opts, Rng& rng) {
-  FRLFI_CHECK_MSG(rows.size() == n_ * dim_,
-                  "round matrix holds " << rows.size() << " floats for " << n_
-                                        << " x " << dim_);
-  FRLFI_CHECK_MSG(status.size() == n_,
-                  "got " << status.size() << " statuses for " << n_
-                         << " agents");
-  FRLFI_CHECK(opts.straggler_lag >= 1);
-  FRLFI_CHECK(opts.stale_decay > 0.0 && opts.stale_decay <= 1.0);
-
-  RoundParticipationReport rep;
-  rep.round = round_;
-  rep.status.assign(status.begin(), status.end());
-  bool any_pending_due = false;
-  for (const PendingUpload& p : pending_)
-    any_pending_due |= p.deliver_round <= round_;
-  for (AgentRoundStatus s : status) {
-    switch (s) {
-      case AgentRoundStatus::Present: ++rep.present; break;
-      case AgentRoundStatus::Dropped: ++rep.dropped; break;
-      case AgentRoundStatus::Straggler: ++rep.stragglers; break;
-      case AgentRoundStatus::Byzantine: ++rep.byzantine; break;
-    }
-  }
-
-  // Full participation with screening off and nothing stale due is
-  // exactly the synchronous round: take the communicate_rows path
-  // verbatim so the bits (aggregate, RNG stream position, channel
-  // counters) are the locked golden ones. A retry-capable upload
-  // protocol forces the general path (a retransmission would change the
-  // stream); a disabled or zero-retry protocol does not.
-  const bool screening_on =
-      opts.screening.l2_norm || opts.screening.trimmed_mean;
-  const bool reliable = reliable_upload_armed(opts.upload);
-  if (rep.present == n_ && !any_pending_due && !screening_on && !reliable) {
-    communicate_rows(rows, rng);
-    rep.contributors = n_;
-    rep.aggregated = true;
-    return rep;
-  }
-
-  // Uplink: senders only, row by row in agent order. transmit_rows is
-  // row-sequential, so per-row calls consume the channel RNG and cost
-  // counters exactly as one batched call over the same rows would. With
-  // the protocol armed, on-time rows ride transmit_reliable instead; an
-  // upload that exhausts its retry/deadline budget degrades into the
-  // participation plane right here — its clean payload (what the
-  // eventual late retransmission delivers) enters the staleness buffer
-  // with the straggler fold weight, or is dropped past max_staleness.
-  upload_failed_.assign(n_, 0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (!sends_upload(status[i])) continue;
-    if (!reliable || status[i] == AgentRoundStatus::Straggler) {
-      channel_.transmit_rows(rows.data() + i * dim_, 1, dim_, rng);
-      continue;
-    }
-    const CommChannel::UploadOutcome out =
-        channel_.transmit_reliable(rows.data() + i * dim_, dim_, rng,
-                                   opts.upload);
-    rep.upload_attempts += out.attempts;
-    rep.backoff_seconds += out.backoff;
-    if (out.delivered) continue;
-    upload_failed_[i] = 1;
-    ++rep.uploads_failed;
-    if (opts.upload.exhausted_to_stale &&
-        opts.straggler_lag <= opts.max_staleness) {
-      PendingUpload p;
-      p.agent = i;
-      p.deliver_round = round_ + opts.straggler_lag;
-      p.weight = static_cast<float>(
-          std::pow(opts.stale_decay, static_cast<double>(opts.straggler_lag)));
-      p.data.assign(rows.begin() + static_cast<std::ptrdiff_t>(i * dim_),
-                    rows.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim_));
-      pending_.push_back(std::move(p));
-      ++rep.failed_stale;
-    } else {
-      ++rep.failed_dropped;
-    }
-  }
-  if (reliable) rep.upload_failed.assign(upload_failed_.begin(),
-                                         upload_failed_.end());
-
-  // Stragglers: the post-channel payload enters the staleness buffer, to
-  // be folded `straggler_lag` rounds from now with weight
-  // stale_decay^lag — or discarded outright past max_staleness.
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (status[i] != AgentRoundStatus::Straggler) continue;
-    if (opts.straggler_lag > opts.max_staleness) {
-      ++rep.stale_discarded;
-      continue;
-    }
-    PendingUpload p;
-    p.agent = i;
-    p.deliver_round = round_ + opts.straggler_lag;
-    p.weight = static_cast<float>(
-        std::pow(opts.stale_decay, static_cast<double>(opts.straggler_lag)));
-    p.data.assign(rows.begin() + static_cast<std::ptrdiff_t>(i * dim_),
-                  rows.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim_));
-    pending_.push_back(std::move(p));
-  }
-
-  // Contributor set: on-time uploads in agent order, then due stale rows
-  // in buffer order (deterministic — insertion is (round, agent) sorted).
-  // A stale row counts as a peer even for its own agent: it is a past
-  // self, not this round's upload.
-  cand_rows_.clear();
-  cand_weights_.clear();
-  ontime_.assign(n_, 0);
-  // Candidate j's agent when it is an on-time row; npos for stale rows.
-  constexpr std::size_t kStaleRow = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> cand_agents;
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (status[i] != AgentRoundStatus::Present &&
-        status[i] != AgentRoundStatus::Byzantine)
-      continue;
-    if (upload_failed_[i]) continue;  // checksum never passed: no upload
-    cand_rows_.push_back(rows.data() + i * dim_);
-    cand_weights_.push_back(1.0f);
-    cand_agents.push_back(i);
-    ontime_[i] = 1;
-  }
-  for (const PendingUpload& p : pending_) {
-    if (p.deliver_round > round_) continue;
-    cand_rows_.push_back(p.data.data());
-    cand_weights_.push_back(p.weight);
-    cand_agents.push_back(kStaleRow);
-    ++rep.stale_folded;
-  }
-
-  // L2-norm screen: exclude rows whose norm is off the (lower-)median
-  // contributor norm by more than l2_factor in either direction, plus any
-  // non-finite row. The median row itself always survives, so the screen
-  // can never empty a finite candidate set.
-  if (opts.screening.l2_norm && !cand_rows_.empty()) {
-    const std::size_t m = cand_rows_.size();
-    std::vector<double> norms(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      double s = 0.0;
-      const float* row = cand_rows_[j];
-      for (std::size_t d = 0; d < dim_; ++d)
-        s += static_cast<double>(row[d]) * static_cast<double>(row[d]);
-      norms[j] = std::sqrt(s);
-    }
-    std::vector<double> sorted = norms;
-    std::sort(sorted.begin(), sorted.end(), [](double a, double b) {
-      const bool fa = std::isfinite(a), fb = std::isfinite(b);
-      if (fa != fb) return fa;
-      if (!fa) return false;
-      return a < b;
-    });
-    const double median = sorted[(m - 1) / 2];
-    const double f = opts.screening.l2_factor;
-    std::size_t kept = 0;
-    for (std::size_t j = 0; j < m; ++j) {
-      const bool excluded =
-          !std::isfinite(norms[j]) ||
-          (std::isfinite(median) && median > 0.0 &&
-           (norms[j] > f * median || norms[j] * f < median));
-      if (excluded) {
-        ++rep.screened_out;
-        // Clear the on-time flag so the agent's receiver combine no
-        // longer self-excludes a row that is not in the total.
-        if (cand_agents[j] != kStaleRow) ontime_[cand_agents[j]] = 0;
-        continue;
-      }
-      cand_rows_[kept] = cand_rows_[j];
-      cand_weights_[kept] = cand_weights_[j];
-      cand_agents[kept] = cand_agents[j];
-      ++kept;
-    }
-    cand_rows_.resize(kept);
-    cand_weights_.resize(kept);
-    cand_agents.resize(kept);
-  }
-
-  rep.contributors = cand_rows_.size();
-  rep.aggregated = rep.contributors > 0;
-  const double alpha = schedule_.at(round_);
-  const auto alpha_f = static_cast<float>(alpha);
-
-  // Weighted contributor sum (weights are exactly 1.0f for on-time rows,
-  // so the all-contributing accumulation chain matches the synchronous
-  // kernel's).
-  double weight_sum = 0.0;
-  for (float w : cand_weights_) weight_sum += static_cast<double>(w);
-  std::fill(total_.begin(), total_.end(), 0.0f);
-  for (std::size_t j = 0; j < cand_rows_.size(); ++j)
-    axpy(cand_weights_[j], cand_rows_[j], total_.data(), dim_);
-  // Non-receiving rows of the aggregate matrix stay deterministically
-  // zero (the rows hook sees the whole matrix).
-  agg_.assign(n_ * dim_, 0.0f);
-
-  const bool trim = opts.screening.trimmed_mean &&
-                    cand_rows_.size() > 2 * opts.screening.trim_k;
-  if (trim) {
-    trim_out_.resize(dim_);
-    trim_scratch_.resize(cand_rows_.size());
-    trimmed_mean_rows(cand_rows_.data(), cand_rows_.size(), dim_,
-                      opts.screening.trim_k, trim_scratch_.data(),
-                      trim_out_.data());
-  }
-
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (!receives_downlink(status[i]) || upload_failed_[i]) continue;
-    const float* FRLFI_RESTRICT self = rows.data() + i * dim_;
-    float* FRLFI_RESTRICT dst = agg_.data() + i * dim_;
-    if (trim) {
-      // Robust peer estimate: the self term keeps its alpha weight, the
-      // peer mass goes to the coordinate-wise trimmed mean (self
-      // included — rank statistics have no self-exclusion).
-      const auto om = static_cast<float>(1.0 - alpha);
-      const float* FRLFI_RESTRICT tm = trim_out_.data();
-#pragma omp simd
-      for (std::size_t d = 0; d < dim_; ++d)
-        dst[d] = alpha_f * self[d] + om * tm[d];
-    } else {
-      // Partial-participation smoothing average: peers are the weighted
-      // contributors minus the receiver's own on-time row. With every
-      // agent contributing at weight 1 this is byte-for-byte the
-      // synchronous combine (1.0f * self is exact; the peer count
-      // double is exact for any agent count).
-      const float wi = ontime_[i] ? 1.0f : 0.0f;
-      const double peers = weight_sum - static_cast<double>(wi);
-      if (peers > 0.0) {
-        const auto beta = static_cast<float>((1.0 - alpha) / peers);
-        const float* FRLFI_RESTRICT tot = total_.data();
-#pragma omp simd
-        for (std::size_t d = 0; d < dim_; ++d)
-          dst[d] = alpha_f * self[d] + beta * (tot[d] - wi * self[d]);
-      } else {
-        // No peer mass at all: the receiver keeps its own upload.
-        std::copy(self, self + dim_, dst);
-      }
-    }
-  }
-
-  // Consensus over the receiving rows only (zero-filled non-receiver rows
-  // must not drag the mean); same accumulation order as the synchronous
-  // mean when everyone receives.
-  std::size_t n_receivers = 0;
-  for (std::size_t i = 0; i < n_; ++i)
-    n_receivers += (receives_downlink(status[i]) && !upload_failed_[i]) ? 1 : 0;
-  if (n_receivers > 0) {
-    consensus_.assign(dim_, 0.0f);
-    for (std::size_t i = 0; i < n_; ++i)
-      if (receives_downlink(status[i]) && !upload_failed_[i])
-        axpy(1.0f, agg_.data() + i * dim_, consensus_.data(), dim_);
-    const auto inv =
-        static_cast<float>(1.0 / static_cast<double>(n_receivers));
-#pragma omp simd
-    for (std::size_t d = 0; d < dim_; ++d) consensus_[d] *= inv;
-  }
-
-  apply_post_aggregate_hook();
-
-  // Downlink to receivers only, row by row in agent order. A failed
-  // uploader's link is the thing that failed: it gets no downlink this
-  // round either (the Dropped semantics it degraded into).
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (!receives_downlink(status[i]) || upload_failed_[i]) continue;
-    channel_.transmit_rows(agg_.data() + i * dim_, 1, dim_, rng);
-    std::copy(agg_.begin() + static_cast<std::ptrdiff_t>(i * dim_),
-              agg_.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim_),
-              rows.begin() + static_cast<std::ptrdiff_t>(i * dim_));
-  }
-
-  // Folded stale rows leave the buffer (their storage outlived the
-  // aggregation above).
-  std::erase_if(pending_, [this](const PendingUpload& p) {
-    return p.deliver_round <= round_;
-  });
-
-  ++round_;
-  return rep;
-}
-
-RoundParticipationReport ParameterServer::communicate_round_compact(
     std::span<float> sender_rows, std::span<const std::size_t> sender_agents,
     std::span<const AgentRoundStatus> status, const RobustRoundOptions& opts,
-    const Rng& rng, ThreadPool& pool, bool run_post_hook) {
+    Rng& rng, ThreadPool* pool, bool run_post_hook) {
   FRLFI_CHECK_MSG(status.size() == n_,
                   "got " << status.size() << " statuses for " << n_
                          << " agents");
@@ -411,38 +101,55 @@ RoundParticipationReport ParameterServer::communicate_round_compact(
                                                << " senders");
   }
 
+  // Full participation with screening off and nothing stale due is
+  // exactly the synchronous round (the compact matrix IS the full
+  // matrix): take it verbatim. A retry-capable upload protocol forces the
+  // general path (a retransmission would change the stream); a disabled
+  // or zero-retry protocol does not.
   const bool screening_on =
       opts.screening.l2_norm || opts.screening.trimmed_mean;
   const bool reliable = reliable_upload_armed(opts.upload);
   if (rep.present == n_ && !any_pending_due && !screening_on && !reliable) {
-    // All-present: the compact matrix IS the full matrix, and the
-    // synchronous fleet round is the locked path.
     communicate_rows(sender_rows, rng, pool);
     rep.contributors = n_;
     rep.aggregated = true;
     return rep;
   }
 
-  // Uplink fan: one sequence number per sending agent, claimed in agent
-  // order — the exact numbers the full-matrix path hands out, so the
-  // burst-plane bits match it row for row.
+  // A late upload enters the staleness buffer, to be folded
+  // `straggler_lag` rounds from now with weight stale_decay^lag.
+  const auto defer = [&](std::size_t agent, std::size_t j) {
+    PendingUpload p;
+    p.agent = agent;
+    p.deliver_round = round_ + opts.straggler_lag;
+    p.weight = static_cast<float>(
+        std::pow(opts.stale_decay, static_cast<double>(opts.straggler_lag)));
+    p.data.assign(
+        sender_rows.begin() + static_cast<std::ptrdiff_t>(j * dim_),
+        sender_rows.begin() + static_cast<std::ptrdiff_t>((j + 1) * dim_));
+    pending_.push_back(std::move(p));
+  };
+
+  // Uplink: one message per sending agent in agent order. With the
+  // protocol armed, on-time rows ride the retry protocol (stragglers are
+  // already late and keep the single plain transmit); an upload that
+  // exhausts its retry/deadline budget degrades into the participation
+  // plane right here — its clean payload (what the eventual late
+  // retransmission delivers) enters the staleness buffer with the
+  // straggler fold weight, or is dropped past max_staleness.
   upload_failed_.assign(n_, 0);
-  fleet_ptrs_.resize(m_send);
-  for (std::size_t j = 0; j < m_send; ++j)
-    fleet_ptrs_[j] = sender_rows.data() + j * dim_;
   if (reliable) {
-    fleet_mask_.assign(m_send, 0);
+    upload_mask_.assign(m_send, 0);
     for (std::size_t j = 0; j < m_send; ++j)
-      fleet_mask_[j] =
+      upload_mask_[j] =
           status[sender_agents[j]] != AgentRoundStatus::Straggler ? 1 : 0;
-    fleet_outcomes_.assign(m_send, CommChannel::UploadOutcome{});
-    channel_.transmit_uploads(fleet_ptrs_.data(), m_send, dim_, rng, pool,
-                              &opts.upload, fleet_mask_.data(),
-                              fleet_outcomes_.data());
+    upload_outcomes_.assign(m_send, CommChannel::UploadOutcome{});
+    transmit_matrix(sender_rows.data(), m_send, rng, pool, &opts.upload,
+                    upload_mask_.data(), upload_outcomes_.data());
     // Outcome bookkeeping folds in agent order, independent of the fan.
     for (std::size_t j = 0; j < m_send; ++j) {
-      if (!fleet_mask_[j]) continue;
-      const CommChannel::UploadOutcome& out = fleet_outcomes_[j];
+      if (!upload_mask_[j]) continue;
+      const CommChannel::UploadOutcome& out = upload_outcomes_[j];
       rep.upload_attempts += out.attempts;
       rep.backoff_seconds += out.backoff;
       if (out.delivered) continue;
@@ -451,15 +158,7 @@ RoundParticipationReport ParameterServer::communicate_round_compact(
       ++rep.uploads_failed;
       if (opts.upload.exhausted_to_stale &&
           opts.straggler_lag <= opts.max_staleness) {
-        PendingUpload p;
-        p.agent = i;
-        p.deliver_round = round_ + opts.straggler_lag;
-        p.weight = static_cast<float>(std::pow(
-            opts.stale_decay, static_cast<double>(opts.straggler_lag)));
-        p.data.assign(
-            sender_rows.begin() + static_cast<std::ptrdiff_t>(j * dim_),
-            sender_rows.begin() + static_cast<std::ptrdiff_t>((j + 1) * dim_));
-        pending_.push_back(std::move(p));
+        defer(i, j);
         ++rep.failed_stale;
       } else {
         ++rep.failed_dropped;
@@ -467,11 +166,11 @@ RoundParticipationReport ParameterServer::communicate_round_compact(
     }
     rep.upload_failed.assign(upload_failed_.begin(), upload_failed_.end());
   } else {
-    channel_.transmit_uploads(fleet_ptrs_.data(), m_send, dim_, rng, pool);
+    transmit_matrix(sender_rows.data(), m_send, rng, pool);
   }
 
-  // Stragglers: post-channel payloads detour through the staleness
-  // buffer, exactly as in the full-matrix round.
+  // Stragglers: the post-channel payload enters the staleness buffer — or
+  // is discarded outright past max_staleness.
   for (std::size_t j = 0; j < m_send; ++j) {
     const std::size_t i = sender_agents[j];
     if (status[i] != AgentRoundStatus::Straggler) continue;
@@ -479,30 +178,25 @@ RoundParticipationReport ParameterServer::communicate_round_compact(
       ++rep.stale_discarded;
       continue;
     }
-    PendingUpload p;
-    p.agent = i;
-    p.deliver_round = round_ + opts.straggler_lag;
-    p.weight = static_cast<float>(
-        std::pow(opts.stale_decay, static_cast<double>(opts.straggler_lag)));
-    p.data.assign(
-        sender_rows.begin() + static_cast<std::ptrdiff_t>(j * dim_),
-        sender_rows.begin() + static_cast<std::ptrdiff_t>((j + 1) * dim_));
-    pending_.push_back(std::move(p));
+    defer(i, j);
   }
 
   // Contributor set: on-time uploads in agent order, then due stale rows
-  // in buffer order — the full-matrix round's exact candidate order.
+  // in buffer order (deterministic — insertion is (round, agent) sorted).
+  // A stale row counts as a peer even for its own agent: it is a past
+  // self, not this round's upload.
   cand_rows_.clear();
   cand_weights_.clear();
   cand_agents_.clear();
   ontime_.assign(n_, 0);
+  // Candidate j's agent when it is an on-time row; kStaleRow for stale rows.
   constexpr std::size_t kStaleRow = static_cast<std::size_t>(-1);
   for (std::size_t j = 0; j < m_send; ++j) {
     const std::size_t i = sender_agents[j];
     if (status[i] != AgentRoundStatus::Present &&
         status[i] != AgentRoundStatus::Byzantine)
       continue;
-    if (upload_failed_[i]) continue;
+    if (upload_failed_[i]) continue;  // checksum never passed: no upload
     cand_rows_.push_back(sender_rows.data() + j * dim_);
     cand_weights_.push_back(1.0f);
     cand_agents_.push_back(i);
@@ -516,12 +210,16 @@ RoundParticipationReport ParameterServer::communicate_round_compact(
     ++rep.stale_folded;
   }
 
-  // L2 screen: the per-row norms fan across the pool (each norm is
-  // self-contained); the median sort and the filter stay serial.
+  // L2-norm screen: exclude rows whose norm is off the (lower-)median
+  // contributor norm by more than l2_factor in either direction, plus any
+  // non-finite row. The median row itself always survives, so the screen
+  // can never empty a finite candidate set. The per-row norms fan across
+  // the pool (each norm is self-contained); the median sort and the filter
+  // stay serial.
   if (opts.screening.l2_norm && !cand_rows_.empty()) {
     const std::size_t m = cand_rows_.size();
     norms_.resize(m);
-    pool.parallel_for(m, [&](std::size_t j0, std::size_t j1) {
+    parallel_for(pool, m, [&](std::size_t j0, std::size_t j1) {
       for (std::size_t j = j0; j < j1; ++j) {
         double s = 0.0;
         const float* row = cand_rows_[j];
@@ -548,6 +246,8 @@ RoundParticipationReport ParameterServer::communicate_round_compact(
            (norms_[j] > f * median || norms_[j] * f < median));
       if (excluded) {
         ++rep.screened_out;
+        // Clear the on-time flag so the agent's receiver combine no
+        // longer self-excludes a row that is not in the total.
         if (cand_agents_[j] != kStaleRow) ontime_[cand_agents_[j]] = 0;
         continue;
       }
@@ -566,11 +266,13 @@ RoundParticipationReport ParameterServer::communicate_round_compact(
   const double alpha = schedule_.at(round_);
   const auto alpha_f = static_cast<float>(alpha);
 
+  // Weighted contributor sum (weights are exactly 1.0f for on-time rows,
+  // so the all-contributing accumulation chain matches the synchronous
+  // kernel's), column-partitioned: every coordinate sees the serial
+  // candidate-order chain at any lane count.
   double weight_sum = 0.0;
   for (float w : cand_weights_) weight_sum += static_cast<double>(w);
-  // Column-partitioned weighted contributor sum: every coordinate sees
-  // the serial candidate-order chain at any lane count.
-  pool.parallel_for(dim_, [&](std::size_t d0, std::size_t d1) {
+  parallel_for(pool, dim_, [&](std::size_t d0, std::size_t d1) {
     std::fill(total_.begin() + static_cast<std::ptrdiff_t>(d0),
               total_.begin() + static_cast<std::ptrdiff_t>(d1), 0.0f);
     for (std::size_t j = 0; j < cand_rows_.size(); ++j)
@@ -581,13 +283,15 @@ RoundParticipationReport ParameterServer::communicate_round_compact(
                     cand_rows_.size() > 2 * opts.screening.trim_k;
   if (trim) {
     trim_out_.resize(dim_);
-    trim_scratch_.resize(pool.size() * cand_rows_.size());
+    trim_scratch_.resize((pool ? pool->size() : 1) * cand_rows_.size());
     trimmed_mean_rows(cand_rows_.data(), cand_rows_.size(), dim_,
                       opts.screening.trim_k, trim_scratch_.data(),
-                      pool.size(), trim_out_.data(), pool);
+                      trim_out_.data(), pool);
   }
 
-  // Receivers (a subset of senders), in agent order.
+  // Receivers (a subset of senders), in agent order. A failed uploader's
+  // link is the thing that failed: it gets no downlink this round either
+  // (the Dropped semantics it degraded into).
   recv_idx_.clear();
   for (std::size_t j = 0; j < m_send; ++j) {
     const std::size_t i = sender_agents[j];
@@ -599,31 +303,39 @@ RoundParticipationReport ParameterServer::communicate_round_compact(
   // elements and the precomputed totals, element-wise — so outside hook
   // rounds it runs IN PLACE over the caller's compact sender rows and the
   // round retains no aggregate matrix at all. Only when the post-hook
-  // must observe the full matrix does the legacy zero-filled n x dim
-  // layout materialize (rare, fault-bearing rounds; grown lazily).
+  // must observe the full matrix does the zero-filled n x dim layout
+  // materialize (non-receiving rows stay deterministically zero; rare,
+  // fault-bearing rounds; grown lazily).
   if (run_post_hook) agg_.assign(n_ * dim_, 0.0f);
   const auto agg_row = [&](std::size_t j) {
     return run_post_hook ? agg_.data() + sender_agents[j] * dim_
                          : sender_rows.data() + j * dim_;
   };
 
-  // Row-partitioned per-receiver combine, same arithmetic per row as the
-  // full-matrix round. `dst` may alias `self` (the in-place case); each
-  // element depends only on its own index, so the element-wise loops are
-  // alias-safe.
-  pool.parallel_for(recv_idx_.size(), [&](std::size_t r0, std::size_t r1) {
+  // Row-partitioned per-receiver combine. `dst` may alias `self` (the
+  // in-place case); each element depends only on its own index, so the
+  // element-wise loops are alias-safe.
+  parallel_for(pool, recv_idx_.size(), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       const std::size_t j = recv_idx_[r];
       const std::size_t i = sender_agents[j];
       const float* self = sender_rows.data() + j * dim_;
       float* dst = agg_row(j);
       if (trim) {
+        // Robust peer estimate: the self term keeps its alpha weight, the
+        // peer mass goes to the coordinate-wise trimmed mean (self
+        // included — rank statistics have no self-exclusion).
         const auto om = static_cast<float>(1.0 - alpha);
         const float* FRLFI_RESTRICT tm = trim_out_.data();
 #pragma omp simd
         for (std::size_t d = 0; d < dim_; ++d)
           dst[d] = alpha_f * self[d] + om * tm[d];
       } else {
+        // Partial-participation smoothing average: peers are the weighted
+        // contributors minus the receiver's own on-time row. With every
+        // agent contributing at weight 1 this is byte-for-byte the
+        // synchronous combine (1.0f * self is exact; the peer count
+        // double is exact for any agent count).
         const float wi = ontime_[i] ? 1.0f : 0.0f;
         const double peers = weight_sum - static_cast<double>(wi);
         if (peers > 0.0) {
@@ -633,19 +345,21 @@ RoundParticipationReport ParameterServer::communicate_round_compact(
           for (std::size_t d = 0; d < dim_; ++d)
             dst[d] = alpha_f * self[d] + beta * (tot[d] - wi * self[d]);
         } else if (dst != self) {
+          // No peer mass at all: the receiver keeps its own upload.
           std::copy(self, self + dim_, dst);
         }
       }
     }
   });
 
-  // Consensus over the receiving rows, column-partitioned (serial
-  // receiver-order chain per coordinate).
+  // Consensus over the receiving rows only, column-partitioned (serial
+  // receiver-order chain per coordinate; the synchronous mean's order
+  // when everyone receives).
   if (!recv_idx_.empty()) {
     consensus_.resize(dim_);
     const auto inv =
         static_cast<float>(1.0 / static_cast<double>(recv_idx_.size()));
-    pool.parallel_for(dim_, [&](std::size_t d0, std::size_t d1) {
+    parallel_for(pool, dim_, [&](std::size_t d0, std::size_t d1) {
       std::fill(consensus_.begin() + static_cast<std::ptrdiff_t>(d0),
                 consensus_.begin() + static_cast<std::ptrdiff_t>(d1), 0.0f);
       for (std::size_t r = 0; r < recv_idx_.size(); ++r)
@@ -657,21 +371,21 @@ RoundParticipationReport ParameterServer::communicate_round_compact(
     });
   }
 
-  if (run_post_hook) apply_post_aggregate_hook();
+  if (run_post_hook && rows_hook_)
+    rows_hook_(round_, std::span<float>(agg_), dim_);
 
-  // Downlink fan to the receivers (their sequence numbers again claimed
-  // in agent order). In the in-place case the delivered payloads already
-  // sit in the caller's compact rows; after a hook round they copy back
-  // from the full aggregate matrix.
+  // Downlink to the receivers in agent order. In the in-place case the
+  // delivered payloads already sit in the caller's compact rows; after a
+  // hook round they copy back from the full aggregate matrix.
   if (!recv_idx_.empty()) {
-    fleet_ptrs_.resize(recv_idx_.size());
+    upload_ptrs_.resize(recv_idx_.size());
     for (std::size_t r = 0; r < recv_idx_.size(); ++r)
-      fleet_ptrs_[r] = agg_row(recv_idx_[r]);
-    channel_.transmit_uploads(fleet_ptrs_.data(), recv_idx_.size(), dim_,
+      upload_ptrs_[r] = agg_row(recv_idx_[r]);
+    channel_.transmit_uploads(upload_ptrs_.data(), recv_idx_.size(), dim_,
                               rng, pool);
     if (run_post_hook) {
-      pool.parallel_for(recv_idx_.size(),
-                        [&](std::size_t r0, std::size_t r1) {
+      parallel_for(pool, recv_idx_.size(),
+                   [&](std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
           const std::size_t j = recv_idx_[r];
           const float* src = agg_row(j);
@@ -683,6 +397,8 @@ RoundParticipationReport ParameterServer::communicate_round_compact(
     }
   }
 
+  // Folded stale rows leave the buffer (their storage outlived the
+  // aggregation above).
   std::erase_if(pending_, [this](const PendingUpload& p) {
     return p.deliver_round <= round_;
   });
@@ -704,31 +420,6 @@ void ParameterServer::set_pending_uploads(std::vector<PendingUpload> pending) {
                     "pending upload dim " << p.data.size());
   }
   pending_ = std::move(pending);
-}
-
-std::vector<std::vector<float>> ParameterServer::communicate(
-    const std::vector<std::vector<float>>& agent_parameters, Rng& rng) {
-  FRLFI_CHECK_MSG(agent_parameters.size() == n_,
-                  "got " << agent_parameters.size() << " uploads for " << n_
-                         << " agents");
-  std::vector<float> rows(n_ * dim_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    const auto& p = agent_parameters[i];
-    FRLFI_CHECK_MSG(p.size() == dim_, "upload size " << p.size());
-    std::copy(p.begin(), p.end(),
-              rows.begin() + static_cast<std::ptrdiff_t>(i * dim_));
-  }
-  communicate_rows(rows, rng);
-  std::vector<std::vector<float>> downlinks(n_);
-  for (std::size_t i = 0; i < n_; ++i)
-    downlinks[i].assign(rows.begin() + static_cast<std::ptrdiff_t>(i * dim_),
-                        rows.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim_));
-  return downlinks;
-}
-
-void ParameterServer::set_post_aggregate_hook(
-    std::function<void(std::size_t, std::vector<std::vector<float>>&)> hook) {
-  hook_ = std::move(hook);
 }
 
 void ParameterServer::set_post_aggregate_rows_hook(

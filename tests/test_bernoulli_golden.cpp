@@ -83,7 +83,10 @@ TEST(BernoulliGolden, FleetRows) {
     CommChannel ch(ber);
     Rng rng(31);
     std::vector<float> rows = seeded_rows(kRows * kDim, 32);
-    ch.transmit_rows(rows.data(), kRows, kDim, rng, pool);
+    std::vector<float*> uploads;
+    for (std::size_t r = 0; r < kRows; ++r)
+      uploads.push_back(rows.data() + r * kDim);
+    ch.transmit_uploads(uploads.data(), kRows, kDim, rng, &pool);
     d.floats(rows);
     add_counters(d, ch);
     d.u64(rng.next_u64());
@@ -98,7 +101,7 @@ TEST(BernoulliGolden, FleetRows) {
   std::vector<float*> uploads;
   for (std::size_t r = 0; r < kRows; ++r) uploads.push_back(rows.data() + r * kDim);
   std::vector<CommChannel::UploadOutcome> outcomes(kRows);
-  ch.transmit_uploads(uploads.data(), kRows, kDim, rng, pool, &proto, nullptr,
+  ch.transmit_uploads(uploads.data(), kRows, kDim, rng, &pool, &proto, nullptr,
                       outcomes.data());
   d.floats(rows);
   add_counters(d, ch);

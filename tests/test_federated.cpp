@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "core/error.hpp"
 #include "federated/aggregation.hpp"
@@ -188,11 +190,9 @@ TEST(CommChannel, CleanTransmitRowsIsLosslessAndDrawsNothing) {
 TEST(ParameterServer, RoundTripAggregates) {
   ParameterServer server(3, 2, AlphaSchedule(3, 0.5));
   Rng rng(5);
-  const std::vector<std::vector<float>> up{{1.0f, 0.0f}, {2.0f, 0.0f},
-                                           {3.0f, 0.0f}};
-  const auto down = server.communicate(up, rng);
-  ASSERT_EQ(down.size(), 3u);
-  EXPECT_FLOAT_EQ(down[0][0], 0.5f * 1 + 0.25f * (2 + 3));
+  std::vector<float> rows{1.0f, 0.0f, 2.0f, 0.0f, 3.0f, 0.0f};
+  server.communicate_rows(rows, rng, nullptr);
+  EXPECT_FLOAT_EQ(rows[0], 0.5f * 1 + 0.25f * (2 + 3));
   EXPECT_EQ(server.round(), 1u);
   EXPECT_EQ(server.channel().messages_sent(), 6u);  // 3 up + 3 down
   // Consensus is the post-aggregation mean, which equals the upload mean.
@@ -201,21 +201,24 @@ TEST(ParameterServer, RoundTripAggregates) {
 
 TEST(ParameterServer, HookCanMutateAggregates) {
   ParameterServer server(2, 1, AlphaSchedule(2, 0.6));
-  server.set_post_aggregate_hook(
-      [](std::size_t, std::vector<std::vector<float>>& agg) {
-        for (auto& a : agg) a[0] = 42.0f;
+  server.set_post_aggregate_rows_hook(
+      [](std::size_t, std::span<float> agg, std::size_t) {
+        for (float& a : agg) a = 42.0f;
       });
   Rng rng(6);
-  const auto down = server.communicate({{1.0f}, {2.0f}}, rng);
-  EXPECT_FLOAT_EQ(down[0][0], 42.0f);
-  EXPECT_FLOAT_EQ(down[1][0], 42.0f);
+  std::vector<float> rows{1.0f, 2.0f};
+  server.communicate_rows(rows, rng, nullptr);
+  EXPECT_FLOAT_EQ(rows[0], 42.0f);
+  EXPECT_FLOAT_EQ(rows[1], 42.0f);
 }
 
 TEST(ParameterServer, ValidatesUploads) {
   ParameterServer server(2, 2, AlphaSchedule(2, 0.6));
   Rng rng(7);
-  EXPECT_THROW(server.communicate({{1.0f, 2.0f}}, rng), Error);
-  EXPECT_THROW(server.communicate({{1.0f}, {1.0f}}, rng), Error);
+  std::vector<float> one_agent{1.0f, 2.0f};        // 1 upload for 2 agents
+  std::vector<float> short_rows{1.0f, 1.0f, 1.0f};  // a row cut short
+  EXPECT_THROW(server.communicate_rows(one_agent, rng, nullptr), Error);
+  EXPECT_THROW(server.communicate_rows(short_rows, rng, nullptr), Error);
 }
 
 TEST(ParameterServer, SetRoundAffectsSchedule) {
@@ -224,8 +227,9 @@ TEST(ParameterServer, SetRoundAffectsSchedule) {
   Rng rng(8);
   // At round 1000 alpha ~= 0.5 (the consensus limit for n=2): outputs are
   // near the plain mean.
-  const auto down = server.communicate({{0.0f}, {10.0f}}, rng);
-  EXPECT_NEAR(down[0][0], 5.0f, 0.1f);
+  std::vector<float> rows{0.0f, 10.0f};
+  server.communicate_rows(rows, rng, nullptr);
+  EXPECT_NEAR(rows[0], 5.0f, 0.1f);
 }
 
 }  // namespace

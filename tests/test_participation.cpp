@@ -5,9 +5,11 @@
 ///  * ParameterServer::communicate_round is locked bit-identical to
 ///    communicate_rows for a full-participation round — through the fast
 ///    path AND through the general weighted path (screening armed but
-///    excluding nothing) — RNG stream position and counters included;
+///    excluding nothing, in place and with the aggregate matrix built for
+///    the hook) — RNG stream position and counters included;
 ///  * partial participation, staleness folding/discard, L2 screening and
-///    the trimmed mean match hand-computed references;
+///    the trimmed mean (kernel inline and on 1, 2 and 7 lanes) match
+///    hand-computed references;
 ///  * the engine with an active all-present plan is bit-identical to the
 ///    plan-free engine across thread counts {1, 2, 7} on both paper
 ///    systems, and degraded training is thread-count invariant;
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/parallel.hpp"
 #include "federated/aggregation.hpp"
 #include "federated/round_engine.hpp"
 #include "federated/server.hpp"
@@ -192,28 +195,83 @@ TEST(ParticipationPlan, PickByzantineAgents) {
 }
 
 TEST(TrimmedMean, MatchesHandComputedAndRanksNonFiniteLast) {
-  // 5 rows, k=1: per coordinate drop min and max, average the middle 3.
-  const std::vector<std::vector<float>> rows{
-      {1.0f, 10.0f}, {2.0f, -5.0f}, {3.0f, 0.0f}, {4.0f, 1.0f},
-      {100.0f, 2.0f}};
+  ThreadPool one(1), two(2), seven(7);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &two,
+                           &seven}) {
+    const std::size_t lanes = pool ? pool->size() : 1;
+    // 5 rows, k=1: per coordinate drop min and max, average the middle 3.
+    const std::vector<std::vector<float>> rows{
+        {1.0f, 10.0f}, {2.0f, -5.0f}, {3.0f, 0.0f}, {4.0f, 1.0f},
+        {100.0f, 2.0f}};
+    std::vector<const float*> ptrs;
+    for (const auto& r : rows) ptrs.push_back(r.data());
+    std::vector<float> scratch(lanes * rows.size()), out(2);
+    trimmed_mean_rows(ptrs.data(), rows.size(), 2, 1, scratch.data(),
+                      out.data(), pool);
+    EXPECT_FLOAT_EQ(out[0], 3.0f) << lanes;  // mean(2,3,4)
+    EXPECT_FLOAT_EQ(out[1], 1.0f) << lanes;  // mean(0,1,2)
+    // A NaN row ranks above every finite value: trimmed with the top tail.
+    const std::vector<std::vector<float>> with_nan{
+        {1.0f}, {2.0f}, {3.0f}, {std::nanf("")}};
+    ptrs.clear();
+    for (const auto& r : with_nan) ptrs.push_back(r.data());
+    scratch.assign(lanes * 4, 0.0f);
+    trimmed_mean_rows(ptrs.data(), 4, 1, 1, scratch.data(), out.data(), pool);
+    EXPECT_FLOAT_EQ(out[0], 2.5f) << lanes;  // mean(2,3); NaN and 1 trimmed
+    EXPECT_THROW(trimmed_mean_rows(ptrs.data(), 2, 1, 1, scratch.data(),
+                                   out.data(), pool),
+                 Error);
+  }
+}
+
+TEST(TrimmedMean, PoolPartitionKeepsInlineBits) {
+  // Wide rows so every lane owns a coordinate slice: the pooled kernel
+  // must reproduce the inline one bit for bit.
+  const std::size_t m = 9, dim = 203;
+  std::vector<std::vector<float>> rows;
+  for (std::size_t j = 0; j < m; ++j) rows.push_back(random_row(dim, 9100 + j));
+  rows[3][17] = std::nanf("");
   std::vector<const float*> ptrs;
   for (const auto& r : rows) ptrs.push_back(r.data());
-  std::vector<float> scratch(rows.size()), out(2);
-  trimmed_mean_rows(ptrs.data(), rows.size(), 2, 1, scratch.data(),
-                    out.data());
-  EXPECT_FLOAT_EQ(out[0], 3.0f);                       // mean(2,3,4)
-  EXPECT_FLOAT_EQ(out[1], 1.0f);                       // mean(0,1,2)
-  // A NaN row ranks above every finite value: trimmed with the top tail.
-  const std::vector<std::vector<float>> with_nan{
-      {1.0f}, {2.0f}, {3.0f}, {std::nanf("")}};
-  ptrs.clear();
-  for (const auto& r : with_nan) ptrs.push_back(r.data());
-  scratch.resize(4);
-  trimmed_mean_rows(ptrs.data(), 4, 1, 1, scratch.data(), out.data());
-  EXPECT_FLOAT_EQ(out[0], 2.5f);  // mean(2,3); NaN and 1 trimmed
-  EXPECT_THROW(
-      trimmed_mean_rows(ptrs.data(), 2, 1, 1, scratch.data(), out.data()),
-      Error);
+  std::vector<float> scratch(m), inline_out(dim);
+  trimmed_mean_rows(ptrs.data(), m, dim, 2, scratch.data(), inline_out.data(),
+                    nullptr);
+  for (const std::size_t lanes :
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    ThreadPool pool(lanes);
+    std::vector<float> lane_scratch(lanes * m), out(dim);
+    trimmed_mean_rows(ptrs.data(), m, dim, 2, lane_scratch.data(), out.data(),
+                      &pool);
+    EXPECT_EQ(out, inline_out) << lanes << " lanes";
+  }
+}
+
+/// One serial degraded round over a full n x dim matrix: compacts the
+/// sending agents' rows (the server's input contract), runs
+/// communicate_round and writes every sender row back, so the rows of
+/// agents that send nothing stay untouched.
+RoundParticipationReport run_round(
+    ParameterServer& srv, std::vector<float>& rows,
+    const std::vector<AgentRoundStatus>& status,
+    const ParameterServer::RobustRoundOptions& opts, Rng& rng,
+    bool run_post_hook = false) {
+  const std::size_t dim = srv.parameter_dim();
+  std::vector<std::size_t> agents;
+  std::vector<float> compact;
+  for (std::size_t i = 0; i < status.size(); ++i) {
+    if (!sends_upload(status[i])) continue;
+    agents.push_back(i);
+    compact.insert(compact.end(),
+                   rows.begin() + static_cast<std::ptrdiff_t>(i * dim),
+                   rows.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim));
+  }
+  const RoundParticipationReport rep = srv.communicate_round(
+      compact, agents, status, opts, rng, nullptr, run_post_hook);
+  for (std::size_t j = 0; j < agents.size(); ++j)
+    std::copy(compact.begin() + static_cast<std::ptrdiff_t>(j * dim),
+              compact.begin() + static_cast<std::ptrdiff_t>((j + 1) * dim),
+              rows.begin() + static_cast<std::ptrdiff_t>(agents[j] * dim));
+  return rep;
 }
 
 /// Runs one all-present communicate_round and one communicate_rows over
@@ -230,28 +288,32 @@ void expect_full_round_matches_rows(const ScreeningConfig& screening,
   ref.channel().set_bit_error_rate(ber);
   Rng ref_rng(11);
   std::vector<float> ref_rows = pack_rows(uploads);
-  ref.communicate_rows(ref_rows, ref_rng);
+  ref.communicate_rows(ref_rows, ref_rng, nullptr);
 
-  ParameterServer srv(n, dim, schedule);
-  srv.channel().set_bit_error_rate(ber);
-  Rng rng(11);
-  std::vector<float> rows = pack_rows(uploads);
-  const std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
-  ParameterServer::RobustRoundOptions opts;
-  opts.screening = screening;
-  const RoundParticipationReport rep =
-      srv.communicate_round(rows, status, opts, rng);
+  for (const bool run_post_hook : {false, true}) {
+    ParameterServer srv(n, dim, schedule);
+    srv.channel().set_bit_error_rate(ber);
+    Rng rng(11);
+    std::vector<float> rows = pack_rows(uploads);
+    const std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
+    ParameterServer::RobustRoundOptions opts;
+    opts.screening = screening;
+    const RoundParticipationReport rep =
+        run_round(srv, rows, status, opts, rng, run_post_hook);
 
-  EXPECT_EQ(rows, ref_rows);
-  EXPECT_EQ(srv.consensus(), ref.consensus());
-  EXPECT_EQ(srv.round(), ref.round());
-  EXPECT_EQ(srv.channel().bytes_sent(), ref.channel().bytes_sent());
-  EXPECT_EQ(srv.channel().messages_sent(), ref.channel().messages_sent());
-  EXPECT_EQ(srv.channel().bits_corrupted(), ref.channel().bits_corrupted());
-  EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());  // stream position
-  EXPECT_EQ(rep.present, n);
-  EXPECT_EQ(rep.contributors, n);
-  EXPECT_TRUE(rep.aggregated);
+    EXPECT_EQ(rows, ref_rows);
+    EXPECT_EQ(srv.consensus(), ref.consensus());
+    EXPECT_EQ(srv.round(), ref.round());
+    EXPECT_EQ(srv.channel().bytes_sent(), ref.channel().bytes_sent());
+    EXPECT_EQ(srv.channel().messages_sent(), ref.channel().messages_sent());
+    EXPECT_EQ(srv.channel().bits_corrupted(),
+              ref.channel().bits_corrupted());
+    Rng ref_next = ref_rng;
+    EXPECT_EQ(rng.next_u64(), ref_next.next_u64());  // stream position
+    EXPECT_EQ(rep.present, n);
+    EXPECT_EQ(rep.contributors, n);
+    EXPECT_TRUE(rep.aggregated);
+  }
 }
 
 TEST(CommunicateRound, FullParticipationFastPathMatchesCommunicateRows) {
@@ -308,8 +370,8 @@ TEST(CommunicateRound, PartialParticipationMatchesHandComputedAverage) {
   std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
   status[1] = AgentRoundStatus::Dropped;
   const std::vector<float> before = rows;
-  const RoundParticipationReport rep = srv.communicate_round(
-      rows, status, ParameterServer::RobustRoundOptions{}, rng);
+  const RoundParticipationReport rep = run_round(
+      srv, rows, status, ParameterServer::RobustRoundOptions{}, rng);
 
   EXPECT_EQ(rep.present, 3u);
   EXPECT_EQ(rep.dropped, 1u);
@@ -358,7 +420,7 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   std::vector<float> rows = pack_rows(uploads);
   std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
   status[2] = AgentRoundStatus::Straggler;
-  RoundParticipationReport rep0 = srv.communicate_round(rows, status, opts, rng);
+  RoundParticipationReport rep0 = run_round(srv, rows, status, opts, rng);
   EXPECT_EQ(rep0.stragglers, 1u);
   EXPECT_EQ(rep0.stale_folded, 0u);
   EXPECT_EQ(rep0.contributors, 2u);
@@ -377,7 +439,7 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   const std::vector<AgentRoundStatus> all_present(n,
                                                   AgentRoundStatus::Present);
   RoundParticipationReport rep1 =
-      srv.communicate_round(rows1, all_present, opts, rng);
+      run_round(srv, rows1, all_present, opts, rng);
   EXPECT_EQ(rep1.stale_folded, 1u);
   EXPECT_EQ(rep1.contributors, 4u);  // 3 on-time + 1 stale
   EXPECT_TRUE(srv.pending_uploads().empty());
@@ -389,7 +451,7 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   fresh.set_round(1);
   Rng fresh_rng(1234);
   std::vector<float> rows1b = pack_rows(uploads1);
-  fresh.communicate_round(rows1b, all_present, opts, fresh_rng);
+  run_round(fresh, rows1b, all_present, opts, fresh_rng);
   EXPECT_NE(rows1, rows1b);
 
   // And a mirror server restored from the captured pending state replays
@@ -404,7 +466,7 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   mirror.set_pending_uploads({carried});
   Rng mirror_rng(4321);
   std::vector<float> rows1c = pack_rows(uploads1);
-  mirror.communicate_round(rows1c, all_present, opts, mirror_rng);
+  run_round(mirror, rows1c, all_present, opts, mirror_rng);
   EXPECT_EQ(rows1c, rows1);
   EXPECT_TRUE(mirror.pending_uploads().empty());
 
@@ -415,7 +477,7 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   Rng rng2(19);
   std::vector<float> rows2 = pack_rows(uploads);
   RoundParticipationReport rep2 =
-      srv2.communicate_round(rows2, status, opts, rng2);
+      run_round(srv2, rows2, status, opts, rng2);
   EXPECT_EQ(rep2.stale_discarded, 1u);
   EXPECT_TRUE(srv2.pending_uploads().empty());
 }
@@ -437,7 +499,7 @@ TEST(CommunicateRound, L2ScreenExcludesNormOutlier) {
   opts.screening.l2_norm = true;
   opts.screening.l2_factor = 3.0;
   const RoundParticipationReport rep =
-      srv.communicate_round(rows, status, opts, rng);
+      run_round(srv, rows, status, opts, rng);
   EXPECT_EQ(rep.byzantine, 1u);
   EXPECT_EQ(rep.screened_out, 1u);
   EXPECT_EQ(rep.contributors, 3u);
@@ -477,7 +539,7 @@ TEST(CommunicateRound, TrimmedMeanReplacesPeerAverage) {
   ParameterServer::RobustRoundOptions opts;
   opts.screening.trimmed_mean = true;
   opts.screening.trim_k = 1;
-  srv.communicate_round(rows, status, opts, rng);
+  run_round(srv, rows, status, opts, rng);
 
   CommChannel ch(0.0);
   Rng ref_rng(29);

@@ -5,12 +5,16 @@
 ///    over an n_agents x threads grid;
 ///  * snapshot/restore composes with parallel training (restore + retrain
 ///    replays the same bits at any fan-out);
-///  * the batched server-round kernels (smoothing_average_rows,
-///    mean_parameters_rows, CommChannel::transmit_rows,
+///  * the batched server-round kernels (smoothing_average_rows and
+///    mean_parameters_rows with no pool and with 1, 2 and 7 lanes,
+///    CommChannel::transmit_rows, the serial
 ///    ParameterServer::communicate_rows) are bit-identical to their
 ///    scalar references, RNG stream position included;
 ///  * the engine's row-matrix server-fault hook reproduces the historical
-///    per-agent-vector hook.
+///    per-agent-vector hook;
+///  * the fleet server round (server_threads >= 1) is lane-count
+///    invariant, matches the serial round on the burst plane, and keeps
+///    O(participants) round buffers — as does the serial round.
 
 #include "federated/round_engine.hpp"
 
@@ -21,6 +25,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/parallel.hpp"
 #include "fault/injector.hpp"
 #include "federated/aggregation.hpp"
 #include "federated/channel.hpp"
@@ -51,7 +56,18 @@ std::vector<float> pack_rows(const std::vector<std::vector<float>>& vov) {
   return rows;
 }
 
+/// The pools every kernel test runs on: none (inline) and 1, 2, 7 lanes.
+struct KernelPools {
+  ThreadPool one{1}, two{2}, seven{7};
+  std::vector<ThreadPool*> all() { return {nullptr, &one, &two, &seven}; }
+};
+
+std::size_t lanes_of(const ThreadPool* pool) {
+  return pool ? pool->size() : 0;
+}
+
 TEST(BatchedAggregation, SmoothingRowsMatchesScalarReference) {
+  KernelPools pools;
   for (const std::size_t n : {std::size_t{2}, std::size_t{5}, std::size_t{12}}) {
     // Dims straddling SIMD widths, including a non-multiple-of-8 tail.
     for (const std::size_t dim : {std::size_t{1}, std::size_t{37},
@@ -60,23 +76,31 @@ TEST(BatchedAggregation, SmoothingRowsMatchesScalarReference) {
       const auto rows = pack_rows(uploads);
       for (const double alpha : {0.3, 0.5, 1.0 / static_cast<double>(n)}) {
         const auto scalar = smoothing_average(uploads, alpha);
-        std::vector<float> out(n * dim), total(dim);
-        smoothing_average_rows(rows.data(), out.data(), total.data(), n, dim,
-                               alpha);
-        EXPECT_EQ(out, pack_rows(scalar)) << n << "x" << dim << " a=" << alpha;
+        for (ThreadPool* pool : pools.all()) {
+          std::vector<float> out(n * dim), total(dim);
+          smoothing_average_rows(rows.data(), out.data(), total.data(), n,
+                                 dim, alpha, pool);
+          EXPECT_EQ(out, pack_rows(scalar))
+              << n << "x" << dim << " a=" << alpha << " lanes "
+              << lanes_of(pool);
+        }
       }
     }
   }
 }
 
 TEST(BatchedAggregation, MeanRowsMatchesScalarReference) {
+  KernelPools pools;
   for (const std::size_t n : {std::size_t{1}, std::size_t{4}, std::size_t{9}}) {
     const std::size_t dim = 123;
     const auto uploads = random_uploads(n, dim, 500 + n);
     const auto rows = pack_rows(uploads);
-    std::vector<float> mean(dim);
-    mean_parameters_rows(rows.data(), n, dim, mean.data());
-    EXPECT_EQ(mean, mean_parameters(uploads)) << n;
+    for (ThreadPool* pool : pools.all()) {
+      std::vector<float> mean(dim);
+      mean_parameters_rows(rows.data(), n, dim, mean.data(), pool);
+      EXPECT_EQ(mean, mean_parameters(uploads))
+          << n << " lanes " << lanes_of(pool);
+    }
   }
 }
 
@@ -137,7 +161,7 @@ TEST(BatchedServerRound, CommunicateRowsMatchesFrozenScalarRound) {
                                         schedule.at(0), ref_rng,
                                         &ref_consensus);
   std::vector<float> rows = pack_rows(uploads);
-  rows_server.communicate_rows(rows, rows_rng);
+  rows_server.communicate_rows(rows, rows_rng, nullptr);
   EXPECT_EQ(rows, pack_rows(down));
   EXPECT_EQ(rows_server.consensus(), ref_consensus);
   EXPECT_EQ(rows_server.round(), 1u);
@@ -145,19 +169,13 @@ TEST(BatchedServerRound, CommunicateRowsMatchesFrozenScalarRound) {
   EXPECT_EQ(rows_server.channel().bits_corrupted(),
             ref_channel.bits_corrupted());
   EXPECT_EQ(rows_rng.next_u64(), ref_rng.next_u64());
-  // And the compatibility wrapper funnels through the same path.
-  ParameterServer wrapper_server(n, dim, schedule);
-  wrapper_server.channel().set_bit_error_rate(0.01);
-  Rng wrapper_rng(5);
-  EXPECT_EQ(wrapper_server.communicate(uploads, wrapper_rng), down);
 }
 
 TEST(BatchedServerRound, RowsFaultHookMatchesFrozenLegacyHookRound) {
   // The engine's server-fault injection (span-based inject_int8 over the
   // aggregate rows, one RNG stream across all rows) must reproduce the
   // historical vector-of-vectors hook inside the frozen scalar round
-  // bit-for-bit — and so must the legacy-hook adapter in
-  // communicate_rows.
+  // bit-for-bit.
   const std::size_t n = 4, dim = 80;
   const auto uploads = random_uploads(n, dim, 1700);
   FaultSpec spec;
@@ -181,18 +199,8 @@ TEST(BatchedServerRound, RowsFaultHookMatchesFrozenLegacyHookRound) {
       });
   Rng rows_rng(9);
   std::vector<float> rows = pack_rows(uploads);
-  rows_srv.communicate_rows(rows, rows_rng);
+  rows_srv.communicate_rows(rows, rows_rng, nullptr);
   EXPECT_EQ(rows, pack_rows(down));
-
-  // Legacy vector-of-vectors hook through the adapter: same bits.
-  ParameterServer legacy_srv(n, dim, schedule);
-  legacy_srv.set_post_aggregate_hook(
-      [&](std::size_t, std::vector<std::vector<float>>& agg) {
-        Rng fault_rng(4242);
-        for (auto& params : agg) inject_int8(params, spec, fault_rng);
-      });
-  Rng legacy_rng(9);
-  EXPECT_EQ(legacy_srv.communicate(uploads, legacy_rng), down);
 }
 
 /// Small-but-busy gridworld configuration: noisy channel so the comm
@@ -361,7 +369,7 @@ struct FleetHarness {
 
 /// Stormy Gilbert–Elliott channel: bad-state flips, chunk erasure and
 /// reordering all active, so the fleet transmit fan has real work and the
-/// burst-plane bit-identity (legacy vs fleet) is exercised, not vacuous.
+/// burst-plane bit-identity (serial vs fleet) is exercised, not vacuous.
 BurstyChannelConfig stormy_channel() {
   BurstyChannelConfig bursty;
   bursty.active = true;
@@ -417,6 +425,9 @@ void expect_stats_equal(const ParticipationStats& got,
   EXPECT_EQ(got.degenerate_rounds, want.degenerate_rounds);
   EXPECT_EQ(got.upload_attempts, want.upload_attempts);
   EXPECT_EQ(got.uploads_failed, want.uploads_failed);
+  EXPECT_EQ(got.failed_stale, want.failed_stale);
+  EXPECT_EQ(got.failed_dropped, want.failed_dropped);
+  EXPECT_EQ(got.backoff_seconds, want.backoff_seconds);
 }
 
 void expect_channels_equal(const FederatedRoundEngine& got,
@@ -466,19 +477,19 @@ TEST(FleetRound, DegradedRoundIsServerLaneCountInvariant) {
   }
 }
 
-TEST(FleetRound, CompactDegradedRoundMatchesLegacyFullMatrixBits) {
-  // Participant-compaction equivalence: on the burst plane with the retry
+TEST(FleetRound, DegradedRoundMatchesSerialRoundOnBurstPlane) {
+  // Channel-discipline equivalence: on the burst plane with the retry
   // protocol unarmed, every message is keyed by the same per-sender
-  // sequence numbers on both paths, so the O(participants) compact round
-  // (server_threads = 1) must be *identical* to the legacy full-matrix
-  // round (server_threads = 0) — parameters, channel counters, stats and
-  // the staleness buffer included.
+  // sequence numbers under both disciplines, so the pool-fanned round
+  // (server_threads = 1) must be *identical* to the serial round
+  // (server_threads = 0) — parameters, channel counters, stats and the
+  // staleness buffer included.
   const std::size_t agents = 64, dim = 48;
-  FleetHarness legacy_h(agents, dim);
-  FederatedRoundEngine legacy(fleet_config(agents, dim, 0), 7, 0xF1EE7,
-                              legacy_h.hooks());
-  legacy.set_participation_plan(fleet_plan());
-  legacy.train(10);
+  FleetHarness serial_h(agents, dim);
+  FederatedRoundEngine serial(fleet_config(agents, dim, 0), 7, 0xF1EE7,
+                              serial_h.hooks());
+  serial.set_participation_plan(fleet_plan());
+  serial.train(10);
 
   FleetHarness fleet_h(agents, dim);
   FederatedRoundEngine fleet(fleet_config(agents, dim, 1), 7, 0xF1EE7,
@@ -486,11 +497,11 @@ TEST(FleetRound, CompactDegradedRoundMatchesLegacyFullMatrixBits) {
   fleet.set_participation_plan(fleet_plan());
   fleet.train(10);
 
-  EXPECT_EQ(fleet_h.params, legacy_h.params);
-  expect_channels_equal(fleet, legacy);
+  EXPECT_EQ(fleet_h.params, serial_h.params);
+  expect_channels_equal(fleet, serial);
   expect_stats_equal(fleet.participation_stats(),
-                     legacy.participation_stats());
-  const auto& lp = legacy.server()->pending_uploads();
+                     serial.participation_stats());
+  const auto& lp = serial.server()->pending_uploads();
   const auto& fp = fleet.server()->pending_uploads();
   ASSERT_EQ(fp.size(), lp.size());
   for (std::size_t i = 0; i < lp.size(); ++i) {
@@ -501,15 +512,15 @@ TEST(FleetRound, CompactDegradedRoundMatchesLegacyFullMatrixBits) {
   }
 }
 
-TEST(FleetRound, PlanFreeFleetRoundMatchesLegacyOnBurstPlane) {
+TEST(FleetRound, PlanFreeFleetRoundMatchesSerialOnBurstPlane) {
   // Without a participation plan the fleet path runs the synchronous
-  // communicate_rows fan; burst-plane bits are per-sequence derived on
-  // both paths, so every lane count must match the legacy serial round.
+  // communicate_rows fan; burst-plane bits are per-sequence derived under
+  // both disciplines, so every lane count must match the serial round.
   const std::size_t agents = 32, dim = 40;
-  FleetHarness legacy_h(agents, dim);
-  FederatedRoundEngine legacy(fleet_config(agents, dim, 0), 19, 0xF1EE7,
-                              legacy_h.hooks());
-  legacy.train(8);
+  FleetHarness serial_h(agents, dim);
+  FederatedRoundEngine serial(fleet_config(agents, dim, 0), 19, 0xF1EE7,
+                              serial_h.hooks());
+  serial.train(8);
 
   for (const std::size_t lanes :
        {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
@@ -517,8 +528,8 @@ TEST(FleetRound, PlanFreeFleetRoundMatchesLegacyOnBurstPlane) {
     FederatedRoundEngine sys(fleet_config(agents, dim, lanes), 19, 0xF1EE7,
                              h.hooks());
     sys.train(8);
-    EXPECT_EQ(h.params, legacy_h.params) << lanes << " lanes";
-    expect_channels_equal(sys, legacy);
+    EXPECT_EQ(h.params, serial_h.params) << lanes << " lanes";
+    expect_channels_equal(sys, serial);
   }
 }
 
@@ -548,9 +559,9 @@ TEST(FleetRound, ZeroRetryUploadProtocolKeepsFleetRoundBits) {
 
 TEST(FleetRound, RoundBufferMemoryScalesWithParticipants) {
   // The O(participants) acceptance gate: at cadence 8 (~12.5%
-  // participation) the fleet engine's retained round buffers must stay
-  // under a quarter of the full n x dim matrix, while the legacy path
-  // retains the full matrix by construction.
+  // participation) the engine's retained round buffers must stay under a
+  // quarter of the full n x dim matrix, with the fleet pool and with the
+  // serial round alike (both run the participant-compacted round).
   const std::size_t agents = 1024, dim = 64;
   const std::size_t full_bytes = agents * dim * sizeof(float);
   ParticipationPlan plan = fleet_plan();
@@ -564,12 +575,13 @@ TEST(FleetRound, RoundBufferMemoryScalesWithParticipants) {
   EXPECT_LT(fleet.round_buffer_bytes(), full_bytes / 4)
       << "compact round buffers must scale with participants";
 
-  FleetHarness legacy_h(agents, dim);
-  FederatedRoundEngine legacy(fleet_config(agents, dim, 0), 41, 0xF1EE7,
-                              legacy_h.hooks());
-  legacy.set_participation_plan(plan);
-  legacy.train(6);
-  EXPECT_GE(legacy.round_buffer_bytes(), full_bytes);
+  FleetHarness serial_h(agents, dim);
+  FederatedRoundEngine serial(fleet_config(agents, dim, 0), 41, 0xF1EE7,
+                              serial_h.hooks());
+  serial.set_participation_plan(plan);
+  serial.train(6);
+  EXPECT_LT(serial.round_buffer_bytes(), full_bytes / 4)
+      << "serial round buffers must scale with participants";
 }
 
 }  // namespace
