@@ -19,6 +19,7 @@
 #include "core/rng.hpp"
 #include "fault/injector.hpp"
 #include "federated/channel.hpp"
+#include "frl/policies.hpp"
 
 namespace frlfi {
 namespace {
@@ -36,6 +37,14 @@ class Digest {
   void u64(std::uint64_t v) { bytes(&v, sizeof v); }
   void floats(const std::vector<float>& v) {
     bytes(v.data(), v.size() * sizeof(float));
+  }
+  void report(const InjectionReport& r) {
+    u64(r.bits_flipped);
+    u64(r.bits_total);
+  }
+  void overlay(const WeightOverlay& o) {
+    for (const std::size_t i : o.indices) u64(i);
+    floats(o.values);
   }
   std::uint64_t value() const { return h_; }
 
@@ -198,6 +207,92 @@ TEST(BernoulliGolden, MultiBitBurstCorruptors) {
     }
   }
   EXPECT_EQ(d.value(), 0x878632167AD85BADULL);
+}
+
+TEST(BernoulliGolden, WeightInjectors) {
+  // Every weight-fault entry point over the fault-model x direction x BER
+  // grid, one digest per entry: in-place int8 (headroom 1 and 2), in-place
+  // fixed point (Q(1,7,8) and Q(1,2,9)), the DeployedWeights float and
+  // word overlays, the layer-scoped image and its in-place twin, and the
+  // whole-network injector. Each fold takes the output, the report and
+  // the stream's next draw.
+  const FaultModel models[] = {FaultModel::TransientPersistent,
+                               FaultModel::StuckAt0, FaultModel::StuckAt1};
+  const FlipDirection dirs[] = {FlipDirection::Any, FlipDirection::ZeroToOne,
+                                FlipDirection::OneToZero};
+  const std::vector<float> clean = seeded_rows(257, 71);
+  const DeployedWeights image = DeployedWeights::int8_image(clean, 2.0f);
+  Rng init(72);
+  Network net = make_gridworld_policy(init);
+  net.set_flat_parameters(seeded_rows(net.parameter_count(), 73));
+  Digest int8, fixed, overlay, quant, layer, network;
+  for (const FaultModel model : models) {
+    for (const FlipDirection dir : dirs) {
+      for (const double ber : {0.0, 1e-3, 0.05, 1.0}) {
+        FaultSpec spec;
+        spec.model = model;
+        spec.direction = dir;
+        spec.ber = ber;
+        for (const float headroom : {1.0f, 2.0f}) {
+          std::vector<float> w = clean;
+          Rng rng(74);
+          int8.report(inject_int8(w, spec, rng, headroom));
+          int8.floats(w);
+          int8.u64(rng.next_u64());
+        }
+        for (const FixedPointFormat fmt :
+             {FixedPointFormat::q1_7_8(), FixedPointFormat{2, 9}}) {
+          std::vector<float> w = clean;
+          Rng rng(75);
+          fixed.report(inject_fixed_point(w, fmt, spec, rng));
+          fixed.floats(w);
+          fixed.u64(rng.next_u64());
+        }
+        {
+          WeightOverlay out;
+          Rng rng(76);
+          overlay.report(image.inject(spec, rng, out));
+          overlay.overlay(out);
+          overlay.u64(rng.next_u64());
+        }
+        {
+          QuantOverlay out;
+          Rng rng(77);
+          quant.report(image.inject_quant(spec, rng, out));
+          for (const std::size_t i : out.indices) quant.u64(i);
+          quant.bytes(out.words.data(), out.words.size());
+          quant.u64(rng.next_u64());
+        }
+        for (std::size_t li = 0; li < net.layer_count(); ++li) {
+          if (net.layer(li).parameters().empty()) continue;
+          const LayerDeployedWeights deployed(net, li);
+          WeightOverlay out;
+          Rng rng(78);
+          layer.report(deployed.inject(spec, rng, out));
+          layer.overlay(out);
+          layer.u64(rng.next_u64());
+          Network victim = net.clone();
+          Rng in_place(78);
+          layer.report(inject_layer_weights(victim, li, spec, in_place));
+          layer.floats(victim.flat_parameters());
+          layer.u64(in_place.next_u64());
+        }
+        {
+          Network victim = net.clone();
+          Rng rng(79);
+          network.report(inject_network_weights(victim, spec, rng));
+          network.floats(victim.flat_parameters());
+          network.u64(rng.next_u64());
+        }
+      }
+    }
+  }
+  EXPECT_EQ(int8.value(), 0x3E12682599F3AFA7ULL);
+  EXPECT_EQ(fixed.value(), 0x6A7AF86CD976F23AULL);
+  EXPECT_EQ(overlay.value(), 0x7D4A8064B47ACD85ULL);
+  EXPECT_EQ(quant.value(), 0xB1E3413136665E08ULL);
+  EXPECT_EQ(layer.value(), 0xC4D2B2171996B478ULL);
+  EXPECT_EQ(network.value(), 0x3C87C4D76AD673DBULL);
 }
 
 }  // namespace
