@@ -28,9 +28,9 @@
 ///    must equal the plan-free train,
 ///  * channel reliability: transmit_rows under the i.i.d. golden path vs
 ///    the Gilbert-Elliott burst plane vs the checksum/retry upload
-///    protocol, with three bit-identity gates (degenerate burst config ==
+///    protocol, with two bit-identity gates (degenerate burst config ==
 ///    i.i.d. channel including RNG stream position, zero-retry protocol
-///    round == plain round, burst length-1 injector == single-bit golden),
+///    round == plain round),
 ///  * fleet rounds: the round engine at n_agents in {64, 512, 4096} with
 ///    the fleet server path armed (parallel per-(seq, row) channel,
 ///    pool-parallel aggregation, participant-compacted round storage,
@@ -175,7 +175,6 @@ struct Report {
   bool participation_train_identical = false;  // full plan == plan-free train
   std::vector<ChannelRow> channel;
   bool channel_zero_retry_identical = false;  // zero-retry round == plain
-  bool channel_burst1_identical = false;      // burst-1 == single-bit golden
   std::vector<FleetRow> fleet;
   CampaignRow campaign;
 };
@@ -759,12 +758,11 @@ bool bench_participation(double min_time, bool quick, Report& report) {
 
 // The channel-reliability plane: transmit_rows under the i.i.d. golden
 // path, a stormy Gilbert-Elliott burst config, and the checksum/retry
-// upload protocol at the same shapes. Three determinism gates feed the
+// upload protocol at the same shapes. Two determinism gates feed the
 // exit code: a degenerate burst config (equal-state BERs, no erasure or
 // reordering) must match the i.i.d. channel bit-for-bit — delivered
-// payloads, cost counters and the caller's RNG stream position — a
-// zero-retry protocol round must match the plain round, and the burst
-// injector at length 1 must match the single-bit golden injector.
+// payloads, cost counters and the caller's RNG stream position — and a
+// zero-retry protocol round must match the plain round.
 bool bench_channel_reliability(double min_time, Report& report) {
   std::printf(
       "\n== Channel reliability: bursty plane vs i.i.d. golden ==\n");
@@ -878,27 +876,7 @@ bool bench_channel_reliability(double min_time, Report& report) {
                 report.channel_zero_retry_identical ? "YES" : "NO  <-- BUG");
   }
 
-  // Gate: the burst injector at length 1 == the single-bit golden
-  // injector (flips and RNG stream position).
-  {
-    std::vector<std::uint8_t> golden(512);
-    Rng brng(47);
-    for (auto& v : golden)
-      v = static_cast<std::uint8_t>(brng.uniform_index(256));
-    std::vector<std::uint8_t> burst1 = golden;
-    FaultSpec spec;
-    spec.ber = 5e-3;
-    Rng rg(48), rb1(48);
-    const std::size_t ng = corrupt_bits(golden, spec, rg);
-    spec.burst.length = 1;
-    const std::size_t nb = corrupt_bits_burst(burst1, spec, rb1);
-    report.channel_burst1_identical =
-        golden == burst1 && ng == nb && rg.next_u64() == rb1.next_u64();
-    std::printf("burst length-1 injector bit-identical to golden: %s\n",
-                report.channel_burst1_identical ? "YES" : "NO  <-- BUG");
-  }
-  return all_identical && report.channel_zero_retry_identical &&
-         report.channel_burst1_identical;
+  return all_identical && report.channel_zero_retry_identical;
 }
 
 // Fleet-scale federated rounds: the round engine at n_agents up to 4096
@@ -1171,11 +1149,8 @@ void write_json(const Report& r, const char* path) {
                  row.reliable_us, row.identical ? "true" : "false",
                  i + 1 < r.channel.size() ? "," : "");
   }
-  std::fprintf(f,
-               "    ],\n    \"zero_retry_bit_identical\": %s,\n"
-               "    \"burst1_injector_bit_identical\": %s\n  },\n",
-               r.channel_zero_retry_identical ? "true" : "false",
-               r.channel_burst1_identical ? "true" : "false");
+  std::fprintf(f, "    ],\n    \"zero_retry_bit_identical\": %s\n  },\n",
+               r.channel_zero_retry_identical ? "true" : "false");
   std::fprintf(f, "  \"fleet_round\": [\n");
   for (std::size_t i = 0; i < r.fleet.size(); ++i) {
     const auto& row = r.fleet[i];

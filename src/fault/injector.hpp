@@ -7,6 +7,14 @@
 /// quantized, bits are corrupted in the integer domain, and the result is
 /// dequantized back into the float weights the network executes with —
 /// "fault models as native tensor operations" (§III-D).
+///
+/// Two pieces carry every weight fault:
+///  * corrupt_words, the one bit-level corruptor, for int8 bytes and
+///    fixed-point codewords alike;
+///  * DeployedWeights (overlay.hpp), the one deployed image. The in-place
+///    injectors below build an image, strike it and write base + overlay
+///    back, so in-place and overlay injection are the same code and draw
+///    the same stream.
 
 #include <cstdint>
 #include <span>
@@ -14,83 +22,35 @@
 
 #include "core/rng.hpp"
 #include "fault/model.hpp"
-#include "fault/overlay.hpp"  // InjectionReport + the non-mutating plane
+#include "fault/overlay.hpp"  // InjectionReport + DeployedWeights
 #include "nn/network.hpp"
 #include "numeric/fixed_point.hpp"
 
 namespace frlfi {
 
-/// Flip each bit of the buffer independently with probability `ber`,
-/// honouring the direction constraint (ZeroToOne only flips bits that are
-/// currently 0, etc.). Returns the number of bits flipped.
-std::size_t flip_bits_ber(std::span<std::uint8_t> bytes, double ber, Rng& rng,
-                          FlipDirection direction = FlipDirection::Any);
+/// The bit-level fault rule of model.hpp over a buffer of deployed words.
+/// Each word draws one Rng::bernoulli_mask over its low `word_bits` bits
+/// (one Bernoulli(spec.ber) trial per bit, LSB first, words in order),
+/// keeps the hits the spec's model and direction allow against the
+/// word's current bits, and XORs them in. Over bytes at width 8 that is
+/// one trial per bit in the LSB-first, byte-major order of get_bit /
+/// flip_bit. Bits above `word_bits` are never touched. Checks spec.ber in
+/// [0, 1] and word_bits in [1, bits of the word type]. Returns the number
+/// of bits changed.
+std::size_t corrupt_words(std::span<std::uint8_t> words, int word_bits,
+                          const FaultSpec& spec, Rng& rng);
+std::size_t corrupt_words(std::span<std::uint32_t> words, int word_bits,
+                          const FaultSpec& spec, Rng& rng);
 
 /// Flip exactly `n_flips` distinct uniformly-chosen bits (the paper's
 /// "number of faults" axis). n_flips must not exceed the bit count.
 std::size_t flip_bits_exact(std::span<std::uint8_t> bytes, std::size_t n_flips,
                             Rng& rng);
 
-/// Force each bit to `value` independently with probability `ber`
-/// (stuck-at model). Returns the number of bits whose value changed.
-std::size_t stick_bits_ber(std::span<std::uint8_t> bytes, double ber,
-                           bool value, Rng& rng);
-
-/// Apply the spec's temporal model (transient flip / stuck-at) to an
-/// integer byte buffer — the single bit-level dispatcher shared by the
-/// in-place int8 injector and DeployedWeights::inject, which is what keeps
-/// their RNG streams aligned. Returns the number of bits changed. A spec
-/// with burst.length > 1 routes through corrupt_bits_burst, so the
-/// multi-bit plane rides every existing int8 injection surface.
-std::size_t corrupt_bits(std::span<std::uint8_t> bytes, const FaultSpec& spec,
-                         Rng& rng);
-
-/// Correlated multi-bit upsets over a byte buffer: one Bernoulli *event*
-/// draw per bit (the identical stream the single-bit injectors consume),
-/// and an event at bit i corrupts the run of spec.burst.length bits
-/// starting there — stride 1 for BurstAxis::Row, stride `word_bits` for
-/// BurstAxis::Column (same bit position of consecutive words), truncated
-/// at the buffer end. Each corrupted bit applies the spec's temporal
-/// model/direction to the live buffer. burst.length == 1 is bit-identical
-/// (flips and RNG stream position) to corrupt_bits' single-bit paths.
-/// Returns the number of bits changed.
-std::size_t corrupt_bits_burst(std::span<std::uint8_t> bytes,
-                               const FaultSpec& spec, Rng& rng,
-                               std::size_t word_bits = 8);
-
-/// The fixed-point form of corrupt_bits_burst: words are live Q(s,i,f)
-/// codewords (masked to `word_bits`), events are drawn word-major /
-/// bit-ascending — exactly the draw order of FixedPointFlipper and the
-/// reference injector, so burst.length == 1 is bit-identical to
-/// inject_fixed_point on the same stream. Returns bits changed.
-std::size_t corrupt_fixed_words_burst(std::span<std::uint32_t> words,
-                                      int word_bits, const FaultSpec& spec,
-                                      Rng& rng);
-
-/// Per-word flip-mask generator for fixed-point injection: resolves the
-/// spec's BER (checked to lie in [0, 1]) and temporal model + direction
-/// once, then draws one Bernoulli per bit per word. The single per-word
-/// step shared by inject_fixed_point and DeployedWeights::inject —
-/// sharing it is what keeps their RNG streams (and therefore every flip
-/// site) bit-aligned.
-class FixedPointFlipper {
- public:
-  FixedPointFlipper(const FaultSpec& spec, int word_bits);
-
-  /// Mask of bits to XOR into `raw`, direction/stuck-at filtered, after
-  /// consuming exactly word_bits Bernoulli draws from `rng`.
-  std::uint32_t flip_mask(std::uint32_t raw, Rng& rng) const;
-
- private:
-  BernoulliThreshold thr_;
-  int word_bits_;
-  bool only_set_bits_;    // restrict flips to currently-set bits
-  bool only_clear_bits_;  // restrict flips to currently-clear bits
-};
-
 /// Corrupt a float buffer through its int8-quantized representation
 /// according to the spec's model/BER/direction. The buffer is modified in
-/// place. The span form is the core — it lets the federated round engine
+/// place: DeployedWeights::int8_image of the buffer, struck once, written
+/// back as base + overlay. The span form lets the federated round engine
 /// inject server faults directly into rows of the round matrix without
 /// materializing per-agent vectors.
 ///
@@ -105,10 +65,10 @@ InjectionReport inject_int8(std::vector<float>& weights, const FaultSpec& spec,
                             Rng& rng, float headroom = 1.0f);
 
 /// Corrupt a float buffer through a fixed-point representation (data-type
-/// resilience study). The buffer is modified in place. The per-word flip
-/// is mask-based (one XOR per word); consumes one Bernoulli draw per bit,
-/// so for a given rng state the result is bit-identical to the reference
-/// below.
+/// resilience study): DeployedWeights::fixed_point_image of the buffer,
+/// struck once, written back in place. Consumes one Bernoulli draw per
+/// bit, so for a given rng state the result is bit-identical to the
+/// reference below.
 InjectionReport inject_fixed_point(std::vector<float>& weights,
                                    const FixedPointFormat& format,
                                    const FaultSpec& spec, Rng& rng);
@@ -120,12 +80,10 @@ InjectionReport inject_fixed_point_reference(std::vector<float>& weights,
                                              const FixedPointFormat& format,
                                              const FaultSpec& spec, Rng& rng);
 
-/// Corrupt every parameter tensor of a network in the int8 domain. Routed
-/// through the overlay plane (DeployedWeights::inject + a materialized
-/// base+overlay) — bit-identical to the historical flatten → inject_int8 →
-/// restore path, which tests/test_fault_overlay.cpp keeps as the frozen
-/// reference. Training faults persist, so the result is still written
-/// into the network.
+/// Corrupt every parameter tensor of a network in the int8 domain: one
+/// image of the flat parameters (one calibration for the whole network),
+/// struck through inject_int8 and written into the network — training
+/// faults persist.
 InjectionReport inject_network_weights(Network& net, const FaultSpec& spec,
                                        Rng& rng);
 
@@ -133,11 +91,10 @@ InjectionReport inject_network_weights(Network& net, const FaultSpec& spec,
 /// (§IV-C): the network's clean flat parameters with layer `layer_index`'s
 /// span replaced by its per-tensor int8 quantize→dequantize images —
 /// exactly the representation the in-place inject_layer_weights deploys
-/// (one calibration per parameter tensor, in layer parameter order).
-/// Immutable after construction; inject() is const and draws the same RNG
-/// stream as the in-place path, producing a WeightOverlay confined to the
-/// layer's flat span — so base()+overlay is bit-for-bit the parameter
-/// vector inject_layer_weights would have written, and one trained
+/// (one DeployedWeights::int8_image per parameter tensor, in layer
+/// parameter order). Immutable after construction; inject() is const and
+/// strikes the tensor images one after another on one stream, producing a
+/// WeightOverlay confined to the layer's flat span — so one trained
 /// snapshot can replay many per-layer fault plans read-only through
 /// views() instead of being cloned per trial (bench_ablation_layers).
 class LayerDeployedWeights {
@@ -158,26 +115,20 @@ class LayerDeployedWeights {
   }
 
   /// One fault through the layer's deployed words, recorded into `out`
-  /// (cleared first); consumes `rng` exactly as inject_layer_weights does.
+  /// (cleared first) at flat parameter indices.
   InjectionReport inject(const FaultSpec& spec, Rng& rng,
                          WeightOverlay& out) const;
 
  private:
-  struct TensorImage {
-    std::size_t offset = 0;  // flat index of the tensor's first parameter
-    float scale = 1.0f;      // per-tensor calibrated dequantization step
-    std::vector<std::int8_t> words;  // clean quantized words
-  };
   std::vector<float> base_;
-  std::vector<TensorImage> tensors_;
+  std::vector<DeployedWeights> tensors_;  // one image per parameter tensor
   std::size_t layer_begin_ = 0;
   std::size_t layer_end_ = 0;
 };
 
 /// Corrupt only the parameters of layer `layer_index` (per-layer
-/// vulnerability ablation). Routed through LayerDeployedWeights — the
-/// same per-tensor representation and RNG stream as the historical
-/// per-tensor in-place loop, materialized back into the network.
+/// vulnerability ablation): LayerDeployedWeights struck once and written
+/// into the network.
 InjectionReport inject_layer_weights(Network& net, std::size_t layer_index,
                                      const FaultSpec& spec, Rng& rng);
 

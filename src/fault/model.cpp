@@ -16,16 +16,6 @@ std::string to_string(FaultModel m) {
   return "?";
 }
 
-std::string to_string(BurstAxis a) {
-  switch (a) {
-    case BurstAxis::Row:
-      return "row";
-    case BurstAxis::Column:
-      return "column";
-  }
-  return "?";
-}
-
 std::string to_string(FaultSite s) {
   switch (s) {
     case FaultSite::AgentFault:

@@ -4,9 +4,16 @@
 /// The fault model of §III-C: transient random bit flips (and stuck-at
 /// baselines) in the memory/data elements of the FRL system, parameterized
 /// by bit error rate (BER), location, and injection time.
+///
+/// At the bit level every fault is one rule, applied by corrupt_words
+/// (injector.hpp) to the deployed words: each bit is hit independently
+/// with probability `ber`, and the hits are filtered by the model and the
+/// flip direction — a transient flip keeps the hits the direction allows,
+/// a stuck-at keeps only the hits on bits that differ from the stuck
+/// value. When the fault is visible (one read, until overwritten, for
+/// good) is the caller's business, not the corruptor's.
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 namespace frlfi {
@@ -42,31 +49,12 @@ enum class FaultSite {
 };
 
 /// Constrain which flip directions are allowed (the Fig. 3d study shows
-/// 0->1 flips dominate the damage).
+/// 0->1 flips dominate the damage). Transient models only: a stuck-at
+/// fault's direction is fixed by its stuck value.
 enum class FlipDirection {
   Any,
   ZeroToOne,
   OneToZero,
-};
-
-/// Direction a multi-bit burst propagates through the memory layout.
-enum class BurstAxis : std::uint8_t {
-  /// Consecutive bits of one word / adjacent words — a DRAM row upset
-  /// (stride 1 in flat bit order).
-  Row,
-  /// The same bit position of consecutive words — a column/IO-line upset
-  /// (stride = word_bits in flat bit order).
-  Column,
-};
-
-/// Spatially-correlated multi-bit upset: every Bernoulli fault *event*
-/// corrupts a run of `length` bits along `axis` instead of a single bit.
-/// length == 1 is exactly the single-bit model — same draws, same flips —
-/// which is the golden-identity lock the burst injectors are tested
-/// against.
-struct BurstSpec {
-  std::size_t length = 1;
-  BurstAxis axis = BurstAxis::Row;
 };
 
 /// Full description of one fault-injection scenario.
@@ -81,10 +69,6 @@ struct FaultSpec {
   std::size_t agent_index = 0;
   /// Directional constraint on flips.
   FlipDirection direction = FlipDirection::Any;
-  /// Spatial correlation: each fault event corrupts burst.length bits
-  /// along burst.axis. The default (length 1) is the classic independent
-  /// single-bit model.
-  BurstSpec burst;
 };
 
 /// Display name of a fault model ("Trans-M", "Stuck-at-0", ...).
@@ -92,8 +76,5 @@ std::string to_string(FaultModel m);
 
 /// Display name of a fault site ("agent", "server", "activations").
 std::string to_string(FaultSite s);
-
-/// Display name of a burst axis ("row", "column").
-std::string to_string(BurstAxis a);
 
 }  // namespace frlfi

@@ -1,12 +1,10 @@
 #include "fault/overlay.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 
 #include "core/error.hpp"
 #include "fault/injector.hpp"
-#include "numeric/bitutil.hpp"
 #include "numeric/quantize.hpp"
 
 namespace frlfi {
@@ -18,7 +16,7 @@ void WeightOverlay::add(std::size_t index, float value) {
   values.push_back(value);
 }
 
-void WeightOverlay::apply_to(std::vector<float>& weights) const {
+void WeightOverlay::apply_to(std::span<float> weights) const {
   for (std::size_t e = 0; e < indices.size(); ++e) {
     FRLFI_CHECK_MSG(indices[e] < weights.size(),
                     "overlay index " << indices[e] << " in " << weights.size());
@@ -108,16 +106,13 @@ WeightView::WeightBias WeightView::weight_bias(
           span(offset + weight_count, bias_count, bias_scratch)};
 }
 
-DeployedWeights DeployedWeights::int8_image(const std::vector<float>& weights,
+DeployedWeights DeployedWeights::int8_image(std::span<const float> weights,
                                             float headroom) {
   FRLFI_CHECK_MSG(headroom >= 1.0f, "headroom " << headroom);
   DeployedWeights d;
   d.repr_ = Repr::Int8;
   if (weights.empty()) return d;
-  // Exactly inject_int8's representation: calibrate on the clean weights,
-  // widen by headroom, quantize once.
-  const Int8Quantizer calibrated = Int8Quantizer::calibrate(weights);
-  d.int8_scale_ = calibrated.scale() * headroom;
+  d.int8_scale_ = Int8Quantizer::calibrate(weights).scale() * headroom;
   const Int8Quantizer q(d.int8_scale_);
   d.int8_words_ = q.quantize(weights);
   d.base_ = q.dequantize(d.int8_words_);
@@ -125,7 +120,7 @@ DeployedWeights DeployedWeights::int8_image(const std::vector<float>& weights,
 }
 
 DeployedWeights DeployedWeights::fixed_point_image(
-    const std::vector<float>& weights, const FixedPointFormat& format) {
+    std::span<const float> weights, const FixedPointFormat& format) {
   DeployedWeights d;
   d.repr_ = Repr::Fixed;
   d.format_ = format;
@@ -157,72 +152,61 @@ QuantWeightView DeployedWeights::quant_view(const QuantOverlay* overlay) const {
                          overlay};
 }
 
-InjectionReport DeployedWeights::inject_quant(const FaultSpec& spec, Rng& rng,
-                                              QuantOverlay& out) const {
-  FRLFI_CHECK_MSG(repr_ == Repr::Int8, "inject_quant on a fixed-point image");
-  out.clear();
+namespace {
+
+// The strike both inject() and inject_quant() run: corrupt a copy of the
+// clean words and visit each changed word, in ascending index order (the
+// overlays' add() contract).
+template <typename Word, typename Visit>
+InjectionReport strike_words(std::span<const Word> clean, int word_bits,
+                             const FaultSpec& spec, Rng& rng, Visit&& visit) {
   InjectionReport report;
-  if (base_.empty()) return report;
-  // Byte-for-byte the stream inject() consumes on an int8 image: the same
-  // corrupt_bits dispatcher over a copy of the same clean words. Only the
-  // recording differs — the word itself, no dequantize.
-  std::vector<std::int8_t> words = int8_words_;
-  auto bytes = std::span<std::uint8_t>(
-      reinterpret_cast<std::uint8_t*>(words.data()), words.size());
-  report.bits_total = bit_count(bytes);
-  report.bits_flipped = corrupt_bits(bytes, spec, rng);
+  report.bits_total = clean.size() * static_cast<std::size_t>(word_bits);
+  std::vector<Word> words(clean.begin(), clean.end());
+  report.bits_flipped =
+      corrupt_words(std::span<Word>(words), word_bits, spec, rng);
   for (std::size_t i = 0; i < words.size(); ++i)
-    if (words[i] != int8_words_[i]) out.add(i, words[i]);
+    if (words[i] != clean[i]) visit(i, words[i]);
   return report;
 }
+
+// Int8 words as the raw bytes corrupt_words acts on.
+std::span<const std::uint8_t> word_bytes(
+    const std::vector<std::int8_t>& words) {
+  return {reinterpret_cast<const std::uint8_t*>(words.data()), words.size()};
+}
+
+}  // namespace
 
 InjectionReport DeployedWeights::inject(const FaultSpec& spec, Rng& rng,
                                         WeightOverlay& out) const {
   out.clear();
-  InjectionReport report;
-  if (base_.empty()) return report;
+  if (base_.empty()) return {};
   if (repr_ == Repr::Int8) {
-    // Same byte stream as inject_int8: corrupt a copy of the clean words
-    // with the shared temporal-model dispatcher, then record the words
-    // that changed.
-    std::vector<std::int8_t> words = int8_words_;
-    auto bytes = std::span<std::uint8_t>(
-        reinterpret_cast<std::uint8_t*>(words.data()), words.size());
-    report.bits_total = bit_count(bytes);
-    report.bits_flipped = corrupt_bits(bytes, spec, rng);
     const Int8Quantizer q(int8_scale_);
-    for (std::size_t i = 0; i < words.size(); ++i)
-      if (words[i] != int8_words_[i]) out.add(i, q.dequantize(words[i]));
-    return report;
+    return strike_words(word_bytes(int8_words_), 8, spec, rng,
+                        [&](std::size_t i, std::uint8_t word) {
+                          out.add(i,
+                                  q.dequantize(static_cast<std::int8_t>(word)));
+                        });
   }
-  // Fixed point: the same per-word flip-mask generator as
-  // inject_fixed_point, over the precomputed clean encodes — one Bernoulli
-  // per bit in the identical order, so the stream (and therefore every
-  // flip site) matches.
   const FixedPointCodec codec(format_);
-  const int word_bits = format_.word_bits();
-  report.bits_total = base_.size() * static_cast<std::size_t>(word_bits);
-  if (spec.burst.length > 1) {
-    // Correlated-burst plane: a burst spans words, so corrupt a live copy
-    // of the whole clean encode (the same word-major event stream as
-    // inject_fixed_point's burst branch) and record the words that moved
-    // — still ascending, so the overlay contract holds.
-    std::vector<std::uint32_t> words = fixed_words_;
-    report.bits_flipped = corrupt_fixed_words_burst(words, word_bits, spec, rng);
-    for (std::size_t i = 0; i < words.size(); ++i)
-      if (words[i] != fixed_words_[i])
-        out.add(i, static_cast<float>(codec.decode(words[i])));
-    return report;
-  }
-  const FixedPointFlipper flipper(spec, word_bits);
-  for (std::size_t i = 0; i < fixed_words_.size(); ++i) {
-    const std::uint32_t raw = fixed_words_[i];
-    const std::uint32_t mask = flipper.flip_mask(raw, rng);
-    if (!mask) continue;
-    report.bits_flipped += static_cast<std::size_t>(std::popcount(mask));
-    out.add(i, static_cast<float>(codec.decode(raw ^ mask)));
-  }
-  return report;
+  return strike_words(std::span<const std::uint32_t>(fixed_words_),
+                      format_.word_bits(), spec, rng,
+                      [&](std::size_t i, std::uint32_t word) {
+                        out.add(i, static_cast<float>(codec.decode(word)));
+                      });
+}
+
+InjectionReport DeployedWeights::inject_quant(const FaultSpec& spec, Rng& rng,
+                                              QuantOverlay& out) const {
+  FRLFI_CHECK_MSG(repr_ == Repr::Int8, "inject_quant on a fixed-point image");
+  out.clear();
+  if (base_.empty()) return {};
+  return strike_words(word_bytes(int8_words_), 8, spec, rng,
+                      [&](std::size_t i, std::uint8_t word) {
+                        out.add(i, static_cast<std::int8_t>(word));
+                      });
 }
 
 }  // namespace frlfi

@@ -3,21 +3,23 @@
 /// \file overlay.hpp
 /// The non-mutating fault-overlay plane.
 ///
-/// The in-place injectors (injector.hpp) rewrite a network's float weights
-/// through a deployed integer representation; every parallel evaluation
-/// lane that wants its *own* corruption therefore needs its own copy of
-/// the whole policy. The overlay plane splits one injection into the two
-/// parts that actually differ between lanes:
+/// A fault strikes a policy through its deployed integer representation.
+/// The overlay plane splits one injection into the two parts that differ
+/// in lifetime:
 ///
 ///  * DeployedWeights — the quantize→dequantize round-trip of the *clean*
 ///    parameters. Deterministic (no RNG), so it is computed once per
-///    policy and shared read-only by every lane.
+///    policy and shared read-only by every evaluation lane.
 ///  * WeightOverlay — the sparse set of parameters whose deployed words a
 ///    particular fault actually flipped (flat parameter index → corrupted
-///    float). Per lane, tiny, and produced by consuming the *same* RNG
-///    stream as the in-place injector, so
-///        effective(i) = overlay(i) if present else base(i)
-///    is bit-for-bit the vector the in-place path would have written.
+///    float). Per lane and tiny, so
+///        effective(i) = overlay(i) if present else base(i).
+///
+/// DeployedWeights is the only code that builds a deployed image: the
+/// in-place injectors of injector.hpp (inject_int8, inject_fixed_point,
+/// inject_network_weights, inject_layer_weights) build one, strike it and
+/// write base + overlay back, so the in-place and overlay planes are one
+/// computation on one RNG stream.
 ///
 /// A WeightView bundles base + overlay for the forward plane: the
 /// parameterized layers' Layer::infer reads effective weights through a
@@ -31,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -69,8 +72,8 @@ struct WeightOverlay {
   void add(std::size_t index, float value);
 
   /// Write every entry into `weights` (weights[index] = value) — the
-  /// materialization used by equivalence tests and the detector scan.
-  void apply_to(std::vector<float>& weights) const;
+  /// materialization of the in-place injectors and the detector scan.
+  void apply_to(std::span<float> weights) const;
 };
 
 /// Read-only effective-parameter view: a full flat base vector plus an
@@ -163,13 +166,14 @@ struct QuantWeightView {
 /// thread-safe, so concurrent lanes can strike the same image at once.
 class DeployedWeights {
  public:
-  /// Int8 deployment (inject_int8's representation): calibrate on
-  /// `weights`, widen the scale by `headroom`, quantize.
-  static DeployedWeights int8_image(const std::vector<float>& weights,
+  /// Int8 deployment: calibrate on the finite magnitudes of `weights`,
+  /// widen the scale by `headroom`, quantize (NaN to word 0, ±Inf
+  /// saturated to ±127 — see Int8Quantizer).
+  static DeployedWeights int8_image(std::span<const float> weights,
                                     float headroom = 1.0f);
 
-  /// Fixed-point deployment (inject_fixed_point's representation).
-  static DeployedWeights fixed_point_image(const std::vector<float>& weights,
+  /// Fixed-point deployment: encode every weight as a Q(s,i,f) word.
+  static DeployedWeights fixed_point_image(std::span<const float> weights,
                                            const FixedPointFormat& format);
 
   /// The dequantized clean parameters — what every untouched weight reads
@@ -199,21 +203,17 @@ class DeployedWeights {
   /// be null) — the int8-native twin of view(). Int8 images only.
   QuantWeightView quant_view(const QuantOverlay* overlay) const;
 
-  /// Run one fault through the deployed words, recording the corrupted
-  /// parameters into `out` (cleared first). Consumes `rng` exactly as the
-  /// matching in-place injector (inject_int8 / inject_fixed_point) does
-  /// on the same clean weights, so base()+out is bit-identical to the
-  /// vector the in-place path would have produced — the property
-  /// tests/test_fault_overlay.cpp locks.
+  /// Run one fault through the deployed words (corrupt_words over a copy
+  /// of the clean words), recording the decoded value of every changed
+  /// word into `out` (cleared first). An empty image draws nothing.
   InjectionReport inject(const FaultSpec& spec, Rng& rng,
                          WeightOverlay& out) const;
 
-  /// Word-level twin of inject() for int8 images: the identical fault
-  /// (same corrupt_bits stream, so the same RNG consumption and the same
-  /// flip sites as inject() on the same spec and rng state), recorded as
-  /// corrupted *words* instead of dequantized floats. Dequantizing every
-  /// entry of `out` with int8_scale() reproduces inject()'s WeightOverlay
-  /// exactly — the lock tests/test_quant_forward.cpp pins.
+  /// Word-level twin of inject() for int8 images: the identical strike
+  /// (same RNG consumption, same flip sites), recorded as corrupted
+  /// *words* instead of dequantized floats. Dequantizing every entry of
+  /// `out` with int8_scale() reproduces inject()'s WeightOverlay exactly —
+  /// the lock tests/test_quant_forward.cpp pins.
   InjectionReport inject_quant(const FaultSpec& spec, Rng& rng,
                                QuantOverlay& out) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/error.hpp"
 #include "tensor/gemm.hpp"  // FRLFI_TARGET_CLONES
@@ -21,12 +22,24 @@ inline float round_ties_away(float r) {
   return t + (d >= 0.5f ? 1.0f : 0.0f) - (d <= -0.5f ? 1.0f : 0.0f);
 }
 
+// |x| for finite x and 0 for ±Inf and NaN: every scale is calibrated over
+// the finite magnitudes only, so one non-finite value cannot poison it.
+inline float finite_magnitude(float x) {
+  const float a = std::abs(x);
+  return a <= std::numeric_limits<float>::max() ? a : 0.0f;
+}
+
+// The word value of a rounded quotient, as a float: clamped to
+// [-127, 127] (±Inf saturates), NaN to 0 — narrowing a NaN is undefined.
+inline float word_value(float r) {
+  return std::isnan(r) ? 0.0f : std::clamp(r, -127.0f, 127.0f);
+}
+
 inline std::int8_t quantize_word(float x, float scale) {
   // Same division as the scalar quantizer — a reciprocal multiply would
   // differ by an ulp on some inputs and break the word-for-word identity
   // between the activation plane and Int8Quantizer::quantize.
-  const float q = round_ties_away(x / scale);
-  return static_cast<std::int8_t>(std::clamp(q, -127.0f, 127.0f));
+  return static_cast<std::int8_t>(word_value(round_ties_away(x / scale)));
 }
 
 // Fixed-width lane blocks for the batch-inner helpers: the vectorizer
@@ -47,7 +60,7 @@ inline void scales_block(const float* FRLFI_RESTRICT x, std::size_t features,
     const float* FRLFI_RESTRICT row = x + f * batch;
 #pragma omp simd
     for (std::size_t l = 0; l < N; ++l)
-      acc[l] = std::max(acc[l], std::abs(row[l]));
+      acc[l] = std::max(acc[l], finite_magnitude(row[l]));
   }
   constexpr float kMinScaleNumerator = 1e-8f;
   for (std::size_t l = 0; l < N; ++l)
@@ -72,7 +85,7 @@ inline void quantize_stage_block(const float* FRLFI_RESTRICT x,
     float* FRLFI_RESTRICT srow = stage + f * batch;
 #pragma omp simd
     for (std::size_t l = 0; l < N; ++l)
-      srow[l] = std::clamp(round_ties_away(row[l] / sc[l]), -127.0f, 127.0f);
+      srow[l] = word_value(round_ties_away(row[l] / sc[l]));
   }
 }
 
@@ -101,7 +114,7 @@ inline void dequant_block(const std::int32_t* FRLFI_RESTRICT acc,
 
 Int8Quantizer Int8Quantizer::calibrate(std::span<const float> data) {
   float max_abs = 0.0f;
-  for (float x : data) max_abs = std::max(max_abs, std::abs(x));
+  for (float x : data) max_abs = std::max(max_abs, finite_magnitude(x));
   constexpr float kMinScaleNumerator = 1e-8f;
   return Int8Quantizer(std::max(max_abs, kMinScaleNumerator) / 127.0f);
 }
@@ -114,7 +127,7 @@ std::int8_t Int8Quantizer::quantize(float x) const {
   return quantize_word(x, scale_);
 }
 
-std::vector<std::int8_t> Int8Quantizer::quantize(const std::vector<float>& xs) const {
+std::vector<std::int8_t> Int8Quantizer::quantize(std::span<const float> xs) const {
   std::vector<std::int8_t> out(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) out[i] = quantize(xs[i]);
   return out;
@@ -140,7 +153,7 @@ float activation_scale(std::span<const float> xs) {
   const float* p = xs.data();
   const std::size_t n = xs.size();
 #pragma omp simd reduction(max : max_abs)  // frlfi-lint: allow(R4) abs/max are exact (no rounding), so any reduction-tree shape yields identical bits
-  for (std::size_t i = 0; i < n; ++i) max_abs = std::max(max_abs, std::abs(p[i]));
+  for (std::size_t i = 0; i < n; ++i) max_abs = std::max(max_abs, finite_magnitude(p[i]));
   constexpr float kMinScaleNumerator = 1e-8f;
   return std::max(max_abs, kMinScaleNumerator) / 127.0f;
 }

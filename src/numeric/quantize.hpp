@@ -28,7 +28,11 @@ namespace frlfi {
 ///    so every path that requantizes — weights at deployment, activations
 ///    per layer — lands ties on the same word;
 ///  * calibration saturates exactly at ±max|x| (maps to ±127) and an
-///    all-zero tensor still yields a valid positive scale (epsilon floor).
+///    all-zero tensor still yields a valid positive scale (epsilon floor);
+///  * the quantizer is total: calibration ranges over the finite
+///    magnitudes only, NaN quantizes to word 0 and ±Inf saturates to
+///    ±127 — a corrupted float payload cannot poison the scale or reach
+///    an undefined float→int8 conversion.
 class Int8Quantizer {
  public:
   /// Calibrate the scale from the data's maximum magnitude.
@@ -50,7 +54,7 @@ class Int8Quantizer {
   float dequantize(std::int8_t q) const { return static_cast<float>(q) * scale_; }
 
   /// Quantize a buffer.
-  std::vector<std::int8_t> quantize(const std::vector<float>& xs) const;
+  std::vector<std::int8_t> quantize(std::span<const float> xs) const;
 
   /// Dequantize a buffer.
   std::vector<float> dequantize(const std::vector<std::int8_t>& qs) const;
@@ -75,14 +79,15 @@ std::vector<float> int8_roundtrip(const std::vector<float>& xs);
 /// of the quantization literature, with round-to-nearest ties pinned by
 /// Int8Quantizer's std::round.
 
-/// Symmetric activation scale for one sample: max|x| mapped to 127 with
-/// Int8Quantizer::calibrate's exact epsilon floor, so an all-zero
-/// activation vector still quantizes (to all-zero words).
+/// Symmetric activation scale for one sample: the largest finite |x|
+/// mapped to 127 with Int8Quantizer::calibrate's exact epsilon floor, so
+/// an all-zero activation vector still quantizes (to all-zero words) and
+/// the scale always equals calibrate's.
 float activation_scale(std::span<const float> xs);
 
 /// Quantize `xs` with `scale` into `out` (size xs.size()):
 /// Int8Quantizer(scale).quantize per element — round-to-nearest ties away
-/// from zero, clamped to [-127, 127].
+/// from zero, clamped to [-127, 127], NaN to 0.
 void quantize_activations(std::span<const float> xs, float scale,
                           std::int8_t* out);
 

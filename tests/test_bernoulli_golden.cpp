@@ -1,12 +1,15 @@
 /// \file test_bernoulli_golden.cpp
 /// Golden digests of the per-bit Bernoulli loops that have no in-tree
 /// oracle: the fleet (derived-stream) channel rows, the bursty channel
-/// rows, stick_bits_ber, and the multi-bit burst corruptors. Each digest
-/// folds the corrupted output, every counter and the caller stream's next
-/// draw. They were recorded from the per-call Rng::bernoulli(double)
-/// loops that the integer-threshold BernoulliThreshold draws replaced, so
-/// they pin the new loops to the old ones draw for draw, including the
-/// BER 0 and BER 1 no-draw cases.
+/// rows, the stuck-at corruptor, and every weight-fault injector entry
+/// point. Each digest folds the corrupted output, every counter and the
+/// caller stream's next draw, including the BER 0 and BER 1 no-draw
+/// cases. The channel and stuck-at digests were recorded from the
+/// per-call Rng::bernoulli(double) loops that the integer-threshold
+/// BernoulliThreshold draws replaced; the stuck-at and injector digests
+/// were recorded from the per-bit byte loops and per-format injectors that
+/// corrupt_words and the DeployedWeights route replaced. They pin the new
+/// code to the old draw for draw.
 
 #include <gtest/gtest.h>
 
@@ -154,59 +157,19 @@ TEST(BernoulliGolden, BurstyRows) {
 
 TEST(BernoulliGolden, StickBitsBer) {
   Digest d;
-  for (const bool value : {false, true}) {
+  for (const FaultModel model : {FaultModel::StuckAt0, FaultModel::StuckAt1}) {
     for (const double ber : {0.0, 1e-3, 0.05, 0.5, 1.0}) {
       std::vector<std::uint8_t> bytes = seeded_bytes(600, 51);
       Rng rng(52);
-      d.u64(stick_bits_ber(bytes, ber, value, rng));
+      FaultSpec spec;
+      spec.model = model;
+      spec.ber = ber;
+      d.u64(corrupt_words(bytes, 8, spec, rng));
       d.bytes(bytes.data(), bytes.size());
       d.u64(rng.next_u64());
     }
   }
   EXPECT_EQ(d.value(), 0x919A329E40BDE656ULL);
-}
-
-TEST(BernoulliGolden, MultiBitBurstCorruptors) {
-  Digest d;
-  struct Case {
-    FaultModel model;
-    FlipDirection direction;
-  };
-  const Case cases[] = {
-      {FaultModel::TransientPersistent, FlipDirection::Any},
-      {FaultModel::TransientSingleStep, FlipDirection::ZeroToOne},
-      {FaultModel::TransientPersistent, FlipDirection::OneToZero},
-      {FaultModel::StuckAt0, FlipDirection::Any},
-      {FaultModel::StuckAt1, FlipDirection::Any},
-  };
-  for (const Case& c : cases) {
-    for (const BurstAxis axis : {BurstAxis::Row, BurstAxis::Column}) {
-      for (const double ber : {0.0, 0.01, 1.0}) {
-        FaultSpec spec;
-        spec.model = c.model;
-        spec.direction = c.direction;
-        spec.ber = ber;
-        spec.burst.length = 3;
-        spec.burst.axis = axis;
-
-        std::vector<std::uint8_t> bytes = seeded_bytes(300, 61);
-        Rng rng(62);
-        d.u64(corrupt_bits_burst(bytes, spec, rng));
-        d.bytes(bytes.data(), bytes.size());
-        d.u64(rng.next_u64());
-
-        std::vector<std::uint32_t> words(120);
-        Rng word_rng(63);
-        for (auto& w : words)
-          w = static_cast<std::uint32_t>(word_rng.next_u64()) & 0xFFFFu;
-        Rng fixed_rng(64);
-        d.u64(corrupt_fixed_words_burst(words, 16, spec, fixed_rng));
-        d.bytes(words.data(), words.size() * sizeof(std::uint32_t));
-        d.u64(fixed_rng.next_u64());
-      }
-    }
-  }
-  EXPECT_EQ(d.value(), 0x878632167AD85BADULL);
 }
 
 TEST(BernoulliGolden, WeightInjectors) {

@@ -16,9 +16,6 @@
 ///  * an upload that exhausts its budget is absorbed by the
 ///    participation plane: reported dropped/stale, excluded from
 ///    aggregate and downlink, the aggregate stays finite;
-///  * burst-length-1 injectors (byte and fixed-point domains) are locked
-///    bit-identical to the single-bit golden injectors, and multi-bit
-///    bursts match an independent XOR-parity reference;
 ///  * snapshot/save-load mid-campaign under a bursty plan + retry
 ///    protocol replays the uninterrupted run bit-for-bit (the persisted
 ///    transmit_seq is what keys the channel weather).
@@ -33,14 +30,11 @@
 #include <vector>
 
 #include "core/error.hpp"
-#include "fault/injector.hpp"
-#include "fault/overlay.hpp"
 #include "federated/participation.hpp"
 #include "federated/round_engine.hpp"
 #include "federated/server.hpp"
 #include "frl/drone_system.hpp"
 #include "frl/gridworld_system.hpp"
-#include "numeric/bitutil.hpp"
 
 namespace frlfi {
 namespace {
@@ -296,145 +290,6 @@ TEST(ReliableUpload, DeadlineBoundsAttempts) {
   EXPECT_FALSE(out.delivered);
   EXPECT_EQ(out.attempts, 2u);
   EXPECT_EQ(out.backoff, 0.5);
-}
-
-// ---------------------------------------------------------------------------
-// Burst injectors (correlated memory upsets).
-
-FaultSpec burst_spec(double ber, std::size_t length, BurstAxis axis,
-                     FaultModel model = FaultModel::TransientPersistent,
-                     FlipDirection dir = FlipDirection::Any) {
-  FaultSpec spec;
-  spec.model = model;
-  spec.ber = ber;
-  spec.direction = dir;
-  spec.burst.length = length;
-  spec.burst.axis = axis;
-  return spec;
-}
-
-TEST(BurstInjector, LengthOneIsBitIdenticalToSingleBitGolden) {
-  // The golden-identity lock: a burst of length 1 consumes the same
-  // event stream and produces the same flips as the single-bit
-  // injectors, for every temporal model.
-  for (const FaultModel model :
-       {FaultModel::TransientPersistent, FaultModel::StuckAt0,
-        FaultModel::StuckAt1}) {
-    std::vector<std::uint8_t> golden(64), burst(64);
-    Rng fill(5);
-    for (std::size_t i = 0; i < golden.size(); ++i)
-      golden[i] = burst[i] = static_cast<std::uint8_t>(fill.next_u64());
-    FaultSpec spec = burst_spec(0.02, 1, BurstAxis::Row, model);
-    Rng rg(44), rb(44);
-    const std::size_t ng = corrupt_bits(golden, spec, rg);
-    const std::size_t nb = corrupt_bits_burst(burst, spec, rb);
-    EXPECT_EQ(golden, burst) << to_string(model);
-    EXPECT_EQ(ng, nb);
-    EXPECT_GT(nb, 0u);  // the lock is exercised, not vacuous
-    EXPECT_EQ(rg.next_u64(), rb.next_u64());
-  }
-}
-
-TEST(BurstInjector, MultiBitBurstMatchesXorParityReference) {
-  // Independent reference: replay the event stream on a probe RNG, then
-  // compute the expected result as XOR parity of the event coverage
-  // (valid for transient/Any — each covered bit flips once per covering
-  // event, order-free).
-  for (const BurstAxis axis : {BurstAxis::Row, BurstAxis::Column}) {
-    std::vector<std::uint8_t> bytes(48);
-    Rng fill(23);
-    for (auto& b : bytes) b = static_cast<std::uint8_t>(fill.next_u64());
-    const auto orig = bytes;
-    const FaultSpec spec = burst_spec(0.01, 3, axis);
-    const std::size_t nbits = bit_count(bytes);
-    const std::size_t stride = axis == BurstAxis::Row ? 1 : 8;
-
-    Rng probe(66);
-    auto expected = orig;
-    std::size_t expected_changed = 0;
-    for (std::size_t i = 0; i < nbits; ++i) {
-      if (!probe.bernoulli(spec.ber)) continue;
-      for (std::size_t k = 0; k < 3; ++k) {
-        const std::size_t j = i + k * stride;
-        if (j >= nbits) break;
-        flip_bit(expected, j);
-      }
-    }
-    for (std::size_t i = 0; i < nbits; ++i)
-      expected_changed += get_bit(expected, i) != get_bit(orig, i) ? 1 : 0;
-
-    Rng rng(66);
-    const std::size_t changed = corrupt_bits_burst(bytes, spec, rng);
-    EXPECT_EQ(bytes, expected) << to_string(axis);
-    EXPECT_EQ(changed, expected_changed);
-    EXPECT_GT(changed, 1u);  // bursts actually spread
-    EXPECT_EQ(rng.next_u64(), probe.next_u64());
-  }
-}
-
-TEST(BurstInjector, FixedWordsLengthOneMatchesGoldenReference) {
-  const FixedPointFormat fmt{3, 8};  // Q(1,3,8)
-  auto golden = random_row(80, 19);
-  auto burst = golden;
-  const FaultSpec spec = burst_spec(0.01, 1, BurstAxis::Row);
-  Rng rg(55), rb(55);
-  const InjectionReport ref =
-      inject_fixed_point_reference(golden, fmt, spec, rg);
-  // Drive the word-domain burst helper exactly as the in-place burst
-  // branch does: encode → corrupt → decode.
-  const FixedPointCodec codec(fmt);
-  std::vector<std::uint32_t> words(burst.size());
-  for (std::size_t i = 0; i < burst.size(); ++i)
-    words[i] = codec.encode(burst[i]);
-  const std::size_t changed =
-      corrupt_fixed_words_burst(words, fmt.word_bits(), spec, rb);
-  for (std::size_t i = 0; i < burst.size(); ++i)
-    burst[i] = static_cast<float>(codec.decode(words[i]));
-  EXPECT_EQ(golden, burst);
-  EXPECT_EQ(ref.bits_flipped, changed);
-  EXPECT_GT(changed, 0u);
-  EXPECT_EQ(rg.next_u64(), rb.next_u64());
-}
-
-TEST(BurstInjector, OverlayBurstMatchesInPlaceInjection) {
-  // The overlay plane and the in-place injectors must stay bit-aligned
-  // under bursts exactly as they are for single-bit faults — int8 and
-  // fixed-point representations both.
-  const FaultSpec spec = burst_spec(0.01, 4, BurstAxis::Column);
-  const auto clean = random_row(120, 91);
-
-  {  // int8 (bursts ride the shared corrupt_bits dispatcher)
-    std::vector<float> inplace = clean;
-    Rng ri(14), ro(14);
-    const InjectionReport a = inject_int8(inplace, spec, ri);
-    const DeployedWeights deployed = DeployedWeights::int8_image(clean);
-    WeightOverlay overlay;
-    const InjectionReport b = deployed.inject(spec, ro, overlay);
-    std::vector<float> materialized = deployed.base();
-    overlay.apply_to(materialized);
-    EXPECT_EQ(inplace, materialized);
-    EXPECT_EQ(a.bits_flipped, b.bits_flipped);
-    EXPECT_GT(a.bits_flipped, 0u);
-    EXPECT_EQ(ri.next_u64(), ro.next_u64());
-  }
-  {  // fixed point (bursts span words; overlay indices stay ascending)
-    const FixedPointFormat fmt{2, 9};
-    std::vector<float> inplace = clean;
-    Rng ri(15), ro(15);
-    const InjectionReport a = inject_fixed_point(inplace, fmt, spec, ri);
-    const DeployedWeights deployed =
-        DeployedWeights::fixed_point_image(clean, fmt);
-    WeightOverlay overlay;
-    const InjectionReport b = deployed.inject(spec, ro, overlay);
-    std::vector<float> materialized = deployed.base();
-    overlay.apply_to(materialized);
-    EXPECT_EQ(inplace, materialized);
-    EXPECT_EQ(a.bits_flipped, b.bits_flipped);
-    EXPECT_GT(a.bits_flipped, 0u);
-    EXPECT_EQ(ri.next_u64(), ro.next_u64());
-    EXPECT_TRUE(std::is_sorted(overlay.indices.begin(),
-                               overlay.indices.end()));
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 /// \file test_fault_overlay.cpp
 /// Equivalence lock for the non-mutating fault-overlay plane: overlay
-/// injection must be bit-identical to in-place inject + restore — at the
-/// weight level across representations and BERs, at the forward level
-/// through views (single-sample, batched, sharded over {1,2,7} threads),
-/// and at the trajectory level for batched Trans-1 vs the serial
-/// clone-and-mutate reference.
+/// injection must be bit-identical to in-place inject + restore and to
+/// the scalar per-bit oracles (reference_inject_int8 below,
+/// inject_fixed_point_reference) — at the weight level across
+/// representations and BERs, at the forward level through views
+/// (single-sample, batched, sharded over {1,2,7} threads), and at the
+/// trajectory level for batched Trans-1 vs the serial clone-and-mutate
+/// reference.
 
 #include "fault/overlay.hpp"
 
@@ -19,6 +21,8 @@
 #include "frl/evaluation.hpp"
 #include "frl/policies.hpp"
 #include "mitigation/range_detector.hpp"
+#include "numeric/bitutil.hpp"
+#include "numeric/quantize.hpp"
 #include "test_util.hpp"
 
 namespace frlfi {
@@ -41,6 +45,43 @@ std::vector<float> effective(const DeployedWeights& deployed,
   return w;
 }
 
+/// Scalar per-bit oracle of the int8 injectors: calibrate, widen by
+/// `headroom`, quantize, then one Rng::bernoulli(ber) trial per bit in
+/// LSB-first, word-major order applying the model and direction to the
+/// live bit, and dequantize every word. Independent of corrupt_words and
+/// DeployedWeights, which both the in-place and the overlay plane run
+/// through, so the two stay locked against a second implementation.
+InjectionReport reference_inject_int8(std::vector<float>& weights,
+                                      const FaultSpec& spec, Rng& rng,
+                                      float headroom = 1.0f) {
+  InjectionReport report;
+  if (weights.empty()) return report;
+  const Int8Quantizer q(Int8Quantizer::calibrate(weights).scale() * headroom);
+  std::vector<std::uint8_t> bytes(weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(q.quantize(weights[i]));
+  report.bits_total = bit_count(bytes);
+  for (std::size_t i = 0; i < report.bits_total; ++i) {
+    if (!rng.bernoulli(spec.ber)) continue;
+    const bool current = get_bit(bytes, i);
+    bool target = !current;
+    if (spec.model == FaultModel::StuckAt0) target = false;
+    if (spec.model == FaultModel::StuckAt1) target = true;
+    const bool transient = spec.model == FaultModel::TransientSingleStep ||
+                           spec.model == FaultModel::TransientPersistent;
+    if (transient && spec.direction == FlipDirection::ZeroToOne && current)
+      continue;
+    if (transient && spec.direction == FlipDirection::OneToZero && !current)
+      continue;
+    if (target == current) continue;
+    set_bit(bytes, i, target);
+    ++report.bits_flipped;
+  }
+  for (std::size_t i = 0; i < weights.size(); ++i)
+    weights[i] = q.dequantize(static_cast<std::int8_t>(bytes[i]));
+  return report;
+}
+
 TEST(WeightOverlay, Int8OverlayMatchesInPlaceAcrossBersAndModels) {
   const std::vector<float> clean = random_weights(300, 11);
   const FaultModel models[] = {FaultModel::TransientSingleStep,
@@ -50,25 +91,33 @@ TEST(WeightOverlay, Int8OverlayMatchesInPlaceAcrossBersAndModels) {
   for (const float headroom : {1.0f, 2.0f}) {
     const DeployedWeights deployed =
         DeployedWeights::int8_image(clean, headroom);
-    for (const double ber : {0.0, 1e-3, 0.05, 0.4}) {
+    for (const double ber : {0.0, 1e-3, 0.05, 0.4, 1.0}) {
       for (const FaultModel model : models) {
         for (const FlipDirection dir : dirs) {
           FaultSpec spec;
           spec.model = model;
           spec.ber = ber;
           spec.direction = dir;
+          std::vector<float> reference = clean;
           std::vector<float> in_place = clean;
-          Rng rng_a(77), rng_b(77);
+          Rng rng_r(77), rng_a(77), rng_b(77);
+          const InjectionReport rr =
+              reference_inject_int8(reference, spec, rng_r, headroom);
           const InjectionReport ra =
               inject_int8(in_place, spec, rng_a, headroom);
           WeightOverlay overlay;
           const InjectionReport rb = deployed.inject(spec, rng_b, overlay);
-          EXPECT_EQ(ra.bits_flipped, rb.bits_flipped);
-          EXPECT_EQ(ra.bits_total, rb.bits_total);
-          EXPECT_EQ(effective(deployed, overlay), in_place)
+          EXPECT_EQ(rr.bits_flipped, ra.bits_flipped);
+          EXPECT_EQ(rr.bits_flipped, rb.bits_flipped);
+          EXPECT_EQ(rr.bits_total, rb.bits_total);
+          EXPECT_EQ(in_place, reference)
+              << "ber " << ber << " headroom " << headroom;
+          EXPECT_EQ(effective(deployed, overlay), reference)
               << "ber " << ber << " headroom " << headroom;
           // Identical stream consumption: the generators stay in lockstep.
-          EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
+          const std::uint64_t next = rng_r.next_u64();
+          EXPECT_EQ(rng_a.next_u64(), next);
+          EXPECT_EQ(rng_b.next_u64(), next);
         }
       }
     }
@@ -87,17 +136,24 @@ TEST(WeightOverlay, FixedPointOverlayMatchesInPlaceAcrossFormats) {
       FaultSpec spec;
       spec.model = FaultModel::TransientSingleStep;
       spec.ber = ber;
+      std::vector<float> reference = clean;
       std::vector<float> in_place = clean;
-      Rng rng_a(91), rng_b(91);
+      Rng rng_r(91), rng_a(91), rng_b(91);
+      const InjectionReport rr =
+          inject_fixed_point_reference(reference, format, spec, rng_r);
       const InjectionReport ra =
           inject_fixed_point(in_place, format, spec, rng_a);
       WeightOverlay overlay;
       const InjectionReport rb = deployed.inject(spec, rng_b, overlay);
-      EXPECT_EQ(ra.bits_flipped, rb.bits_flipped);
-      EXPECT_EQ(ra.bits_total, rb.bits_total);
-      EXPECT_EQ(effective(deployed, overlay), in_place)
+      EXPECT_EQ(rr.bits_flipped, ra.bits_flipped);
+      EXPECT_EQ(rr.bits_flipped, rb.bits_flipped);
+      EXPECT_EQ(rr.bits_total, rb.bits_total);
+      EXPECT_EQ(in_place, reference) << format.name() << " ber " << ber;
+      EXPECT_EQ(effective(deployed, overlay), reference)
           << format.name() << " ber " << ber;
-      EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
+      const std::uint64_t next = rng_r.next_u64();
+      EXPECT_EQ(rng_a.next_u64(), next);
+      EXPECT_EQ(rng_b.next_u64(), next);
     }
   }
 }
@@ -350,27 +406,26 @@ TEST(BatchedTrans1, MatchesSerialCloneAndMutatePath) {
   EXPECT_EQ(policy.flat_parameters(), clean);
 }
 
-/// Frozen pre-refactor implementation of inject_network_weights: flatten,
-/// in-place int8 injection, restore. The overlay-routed production path
-/// must keep reproducing it bit-for-bit.
+/// Frozen reference of inject_network_weights: flatten, the scalar int8
+/// oracle over the whole vector, restore.
 InjectionReport frozen_inject_network_weights(Network& net,
                                               const FaultSpec& spec,
                                               Rng& rng) {
   std::vector<float> flat = net.flat_parameters();
-  const InjectionReport report = inject_int8(flat, spec, rng);
+  const InjectionReport report = reference_inject_int8(flat, spec, rng);
   net.set_flat_parameters(flat);
   return report;
 }
 
-/// Frozen pre-refactor implementation of inject_layer_weights: one
-/// in-place int8 injection per parameter tensor of the layer.
+/// Frozen reference of inject_layer_weights: the scalar int8 oracle once
+/// per parameter tensor of the layer.
 InjectionReport frozen_inject_layer_weights(Network& net,
                                             std::size_t layer_index,
                                             const FaultSpec& spec, Rng& rng) {
   InjectionReport report;
   for (Parameter* p : net.layer(layer_index).parameters()) {
     std::vector<float>& w = p->value.data();
-    const InjectionReport r = inject_int8(w, spec, rng);
+    const InjectionReport r = reference_inject_int8(w, spec, rng);
     report.bits_flipped += r.bits_flipped;
     report.bits_total += r.bits_total;
   }

@@ -10,7 +10,7 @@
 ///    tolerance;
 ///  * DeployedWeights::inject_quant is the word-level twin of inject():
 ///    same RNG stream, same flip sites, dequantizes to the identical float
-///    overlay, across BERs and burst shapes;
+///    overlay, across BERs;
 ///  * QuantWeightView reads through a word overlay exactly as if the
 ///    overlay had been flipped into a materialized int8 image;
 ///  * the evaluation plane: serial greedy_episode_quant == batched lanes,
@@ -229,68 +229,57 @@ TEST(QuantOverlayLock, InjectQuantIsWordLevelTwinOfInject) {
   const DeployedWeights deployed =
       DeployedWeights::int8_image(policy.flat_parameters(), 2.0f);
   const double bers[] = {0.0005, 0.01, 0.08};
-  const BurstSpec bursts[] = {
-      {}, {4, BurstAxis::Row}, {3, BurstAxis::Column}};
   for (const double ber : bers) {
-    for (const BurstSpec& burst : bursts) {
-      FaultSpec spec;
-      spec.model = FaultModel::TransientPersistent;
-      spec.ber = ber;
-      spec.burst = burst;
-      Rng rf(99), rq(99);
-      WeightOverlay fo;
-      QuantOverlay qo;
-      const InjectionReport rep_f = deployed.inject(spec, rf, fo);
-      const InjectionReport rep_q = deployed.inject_quant(spec, rq, qo);
-      EXPECT_EQ(rep_f.bits_flipped, rep_q.bits_flipped);
-      EXPECT_EQ(rep_f.bits_total, rep_q.bits_total);
-      ASSERT_EQ(fo.indices, qo.indices)
-          << "ber " << ber << " burst " << burst.length;
-      for (std::size_t i = 0; i < qo.size(); ++i)
-        EXPECT_EQ(bits_of(fo.values[i]),
-                  bits_of(static_cast<float>(qo.words[i]) *
-                          deployed.int8_scale()))
-            << "entry " << i;
-      // Both paths left the streams at the same position.
-      EXPECT_EQ(rf.uniform_index(1u << 30), rq.uniform_index(1u << 30));
-    }
+    FaultSpec spec;
+    spec.model = FaultModel::TransientPersistent;
+    spec.ber = ber;
+    Rng rf(99), rq(99);
+    WeightOverlay fo;
+    QuantOverlay qo;
+    const InjectionReport rep_f = deployed.inject(spec, rf, fo);
+    const InjectionReport rep_q = deployed.inject_quant(spec, rq, qo);
+    EXPECT_EQ(rep_f.bits_flipped, rep_q.bits_flipped);
+    EXPECT_EQ(rep_f.bits_total, rep_q.bits_total);
+    ASSERT_EQ(fo.indices, qo.indices) << "ber " << ber;
+    for (std::size_t i = 0; i < qo.size(); ++i)
+      EXPECT_EQ(bits_of(fo.values[i]),
+                bits_of(static_cast<float>(qo.words[i]) *
+                        deployed.int8_scale()))
+          << "entry " << i;
+    // Both paths left the streams at the same position.
+    EXPECT_EQ(rf.uniform_index(1u << 30), rq.uniform_index(1u << 30));
   }
 }
 
 TEST(QuantViewLock, OverlayReadsMatchMaterializedFlippedImage) {
   // QuantWeightView::at / span through a word overlay must equal reading
-  // an int8 image with the overlay's words written into it — across BERs
-  // and burst shapes, for hit and miss windows alike.
+  // an int8 image with the overlay's words written into it — across BERs,
+  // for hit and miss windows alike.
   Rng init(5);
   Network policy = make_gridworld_policy(init);
   const DeployedWeights deployed =
       DeployedWeights::int8_image(policy.flat_parameters(), 2.0f);
   const std::size_t params = deployed.size();
   const double bers[] = {0.001, 0.02, 0.1};
-  const BurstSpec bursts[] = {
-      {}, {5, BurstAxis::Row}, {2, BurstAxis::Column}};
   Rng rng(4242);
   for (const double ber : bers) {
-    for (const BurstSpec& burst : bursts) {
-      FaultSpec spec;
-      spec.model = FaultModel::TransientPersistent;
-      spec.ber = ber;
-      spec.burst = burst;
-      QuantOverlay overlay;
-      deployed.inject_quant(spec, rng, overlay);
-      std::vector<std::int8_t> flipped = deployed.int8_words();
-      overlay.apply_to(flipped);
-      const QuantWeightView view = deployed.quant_view(&overlay);
-      for (std::size_t i = 0; i < params; ++i)
-        ASSERT_EQ(view.at(i), flipped[i]) << "index " << i;
-      std::vector<std::int8_t> scratch;
-      const std::size_t windows[][2] = {
-          {0, params}, {0, 1}, {params - 1, 1}, {params / 3, params / 2}};
-      for (const auto& w : windows) {
-        const std::int8_t* p = view.span(w[0], w[1], scratch);
-        EXPECT_EQ(std::memcmp(p, flipped.data() + w[0], w[1]), 0)
-            << "window [" << w[0] << ", +" << w[1] << ")";
-      }
+    FaultSpec spec;
+    spec.model = FaultModel::TransientPersistent;
+    spec.ber = ber;
+    QuantOverlay overlay;
+    deployed.inject_quant(spec, rng, overlay);
+    std::vector<std::int8_t> flipped = deployed.int8_words();
+    overlay.apply_to(flipped);
+    const QuantWeightView view = deployed.quant_view(&overlay);
+    for (std::size_t i = 0; i < params; ++i)
+      ASSERT_EQ(view.at(i), flipped[i]) << "index " << i;
+    std::vector<std::int8_t> scratch;
+    const std::size_t windows[][2] = {
+        {0, params}, {0, 1}, {params - 1, 1}, {params / 3, params / 2}};
+    for (const auto& w : windows) {
+      const std::int8_t* p = view.span(w[0], w[1], scratch);
+      EXPECT_EQ(std::memcmp(p, flipped.data() + w[0], w[1]), 0)
+          << "window [" << w[0] << ", +" << w[1] << ")";
     }
   }
 }

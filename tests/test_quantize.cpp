@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/error.hpp"
 
@@ -146,6 +148,41 @@ TEST(ActivationRequant, InnerHelpersMatchPerSampleScalar) {
     quantize_activations(col, s, colq.data());
     for (std::size_t f = 0; f < features; ++f)
       EXPECT_EQ(words[f * batch + b], colq[f]);
+  }
+}
+
+TEST(Int8QuantizerContract, TotalOverNonFiniteValues) {
+  // Calibration ranges over the finite magnitudes, NaN quantizes to word
+  // 0 and ±Inf saturates — and the activation plane (span and batch-inner
+  // forms) stays word-identical to the weight quantizer on such inputs.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> x{inf, -inf, nan, 3e38f, -1.0f, nan};
+  const Int8Quantizer q = Int8Quantizer::calibrate(x);
+  EXPECT_FLOAT_EQ(q.scale(), 3e38f / 127.0f);
+  EXPECT_EQ(q.quantize(x),
+            (std::vector<std::int8_t>{127, -127, 0, 127, 0, 0}));
+  EXPECT_EQ(Int8Quantizer::calibrate(std::vector<float>{nan, inf}).scale(),
+            1e-8f / 127.0f);
+  EXPECT_EQ(activation_scale(x), q.scale());
+  std::vector<std::int8_t> words(x.size());
+  quantize_activations(x, q.scale(), words.data());
+  EXPECT_EQ(words, q.quantize(x));
+  // The same column in every lane of a batch-inner block wide enough for
+  // the 16-, 4- and 1-lane kernels.
+  const std::size_t batch = 21;
+  std::vector<float> block(x.size() * batch);
+  for (std::size_t f = 0; f < x.size(); ++f)
+    for (std::size_t b = 0; b < batch; ++b) block[f * batch + b] = x[f];
+  std::vector<float> scales(batch);
+  std::vector<std::int8_t> inner(block.size());
+  activation_scales_inner(block.data(), x.size(), batch, scales.data());
+  quantize_activations_inner(block.data(), x.size(), batch, scales.data(),
+                             inner.data());
+  for (std::size_t b = 0; b < batch; ++b) {
+    EXPECT_EQ(scales[b], q.scale());
+    for (std::size_t f = 0; f < x.size(); ++f)
+      EXPECT_EQ(inner[f * batch + b], words[f]) << "f " << f;
   }
 }
 
