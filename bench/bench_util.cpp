@@ -1,41 +1,62 @@
 #include "bench_util.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <string_view>
 
 namespace frlfi::bench {
+namespace {
+
+void print_usage(std::FILE* out, const char* argv0) {
+  std::fprintf(out,
+               "usage: %s [--trials=N] [--seed=N] [--fast] [--threads=N] "
+               "[--train-threads=N]\n",
+               argv0);
+}
+
+// Parse a flag value as a plain decimal number: empty, signed, non-digit,
+// trailing-character and out-of-range text all fail.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
 
 BenchArgs BenchArgs::parse(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trials=", 0) == 0) {
-      args.trials = static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + 9, nullptr, 10));
-      if (args.trials == 0) args.trials = 1;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      args.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg == "--fast") {
+    const std::string_view arg = argv[i];
+    const auto value_of = [&](std::string_view flag, auto& out) {
+      if (!arg.starts_with(flag)) return false;
+      if (!parse_number(arg.substr(flag.size()), out)) {
+        std::fprintf(stderr, "bad value in %s\n", argv[i]);
+        print_usage(stderr, argv[0]);
+        std::exit(2);
+      }
+      return true;
+    };
+    if (value_of("--trials=", args.trials) || value_of("--seed=", args.seed) ||
+        value_of("--threads=", args.threads) ||
+        value_of("--train-threads=", args.train_threads)) {
+      continue;
+    }
+    if (arg == "--fast") {
       args.fast = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      args.threads = static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + 10, nullptr, 10));
-    } else if (arg.rfind("--train-threads=", 0) == 0) {
-      args.train_threads = static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + 16, nullptr, 10));
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--trials=N] [--seed=N] [--fast] [--threads=N] "
-          "[--train-threads=N]\n",
-          argv[0]);
+      print_usage(stdout, argv[0]);
       std::exit(0);
     } else {
-      std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg.c_str());
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      print_usage(stderr, argv[0]);
       std::exit(2);
     }
   }
+  if (args.trials == 0) args.trials = 1;
   return args;
 }
 

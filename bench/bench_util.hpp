@@ -34,7 +34,9 @@ struct BenchArgs {
   /// 0 auto, N explicit. Also bit-identical for every value.
   std::size_t train_threads = 1;
 
-  /// Parse argv; unknown flags abort with a usage message.
+  /// Parse argv; an unknown flag or a malformed number (empty, signed,
+  /// non-digit, trailing characters, out of range) prints the usage line
+  /// and exits 2.
   static BenchArgs parse(int argc, char** argv);
 };
 

@@ -11,8 +11,9 @@
 /// std::thread::hardware_concurrency(). Note that ThreadPool::global() sizes
 /// itself by resolve_thread_count() once, at first use, and keeps that lane
 /// count for the life of the process — setting FRLFI_NUM_THREADS afterwards
-/// does not resize it (run_campaign compensates by re-resolving per call and
-/// spinning an explicit pool when the global pool's size no longer matches).
+/// does not resize it (dispatch_lanes compensates by re-resolving per call
+/// and spinning an explicit pool when the global pool's size no longer
+/// matches).
 ///
 /// The pool uses static contiguous partitioning — the right shape for
 /// exchangeable trials whose cost is roughly uniform. Exceptions thrown by
@@ -58,7 +59,7 @@ void shard_range(std::size_t n, std::size_t parts, std::size_t part,
                  std::size_t& begin, std::size_t& end);
 
 /// Run body(begin, end) over [0, n) under the campaign thread policy —
-/// the one rule shared by run_campaign and the batched evaluation
+/// the one rule shared by run_cell_campaign and the batched evaluation
 /// campaign. `threads` == 1: strictly serial on the calling thread; 0:
 /// FRLFI_NUM_THREADS / hardware resolved afresh on this call, reusing the
 /// process-wide pool only while its pinned lane count still matches the
@@ -111,7 +112,7 @@ class ThreadPool {
   /// Process-wide shared pool, sized by resolve_thread_count() at first
   /// use and *pinned* at that lane count for the rest of the process;
   /// later FRLFI_NUM_THREADS changes do not resize it. Callers that must
-  /// honour a changed environment (run_campaign does) re-resolve per call
+  /// honour a changed environment (dispatch_lanes does) re-resolve per call
   /// and fall back to an explicit pool on mismatch.
   static ThreadPool& global();
 

@@ -74,8 +74,7 @@ InjectionReport inject_fixed_point(std::vector<float>& weights,
                                    const FaultSpec& spec, Rng& rng);
 
 /// Reference implementation of inject_fixed_point (per-bit flip_bit calls):
-/// the golden baseline for the equivalence test and the before/after micro
-/// bench in bench_micro_overhead.cpp.
+/// the golden baseline for the equivalence test.
 InjectionReport inject_fixed_point_reference(std::vector<float>& weights,
                                              const FixedPointFormat& format,
                                              const FaultSpec& spec, Rng& rng);

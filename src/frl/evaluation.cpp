@@ -457,7 +457,7 @@ std::vector<double> run_batched_inference_campaign(
     }
   };
 
-  // Same pool policy as run_campaign (serial / global / explicit,
+  // Same pool policy as run_cell_campaign (serial / global / explicit,
   // FRLFI_NUM_THREADS re-resolved per call) via the shared rule.
   dispatch_lanes(spec.threads, spec.episodes, run_trials);
   return metrics;

@@ -20,7 +20,7 @@ constexpr std::size_t kBlockJ = 512;
 // contiguous floats, rebuilt in a reused thread-local scratch) and compute
 // each output as a SIMD dot product. The `reduction` vectorizes the k-chain
 // as a tree, so this path may differ from the reference order in the last
-// ulps — the one place gemm/gemm_accumulate trades exact ordering for
+// ulps — the one place gemm_bias_rows trades exact ordering for
 // throughput (see the header contract).
 constexpr std::size_t kNarrowN = 8;
 
@@ -119,29 +119,7 @@ void accumulate_blocked_from(const float* FRLFI_RESTRICT a,
   }
 }
 
-inline void accumulate_blocked(const float* FRLFI_RESTRICT a,
-                               const float* FRLFI_RESTRICT b,
-                               float* FRLFI_RESTRICT c, std::size_t m,
-                               std::size_t k, std::size_t n) {
-  if (n < kNarrowN) {
-    accumulate_narrow(a, b, c, m, k, n);
-    return;
-  }
-  accumulate_blocked_from(a, b, c, m, k, n, 0);
-}
-
 }  // namespace
-
-void gemm(const float* a, const float* b, float* c, std::size_t m,
-          std::size_t k, std::size_t n) {
-  std::memset(c, 0, m * n * sizeof(float));
-  accumulate_blocked(a, b, c, m, k, n);
-}
-
-void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
-                     std::size_t k, std::size_t n) {
-  accumulate_blocked(a, b, c, m, k, n);
-}
 
 void gemm_bias_rows(const float* a, const float* b, const float* bias,
                     float* c, std::size_t m, std::size_t k, std::size_t n) {
@@ -174,6 +152,13 @@ void gemm_bias_rows_ordered(const float* a, const float* b, const float* bias,
   if (k > 1) accumulate_blocked_from(a, b, c, m, k, n, 1);
 }
 
+// gemm_nt_accumulate and gemv_bias start on a 32-byte boundary, so where
+// their short inner loops fall relative to the core's 32-byte fetch windows
+// depends on their own code only, not on the size of the functions above
+// them in this file. Straddling a window boundary, gemv_bias's 23-byte dot
+// loop made the gridworld policy forwards it serves ~20 % slower (frlbench
+// infer_campaign on a 4-thread x86-64 host; results identical).
+__attribute__((aligned(32)))
 void gemm_nt_accumulate(const float* a, const float* b, float* c,
                         std::size_t m, std::size_t k, std::size_t n) {
   // Narrow-k path (mirrors the forward's packed narrow kernel): with only a
@@ -216,7 +201,7 @@ void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
   // Narrow-n path: the j-vectorized saxpy below degenerates when a row of C
   // holds only a few elements, so pack both operands k-contiguous (Aᵀ is
   // stored (k x m), B is (k x n)) and compute each output as a SIMD dot —
-  // the same shape of fix as gemm's packed narrow kernel.
+  // the same shape of fix as gemm_bias_rows's packed narrow kernel.
   if (n < kNarrowN && k >= kNarrowN) {
     thread_local std::vector<float> scratch;
     scratch.resize((m + n) * k);
@@ -254,37 +239,13 @@ void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
   }
 }
 
-void gemm_zero_skip_accumulate(const float* a, const float* b, float* c,
-                               std::size_t m, std::size_t k, std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* FRLFI_RESTRICT arow = a + i * k;
-    float* FRLFI_RESTRICT crow = c + i * n;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* FRLFI_RESTRICT brow = b + p * n;
-#pragma omp simd
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
 FRLFI_TARGET_CLONES
 void axpy(float alpha, const float* x, float* y, std::size_t n) {
 #pragma omp simd
   for (std::size_t j = 0; j < n; ++j) y[j] += alpha * x[j];
 }
 
-void gemv(const float* w, const float* x, float* y, std::size_t m,
-          std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* FRLFI_RESTRICT wrow = w + i * n;
-    float acc = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) acc += wrow[j] * x[j];
-    y[i] = acc;
-  }
-}
-
+__attribute__((aligned(32)))  // see gemm_nt_accumulate
 void gemv_bias(const float* w, const float* x, const float* bias, float* y,
                std::size_t m, std::size_t n) {
   for (std::size_t i = 0; i < m; ++i) {

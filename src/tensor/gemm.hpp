@@ -2,19 +2,20 @@
 
 /// \file gemm.hpp
 /// Cache-blocked row-major float GEMM/GEMV kernels: the compute substrate
-/// under `Tensor::matmul`, `Dense`, and the im2col path of `Conv2D`.
+/// under `Dense` and the im2col path of `Conv2D`.
 ///
 /// All kernels take raw pointers into row-major storage and make two
 /// ordering guarantees that the rest of the library leans on:
-///  * for each output element, the k-reduction of the `*_accumulate` /
-///    `gemm` / `gemv` kernels runs in strictly increasing k order, so the
-///    GEMM-backed layer paths are bit-identical to the naive reference
-///    loops they replaced (padding contributes exact +0.0f terms);
+///  * for each output element, the k-reduction of `gemm_bias_rows`,
+///    `gemv_bias` and `gemv_t_accumulate` runs in strictly increasing k
+///    order, so the GEMM-backed layer paths are bit-identical to the naive
+///    reference loops they replaced (padding contributes exact +0.0f
+///    terms);
 ///  * blocking never reorders that per-element chain, only the traversal
 ///    of independent output elements.
 /// Two deliberate exceptions trade exact ordering for throughput (always
 /// deterministic for a given shape, just not reference-ordered):
-///  * gemm/gemm_accumulate with n < 8 switch to a packed SIMD dot-product
+///  * gemm_bias_rows with n < 8 switches to a packed SIMD dot-product
 ///    kernel (the saxpy form degenerates to scalar loop overhead there);
 ///  * the transposed kernels (`gemm_nt_accumulate`, `gemm_tn`) use SIMD
 ///    reductions.
@@ -34,8 +35,8 @@
 // result bit — cloning preserves the library's cross-machine
 // bit-reproducibility while roughly doubling hot-loop throughput on AVX2
 // parts. Kernels with reductions (packed narrow dots, the transposed
-// GEMMs, gemv) must NOT be cloned: their reduction-tree shape follows the
-// vector width. Disabled under ThreadSanitizer: target_clones emits IFUNC
+// GEMMs, gemv_bias) must NOT be cloned: their reduction-tree shape follows
+// the vector width. Disabled under ThreadSanitizer: target_clones emits IFUNC
 // resolvers that run before the TSan runtime initializes, crashing any
 // binary that links a cloned kernel at load time (dispatch is identical
 // either way, so sanitizer builds just lose the wider vectors).
@@ -55,15 +56,6 @@
 #endif
 
 namespace frlfi {
-
-/// C (m x n) = A (m x k) · B (k x n). C is overwritten.
-void gemm(const float* a, const float* b, float* c, std::size_t m,
-          std::size_t k, std::size_t n);
-
-/// C (m x n) += A (m x k) · B (k x n). Fused accumulate form used by the
-/// backward passes so gradient buffers never need a temporary.
-void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
-                     std::size_t k, std::size_t n);
 
 /// C (m x n) = row-bias + A·B: c[i][j] = bias[i] + sum_p a[i][p]·b[p][j],
 /// the accumulator seeded from bias[i] before the k-chain — the exact
@@ -91,22 +83,11 @@ void gemm_nt_accumulate(const float* a, const float* b, float* c,
 void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
              std::size_t k, std::size_t n);
 
-/// C (m x n) += A (m x k) · B (k x n), skipping zero elements of A.
-/// Only worth it when A is mostly zeros — e.g. weight matrices after the
-/// fault-masking mitigation has suppressed anomalous values. The dense
-/// kernels above are faster in the common (dense) case.
-void gemm_zero_skip_accumulate(const float* a, const float* b, float* c,
-                               std::size_t m, std::size_t k, std::size_t n);
-
 /// y (n) += alpha · x (n): the BLAS saxpy. Reduction-free elementwise
 /// chain, so it carries the wider-vector clones; alpha == 1.0f multiplies
 /// exactly, which is what lets the federated row-sum accumulate rows in
 /// agent order bit-identically to the scalar reference loop.
 void axpy(float alpha, const float* x, float* y, std::size_t n);
-
-/// y (m) = W (m x n) · x (n). y is overwritten.
-void gemv(const float* w, const float* x, float* y, std::size_t m,
-          std::size_t n);
 
 /// y (m) = bias (m) + W (m x n) · x (n), with the accumulator seeded from
 /// bias[i] before the dot product — the exact summation order of the naive

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "core/error.hpp"
-#include "tensor/gemm.hpp"
 
 namespace frlfi {
 namespace {
@@ -189,20 +188,6 @@ std::size_t Tensor::argmax() const {
 float Tensor::mean() const {
   if (empty()) return 0.0f;
   return sum() / static_cast<float>(size());
-}
-
-Tensor Tensor::matmul(const Tensor& a, const Tensor& b) {
-  FRLFI_CHECK_MSG(a.rank() == 2 && b.rank() == 2,
-                  "matmul ranks " << a.rank() << ", " << b.rank());
-  FRLFI_CHECK_MSG(a.dim(1) == b.dim(0), "matmul inner dims " << a.dim(1)
-                                                             << " vs " << b.dim(0));
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c({m, n});
-  // Dense blocked kernel: no per-element zero test — that branch pessimized
-  // the common dense case. Fault-masked (mostly-zero) matrices can opt into
-  // gemm_zero_skip_accumulate directly.
-  gemm(a.data_.data(), b.data_.data(), c.data_.data(), m, k, n);
-  return c;
 }
 
 std::string Tensor::shape_string() const {

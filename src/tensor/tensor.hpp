@@ -116,9 +116,6 @@ class Tensor {
   /// Mean of elements; 0 for empty.
   float mean() const;
 
-  /// Matrix product: (m x k) * (k x n) -> (m x n). Both must be rank-2.
-  static Tensor matmul(const Tensor& a, const Tensor& b);
-
   /// "3x18x32"-style shape string for diagnostics.
   std::string shape_string() const;
 

@@ -2,130 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <vector>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
 
 namespace frlfi {
 namespace {
 
-TEST(Campaign, RunsRequestedTrials) {
-  CampaignConfig cfg;
-  cfg.trials = 17;
-  std::size_t calls = 0;
-  const CampaignResult r = run_campaign(cfg, [&](Rng&) {
-    ++calls;
-    return 1.0;
-  });
-  EXPECT_EQ(calls, 17u);
-  EXPECT_EQ(r.stats.count(), 17u);
-  EXPECT_DOUBLE_EQ(r.stats.mean(), 1.0);
+// A cell function with enough arithmetic that any ordering bug would show
+// up in the low bits: cell c draws from its own (seed, c) stream.
+std::function<double(std::size_t)> synthetic_cell(std::uint64_t seed) {
+  return [seed](std::size_t c) {
+    Rng rng = Rng(seed).split(c);
+    double acc = 0.0;
+    for (int i = 0; i < 50; ++i)
+      acc += rng.uniform() * 1e-3 + rng.normal() * 1e-6;
+    return acc;
+  };
 }
 
-TEST(Campaign, DeterministicForSeed) {
-  CampaignConfig cfg;
-  cfg.seed = 123;
-  cfg.trials = 10;
-  auto fn = [](Rng& rng) { return rng.uniform(); };
-  const CampaignResult a = run_campaign(cfg, fn);
-  const CampaignResult b = run_campaign(cfg, fn);
-  EXPECT_DOUBLE_EQ(a.stats.mean(), b.stats.mean());
-  EXPECT_DOUBLE_EQ(a.stats.variance(), b.stats.variance());
-}
-
-TEST(Campaign, TrialsAreIndependentStreams) {
-  CampaignConfig cfg;
-  cfg.trials = 2;
-  std::vector<double> vals;
-  run_campaign(cfg, [&](Rng& rng) {
-    vals.push_back(rng.uniform());
-    return 0.0;
-  });
-  EXPECT_NE(vals[0], vals[1]);
-}
-
-TEST(Campaign, SeedChangesResults) {
-  CampaignConfig a{.seed = 1, .trials = 5};
-  CampaignConfig b{.seed = 2, .trials = 5};
-  auto fn = [](Rng& rng) { return rng.uniform(); };
-  EXPECT_NE(run_campaign(a, fn).stats.mean(), run_campaign(b, fn).stats.mean());
-}
-
-TEST(Campaign, CiReflectsSpread) {
-  CampaignConfig cfg{.seed = 3, .trials = 100};
-  const CampaignResult r =
-      run_campaign(cfg, [](Rng& rng) { return rng.uniform(); });
-  const ConfidenceInterval ci = r.ci();
-  EXPECT_GT(ci.margin(), 0.0);
-  EXPECT_LT(ci.margin(), 0.2);
-  EXPECT_NEAR(ci.mean, 0.5, 0.15);
-}
-
-TEST(Campaign, RejectsInvalidConfig) {
-  CampaignConfig cfg;
-  cfg.trials = 0;
-  EXPECT_THROW(run_campaign(cfg, [](Rng&) { return 0.0; }), Error);
-  cfg.trials = 1;
-  EXPECT_THROW(run_campaign(cfg, std::function<double(Rng&)>()), Error);
-}
-
-// A trial function with enough arithmetic that any reduction-order bug
-// would show up in the low bits of the stats.
-double synthetic_trial(Rng& rng) {
-  double acc = 0.0;
-  for (int i = 0; i < 50; ++i) acc += rng.uniform() * 1e-3 + rng.normal() * 1e-6;
-  return acc;
-}
-
-void expect_bit_identical(const CampaignResult& a, const CampaignResult& b) {
-  EXPECT_EQ(a.stats.count(), b.stats.count());
-  // EXPECT_DOUBLE_EQ-style exact comparison: the parallel reduction is
-  // required to be bit-identical, not merely close.
-  EXPECT_EQ(a.stats.mean(), b.stats.mean());
-  EXPECT_EQ(a.stats.variance(), b.stats.variance());
-  EXPECT_EQ(a.stats.min(), b.stats.min());
-  EXPECT_EQ(a.stats.max(), b.stats.max());
-}
-
-TEST(Campaign, ParallelBitIdenticalToSerialAcrossThreadCounts) {
-  for (const std::uint64_t seed : {1ull, 42ull, 987654321ull}) {
-    CampaignConfig serial{.seed = seed, .trials = 257, .threads = 1};
-    const CampaignResult want = run_campaign(serial, synthetic_trial);
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{3},
-                                      std::size_t{4}, std::size_t{8}}) {
-      CampaignConfig parallel = serial;
-      parallel.threads = threads;
-      expect_bit_identical(run_campaign(parallel, synthetic_trial), want);
-    }
+TEST(CellCampaign, RunsEveryCellOnce) {
+  std::vector<std::atomic<int>> hits(17);
+  const std::vector<double> metrics =
+      run_cell_campaign(17, 4, [&](std::size_t c) {
+        hits[c].fetch_add(1);
+        return static_cast<double>(c);
+      });
+  ASSERT_EQ(metrics.size(), 17u);
+  for (std::size_t c = 0; c < 17; ++c) {
+    EXPECT_EQ(hits[c].load(), 1) << "cell " << c;
+    EXPECT_EQ(metrics[c], static_cast<double>(c));
   }
-}
-
-TEST(Campaign, ParallelFewerTrialsThanThreads) {
-  CampaignConfig serial{.seed = 7, .trials = 3, .threads = 1};
-  CampaignConfig parallel{.seed = 7, .trials = 3, .threads = 16};
-  expect_bit_identical(run_campaign(parallel, synthetic_trial),
-                       run_campaign(serial, synthetic_trial));
-}
-
-TEST(Campaign, ParallelSingleTrial) {
-  CampaignConfig serial{.seed = 9, .trials = 1, .threads = 1};
-  CampaignConfig parallel{.seed = 9, .trials = 1, .threads = 4};
-  expect_bit_identical(run_campaign(parallel, synthetic_trial),
-                       run_campaign(serial, synthetic_trial));
-}
-
-TEST(Campaign, ParallelZeroTrialsStillRejected) {
-  CampaignConfig cfg{.seed = 1, .trials = 0, .threads = 4};
-  EXPECT_THROW(run_campaign(cfg, [](Rng&) { return 0.0; }), Error);
-}
-
-TEST(Campaign, AutoThreadsHonorsEnvKnob) {
-  setenv("FRLFI_NUM_THREADS", "3", 1);
-  CampaignConfig serial{.seed = 5, .trials = 40, .threads = 1};
-  CampaignConfig auto_threads{.seed = 5, .trials = 40, .threads = 0};
-  expect_bit_identical(run_campaign(auto_threads, synthetic_trial),
-                       run_campaign(serial, synthetic_trial));
-  unsetenv("FRLFI_NUM_THREADS");
 }
 
 TEST(CellCampaign, MetricsAreCellOrderedAndThreadCountInvariant) {
@@ -149,19 +59,50 @@ TEST(CellCampaign, MetricsAreCellOrderedAndThreadCountInvariant) {
   unsetenv("FRLFI_NUM_THREADS");
 }
 
-TEST(CellCampaign, ZeroCellsRejected) {
-  EXPECT_THROW(run_cell_campaign(0, 1, [](std::size_t) { return 0.0; }),
-               Error);
+TEST(CellCampaign, ParallelBitIdenticalToSerialAcrossThreadCounts) {
+  for (const std::uint64_t seed : {1ull, 42ull, 987654321ull}) {
+    const auto cell_fn = synthetic_cell(seed);
+    const std::vector<double> want = run_cell_campaign(257, 1, cell_fn);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{3},
+                                      std::size_t{4}, std::size_t{8}}) {
+      EXPECT_EQ(run_cell_campaign(257, threads, cell_fn), want)
+          << "seed " << seed << " threads " << threads;
+    }
+  }
 }
 
-TEST(Campaign, ParallelTrialExceptionPropagates) {
-  CampaignConfig cfg{.seed = 2, .trials = 100, .threads = 4};
-  EXPECT_THROW(run_campaign(cfg,
-                            [](Rng& rng) -> double {
-                              if (rng.uniform() < 0.5)
-                                throw Error("trial blew up");
-                              return 0.0;
-                            }),
+TEST(CellCampaign, ParallelFewerCellsThanThreads) {
+  const auto cell_fn = synthetic_cell(7);
+  EXPECT_EQ(run_cell_campaign(3, 16, cell_fn),
+            run_cell_campaign(3, 1, cell_fn));
+  EXPECT_EQ(run_cell_campaign(1, 4, cell_fn), run_cell_campaign(1, 1, cell_fn));
+}
+
+TEST(CellCampaign, AutoThreadsHonorsEnvKnob) {
+  const auto cell_fn = synthetic_cell(5);
+  const std::vector<double> serial = run_cell_campaign(40, 1, cell_fn);
+  setenv("FRLFI_NUM_THREADS", "3", 1);
+  EXPECT_EQ(run_cell_campaign(40, 0, cell_fn), serial);
+  unsetenv("FRLFI_NUM_THREADS");
+}
+
+TEST(CellCampaign, RejectsInvalidArguments) {
+  EXPECT_THROW(run_cell_campaign(0, 1, [](std::size_t) { return 0.0; }),
+               Error);
+  EXPECT_THROW(run_cell_campaign(0, 4, [](std::size_t) { return 0.0; }),
+               Error);
+  EXPECT_THROW(
+      run_cell_campaign(1, 1, std::function<double(std::size_t)>()), Error);
+}
+
+TEST(CellCampaign, ParallelCellExceptionPropagates) {
+  EXPECT_THROW(run_cell_campaign(100, 4,
+                                 [](std::size_t c) -> double {
+                                   Rng rng = Rng(2).split(c);
+                                   if (rng.uniform() < 0.5)
+                                     throw Error("cell blew up");
+                                   return 0.0;
+                                 }),
                Error);
 }
 

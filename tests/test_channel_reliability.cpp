@@ -35,6 +35,7 @@
 #include "federated/server.hpp"
 #include "frl/drone_system.hpp"
 #include "frl/gridworld_system.hpp"
+#include "frl/policies.hpp"
 
 namespace frlfi {
 namespace {
@@ -79,27 +80,34 @@ TEST(BurstyChannel, DegenerateConfigIsBitIdenticalToIid) {
   // not change a single delivered bit, counter, or RNG draw vs the
   // i.i.d. channel at the same BER — the delegation is structural.
   const double kBer = 0.01;
-  const std::size_t dim = 97;
-  std::vector<float> iid_rows, ge_rows;
-  for (std::size_t r = 0; r < 3; ++r) {
-    const auto row = random_row(dim, 100 + r);
-    iid_rows.insert(iid_rows.end(), row.begin(), row.end());
-    ge_rows.insert(ge_rows.end(), row.begin(), row.end());
+  // A small matrix, then the gridworld policy's dimension at 4 and 12 rows.
+  Rng init(41);
+  const std::size_t grid_dim = make_gridworld_policy(init).parameter_count();
+  const std::size_t shapes[][2] = {{3, 97}, {4, grid_dim}, {12, grid_dim}};
+  for (const auto& shape : shapes) {
+    const std::size_t n = shape[0], dim = shape[1];
+    std::vector<float> iid_rows, ge_rows;
+    for (std::size_t r = 0; r < n; ++r) {
+      const auto row = random_row(dim, 100 + r);
+      iid_rows.insert(iid_rows.end(), row.begin(), row.end());
+      ge_rows.insert(ge_rows.end(), row.begin(), row.end());
+    }
+    CommChannel iid(kBer);
+    CommChannel ge;  // scalar BER 0: the active degenerate config replaces it
+    ge.set_bursty(degenerate_ge(kBer));
+    Rng rng_iid(42), rng_ge(42);
+    iid.transmit_rows(iid_rows.data(), n, dim, rng_iid);
+    ge.transmit_rows(ge_rows.data(), n, dim, rng_ge);
+    EXPECT_EQ(iid_rows, ge_rows) << n << " x " << dim;
+    EXPECT_EQ(iid.messages_sent(), ge.messages_sent());
+    EXPECT_EQ(iid.bytes_sent(), ge.bytes_sent());
+    EXPECT_EQ(iid.bits_corrupted(), ge.bits_corrupted());
+    EXPECT_EQ(iid.transmit_seq(), ge.transmit_seq());
+    EXPECT_EQ(ge.chunks_erased(), 0u);
+    EXPECT_EQ(ge.messages_reordered(), 0u);
+    // RNG stream position: the delegated path consumed identical draws.
+    EXPECT_EQ(rng_iid.next_u64(), rng_ge.next_u64());
   }
-  CommChannel iid(kBer);
-  CommChannel ge;  // scalar BER 0: the active degenerate config replaces it
-  ge.set_bursty(degenerate_ge(kBer));
-  Rng rng_iid(42), rng_ge(42);
-  iid.transmit_rows(iid_rows.data(), 3, dim, rng_iid);
-  ge.transmit_rows(ge_rows.data(), 3, dim, rng_ge);
-  EXPECT_EQ(iid_rows, ge_rows);
-  EXPECT_EQ(iid.messages_sent(), ge.messages_sent());
-  EXPECT_EQ(iid.bytes_sent(), ge.bytes_sent());
-  EXPECT_EQ(iid.bits_corrupted(), ge.bits_corrupted());
-  EXPECT_EQ(ge.chunks_erased(), 0u);
-  EXPECT_EQ(ge.messages_reordered(), 0u);
-  // RNG stream position: the delegated path consumed identical draws.
-  EXPECT_EQ(rng_iid.next_u64(), rng_ge.next_u64());
 
   // Scalar transmit delegates identically.
   const auto payload = random_row(33, 7);
@@ -446,6 +454,39 @@ TEST(ChannelEngine, ZeroRetryProtocolIsBitIdenticalToPlanPath) {
     EXPECT_EQ(b.participation_stats().upload_attempts, 0u);
     EXPECT_EQ(b.participation_stats().uploads_failed, 0u);
   }
+
+  // One all-present server round on a stormy channel: the zero-retry
+  // protocol round must match the plain round, consensus and caller RNG
+  // stream position included.
+  const std::size_t agents = 8;
+  Rng init(41);
+  const std::size_t dim = make_gridworld_policy(init).parameter_count();
+  std::vector<float> base(agents * dim);
+  Rng wrng(45);
+  for (auto& v : base) v = static_cast<float>(wrng.uniform(-0.5, 0.5));
+  BurstyChannelConfig stormy = stormy_channel();
+  stormy.p_bad_to_good = 0.25;
+  const AlphaSchedule schedule(agents, 0.5);
+  const std::vector<AgentRoundStatus> all_present(agents,
+                                                  AgentRoundStatus::Present);
+  std::vector<std::size_t> everyone(agents);
+  for (std::size_t i = 0; i < agents; ++i) everyone[i] = i;
+  ParameterServer plain_server(agents, dim, schedule);
+  ParameterServer zero_server(agents, dim, schedule);
+  plain_server.channel().set_bursty(stormy);
+  zero_server.channel().set_bursty(stormy);
+  ParameterServer::RobustRoundOptions plain_opts, zero_opts;
+  zero_opts.upload.enabled = true;
+  zero_opts.upload.max_retries = 0;
+  Rng rp(46), rz(46);
+  std::vector<float> mp = base, mz = base;
+  plain_server.communicate_round(mp, everyone, all_present, plain_opts, rp,
+                                 nullptr, /*run_post_hook=*/false);
+  zero_server.communicate_round(mz, everyone, all_present, zero_opts, rz,
+                                nullptr, /*run_post_hook=*/false);
+  EXPECT_EQ(mz, mp);
+  EXPECT_EQ(zero_server.consensus(), plain_server.consensus());
+  EXPECT_EQ(rz.next_u64(), rp.next_u64());
 }
 
 TEST(ChannelEngine, ExhaustedUploadDegradesIntoParticipationPlane) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -404,6 +405,51 @@ TEST(BatchedTrans1, MatchesSerialCloneAndMutatePath) {
     }
   }
   EXPECT_EQ(policy.flat_parameters(), clean);
+
+  // The conv policy at Q(1,7,8), one decision step: per-lane overlays
+  // through one grouped forward_batch vs a clone struck in place and
+  // restored, at 4 and 16 lanes.
+  Rng drone_init(72);
+  Network drone = make_drone_policy(drone_init);
+  const FixedPointFormat format = FixedPointFormat::q1_7_8();
+  const DeployedWeights image =
+      DeployedWeights::fixed_point_image(drone.flat_parameters(), format);
+  FaultSpec spec;
+  spec.model = FaultModel::TransientSingleStep;
+  spec.ber = 1e-3;
+  const std::size_t sample = 3 * 18 * 32;
+  for (const std::size_t agents : {std::size_t{4}, std::size_t{16}}) {
+    Rng xr(14);
+    const Tensor xb =
+        Tensor::random_uniform({agents, 3, 18, 32}, xr, 0.0f, 1.0f);
+    std::vector<WeightOverlay> overlays(agents);
+    std::vector<WeightView> views(agents);
+    std::vector<const WeightView*> lane_views(agents);
+    for (std::size_t a = 0; a < agents; ++a) {
+      Rng strike = Rng(99).split(a);
+      image.inject(spec, strike, overlays[a]);
+      views[a] = image.view(&overlays[a]);
+      lane_views[a] = &views[a];
+    }
+    const Tensor batched = drone.forward_batch(xb, agents, nullptr, lane_views);
+    const std::size_t width = batched.size() / agents;
+    Network lane = drone.clone();
+    for (std::size_t a = 0; a < agents; ++a) {
+      Tensor obs({3, 18, 32});
+      std::copy_n(xb.data().begin() + static_cast<std::ptrdiff_t>(a * sample),
+                  sample, obs.data().begin());
+      WeightRestoreGuard guard(lane);
+      std::vector<float> flat = lane.flat_parameters();
+      Rng strike = Rng(99).split(a);
+      inject_fixed_point(flat, format, spec, strike);
+      lane.set_flat_parameters(flat);
+      const Tensor logits = lane.forward(obs);
+      ASSERT_EQ(logits.size(), width);
+      for (std::size_t j = 0; j < width; ++j)
+        EXPECT_EQ(batched[a * width + j], logits[j])
+            << agents << " lanes, lane " << a << " logit " << j;
+    }
+  }
 }
 
 /// Frozen reference of inject_network_weights: flatten, the scalar int8

@@ -36,48 +36,28 @@ void expect_near(const std::vector<float>& got, const std::vector<float>& want,
     EXPECT_NEAR(got[i], want[i], tol) << "element " << i;
 }
 
-TEST(Gemm, MatchesReferenceAcrossSizes) {
+TEST(Gemm, BiasRowsMatchesReferenceAcrossSizes) {
   Rng rng(7);
-  // Sizes straddle the blocking thresholds (64/256/512) in both directions.
-  const std::size_t cases[][3] = {{1, 1, 1},   {3, 5, 7},    {17, 33, 9},
-                                  {64, 64, 64}, {65, 257, 513}, {2, 300, 600}};
-  for (const auto& c : cases) {
-    const std::size_t m = c[0], k = c[1], n = c[2];
-    const auto a = random_matrix(m, k, rng);
-    const auto b = random_matrix(k, n, rng);
-    std::vector<float> got(m * n, 42.0f);  // gemm must overwrite
-    gemm(a.data(), b.data(), got.data(), m, k, n);
-    expect_near(got, reference_product(a, b, m, k, n));
-  }
-}
-
-TEST(Gemm, AccumulateAddsOnTop) {
-  Rng rng(8);
-  const std::size_t m = 6, k = 11, n = 13;
-  const auto a = random_matrix(m, k, rng);
-  const auto b = random_matrix(k, n, rng);
-  std::vector<float> c(m * n, 1.0f);
-  gemm_accumulate(a.data(), b.data(), c.data(), m, k, n);
-  auto want = reference_product(a, b, m, k, n);
-  for (auto& v : want) v += 1.0f;
-  expect_near(c, want);
-}
-
-TEST(Gemm, BiasRowsSeedsAndOverwrites) {
-  Rng rng(13);
-  // One wide case (ordered saxpy path) and one narrow case (packed dots).
-  const std::size_t cases[][3] = {{6, 48, 50}, {16, 48, 3}};
+  // Sizes straddle the blocking thresholds (64/256/512) in both directions
+  // and the narrow-n packed-dot threshold (n < 8).
+  const std::size_t cases[][3] = {
+      {1, 1, 1},   {3, 5, 7},    {16, 48, 3},    {17, 33, 9},
+      {6, 48, 50}, {64, 64, 64}, {65, 257, 513}, {2, 300, 600}};
   for (const auto& d : cases) {
     const std::size_t m = d[0], k = d[1], n = d[2];
     const auto a = random_matrix(m, k, rng);
     const auto b = random_matrix(k, n, rng);
     const auto bias = random_matrix(m, 1, rng);
-    std::vector<float> got(m * n, -9.0f);  // must be overwritten
-    gemm_bias_rows(a.data(), b.data(), bias.data(), got.data(), m, k, n);
     auto want = reference_product(a, b, m, k, n);
     for (std::size_t i = 0; i < m; ++i)
       for (std::size_t j = 0; j < n; ++j) want[i * n + j] += bias[i];
+    std::vector<float> got(m * n, 42.0f);  // must be overwritten
+    gemm_bias_rows(a.data(), b.data(), bias.data(), got.data(), m, k, n);
     expect_near(got, want);
+    std::vector<float> ordered(m * n, 42.0f);
+    gemm_bias_rows_ordered(a.data(), b.data(), bias.data(), ordered.data(), m,
+                           k, n);
+    expect_near(ordered, want);
   }
 }
 
@@ -121,19 +101,6 @@ TEST(Gemm, TnMatchesTransposedReference) {
   }
 }
 
-TEST(Gemm, ZeroSkipMatchesDenseOnSparseInput) {
-  Rng rng(11);
-  const std::size_t m = 8, k = 40, n = 10;
-  auto a = random_matrix(m, k, rng);
-  for (auto& v : a)
-    if (rng.uniform() < 0.9) v = 0.0f;  // fault-masked style sparsity
-  const auto b = random_matrix(k, n, rng);
-  std::vector<float> dense(m * n, 0.0f), sparse(m * n, 0.0f);
-  gemm_accumulate(a.data(), b.data(), dense.data(), m, k, n);
-  gemm_zero_skip_accumulate(a.data(), b.data(), sparse.data(), m, k, n);
-  expect_near(sparse, dense);
-}
-
 TEST(Gemm, GemvVariants) {
   Rng rng(12);
   const std::size_t m = 14, n = 23;
@@ -144,11 +111,7 @@ TEST(Gemm, GemvVariants) {
   for (std::size_t i = 0; i < m; ++i)
     for (std::size_t j = 0; j < n; ++j) want[i] += w[i * n + j] * x[j];
 
-  std::vector<float> y(m, 5.0f);
-  gemv(w.data(), x.data(), y.data(), m, n);
-  expect_near(y, want);
-
-  std::vector<float> yb(m, 0.0f);
+  std::vector<float> yb(m, 5.0f);  // gemv_bias overwrites
   gemv_bias(w.data(), x.data(), bias.data(), yb.data(), m, n);
   for (std::size_t i = 0; i < m; ++i) EXPECT_NEAR(yb[i], want[i] + bias[i], 1e-5f);
 

@@ -13,6 +13,7 @@
 
 #include "core/campaign.hpp"
 #include "core/error.hpp"
+#include "core/rng.hpp"
 
 namespace frlfi {
 namespace {
@@ -230,20 +231,20 @@ TEST(Parallel, SameThreadChainAcrossPoolsRunsInline) {
 }
 
 TEST(Parallel, NestedGlobalPoolAndCampaignDoNotDeadlock) {
-  // run_campaign with threads == 0 dispatches on the global pool; called
-  // from inside a global-pool body it must complete inline.
-  std::atomic<std::size_t> trials_run{0};
+  // run_cell_campaign with threads == 0 dispatches on the global pool;
+  // called from inside a global-pool body it must complete inline.
+  std::atomic<std::size_t> cells_run{0};
   ThreadPool::global().parallel_for(8, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
-      CampaignConfig cfg{.seed = 7, .trials = 5, .threads = 0};
-      const CampaignResult r = run_campaign(cfg, [&](Rng& rng) {
-        trials_run.fetch_add(1);
-        return rng.uniform();
-      });
-      EXPECT_EQ(r.stats.count(), 5u);
+      const std::vector<double> metrics =
+          run_cell_campaign(5, 0, [&](std::size_t c) {
+            cells_run.fetch_add(1);
+            return Rng(7).split(c).uniform();
+          });
+      EXPECT_EQ(metrics.size(), 5u);
     }
   });
-  EXPECT_EQ(trials_run.load(), 8u * 5u);
+  EXPECT_EQ(cells_run.load(), 8u * 5u);
 }
 
 TEST(Parallel, ConcurrentExternalDispatchersAreSerialized) {
@@ -263,20 +264,17 @@ TEST(Parallel, ConcurrentExternalDispatchersAreSerialized) {
 }
 
 TEST(Parallel, CampaignReresolvesEnvThreadsPerCall) {
-  // The global pool's lane count pins at first use, but run_campaign must
-  // re-read FRLFI_NUM_THREADS per call and still produce serial-identical
-  // stats (via an explicit pool when the global size no longer matches).
+  // The global pool's lane count pins at first use, but run_cell_campaign
+  // must re-read FRLFI_NUM_THREADS per call and still produce
+  // serial-identical metrics (via an explicit pool when the global size
+  // no longer matches).
   ThreadPool::global().size();  // force the pin
-  const auto trial = [](Rng& rng) { return rng.uniform(); };
-  CampaignConfig serial{.seed = 11, .trials = 40, .threads = 1};
-  const CampaignResult want = run_campaign(serial, trial);
+  const auto cell = [](std::size_t c) { return Rng(11).split(c).uniform(); };
+  const std::vector<double> want = run_cell_campaign(40, 1, cell);
   setenv("FRLFI_NUM_THREADS", "3", 1);
-  CampaignConfig env_auto{.seed = 11, .trials = 40, .threads = 0};
-  const CampaignResult got = run_campaign(env_auto, trial);
+  const std::vector<double> got = run_cell_campaign(40, 0, cell);
   unsetenv("FRLFI_NUM_THREADS");
-  EXPECT_EQ(want.stats.count(), got.stats.count());
-  EXPECT_EQ(want.stats.mean(), got.stats.mean());
-  EXPECT_EQ(want.stats.variance(), got.stats.variance());
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

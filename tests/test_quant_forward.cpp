@@ -153,6 +153,17 @@ void expect_quant_tracks_float_shadow(
     for (std::size_t i = 0; i < qy.size(); ++i)
       max_diff = std::max(max_diff, std::fabs(qy[i] - fy[i]));
   }
+  // Whole batches too: the float shadow then runs the batch-inner kernels.
+  for (const std::size_t batch : {std::size_t{4}, std::size_t{16},
+                                  std::size_t{64}}) {
+    const Tensor x = random_batch(sample_shape, batch, 7100 + batch);
+    const std::vector<const WeightView*> shadow(batch, &fview);
+    const Tensor qy = policy.forward_batch_quant(x, batch, qview);
+    const Tensor fy = policy.forward_batch(x, batch, nullptr, shadow);
+    ASSERT_EQ(qy.shape(), fy.shape()) << what << " batch " << batch;
+    for (std::size_t i = 0; i < qy.size(); ++i)
+      max_diff = std::max(max_diff, std::fabs(qy[i] - fy[i]));
+  }
   EXPECT_LT(max_diff, tol) << what;
 }
 

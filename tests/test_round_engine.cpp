@@ -32,6 +32,7 @@
 #include "federated/server.hpp"
 #include "frl/drone_system.hpp"
 #include "frl/gridworld_system.hpp"
+#include "frl/policies.hpp"
 
 namespace frlfi {
 namespace {
@@ -149,26 +150,36 @@ std::vector<std::vector<float>> frozen_scalar_round(
 }
 
 TEST(BatchedServerRound, CommunicateRowsMatchesFrozenScalarRound) {
-  const std::size_t n = 3, dim = 64;
-  const auto uploads = random_uploads(n, dim, 1300);
-  const AlphaSchedule schedule(n, 0.6, 20.0);
-  CommChannel ref_channel(0.01);
-  ParameterServer rows_server(n, dim, schedule);
-  rows_server.channel().set_bit_error_rate(0.01);
-  Rng ref_rng(5), rows_rng(5);
-  std::vector<float> ref_consensus;
-  const auto down = frozen_scalar_round(uploads, ref_channel,
-                                        schedule.at(0), ref_rng,
-                                        &ref_consensus);
-  std::vector<float> rows = pack_rows(uploads);
-  rows_server.communicate_rows(rows, rows_rng, nullptr);
-  EXPECT_EQ(rows, pack_rows(down));
-  EXPECT_EQ(rows_server.consensus(), ref_consensus);
-  EXPECT_EQ(rows_server.round(), 1u);
-  EXPECT_EQ(rows_server.channel().bytes_sent(), ref_channel.bytes_sent());
-  EXPECT_EQ(rows_server.channel().bits_corrupted(),
-            ref_channel.bits_corrupted());
-  EXPECT_EQ(rows_rng.next_u64(), ref_rng.next_u64());
+  // A small round, then the gridworld policy's dimension at 4 and 12
+  // agents.
+  Rng init(31);
+  const std::size_t grid_dim = make_gridworld_policy(init).parameter_count();
+  const struct {
+    std::size_t n, dim;
+    double alpha0, tau;
+  } cases[] = {{3, 64, 0.6, 20.0}, {4, grid_dim, 0.5, 200.0},
+               {12, grid_dim, 0.5, 200.0}};
+  for (const auto& c : cases) {
+    const auto uploads = random_uploads(c.n, c.dim, 1300);
+    const AlphaSchedule schedule(c.n, c.alpha0, c.tau);
+    CommChannel ref_channel(0.01);
+    ParameterServer rows_server(c.n, c.dim, schedule);
+    rows_server.channel().set_bit_error_rate(0.01);
+    Rng ref_rng(5), rows_rng(5);
+    std::vector<float> ref_consensus;
+    const auto down = frozen_scalar_round(uploads, ref_channel,
+                                          schedule.at(0), ref_rng,
+                                          &ref_consensus);
+    std::vector<float> rows = pack_rows(uploads);
+    rows_server.communicate_rows(rows, rows_rng, nullptr);
+    EXPECT_EQ(rows, pack_rows(down)) << c.n << " x " << c.dim;
+    EXPECT_EQ(rows_server.consensus(), ref_consensus);
+    EXPECT_EQ(rows_server.round(), 1u);
+    EXPECT_EQ(rows_server.channel().bytes_sent(), ref_channel.bytes_sent());
+    EXPECT_EQ(rows_server.channel().bits_corrupted(),
+              ref_channel.bits_corrupted());
+    EXPECT_EQ(rows_rng.next_u64(), ref_rng.next_u64());
+  }
 }
 
 TEST(BatchedServerRound, RowsFaultHookMatchesFrozenLegacyHookRound) {
@@ -228,12 +239,13 @@ TEST(RoundEngine, GridWorldTrainIsThreadCountInvariant) {
   // n_agents x threads grid, with a training fault and mitigation active
   // so every engine stage (episodes, injection, comm round, monitor,
   // checkpoint restore) runs under the fan-out.
-  for (const std::size_t n_agents : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t n_agents :
+       {std::size_t{1}, std::size_t{4}, std::size_t{12}}) {
     std::vector<std::vector<float>> serial;
     MitigationStats serial_stats;
     std::size_t serial_bytes = 0;
     for (const std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{7}}) {
       GridWorldFrlSystem sys(grid_config(n_agents, threads), 31);
       TrainingFaultPlan plan;
       plan.active = true;
@@ -447,7 +459,8 @@ TEST(FleetRound, DegradedRoundIsServerLaneCountInvariant) {
   // channel sequence numbers/counters and participation stats — and the
   // extra train() leg locks the RNG stream position too.
   const std::size_t dim = 96;
-  for (const std::size_t agents : {std::size_t{256}, std::size_t{1024}}) {
+  for (const std::size_t agents :
+       {std::size_t{256}, std::size_t{1024}, std::size_t{4096}}) {
     FleetHarness golden(agents, dim);
     FederatedRoundEngine ref(fleet_config(agents, dim, 1), 2024, 0xF1EE7,
                              golden.hooks());
@@ -558,30 +571,28 @@ TEST(FleetRound, ZeroRetryUploadProtocolKeepsFleetRoundBits) {
 }
 
 TEST(FleetRound, RoundBufferMemoryScalesWithParticipants) {
-  // The O(participants) acceptance gate: at cadence 8 (~12.5%
+  // The O(participants) acceptance gate: at cadence 8 or 10 (~10-12.5%
   // participation) the engine's retained round buffers must stay under a
   // quarter of the full n x dim matrix, with the fleet pool and with the
   // serial round alike (both run the participant-compacted round).
-  const std::size_t agents = 1024, dim = 64;
-  const std::size_t full_bytes = agents * dim * sizeof(float);
-  ParticipationPlan plan = fleet_plan();
-  plan.cadence = 8;
-
-  FleetHarness fleet_h(agents, dim);
-  FederatedRoundEngine fleet(fleet_config(agents, dim, 1), 41, 0xF1EE7,
-                             fleet_h.hooks());
-  fleet.set_participation_plan(plan);
-  fleet.train(6);
-  EXPECT_LT(fleet.round_buffer_bytes(), full_bytes / 4)
-      << "compact round buffers must scale with participants";
-
-  FleetHarness serial_h(agents, dim);
-  FederatedRoundEngine serial(fleet_config(agents, dim, 0), 41, 0xF1EE7,
-                              serial_h.hooks());
-  serial.set_participation_plan(plan);
-  serial.train(6);
-  EXPECT_LT(serial.round_buffer_bytes(), full_bytes / 4)
-      << "serial round buffers must scale with participants";
+  const struct {
+    std::size_t agents, dim, cadence;
+  } cases[] = {{1024, 64, 8}, {64, 256, 10}, {4096, 256, 10}};
+  for (const auto& c : cases) {
+    const std::size_t full_bytes = c.agents * c.dim * sizeof(float);
+    ParticipationPlan plan = fleet_plan();
+    plan.cadence = c.cadence;
+    for (const std::size_t server_threads : {std::size_t{1}, std::size_t{0}}) {
+      FleetHarness h(c.agents, c.dim);
+      FederatedRoundEngine sys(fleet_config(c.agents, c.dim, server_threads),
+                               41, 0xF1EE7, h.hooks());
+      sys.set_participation_plan(plan);
+      sys.train(6);
+      EXPECT_LT(sys.round_buffer_bytes(), full_bytes / 4)
+          << c.agents << " agents, server_threads " << server_threads
+          << ": round buffers must scale with participants";
+    }
+  }
 }
 
 }  // namespace

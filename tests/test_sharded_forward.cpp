@@ -31,8 +31,8 @@
 namespace frlfi {
 namespace {
 
-const std::size_t kThreadCounts[] = {1, 2, 7};
-const std::size_t kBatches[] = {1, 3, 64};
+const std::size_t kThreadCounts[] = {1, 2, 4, 7};
+const std::size_t kBatches[] = {1, 3, 16, 64};
 
 Tensor random_batch(const std::vector<std::size_t>& sample_shape,
                     std::size_t batch, std::uint64_t seed) {

@@ -111,22 +111,6 @@ TEST(Tensor, ArgmaxTieGoesToLowestIndex) {
   EXPECT_EQ(t.argmax(), 0u);
 }
 
-TEST(Tensor, MatmulKnownValues) {
-  Tensor a = Tensor::from_vector({1, 2, 3, 4}).reshaped({2, 2});
-  Tensor b = Tensor::from_vector({5, 6, 7, 8}).reshaped({2, 2});
-  const Tensor c = Tensor::matmul(a, b);
-  EXPECT_EQ(c.at2(0, 0), 19.0f);
-  EXPECT_EQ(c.at2(0, 1), 22.0f);
-  EXPECT_EQ(c.at2(1, 0), 43.0f);
-  EXPECT_EQ(c.at2(1, 1), 50.0f);
-}
-
-TEST(Tensor, MatmulShapeChecks) {
-  Tensor a({2, 3}), bad({2, 2});
-  EXPECT_THROW(Tensor::matmul(a, bad), Error);
-  EXPECT_THROW(Tensor::matmul(a, Tensor({3})), Error);
-}
-
 TEST(Tensor, RandomUniformWithinBounds) {
   Rng rng(1);
   const Tensor t = Tensor::random_uniform({100}, rng, -0.5f, 0.5f);
