@@ -1,10 +1,11 @@
 #include "bench_util.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <string_view>
+
+#include "core/cli.hpp"
 
 namespace frlfi::bench {
 namespace {
@@ -14,15 +15,6 @@ void print_usage(std::FILE* out, const char* argv0) {
                "usage: %s [--trials=N] [--seed=N] [--fast] [--threads=N] "
                "[--train-threads=N]\n",
                argv0);
-}
-
-// Parse a flag value as a plain decimal number: empty, signed, non-digit,
-// trailing-character and out-of-range text all fail.
-template <typename T>
-bool parse_number(std::string_view text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace

@@ -5,10 +5,10 @@
 /// to safe flight distance — and how range-based anomaly detection (§V-B)
 /// recovers most of it.
 
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 
+#include "core/cli.hpp"
 #include "core/table.hpp"
 #include "frl/drone_system.hpp"
 
@@ -16,7 +16,7 @@ using namespace frlfi;
 
 int main(int argc, char** argv) {
   std::size_t fine_tune = 100;
-  if (argc > 1) fine_tune = static_cast<std::size_t>(std::atoll(argv[1]));
+  parse_positional(argc, argv, "[fine-tune-episodes]", fine_tune);
 
   DroneFrlSystem::Config cfg;  // 4 drones
   std::cout << "Offline pretraining + building the fleet...\n";

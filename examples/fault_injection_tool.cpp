@@ -5,10 +5,10 @@
 /// chosen BER, and reports per-layer sensitivity and the effect of flip
 /// direction (the paper's Fig. 3d observation that 0->1 flips dominate).
 
-#include <cstdlib>
 #include <iostream>
 #include <span>
 
+#include "core/cli.hpp"
 #include "core/table.hpp"
 #include "fault/injector.hpp"
 #include "frl/gridworld_system.hpp"
@@ -38,7 +38,7 @@ double success_rate(GridWorldFrlSystem& sys, Network& policy,
 
 int main(int argc, char** argv) {
   double ber = 0.01;
-  if (argc > 1) ber = std::atof(argv[1]);
+  parse_positional(argc, argv, "[ber in 0..1]", ber, 0.0, 1.0);
 
   std::cout << "Training the target policy (GridWorld FRL, 12 agents)...\n";
   GridWorldFrlSystem::Config cfg;

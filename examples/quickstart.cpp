@@ -3,9 +3,9 @@
 /// healthy success rate, inject a transient server fault during training,
 /// watch the damage, then re-run with the paper's checkpoint mitigation.
 
-#include <cstdlib>
 #include <iostream>
 
+#include "core/cli.hpp"
 #include "frl/gridworld_system.hpp"
 
 using namespace frlfi;
@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   // Scaled-down training (the paper trains 1000 episodes; pass a bigger
   // number as argv[1] to get closer to paper scale).
   std::size_t episodes = 600;
-  if (argc > 1) episodes = static_cast<std::size_t>(std::atoll(argv[1]));
+  parse_positional(argc, argv, "[episodes]", episodes);
 
   GridWorldFrlSystem::Config cfg;
   std::cout << "FRL-FI quickstart: " << cfg.n_agents

@@ -4,9 +4,9 @@
 /// sweeps inference-time fault BER on both and prints the success-rate
 /// curves side by side (the experiment behind the paper's Fig. 4).
 
-#include <cstdlib>
 #include <iostream>
 
+#include "core/cli.hpp"
 #include "core/table.hpp"
 #include "frl/gridworld_system.hpp"
 
@@ -14,7 +14,7 @@ using namespace frlfi;
 
 int main(int argc, char** argv) {
   std::size_t episodes = 800;
-  if (argc > 1) episodes = static_cast<std::size_t>(std::atoll(argv[1]));
+  parse_positional(argc, argv, "[episodes]", episodes);
 
   std::cout << "Training 12-agent FRL system (" << episodes << " episodes)...\n";
   GridWorldFrlSystem::Config multi_cfg;

@@ -75,25 +75,6 @@ bool Rng::bernoulli(double p) {
   return uniform() < p;
 }
 
-double Rng::normal() {
-  if (have_cached_normal_) {
-    have_cached_normal_ = false;
-    return cached_normal_;
-  }
-  // Box-Muller; u1 in (0,1] to avoid log(0).
-  double u1 = 1.0 - uniform();
-  double u2 = uniform();
-  double r = std::sqrt(-2.0 * std::log(u1));
-  double theta = 2.0 * 3.14159265358979323846 * u2;
-  cached_normal_ = r * std::sin(theta);
-  have_cached_normal_ = true;
-  return r * std::cos(theta);
-}
-
-double Rng::normal(double mean, double stddev) {
-  return mean + stddev * normal();
-}
-
 std::size_t Rng::categorical(const std::vector<double>& weights) {
   FRLFI_CHECK(!weights.empty());
   double total = 0.0;

@@ -135,12 +135,6 @@ class Rng {
     return mask;
   }
 
-  /// Standard normal via Box-Muller (deterministic across platforms).
-  double normal();
-
-  /// Normal with given mean and standard deviation.
-  double normal(double mean, double stddev);
-
   /// Sample an index from an (unnormalized, non-negative) weight vector.
   /// Falls back to uniform choice when the total weight is ~0.
   std::size_t categorical(const std::vector<double>& weights);
@@ -175,8 +169,6 @@ class Rng {
 
  private:
   std::array<std::uint64_t, 4> s_{};
-  bool have_cached_normal_ = false;
-  double cached_normal_ = 0.0;
   std::uint64_t seed_origin_ = 0;  // remembered for split()
 };
 

@@ -21,23 +21,6 @@ void RunningStats::add(double x) {
   max_ = std::max(max_, x);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double nt = na + nb;
-  mean_ += delta * nb / nt;
-  m2_ += other.m2_ + delta * delta * na * nb / nt;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -86,31 +69,12 @@ double mean_of(const std::vector<double>& v) {
   return s / static_cast<double>(v.size());
 }
 
-double stddev_of(const std::vector<double>& v) {
-  if (v.size() < 2) return 0.0;
-  const double m = mean_of(v);
-  double s = 0.0;
-  for (double x : v) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(v.size() - 1));
-}
-
 double population_stddev_of(const std::vector<double>& v) {
   if (v.empty()) return 0.0;
   const double m = mean_of(v);
   double s = 0.0;
   for (double x : v) s += (x - m) * (x - m);
   return std::sqrt(s / static_cast<double>(v.size()));
-}
-
-double quantile_of(std::vector<double> v, double q) {
-  FRLFI_CHECK(!v.empty());
-  FRLFI_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile q=" << q);
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
 }  // namespace frlfi

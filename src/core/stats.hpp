@@ -17,9 +17,6 @@ class RunningStats {
   /// Add one observation.
   void add(double x);
 
-  /// Merge another accumulator (Chan et al. parallel combination).
-  void merge(const RunningStats& other);
-
   /// Number of observations added.
   std::size_t count() const { return n_; }
 
@@ -72,15 +69,9 @@ ConfidenceInterval wilson95(std::size_t successes, std::size_t trials);
 /// Mean of a vector; 0 when empty.
 double mean_of(const std::vector<double>& v);
 
-/// Sample standard deviation of a vector; 0 when size < 2.
-double stddev_of(const std::vector<double>& v);
-
 /// Population standard deviation of a vector (divide by N); 0 when empty.
 /// Table I of the paper reports the spread of consensus-policy outputs,
 /// which is a population statistic over the policy's action values.
 double population_stddev_of(const std::vector<double>& v);
-
-/// Linear interpolation quantile (q in [0,1]) of a copy-sorted vector.
-double quantile_of(std::vector<double> v, double q);
 
 }  // namespace frlfi

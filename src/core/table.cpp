@@ -81,15 +81,6 @@ void Table::print(std::ostream& os) const {
   rule();
 }
 
-void Table::write_csv(std::ostream& os) const {
-  const_cast<Table*>(this)->finish_pending_row();
-  for (std::size_t c = 0; c < columns_.size(); ++c)
-    os << columns_[c] << (c + 1 < columns_.size() ? "," : "\n");
-  for (const auto& r : rows_)
-    for (std::size_t c = 0; c < r.size(); ++c)
-      os << r[c] << (c + 1 < r.size() ? "," : "\n");
-}
-
 void Table::print() const { print(std::cout); }
 
 Heatmap::Heatmap(std::string title, std::string row_label, std::string col_label)
@@ -146,16 +137,5 @@ void Heatmap::print(std::ostream& os, int precision) const {
 }
 
 void Heatmap::print(int precision) const { print(std::cout, precision); }
-
-void Heatmap::write_csv(std::ostream& os) const {
-  os << row_label_ << "\\" << col_label_;
-  for (const auto& k : col_keys_) os << ',' << k;
-  os << '\n';
-  for (std::size_t r = 0; r < rows(); ++r) {
-    os << row_keys_[r];
-    for (std::size_t c = 0; c < cols(); ++c) os << ',' << cells_[r][c];
-    os << '\n';
-  }
-}
 
 }  // namespace frlfi

@@ -2,8 +2,7 @@
 
 /// \file table.hpp
 /// ASCII table and heatmap rendering used by the benchmark harness to print
-/// the same rows/series the paper's tables and figures report, plus CSV
-/// export so results can be re-plotted.
+/// the same rows/series the paper's tables and figures report.
 
 #include <iosfwd>
 #include <string>
@@ -35,10 +34,6 @@ class Table {
 
   /// Render with box-drawing alignment to the stream.
   void print(std::ostream& os) const;
-
-  /// Render as RFC-4180-ish CSV (no quoting of embedded commas — cells are
-  /// produced by this library and never contain commas).
-  void write_csv(std::ostream& os) const;
 
   /// Convenience: render to stdout.
   void print() const;
@@ -80,9 +75,6 @@ class Heatmap {
 
   /// Convenience: render to stdout.
   void print(int precision = 0) const;
-
-  /// CSV export: header is col keys; one line per row key.
-  void write_csv(std::ostream& os) const;
 
   std::size_t rows() const { return row_keys_.size(); }
   std::size_t cols() const { return col_keys_.size(); }

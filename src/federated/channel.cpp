@@ -133,7 +133,7 @@ void CommChannel::transmit_row_bursty_on(float* row, std::size_t dim,
   const BurstyChannelConfig& c = bursty_;
   // Every burst-plane draw lives on per-message streams derived off the
   // caller's RNG — split/derive never advance it, so arming the burst
-  // plane cannot move the training stream, and the (persisted) sequence
+  // plane cannot move the training stream, and the (snapshotted) sequence
   // key makes a restored campaign replay the same weather. Fleet-mode
   // retry attempt k > 0 extends the key so each attempt meets fresh
   // weather without claiming a new sequence number.
@@ -396,15 +396,6 @@ CommChannel::UploadOutcome CommChannel::transmit_reliable(
   if (!out.delivered)
     std::copy(scratch_.orig.begin(), scratch_.orig.end(), row);
   return out;
-}
-
-void CommChannel::reset_counters() {
-  messages_ = 0;
-  bytes_ = 0;
-  corrupted_ = 0;
-  retransmit_bytes_ = 0;
-  chunks_erased_ = 0;
-  reordered_ = 0;
 }
 
 }  // namespace frlfi

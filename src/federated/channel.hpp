@@ -217,14 +217,10 @@ class CommChannel {
 
   /// The persistent transmit sequence number keying the burst plane's
   /// per-message derived streams. Unlike the cost counters it is
-  /// timeline state: the engine persists it in TrainingState so a
+  /// timeline state: the engine carries it in TrainingState so a
   /// restored campaign replays the same channel weather.
   std::uint64_t transmit_seq() const { return seq_; }
   void set_transmit_seq(std::uint64_t seq) { seq_ = seq; }
-
-  /// Reset the cost/corruption counters (transmit_seq is timeline state,
-  /// not a counter, and is left alone).
-  void reset_counters();
 
  private:
   /// Per-message scratch for the burst plane and the retry protocol.

@@ -317,15 +317,4 @@ void FederatedRoundEngine::restore_training_state(const TrainingState& state) {
   }
 }
 
-void FederatedRoundEngine::restore_position(std::size_t episode,
-                                            std::size_t round) {
-  // Position-only restore: no staleness buffer, no pending fault, and the
-  // mitigation machinery restarts afresh — its history describes the
-  // pre-restore timeline.
-  TrainingState state;
-  state.episode = episode;
-  state.round = round;
-  restore_training_state(state);
-}
-
 }  // namespace frlfi

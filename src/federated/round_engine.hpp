@@ -214,17 +214,8 @@ class FederatedRoundEngine {
 
   /// Restore a captured training state. Mitigation state is applied only
   /// when both the snapshot carries it and mitigation is currently
-  /// enabled; otherwise the machinery restarts fresh (the historical
-  /// behaviour, still what position-only restores get).
+  /// enabled; otherwise the machinery restarts fresh.
   void restore_training_state(const TrainingState& state);
-
-  /// Reposition the training timeline after a position-only snapshot
-  /// restore: sets the episode/round counters, clears any pending server
-  /// fault and staleness buffer, and (when mitigation is enabled)
-  /// restarts the detector/checkpoint machinery — their history
-  /// describes the pre-restore timeline. Prefer training_state() /
-  /// restore_training_state() for full-fidelity resume.
-  void restore_position(std::size_t episode, std::size_t round);
 
   /// The configuration in force.
   const Config& config() const { return cfg_; }

@@ -1,7 +1,5 @@
 #include "frl/drone_system.hpp"
 
-#include "frl/persist.hpp"
-
 #include <algorithm>
 #include <bit>
 #include <map>
@@ -252,7 +250,6 @@ double DroneFrlSystem::evaluate_inference_fault(
   spec.seed = seed;
   spec.rng_salt = 0xE7A2;
   spec.threads = threads;
-  spec.activation_detector = scenario.detector;
   // Same plane rule as the gridworld system: scenario.mode governs both
   // Trans-1 (inside the runner) and static-fault campaigns (clean trials
   // over the corrupted policy's fresh int8 deployment).
@@ -276,8 +273,6 @@ double DroneFrlSystem::evaluate_inference_fault(
 DroneFrlSystem::Snapshot DroneFrlSystem::snapshot() const {
   Snapshot snap;
   snap.engine = engine_->training_state();
-  snap.episode = snap.engine.episode;
-  snap.round = snap.engine.round;
   for (const auto& n : nets_) snap.drone_params.push_back(n->flat_parameters());
   for (const auto& l : learners_) snap.baselines.push_back(l->baseline_state());
   return snap;
@@ -291,53 +286,7 @@ void DroneFrlSystem::restore(const Snapshot& snap) {
   FRLFI_CHECK(snap.baselines.size() == learners_.size());
   for (std::size_t i = 0; i < learners_.size(); ++i)
     learners_[i]->set_baseline_state(snap.baselines[i]);
-  // Top-level counters win over the engine block so hand-built snapshots
-  // keep their historical position-only semantics.
-  FederatedRoundEngine::TrainingState state = snap.engine;
-  state.episode = snap.episode;
-  state.round = snap.round;
-  engine_->restore_training_state(state);
-}
-
-void DroneFrlSystem::save(std::ostream& os) const {
-  persist::write_header(os, 3);
-  const Snapshot snap = snapshot();
-  persist::write_u64(os, snap.episode);
-  persist::write_u64(os, snap.round);
-  persist::write_u64(os, snap.drone_params.size());
-  for (const auto& p : snap.drone_params) persist::write_floats(os, p);
-  for (const auto& b : snap.baselines) {
-    persist::write_floats(os, {b.value});
-    persist::write_u64(os, b.initialized ? 1 : 0);
-  }
-  persist::write_training_state(os, snap.engine);
-}
-
-void DroneFrlSystem::load(std::istream& is) {
-  const std::uint32_t version = persist::read_header(is);
-  FRLFI_CHECK_MSG(version >= 1 && version <= 3,
-                  "unsupported state version " << version);
-  Snapshot snap;
-  snap.episode = static_cast<std::size_t>(persist::read_u64(is));
-  snap.round = static_cast<std::size_t>(persist::read_u64(is));
-  const std::uint64_t n = persist::read_u64(is);
-  FRLFI_CHECK_MSG(n == nets_.size(), "state holds " << n << " drones, system has "
-                                                    << nets_.size());
-  const std::size_t params = nets_[0]->parameter_count();
-  for (std::uint64_t i = 0; i < n; ++i)
-    snap.drone_params.push_back(persist::read_floats(is, params));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ReinforceTrainer::BaselineState b;
-    b.value = persist::read_floats(is, 1)[0];
-    b.initialized = persist::read_u64(is) != 0;
-    snap.baselines.push_back(b);
-  }
-  // Version-1 files carry no engine block: restore() falls back to the
-  // historical position-only semantics.
-  if (version >= 2)
-    snap.engine =
-        persist::read_training_state(is, cfg_.n_drones, params, version);
-  restore(snap);
+  engine_->restore_training_state(snap.engine);
 }
 
 Network& DroneFrlSystem::drone_network(std::size_t drone) {

@@ -75,14 +75,11 @@ class DroneFrlSystem {
   };
 
   /// Training-state snapshot for shared-prefix sweeps. Carries the
-  /// engine-side state (staleness buffer, pending server fault,
-  /// mitigation history) besides parameters and baselines; the top-level
-  /// episode/round stay authoritative for hand-built snapshots.
+  /// engine-side state (position, staleness buffer, pending server fault,
+  /// mitigation history) besides parameters and baselines.
   struct Snapshot {
     std::vector<std::vector<float>> drone_params;
     std::vector<ReinforceTrainer::BaselineState> baselines;
-    std::size_t episode = 0;
-    std::size_t round = 0;
     FederatedRoundEngine::TrainingState engine;
   };
 
@@ -147,11 +144,6 @@ class DroneFrlSystem {
   /// Capture / restore training state.
   Snapshot snapshot() const;
   void restore(const Snapshot& snap);
-
-  /// Persist / reload the training state (binary). The loading system
-  /// must have been constructed with the same configuration.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
 
   /// Mitigation counters.
   const MitigationStats& mitigation_stats() const {

@@ -120,8 +120,7 @@ struct LaneStrikes {
 /// stream as the float strikes, recorded as words).
 std::vector<EpisodeStats> lockstep_episodes(
     Network& policy, const std::vector<Environment*>& envs,
-    std::vector<Rng>& rngs, std::size_t max_steps,
-    const RangeAnomalyDetector* activation_detector, ThreadPool* pool,
+    std::vector<Rng>& rngs, std::size_t max_steps, ThreadPool* pool,
     const Trans1Strikes* strikes, const QuantWeightView* base_qview) {
   const std::size_t lanes = envs.size();
   FRLFI_CHECK_MSG(lanes >= 1 && rngs.size() == lanes && max_steps >= 1,
@@ -136,26 +135,6 @@ std::vector<EpisodeStats> lockstep_episodes(
     FRLFI_CHECK_MSG(obs[i].shape() == obs[0].shape(),
                     "batched greedy: lanes disagree on observation shape");
     active.push_back(i);
-  }
-  // Screening installs an activation hook on the shared policy; restore
-  // whatever hook the caller had at every exit (exceptions included) so a
-  // throwing env step cannot leave the suppressor attached, and a
-  // caller-installed hook survives the batched run.
-  struct HookGuard {
-    Network* net = nullptr;
-    std::function<void(std::size_t, Tensor&)> saved;
-    ~HookGuard() {
-      if (net) net->set_activation_hook(std::move(saved));
-    }
-  } hook_guard;
-  if (activation_detector != nullptr &&
-      activation_detector->has_activation_calibration()) {
-    hook_guard.saved = policy.activation_hook();
-    policy.set_activation_hook(
-        [activation_detector](std::size_t layer, Tensor& act) {
-          activation_detector->suppress_activations(layer, act);
-        });
-    hook_guard.net = &policy;
   }
   const std::size_t sample = obs[0].size();
   Tensor batch;
@@ -231,11 +210,10 @@ std::vector<EpisodeStats> lockstep_episodes(
 
 std::vector<EpisodeStats> greedy_episodes_batched(
     Network& policy, const std::vector<Environment*>& envs,
-    std::vector<Rng>& rngs, std::size_t max_steps,
-    const RangeAnomalyDetector* activation_detector, ThreadPool* pool,
+    std::vector<Rng>& rngs, std::size_t max_steps, ThreadPool* pool,
     const QuantWeightView* qview) {
-  return lockstep_episodes(policy, envs, rngs, max_steps, activation_detector,
-                           pool, nullptr, qview);
+  return lockstep_episodes(policy, envs, rngs, max_steps, pool, nullptr,
+                           qview);
 }
 
 namespace {
@@ -326,9 +304,8 @@ std::vector<EpisodeStats> greedy_episodes_trans1_batched(
     base_qview.emplace(deployed.quant_view(nullptr));
   }
   // The scenario's detector screens the strike overlays (weight scan,
-  // inside trans1_strike_overlay); activation screening does not apply.
-  return lockstep_episodes(policy, envs, rngs, max_steps,
-                           /*activation_detector=*/nullptr, pool, &strikes,
+  // inside trans1_strike_overlay).
+  return lockstep_episodes(policy, envs, rngs, max_steps, pool, &strikes,
                            base_qview ? &*base_qview : nullptr);
 }
 
@@ -393,14 +370,8 @@ std::vector<double> run_batched_inference_campaign(
 
   // Nothing in the batched runners mutates parameters — Trans-1 corruption
   // rides per-lane weight views over one shared deployed image — so every
-  // worker lane shares a single read-only working copy of the policy. The
-  // one exception is the batched activation screen, which installs a hook
-  // (per-network mutable state): those campaigns still clone per lane.
-  const bool hook_lanes = spec.trans1 == nullptr &&
-                          spec.activation_detector != nullptr &&
-                          spec.activation_detector->has_activation_calibration();
-  std::optional<Network> shared_policy;
-  if (!hook_lanes) shared_policy.emplace(policy.clone());
+  // worker lane shares a single read-only working copy of the policy.
+  Network shared_policy = policy.clone();
   std::optional<DeployedWeights> deployed;
   std::vector<std::size_t> base_hits;
   if (spec.trans1 != nullptr) {
@@ -426,9 +397,6 @@ std::vector<double> run_batched_inference_campaign(
   // on (seed, salt, agent, trial), so any partition of trials over lanes
   // produces identical bits.
   const auto run_trials = [&](std::size_t t_begin, std::size_t t_end) {
-    std::optional<Network> private_policy;
-    if (hook_lanes) private_policy.emplace(policy.clone());
-    Network& lane_policy = hook_lanes ? *private_policy : *shared_policy;
     std::vector<std::unique_ptr<Environment>> lane_envs;
     std::vector<Environment*> lanes;
     lane_envs.reserve(spec.agents);
@@ -443,14 +411,12 @@ std::vector<double> run_batched_inference_campaign(
         rngs[a] = base.derive_stream({spec.rng_salt + a, t});
       const std::vector<EpisodeStats> stats =
           spec.trans1 != nullptr
-              ? greedy_episodes_trans1_batched(lane_policy, *deployed,
+              ? greedy_episodes_trans1_batched(shared_policy, *deployed,
                                                *spec.trans1, lanes, rngs,
                                                spec.max_steps,
                                                /*pool=*/nullptr, &base_hits)
-              : greedy_episodes_batched(lane_policy, lanes, rngs,
-                                        spec.max_steps,
-                                        spec.activation_detector,
-                                        /*pool=*/nullptr,
+              : greedy_episodes_batched(shared_policy, lanes, rngs,
+                                        spec.max_steps, /*pool=*/nullptr,
                                         clean_qview ? &*clean_qview : nullptr);
       for (std::size_t a = 0; a < spec.agents; ++a)
         metrics[t * spec.agents + a] = metric(a, *lanes[a], stats[a]);

@@ -52,12 +52,6 @@ EpisodeStats greedy_episode_quant(Network& policy, Environment& env, Rng& rng,
 /// episodes terminate. Requires all environments to share one observation
 /// shape and one policy (weight faults must be injected beforehand).
 ///
-/// When `activation_detector` is non-null and activation-calibrated, every
-/// layer's batched activations are range-screened in one pass (out-of-range
-/// elements suppressed to zero) before the next layer runs; the policy's
-/// activation hook carries the screen for the duration of the call and any
-/// caller-installed hook is restored afterwards.
-///
 /// A non-null `pool` shards each decision step's forward_batch across the
 /// pool's lanes (Network::forward_batch's sharded path — bit-identical to
 /// the unsharded call for every thread count); safe even when the caller is
@@ -71,9 +65,8 @@ EpisodeStats greedy_episode_quant(Network& policy, Environment& env, Rng& rng,
 /// this plane, conv policies included.
 std::vector<EpisodeStats> greedy_episodes_batched(
     Network& policy, const std::vector<Environment*>& envs,
-    std::vector<Rng>& rngs, std::size_t max_steps,
-    const RangeAnomalyDetector* activation_detector = nullptr,
-    ThreadPool* pool = nullptr, const QuantWeightView* qview = nullptr);
+    std::vector<Rng>& rngs, std::size_t max_steps, ThreadPool* pool = nullptr,
+    const QuantWeightView* qview = nullptr);
 
 /// Configuration for an inference fault campaign on a deployed policy.
 ///
@@ -105,10 +98,7 @@ struct InferenceFaultScenario {
   /// deployment has an int8 image to execute.
   InferenceMode mode = InferenceMode::Float32;
   /// When set, run range-based anomaly detection + suppression after
-  /// injection (the §V-B mitigation). On the batched evaluation path a
-  /// detector that has also been activation-calibrated
-  /// (RangeAnomalyDetector::calibrate_activations) additionally screens
-  /// every layer's batched activations in one pass per step.
+  /// injection (the §V-B mitigation).
   const RangeAnomalyDetector* detector = nullptr;
 };
 
@@ -200,9 +190,8 @@ InjectionReport apply_static_inference_fault(Network& policy,
 /// the campaign is embarrassingly parallel: results are bit-identical for
 /// every `threads` value (each worker lane owns a private environment set;
 /// the policy is shared read-only across lanes — Trans-1 corruption rides
-/// per-lane weight views — except when the activation screen needs a
-/// private hook slot; metrics are folded in trial order by the caller from
-/// the returned trial-major vector).
+/// per-lane weight views; metrics are folded in trial order by the caller
+/// from the returned trial-major vector).
 struct BatchedCampaignSpec {
   /// Independent trials (one batched episode over all agents each).
   std::size_t episodes = 1;
@@ -222,9 +211,6 @@ struct BatchedCampaignSpec {
   /// shared global pool) degrades to inline; a nested explicit count
   /// spins its own pool (see parallel.hpp).
   std::size_t threads = 1;
-  /// Optional per-step batched activation screen (see
-  /// greedy_episodes_batched); ignored for Trans-1 trials.
-  const RangeAnomalyDetector* activation_detector = nullptr;
   /// Numeric plane for *clean* trials (trans1 == nullptr): Int8 deploys
   /// the policy to an int8 image (int8_headroom below) once per campaign
   /// and runs every forward int8-natively. Trans-1 trials follow their
@@ -243,9 +229,7 @@ struct BatchedCampaignSpec {
 /// Run the campaign. `make_env(a)` builds a fresh environment equivalent
 /// to agent a's (each worker lane materializes its own set — environments
 /// are stateful and never shared across lanes; the policy is cloned once
-/// and shared read-only by every lane, nothing mutates it — only the
-/// activation screen, whose hook slot is per-network state, still takes a
-/// private clone per lane).
+/// and shared read-only by every lane, nothing mutates it).
 /// `metric(a, env, stats)` maps agent a's finished episode (the
 /// environment still holds its terminal state) to the scalar of interest.
 /// Returns episodes x agents metrics indexed [trial * agents + agent] —

@@ -1,7 +1,5 @@
 #include "frl/gridworld_system.hpp"
 
-#include "frl/persist.hpp"
-
 #include <algorithm>
 
 #include "core/error.hpp"
@@ -183,7 +181,6 @@ double GridWorldFrlSystem::evaluate_inference_fault(
   spec.seed = seed;
   spec.rng_salt = 0xE7A1;
   spec.threads = threads;
-  spec.activation_detector = scenario.detector;
   // Trans-1 trials read the scenario's mode directly; static-fault trials
   // run a clean campaign over the (corrupted, repaired) policy on the
   // scenario's plane — so an Int8 scenario executes its deployed image
@@ -207,8 +204,6 @@ double GridWorldFrlSystem::evaluate_inference_fault(
 GridWorldFrlSystem::Snapshot GridWorldFrlSystem::snapshot() const {
   Snapshot snap;
   snap.engine = engine_->training_state();
-  snap.episode = snap.engine.episode;
-  snap.round = snap.engine.round;
   for (const auto& n : nets_) snap.agent_params.push_back(n->flat_parameters());
   return snap;
 }
@@ -218,44 +213,7 @@ void GridWorldFrlSystem::restore(const Snapshot& snap) {
                   "snapshot agent count mismatch");
   for (std::size_t i = 0; i < nets_.size(); ++i)
     nets_[i]->set_flat_parameters(snap.agent_params[i]);
-  // Top-level counters win over the engine block so hand-built snapshots
-  // (engine state default-empty) keep their historical position-only
-  // semantics.
-  FederatedRoundEngine::TrainingState state = snap.engine;
-  state.episode = snap.episode;
-  state.round = snap.round;
-  engine_->restore_training_state(state);
-}
-
-void GridWorldFrlSystem::save(std::ostream& os) const {
-  persist::write_header(os, 3);
-  const Snapshot snap = snapshot();
-  persist::write_u64(os, snap.episode);
-  persist::write_u64(os, snap.round);
-  persist::write_u64(os, snap.agent_params.size());
-  for (const auto& p : snap.agent_params) persist::write_floats(os, p);
-  persist::write_training_state(os, snap.engine);
-}
-
-void GridWorldFrlSystem::load(std::istream& is) {
-  const std::uint32_t version = persist::read_header(is);
-  FRLFI_CHECK_MSG(version >= 1 && version <= 3,
-                  "unsupported state version " << version);
-  Snapshot snap;
-  snap.episode = static_cast<std::size_t>(persist::read_u64(is));
-  snap.round = static_cast<std::size_t>(persist::read_u64(is));
-  const std::uint64_t n = persist::read_u64(is);
-  FRLFI_CHECK_MSG(n == nets_.size(), "state holds " << n << " agents, system has "
-                                                    << nets_.size());
-  const std::size_t params = nets_[0]->parameter_count();
-  for (std::uint64_t i = 0; i < n; ++i)
-    snap.agent_params.push_back(persist::read_floats(is, params));
-  // Version-1 files carry no engine block: restore() falls back to the
-  // historical position-only semantics.
-  if (version >= 2)
-    snap.engine =
-        persist::read_training_state(is, cfg_.n_agents, params, version);
-  restore(snap);
+  engine_->restore_training_state(snap.engine);
 }
 
 Network& GridWorldFrlSystem::agent_network(std::size_t agent) {

@@ -63,15 +63,12 @@ class GridWorldFrlSystem {
   };
 
   /// Opaque training-state snapshot enabling the shared-prefix training
-  /// used by the heatmap sweeps. Besides the parameters and timeline
-  /// counters it carries the engine-side state (staleness buffer, pending
+  /// used by the heatmap sweeps. Besides the parameters it carries the
+  /// engine-side state (timeline counters, staleness buffer, pending
   /// server fault, mitigation history) so a restored run replays the
-  /// uninterrupted one bit-for-bit. The top-level episode/round stay
-  /// authoritative for hand-built snapshots that never filled `engine`.
+  /// uninterrupted one bit-for-bit.
   struct Snapshot {
     std::vector<std::vector<float>> agent_params;
-    std::size_t episode = 0;
-    std::size_t round = 0;
     FederatedRoundEngine::TrainingState engine;
   };
 
@@ -155,11 +152,6 @@ class GridWorldFrlSystem {
   /// is re-derived from the episode counter).
   Snapshot snapshot() const;
   void restore(const Snapshot& snap);
-
-  /// Persist / reload the training state (binary). The loading system
-  /// must have been constructed with the same configuration.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
 
   /// Mitigation counters (meaningful when mitigation is enabled).
   const MitigationStats& mitigation_stats() const {

@@ -18,8 +18,7 @@ float widen(float bound, double margin, bool is_low) {
 }  // namespace
 
 RangeAnomalyDetector::RangeAnomalyDetector(Network& healthy_network,
-                                           Options opts)
-    : margin_(opts.margin) {
+                                           Options opts) {
   FRLFI_CHECK(opts.margin >= 0.0);
   for (Parameter* p : healthy_network.parameters()) {
     const auto& w = p->value.data();
@@ -214,58 +213,6 @@ std::vector<std::size_t> RangeAnomalyDetector::base_out_of_range(
 std::pair<float, float> RangeAnomalyDetector::bounds(std::size_t t) const {
   FRLFI_CHECK(t < ranges_.size());
   return {ranges_[t].lo, ranges_[t].hi};
-}
-
-void RangeAnomalyDetector::calibrate_activations(
-    Network& healthy_network, const std::vector<Tensor>& sample_inputs) {
-  FRLFI_CHECK_MSG(!sample_inputs.empty(),
-                  "activation calibration needs sample observations");
-  std::vector<Range> raw(healthy_network.layer_count(),
-                         {3.4e38f, -3.4e38f});
-  healthy_network.set_activation_hook([&raw](std::size_t i, Tensor& act) {
-    for (const float v : act.data()) {
-      raw[i].lo = std::min(raw[i].lo, v);
-      raw[i].hi = std::max(raw[i].hi, v);
-    }
-  });
-  for (const Tensor& obs : sample_inputs) healthy_network.forward(obs);
-  healthy_network.set_activation_hook(nullptr);
-  act_ranges_.clear();
-  for (const Range& r : raw)
-    act_ranges_.push_back(
-        {widen(r.lo, margin_, true), widen(r.hi, margin_, false)});
-}
-
-std::pair<float, float> RangeAnomalyDetector::activation_bounds(
-    std::size_t layer) const {
-  FRLFI_CHECK(layer < act_ranges_.size());
-  return {act_ranges_[layer].lo, act_ranges_[layer].hi};
-}
-
-std::size_t RangeAnomalyDetector::suppress_activations(std::size_t layer,
-                                                       Tensor& act) const {
-  FRLFI_CHECK_MSG(layer < act_ranges_.size(),
-                  "layer " << layer << " not activation-calibrated");
-  const Range r = act_ranges_[layer];
-  std::size_t hits = 0;
-  for (float& v : act.data()) {
-    if (v < r.lo || v > r.hi) {
-      v = 0.0f;
-      ++hits;
-    }
-  }
-  return hits;
-}
-
-std::size_t RangeAnomalyDetector::scan_activations(std::size_t layer,
-                                                   const Tensor& act) const {
-  FRLFI_CHECK_MSG(layer < act_ranges_.size(),
-                  "layer " << layer << " not activation-calibrated");
-  const Range r = act_ranges_[layer];
-  std::size_t hits = 0;
-  for (const float v : act.data())
-    if (v < r.lo || v > r.hi) ++hits;
-  return hits;
 }
 
 }  // namespace frlfi

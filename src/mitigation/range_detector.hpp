@@ -8,13 +8,6 @@
 /// around it is skipped — implemented, as in the paper's reference [24],
 /// by suppressing the anomalous value to zero (NNs are sparse and
 /// zero-centred, so zero is the maximum-likelihood repair).
-///
-/// The detector can additionally be calibrated on per-layer *activation*
-/// ranges (calibrate_activations). Screening then also catches fault
-/// symptoms that weight scanning misses (in-range weight corruption that
-/// still produces outlier activations) and runs inline on the batched
-/// inference path: one pass over a whole (B x features) activation tensor
-/// per layer, suppressing every out-of-range element.
 
 #include <cstddef>
 #include <span>
@@ -88,26 +81,6 @@ class RangeAnomalyDetector {
   /// Calibrated (low, high) bound for tensor t, margin included.
   std::pair<float, float> bounds(std::size_t t) const;
 
-  /// Calibrate per-layer activation ranges by running the healthy network
-  /// forward over representative observations (the same margin widening as
-  /// weights). Clears any activation hook the network had installed.
-  void calibrate_activations(Network& healthy_network,
-                             const std::vector<Tensor>& sample_inputs);
-
-  /// True once calibrate_activations has run.
-  bool has_activation_calibration() const { return !act_ranges_.empty(); }
-
-  /// Calibrated (low, high) activation bound for layer i, margin included.
-  std::pair<float, float> activation_bounds(std::size_t layer) const;
-
-  /// One pass over a layer's activation tensor — single-sample or batched
-  /// (any leading batch extent) — zeroing every out-of-range element.
-  /// Returns the number suppressed.
-  std::size_t suppress_activations(std::size_t layer, Tensor& act) const;
-
-  /// Count out-of-range activation elements without repairing.
-  std::size_t scan_activations(std::size_t layer, const Tensor& act) const;
-
  private:
   struct Range {
     float lo;
@@ -118,8 +91,6 @@ class RangeAnomalyDetector {
 
   std::vector<Range> ranges_;
   std::vector<std::size_t> sizes_;  // scalars per calibrated tensor
-  std::vector<Range> act_ranges_;   // per layer; empty until calibrated
-  double margin_ = 0.0;
 };
 
 }  // namespace frlfi

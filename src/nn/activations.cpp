@@ -66,25 +66,6 @@ Tensor softmax(const Tensor& logits) {
   return out;
 }
 
-Tensor softmax_batch(const Tensor& logits, std::size_t batch) {
-  FRLFI_CHECK(batch >= 1 && logits.rank() >= 2 && logits.dim(0) == batch);
-  const std::size_t width = logits.size() / batch;
-  FRLFI_CHECK(width >= 1);
-  Tensor out = logits;
-  for (std::size_t b = 0; b < batch; ++b) {
-    float* row = out.data().data() + b * width;
-    float m = row[0];
-    for (std::size_t j = 1; j < width; ++j) m = std::max(m, row[j]);
-    float total = 0.0f;
-    for (std::size_t j = 0; j < width; ++j) {
-      row[j] = std::exp(row[j] - m);
-      total += row[j];
-    }
-    for (std::size_t j = 0; j < width; ++j) row[j] /= total;
-  }
-  return out;
-}
-
 float log_softmax_at(const Tensor& logits, std::size_t index) {
   FRLFI_CHECK(index < logits.size());
   const float m = logits.max();

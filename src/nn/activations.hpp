@@ -37,10 +37,4 @@ Tensor softmax(const Tensor& logits);
 /// log(softmax(logits)[index]) computed stably.
 float log_softmax_at(const Tensor& logits, std::size_t index);
 
-/// Row-wise softmax over a batched (batch x features) logits tensor: row b
-/// of the result is softmax() of row b, computed with the identical
-/// max/exp/normalize sequence so batched rows are bit-identical to the
-/// single-sample helper.
-Tensor softmax_batch(const Tensor& logits, std::size_t batch);
-
 }  // namespace frlfi

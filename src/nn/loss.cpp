@@ -26,14 +26,4 @@ Tensor policy_gradient_grad(const Tensor& logits, std::size_t action,
   return grad;
 }
 
-float mse(const Tensor& a, const Tensor& b) {
-  FRLFI_CHECK(a.size() == b.size() && !a.empty());
-  float s = 0.0f;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const float d = a[i] - b[i];
-    s += d * d;
-  }
-  return s / static_cast<float>(a.size());
-}
-
 }  // namespace frlfi

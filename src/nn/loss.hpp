@@ -24,7 +24,4 @@ Tensor td_loss_grad(const Tensor& q_values, std::size_t action, float target,
 Tensor policy_gradient_grad(const Tensor& logits, std::size_t action,
                             float advantage);
 
-/// Mean squared error between two same-shaped tensors (diagnostics/tests).
-float mse(const Tensor& a, const Tensor& b);
-
 }  // namespace frlfi

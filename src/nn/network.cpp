@@ -1,8 +1,6 @@
 #include "nn/network.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 #include <vector>
 
 #include "core/error.hpp"
@@ -263,31 +261,6 @@ Network Network::clone() const {
   Network copy;
   for (const auto& l : layers_) copy.add(l->clone());
   return copy;
-}
-
-void Network::save_parameters(std::ostream& os) const {
-  const std::uint32_t magic = 0x464E4554u;  // "FNET"
-  const std::uint64_t n = parameter_count();
-  os.write(reinterpret_cast<const char*>(&magic), sizeof magic);
-  os.write(reinterpret_cast<const char*>(&n), sizeof n);
-  const std::vector<float> flat = flat_parameters();
-  os.write(reinterpret_cast<const char*>(flat.data()),
-           static_cast<std::streamsize>(flat.size() * sizeof(float)));
-}
-
-void Network::load_parameters(std::istream& is) {
-  std::uint32_t magic = 0;
-  std::uint64_t n = 0;
-  is.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  is.read(reinterpret_cast<char*>(&n), sizeof n);
-  FRLFI_CHECK_MSG(is.good() && magic == 0x464E4554u, "bad network header");
-  FRLFI_CHECK_MSG(n == parameter_count(),
-                  "saved parameter count " << n << " != " << parameter_count());
-  std::vector<float> flat(static_cast<std::size_t>(n));
-  is.read(reinterpret_cast<char*>(flat.data()),
-          static_cast<std::streamsize>(flat.size() * sizeof(float)));
-  FRLFI_CHECK_MSG(is.good(), "truncated network payload");
-  set_flat_parameters(flat);
 }
 
 }  // namespace frlfi

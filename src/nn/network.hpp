@@ -5,11 +5,10 @@
 /// needs beyond plain forward/backward:
 ///  * flat parameter import/export (what the federated server aggregates
 ///    and the communication channel transports), and
-///  * per-layer activation hooks (where dynamic activation faults and the
-///    range-based anomaly detector attach).
+///  * a per-layer activation hook (where per-layer instrumentation such as
+///    layer timing attaches).
 
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <span>
 
@@ -53,16 +52,9 @@ class Network {
 
   /// Hook invoked after each layer's forward pass as
   /// hook(layer_index, activation_tensor); the hook may mutate the
-  /// activation (fault injection, anomaly suppression). An empty function
-  /// clears the hook.
+  /// activation. An empty function clears the hook.
   void set_activation_hook(
       std::function<void(std::size_t, Tensor&)> hook);
-
-  /// The currently installed activation hook (empty function if none) —
-  /// lets scoped overriders (batched screening) save and restore it.
-  const std::function<void(std::size_t, Tensor&)>& activation_hook() const {
-    return activation_hook_;
-  }
 
   /// Run the full training forward pass on one sample: every layer caches
   /// what a following backward() needs.
@@ -162,13 +154,6 @@ class Network {
 
   /// Deep copy (parameters copied, caches and hooks dropped).
   Network clone() const;
-
-  /// Serialize parameter values (architecture is not serialized; the
-  /// loader must have built an identical topology).
-  void save_parameters(std::ostream& os) const;
-
-  /// Load parameter values saved by save_parameters into this topology.
-  void load_parameters(std::istream& is);
 
  private:
   // The inference layer loop: every layer's infer() reading parameters

@@ -139,11 +139,6 @@ std::vector<float> Int8Quantizer::dequantize(const std::vector<std::int8_t>& qs)
   return out;
 }
 
-std::vector<float> int8_roundtrip(const std::vector<float>& xs) {
-  const Int8Quantizer q = Int8Quantizer::calibrate(xs);
-  return q.dequantize(q.quantize(xs));
-}
-
 FRLFI_TARGET_CLONES
 float activation_scale(std::span<const float> xs) {
   // Exactly Int8Quantizer::calibrate's scale rule (epsilon floor included)

@@ -63,11 +63,6 @@ class Int8Quantizer {
   float scale_;
 };
 
-/// Round-trip a float buffer through int8 (quantize-dequantize), emulating
-/// an 8-bit deployment of the tensor. Returns the quantization-noise-bearing
-/// reconstruction.
-std::vector<float> int8_roundtrip(const std::vector<float>& xs);
-
 /// Per-layer activation requantization for the quantized inference plane.
 ///
 /// The int8 forward path keeps one weight scale per deployed image

@@ -1,10 +1,7 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <istream>
 #include <numeric>
-#include <ostream>
 #include <sstream>
 
 #include "core/error.hpp"
@@ -40,13 +37,6 @@ Tensor Tensor::random_uniform(std::vector<std::size_t> shape, Rng& rng,
                               float lo, float hi) {
   Tensor t(std::move(shape));
   for (auto& v : t.data_) v = static_cast<float>(rng.uniform(lo, hi));
-  return t;
-}
-
-Tensor Tensor::random_normal(std::vector<std::size_t> shape, Rng& rng,
-                             float stddev) {
-  Tensor t(std::move(shape));
-  for (auto& v : t.data_) v = static_cast<float>(rng.normal(0.0, stddev));
   return t;
 }
 
@@ -196,39 +186,6 @@ std::string Tensor::shape_string() const {
     os << (i ? "x" : "") << shape_[i];
   if (shape_.empty()) os << "scalar";
   return os.str();
-}
-
-void Tensor::save(std::ostream& os) const {
-  const std::uint32_t magic = 0x46544E53u;  // "FTNS"
-  const std::uint32_t r = static_cast<std::uint32_t>(rank());
-  os.write(reinterpret_cast<const char*>(&magic), sizeof magic);
-  os.write(reinterpret_cast<const char*>(&r), sizeof r);
-  for (std::size_t d : shape_) {
-    const std::uint64_t d64 = d;
-    os.write(reinterpret_cast<const char*>(&d64), sizeof d64);
-  }
-  os.write(reinterpret_cast<const char*>(data_.data()),
-           static_cast<std::streamsize>(data_.size() * sizeof(float)));
-}
-
-Tensor Tensor::load(std::istream& is) {
-  std::uint32_t magic = 0, r = 0;
-  is.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  is.read(reinterpret_cast<char*>(&r), sizeof r);
-  FRLFI_CHECK_MSG(is.good() && magic == 0x46544E53u, "bad tensor header");
-  FRLFI_CHECK_MSG(r <= 8, "implausible tensor rank " << r);
-  std::vector<std::size_t> shape(r);
-  for (auto& d : shape) {
-    std::uint64_t d64 = 0;
-    is.read(reinterpret_cast<char*>(&d64), sizeof d64);
-    FRLFI_CHECK_MSG(is.good() && d64 > 0 && d64 < (1ull << 32), "bad tensor dim");
-    d = static_cast<std::size_t>(d64);
-  }
-  Tensor t(shape);
-  is.read(reinterpret_cast<char*>(t.data_.data()),
-          static_cast<std::streamsize>(t.data_.size() * sizeof(float)));
-  FRLFI_CHECK_MSG(is.good(), "truncated tensor payload");
-  return t;
 }
 
 bool Tensor::equals(const Tensor& other) const {

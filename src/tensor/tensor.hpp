@@ -6,7 +6,6 @@
 /// Conv/FC policies operating on CHW images), value semantics.
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -32,10 +31,6 @@ class Tensor {
   /// Tensor of given shape with elements drawn uniformly from [lo, hi).
   static Tensor random_uniform(std::vector<std::size_t> shape, Rng& rng,
                                float lo, float hi);
-
-  /// Tensor of given shape with N(0, stddev) elements.
-  static Tensor random_normal(std::vector<std::size_t> shape, Rng& rng,
-                              float stddev);
 
   /// Shape vector.
   const std::vector<std::size_t>& shape() const { return shape_; }
@@ -118,12 +113,6 @@ class Tensor {
 
   /// "3x18x32"-style shape string for diagnostics.
   std::string shape_string() const;
-
-  /// Binary serialization (shape + raw floats).
-  void save(std::ostream& os) const;
-
-  /// Binary deserialization; throws Error on malformed input.
-  static Tensor load(std::istream& is);
 
   /// Exact equality of shape and all elements.
   bool equals(const Tensor& other) const;

@@ -285,21 +285,6 @@ TEST(BatchedForward, DoesNotDisturbTrainingCaches) {
     EXPECT_TRUE(pa[t]->grad.equals(pb[t]->grad)) << "tensor " << t;
 }
 
-TEST(BatchedForward, SoftmaxBatchMatchesRows) {
-  Rng rng(9);
-  const std::size_t batch = 7, width = 25;
-  const Tensor logits =
-      Tensor::random_uniform({batch, width}, rng, -3.0f, 3.0f);
-  const Tensor out = softmax_batch(logits, batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    Tensor row({width});
-    for (std::size_t j = 0; j < width; ++j) row[j] = logits[b * width + j];
-    const Tensor single = softmax(row);
-    for (std::size_t j = 0; j < width; ++j)
-      EXPECT_EQ(out[b * width + j], single[j]) << "row " << b << " col " << j;
-  }
-}
-
 TEST(BatchedForward, Validation) {
   Rng rng(11);
   Dense dense(8, 4, rng, "fc");

@@ -19,7 +19,7 @@ std::function<double(std::size_t)> synthetic_cell(std::uint64_t seed) {
     Rng rng = Rng(seed).split(c);
     double acc = 0.0;
     for (int i = 0; i < 50; ++i)
-      acc += rng.uniform() * 1e-3 + rng.normal() * 1e-6;
+      acc += rng.uniform() * 1e-3 + rng.uniform() * 1e-6;
     return acc;
   };
 }

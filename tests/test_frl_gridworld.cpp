@@ -77,6 +77,23 @@ TEST(GridWorldFrl, SnapshotRestoreReplaysIdentically) {
   EXPECT_EQ(a.agent_network(0).flat_parameters(), direct);
 }
 
+TEST(GridWorldFrl, SnapshotRestoresIntoFreshSystem) {
+  // Cross-instance resume: a second, freshly built system restored from a
+  // snapshot continues training bit-identically to the original.
+  GridWorldFrlSystem::Config cfg;
+  cfg.n_agents = 4;
+  GridWorldFrlSystem a(cfg, 6);
+  a.train(40);
+  const auto snap = a.snapshot();
+  a.train(20);
+  GridWorldFrlSystem b(cfg, 6);
+  b.restore(snap);
+  EXPECT_EQ(b.episode(), 40u);
+  b.train(20);
+  EXPECT_EQ(a.agent_network(0).flat_parameters(),
+            b.agent_network(0).flat_parameters());
+}
+
 TEST(GridWorldFrl, ServerFaultHurtsMoreThanAgentFault) {
   const std::size_t episodes = 600;
   auto run = [&](FaultSite site) {

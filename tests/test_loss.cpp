@@ -63,15 +63,5 @@ TEST(PolicyGradient, GradSumsToZero) {
   EXPECT_NEAR(g.sum(), 0.0f, 1e-6);
 }
 
-TEST(Mse, KnownValue) {
-  const Tensor a = Tensor::from_vector({1, 2, 3});
-  const Tensor b = Tensor::from_vector({1, 4, 3});
-  EXPECT_NEAR(mse(a, b), 4.0f / 3.0f, 1e-6);
-}
-
-TEST(Mse, RejectsMismatch) {
-  EXPECT_THROW(mse(Tensor({2}), Tensor({3})), Error);
-}
-
 }  // namespace
 }  // namespace frlfi

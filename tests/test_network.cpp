@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "core/error.hpp"
 #include "frl/policies.hpp"
@@ -112,28 +111,6 @@ TEST(Network, ActivationHookCanMutate) {
   EXPECT_EQ(hooked.sum(), 0.0f);
   net.set_activation_hook(nullptr);
   EXPECT_TRUE(net.forward(Tensor({3}, 1.0f)).equals(clean));
-}
-
-TEST(Network, SaveLoadParameters) {
-  Rng rng(10);
-  Network net = small_net(rng);
-  std::stringstream ss;
-  net.save_parameters(ss);
-  Rng rng2(99);
-  Network other = small_net(rng2);
-  EXPECT_NE(other.flat_parameters(), net.flat_parameters());
-  other.load_parameters(ss);
-  EXPECT_EQ(other.flat_parameters(), net.flat_parameters());
-}
-
-TEST(Network, LoadRejectsWrongTopology) {
-  Rng rng(11);
-  Network net = small_net(rng);
-  std::stringstream ss;
-  net.save_parameters(ss);
-  Network bigger;
-  bigger.add(std::make_unique<Dense>(10, 10, rng));
-  EXPECT_THROW(bigger.load_parameters(ss), Error);
 }
 
 TEST(Network, GridworldPolicyTopology) {

@@ -326,7 +326,7 @@ TEST(QuantEvaluation, BatchedLanesMatchSerialQuantEpisodes) {
       rngs.push_back(Rng(55).derive_stream({i}));
     }
     const std::vector<EpisodeStats> batched = greedy_episodes_batched(
-        policy, ptrs, rngs, max_steps, nullptr, &pool, &qview);
+        policy, ptrs, rngs, max_steps, &pool, &qview);
     ASSERT_EQ(batched.size(), serial.size());
     for (std::size_t i = 0; i < lanes; ++i) {
       EXPECT_EQ(batched[i].steps, serial[i].steps) << "lane " << i;

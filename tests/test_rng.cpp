@@ -166,27 +166,6 @@ TEST(Rng, BernoulliFrequencyMatchesP) {
   EXPECT_NEAR(static_cast<double>(hits) / kN, 0.3, 0.01);
 }
 
-TEST(Rng, NormalMomentsAreStandard) {
-  Rng rng(23);
-  double sum = 0.0, sq = 0.0;
-  constexpr int kN = 100000;
-  for (int i = 0; i < kN; ++i) {
-    const double x = rng.normal();
-    sum += x;
-    sq += x * x;
-  }
-  EXPECT_NEAR(sum / kN, 0.0, 0.02);
-  EXPECT_NEAR(sq / kN, 1.0, 0.03);
-}
-
-TEST(Rng, NormalScaling) {
-  Rng rng(29);
-  double sum = 0.0;
-  constexpr int kN = 20000;
-  for (int i = 0; i < kN; ++i) sum += rng.normal(10.0, 2.0);
-  EXPECT_NEAR(sum / kN, 10.0, 0.1);
-}
-
 TEST(Rng, CategoricalRespectsWeights) {
   Rng rng(31);
   std::vector<double> w{1.0, 3.0, 0.0};

@@ -325,8 +325,8 @@ TEST(RoundEngine, SnapshotRestoreComposesWithParallelTraining) {
   const auto snap_parallel = parallel.snapshot();
   const auto snap_serial = serial.snapshot();
   EXPECT_EQ(snap_parallel.agent_params, snap_serial.agent_params);
-  EXPECT_EQ(snap_parallel.episode, snap_serial.episode);
-  EXPECT_EQ(snap_parallel.round, snap_serial.round);
+  EXPECT_EQ(snap_parallel.engine.episode, snap_serial.engine.episode);
+  EXPECT_EQ(snap_parallel.engine.round, snap_serial.engine.round);
 
   parallel.train(15);
   const auto direct = grid_params(parallel, 4);

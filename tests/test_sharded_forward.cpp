@@ -199,7 +199,7 @@ TEST(ShardedForward, LockstepRunnerBitIdenticalAcrossPools) {
       lanes.push_back(envs.back().get());
       rngs.emplace_back(Rng(40).split(i));
     }
-    return greedy_episodes_batched(policy, lanes, rngs, 60, nullptr, pool);
+    return greedy_episodes_batched(policy, lanes, rngs, 60, pool);
   };
   const std::vector<EpisodeStats> serial = run(nullptr);
   for (const std::size_t threads : kThreadCounts) {

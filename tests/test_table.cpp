@@ -28,15 +28,6 @@ TEST(Table, FluentRowBuilder) {
   EXPECT_NE(out.find('y'), std::string::npos);
 }
 
-TEST(Table, CsvOutput) {
-  Table t("", {"a", "b"});
-  t.add_row({"1", "2"});
-  t.add_row({"3", "4"});
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n3,4\n");
-}
-
 TEST(Table, CellWithoutRowThrows) {
   Table t("", {"a"});
   EXPECT_THROW(t.cell("x"), Error);
@@ -78,16 +69,6 @@ TEST(Heatmap, PrintContainsKeysAndValues) {
   EXPECT_NE(out.find("42"), std::string::npos);
   EXPECT_NE(out.find("r0"), std::string::npos);
   EXPECT_NE(out.find("c1"), std::string::npos);
-}
-
-TEST(Heatmap, CsvShape) {
-  Heatmap h("", "ber", "ep");
-  h.set_col_keys({"0", "1"});
-  h.set_row_keys({"a", "b"});
-  h.set(1, 0, 7);
-  std::ostringstream os;
-  h.write_csv(os);
-  EXPECT_EQ(os.str(), "ber\\ep,0,1\na,0,0\nb,7,0\n");
 }
 
 }  // namespace

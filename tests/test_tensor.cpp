@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/error.hpp"
 
 namespace frlfi {
@@ -116,26 +114,6 @@ TEST(Tensor, RandomUniformWithinBounds) {
   const Tensor t = Tensor::random_uniform({100}, rng, -0.5f, 0.5f);
   EXPECT_GE(t.min(), -0.5f);
   EXPECT_LT(t.max(), 0.5f);
-}
-
-TEST(Tensor, RandomNormalRoughMoments) {
-  Rng rng(2);
-  const Tensor t = Tensor::random_normal({10000}, rng, 2.0f);
-  EXPECT_NEAR(t.mean(), 0.0f, 0.1f);
-}
-
-TEST(Tensor, SaveLoadRoundTrip) {
-  Rng rng(3);
-  const Tensor t = Tensor::random_uniform({3, 5}, rng, -1.0f, 1.0f);
-  std::stringstream ss;
-  t.save(ss);
-  const Tensor back = Tensor::load(ss);
-  EXPECT_TRUE(back.equals(t));
-}
-
-TEST(Tensor, LoadRejectsGarbage) {
-  std::stringstream ss("not a tensor");
-  EXPECT_THROW(Tensor::load(ss), Error);
 }
 
 TEST(Tensor, ShapeString) {

@@ -3,16 +3,18 @@
 # link?
 #
 # Configures a scratch build (build-census/ at the repository root) with
-# -ffunction-sections -fdata-sections and links with -Wl,--gc-sections, so
-# the linker drops every function section no reachable code references.
+# -fno-inline -ffunction-sections -fdata-sections and links with
+# -Wl,--gc-sections, so the linker drops every function section no
+# reachable code references.
 # It builds the paper benches (bench_fig*, bench_table*, bench_ablation*,
 # bench_datatype*), the examples and frlbench, then compares the global
 # frlfi:: text symbols of libfrlfi.a against the symbols left in those
 # binaries, and prints "N of M frlfi:: functions unreached" plus the list.
 #
-# N is an upper bound: a function inlined into all of its callers leaves no
-# symbol of its own behind, so it counts as unreached although its code
-# runs. bench_kernels and the tests are deliberately not counted as users.
+# N is exact: -fno-inline keeps every called function out of line, so each
+# function the binaries run leaves its own symbol behind (without it, a
+# function inlined into all of its callers would count as unreached).
+# bench_kernels and the tests are deliberately not counted as users.
 # The script only reports; it gates nothing and always exits 0 once the
 # build succeeds.
 #
@@ -23,7 +25,7 @@ set -eu
 root=$(cd "$(dirname "$0")/.." && pwd)
 build="$root/build-census"
 jobs=$(nproc 2>/dev/null || echo 2)
-flags="-ffunction-sections -fdata-sections"
+flags="-fno-inline -ffunction-sections -fdata-sections"
 link="-Wl,--gc-sections"
 
 cmake -S "$root" -B "$build/all" -DCMAKE_BUILD_TYPE=Release \
