@@ -43,9 +43,7 @@ int main(int argc, char** argv) {
         RunningStats stats;
         for (std::size_t t = 0; t < args.trials; ++t) {
           // Episode fan-out honours --train-threads (bit-identical at any
-          // lane count). The fleet round path (Config::server_threads)
-          // stays 0: Fig. 6a reproduces paper-scale swarms of 2-6 drones,
-          // where the legacy serial round is the measured configuration.
+          // lane count).
           DroneFrlSystem::Config cfg = bench_drone_config(drone_counts[d]);
           cfg.threads = args.train_threads;
           DroneFrlSystem sys(cfg, args.seed + 1000 * t);

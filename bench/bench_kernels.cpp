@@ -16,14 +16,9 @@
 ///  * federated training: GridWorld train() episode throughput at several
 ///    round-engine thread counts,
 ///  * degraded participation: a busy degraded communicate_round vs the
-///    synchronous communicate_rows at the same shapes (serial rounds),
+///    synchronous communicate_rows at the same shapes,
 ///  * channel reliability: transmit_rows under the i.i.d. path vs the
-///    Gilbert-Elliott burst plane vs the checksum/retry upload protocol,
-///  * fleet rounds: the round engine at n_agents in {64, 512, 4096} with
-///    the fleet server path armed (parallel per-(seq, row) channel,
-///    pool-parallel aggregation, participant-compacted round storage,
-///    cadence ~10% participation) — rounds/sec, bytes/round and the
-///    retained round-buffer size against the full-fleet matrix.
+///    Gilbert-Elliott burst plane vs the checksum/retry upload protocol.
 ///
 /// The bench measures only: the equivalences behind each "old vs new"
 /// pair are pinned by the ctest suite, and the exit code is 0 unless the
@@ -44,7 +39,6 @@
 
 #include "core/parallel.hpp"
 #include "fault/overlay.hpp"
-#include "federated/round_engine.hpp"
 #include "federated/server.hpp"
 #include "frl/gridworld_system.hpp"
 #include "frl/policies.hpp"
@@ -118,11 +112,6 @@ struct ChannelRow {
   std::size_t agents = 0, dim = 0;
   double iid_us = 0.0, bursty_us = 0.0, reliable_us = 0.0;
 };
-struct FleetRow {
-  std::size_t agents = 0, dim = 0;
-  double rounds_per_s = 0.0, bytes_per_round = 0.0;
-  std::size_t round_buffer_bytes = 0, full_matrix_bytes = 0;
-};
 struct Report {
   bool quick = false;
   std::vector<ConvRow> conv_forward;
@@ -134,7 +123,6 @@ struct Report {
   std::vector<TrainRoundRow> train_round;
   std::vector<ParticipationRow> participation;
   std::vector<ChannelRow> channel;
-  std::vector<FleetRow> fleet;
 };
 
 struct ConvShapeSpec {
@@ -440,7 +428,7 @@ void bench_participation(double min_time, Report& report) {
     Rng rows_rng(43);
     const double t_rows = time_per_call(min_time, [&] {
       std::copy(base.begin(), base.end(), matrix.begin());
-      rows_server.communicate_rows(matrix, rows_rng, nullptr);
+      rows_server.communicate_rows(matrix, rows_rng);
     });
 
     // A busy degraded round: agent 0 dropped (it sends nothing, so the
@@ -465,7 +453,7 @@ void bench_participation(double min_time, Report& report) {
       for (std::size_t d = 0; d < dim; ++d)  // agent 2: screened garbage
         compact[1 * dim + d] = (d % 2) ? 50.0f : -50.0f;
       deg_server.communicate_round(compact, senders, degraded, screen_opts,
-                                   deg_rng, nullptr, /*run_post_hook=*/false);
+                                   deg_rng, /*run_post_hook=*/false);
     });
 
     report.participation.push_back({agents, dim, t_rows * 1e6, t_deg * 1e6});
@@ -474,8 +462,7 @@ void bench_participation(double min_time, Report& report) {
   }
 }
 
-// A stormy Gilbert-Elliott channel: bursts, erasures and reordering. The
-// channel-reliability and fleet sections share it.
+// A stormy Gilbert-Elliott channel: bursts, erasures and reordering.
 BurstyChannelConfig stormy_channel() {
   BurstyChannelConfig stormy;
   stormy.active = true;
@@ -544,77 +531,6 @@ void bench_channel_reliability(double min_time, Report& report) {
         {agents, dim, t_iid * 1e6, t_burst * 1e6, t_rel * 1e6});
     std::printf("%-8zu %8zu %12.2f %12.2f %12.2f\n", agents, dim,
                 t_iid * 1e6, t_burst * 1e6, t_rel * 1e6);
-  }
-}
-
-// Fleet-scale federated rounds: the round engine at n_agents up to 4096
-// with the fleet server path armed (Config::server_threads = 1, the
-// serial fleet round) — bursty channel, ~10% participation via cadence,
-// dropout + a Byzantine sender + the L2 screen, all over cheap synthetic
-// agent hooks so the round cost dominates.
-void bench_fleet_round(bool quick, Report& report) {
-  std::printf(
-      "\n== Fleet rounds: engine throughput and memory vs n_agents ==\n");
-  std::printf(
-      "(dim 256, stormy bursty channel, cadence 10 ~= 10%% participation, "
-      "L2 screen)\n");
-  std::printf("%-8s %8s %12s %14s %12s %12s\n", "agents", "dim", "rounds/s",
-              "bytes/round", "buffer B", "full B");
-
-  const std::size_t dim = 256;
-  const std::size_t rounds = quick ? 4 : 10;
-
-  for (const std::size_t agents :
-       {std::size_t{64}, std::size_t{512}, std::size_t{4096}}) {
-    // Synthetic fleet member: flat per-agent parameter rows; the
-    // "episode" nudges one coordinate deterministically so rounds
-    // aggregate changing data at zero NN cost.
-    std::vector<float> params(agents * dim);
-    Rng wrng(91);
-    for (auto& v : params) v = static_cast<float>(wrng.uniform(-0.5, 0.5));
-    FederatedRoundEngine::Hooks hooks;
-    hooks.run_episode = [&](std::size_t agent, std::size_t episode, Rng&) {
-      params[agent * dim] += 1e-3f * static_cast<float>((agent + episode) % 7);
-      return 0.0;
-    };
-    hooks.gather_params = [&](std::size_t agent, std::span<float> out) {
-      std::copy_n(params.begin() + static_cast<std::ptrdiff_t>(agent * dim),
-                  dim, out.begin());
-    };
-    hooks.scatter_params = [&](std::size_t agent, std::span<const float> p) {
-      std::copy(p.begin(), p.end(),
-                params.begin() + static_cast<std::ptrdiff_t>(agent * dim));
-    };
-    hooks.inject_agent = [](std::size_t, const FaultSpec&, Rng&) {};
-
-    FederatedRoundEngine::Config cfg;
-    cfg.n_agents = agents;
-    cfg.parameter_dim = dim;
-    cfg.comm_interval = 1;
-    cfg.bursty_channel = stormy_channel();
-    cfg.server_threads = 1;
-    FederatedRoundEngine engine(cfg, 2024, 0xF1EE7, std::move(hooks));
-    ParticipationPlan plan;
-    plan.active = true;
-    plan.cadence = 10;
-    plan.dropout_rate = 0.01;
-    plan.straggler_rate = 0.05;
-    plan.byzantine_agents = {1};
-    plan.screening.l2_norm = true;
-    plan.screening.l2_factor = 3.0;
-    engine.set_participation_plan(plan);
-    const auto t0 = Clock::now();
-    engine.train(rounds);
-    const double dt = seconds_since(t0);
-
-    const std::size_t buffer_bytes = engine.round_buffer_bytes();
-    const std::size_t full_bytes = agents * dim * sizeof(float);
-    const double rps = static_cast<double>(rounds) / dt;
-    const double bpr = static_cast<double>(engine.communication_bytes()) /
-                       static_cast<double>(rounds);
-    report.fleet.push_back({agents, dim, rps, bpr, buffer_bytes, full_bytes});
-    std::printf("%-8zu %8zu %12.1f %14.0f %12zu %12zu\n", agents, dim, rps,
-                bpr, buffer_bytes, full_bytes);
   }
 }
 
@@ -701,14 +617,6 @@ void write_json(const Report& r, const char* path) {
                  row.agents, row.dim, row.iid_us, row.bursty_us,
                  row.reliable_us);
   });
-  write_array(f, "fleet_round", r.fleet, [&](const FleetRow& row) {
-    std::fprintf(f,
-                 "\"agents\": %zu, \"dim\": %zu, \"rounds_per_s\": %.3f, "
-                 "\"bytes_per_round\": %.0f, \"round_buffer_bytes\": %zu, "
-                 "\"full_matrix_bytes\": %zu",
-                 row.agents, row.dim, row.rounds_per_s, row.bytes_per_round,
-                 row.round_buffer_bytes, row.full_matrix_bytes);
-  });
   std::fprintf(f, "  \"hardware_threads\": %u\n}\n",
                std::thread::hardware_concurrency());
   std::fclose(f);
@@ -741,10 +649,9 @@ int main(int argc, char** argv) {
   frlfi::bench_train_round(quick, report);
   frlfi::bench_participation(min_time, report);
   frlfi::bench_channel_reliability(min_time, report);
-  frlfi::bench_fleet_round(quick, report);
   if (std::thread::hardware_concurrency() <= 1)
     std::printf(
-        "note: single-core host — the sharded, train() and fleet sections "
+        "note: single-core host — the sharded and train() sections "
         "cannot show wall-clock speedup here.\n");
   frlfi::write_json(report, "BENCH_kernels.json");
   return 0;

@@ -48,7 +48,11 @@ BenchArgs BenchArgs::parse(int argc, char** argv) {
       std::exit(2);
     }
   }
-  if (args.trials == 0) args.trials = 1;
+  if (args.trials == 0) {
+    std::fprintf(stderr, "--trials must be >= 1\n");
+    print_usage(stderr, argv[0]);
+    std::exit(2);
+  }
   return args;
 }
 

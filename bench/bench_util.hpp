@@ -3,8 +3,8 @@
 /// \file bench_util.hpp
 /// Shared command-line handling for the benchmark harness. Every bench
 /// binary accepts:
-///   --trials=N   repetitions per campaign cell (default 1; the paper uses
-///                1000 for GridWorld and 100 for DroneNav)
+///   --trials=N   repetitions per campaign cell, >= 1 (default 1; the
+///                paper uses 1000 for GridWorld and 100 for DroneNav)
 ///   --seed=N     base seed (default 42)
 ///   --fast       cut sweep resolution for smoke runs
 ///   --threads=N  worker lanes for pool-parallel campaign cells
@@ -35,8 +35,8 @@ struct BenchArgs {
   std::size_t train_threads = 1;
 
   /// Parse argv; an unknown flag or a malformed number (empty, signed,
-  /// non-digit, trailing characters, out of range) prints the usage line
-  /// and exits 2.
+  /// non-digit, trailing characters, out of range, or --trials=0) prints
+  /// the usage line and exits 2.
   static BenchArgs parse(int argc, char** argv);
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "core/cli.hpp"
 #include "core/error.hpp"
 
 namespace frlfi {
@@ -29,6 +30,9 @@ bool inside_pool(const ThreadPool* pool) {
          t_active_pools.end();
 }
 
+// Largest lane count FRLFI_NUM_THREADS may request.
+constexpr std::size_t kMaxEnvThreads = 4096;
+
 }  // namespace
 
 void shard_range(std::size_t n, std::size_t parts, std::size_t part,
@@ -41,12 +45,12 @@ void shard_range(std::size_t n, std::size_t parts, std::size_t part,
 
 std::size_t resolve_thread_count(std::size_t requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("FRLFI_NUM_THREADS")) {
-    char* tail = nullptr;
-    const unsigned long v = std::strtoul(env, &tail, 10);
-    if (tail != env && *tail == '\0' && v > 0)
-      return static_cast<std::size_t>(v);
-  }
+  // Strict parse: a signed, padded, trailing-character, zero or
+  // out-of-range value is malformed and falls through to the hardware.
+  std::size_t v = 0;
+  if (const char* env = std::getenv("FRLFI_NUM_THREADS");
+      env != nullptr && parse_number(env, v) && v > 0 && v <= kMaxEnvThreads)
+    return v;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }
@@ -185,15 +189,6 @@ void dispatch_lanes(std::size_t threads, std::size_t n,
   } else {
     ThreadPool pool(lanes);
     pool.parallel_for(n, body);
-  }
-}
-
-void parallel_for(ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& body) {
-  if (pool != nullptr) {
-    pool->parallel_for(n, body);
-  } else if (n > 0) {
-    body(0, n);
   }
 }
 

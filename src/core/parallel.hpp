@@ -47,7 +47,8 @@
 namespace frlfi {
 
 /// Resolve an effective worker-lane count. `requested` > 0 is taken as-is;
-/// 0 consults FRLFI_NUM_THREADS (read afresh on every call), then
+/// 0 consults FRLFI_NUM_THREADS (read afresh on every call; it must be a
+/// plain decimal in [1, 4096], anything else is ignored), then
 /// hardware_concurrency(), floored at 1.
 std::size_t resolve_thread_count(std::size_t requested = 0);
 
@@ -137,12 +138,5 @@ class ThreadPool {
   std::size_t remaining_ = 0;
   std::exception_ptr first_error_;
 };
-
-/// pool->parallel_for(n, body), or body(0, n) on the calling thread when
-/// `pool` is null. A null pool is the one-part partition, so a kernel
-/// whose bits do not depend on the partition takes a nullable pool
-/// instead of keeping a serial twin.
-void parallel_for(ThreadPool* pool, std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace frlfi

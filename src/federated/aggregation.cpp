@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 #include "tensor/gemm.hpp"
 
 namespace frlfi {
@@ -53,34 +52,27 @@ std::vector<std::vector<float>> smoothing_average(
 
 void smoothing_average_rows(const float* uploads, float* out,
                             float* total_scratch, std::size_t n,
-                            std::size_t dim, double alpha, ThreadPool* pool) {
+                            std::size_t dim, double alpha) {
   FRLFI_CHECK_MSG(n >= 2, "smoothing_average needs >= 2 agents");
   FRLFI_CHECK_MSG(alpha > 0.0 && alpha < 1.0, "alpha " << alpha);
   const float beta =
       static_cast<float>((1.0 - alpha) / static_cast<double>(n - 1));
   const auto alpha_f = static_cast<float>(alpha);
 
-  // Column-partitioned row sum: every lane walks the rows in agent order
-  // over its own coordinate slice (alpha = 1.0f multiplies exactly), so
-  // each coordinate's accumulation chain is the scalar reference's no
-  // matter how many lanes run.
-  parallel_for(pool, dim, [&](std::size_t d0, std::size_t d1) {
-    std::fill(total_scratch + d0, total_scratch + d1, 0.0f);
-    for (std::size_t i = 0; i < n; ++i)
-      axpy(1.0f, uploads + i * dim + d0, total_scratch + d0, d1 - d0);
-  });
+  // Row sum in agent order (alpha = 1.0f multiplies exactly), so each
+  // coordinate's accumulation chain is the scalar reference's.
+  std::fill(total_scratch, total_scratch + dim, 0.0f);
+  for (std::size_t i = 0; i < n; ++i)
+    axpy(1.0f, uploads + i * dim, total_scratch, dim);
 
-  // Row-partitioned combine: each output row depends only on its own
-  // upload and the (now frozen) total.
-  parallel_for(pool, n, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      const float* FRLFI_RESTRICT self = uploads + i * dim;
-      float* FRLFI_RESTRICT dst = out + i * dim;
+  // Combine: each output row depends only on its own upload and the total.
+  for (std::size_t i = 0; i < n; ++i) {
+    const float* FRLFI_RESTRICT self = uploads + i * dim;
+    float* FRLFI_RESTRICT dst = out + i * dim;
 #pragma omp simd
-      for (std::size_t d = 0; d < dim; ++d)
-        dst[d] = alpha_f * self[d] + beta * (total_scratch[d] - self[d]);
-    }
-  });
+    for (std::size_t d = 0; d < dim; ++d)
+      dst[d] = alpha_f * self[d] + beta * (total_scratch[d] - self[d]);
+  }
 }
 
 std::vector<float> mean_parameters(
@@ -98,27 +90,22 @@ std::vector<float> mean_parameters(
 }
 
 void mean_parameters_rows(const float* rows, std::size_t n, std::size_t dim,
-                          float* mean, ThreadPool* pool) {
+                          float* mean) {
   FRLFI_CHECK(n >= 1);
   const auto inv = static_cast<float>(1.0 / static_cast<double>(n));
-  parallel_for(pool, dim, [&](std::size_t d0, std::size_t d1) {
-    std::fill(mean + d0, mean + d1, 0.0f);
-    for (std::size_t i = 0; i < n; ++i)
-      axpy(1.0f, rows + i * dim + d0, mean + d0, d1 - d0);
-    float* FRLFI_RESTRICT slice = mean;
+  std::fill(mean, mean + dim, 0.0f);
+  for (std::size_t i = 0; i < n; ++i) axpy(1.0f, rows + i * dim, mean, dim);
+  float* FRLFI_RESTRICT out = mean;
 #pragma omp simd
-    for (std::size_t d = d0; d < d1; ++d) slice[d] *= inv;
-  });
+  for (std::size_t d = 0; d < dim; ++d) out[d] *= inv;
 }
 
-namespace {
-
-// The per-coordinate gather/sort/trim/sum body, over coordinates
-// [d0, d1): self-contained per coordinate, so any coordinate partition
-// (serial, or one slice per pool lane) produces identical bits.
-void trimmed_mean_span(const float* const* rows, std::size_t m,
-                       std::size_t trim_k, float* scratch, float* out,
-                       std::size_t d0, std::size_t d1) {
+void trimmed_mean_rows(const float* const* rows, std::size_t m,
+                       std::size_t dim, std::size_t trim_k, float* scratch,
+                       float* out) {
+  FRLFI_CHECK_MSG(m > 2 * trim_k,
+                  "trimmed mean needs > 2k rows, got " << m << " for k "
+                                                       << trim_k);
   // Non-finite values (NaN from a corrupted row breaks std::sort's strict
   // weak ordering) rank above every finite value, landing in the trimmed
   // upper tail.
@@ -130,33 +117,13 @@ void trimmed_mean_span(const float* const* rows, std::size_t m,
   };
   const auto inv =
       static_cast<float>(1.0 / static_cast<double>(m - 2 * trim_k));
-  for (std::size_t d = d0; d < d1; ++d) {
+  for (std::size_t d = 0; d < dim; ++d) {
     for (std::size_t j = 0; j < m; ++j) scratch[j] = rows[j][d];
     std::sort(scratch, scratch + m, less);
     float acc = 0.0f;
     for (std::size_t j = trim_k; j < m - trim_k; ++j) acc += scratch[j];
     out[d] = acc * inv;
   }
-}
-
-}  // namespace
-
-void trimmed_mean_rows(const float* const* rows, std::size_t m,
-                       std::size_t dim, std::size_t trim_k,
-                       float* lane_scratch, float* out, ThreadPool* pool) {
-  FRLFI_CHECK_MSG(m > 2 * trim_k,
-                  "trimmed mean needs > 2k rows, got " << m << " for k "
-                                                       << trim_k);
-  const std::size_t fan = std::min(pool ? pool->size() : 1, dim);
-  // Lane-indexed fan so each lane owns a private m-float gather buffer.
-  parallel_for(pool, fan, [&](std::size_t l0, std::size_t l1) {
-    for (std::size_t lane = l0; lane < l1; ++lane) {
-      std::size_t d0 = 0, d1 = 0;
-      shard_range(dim, fan, lane, d0, d1);
-      trimmed_mean_span(rows, m, trim_k, lane_scratch + lane * m, out, d0,
-                        d1);
-    }
-  });
 }
 
 }  // namespace frlfi

@@ -14,8 +14,6 @@
 
 namespace frlfi {
 
-class ThreadPool;
-
 /// Schedule for the smoothing weight alpha_k: exponential approach from
 /// alpha_0 toward the consensus value 1/n.
 class AlphaSchedule {
@@ -48,26 +46,22 @@ std::vector<std::vector<float>> smoothing_average(
 /// = agent i's parameters), writing the n per-agent results into the
 /// row-major `out` (same shape; must not alias `uploads`). `total_scratch`
 /// must hold dim floats (the caller — ParameterServer — preallocates it so
-/// a round allocates nothing). The row sum is partitioned by *coordinate*
-/// (each part accumulates its column slice over all rows in agent order on
-/// the axpy kernel, the scalar reference's summation chain) and the
-/// per-agent combine by row, so the results are bit-identical to
-/// smoothing_average of the same rows at any lane count. A null `pool`
-/// runs the one-part partition inline.
+/// a round allocates nothing). The row sum accumulates the rows in agent
+/// order on the axpy kernel, the scalar reference's summation chain, so
+/// the results are bit-identical to smoothing_average of the same rows.
 void smoothing_average_rows(const float* uploads, float* out,
                             float* total_scratch, std::size_t n,
-                            std::size_t dim, double alpha, ThreadPool* pool);
+                            std::size_t dim, double alpha);
 
 /// Plain mean of the uploaded vectors (the consensus policy; used by the
 /// checkpointing scheme and the Table I spread statistic).
 std::vector<float> mean_parameters(const std::vector<std::vector<float>>& uploads);
 
 /// mean_parameters over a row-major n x dim matrix, written into `mean`
-/// (dim floats). Coordinate-partitioned like the smoothing kernel, with
-/// the same row-order accumulation per coordinate — bit-identical to the
-/// vector-of-vectors form at any lane count (null `pool`: inline).
+/// (dim floats), with the same row-order accumulation per coordinate —
+/// bit-identical to the vector-of-vectors form.
 void mean_parameters_rows(const float* rows, std::size_t n, std::size_t dim,
-                          float* mean, ThreadPool* pool);
+                          float* mean);
 
 /// Coordinate-wise trimmed mean over m (possibly non-contiguous) rows:
 /// for each coordinate, sort the m contributed values, drop the trim_k
@@ -75,14 +69,10 @@ void mean_parameters_rows(const float* rows, std::size_t n, std::size_t dim,
 /// Non-finite values sort to the top end, so a NaN/Inf garbage row is
 /// among the first trimmed. Requires m > 2 * trim_k; `out` holds dim
 /// floats. This is the robust-aggregation peer estimate used by
-/// ScreeningConfig::trimmed_mean. Coordinates are partitioned across the
-/// pool's lanes (each coordinate's gather/sort/sum is self-contained, so
-/// the bits cannot depend on the partition); `lane_scratch` must hold
-/// lanes * m floats, where lanes is the pool size (1 for a null `pool`,
-/// which runs inline), and lane l works out of
-/// lane_scratch[l * m .. (l + 1) * m).
+/// ScreeningConfig::trimmed_mean. `scratch` must hold m floats (the
+/// per-coordinate gather buffer).
 void trimmed_mean_rows(const float* const* rows, std::size_t m,
-                       std::size_t dim, std::size_t trim_k,
-                       float* lane_scratch, float* out, ThreadPool* pool);
+                       std::size_t dim, std::size_t trim_k, float* scratch,
+                       float* out);
 
 }  // namespace frlfi

@@ -29,23 +29,9 @@
 /// timeout upload protocol of UploadProtocolConfig (see server.hpp for
 /// how exhausted uploads degrade into the participation plane).
 ///
-/// **Upload fans** (transmit_uploads) carry every server round, and the
-/// i.i.d. noise discipline is chosen there and nowhere else. Without a
-/// pool the uploads go one by one in order on the caller's advancing
-/// stream — exactly transmit_rows / transmit_reliable per upload, the
-/// serial realization of every `server_threads = 0` run. With a pool
-/// (the fleet plane) every upload rides its own derived (non-advancing)
-/// streams keyed by a per-upload sequence number, so the uploads fan
-/// across the lanes with bit-identical results at any lane count — a
-/// 1-lane pool is the serial golden path of that discipline. Burst-plane
-/// uploads carry the same bits under both (they are per-seq derived
-/// either way, and the sequence numbers match while no retry claims an
-/// extra one); pooled i.i.d. flips are keyed under the bursty stream_tag
-/// (a valid namespace even when the burst plane is off), which is a
-/// different — equally i.i.d. — noise realization than the advancing
-/// stream, and never advances the caller's RNG. Pooled retry attempt
-/// k > 0 adds the attempt index to the stream key, so a zero-retry
-/// protocol stays byte-for-byte the plain pooled transmit.
+/// Every server round sends its uploads through transmit_uploads: one by
+/// one in order on the caller's advancing stream, each message (retries
+/// included) claiming the next sequence number as it goes.
 
 #include <cstddef>
 #include <cstdint>
@@ -54,8 +40,6 @@
 #include "core/rng.hpp"
 
 namespace frlfi {
-
-class ThreadPool;
 
 /// Sub-stream kinds of the bursty-channel RNG plane (derived as
 /// rng.derive_stream({stream_tag, kind, transmit_seq})).
@@ -136,8 +120,8 @@ class CommChannel {
   std::vector<float> transmit(const std::vector<float>& payload, Rng& rng);
 
   /// Transmit n_rows payloads held in a row-major n_rows x dim matrix, in
-  /// place, on the advancing stream (the serial transmit_uploads sends
-  /// each upload through here as a one-row matrix). Row i is
+  /// place, on the advancing stream (transmit_uploads sends each upload
+  /// through here as a one-row matrix). Row i is
   /// processed exactly as transmit(row i) would be (per-row calibration,
   /// one 8-draw Bernoulli word per element in row-major order), but the
   /// per-element flips collapse into a single XOR mask (the fixed-point
@@ -166,21 +150,16 @@ class CommChannel {
                                   const UploadProtocolConfig& cfg);
 
   /// Transmit `n_uploads` payloads (uploads[u] points at dim floats,
-  /// corrupted in place) — the uplink and downlink of a server round. A
-  /// null `pool` sends them in order on the advancing `rng`: transmit_rows
-  /// (uploads[u], 1, ...) or transmit_reliable per upload, each message
-  /// claiming its sequence number as it goes. A pool fans them across its
-  /// lanes under the per-upload derived-stream discipline (see the file
-  /// comment): one sequence number per upload, claimed contiguously up
-  /// front, retry attempts keyed by (seq, attempt), so the schedule is
-  /// independent of lane count and of the other uploads' retry activity,
-  /// and `rng` is never advanced. `reliable_mask` (optional, n_uploads
-  /// bytes) limits the retry protocol `proto` to the uploads marked
-  /// nonzero — unmarked uploads take the plain single-attempt path, as the
-  /// server does for stragglers. Outcomes (attempts/delivered/backoff)
-  /// land in `outcomes[u]` when provided; counters account every attempt.
+  /// corrupted in place) — the uplink and downlink of a server round —
+  /// in order on the advancing `rng`: transmit_rows(uploads[u], 1, ...)
+  /// or transmit_reliable per upload. `reliable_mask` (optional,
+  /// n_uploads bytes) limits the retry protocol `proto` to the uploads
+  /// marked nonzero — unmarked uploads take the plain single-attempt
+  /// path, as the server does for stragglers. Outcomes (attempts/
+  /// delivered/backoff) land in `outcomes[u]` when provided; counters
+  /// account every attempt.
   void transmit_uploads(float* const* uploads, std::size_t n_uploads,
-                        std::size_t dim, Rng& rng, ThreadPool* pool,
+                        std::size_t dim, Rng& rng,
                         const UploadProtocolConfig* proto = nullptr,
                         const std::uint8_t* reliable_mask = nullptr,
                         UploadOutcome* outcomes = nullptr);
@@ -223,56 +202,11 @@ class CommChannel {
   void set_transmit_seq(std::uint64_t seq) { seq_ = seq; }
 
  private:
-  /// Per-message scratch for the burst plane and the retry protocol.
-  /// Fleet lanes each own one, so transmits on distinct lanes never
-  /// share mutable state.
-  struct RowScratch {
-    std::vector<std::uint8_t> chunk_bad;
-    std::vector<std::uint8_t> chunk_lost;
-    std::vector<std::size_t> perm;
-    std::vector<float> reorder;
-    std::vector<float> orig;
-  };
-
-  /// Cost/corruption counters accumulated lane-locally during a fleet
-  /// fan and folded into the channel totals after the join — size_t sums
-  /// are associative, so the totals are lane-count invariant.
-  struct LaneCounters {
-    std::size_t messages = 0;
-    std::size_t bytes = 0;
-    std::size_t corrupted = 0;
-    std::size_t retransmit_bytes = 0;
-    std::size_t chunks_erased = 0;
-    std::size_t reordered = 0;
-  };
-
   /// One message through the non-degenerate burst plane: weather/erasure/
   /// reorder from the state stream, flips from the noise stream, both
   /// derived (non-advancing) off `rng` and keyed by `seq`.
   void transmit_row_bursty(float* row, std::size_t dim, const Rng& rng,
                            std::uint64_t seq);
-
-  /// Burst-plane body shared by the serial and fleet paths: all scratch
-  /// and counters are the caller's, so it is safe on any lane. attempt 0
-  /// keys streams by (tag, kind, seq) — the serial path's exact keys —
-  /// and retry attempt k > 0 by (tag, kind, seq, k).
-  void transmit_row_bursty_on(float* row, std::size_t dim, const Rng& rng,
-                              std::uint64_t seq, std::uint64_t attempt,
-                              RowScratch& scratch, LaneCounters& cnt) const;
-
-  /// One fleet-mode message: counters/bytes accounting plus the plane
-  /// dispatch (burst plane, derived-stream i.i.d. flips, or clean).
-  void transmit_row_fleet(float* row, std::size_t dim, const Rng& rng,
-                          std::uint64_t seq, std::uint64_t attempt,
-                          RowScratch& scratch, LaneCounters& cnt) const;
-
-  /// One fleet-mode upload under the retry protocol (the lane-safe
-  /// counterpart of transmit_reliable; see transmit_uploads).
-  UploadOutcome transmit_upload_fleet(float* row, std::size_t dim,
-                                      const Rng& rng, std::uint64_t seq,
-                                      const UploadProtocolConfig& cfg,
-                                      RowScratch& scratch,
-                                      LaneCounters& cnt) const;
 
   double ber_;
   BurstyChannelConfig bursty_;
@@ -283,12 +217,12 @@ class CommChannel {
   std::size_t chunks_erased_ = 0;
   std::size_t reordered_ = 0;
   std::uint64_t seq_ = 0;
-  // Serial-path scratch, reused across messages.
-  RowScratch scratch_;
-  // Fleet-fan scratch: one RowScratch + counter block per lane (grow-only
-  // across rounds).
-  std::vector<RowScratch> fleet_scratch_;
-  std::vector<LaneCounters> fleet_counters_;
+  // Burst-plane and retry-protocol scratch, reused across messages.
+  std::vector<std::uint8_t> chunk_bad_;
+  std::vector<std::uint8_t> chunk_lost_;
+  std::vector<std::size_t> perm_;
+  std::vector<float> reorder_;
+  std::vector<float> orig_;
 };
 
 }  // namespace frlfi

@@ -15,7 +15,6 @@ void validate_participation_plan(const ParticipationPlan& plan,
                   "straggler_rate " << plan.straggler_rate);
   FRLFI_CHECK_MSG(plan.crash_rounds >= 1, "crash_rounds must be >= 1");
   FRLFI_CHECK_MSG(plan.straggler_lag >= 1, "straggler_lag must be >= 1");
-  FRLFI_CHECK_MSG(plan.cadence >= 1, "cadence must be >= 1");
   FRLFI_CHECK_MSG(plan.stale_decay > 0.0 && plan.stale_decay <= 1.0,
                   "stale_decay " << plan.stale_decay);
   FRLFI_CHECK_MSG(plan.byzantine_magnitude > 0.0,
@@ -58,12 +57,6 @@ AgentRoundStatus resolve_agent_round_status(const ParticipationPlan& plan,
       if (draw.bernoulli(plan.dropout_rate)) return AgentRoundStatus::Dropped;
     }
   }
-  // Cadence sits between the crash schedule (a crashed agent is out
-  // whether or not it was scheduled) and the straggler draw (an
-  // off-cadence agent draws nothing — its skip is deterministic).
-  if (!on_cadence(plan, round, agent))
-    return plan.cadence_fold_stale ? AgentRoundStatus::Straggler
-                                   : AgentRoundStatus::Dropped;
   if (plan.straggler_rate > 0.0) {
     Rng draw = participation_base.derive_stream(
         {kParticipationStragglerTag, round, agent});

@@ -104,36 +104,11 @@ struct ParticipationPlan {
   /// the staleness buffer (exhausted_to_stale) or is dropped. A
   /// zero-retry protocol is locked bit-identical to the plain plan path.
   UploadProtocolConfig upload;
-  /// Per-agent round cadence k: agent i contributes only on rounds with
-  /// (round % k) == (i % k) — a staggered phase, so every round sees
-  /// ~n/k uploaders and every agent contributes every k-th round. The
-  /// fleet-scale bytes/round lever. k == 1 (the default) schedules every
-  /// agent every round and is locked bit-identical to the cadence-free
-  /// plan. Resolved functionally per (round, agent): no mutable state,
-  /// nothing to snapshot. Precedence: the Byzantine set and the crash
-  /// schedule override cadence (a crashed agent is out either way);
-  /// cadence overrides the straggler draw (an off-cadence agent draws
-  /// nothing).
-  std::size_t cadence = 1;
-  /// Where an off-cadence agent's round goes: false (default) resolves
-  /// it to Dropped — a *scheduled* skip that sends no bytes and takes no
-  /// downlink; true resolves it to Straggler, folding the skipped
-  /// upload through the server's staleness buffer straggler_lag rounds
-  /// late at the stale_decay^lag weight.
-  bool cadence_fold_stale = false;
   /// Tag of the participation RNG plane: all participation draws come
   /// from train_rng.split(stream_tag).derive_stream({kind, round, agent}),
   /// never from the training stream itself.
   std::uint64_t stream_tag = 0x9A47'1C17ULL;
 };
-
-/// True when `agent` is scheduled to contribute at `round` under the
-/// plan's cadence (staggered phase; k <= 1 schedules everyone).
-inline bool on_cadence(const ParticipationPlan& plan, std::size_t round,
-                       std::size_t agent) {
-  return plan.cadence <= 1 ||
-         (round % plan.cadence) == (agent % plan.cadence);
-}
 
 /// Sub-stream kinds under ParticipationPlan::stream_tag.
 inline constexpr std::uint64_t kParticipationDropTag = 0xD801ULL;

@@ -37,11 +37,6 @@ FederatedRoundEngine::FederatedRoundEngine(const Config& cfg,
         AlphaSchedule(cfg_.n_agents, cfg_.alpha0, cfg_.alpha_tau));
     server_->channel().set_bit_error_rate(cfg_.channel_ber);
     server_->channel().set_bursty(cfg_.bursty_channel);
-    // Fleet mode: a persistent pool for the server round. The round
-    // matrix grows lazily — a degraded round never materializes the full
-    // n x dim matrix at all.
-    if (cfg_.server_threads >= 1)
-      server_pool_ = std::make_unique<ThreadPool>(cfg_.server_threads);
     // Server faults corrupt the aggregated rows in place, row by row on
     // one stream — the exact arithmetic and RNG order of the historical
     // per-agent-vector hook (inject_int8 is span-based now).
@@ -153,8 +148,8 @@ void FederatedRoundEngine::communicate_if_due() {
   }
 
   // Gather only the sending agents into the compact matrix (ascending
-  // agent order — the server's compaction contract). A 10^4-agent fleet
-  // at 10% participation allocates ~10^3 rows.
+  // agent order — the server's compaction contract), so a round at 10%
+  // participation allocates ~n/10 rows.
   compact_agents_.clear();
   for (std::size_t i = 0; i < cfg_.n_agents; ++i)
     if (sends_upload(status_[i])) compact_agents_.push_back(i);
@@ -188,8 +183,7 @@ void FederatedRoundEngine::communicate_if_due() {
   Rng comm_rng = train_rng_.split(0xC0111 + episode_);
   const RoundParticipationReport rep = server_->communicate_round(
       std::span<float>(compact_matrix_.data(), m_send * dim), compact_agents_,
-      status_, opts, comm_rng, server_pool_.get(),
-      /*run_post_hook=*/server_fault_pending_);
+      status_, opts, comm_rng, /*run_post_hook=*/server_fault_pending_);
 
   // Downlink lands only on receiving agents; dropped agents keep training
   // on their own stale parameters, stragglers keep the parameters whose

@@ -20,8 +20,9 @@
 ///    everyone is present; no per-agent flat_parameters() vectors),
 ///    ParameterServer::communicate_round runs uplink, aggregation, hook
 ///    and downlink on row kernels, and downlinks scatter back to the
-///    receiving agents from the same rows. Config::server_threads only
-///    picks the server's pool (0 = none, the serial round).
+///    receiving agents from the same rows. The round runs on the
+///    orchestration thread; its channel noise comes off a per-round comm
+///    stream split from the training stream.
 ///  * **Training faults and §V-A mitigation.** Fault timing, victim
 ///    resolution, the post-aggregate server-fault row hook (in-place
 ///    int8 injection over the aggregate rows on the historical RNG
@@ -89,19 +90,6 @@ class FederatedRoundEngine {
     /// every value — per-(episode, agent) derived RNG streams plus
     /// disjoint agent state make the lane partition invisible.
     std::size_t threads = 1;
-    /// Worker lanes for the *server* round. 0 (default) runs the round
-    /// serially on the calling thread with the advancing i.i.d. channel
-    /// realization: every message's flips come off the round's comm
-    /// stream in order. N >= 1 arms the fleet discipline: channel
-    /// transmits fan per-(seq, row) on derived streams and the
-    /// aggregation kernels run pool-parallel. Results are bit-identical
-    /// across all N >= 1 — server_threads == 1 is the fleet serial golden
-    /// path — and differ from 0 only in the i.i.d. channel-noise
-    /// realization (burst-plane bits match exactly while no retry
-    /// protocol claims extra sequence numbers). Every value runs the same
-    /// participant-compacted round, so degraded rounds use
-    /// O(participants) storage either way.
-    std::size_t server_threads = 0;
   };
 
   /// Agent-local callbacks. All four are required. With Config::threads
@@ -221,9 +209,8 @@ class FederatedRoundEngine {
   const Config& config() const { return cfg_; }
 
   /// Bytes currently retained by the engine + server round buffers (round
-  /// matrices, aggregates, scratch). The fleet acceptance gate: with
-  /// server_threads armed and partial participation this scales with the
-  /// participants of a round, not the fleet roster.
+  /// matrices, aggregates, scratch). At partial participation this scales
+  /// with the participants of a round, not the agent roster.
   std::size_t round_buffer_bytes() const;
 
  private:
@@ -259,9 +246,6 @@ class FederatedRoundEngine {
   // path (threads == 1 runs serial; 0 goes through dispatch_lanes, which
   // re-resolves FRLFI_NUM_THREADS per call and reuses the global pool).
   std::unique_ptr<ThreadPool> episode_pool_;
-  // Persistent server-round pool (fleet mode; null while
-  // Config::server_threads == 0 keeps the serial round).
-  std::unique_ptr<ThreadPool> server_pool_;
   std::size_t episode_ = 0;
   bool server_fault_pending_ = false;
 };

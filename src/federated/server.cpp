@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 #include "tensor/gemm.hpp"
 
 namespace frlfi {
@@ -15,42 +14,41 @@ ParameterServer::ParameterServer(std::size_t n_agents, std::size_t parameter_dim
   FRLFI_CHECK_MSG(n_ >= 2, "ParameterServer needs >= 2 agents");
   FRLFI_CHECK(dim_ > 0);
   // The n x dim aggregate matrix is grown lazily by the paths that need
-  // it — a fleet of 10^4 agents at partial participation pays for its
-  // participants, not its roster.
+  // it — a round at partial participation pays for its participants, not
+  // the roster.
   total_.resize(dim_);
 }
 
 void ParameterServer::transmit_matrix(
-    float* rows, std::size_t n_rows, Rng& rng, ThreadPool* pool,
+    float* rows, std::size_t n_rows, Rng& rng,
     const UploadProtocolConfig* proto, const std::uint8_t* reliable_mask,
     CommChannel::UploadOutcome* outcomes) {
   upload_ptrs_.resize(n_rows);
   for (std::size_t r = 0; r < n_rows; ++r) upload_ptrs_[r] = rows + r * dim_;
-  channel_.transmit_uploads(upload_ptrs_.data(), n_rows, dim_, rng, pool,
-                            proto, reliable_mask, outcomes);
+  channel_.transmit_uploads(upload_ptrs_.data(), n_rows, dim_, rng, proto,
+                            reliable_mask, outcomes);
 }
 
-void ParameterServer::communicate_rows(std::span<float> rows, Rng& rng,
-                                       ThreadPool* pool) {
+void ParameterServer::communicate_rows(std::span<float> rows, Rng& rng) {
   FRLFI_CHECK_MSG(rows.size() == n_ * dim_,
                   "round matrix holds " << rows.size() << " floats for " << n_
                                         << " x " << dim_);
   agg_.resize(n_ * dim_);
   // Uplink: every agent's row through the (lossy) channel, in place.
-  transmit_matrix(rows.data(), n_, rng, pool);
+  transmit_matrix(rows.data(), n_, rng);
 
   // Aggregate into the preallocated matrix; consensus is the
   // post-aggregation row mean, as in the scalar round.
   smoothing_average_rows(rows.data(), agg_.data(), total_.data(), n_, dim_,
-                         schedule_.at(round_), pool);
+                         schedule_.at(round_));
   consensus_.resize(dim_);
-  mean_parameters_rows(agg_.data(), n_, dim_, consensus_.data(), pool);
+  mean_parameters_rows(agg_.data(), n_, dim_, consensus_.data());
 
   // Post-aggregation hook (fault injection, checkpoint restore).
   if (rows_hook_) rows_hook_(round_, std::span<float>(agg_), dim_);
 
   // Downlink: transmit the aggregates back, landing in the caller's rows.
-  transmit_matrix(agg_.data(), n_, rng, pool);
+  transmit_matrix(agg_.data(), n_, rng);
   std::copy(agg_.begin(), agg_.end(), rows.begin());
 
   ++round_;
@@ -59,7 +57,7 @@ void ParameterServer::communicate_rows(std::span<float> rows, Rng& rng,
 RoundParticipationReport ParameterServer::communicate_round(
     std::span<float> sender_rows, std::span<const std::size_t> sender_agents,
     std::span<const AgentRoundStatus> status, const RobustRoundOptions& opts,
-    Rng& rng, ThreadPool* pool, bool run_post_hook) {
+    Rng& rng, bool run_post_hook) {
   FRLFI_CHECK_MSG(status.size() == n_,
                   "got " << status.size() << " statuses for " << n_
                          << " agents");
@@ -110,7 +108,7 @@ RoundParticipationReport ParameterServer::communicate_round(
       opts.screening.l2_norm || opts.screening.trimmed_mean;
   const bool reliable = reliable_upload_armed(opts.upload);
   if (rep.present == n_ && !any_pending_due && !screening_on && !reliable) {
-    communicate_rows(sender_rows, rng, pool);
+    communicate_rows(sender_rows, rng);
     rep.contributors = n_;
     rep.aggregated = true;
     return rep;
@@ -144,9 +142,8 @@ RoundParticipationReport ParameterServer::communicate_round(
       upload_mask_[j] =
           status[sender_agents[j]] != AgentRoundStatus::Straggler ? 1 : 0;
     upload_outcomes_.assign(m_send, CommChannel::UploadOutcome{});
-    transmit_matrix(sender_rows.data(), m_send, rng, pool, &opts.upload,
+    transmit_matrix(sender_rows.data(), m_send, rng, &opts.upload,
                     upload_mask_.data(), upload_outcomes_.data());
-    // Outcome bookkeeping folds in agent order, independent of the fan.
     for (std::size_t j = 0; j < m_send; ++j) {
       if (!upload_mask_[j]) continue;
       const CommChannel::UploadOutcome& out = upload_outcomes_[j];
@@ -166,7 +163,7 @@ RoundParticipationReport ParameterServer::communicate_round(
     }
     rep.upload_failed.assign(upload_failed_.begin(), upload_failed_.end());
   } else {
-    transmit_matrix(sender_rows.data(), m_send, rng, pool);
+    transmit_matrix(sender_rows.data(), m_send, rng);
   }
 
   // Stragglers: the post-channel payload enters the staleness buffer — or
@@ -213,21 +210,17 @@ RoundParticipationReport ParameterServer::communicate_round(
   // L2-norm screen: exclude rows whose norm is off the (lower-)median
   // contributor norm by more than l2_factor in either direction, plus any
   // non-finite row. The median row itself always survives, so the screen
-  // can never empty a finite candidate set. The per-row norms fan across
-  // the pool (each norm is self-contained); the median sort and the filter
-  // stay serial.
+  // can never empty a finite candidate set.
   if (opts.screening.l2_norm && !cand_rows_.empty()) {
     const std::size_t m = cand_rows_.size();
     norms_.resize(m);
-    parallel_for(pool, m, [&](std::size_t j0, std::size_t j1) {
-      for (std::size_t j = j0; j < j1; ++j) {
-        double s = 0.0;
-        const float* row = cand_rows_[j];
-        for (std::size_t d = 0; d < dim_; ++d)
-          s += static_cast<double>(row[d]) * static_cast<double>(row[d]);
-        norms_[j] = std::sqrt(s);
-      }
-    });
+    for (std::size_t j = 0; j < m; ++j) {
+      double s = 0.0;
+      const float* row = cand_rows_[j];
+      for (std::size_t d = 0; d < dim_; ++d)
+        s += static_cast<double>(row[d]) * static_cast<double>(row[d]);
+      norms_[j] = std::sqrt(s);
+    }
     norms_sorted_ = norms_;
     std::sort(norms_sorted_.begin(), norms_sorted_.end(),
               [](double a, double b) {
@@ -268,25 +261,21 @@ RoundParticipationReport ParameterServer::communicate_round(
 
   // Weighted contributor sum (weights are exactly 1.0f for on-time rows,
   // so the all-contributing accumulation chain matches the synchronous
-  // kernel's), column-partitioned: every coordinate sees the serial
-  // candidate-order chain at any lane count.
+  // kernel's): every coordinate sees the candidate-order chain.
   double weight_sum = 0.0;
   for (float w : cand_weights_) weight_sum += static_cast<double>(w);
-  parallel_for(pool, dim_, [&](std::size_t d0, std::size_t d1) {
-    std::fill(total_.begin() + static_cast<std::ptrdiff_t>(d0),
-              total_.begin() + static_cast<std::ptrdiff_t>(d1), 0.0f);
-    for (std::size_t j = 0; j < cand_rows_.size(); ++j)
-      axpy(cand_weights_[j], cand_rows_[j] + d0, total_.data() + d0, d1 - d0);
-  });
+  std::fill(total_.begin(), total_.end(), 0.0f);
+  for (std::size_t j = 0; j < cand_rows_.size(); ++j)
+    axpy(cand_weights_[j], cand_rows_[j], total_.data(), dim_);
 
   const bool trim = opts.screening.trimmed_mean &&
                     cand_rows_.size() > 2 * opts.screening.trim_k;
   if (trim) {
     trim_out_.resize(dim_);
-    trim_scratch_.resize((pool ? pool->size() : 1) * cand_rows_.size());
+    trim_scratch_.resize(cand_rows_.size());
     trimmed_mean_rows(cand_rows_.data(), cand_rows_.size(), dim_,
                       opts.screening.trim_k, trim_scratch_.data(),
-                      trim_out_.data(), pool);
+                      trim_out_.data());
   }
 
   // Receivers (a subset of senders), in agent order. A failed uploader's
@@ -312,63 +301,54 @@ RoundParticipationReport ParameterServer::communicate_round(
                          : sender_rows.data() + j * dim_;
   };
 
-  // Row-partitioned per-receiver combine. `dst` may alias `self` (the
-  // in-place case); each element depends only on its own index, so the
-  // element-wise loops are alias-safe.
-  parallel_for(pool, recv_idx_.size(), [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      const std::size_t j = recv_idx_[r];
-      const std::size_t i = sender_agents[j];
-      const float* self = sender_rows.data() + j * dim_;
-      float* dst = agg_row(j);
-      if (trim) {
-        // Robust peer estimate: the self term keeps its alpha weight, the
-        // peer mass goes to the coordinate-wise trimmed mean (self
-        // included — rank statistics have no self-exclusion).
-        const auto om = static_cast<float>(1.0 - alpha);
-        const float* FRLFI_RESTRICT tm = trim_out_.data();
+  // Per-receiver combine. `dst` may alias `self` (the in-place case);
+  // each element depends only on its own index, so the element-wise loops
+  // are alias-safe.
+  for (const std::size_t j : recv_idx_) {
+    const std::size_t i = sender_agents[j];
+    const float* self = sender_rows.data() + j * dim_;
+    float* dst = agg_row(j);
+    if (trim) {
+      // Robust peer estimate: the self term keeps its alpha weight, the
+      // peer mass goes to the coordinate-wise trimmed mean (self
+      // included — rank statistics have no self-exclusion).
+      const auto om = static_cast<float>(1.0 - alpha);
+      const float* FRLFI_RESTRICT tm = trim_out_.data();
+#pragma omp simd
+      for (std::size_t d = 0; d < dim_; ++d)
+        dst[d] = alpha_f * self[d] + om * tm[d];
+    } else {
+      // Partial-participation smoothing average: peers are the weighted
+      // contributors minus the receiver's own on-time row. With every
+      // agent contributing at weight 1 this is byte-for-byte the
+      // synchronous combine (1.0f * self is exact; the peer count
+      // double is exact for any agent count).
+      const float wi = ontime_[i] ? 1.0f : 0.0f;
+      const double peers = weight_sum - static_cast<double>(wi);
+      if (peers > 0.0) {
+        const auto beta = static_cast<float>((1.0 - alpha) / peers);
+        const float* FRLFI_RESTRICT tot = total_.data();
 #pragma omp simd
         for (std::size_t d = 0; d < dim_; ++d)
-          dst[d] = alpha_f * self[d] + om * tm[d];
-      } else {
-        // Partial-participation smoothing average: peers are the weighted
-        // contributors minus the receiver's own on-time row. With every
-        // agent contributing at weight 1 this is byte-for-byte the
-        // synchronous combine (1.0f * self is exact; the peer count
-        // double is exact for any agent count).
-        const float wi = ontime_[i] ? 1.0f : 0.0f;
-        const double peers = weight_sum - static_cast<double>(wi);
-        if (peers > 0.0) {
-          const auto beta = static_cast<float>((1.0 - alpha) / peers);
-          const float* FRLFI_RESTRICT tot = total_.data();
-#pragma omp simd
-          for (std::size_t d = 0; d < dim_; ++d)
-            dst[d] = alpha_f * self[d] + beta * (tot[d] - wi * self[d]);
-        } else if (dst != self) {
-          // No peer mass at all: the receiver keeps its own upload.
-          std::copy(self, self + dim_, dst);
-        }
+          dst[d] = alpha_f * self[d] + beta * (tot[d] - wi * self[d]);
+      } else if (dst != self) {
+        // No peer mass at all: the receiver keeps its own upload.
+        std::copy(self, self + dim_, dst);
       }
     }
-  });
+  }
 
-  // Consensus over the receiving rows only, column-partitioned (serial
-  // receiver-order chain per coordinate; the synchronous mean's order
-  // when everyone receives).
+  // Consensus over the receiving rows only (receiver-order chain per
+  // coordinate; the synchronous mean's order when everyone receives).
   if (!recv_idx_.empty()) {
-    consensus_.resize(dim_);
+    consensus_.assign(dim_, 0.0f);
     const auto inv =
         static_cast<float>(1.0 / static_cast<double>(recv_idx_.size()));
-    parallel_for(pool, dim_, [&](std::size_t d0, std::size_t d1) {
-      std::fill(consensus_.begin() + static_cast<std::ptrdiff_t>(d0),
-                consensus_.begin() + static_cast<std::ptrdiff_t>(d1), 0.0f);
-      for (std::size_t r = 0; r < recv_idx_.size(); ++r)
-        axpy(1.0f, agg_row(recv_idx_[r]) + d0, consensus_.data() + d0,
-             d1 - d0);
-      float* FRLFI_RESTRICT c = consensus_.data();
+    for (const std::size_t j : recv_idx_)
+      axpy(1.0f, agg_row(j), consensus_.data(), dim_);
+    float* FRLFI_RESTRICT c = consensus_.data();
 #pragma omp simd
-      for (std::size_t d = d0; d < d1; ++d) c[d] *= inv;
-    });
+    for (std::size_t d = 0; d < dim_; ++d) c[d] *= inv;
   }
 
   if (run_post_hook && rows_hook_)
@@ -382,18 +362,13 @@ RoundParticipationReport ParameterServer::communicate_round(
     for (std::size_t r = 0; r < recv_idx_.size(); ++r)
       upload_ptrs_[r] = agg_row(recv_idx_[r]);
     channel_.transmit_uploads(upload_ptrs_.data(), recv_idx_.size(), dim_,
-                              rng, pool);
+                              rng);
     if (run_post_hook) {
-      parallel_for(pool, recv_idx_.size(),
-                   [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-          const std::size_t j = recv_idx_[r];
-          const float* src = agg_row(j);
-          std::copy(src, src + dim_,
-                    sender_rows.begin() +
-                        static_cast<std::ptrdiff_t>(j * dim_));
-        }
-      });
+      for (const std::size_t j : recv_idx_) {
+        const float* src = agg_row(j);
+        std::copy(src, src + dim_,
+                  sender_rows.begin() + static_cast<std::ptrdiff_t>(j * dim_));
+      }
     }
   }
 

@@ -9,13 +9,10 @@
 ///
 /// A round enters through exactly one of two calls: communicate_rows
 /// (synchronous, every agent present) or communicate_round (degraded
-/// participation over the senders only). Both take a nullable ThreadPool:
-/// null is the serial round, whose channel noise rides the caller's
-/// advancing RNG stream; a pool (the fleet plane) fans the channel per
-/// upload on derived streams and partitions the aggregation kernels,
-/// with results bit-identical at every pool size. The aggregation bits
-/// never depend on the pool; only the i.i.d. channel-noise realization
-/// does, and that choice lives in CommChannel::transmit_uploads.
+/// participation over the senders only). Both run on the calling thread,
+/// and their i.i.d. channel noise rides the caller's advancing RNG
+/// stream, message by message in agent order (see
+/// CommChannel::transmit_uploads).
 
 #include <cstdint>
 #include <functional>
@@ -60,12 +57,8 @@ class ParameterServer {
   /// return. Uplink transmit, smoothing average, consensus, the
   /// post-aggregation rows hook (fault injection / checkpoint restore,
   /// run on every synchronous round) and downlink transmit all run on
-  /// preallocated row-major storage. A null `pool` is the serial round on
-  /// the advancing channel stream; a pool fans the channel per upload on
-  /// derived streams (rng is never advanced) and partitions the
-  /// aggregation kernels, bit-identically at every pool size (see
-  /// CommChannel::transmit_uploads for the two i.i.d. noise disciplines).
-  void communicate_rows(std::span<float> rows, Rng& rng, ThreadPool* pool);
+  /// preallocated row-major storage; the channel noise comes off `rng`.
+  void communicate_rows(std::span<float> rows, Rng& rng);
 
   /// Server-side knobs of one degraded round (engine-derived from the
   /// ParticipationPlan; the server never sees schedule probabilities,
@@ -116,9 +109,8 @@ class ParameterServer {
   /// protocol; an upload that exhausts its budget is excluded from the
   /// aggregate and the downlink, and its clean payload degrades into the
   /// staleness buffer (or is dropped) — the failure is absorbed by the
-  /// participation machinery instead of poisoning the round. `rng` and
-  /// `pool` select the channel discipline exactly as in communicate_rows;
-  /// the aggregation bits do not depend on the pool.
+  /// participation machinery instead of poisoning the round. The channel
+  /// noise comes off `rng` as in communicate_rows.
   ///
   /// `run_post_hook` gates the post-aggregation hook: when false the
   /// aggregation combines IN PLACE over the caller's sender rows — no
@@ -130,12 +122,11 @@ class ParameterServer {
   RoundParticipationReport communicate_round(
       std::span<float> sender_rows, std::span<const std::size_t> sender_agents,
       std::span<const AgentRoundStatus> status, const RobustRoundOptions& opts,
-      Rng& rng, ThreadPool* pool, bool run_post_hook);
+      Rng& rng, bool run_post_hook);
 
   /// Bytes currently retained by the round-scratch buffers (aggregate
-  /// matrices, row sums, trim/candidate scratch). The fleet acceptance
-  /// gate: at partial participation this scales with participants, not
-  /// fleet size.
+  /// matrices, row sums, trim/candidate scratch). At partial participation
+  /// this scales with the participants, not the agent roster.
   std::size_t round_buffer_bytes() const;
 
   /// Staleness-buffer state (straggler uploads still in flight), exposed
@@ -163,7 +154,6 @@ class ParameterServer {
   /// through CommChannel::transmit_uploads (same optional protocol
   /// arguments).
   void transmit_matrix(float* rows, std::size_t n_rows, Rng& rng,
-                       ThreadPool* pool,
                        const UploadProtocolConfig* proto = nullptr,
                        const std::uint8_t* reliable_mask = nullptr,
                        CommChannel::UploadOutcome* outcomes = nullptr);
@@ -193,7 +183,7 @@ class ParameterServer {
   std::vector<std::uint8_t> upload_failed_;
   std::vector<float> trim_out_;
   std::vector<float> trim_scratch_;
-  // Channel fan pointer/mask/outcome tables, the receiver row list, and
+  // Channel upload pointer/mask/outcome tables, the receiver row list, and
   // the screening norm buffers.
   std::vector<float*> upload_ptrs_;
   std::vector<std::uint8_t> upload_mask_;

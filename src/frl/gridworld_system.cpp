@@ -38,7 +38,6 @@ GridWorldFrlSystem::GridWorldFrlSystem(Config cfg, std::uint64_t seed)
   ecfg.channel_ber = cfg_.channel_ber;
   ecfg.bursty_channel = cfg_.channel_bursty;
   ecfg.threads = cfg_.threads;
-  ecfg.server_threads = cfg_.server_threads;
   engine_ = std::make_unique<FederatedRoundEngine>(
       ecfg, seed, /*stream_tag=*/0x7121A1,
       FederatedRoundEngine::Hooks{

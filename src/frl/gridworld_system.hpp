@@ -47,11 +47,6 @@ class GridWorldFrlSystem {
     /// (FederatedRoundEngine::Config::threads): 1 = serial, 0 = auto, N =
     /// exactly N. train() is bit-identical for every value.
     std::size_t threads = 1;
-    /// Worker lanes for the server round (fleet-scale path): 0 keeps the
-    /// legacy serial round byte-for-byte, N >= 1 arms the fleet
-    /// discipline — bit-identical across all N >= 1 (see
-    /// FederatedRoundEngine::Config::server_threads).
-    std::size_t server_threads = 0;
     /// Q-learning hyperparameters.
     QLearner::Options learner;
     /// Exploration schedule (training phase of §III-B).

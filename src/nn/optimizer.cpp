@@ -14,6 +14,12 @@ SgdOptimizer::SgdOptimizer(Network& net, Options opts)
     for (Parameter* p : net_->parameters()) velocity_.emplace_back(p->value.shape());
 }
 
+// step() starts on a 32-byte boundary so its clip-norm loop (a ~26-byte
+// dependent double-add chain run once per learning step) sits inside one
+// 32-byte fetch window whatever the size of the code linked before it.
+// Straddling a window boundary, it made frlbench grid_train's learning
+// steps ~10 % slower on a 4-thread x86-64 host (results identical).
+__attribute__((aligned(32)))
 void SgdOptimizer::step() {
   auto params = net_->parameters();
 

@@ -1,8 +1,7 @@
 /// \file test_bernoulli_golden.cpp
 /// Golden digests of the per-bit Bernoulli loops that have no in-tree
-/// oracle: the fleet (derived-stream) channel rows, the bursty channel
-/// rows, the stuck-at corruptor, and every weight-fault injector entry
-/// point. Each digest folds the corrupted output, every counter and the
+/// oracle: the bursty channel rows, the stuck-at corruptor, and every
+/// weight-fault injector entry point. Each digest folds the corrupted output, every counter and the
 /// caller stream's next draw, including the BER 0 and BER 1 no-draw
 /// cases. The channel and stuck-at digests were recorded from the
 /// per-call Rng::bernoulli(double) loops that the integer-threshold
@@ -18,7 +17,6 @@
 #include <span>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "fault/injector.hpp"
 #include "federated/channel.hpp"
@@ -85,45 +83,6 @@ void add_counters(Digest& d, const CommChannel& ch) {
 
 constexpr std::size_t kRows = 5;
 constexpr std::size_t kDim = 37;
-
-TEST(BernoulliGolden, FleetRows) {
-  // Pool-fanned i.i.d. rows (per-(seq, attempt) derived noise streams),
-  // plain and under the retry protocol.
-  Digest d;
-  ThreadPool pool(2);
-  for (const double ber : {0.0, 1e-4, 0.02, 0.5, 1.0}) {
-    CommChannel ch(ber);
-    Rng rng(31);
-    std::vector<float> rows = seeded_rows(kRows * kDim, 32);
-    std::vector<float*> uploads;
-    for (std::size_t r = 0; r < kRows; ++r)
-      uploads.push_back(rows.data() + r * kDim);
-    ch.transmit_uploads(uploads.data(), kRows, kDim, rng, &pool);
-    d.floats(rows);
-    add_counters(d, ch);
-    d.u64(rng.next_u64());
-  }
-  UploadProtocolConfig proto;
-  proto.enabled = true;
-  proto.max_retries = 3;
-  proto.deadline = 100.0;
-  CommChannel ch(0.004);
-  Rng rng(33);
-  std::vector<float> rows = seeded_rows(kRows * kDim, 34);
-  std::vector<float*> uploads;
-  for (std::size_t r = 0; r < kRows; ++r) uploads.push_back(rows.data() + r * kDim);
-  std::vector<CommChannel::UploadOutcome> outcomes(kRows);
-  ch.transmit_uploads(uploads.data(), kRows, kDim, rng, &pool, &proto, nullptr,
-                      outcomes.data());
-  d.floats(rows);
-  add_counters(d, ch);
-  for (const auto& o : outcomes) {
-    d.u64(o.attempts);
-    d.u64(o.delivered ? 1 : 0);
-  }
-  d.u64(rng.next_u64());
-  EXPECT_EQ(d.value(), 0x3CD42C4E522F6AFAULL);
-}
 
 TEST(BernoulliGolden, BurstyRows) {
   // The Gilbert–Elliott plane: good/bad state BERs, erasures, reordering,

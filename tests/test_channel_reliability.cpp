@@ -477,9 +477,9 @@ TEST(ChannelEngine, ZeroRetryProtocolIsBitIdenticalToPlanPath) {
   Rng rp(46), rz(46);
   std::vector<float> mp = base, mz = base;
   plain_server.communicate_round(mp, everyone, all_present, plain_opts, rp,
-                                 nullptr, /*run_post_hook=*/false);
+                                 /*run_post_hook=*/false);
   zero_server.communicate_round(mz, everyone, all_present, zero_opts, rz,
-                                nullptr, /*run_post_hook=*/false);
+                                /*run_post_hook=*/false);
   EXPECT_EQ(mz, mp);
   EXPECT_EQ(zero_server.consensus(), plain_server.consensus());
   EXPECT_EQ(rz.next_u64(), rp.next_u64());

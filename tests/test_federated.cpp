@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -8,6 +10,7 @@
 #include "federated/aggregation.hpp"
 #include "federated/channel.hpp"
 #include "federated/server.hpp"
+#include "numeric/quantize.hpp"
 
 namespace frlfi {
 namespace {
@@ -104,15 +107,65 @@ TEST(CommChannel, NoisyChannelCorrupts) {
   EXPECT_GT(changed, 0u);
 }
 
-TEST(CommChannel, CorruptionRateTracksBer) {
-  CommChannel ch(0.01);
-  Rng rng(3);
-  std::vector<float> payload(2000, 0.5f);
-  ch.transmit(payload, rng);
-  const double expected = 2000 * 8 * 0.01;
-  EXPECT_NEAR(static_cast<double>(ch.bits_corrupted()), expected,
-              expected * 0.5);
+/// Statistical coverage of the i.i.d. channel: over a fixed matrix the
+/// flip count of transmit_rows is Binomial(8 * rows * dim, BER), and the
+/// flips spread uniformly over the 8 bit positions of a wire word.
+class ChannelBerProperty : public ::testing::TestWithParam<double> {};
+
+// The wire word a delivered value decodes to under the row's codec. Plain
+// rounding rather than Int8Quantizer::quantize, whose clamp to +-127
+// would misread a flip that lands on the word -128.
+std::uint8_t wire_word(float v, const Int8Quantizer& q) {
+  return static_cast<std::uint8_t>(
+      static_cast<std::int8_t>(std::lround(v / q.scale())));
 }
+
+TEST_P(ChannelBerProperty, TransmitRowsFlipsAreBinomialAndUniformOverBits) {
+  const double ber = GetParam();
+  constexpr std::size_t kRows = 64;
+  constexpr std::size_t kDim = 1000;
+  std::vector<float> sent(kRows * kDim);
+  Rng wrng(41);
+  for (float& v : sent) v = static_cast<float>(wrng.uniform(-1.0, 1.0));
+  std::vector<float> received = sent;
+  CommChannel ch(ber);
+  Rng rng(42);
+  ch.transmit_rows(received.data(), kRows, kDim, rng);
+
+  // 4 sigma of Binomial(n, ber).
+  const double n = 8.0 * kRows * kDim;
+  const double mean = n * ber;
+  const double sigma = std::sqrt(mean * (1.0 - ber));
+  EXPECT_LE(std::abs(static_cast<double>(ch.bits_corrupted()) - mean),
+            4.0 * sigma)
+      << ch.bits_corrupted() << " flips of " << n << " bits at ber " << ber;
+
+  // Per-bit-position hit counts from the recovered flip masks.
+  std::vector<double> per_bit(8, 0.0);
+  std::size_t recovered = 0;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const std::span<const float> row(sent.data() + r * kDim, kDim);
+    const Int8Quantizer q = Int8Quantizer::calibrate(row);
+    for (std::size_t d = 0; d < kDim; ++d) {
+      const auto mask = static_cast<std::uint8_t>(
+          wire_word(row[d], q) ^ wire_word(received[r * kDim + d], q));
+      recovered += static_cast<std::size_t>(std::popcount(mask));
+      for (int b = 0; b < 8; ++b)
+        if ((mask >> b) & 1u) per_bit[static_cast<std::size_t>(b)] += 1.0;
+    }
+  }
+  EXPECT_EQ(recovered, ch.bits_corrupted());
+  const double expected = static_cast<double>(recovered) / 8.0;
+  ASSERT_GE(expected, 5.0) << "too few hits for a chi-square test";
+  double chi2 = 0.0;
+  for (const double o : per_bit)
+    chi2 += (o - expected) * (o - expected) / expected;
+  // Upper 1e-4 quantile of chi-square at 7 degrees of freedom.
+  EXPECT_LT(chi2, 29.88) << "ber " << ber;
+}
+
+INSTANTIATE_TEST_SUITE_P(Bers, ChannelBerProperty,
+                         ::testing::Values(1e-3, 1e-2, 0.1));
 
 TEST(CommChannel, BerValidation) {
   CommChannel ch(0.0);
@@ -186,7 +239,7 @@ TEST(ParameterServer, RoundTripAggregates) {
   ParameterServer server(3, 2, AlphaSchedule(3, 0.5));
   Rng rng(5);
   std::vector<float> rows{1.0f, 0.0f, 2.0f, 0.0f, 3.0f, 0.0f};
-  server.communicate_rows(rows, rng, nullptr);
+  server.communicate_rows(rows, rng);
   EXPECT_FLOAT_EQ(rows[0], 0.5f * 1 + 0.25f * (2 + 3));
   EXPECT_EQ(server.round(), 1u);
   EXPECT_EQ(server.channel().messages_sent(), 6u);  // 3 up + 3 down
@@ -202,7 +255,7 @@ TEST(ParameterServer, HookCanMutateAggregates) {
       });
   Rng rng(6);
   std::vector<float> rows{1.0f, 2.0f};
-  server.communicate_rows(rows, rng, nullptr);
+  server.communicate_rows(rows, rng);
   EXPECT_FLOAT_EQ(rows[0], 42.0f);
   EXPECT_FLOAT_EQ(rows[1], 42.0f);
 }
@@ -212,8 +265,8 @@ TEST(ParameterServer, ValidatesUploads) {
   Rng rng(7);
   std::vector<float> one_agent{1.0f, 2.0f};        // 1 upload for 2 agents
   std::vector<float> short_rows{1.0f, 1.0f, 1.0f};  // a row cut short
-  EXPECT_THROW(server.communicate_rows(one_agent, rng, nullptr), Error);
-  EXPECT_THROW(server.communicate_rows(short_rows, rng, nullptr), Error);
+  EXPECT_THROW(server.communicate_rows(one_agent, rng), Error);
+  EXPECT_THROW(server.communicate_rows(short_rows, rng), Error);
 }
 
 TEST(ParameterServer, SetRoundAffectsSchedule) {
@@ -223,7 +276,7 @@ TEST(ParameterServer, SetRoundAffectsSchedule) {
   // At round 1000 alpha ~= 0.5 (the consensus limit for n=2): outputs are
   // near the plain mean.
   std::vector<float> rows{0.0f, 10.0f};
-  server.communicate_rows(rows, rng, nullptr);
+  server.communicate_rows(rows, rng);
   EXPECT_NEAR(rows[0], 5.0f, 0.1f);
 }
 

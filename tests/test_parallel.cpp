@@ -110,7 +110,13 @@ TEST(Parallel, ResolveThreadCountPrecedence) {
   EXPECT_EQ(resolve_thread_count(0), 5u);
   EXPECT_EQ(resolve_thread_count(2), 2u);  // explicit beats env
   setenv("FRLFI_NUM_THREADS", "not-a-number", 1);
-  EXPECT_GE(resolve_thread_count(0), 1u);  // malformed env -> hardware
+  const std::size_t hw = resolve_thread_count(0);  // malformed env -> hardware
+  EXPECT_GE(hw, 1u);
+  for (const char* bad : {"", "-1", "+2", " 2", "2 ", "2x", "0",
+                          "18446744073709551615", "99999999999999999999"}) {
+    setenv("FRLFI_NUM_THREADS", bad, 1);
+    EXPECT_EQ(resolve_thread_count(0), hw) << "FRLFI_NUM_THREADS='" << bad << "'";
+  }
   unsetenv("FRLFI_NUM_THREADS");
   EXPECT_GE(resolve_thread_count(0), 1u);
 }

@@ -8,8 +8,7 @@
 ///    excluding nothing, in place and with the aggregate matrix built for
 ///    the hook) — RNG stream position and counters included;
 ///  * partial participation, staleness folding/discard, L2 screening and
-///    the trimmed mean (kernel inline and on 1, 2 and 7 lanes) match
-///    hand-computed references;
+///    the trimmed mean match hand-computed references;
 ///  * the engine with an active all-present plan is bit-identical to the
 ///    plan-free engine across thread counts {1, 2, 7} on both paper
 ///    systems, and degraded training is thread-count invariant;
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 #include "federated/aggregation.hpp"
 #include "federated/round_engine.hpp"
 #include "federated/server.hpp"
@@ -63,68 +61,7 @@ TEST(ParticipationPlan, ValidatesParameters) {
   plan.byzantine_agents = {7};
   EXPECT_THROW(validate_participation_plan(plan, 4), Error);
   plan.byzantine_agents = {3};
-  plan.cadence = 0;
-  EXPECT_THROW(validate_participation_plan(plan, 4), Error);
-  plan.cadence = 10;
   validate_participation_plan(plan, 4);  // sane plan passes
-}
-
-TEST(ParticipationPlan, CadenceSchedulesStaggeredPhase) {
-  // Cadence k is a deterministic staggered phase: agent i contributes
-  // exactly on rounds with round % k == i % k, so every round sees n/k of
-  // an evenly-spread fleet and every agent uploads every k-th round.
-  ParticipationPlan plan;
-  plan.active = true;
-  plan.cadence = 4;
-  const Rng base = Rng(5).split(plan.stream_tag);
-  for (std::size_t round = 0; round < 12; ++round) {
-    std::size_t uploaders = 0;
-    for (std::size_t agent = 0; agent < 8; ++agent) {
-      const AgentRoundStatus s =
-          resolve_agent_round_status(plan, base, round, agent, false);
-      if (round % 4 == agent % 4) {
-        EXPECT_EQ(s, AgentRoundStatus::Present) << round << "/" << agent;
-        ++uploaders;
-      } else {
-        EXPECT_EQ(s, AgentRoundStatus::Dropped) << round << "/" << agent;
-      }
-    }
-    EXPECT_EQ(uploaders, 2u) << "round " << round;  // n/k = 8/4
-  }
-  // The fold knob resolves the scheduled skip to Straggler instead, so
-  // the skipped upload detours through the staleness buffer.
-  plan.cadence_fold_stale = true;
-  EXPECT_EQ(resolve_agent_round_status(plan, base, 1, 0, false),
-            AgentRoundStatus::Straggler);
-  EXPECT_EQ(resolve_agent_round_status(plan, base, 1, 1, false),
-            AgentRoundStatus::Present);
-}
-
-TEST(ParticipationPlan, CadencePrecedenceAgainstOtherDegradations) {
-  const Rng base = Rng(5).split(ParticipationPlan{}.stream_tag);
-  // The Byzantine flag overrides cadence: a garbage sender is garbage
-  // every round it is up, scheduled or not.
-  ParticipationPlan plan;
-  plan.active = true;
-  plan.cadence = 3;
-  EXPECT_EQ(resolve_agent_round_status(plan, base, 1, 0, true),
-            AgentRoundStatus::Byzantine);
-  // The crash schedule overrides cadence: with certain dropout even an
-  // off-cadence agent whose skip would fold stale resolves Dropped.
-  plan.dropout_rate = 1.0;
-  plan.cadence_fold_stale = true;
-  for (std::size_t agent = 0; agent < 3; ++agent)
-    EXPECT_EQ(resolve_agent_round_status(plan, base, 2, agent, false),
-              AgentRoundStatus::Dropped);
-  // Cadence overrides the straggler draw: an off-cadence agent draws
-  // nothing (deterministic skip), an on-cadence one draws as usual.
-  plan.dropout_rate = 0.0;
-  plan.cadence_fold_stale = false;
-  plan.straggler_rate = 1.0;
-  EXPECT_EQ(resolve_agent_round_status(plan, base, 0, 1, false),
-            AgentRoundStatus::Dropped);  // off cadence: no straggler draw
-  EXPECT_EQ(resolve_agent_round_status(plan, base, 0, 0, false),
-            AgentRoundStatus::Straggler);  // on cadence: draw fires
 }
 
 TEST(ParticipationPlan, ResolutionIsDeterministicAndFunctional) {
@@ -194,55 +131,28 @@ TEST(ParticipationPlan, PickByzantineAgents) {
 }
 
 TEST(TrimmedMean, MatchesHandComputedAndRanksNonFiniteLast) {
-  ThreadPool one(1), two(2), seven(7);
-  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &two,
-                           &seven}) {
-    const std::size_t lanes = pool ? pool->size() : 1;
-    // 5 rows, k=1: per coordinate drop min and max, average the middle 3.
-    const std::vector<std::vector<float>> rows{
-        {1.0f, 10.0f}, {2.0f, -5.0f}, {3.0f, 0.0f}, {4.0f, 1.0f},
-        {100.0f, 2.0f}};
-    std::vector<const float*> ptrs;
-    for (const auto& r : rows) ptrs.push_back(r.data());
-    std::vector<float> scratch(lanes * rows.size()), out(2);
-    trimmed_mean_rows(ptrs.data(), rows.size(), 2, 1, scratch.data(),
-                      out.data(), pool);
-    EXPECT_FLOAT_EQ(out[0], 3.0f) << lanes;  // mean(2,3,4)
-    EXPECT_FLOAT_EQ(out[1], 1.0f) << lanes;  // mean(0,1,2)
-    // A NaN row ranks above every finite value: trimmed with the top tail.
-    const std::vector<std::vector<float>> with_nan{
-        {1.0f}, {2.0f}, {3.0f}, {std::nanf("")}};
-    ptrs.clear();
-    for (const auto& r : with_nan) ptrs.push_back(r.data());
-    scratch.assign(lanes * 4, 0.0f);
-    trimmed_mean_rows(ptrs.data(), 4, 1, 1, scratch.data(), out.data(), pool);
-    EXPECT_FLOAT_EQ(out[0], 2.5f) << lanes;  // mean(2,3); NaN and 1 trimmed
-    EXPECT_THROW(trimmed_mean_rows(ptrs.data(), 2, 1, 1, scratch.data(),
-                                   out.data(), pool),
-                 Error);
-  }
-}
-
-TEST(TrimmedMean, PoolPartitionKeepsInlineBits) {
-  // Wide rows so every lane owns a coordinate slice: the pooled kernel
-  // must reproduce the inline one bit for bit.
-  const std::size_t m = 9, dim = 203;
-  std::vector<std::vector<float>> rows;
-  for (std::size_t j = 0; j < m; ++j) rows.push_back(random_row(dim, 9100 + j));
-  rows[3][17] = std::nanf("");
+  // 5 rows, k=1: per coordinate drop min and max, average the middle 3.
+  const std::vector<std::vector<float>> rows{
+      {1.0f, 10.0f}, {2.0f, -5.0f}, {3.0f, 0.0f}, {4.0f, 1.0f},
+      {100.0f, 2.0f}};
   std::vector<const float*> ptrs;
   for (const auto& r : rows) ptrs.push_back(r.data());
-  std::vector<float> scratch(m), inline_out(dim);
-  trimmed_mean_rows(ptrs.data(), m, dim, 2, scratch.data(), inline_out.data(),
-                    nullptr);
-  for (const std::size_t lanes :
-       {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-    ThreadPool pool(lanes);
-    std::vector<float> lane_scratch(lanes * m), out(dim);
-    trimmed_mean_rows(ptrs.data(), m, dim, 2, lane_scratch.data(), out.data(),
-                      &pool);
-    EXPECT_EQ(out, inline_out) << lanes << " lanes";
-  }
+  std::vector<float> scratch(rows.size()), out(2);
+  trimmed_mean_rows(ptrs.data(), rows.size(), 2, 1, scratch.data(),
+                    out.data());
+  EXPECT_FLOAT_EQ(out[0], 3.0f);  // mean(2,3,4)
+  EXPECT_FLOAT_EQ(out[1], 1.0f);  // mean(0,1,2)
+  // A NaN row ranks above every finite value: trimmed with the top tail.
+  const std::vector<std::vector<float>> with_nan{
+      {1.0f}, {2.0f}, {3.0f}, {std::nanf("")}};
+  ptrs.clear();
+  for (const auto& r : with_nan) ptrs.push_back(r.data());
+  scratch.assign(4, 0.0f);
+  trimmed_mean_rows(ptrs.data(), 4, 1, 1, scratch.data(), out.data());
+  EXPECT_FLOAT_EQ(out[0], 2.5f);  // mean(2,3); NaN and 1 trimmed
+  EXPECT_THROW(
+      trimmed_mean_rows(ptrs.data(), 2, 1, 1, scratch.data(), out.data()),
+      Error);
 }
 
 /// One serial degraded round over a full n x dim matrix: compacts the
@@ -265,7 +175,7 @@ RoundParticipationReport run_round(
                    rows.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim));
   }
   const RoundParticipationReport rep = srv.communicate_round(
-      compact, agents, status, opts, rng, nullptr, run_post_hook);
+      compact, agents, status, opts, rng, run_post_hook);
   for (std::size_t j = 0; j < agents.size(); ++j)
     std::copy(compact.begin() + static_cast<std::ptrdiff_t>(j * dim),
               compact.begin() + static_cast<std::ptrdiff_t>((j + 1) * dim),
@@ -287,7 +197,7 @@ void expect_full_round_matches_rows(const ScreeningConfig& screening,
   ref.channel().set_bit_error_rate(ber);
   Rng ref_rng(11);
   std::vector<float> ref_rows = pack_rows(uploads);
-  ref.communicate_rows(ref_rows, ref_rng, nullptr);
+  ref.communicate_rows(ref_rows, ref_rng);
 
   for (const bool run_post_hook : {false, true}) {
     ParameterServer srv(n, dim, schedule);
@@ -703,93 +613,6 @@ TEST(ParticipationEngine, DegradedTrainingIsThreadCountInvariant) {
       EXPECT_EQ(stats.screened_out, serial_stats.screened_out);
     }
   }
-}
-
-TEST(ParticipationEngine, CadenceOnePlanIsBitIdenticalToPlanFree) {
-  // The cadence acceptance lock: cadence = 1 schedules every agent every
-  // round and must not change a single bit vs the plan-free engine on
-  // either paper system — RNG stream position included (the training
-  // continues past the first compare point) — at 1, 2 and 7 threads.
-  // The fold knob is irrelevant at cadence 1 and must stay inert too.
-  GridWorldFrlSystem grid_ref(grid_config(4, 1), 88);
-  grid_ref.train(30);
-  const auto grid_ref_params = grid_params(grid_ref, 4);
-  grid_ref.train(10);
-  const auto grid_ref_cont = grid_params(grid_ref, 4);
-
-  DroneFrlSystem drone_ref(drone_config(3, 1), 58);
-  drone_ref.train(8);
-  std::vector<std::vector<float>> drone_ref_params;
-  for (std::size_t i = 0; i < 3; ++i)
-    drone_ref_params.push_back(drone_ref.drone_network(i).flat_parameters());
-
-  ParticipationPlan plan;
-  plan.active = true;
-  plan.cadence = 1;
-  plan.cadence_fold_stale = true;
-
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-    GridWorldFrlSystem grid(grid_config(4, threads), 88);
-    grid.set_participation_plan(plan);
-    grid.train(30);
-    EXPECT_EQ(grid_params(grid, 4), grid_ref_params) << threads << " threads";
-    grid.train(10);
-    EXPECT_EQ(grid_params(grid, 4), grid_ref_cont) << threads << " threads";
-    EXPECT_EQ(grid.communication_bytes(), grid_ref.communication_bytes());
-
-    DroneFrlSystem drone(drone_config(3, threads), 58);
-    drone.set_participation_plan(plan);
-    drone.train(8);
-    std::vector<std::vector<float>> params;
-    for (std::size_t i = 0; i < 3; ++i)
-      params.push_back(drone.drone_network(i).flat_parameters());
-    EXPECT_EQ(params, drone_ref_params) << threads << " threads";
-    EXPECT_EQ(drone.communication_bytes(), drone_ref.communication_bytes());
-  }
-}
-
-TEST(ParticipationEngine, CadenceTrainingIsThreadInvariantAndThinsUploads) {
-  // A sparse cadence rides along with the full busy plan: training stays
-  // bit-identical across thread counts, the per-round upload volume drops
-  // (cadence is the fleet bytes/round lever), and the skipped rounds show
-  // up as scheduled drops in the stats.
-  ParticipationPlan sparse = busy_plan();
-  sparse.cadence = 2;
-
-  std::vector<std::vector<float>> serial;
-  ParticipationStats serial_stats;
-  std::size_t serial_bytes = 0;
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-    GridWorldFrlSystem sys(grid_config(4, threads), 101);
-    sys.set_participation_plan(sparse);
-    sys.train(30);
-    const auto params = grid_params(sys, 4);
-    const ParticipationStats& stats = sys.participation_stats();
-    if (threads == 1) {
-      serial = params;
-      serial_stats = stats;
-      serial_bytes = sys.communication_bytes();
-    } else {
-      EXPECT_EQ(params, serial) << threads << " threads";
-      EXPECT_EQ(stats.rounds, serial_stats.rounds);
-      EXPECT_EQ(stats.present, serial_stats.present);
-      EXPECT_EQ(stats.dropped, serial_stats.dropped);
-      EXPECT_EQ(stats.stragglers, serial_stats.stragglers);
-      EXPECT_EQ(stats.byzantine, serial_stats.byzantine);
-      EXPECT_EQ(sys.communication_bytes(), serial_bytes);
-    }
-  }
-
-  // Same seed and plan minus the cadence: the dense run uploads more and
-  // sees more present agents — the cadence genuinely thinned the rounds.
-  GridWorldFrlSystem dense(grid_config(4, 1), 101);
-  dense.set_participation_plan(busy_plan());
-  dense.train(30);
-  EXPECT_LT(serial_bytes, dense.communication_bytes());
-  EXPECT_LT(serial_stats.present, dense.participation_stats().present);
-  EXPECT_GT(serial_stats.dropped, dense.participation_stats().dropped);
 }
 
 TEST(ParticipationEngine, RoundObserverSeesEveryRound) {

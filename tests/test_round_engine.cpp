@@ -5,16 +5,13 @@
 ///    over an n_agents x threads grid;
 ///  * snapshot/restore composes with parallel training (restore + retrain
 ///    replays the same bits at any fan-out);
-///  * the batched server-round kernels (smoothing_average_rows and
-///    mean_parameters_rows with no pool and with 1, 2 and 7 lanes,
-///    CommChannel::transmit_rows, the serial
+///  * the batched server-round kernels (smoothing_average_rows,
+///    mean_parameters_rows, CommChannel::transmit_rows and
 ///    ParameterServer::communicate_rows) are bit-identical to their
 ///    scalar references, RNG stream position included;
 ///  * the engine's row-matrix server-fault hook reproduces the historical
 ///    per-agent-vector hook;
-///  * the fleet server round (server_threads >= 1) is lane-count
-///    invariant, matches the serial round on the burst plane, and keeps
-///    O(participants) round buffers — as does the serial round.
+///  * at partial participation the round keeps O(participants) buffers.
 
 #include "federated/round_engine.hpp"
 
@@ -25,7 +22,6 @@
 #include <vector>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 #include "fault/injector.hpp"
 #include "federated/aggregation.hpp"
 #include "federated/channel.hpp"
@@ -57,18 +53,7 @@ std::vector<float> pack_rows(const std::vector<std::vector<float>>& vov) {
   return rows;
 }
 
-/// The pools every kernel test runs on: none (inline) and 1, 2, 7 lanes.
-struct KernelPools {
-  ThreadPool one{1}, two{2}, seven{7};
-  std::vector<ThreadPool*> all() { return {nullptr, &one, &two, &seven}; }
-};
-
-std::size_t lanes_of(const ThreadPool* pool) {
-  return pool ? pool->size() : 0;
-}
-
 TEST(BatchedAggregation, SmoothingRowsMatchesScalarReference) {
-  KernelPools pools;
   for (const std::size_t n : {std::size_t{2}, std::size_t{5}, std::size_t{12}}) {
     // Dims straddling SIMD widths, including a non-multiple-of-8 tail.
     for (const std::size_t dim : {std::size_t{1}, std::size_t{37},
@@ -76,32 +61,24 @@ TEST(BatchedAggregation, SmoothingRowsMatchesScalarReference) {
       const auto uploads = random_uploads(n, dim, 100 + n + dim);
       const auto rows = pack_rows(uploads);
       for (const double alpha : {0.3, 0.5, 1.0 / static_cast<double>(n)}) {
-        const auto scalar = smoothing_average(uploads, alpha);
-        for (ThreadPool* pool : pools.all()) {
-          std::vector<float> out(n * dim), total(dim);
-          smoothing_average_rows(rows.data(), out.data(), total.data(), n,
-                                 dim, alpha, pool);
-          EXPECT_EQ(out, pack_rows(scalar))
-              << n << "x" << dim << " a=" << alpha << " lanes "
-              << lanes_of(pool);
-        }
+        std::vector<float> out(n * dim), total(dim);
+        smoothing_average_rows(rows.data(), out.data(), total.data(), n, dim,
+                               alpha);
+        EXPECT_EQ(out, pack_rows(smoothing_average(uploads, alpha)))
+            << n << "x" << dim << " a=" << alpha;
       }
     }
   }
 }
 
 TEST(BatchedAggregation, MeanRowsMatchesScalarReference) {
-  KernelPools pools;
   for (const std::size_t n : {std::size_t{1}, std::size_t{4}, std::size_t{9}}) {
     const std::size_t dim = 123;
     const auto uploads = random_uploads(n, dim, 500 + n);
     const auto rows = pack_rows(uploads);
-    for (ThreadPool* pool : pools.all()) {
-      std::vector<float> mean(dim);
-      mean_parameters_rows(rows.data(), n, dim, mean.data(), pool);
-      EXPECT_EQ(mean, mean_parameters(uploads))
-          << n << " lanes " << lanes_of(pool);
-    }
+    std::vector<float> mean(dim);
+    mean_parameters_rows(rows.data(), n, dim, mean.data());
+    EXPECT_EQ(mean, mean_parameters(uploads)) << n;
   }
 }
 
@@ -171,7 +148,7 @@ TEST(BatchedServerRound, CommunicateRowsMatchesFrozenScalarRound) {
                                           schedule.at(0), ref_rng,
                                           &ref_consensus);
     std::vector<float> rows = pack_rows(uploads);
-    rows_server.communicate_rows(rows, rows_rng, nullptr);
+    rows_server.communicate_rows(rows, rows_rng);
     EXPECT_EQ(rows, pack_rows(down)) << c.n << " x " << c.dim;
     EXPECT_EQ(rows_server.consensus(), ref_consensus);
     EXPECT_EQ(rows_server.round(), 1u);
@@ -210,7 +187,7 @@ TEST(BatchedServerRound, RowsFaultHookMatchesFrozenLegacyHookRound) {
       });
   Rng rows_rng(9);
   std::vector<float> rows = pack_rows(uploads);
-  rows_srv.communicate_rows(rows, rows_rng, nullptr);
+  rows_srv.communicate_rows(rows, rows_rng);
   EXPECT_EQ(rows, pack_rows(down));
 }
 
@@ -347,10 +324,10 @@ TEST(RoundEngine, ValidatesHooksAndConfig) {
   EXPECT_THROW(FederatedRoundEngine(cfg, 1, 2, hooks), Error);
 }
 
-/// Synthetic fleet member for the fleet-scale engine tests: flat
-/// per-agent parameter rows, an "episode" that nudges one coordinate
+/// Synthetic agent for the large-roster engine test: flat per-agent
+/// parameter rows, an "episode" that nudges one coordinate
 /// deterministically — rounds aggregate changing data at zero NN cost, so
-/// the tests can afford 10^3-agent fleets.
+/// the test can afford 10^3-agent rosters.
 struct FleetHarness {
   std::size_t n, dim;
   std::vector<float> params;
@@ -380,8 +357,7 @@ struct FleetHarness {
 };
 
 /// Stormy Gilbert–Elliott channel: bad-state flips, chunk erasure and
-/// reordering all active, so the fleet transmit fan has real work and the
-/// burst-plane bit-identity (serial vs fleet) is exercised, not vacuous.
+/// reordering all active.
 BurstyChannelConfig stormy_channel() {
   BurstyChannelConfig bursty;
   bursty.active = true;
@@ -395,24 +371,23 @@ BurstyChannelConfig stormy_channel() {
   return bursty;
 }
 
-FederatedRoundEngine::Config fleet_config(std::size_t agents, std::size_t dim,
-                                          std::size_t server_threads) {
+FederatedRoundEngine::Config fleet_config(std::size_t agents,
+                                          std::size_t dim) {
   FederatedRoundEngine::Config cfg;
   cfg.n_agents = agents;
   cfg.parameter_dim = dim;
   cfg.comm_interval = 1;
   cfg.bursty_channel = stormy_channel();
-  cfg.server_threads = server_threads;
   return cfg;
 }
 
-/// Everything degraded at once: dropout windows, stragglers, Byzantine
-/// senders, L2 screening and a sparse upload cadence.
-ParticipationPlan fleet_plan() {
+/// Everything degraded at once: dropout windows thinning each round to
+/// ~10% participation, stragglers, Byzantine senders and L2 screening.
+ParticipationPlan thin_plan() {
   ParticipationPlan plan;
   plan.active = true;
-  plan.dropout_rate = 0.05;
-  plan.crash_rounds = 2;
+  plan.dropout_rate = 0.9;
+  plan.crash_rounds = 1;
   plan.straggler_rate = 0.1;
   plan.straggler_lag = 2;
   plan.stale_decay = 0.5;
@@ -420,178 +395,26 @@ ParticipationPlan fleet_plan() {
   plan.byzantine_agents = {1, 3};
   plan.screening.l2_norm = true;
   plan.screening.l2_factor = 3.0;
-  plan.cadence = 4;
   return plan;
 }
 
-void expect_stats_equal(const ParticipationStats& got,
-                        const ParticipationStats& want) {
-  EXPECT_EQ(got.rounds, want.rounds);
-  EXPECT_EQ(got.present, want.present);
-  EXPECT_EQ(got.dropped, want.dropped);
-  EXPECT_EQ(got.stragglers, want.stragglers);
-  EXPECT_EQ(got.byzantine, want.byzantine);
-  EXPECT_EQ(got.stale_folded, want.stale_folded);
-  EXPECT_EQ(got.stale_discarded, want.stale_discarded);
-  EXPECT_EQ(got.screened_out, want.screened_out);
-  EXPECT_EQ(got.degenerate_rounds, want.degenerate_rounds);
-  EXPECT_EQ(got.upload_attempts, want.upload_attempts);
-  EXPECT_EQ(got.uploads_failed, want.uploads_failed);
-  EXPECT_EQ(got.failed_stale, want.failed_stale);
-  EXPECT_EQ(got.failed_dropped, want.failed_dropped);
-  EXPECT_EQ(got.backoff_seconds, want.backoff_seconds);
-}
-
-void expect_channels_equal(const FederatedRoundEngine& got,
-                           const FederatedRoundEngine& want) {
-  const CommChannel& g = got.server()->channel();
-  const CommChannel& w = want.server()->channel();
-  EXPECT_EQ(g.transmit_seq(), w.transmit_seq());
-  EXPECT_EQ(g.messages_sent(), w.messages_sent());
-  EXPECT_EQ(g.bytes_sent(), w.bytes_sent());
-  EXPECT_EQ(g.bits_corrupted(), w.bits_corrupted());
-}
-
-TEST(FleetRound, DegradedRoundIsServerLaneCountInvariant) {
-  // The fleet determinism grid: n_agents x server_threads with every
-  // degradation active at once. server_threads == 1 is the serial golden
-  // path; 2 and 7 lanes must reproduce it bit for bit — parameters,
-  // channel sequence numbers/counters and participation stats — and the
-  // extra train() leg locks the RNG stream position too.
-  const std::size_t dim = 96;
-  for (const std::size_t agents :
-       {std::size_t{256}, std::size_t{1024}, std::size_t{4096}}) {
-    FleetHarness golden(agents, dim);
-    FederatedRoundEngine ref(fleet_config(agents, dim, 1), 2024, 0xF1EE7,
-                             golden.hooks());
-    ref.set_participation_plan(fleet_plan());
-    ref.train(6);
-    const auto golden_mid = golden.params;
-    ref.train(3);  // diverges here if a lane count consumed RNG differently
-
-    for (const std::size_t lanes : {std::size_t{2}, std::size_t{7}}) {
-      FleetHarness h(agents, dim);
-      FederatedRoundEngine sys(fleet_config(agents, dim, lanes), 2024, 0xF1EE7,
-                               h.hooks());
-      sys.set_participation_plan(fleet_plan());
-      sys.train(6);
-      EXPECT_EQ(h.params, golden_mid)
-          << agents << " agents, " << lanes << " lanes";
-      sys.train(3);
-      EXPECT_EQ(h.params, golden.params)
-          << agents << " agents, " << lanes << " lanes (continuation)";
-      expect_channels_equal(sys, ref);
-      expect_stats_equal(sys.participation_stats(), ref.participation_stats());
-    }
-    // The plan actually degraded something at this seed.
-    EXPECT_GT(ref.participation_stats().dropped, 0u);
-    EXPECT_GT(ref.participation_stats().stragglers, 0u);
-    EXPECT_GT(ref.participation_stats().byzantine, 0u);
-  }
-}
-
-TEST(FleetRound, DegradedRoundMatchesSerialRoundOnBurstPlane) {
-  // Channel-discipline equivalence: on the burst plane with the retry
-  // protocol unarmed, every message is keyed by the same per-sender
-  // sequence numbers under both disciplines, so the pool-fanned round
-  // (server_threads = 1) must be *identical* to the serial round
-  // (server_threads = 0) — parameters, channel counters, stats and the
-  // staleness buffer included.
-  const std::size_t agents = 64, dim = 48;
-  FleetHarness serial_h(agents, dim);
-  FederatedRoundEngine serial(fleet_config(agents, dim, 0), 7, 0xF1EE7,
-                              serial_h.hooks());
-  serial.set_participation_plan(fleet_plan());
-  serial.train(10);
-
-  FleetHarness fleet_h(agents, dim);
-  FederatedRoundEngine fleet(fleet_config(agents, dim, 1), 7, 0xF1EE7,
-                             fleet_h.hooks());
-  fleet.set_participation_plan(fleet_plan());
-  fleet.train(10);
-
-  EXPECT_EQ(fleet_h.params, serial_h.params);
-  expect_channels_equal(fleet, serial);
-  expect_stats_equal(fleet.participation_stats(),
-                     serial.participation_stats());
-  const auto& lp = serial.server()->pending_uploads();
-  const auto& fp = fleet.server()->pending_uploads();
-  ASSERT_EQ(fp.size(), lp.size());
-  for (std::size_t i = 0; i < lp.size(); ++i) {
-    EXPECT_EQ(fp[i].agent, lp[i].agent);
-    EXPECT_EQ(fp[i].deliver_round, lp[i].deliver_round);
-    EXPECT_EQ(fp[i].weight, lp[i].weight);
-    EXPECT_EQ(fp[i].data, lp[i].data);
-  }
-}
-
-TEST(FleetRound, PlanFreeFleetRoundMatchesSerialOnBurstPlane) {
-  // Without a participation plan the fleet path runs the synchronous
-  // communicate_rows fan; burst-plane bits are per-sequence derived under
-  // both disciplines, so every lane count must match the serial round.
-  const std::size_t agents = 32, dim = 40;
-  FleetHarness serial_h(agents, dim);
-  FederatedRoundEngine serial(fleet_config(agents, dim, 0), 19, 0xF1EE7,
-                              serial_h.hooks());
-  serial.train(8);
-
-  for (const std::size_t lanes :
-       {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-    FleetHarness h(agents, dim);
-    FederatedRoundEngine sys(fleet_config(agents, dim, lanes), 19, 0xF1EE7,
-                             h.hooks());
-    sys.train(8);
-    EXPECT_EQ(h.params, serial_h.params) << lanes << " lanes";
-    expect_channels_equal(sys, serial);
-  }
-}
-
-TEST(FleetRound, ZeroRetryUploadProtocolKeepsFleetRoundBits) {
-  // An enabled-but-zero-retry protocol must stay on the plain fleet plan
-  // path byte for byte (the reliable fan only arms with retries > 0).
-  const std::size_t agents = 48, dim = 32;
-  FleetHarness plain_h(agents, dim);
-  FederatedRoundEngine plain(fleet_config(agents, dim, 2), 23, 0xF1EE7,
-                             plain_h.hooks());
-  plain.set_participation_plan(fleet_plan());
-  plain.train(8);
-
-  FleetHarness zr_h(agents, dim);
-  FederatedRoundEngine zr(fleet_config(agents, dim, 2), 23, 0xF1EE7,
-                          zr_h.hooks());
-  ParticipationPlan plan = fleet_plan();
-  plan.upload.enabled = true;
-  plan.upload.max_retries = 0;
-  zr.set_participation_plan(plan);
-  zr.train(8);
-
-  EXPECT_EQ(zr_h.params, plain_h.params);
-  expect_channels_equal(zr, plain);
-  expect_stats_equal(zr.participation_stats(), plain.participation_stats());
-}
-
 TEST(FleetRound, RoundBufferMemoryScalesWithParticipants) {
-  // The O(participants) acceptance gate: at cadence 8 or 10 (~10-12.5%
-  // participation) the engine's retained round buffers must stay under a
-  // quarter of the full n x dim matrix, with the fleet pool and with the
-  // serial round alike (both run the participant-compacted round).
+  // The O(participants) acceptance gate: at ~10% participation the
+  // engine's retained round buffers must stay under a quarter of the full
+  // n x dim matrix.
   const struct {
-    std::size_t agents, dim, cadence;
-  } cases[] = {{1024, 64, 8}, {64, 256, 10}, {4096, 256, 10}};
+    std::size_t agents, dim;
+  } cases[] = {{1024, 64}, {64, 256}, {4096, 256}};
   for (const auto& c : cases) {
     const std::size_t full_bytes = c.agents * c.dim * sizeof(float);
-    ParticipationPlan plan = fleet_plan();
-    plan.cadence = c.cadence;
-    for (const std::size_t server_threads : {std::size_t{1}, std::size_t{0}}) {
-      FleetHarness h(c.agents, c.dim);
-      FederatedRoundEngine sys(fleet_config(c.agents, c.dim, server_threads),
-                               41, 0xF1EE7, h.hooks());
-      sys.set_participation_plan(plan);
-      sys.train(6);
-      EXPECT_LT(sys.round_buffer_bytes(), full_bytes / 4)
-          << c.agents << " agents, server_threads " << server_threads
-          << ": round buffers must scale with participants";
-    }
+    FleetHarness h(c.agents, c.dim);
+    FederatedRoundEngine sys(fleet_config(c.agents, c.dim), 41, 0xF1EE7,
+                             h.hooks());
+    sys.set_participation_plan(thin_plan());
+    sys.train(6);
+    EXPECT_GT(sys.participation_stats().dropped, 0u);
+    EXPECT_LT(sys.round_buffer_bytes(), full_bytes / 4)
+        << c.agents << " agents: round buffers must scale with participants";
   }
 }
 

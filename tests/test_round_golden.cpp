@@ -1,16 +1,14 @@
 /// \file test_round_golden.cpp
 /// Golden digests of short federated training runs through the round
-/// engine with the serial server round (server_threads = 0) on a noisy
-/// i.i.d. channel: degraded participation (dropout windows, stragglers,
-/// screened Byzantine senders), the trimmed-mean screen, the retry
-/// protocol with exhausted uploads folded stale or dropped, a plan-free
-/// run, and a pending server fault with §V-A mitigation on. One more
-/// digest pins the pool-fanned server round (server_threads = 1) of the
-/// busiest run. Each digest folds the agents' parameters, the channel's
+/// engine on a noisy i.i.d. channel: degraded participation (dropout
+/// windows, stragglers, screened Byzantine senders), the trimmed-mean
+/// screen, the retry protocol with exhausted uploads folded stale or
+/// dropped, a plan-free run, and a pending server fault with §V-A
+/// mitigation on. Each digest folds the agents' parameters, the channel's
 /// sequence number and cost counters, every ParticipationStats field,
 /// every per-round report, the staleness buffer, the mitigation counters
-/// and the next draw of the training stream. These pin the serial server
-/// round and its i.i.d. noise realization bit for bit.
+/// and the next draw of the training stream. These pin the server round
+/// and its i.i.d. noise realization bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -104,7 +102,6 @@ struct Harness {
 struct Scenario {
   ParticipationPlan plan;  // inactive = plan-free rounds
   bool server_fault = false;
-  std::size_t server_threads = 0;
   double channel_ber = 2e-3;
 };
 
@@ -161,7 +158,6 @@ Outcome run(const Scenario& sc) {
   cfg.alpha0 = 0.6;
   cfg.alpha_tau = 20.0;
   cfg.channel_ber = sc.channel_ber;
-  cfg.server_threads = sc.server_threads;
   FederatedRoundEngine engine(cfg, kSeed, kStreamTag, h.hooks());
   Digest d;
   engine.set_round_observer(
@@ -300,13 +296,6 @@ TEST(RoundGolden, PlanFreeRoundsWithServerFaultAndMitigation) {
   EXPECT_EQ(o.stats.present, o.stats.rounds * kAgents);
   EXPECT_GT(o.mitigation.server_recoveries, 0u);
   EXPECT_EQ(o.digest, 0x19AF2417C375E4F7ULL);
-}
-
-TEST(RoundGolden, PoolFannedServerRound) {
-  SKIP_ON_FMA();
-  Scenario sc = busy();
-  sc.server_threads = 1;
-  EXPECT_EQ(run(sc).digest, 0x83D02F398DE81AECULL);
 }
 
 }  // namespace
