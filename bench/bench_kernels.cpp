@@ -4,9 +4,6 @@
 ///    at the paper's DroneNav policy shapes (GFLOP/s and speedup),
 ///  * batched inference: B single-sample policy forwards vs one
 ///    Network::forward_batch at B in {1,4,16,64} on the drone policy,
-///  * int8-native inference: the deployed int8 image executed through the
-///    quant kernels (forward_batch_quant) vs the float plane at the same
-///    drone-policy shapes,
 ///  * sharded batched inference: a B x threads sweep of forward_batch
 ///    split across a ThreadPool (wall-clock speedup needs multi-core
 ///    hardware),
@@ -87,10 +84,6 @@ struct BatchedRow {
   std::size_t batch = 0;
   double single_us = 0.0, batched_us = 0.0, speedup = 0.0;
 };
-struct Int8Row {
-  std::size_t batch = 0;
-  double float_us = 0.0, int8_us = 0.0, speedup = 0.0;
-};
 struct ShardedRow {
   std::size_t batch = 0, threads = 0, shards = 0;
   double us = 0.0, speedup = 0.0;  // vs the same batch on 1 thread
@@ -117,7 +110,6 @@ struct Report {
   std::vector<ConvRow> conv_forward;
   std::vector<BackwardRow> conv_backward;
   std::vector<BatchedRow> batched;
-  std::vector<Int8Row> int8_inference;
   std::vector<ShardedRow> sharded;
   std::vector<Trans1Row> trans1;
   std::vector<TrainRoundRow> train_round;
@@ -242,46 +234,6 @@ void bench_batched(double min_time, Report& report) {
   }
   std::printf("B=64 batched speedup: %.2fx %s\n", b64_speedup,
               b64_speedup >= 3.0 ? "(target >=3x: PASS)" : "(target >=3x)");
-}
-
-// Int8-native inference at the drone policy: the deployed int8 image
-// executed through the quant kernels vs the float plane over the same
-// inputs (tests/test_quant_forward.cpp locks the int8 logits to the float
-// shadow of the same image).
-void bench_int8_inference(double min_time, Report& report) {
-  std::printf(
-      "\n== Int8-native inference: float plane vs deployed int8 image ==\n");
-  std::printf("(drone policy, per-sample microseconds, headroom 2)\n");
-  std::printf("%-8s %14s %14s %8s\n", "batch", "float us", "int8 us",
-              "speedup");
-  Rng rng(15);
-  Network net = make_drone_policy(rng);
-  const DeployedWeights deployed =
-      DeployedWeights::int8_image(net.flat_parameters(), 2.0f);
-  const QuantWeightView qview = deployed.quant_view(nullptr);
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{4},
-                                  std::size_t{16}, std::size_t{64}}) {
-    Rng xr(16);
-    const Tensor xb =
-        Tensor::random_uniform({batch, 3, 18, 32}, xr, 0.0f, 1.0f);
-    double t_float = 0.0;
-    if (batch == 1) {
-      Tensor obs({3, 18, 32});
-      std::copy_n(xb.data().begin(), obs.size(), obs.data().begin());
-      t_float = time_per_call(min_time, [&] { net.forward(obs); });
-    } else {
-      t_float =
-          time_per_call(min_time, [&] { net.forward_batch(xb, batch); });
-    }
-    const double t_int8 = time_per_call(
-        min_time, [&] { net.forward_batch_quant(xb, batch, qview); });
-    report.int8_inference.push_back(
-        {batch, t_float * 1e6 / static_cast<double>(batch),
-         t_int8 * 1e6 / static_cast<double>(batch), t_float / t_int8});
-    std::printf("%-8zu %14.2f %14.2f %7.2fx\n", batch,
-                t_float * 1e6 / static_cast<double>(batch),
-                t_int8 * 1e6 / static_cast<double>(batch), t_float / t_int8);
-  }
 }
 
 // Multi-core sharded inference: one forward_batch split into per-lane
@@ -577,12 +529,6 @@ void write_json(const Report& r, const char* path) {
                  "\"batched_us_per_sample\": %.4f, \"speedup\": %.3f",
                  row.batch, row.single_us, row.batched_us, row.speedup);
   });
-  write_array(f, "int8_inference", r.int8_inference, [&](const Int8Row& row) {
-    std::fprintf(f,
-                 "\"batch\": %zu, \"float_us_per_sample\": %.4f, "
-                 "\"int8_us_per_sample\": %.4f, \"speedup\": %.3f",
-                 row.batch, row.float_us, row.int8_us, row.speedup);
-  });
   write_array(f, "sharded_inference", r.sharded, [&](const ShardedRow& row) {
     std::fprintf(f,
                  "\"batch\": %zu, \"threads\": %zu, \"shards\": %zu, "
@@ -643,7 +589,6 @@ int main(int argc, char** argv) {
   report.quick = quick;
   frlfi::bench_conv(min_time, report);
   frlfi::bench_batched(min_time, report);
-  frlfi::bench_int8_inference(min_time, report);
   frlfi::bench_sharded(min_time, report);
   frlfi::bench_trans1(min_time, report);
   frlfi::bench_train_round(quick, report);

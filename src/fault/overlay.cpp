@@ -24,52 +24,6 @@ void WeightOverlay::apply_to(std::span<float> weights) const {
   }
 }
 
-void QuantOverlay::add(std::size_t index, std::int8_t word) {
-  FRLFI_CHECK_MSG(indices.empty() || index > indices.back(),
-                  "quant overlay index " << index << " after " << indices.back());
-  indices.push_back(index);
-  words.push_back(word);
-}
-
-void QuantOverlay::apply_to(std::vector<std::int8_t>& words_out) const {
-  for (std::size_t e = 0; e < indices.size(); ++e) {
-    FRLFI_CHECK_MSG(indices[e] < words_out.size(),
-                    "quant overlay index " << indices[e] << " in "
-                                           << words_out.size());
-    words_out[indices[e]] = words[e];
-  }
-}
-
-std::int8_t QuantWeightView::at(std::size_t i) const {
-  FRLFI_CHECK_MSG(i < params, "quant view index " << i << " in " << params);
-  if (overlay != nullptr) {
-    const auto it =
-        std::lower_bound(overlay->indices.begin(), overlay->indices.end(), i);
-    if (it != overlay->indices.end() && *it == i)
-      return overlay->words[static_cast<std::size_t>(
-          it - overlay->indices.begin())];
-  }
-  return base[i];
-}
-
-const std::int8_t* QuantWeightView::span(
-    std::size_t offset, std::size_t count,
-    std::vector<std::int8_t>& scratch) const {
-  FRLFI_CHECK_MSG(offset + count <= params,
-                  "quant view span [" << offset << ", " << offset + count
-                                      << ") in " << params);
-  if (overlay == nullptr || overlay->empty()) return base + offset;
-  const auto lo = std::lower_bound(overlay->indices.begin(),
-                                   overlay->indices.end(), offset);
-  if (lo == overlay->indices.end() || *lo >= offset + count)
-    return base + offset;
-  scratch.assign(base + offset, base + offset + count);
-  for (auto it = lo; it != overlay->indices.end() && *it < offset + count; ++it)
-    scratch[*it - offset] =
-        overlay->words[static_cast<std::size_t>(it - overlay->indices.begin())];
-  return scratch.data();
-}
-
 float WeightView::at(std::size_t i) const {
   FRLFI_CHECK_MSG(i < params, "view index " << i << " in " << params);
   if (overlay != nullptr) {
@@ -114,8 +68,8 @@ DeployedWeights DeployedWeights::int8_image(std::span<const float> weights,
   if (weights.empty()) return d;
   d.int8_scale_ = Int8Quantizer::calibrate(weights).scale() * headroom;
   const Int8Quantizer q(d.int8_scale_);
-  d.int8_words_ = q.quantize(weights);
-  d.base_ = q.dequantize(d.int8_words_);
+  d.int8_codes_ = q.quantize(weights);
+  d.base_ = q.dequantize(d.int8_codes_);
   return d;
 }
 
@@ -136,27 +90,11 @@ DeployedWeights DeployedWeights::fixed_point_image(
   return d;
 }
 
-const std::vector<std::int8_t>& DeployedWeights::int8_words() const {
-  FRLFI_CHECK_MSG(repr_ == Repr::Int8, "int8_words on a fixed-point image");
-  return int8_words_;
-}
-
-float DeployedWeights::int8_scale() const {
-  FRLFI_CHECK_MSG(repr_ == Repr::Int8, "int8_scale on a fixed-point image");
-  return int8_scale_;
-}
-
-QuantWeightView DeployedWeights::quant_view(const QuantOverlay* overlay) const {
-  FRLFI_CHECK_MSG(repr_ == Repr::Int8, "quant_view on a fixed-point image");
-  return QuantWeightView{int8_words_.data(), int8_words_.size(), int8_scale_,
-                         overlay};
-}
-
 namespace {
 
-// The strike both inject() and inject_quant() run: corrupt a copy of the
-// clean words and visit each changed word, in ascending index order (the
-// overlays' add() contract).
+// The strike inject() runs on either representation: corrupt a copy of
+// the clean words and visit each changed word, in ascending index order
+// (WeightOverlay::add's contract).
 template <typename Word, typename Visit>
 InjectionReport strike_words(std::span<const Word> clean, int word_bits,
                              const FaultSpec& spec, Rng& rng, Visit&& visit) {
@@ -184,7 +122,7 @@ InjectionReport DeployedWeights::inject(const FaultSpec& spec, Rng& rng,
   if (base_.empty()) return {};
   if (repr_ == Repr::Int8) {
     const Int8Quantizer q(int8_scale_);
-    return strike_words(word_bytes(int8_words_), 8, spec, rng,
+    return strike_words(word_bytes(int8_codes_), 8, spec, rng,
                         [&](std::size_t i, std::uint8_t word) {
                           out.add(i,
                                   q.dequantize(static_cast<std::int8_t>(word)));
@@ -195,17 +133,6 @@ InjectionReport DeployedWeights::inject(const FaultSpec& spec, Rng& rng,
                       format_.word_bits(), spec, rng,
                       [&](std::size_t i, std::uint32_t word) {
                         out.add(i, static_cast<float>(codec.decode(word)));
-                      });
-}
-
-InjectionReport DeployedWeights::inject_quant(const FaultSpec& spec, Rng& rng,
-                                              QuantOverlay& out) const {
-  FRLFI_CHECK_MSG(repr_ == Repr::Int8, "inject_quant on a fixed-point image");
-  out.clear();
-  if (base_.empty()) return {};
-  return strike_words(word_bytes(int8_words_), 8, spec, rng,
-                      [&](std::size_t i, std::uint8_t word) {
-                        out.add(i, static_cast<std::int8_t>(word));
                       });
 }
 

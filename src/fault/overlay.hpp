@@ -26,7 +26,9 @@
 /// view ParamSource without mutating anything — which is what lets one
 /// batched forward serve N lanes with N different corrupted weight sets
 /// (see Network::forward_batch) and lets parallel campaigns share a single
-/// read-only policy.
+/// read-only policy. Inference always runs in float over the dequantized
+/// words: a corrupted int8 or fixed-point word reaches the forward as the
+/// float it decodes to.
 ///
 /// This header is deliberately free of nn/ includes so the layer stack can
 /// depend on it without a cycle.
@@ -110,56 +112,6 @@ struct WeightView {
                          std::vector<float>& bias_scratch) const;
 };
 
-/// Sparse word-level corruption record for the int8-native inference
-/// plane: ascending flat parameter indices and the corrupted *deployed
-/// word* at each. The quantized twin of WeightOverlay — same index space,
-/// but the value is the int8 word itself, so applying a fault never
-/// requires dequantizing into float at all.
-struct QuantOverlay {
-  std::vector<std::size_t> indices;
-  std::vector<std::int8_t> words;
-
-  std::size_t size() const { return indices.size(); }
-  bool empty() const { return indices.empty(); }
-
-  void clear() {
-    indices.clear();
-    words.clear();
-  }
-
-  /// Append an entry; indices must arrive in strictly ascending order
-  /// (same contract as WeightOverlay::add).
-  void add(std::size_t index, std::int8_t word);
-
-  /// Write every entry into `words` (words[index] = word) — the
-  /// materialization the word-level equivalence tests flip against.
-  void apply_to(std::vector<std::int8_t>& words_out) const;
-};
-
-/// Read-only effective-*word* view for the quantized forward plane: the
-/// clean deployed int8 words plus an optional sparse word overlay, with
-/// the image's dequantization scale riding along (the layers' quant
-/// kernels need it to fold the int32 accumulator back to float).
-/// Copyable by value; the referenced words and overlay must outlive it.
-struct QuantWeightView {
-  /// Clean deployed words (flat layer order), length `params`.
-  const std::int8_t* base = nullptr;
-  std::size_t params = 0;
-  /// Dequantization step of the image (DeployedWeights::int8_scale).
-  float scale = 1.0f;
-  /// Sparse word corrections on top of base; null for a clean lane.
-  const QuantOverlay* overlay = nullptr;
-
-  /// Effective word at flat index i.
-  std::int8_t at(std::size_t i) const;
-
-  /// Contiguous effective words for [offset, offset+count): zero-copy
-  /// into base when the overlay misses the span, else patched into
-  /// `scratch` — the int8 mirror of WeightView::span.
-  const std::int8_t* span(std::size_t offset, std::size_t count,
-                          std::vector<std::int8_t>& scratch) const;
-};
-
 /// The deployed-domain image of one clean parameter vector: the integer
 /// words the fault model acts on and the dequantized base every lane
 /// shares. Immutable after construction; inject() is const and
@@ -188,34 +140,11 @@ class DeployedWeights {
     return WeightView{base_.data(), base_.size(), overlay};
   }
 
-  /// True for images built by int8_image — the only representation the
-  /// int8-native view below exists for.
-  bool is_int8() const { return repr_ == Repr::Int8; }
-
-  /// The raw clean int8 words (int8 images only).
-  const std::vector<std::int8_t>& int8_words() const;
-
-  /// The image's dequantization step (int8 images only):
-  /// base()[i] == float(int8_words()[i]) * int8_scale().
-  float int8_scale() const;
-
-  /// A QuantWeightView of the raw words with `overlay` on top (overlay may
-  /// be null) — the int8-native twin of view(). Int8 images only.
-  QuantWeightView quant_view(const QuantOverlay* overlay) const;
-
   /// Run one fault through the deployed words (corrupt_words over a copy
   /// of the clean words), recording the decoded value of every changed
   /// word into `out` (cleared first). An empty image draws nothing.
   InjectionReport inject(const FaultSpec& spec, Rng& rng,
                          WeightOverlay& out) const;
-
-  /// Word-level twin of inject() for int8 images: the identical strike
-  /// (same RNG consumption, same flip sites), recorded as corrupted
-  /// *words* instead of dequantized floats. Dequantizing every entry of
-  /// `out` with int8_scale() reproduces inject()'s WeightOverlay exactly —
-  /// the lock tests/test_quant_forward.cpp pins.
-  InjectionReport inject_quant(const FaultSpec& spec, Rng& rng,
-                               QuantOverlay& out) const;
 
  private:
   DeployedWeights() = default;
@@ -224,7 +153,7 @@ class DeployedWeights {
   Repr repr_ = Repr::Int8;
   float int8_scale_ = 1.0f;                  // Int8: dequantization step
   FixedPointFormat format_;                  // Fixed: word format
-  std::vector<std::int8_t> int8_words_;      // Int8: clean quantized words
+  std::vector<std::int8_t> int8_codes_;      // Int8: clean quantized words
   std::vector<std::uint32_t> fixed_words_;   // Fixed: clean encoded words
   std::vector<float> base_;
 };

@@ -249,11 +249,6 @@ double DroneFrlSystem::evaluate_inference_fault(
   spec.seed = seed;
   spec.rng_salt = 0xE7A2;
   spec.threads = threads;
-  // Same plane rule as the gridworld system: scenario.mode governs both
-  // Trans-1 (inside the runner) and static-fault campaigns (clean trials
-  // over the corrupted policy's fresh int8 deployment).
-  spec.mode = scenario.mode;
-  spec.int8_headroom = scenario.int8_headroom;
   if (trans1) spec.trans1 = &scenario;
   const std::vector<double> distances = run_batched_inference_campaign(
       policy, spec,

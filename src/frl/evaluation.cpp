@@ -53,14 +53,6 @@ EpisodeStats greedy_episode(Network& policy, Environment& env, Rng& rng,
   });
 }
 
-EpisodeStats greedy_episode_quant(Network& policy, Environment& env, Rng& rng,
-                                  std::size_t max_steps,
-                                  const QuantWeightView& qview) {
-  return run_greedy(env, rng, max_steps, [&](const Tensor& obs, std::size_t) {
-    return policy.forward_batch_quant(as_batch(obs), 1, qview).argmax();
-  });
-}
-
 namespace {
 
 /// Trans-1 strike plan for the lockstep runner: each lane's fault step
@@ -75,21 +67,20 @@ struct Trans1Strikes {
   const std::vector<std::size_t>* base_hits = nullptr;
 };
 
-/// Per-step strike state of one numeric plane: each striking row's
-/// overlay, the view over it, and the per-row view pointers (null for a
-/// clean row). Overlays and views are sized before any pointer into them
-/// is taken, so a striking row's view stays valid for the whole forward;
-/// the strike clears each reused overlay before recording into it.
-template <typename Overlay, typename View>
+/// Per-step strike state: each striking row's overlay, the view over it,
+/// and the per-row view pointers (null for a clean row). Overlays and
+/// views are sized before any pointer into them is taken, so a striking
+/// row's view stays valid for the whole forward; the strike clears each
+/// reused overlay before recording into it.
 struct LaneStrikes {
-  std::vector<Overlay> overlays;
-  std::vector<View> views;
-  std::vector<const View*> lane_views;
+  std::vector<WeightOverlay> overlays;
+  std::vector<WeightView> views;
+  std::vector<const WeightView*> lane_views;
 
   /// Strike `rows` of an `nb`-row batch in ascending order through
   /// `strike(row, overlay) -> view`; no rows yields no lane views.
   template <typename Strike>
-  std::span<const View* const> apply(const std::vector<std::size_t>& rows,
+  std::span<const WeightView* const> apply(const std::vector<std::size_t>& rows,
                                      std::size_t nb, Strike&& strike) {
     if (rows.empty()) return {};
     overlays.resize(rows.size());
@@ -112,16 +103,10 @@ struct LaneStrikes {
 /// the serial Trans-1 path consumes it). Keeping both paths on this one
 /// loop is what keeps their lockstep machinery — batch-buffer reuse,
 /// argmax rule, lane retirement — bit-aligned forever.
-///
-/// A non-null `base_qview` moves every forward — clean and striking — to
-/// the int8-native plane: clean lanes share forward_batch_quant over the
-/// base image, striking lanes ride per-lane QuantWeightViews whose word
-/// overlays come from trans1_strike_overlay_quant (the identical rng
-/// stream as the float strikes, recorded as words).
 std::vector<EpisodeStats> lockstep_episodes(
     Network& policy, const std::vector<Environment*>& envs,
     std::vector<Rng>& rngs, std::size_t max_steps, ThreadPool* pool,
-    const Trans1Strikes* strikes, const QuantWeightView* base_qview) {
+    const Trans1Strikes* strikes) {
   const std::size_t lanes = envs.size();
   FRLFI_CHECK_MSG(lanes >= 1 && rngs.size() == lanes && max_steps >= 1,
                   "batched greedy: " << lanes << " envs, " << rngs.size()
@@ -139,17 +124,11 @@ std::vector<EpisodeStats> lockstep_episodes(
   const std::size_t sample = obs[0].size();
   Tensor batch;
   std::vector<std::size_t> strike_rows;
-  LaneStrikes<WeightOverlay, WeightView> float_strikes;
-  LaneStrikes<QuantOverlay, QuantWeightView> quant_strikes;
-  const auto strike_float = [&](std::size_t a, WeightOverlay& overlay) {
+  LaneStrikes lane_strikes;
+  const auto strike = [&](std::size_t a, WeightOverlay& overlay) {
     trans1_strike_overlay(strikes->deployed, strikes->scenario,
                           rngs[active[a]], overlay, strikes->base_hits);
     return strikes->deployed.view(&overlay);
-  };
-  const auto strike_quant = [&](std::size_t a, QuantOverlay& overlay) {
-    trans1_strike_overlay_quant(strikes->deployed, strikes->scenario,
-                                rngs[active[a]], overlay, strikes->base_hits);
-    return strikes->deployed.quant_view(&overlay);
   };
   for (std::size_t t = 0; t < max_steps && !active.empty(); ++t) {
     const std::size_t nb = active.size();
@@ -170,17 +149,9 @@ std::vector<EpisodeStats> lockstep_episodes(
     }
     // Each striking lane draws its own corruption from its own stream
     // (exactly what the serial path consumes at this step) and rides a
-    // private view; the other lanes share the clean forward. On the int8
-    // plane the same draws are recorded as words and the forward executes
-    // the struck image directly.
-    const Tensor logits =
-        base_qview != nullptr
-            ? policy.forward_batch_quant(
-                  batch, nb, *base_qview, pool,
-                  quant_strikes.apply(strike_rows, nb, strike_quant))
-            : policy.forward_batch(
-                  batch, nb, pool,
-                  float_strikes.apply(strike_rows, nb, strike_float));
+    // private view; the other lanes share the clean forward.
+    const Tensor logits = policy.forward_batch(
+        batch, nb, pool, lane_strikes.apply(strike_rows, nb, strike));
     const std::size_t width = logits.size() / nb;
     std::vector<std::size_t> still_active;
     still_active.reserve(nb);
@@ -210,10 +181,8 @@ std::vector<EpisodeStats> lockstep_episodes(
 
 std::vector<EpisodeStats> greedy_episodes_batched(
     Network& policy, const std::vector<Environment*>& envs,
-    std::vector<Rng>& rngs, std::size_t max_steps, ThreadPool* pool,
-    const QuantWeightView* qview) {
-  return lockstep_episodes(policy, envs, rngs, max_steps, pool, nullptr,
-                           qview);
+    std::vector<Rng>& rngs, std::size_t max_steps, ThreadPool* pool) {
+  return lockstep_episodes(policy, envs, rngs, max_steps, pool, nullptr);
 }
 
 namespace {
@@ -257,18 +226,6 @@ InjectionReport trans1_strike_overlay(
   return report;
 }
 
-InjectionReport trans1_strike_overlay_quant(
-    const DeployedWeights& deployed, const InferenceFaultScenario& scenario,
-    Rng& rng, QuantOverlay& out,
-    const std::vector<std::size_t>* base_hits) {
-  const InjectionReport report = deployed.inject_quant(scenario.spec, rng, out);
-  if (scenario.detector != nullptr)
-    scenario.detector->scan_and_suppress(
-        std::span<const float>(deployed.base()), deployed.int8_scale(), out,
-        base_hits);
-  return report;
-}
-
 std::vector<EpisodeStats> greedy_episodes_trans1_batched(
     Network& policy, const DeployedWeights& deployed,
     const InferenceFaultScenario& scenario,
@@ -296,17 +253,9 @@ std::vector<EpisodeStats> greedy_episodes_trans1_batched(
     }
     strikes.base_hits = base_hits;
   }
-  std::optional<QuantWeightView> base_qview;
-  if (scenario.mode == InferenceMode::Int8) {
-    FRLFI_CHECK_MSG(scenario.use_int8,
-                    "InferenceMode::Int8 requires an int8 deployment "
-                    "(scenario.use_int8)");
-    base_qview.emplace(deployed.quant_view(nullptr));
-  }
   // The scenario's detector screens the strike overlays (weight scan,
   // inside trans1_strike_overlay).
-  return lockstep_episodes(policy, envs, rngs, max_steps, pool, &strikes,
-                           base_qview ? &*base_qview : nullptr);
+  return lockstep_episodes(policy, envs, rngs, max_steps, pool, &strikes);
 }
 
 EpisodeStats greedy_episode_trans1(Network& policy, Environment& env, Rng& rng,
@@ -318,27 +267,6 @@ EpisodeStats greedy_episode_trans1(Network& policy, Environment& env, Rng& rng,
   // matching a fault arriving at a random wall-clock time.
   const std::size_t fault_step =
       static_cast<std::size_t>(rng.uniform_index(max_steps));
-
-  // Int8-native plane: the whole episode executes the deployed image
-  // directly, the strike riding a word overlay — the serial golden the
-  // batched quant runner reproduces bit-for-bit. Same rng order as the
-  // float branch (fault-step draw, reset, strike draw at the fault step).
-  if (scenario.mode == InferenceMode::Int8) {
-    FRLFI_CHECK_MSG(scenario.use_int8,
-                    "InferenceMode::Int8 requires an int8 deployment "
-                    "(scenario.use_int8)");
-    const DeployedWeights deployed = make_deployed_weights(policy, scenario);
-    return run_greedy(
-        env, rng, max_steps, [&](const Tensor& obs, std::size_t t) {
-          QuantOverlay overlay;
-          if (t == fault_step)
-            trans1_strike_overlay_quant(deployed, scenario, rng, overlay);
-          return policy
-              .forward_batch_quant(as_batch(obs), 1,
-                                   deployed.quant_view(&overlay))
-              .argmax();
-        });
-  }
 
   return run_greedy(env, rng, max_steps, [&](const Tensor& obs, std::size_t t) {
     if (t != fault_step) return policy.forward(obs).argmax();
@@ -382,16 +310,6 @@ std::vector<double> run_batched_inference_campaign(
       base_hits = spec.trans1->detector->base_out_of_range(
           std::span<const float>(deployed->base()));
   }
-  // Clean-trial int8 plane: deploy the policy once; every trial's batched
-  // forwards then execute this shared read-only image natively.
-  std::optional<DeployedWeights> clean_deployed;
-  std::optional<QuantWeightView> clean_qview;
-  if (spec.trans1 == nullptr && spec.mode == InferenceMode::Int8) {
-    clean_deployed.emplace(DeployedWeights::int8_image(
-        policy.flat_parameters(), spec.int8_headroom));
-    clean_qview.emplace(clean_deployed->quant_view(nullptr));
-  }
-
   // One worker lane: private environments (stateful), built once and
   // reused across the lane's whole trial range. Trial streams depend only
   // on (seed, salt, agent, trial), so any partition of trials over lanes
@@ -416,8 +334,7 @@ std::vector<double> run_batched_inference_campaign(
                                                spec.max_steps,
                                                /*pool=*/nullptr, &base_hits)
               : greedy_episodes_batched(shared_policy, lanes, rngs,
-                                        spec.max_steps, /*pool=*/nullptr,
-                                        clean_qview ? &*clean_qview : nullptr);
+                                        spec.max_steps, /*pool=*/nullptr);
       for (std::size_t a = 0; a < spec.agents; ++a)
         metrics[t * spec.agents + a] = metric(a, *lanes[a], stats[a]);
     }

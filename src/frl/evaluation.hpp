@@ -4,7 +4,9 @@
 /// Greedy-exploitation evaluation (the paper's "inference" phase) with the
 /// inference-time fault modes of Fig. 4: clean, Trans-M/stuck-at (static
 /// weight corruption before the run), and Trans-1 (a read-register fault
-/// at one random action step).
+/// at one random action step). Faults strike the deployed int8 or
+/// fixed-point words; every forward runs in float over the dequantized
+/// words (fault/overlay.hpp).
 
 #include <functional>
 #include <memory>
@@ -31,16 +33,6 @@ EpisodeStats greedy_episode(Network& policy, Environment& env, Rng& rng,
                             std::size_t max_steps,
                             const WeightView* view = nullptr);
 
-/// greedy_episode on the int8-native plane: every action read executes the
-/// deployed int8 words through `qview` (a width-1
-/// Network::forward_batch_quant) instead of the float shadow. The serial
-/// golden for the batched quant runner — which reproduces it bit-for-bit
-/// at every fleet size and thread count, since the quant plane has no
-/// batch-width tolerance.
-EpisodeStats greedy_episode_quant(Network& policy, Environment& env, Rng& rng,
-                                  std::size_t max_steps,
-                                  const QuantWeightView& qview);
-
 /// Run one greedy episode per lane over independent environments in
 /// lockstep, batching the observations of all still-active lanes into a
 /// single Network::forward_batch per decision step. Lane i consumes
@@ -56,17 +48,9 @@ EpisodeStats greedy_episode_quant(Network& policy, Environment& env, Rng& rng,
 /// pool's lanes (Network::forward_batch's sharded path — bit-identical to
 /// the unsharded call for every thread count); safe even when the caller is
 /// itself a pool worker, where the nested dispatch runs inline.
-///
-/// A non-null `qview` moves every batched forward to the int8-native plane
-/// (Network::forward_batch_quant over the deployed image): lane i then
-/// matches greedy_episode_quant(policy, *envs[i], rngs[i], max_steps,
-/// *qview) bit-for-bit at EVERY fleet size — per-sample activation scales
-/// and exact integer accumulation leave no batched-GEMM ulp tolerance on
-/// this plane, conv policies included.
 std::vector<EpisodeStats> greedy_episodes_batched(
     Network& policy, const std::vector<Environment*>& envs,
-    std::vector<Rng>& rngs, std::size_t max_steps, ThreadPool* pool = nullptr,
-    const QuantWeightView* qview = nullptr);
+    std::vector<Rng>& rngs, std::size_t max_steps, ThreadPool* pool = nullptr);
 
 /// Configuration for an inference fault campaign on a deployed policy.
 ///
@@ -90,13 +74,6 @@ struct InferenceFaultScenario {
   /// high-bit flip can reach headroom * max|w|. Headroom 2 reproduces the
   /// paper's Fig. 4 degradation slope and Fig. 8a 3.3x mitigation factor.
   float int8_headroom = 2.0f;
-  /// Numeric plane the evaluation executes its forwards on. Float32 (the
-  /// default and golden reference) runs the dequantized float shadow of
-  /// the deployed image; Int8 executes the deployed int8 words natively
-  /// (weights x requantized activations in int32 — see
-  /// Network::forward_batch_quant) and requires `use_int8`: only an int8
-  /// deployment has an int8 image to execute.
-  InferenceMode mode = InferenceMode::Float32;
   /// When set, run range-based anomaly detection + suppression after
   /// injection (the §V-B mitigation).
   const RangeAnomalyDetector* detector = nullptr;
@@ -132,18 +109,6 @@ InjectionReport trans1_strike_overlay(
     Rng& rng, WeightOverlay& out,
     const std::vector<std::size_t>* base_hits = nullptr);
 
-/// trans1_strike_overlay on the int8-native plane: the identical strike —
-/// same rng stream, same flip sites, same detector screen — recorded as
-/// corrupted int8 *words* instead of dequantized floats
-/// (DeployedWeights::inject_quant + the detector's quant-overlay screen).
-/// Dequantizing each entry with the image scale reproduces exactly the
-/// float overlay trans1_strike_overlay yields from the same rng state;
-/// requires an int8 deployment.
-InjectionReport trans1_strike_overlay_quant(
-    const DeployedWeights& deployed, const InferenceFaultScenario& scenario,
-    Rng& rng, QuantOverlay& out,
-    const std::vector<std::size_t>* base_hits = nullptr);
-
 /// Lockstep batched Trans-1: one greedy episode per lane over independent
 /// environments, where lane i's weights are corrupted for the single
 /// action read at one uniformly chosen step of its episode. Lane i
@@ -160,12 +125,6 @@ InjectionReport trans1_strike_overlay_quant(
 /// machinery this runner replaces. `base_hits` (the detector's
 /// base_out_of_range over deployed.base()) lets a multi-trial campaign
 /// pay that scan once; when null it is computed here per call.
-///
-/// With scenario.mode == InferenceMode::Int8 every forward — clean steps
-/// and strikes alike — executes the deployed int8 image natively: strikes
-/// ride per-lane QuantWeightViews (corrupted words, never floats) through
-/// Network::forward_batch_quant, and per-lane results are bit-identical
-/// to the serial quant Trans-1 loop at every fleet size and thread count.
 std::vector<EpisodeStats> greedy_episodes_trans1_batched(
     Network& policy, const DeployedWeights& deployed,
     const InferenceFaultScenario& scenario,
@@ -211,14 +170,6 @@ struct BatchedCampaignSpec {
   /// shared global pool) degrades to inline; a nested explicit count
   /// spins its own pool (see parallel.hpp).
   std::size_t threads = 1;
-  /// Numeric plane for *clean* trials (trans1 == nullptr): Int8 deploys
-  /// the policy to an int8 image (int8_headroom below) once per campaign
-  /// and runs every forward int8-natively. Trans-1 trials follow their
-  /// scenario's own `mode` field instead.
-  InferenceMode mode = InferenceMode::Float32;
-  /// Quantization headroom for the clean-trial Int8 deployment (same
-  /// meaning as InferenceFaultScenario::int8_headroom).
-  float int8_headroom = 2.0f;
   /// When set, each trial runs the batched Trans-1 lockstep runner under
   /// this scenario (per-agent random-step corruption carried by per-lane
   /// weight views over one shared deployed image — the policy is never

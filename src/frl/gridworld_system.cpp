@@ -180,12 +180,6 @@ double GridWorldFrlSystem::evaluate_inference_fault(
   spec.seed = seed;
   spec.rng_salt = 0xE7A1;
   spec.threads = threads;
-  // Trans-1 trials read the scenario's mode directly; static-fault trials
-  // run a clean campaign over the (corrupted, repaired) policy on the
-  // scenario's plane — so an Int8 scenario executes its deployed image
-  // int8-natively in both fault timings.
-  spec.mode = scenario.mode;
-  spec.int8_headroom = scenario.int8_headroom;
   if (trans1) spec.trans1 = &scenario;
   const std::vector<double> successes = run_batched_inference_campaign(
       policy, spec,

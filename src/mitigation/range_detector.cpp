@@ -38,6 +38,14 @@ std::size_t RangeAnomalyDetector::for_each_out_of_range(Network& net,
   FRLFI_CHECK_MSG(params.size() == ranges_.size(),
                   "topology mismatch: " << params.size() << " tensors vs "
                                         << ranges_.size() << " calibrated");
+  // Check every tensor before touching any, so a mismatch never leaves a
+  // half-suppressed network behind.
+  for (std::size_t t = 0; t < params.size(); ++t)
+    FRLFI_CHECK_MSG(params[t]->value.size() == sizes_[t],
+                    "topology mismatch: " << params[t]->name << " holds "
+                                          << params[t]->value.size()
+                                          << " scalars vs " << sizes_[t]
+                                          << " calibrated");
   std::size_t hits = 0;
   for (std::size_t t = 0; t < params.size(); ++t) {
     const Range r = ranges_[t];
@@ -118,72 +126,6 @@ std::size_t RangeAnomalyDetector::scan_and_suppress(
         ++e;
       } else {
         merged.add((*base_hits)[h], 0.0f);
-        ++hits;
-        ++h;
-      }
-    }
-  }
-  overlay = std::move(merged);
-  return hits;
-}
-
-std::size_t RangeAnomalyDetector::scan_and_suppress(
-    std::span<const float> base, float scale, QuantOverlay& overlay,
-    const std::vector<std::size_t>* base_hits) const {
-  std::size_t total = 0;
-  for (const std::size_t s : sizes_) total += s;
-  FRLFI_CHECK_MSG(base.size() == total, "flat size " << base.size() << " vs "
-                                                     << total
-                                                     << " calibrated scalars");
-  // Mirror of the float-overlay scan above, with overlay entries
-  // dequantized on the fly and suppressions recorded as word 0 (the exact
-  // quant encoding of 0.0f). Both branches visit the same index set the
-  // float scan would over the equivalent float overlay.
-  QuantOverlay merged;
-  std::size_t hits = 0;
-  if (base_hits == nullptr) {
-    std::size_t e = 0, i = 0;
-    for (std::size_t t = 0; t < sizes_.size(); ++t) {
-      const Range r = ranges_[t];
-      for (const std::size_t end = i + sizes_[t]; i < end; ++i) {
-        const bool overlaid = e < overlay.size() && overlay.indices[e] == i;
-        const std::int8_t q = overlaid ? overlay.words[e] : 0;
-        const float v = overlaid ? static_cast<float>(q) * scale : base[i];
-        if (overlaid) ++e;
-        if (v < r.lo || v > r.hi) {
-          merged.add(i, 0);
-          ++hits;
-        } else if (overlaid) {
-          merged.add(i, q);
-        }
-      }
-    }
-  } else {
-    std::size_t tensor = 0, tensor_end = sizes_.empty() ? 0 : sizes_[0];
-    const auto range_for = [&](std::size_t i) {
-      while (i >= tensor_end) tensor_end += sizes_[++tensor];
-      return ranges_[tensor];
-    };
-    std::size_t e = 0, h = 0;
-    while (e < overlay.size() || h < base_hits->size()) {
-      const bool take_overlay =
-          e < overlay.size() && (h >= base_hits->size() ||
-                                 overlay.indices[e] <= (*base_hits)[h]);
-      if (take_overlay) {
-        const std::size_t i = overlay.indices[e];
-        if (h < base_hits->size() && (*base_hits)[h] == i) ++h;  // superseded
-        const std::int8_t q = overlay.words[e];
-        const float v = static_cast<float>(q) * scale;
-        const Range r = range_for(i);
-        if (v < r.lo || v > r.hi) {
-          merged.add(i, 0);
-          ++hits;
-        } else {
-          merged.add(i, q);
-        }
-        ++e;
-      } else {
-        merged.add((*base_hits)[h], 0);
         ++hits;
         ++h;
       }

@@ -55,19 +55,6 @@ class RangeAnomalyDetector {
       std::span<const float> base, WeightOverlay& overlay,
       const std::vector<std::size_t>* base_hits = nullptr) const;
 
-  /// Quant-plane scan_and_suppress: the same screen over an int8 word
-  /// overlay. `base` is the dequantized float shadow of the deployed
-  /// image (DeployedWeights::base(), where base[i] ==
-  /// float(word[i]) * scale exactly), `scale` the image scale, and each
-  /// overlay word's effective value is float(word) * scale. Suppression
-  /// writes word 0 — which dequantizes to exactly 0.0f — so the quant
-  /// plane's repaired forward sees bit-for-bit the weights the float
-  /// plane's repaired view would. `base_hits` is the same list
-  /// base_out_of_range(base) yields, shareable across both planes.
-  std::size_t scan_and_suppress(
-      std::span<const float> base, float scale, QuantOverlay& overlay,
-      const std::vector<std::size_t>* base_hits = nullptr) const;
-
   /// Ascending flat indices of base values outside their tensor's
   /// calibrated range — the shareable per-(detector, base) precomputation
   /// behind scan_and_suppress's fast path (usually empty: a deployed

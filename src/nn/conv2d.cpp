@@ -6,9 +6,7 @@
 
 #include "core/error.hpp"
 #include "fault/overlay.hpp"
-#include "numeric/quantize.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/gemm_s8.hpp"
 
 namespace frlfi {
 namespace {
@@ -241,56 +239,10 @@ Tensor Conv2D::infer(Tensor input, std::size_t batch,
     return batch_inner_with(std::move(input), batch,
                             weight_.value.data().data(),
                             bias_.value.data().data());
-  if (src.quant != nullptr)
-    return infer_quant(std::move(input), batch, *src.quant, src.offset);
   thread_local std::vector<float> wbuf, bbuf;
   const auto wb = src.view->weight_bias(src.offset, weight_.value.size(),
                                         bias_.value.size(), wbuf, bbuf);
   return batch_inner_with(std::move(input), batch, wb.weight, wb.bias);
-}
-
-Tensor Conv2D::infer_quant(Tensor input, std::size_t batch,
-                           const QuantWeightView& qview,
-                           std::size_t param_offset) const {
-  FRLFI_CHECK_MSG(batch >= 1 && input.rank() == 4 && input.dim(0) == in_c_ &&
-                      input.dim(3) == batch,
-                  label_ << ": bad batch-inner input " << input.shape_string()
-                         << " for batch " << batch);
-  const ConvShape s{in_c_, input.dim(1), input.dim(2), k_, stride_, pad_};
-  out_extent(s.h);  // validates extent >= kernel with the layer's message
-  out_extent(s.w);
-  const std::size_t oh = s.out_h(), ow = s.out_w();
-  const std::size_t taps = s.rows(), ncols = oh * ow;
-  const std::size_t sample = in_c_ * s.h * s.w;
-  thread_local std::vector<std::int8_t> wqbuf, bqbuf, xq, cols_q;
-  thread_local std::vector<float> sx, bias_f;
-  thread_local std::vector<std::int32_t> acc;
-  const std::int8_t* wq = qview.span(param_offset, out_c_ * taps, wqbuf);
-  const std::int8_t* bq = qview.span(param_offset + out_c_ * taps, out_c_,
-                                     bqbuf);
-  bias_f.resize(out_c_);
-  for (std::size_t oc = 0; oc < out_c_; ++oc)
-    bias_f[oc] = static_cast<float>(bq[oc]) * qview.scale;
-  sx.resize(batch);
-  const float* x = input.data().data();
-  activation_scales_inner(x, sample, batch, sx.data());
-  // One pipeline for every batch size: requantize the whole batch-inner
-  // block, widen each pixel to `batch` words with im2col_s8_inner, and run
-  // a single int8 GEMM over n = ncols*batch. The patch matrix's explicit
-  // zero padding words contribute exact zeros to the int32 accumulators,
-  // so this equals the per-sample im2col form and the scalar gemm_s8_ref
-  // bit-for-bit — integer accumulation is order- and zero-insensitive
-  // (the property test_quant_forward locks).
-  xq.resize(sample * batch);
-  quantize_activations_inner(x, sample, batch, sx.data(), xq.data());
-  cols_q.resize(taps * ncols * batch);
-  im2col_s8_inner(xq.data(), s, batch, cols_q.data());
-  acc.resize(out_c_ * ncols * batch);
-  gemm_s8(wq, cols_q.data(), acc.data(), out_c_, taps, ncols * batch);
-  Tensor out({out_c_, oh, ow, batch});
-  dequantize_outputs_inner(acc.data(), out_c_ * ncols, batch, bias_f.data(),
-                           ncols, qview.scale, sx.data(), out.data().data());
-  return out;
 }
 
 Tensor Conv2D::backward(const Tensor& grad_output) {

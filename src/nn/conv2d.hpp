@@ -45,14 +45,6 @@ class Conv2D final : public Layer {
   /// reassociates through the packed narrow kernel. A WeightView source
   /// reads weight and bias through the view (zero-copy when its overlay
   /// misses this layer's span).
-  ///
-  /// A QuantWeightView source runs int8-native: each sample is
-  /// requantized with its own symmetric scale, lowered through
-  /// im2col_s8_inner and multiplied against the deployed int8 words in
-  /// int32 (tensor/gemm_s8.hpp); the accumulator dequantizes through the
-  /// scale product with the float bias added last. Padding words are exact
-  /// zeros and integer accumulation is order-free, so the result is the
-  /// same at every width.
   Tensor infer(Tensor input, std::size_t batch,
                const ParamSource& src) override;
 
@@ -85,10 +77,6 @@ class Conv2D final : public Layer {
   // layer's own tensors or a resolved view span).
   Tensor batch_inner_with(Tensor input, std::size_t batch, const float* wt,
                           const float* bias) const;
-  // infer()'s int8-native compute.
-  Tensor infer_quant(Tensor input, std::size_t batch,
-                     const QuantWeightView& qview,
-                     std::size_t param_offset) const;
 
   std::size_t in_c_, out_c_, k_, stride_, pad_;
   Parameter weight_;  // (out_c, in_c, k, k)

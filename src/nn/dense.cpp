@@ -5,9 +5,7 @@
 
 #include "core/error.hpp"
 #include "fault/overlay.hpp"
-#include "numeric/quantize.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/gemm_s8.hpp"
 
 namespace frlfi {
 
@@ -70,47 +68,10 @@ Tensor Dense::infer(Tensor input, std::size_t batch, const ParamSource& src) {
     return batch_inner_with(std::move(input), batch,
                             weight_.value.data().data(),
                             bias_.value.data().data());
-  if (src.quant != nullptr)
-    return infer_quant(std::move(input), batch, *src.quant, src.offset);
   thread_local std::vector<float> wbuf, bbuf;
   const auto wb = src.view->weight_bias(src.offset, weight_.value.size(),
                                         bias_.value.size(), wbuf, bbuf);
   return batch_inner_with(std::move(input), batch, wb.weight, wb.bias);
-}
-
-Tensor Dense::infer_quant(Tensor input, std::size_t batch,
-                          const QuantWeightView& qview,
-                          std::size_t param_offset) const {
-  FRLFI_CHECK_MSG(batch >= 1 && input.size() == batch * in_ &&
-                      input.dim(input.rank() - 1) == batch,
-                  label_ << ": bad batch-inner input " << input.shape_string()
-                         << " for batch " << batch);
-  thread_local std::vector<std::int8_t> wqbuf, bqbuf, xq;
-  thread_local std::vector<float> sx, bias_f;
-  thread_local std::vector<std::int32_t> acc;
-  const std::int8_t* wq = qview.span(param_offset, out_ * in_, wqbuf);
-  const std::int8_t* bq = qview.span(param_offset + out_ * in_, out_, bqbuf);
-  // The bias executes in float, dequantized from its deployed words with
-  // the image's scale — the exact value the float-shadow base holds.
-  bias_f.resize(out_);
-  for (std::size_t o = 0; o < out_; ++o)
-    bias_f[o] = static_cast<float>(bq[o]) * qview.scale;
-  sx.resize(batch);
-  xq.resize(in_ * batch);
-  acc.resize(out_ * batch);
-  const float* x = input.data().data();
-  activation_scales_inner(x, in_, batch, sx.data());
-  quantize_activations_inner(x, in_, batch, sx.data(), xq.data());
-  if (batch == 1) {
-    gemv_s8(wq, xq.data(), acc.data(), out_, in_);
-  } else {
-    // The (in, B) block IS the quantized Xᵀ operand — no repacking.
-    gemm_s8(wq, xq.data(), acc.data(), out_, in_, batch);
-  }
-  Tensor out({out_, batch});
-  dequantize_outputs_inner(acc.data(), out_, batch, bias_f.data(), 1,
-                           qview.scale, sx.data(), out.data().data());
-  return out;
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {

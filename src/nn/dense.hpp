@@ -27,13 +27,6 @@ class Dense final : public Layer {
   /// size. A WeightView source reads weight and bias through the view
   /// (zero-copy when its overlay misses this layer): bit-identical to
   /// mutate-forward-restore.
-  ///
-  /// A QuantWeightView source runs int8-native:
-  /// y = bias_f + (Wq · xq) * (w_scale * x_scale), with Wq the deployed
-  /// words, xq each sample's requantized input (per-sample scale) and the
-  /// product accumulated in int32 (tensor/gemm_s8.hpp). Exact at every
-  /// width; within one activation rounding per input feature of the float
-  /// shadow.
   Tensor infer(Tensor input, std::size_t batch,
                const ParamSource& src) override;
 
@@ -57,10 +50,6 @@ class Dense final : public Layer {
   // infer()'s float compute with resolved weight and bias pointers.
   Tensor batch_inner_with(Tensor input, std::size_t batch, const float* wt,
                           const float* bias) const;
-  // infer()'s int8-native compute.
-  Tensor infer_quant(Tensor input, std::size_t batch,
-                     const QuantWeightView& qview,
-                     std::size_t param_offset) const;
 
   std::size_t in_, out_;
   Parameter weight_;  // (out, in)

@@ -80,118 +80,6 @@ void im2col(const float* x, const ConvShape& s, float* cols) {
   }
 }
 
-void im2col_s8(const std::int8_t* x, const ConvShape& s, std::int8_t* cols) {
-  FRLFI_CHECK(s.in_c > 0 && s.h > 0 && s.w > 0 && s.k > 0 && s.stride > 0);
-  FRLFI_CHECK_MSG(s.h + 2 * s.pad >= s.k && s.w + 2 * s.pad >= s.k,
-                  "im2col_s8: input smaller than kernel");
-  const std::size_t oh = s.out_h(), ow = s.out_w();
-  const std::size_t ncols = oh * ow;
-  std::size_t r = 0;
-  for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-    const std::int8_t* plane = x + ic * s.h * s.w;
-    for (std::size_t ky = 0; ky < s.k; ++ky) {
-      for (std::size_t kx = 0; kx < s.k; ++kx, ++r) {
-        std::int8_t* dst = cols + r * ncols;
-        std::size_t ox_lo, ox_hi;
-        conv_valid_ox_range(s, kx, ow, ox_lo, ox_hi);
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          std::int8_t* drow = dst + oy * ow;
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * s.stride + ky) -
-              static_cast<std::ptrdiff_t>(s.pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(s.h) ||
-              ox_lo >= ox_hi) {
-            std::memset(drow, 0, ow * sizeof(std::int8_t));
-            continue;
-          }
-          const std::int8_t* srow = plane + static_cast<std::size_t>(iy) * s.w;
-          if (ox_lo > 0) std::memset(drow, 0, ox_lo * sizeof(std::int8_t));
-          const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(kx) -
-                                     static_cast<std::ptrdiff_t>(s.pad);
-          if (s.stride == 1) {
-            std::memcpy(drow + ox_lo,
-                        srow + static_cast<std::size_t>(
-                                   static_cast<std::ptrdiff_t>(ox_lo) + off),
-                        (ox_hi - ox_lo) * sizeof(std::int8_t));
-          } else {
-            for (std::size_t ox = ox_lo; ox < ox_hi; ++ox)
-              drow[ox] = srow[static_cast<std::size_t>(
-                  static_cast<std::ptrdiff_t>(ox * s.stride) + off)];
-          }
-          if (ox_hi < ow)
-            std::memset(drow + ox_hi, 0, (ow - ox_hi) * sizeof(std::int8_t));
-        }
-      }
-    }
-  }
-}
-
-void im2col_s8_inner(const std::int8_t* x, const ConvShape& s,
-                     std::size_t batch, std::int8_t* cols) {
-  FRLFI_CHECK(s.in_c > 0 && s.h > 0 && s.w > 0 && s.k > 0 && s.stride > 0 &&
-              batch > 0);
-  FRLFI_CHECK_MSG(s.h + 2 * s.pad >= s.k && s.w + 2 * s.pad >= s.k,
-                  "im2col_s8_inner: input smaller than kernel");
-  if (batch == 1) {
-    // A width-1 block is laid out exactly like a single sample; the scalar
-    // form avoids the per-pixel block-copy overhead below.
-    im2col_s8(x, s, cols);
-    return;
-  }
-  const std::size_t oh = s.out_h(), ow = s.out_w();
-  const std::size_t ncols = oh * ow;
-  std::size_t r = 0;
-  for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-    const std::int8_t* plane = x + ic * s.h * s.w * batch;
-    for (std::size_t ky = 0; ky < s.k; ++ky) {
-      for (std::size_t kx = 0; kx < s.k; ++kx, ++r) {
-        std::int8_t* dst = cols + r * ncols * batch;
-        std::size_t ox_lo, ox_hi;
-        conv_valid_ox_range(s, kx, ow, ox_lo, ox_hi);
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          std::int8_t* drow = dst + oy * ow * batch;
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * s.stride + ky) -
-              static_cast<std::ptrdiff_t>(s.pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(s.h) ||
-              ox_lo >= ox_hi) {
-            std::memset(drow, 0, ow * batch);
-            continue;
-          }
-          const std::int8_t* srow =
-              plane + static_cast<std::size_t>(iy) * s.w * batch;
-          if (ox_lo > 0) std::memset(drow, 0, ox_lo * batch);
-          const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(kx) -
-                                     static_cast<std::ptrdiff_t>(s.pad);
-          if (s.stride == 1) {
-            std::memcpy(drow + ox_lo * batch,
-                        srow + static_cast<std::size_t>(
-                                   static_cast<std::ptrdiff_t>(ox_lo) + off) *
-                                   batch,
-                        (ox_hi - ox_lo) * batch);
-          } else {
-            // Strided gather of batch-word pixel blocks. Constant-size
-            // 16-byte memcpy chunks inline to single vector moves; a
-            // runtime-size copy per pixel would be a libcall each.
-            for (std::size_t ox = ox_lo; ox < ox_hi; ++ox) {
-              const std::int8_t* sp =
-                  srow + static_cast<std::size_t>(
-                             static_cast<std::ptrdiff_t>(ox * s.stride) + off) *
-                             batch;
-              std::int8_t* dp = drow + ox * batch;
-              std::size_t t = 0;
-              for (; t + 16 <= batch; t += 16) std::memcpy(dp + t, sp + t, 16);
-              for (; t < batch; ++t) dp[t] = sp[t];
-            }
-          }
-          if (ox_hi < ow)
-            std::memset(drow + ox_hi * batch, 0, (ow - ox_hi) * batch);
-        }
-      }
-    }
-  }
-}
-
 void col2im_accumulate(const float* cols, const ConvShape& s, float* x) {
   FRLFI_CHECK(s.in_c > 0 && s.h > 0 && s.w > 0 && s.k > 0 && s.stride > 0);
   const std::size_t oh = s.out_h(), ow = s.out_w();

@@ -12,7 +12,6 @@
 /// to the bounds-checked naive loops (x + 0.0f == x).
 
 #include <cstddef>
-#include <cstdint>
 
 namespace frlfi {
 
@@ -42,20 +41,6 @@ void conv_valid_ox_range(const ConvShape& s, std::size_t kx, std::size_t ow,
 /// Unroll a CHW input (s.in_c * s.h * s.w floats) into `cols`
 /// (s.rows() * s.cols() floats, row-major). Padding taps are written as 0.
 void im2col(const float* x, const ConvShape& s, float* cols);
-
-/// im2col over quantized int8 samples, for the quantized inference plane:
-/// identical traversal, padding taps written as word 0 — the exact zero of
-/// the symmetric int8 domain, so padded and skipped-tap accumulations
-/// produce the same int32 sum.
-void im2col_s8(const std::int8_t* x, const ConvShape& s, std::int8_t* cols);
-
-/// im2col over a quantized batch-inner (in_c, h, w, B) block: identical
-/// traversal to im2col_s8 with each pixel widened to B contiguous words,
-/// producing a (s.rows(), s.cols()*B) patch matrix whose column blocks are
-/// the per-sample patches — one wide int8 GEMM then convolves every lane.
-/// At B = 1 this IS im2col_s8. Padding taps are written as word 0.
-void im2col_s8_inner(const std::int8_t* x, const ConvShape& s,
-                     std::size_t batch, std::int8_t* cols);
 
 /// Scatter-accumulate a patch matrix back onto a CHW image: the adjoint of
 /// im2col, used for the input gradient. `x` must hold s.in_c*s.h*s.w floats

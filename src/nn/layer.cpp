@@ -8,16 +8,9 @@
 
 namespace frlfi {
 
-bool ParamSource::own() const {
-  FRLFI_CHECK_MSG(view == nullptr || quant == nullptr,
-                  "a parameter source names one plane, not a weight view "
-                  "and a quant view");
-  return view == nullptr && quant == nullptr;
-}
-
 Tensor Layer::infer(Tensor input, std::size_t batch, const ParamSource& src) {
   FRLFI_CHECK_MSG(src.own() || parameters().empty(),
-                  name() << ": weight and quant views need an infer override");
+                  name() << ": weight views need an infer override");
   const Tensor major = batch_to_major(input, batch);
   const std::size_t sample_size = major.size() / batch;
   Tensor sample(std::vector<std::size_t>(major.shape().begin() + 1,

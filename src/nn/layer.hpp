@@ -14,9 +14,9 @@
 /// *batch-inner* tensor — the batch as the innermost (fastest-moving)
 /// dimension, (C, H, W, B) for image stages and (features, B) for flat
 /// stages — to the batch-inner output, reading parameters from a
-/// ParamSource: the layer's own tensors, a fault-overlay WeightView, or an
-/// int8 QuantWeightView. infer() never touches the backward() caches, so
-/// interleaving evaluation with training is safe.
+/// ParamSource: the layer's own tensors or a fault-overlay WeightView.
+/// infer() never touches the backward() caches, so interleaving
+/// evaluation with training is safe.
 
 #include <memory>
 #include <string>
@@ -30,26 +30,17 @@ namespace frlfi {
 // parameter vector plus a sparse per-lane corruption overlay. The forward
 // plane only ever holds a pointer to it, so a declaration suffices here.
 struct WeightView;
-// Its int8-native twin: clean deployed words + sparse word overlay + the
-// image's dequantization scale (see fault/overlay.hpp).
-struct QuantWeightView;
 
 /// Where Layer::infer reads a layer's parameters from: the layer's own
-/// tensors (both pointers null), every value through a WeightView
-/// (deployed base + sparse corruption overlay), or the deployed int8 words
-/// through a QuantWeightView — int8 weights x int8-requantized activations
-/// in int32 accumulators, dequantized through the scale product
-/// (numeric/quantize.hpp). `offset` is the layer's first index in the
-/// view's flat parameter space (Network::layer_offset). At most one view
-/// may be set.
+/// tensors (`view` null) or every value through a WeightView (deployed
+/// base + sparse corruption overlay). `offset` is the layer's first index
+/// in the view's flat parameter space (Network::layer_offset).
 struct ParamSource {
   const WeightView* view = nullptr;
-  const QuantWeightView* quant = nullptr;
   std::size_t offset = 0;
 
-  /// True when parameters come from the layer's own tensors. Throws
-  /// frlfi::Error for a source with both views set.
-  bool own() const;
+  /// True when parameters come from the layer's own tensors.
+  bool own() const { return view == nullptr; }
 };
 
 /// Batch width at which the batch-inner layers switch from the per-sample
@@ -103,7 +94,7 @@ class Layer {
   /// layer object. The base-class default transposes to batch-major, loops
   /// forward() per sample and transposes back — it therefore *does* write
   /// the backward caches, is not shardable, and throws frlfi::Error for a
-  /// view or quant source on a layer with parameters.
+  /// view source on a layer with parameters.
   virtual Tensor infer(Tensor input, std::size_t batch,
                        const ParamSource& src);
 

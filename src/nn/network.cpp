@@ -61,15 +61,14 @@ namespace {
 
 // True when any lane view is set; checks the lane count and that every
 // set view spans the network's flat parameter vector.
-template <typename View>
-bool check_lane_views(std::span<const View* const> lane_views,
+bool check_lane_views(std::span<const WeightView* const> lane_views,
                       std::size_t batch, std::size_t params) {
   if (lane_views.empty()) return false;
   FRLFI_CHECK_MSG(lane_views.size() == batch,
                   "lane_views " << lane_views.size() << " for batch "
                                 << batch);
   bool any = false;
-  for (const View* v : lane_views) {
+  for (const WeightView* v : lane_views) {
     if (v == nullptr) continue;
     FRLFI_CHECK_MSG(v->params == params, "view holds " << v->params
                                                        << " params, network "
@@ -79,23 +78,23 @@ bool check_lane_views(std::span<const View* const> lane_views,
   return any;
 }
 
-// Row-range task engine shared by the float and quantized batched
-// forwards: contiguous runs of rows sharing one view pointer (no lane
-// views: the whole batch, effective view View*{}), each run split by the
+// Row-range task engine of the batched forward: contiguous runs of rows
+// sharing one view pointer (no lane views: the whole batch, effective view
+// null), each run split by the
 // width-preserving shard planner. Each task takes a contiguous slice of
 // batch-major rows, transposes it to batch-inner, runs
 // `run_stack(x, nb, view)` on its own tensors (per-task workspace; nothing
 // below is shared but the read-only weights/views and the hook), and
 // transposes back. Task outputs are stitched afterwards so no lane writes
 // into a shared buffer; a single task skips the slice and stitch copies.
-template <typename View, typename RunStack>
+template <typename RunStack>
 Tensor run_row_tasks(const Tensor& input, std::size_t batch,
                      std::size_t lanes, ThreadPool* pool,
-                     std::span<const View* const> lane_views,
+                     std::span<const WeightView* const> lane_views,
                      RunStack&& run_stack) {
   struct RowTask {
     std::size_t b0, b1;
-    const View* view;
+    const WeightView* view;
   };
   const bool grouped = !lane_views.empty();
   std::vector<RowTask> tasks;
@@ -174,28 +173,8 @@ Tensor Network::forward_batch(const Tensor& input, std::size_t batch,
   return run_row_tasks(input, batch, pool ? pool->size() : 1, pool, lane_views,
                        [&](Tensor x, std::size_t nb, const WeightView* view) {
                          return infer_stack(std::move(x), nb,
-                                            ParamSource{view, nullptr, 0});
+                                            ParamSource{view, 0});
                        });
-}
-
-Tensor Network::forward_batch_quant(
-    const Tensor& input, std::size_t batch, const QuantWeightView& qview,
-    ThreadPool* pool, std::span<const QuantWeightView* const> lane_views) {
-  FRLFI_CHECK_MSG(!layers_.empty(), "forward_batch_quant on empty network");
-  FRLFI_CHECK_MSG(batch >= 1 && input.dim(0) == batch,
-                  "bad batch input " << input.shape_string());
-  FRLFI_CHECK_MSG(qview.params == param_total_,
-                  "quant view holds " << qview.params << " params, network "
-                                      << param_total_);
-  if (!check_lane_views(lane_views, batch, param_total_)) lane_views = {};
-  return run_row_tasks(
-      input, batch, pool ? pool->size() : 1, pool, lane_views,
-      [&](Tensor x, std::size_t nb, const QuantWeightView* view) {
-        // A null lane entry means "the shared base image": unlike the
-        // float plane there is no own-weights fallback on this plane.
-        return infer_stack(std::move(x), nb,
-                           ParamSource{nullptr, view ? view : &qview, 0});
-      });
 }
 
 Tensor Network::backward(const Tensor& grad_output) {

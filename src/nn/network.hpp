@@ -18,15 +18,6 @@ namespace frlfi {
 
 class ThreadPool;
 
-/// Numeric plane an inference forward executes on. Float32 — the default
-/// and the golden reference — runs the dequantized shadow of the deployed
-/// weights; Int8 opts into the quantized plane: the deployed int8 words
-/// themselves, multiplied against int8-requantized activations in int32
-/// accumulators (a QuantWeightView ParamSource, see Layer::infer), locked
-/// against the float path within the per-layer quantization tolerance by
-/// tests.
-enum class InferenceMode { Float32, Int8 };
-
 /// A stack of layers executed in order. Movable, deep-clonable.
 class Network {
  public:
@@ -104,26 +95,6 @@ class Network {
   Tensor forward_batch(const Tensor& input, std::size_t batch,
                        ThreadPool* pool = nullptr,
                        std::span<const WeightView* const> lane_views = {});
-
-  /// Batched int8-native forward (InferenceMode::Int8): every
-  /// parameterized layer executes the deployed int8 words — weights x
-  /// requantized activations in int32, per-layer scale products — instead
-  /// of its float tensors, with forward_batch's layout, sharding and
-  /// lane-view semantics. `qview` is the shared base image every row
-  /// reads; `lane_views` (empty, or one entry per row) overrides it per
-  /// lane — row b reads *lane_views[b] when non-null, else `qview` — so
-  /// one batched forward serves N quantized lanes with N different
-  /// corrupted word sets (batched Trans-1 on the int8 plane). Views must
-  /// span parameter_count() words. Unlike the float plane there is no
-  /// width threshold in the numeric contract: per-sample activation scales
-  /// and exact integer accumulation make every batch width, shard split,
-  /// and thread count produce the bits of a width-1 call per row. Matches
-  /// the float forward over qview-as-float-view within the quantization
-  /// tolerance.
-  Tensor forward_batch_quant(
-      const Tensor& input, std::size_t batch, const QuantWeightView& qview,
-      ThreadPool* pool = nullptr,
-      std::span<const QuantWeightView* const> lane_views = {});
 
   /// Run backward from dLoss/dOutput; accumulates parameter gradients and
   /// returns dLoss/dInput.

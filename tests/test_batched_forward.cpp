@@ -182,28 +182,11 @@ TEST(BatchedForward, DefaultRejectsViewsOnParameterizedLayers) {
   const Tensor x = batch_to_inner(xb, 3);
   const std::vector<float> base(1, 3.0f);
   const WeightView view{base.data(), base.size(), nullptr};
-  EXPECT_THROW(layer.infer(x, 3, {&view, nullptr, 0}), Error);
-  const std::vector<std::int8_t> words(1, 3);
-  const QuantWeightView qview{words.data(), words.size(), 1.0f, nullptr};
-  EXPECT_THROW(layer.infer(x, 3, {nullptr, &qview, 0}), Error);
+  EXPECT_THROW(layer.infer(x, 3, {&view, 0}), Error);
   // A parameterless layer on the default accepts any source: there is
   // nothing to read from it.
   HalfLayer half;
-  EXPECT_NO_THROW(half.infer(x, 3, {&view, nullptr, 0}));
-  EXPECT_NO_THROW(half.infer(x, 3, {nullptr, &qview, 0}));
-}
-
-TEST(BatchedForward, SourceWithBothViewsIsRejected) {
-  Rng rng(12);
-  Dense dense(5, 4, rng, "fc");
-  const std::vector<float> base(dense.weight().value.size() + 4, 0.5f);
-  const WeightView view{base.data(), base.size(), nullptr};
-  const std::vector<std::int8_t> words(base.size(), 1);
-  const QuantWeightView qview{words.data(), words.size(), 1.0f, nullptr};
-  const Tensor x = batch_to_inner(random_batch({5}, 2, 76), 2);
-  EXPECT_THROW(dense.infer(x, 2, {&view, &qview, 0}), Error);
-  EXPECT_NO_THROW(dense.infer(x, 2, {&view, nullptr, 0}));
-  EXPECT_NO_THROW(dense.infer(x, 2, {nullptr, &qview, 0}));
+  EXPECT_NO_THROW(half.infer(x, 3, {&view, 0}));
 }
 
 TEST(BatchedForward, GridworldPolicyBitIdentical) {

@@ -134,8 +134,8 @@ TEST(BernoulliGolden, StickBitsBer) {
 TEST(BernoulliGolden, WeightInjectors) {
   // Every weight-fault entry point over the fault-model x direction x BER
   // grid, one digest per entry: in-place int8 (headroom 1 and 2), in-place
-  // fixed point (Q(1,7,8) and Q(1,2,9)), the DeployedWeights float and
-  // word overlays, the layer-scoped image and its in-place twin, and the
+  // fixed point (Q(1,7,8) and Q(1,2,9)), the DeployedWeights overlay,
+  // the layer-scoped image and its in-place twin, and the
   // whole-network injector. Each fold takes the output, the report and
   // the stream's next draw.
   const FaultModel models[] = {FaultModel::TransientPersistent,
@@ -147,7 +147,7 @@ TEST(BernoulliGolden, WeightInjectors) {
   Rng init(72);
   Network net = make_gridworld_policy(init);
   net.set_flat_parameters(seeded_rows(net.parameter_count(), 73));
-  Digest int8, fixed, overlay, quant, layer, network;
+  Digest int8, fixed, overlay, layer, network;
   for (const FaultModel model : models) {
     for (const FlipDirection dir : dirs) {
       for (const double ber : {0.0, 1e-3, 0.05, 1.0}) {
@@ -177,14 +177,6 @@ TEST(BernoulliGolden, WeightInjectors) {
           overlay.overlay(out);
           overlay.u64(rng.next_u64());
         }
-        {
-          QuantOverlay out;
-          Rng rng(77);
-          quant.report(image.inject_quant(spec, rng, out));
-          for (const std::size_t i : out.indices) quant.u64(i);
-          quant.bytes(out.words.data(), out.words.size());
-          quant.u64(rng.next_u64());
-        }
         for (std::size_t li = 0; li < net.layer_count(); ++li) {
           if (net.layer(li).parameters().empty()) continue;
           const LayerDeployedWeights deployed(net, li);
@@ -212,7 +204,6 @@ TEST(BernoulliGolden, WeightInjectors) {
   EXPECT_EQ(int8.value(), 0x3E12682599F3AFA7ULL);
   EXPECT_EQ(fixed.value(), 0x6A7AF86CD976F23AULL);
   EXPECT_EQ(overlay.value(), 0x7D4A8064B47ACD85ULL);
-  EXPECT_EQ(quant.value(), 0xB1E3413136665E08ULL);
   EXPECT_EQ(layer.value(), 0xC4D2B2171996B478ULL);
   EXPECT_EQ(network.value(), 0x3C87C4D76AD673DBULL);
 }

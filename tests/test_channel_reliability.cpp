@@ -7,8 +7,9 @@
 ///    systems across thread counts {1, 2, 7};
 ///  * the non-degenerate burst plane never advances the caller's RNG,
 ///    replays deterministically from (stream, seq), erases and reorders
-///    chunks as configured, and degraded training under it is
-///    thread-count invariant;
+///    chunks as configured, matches the Gilbert–Elliott chain's
+///    stationary bad fraction and geometric run lengths, and degraded
+///    training under it is thread-count invariant;
 ///  * transmit_reliable: a disabled or zero-retry protocol is
 ///    byte-for-byte the plain transmit; retry/backoff/deadline
 ///    accounting matches the closed-form schedule; failed uploads
@@ -27,6 +28,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -205,6 +207,72 @@ TEST(BurstyChannel, ReorderPermutesChunks) {
       EXPECT_EQ(row[k * 8 + d], base + static_cast<float>(d));
   }
 }
+
+// Gilbert–Elliott statistics: with a clean good state, an all-flipping
+// bad state and one element per chunk, a chunk is bad exactly when its
+// element arrives changed (flipping all 8 bits of a word moves it by at
+// least one quantization step, more than the codec's half-step error), so
+// the delivered rows expose the channel's state sequence directly.
+class BurstyChannelStatistics
+    : public ::testing::TestWithParam<std::pair<double, double>> {};
+
+TEST_P(BurstyChannelStatistics, MatchesMarkovChain) {
+  const auto [p_gb, p_bg] = GetParam();
+  BurstyChannelConfig cfg;
+  cfg.active = true;
+  cfg.ber_good = 0.0;
+  cfg.ber_bad = 1.0;
+  cfg.p_good_to_bad = p_gb;
+  cfg.p_bad_to_good = p_bg;
+  cfg.chunk_elems = 1;
+  CommChannel ch;
+  ch.set_bursty(cfg);
+  const std::size_t n_rows = 20, dim = 5000;
+  const std::vector<float> sent = random_row(n_rows * dim, 61);
+  std::vector<float> rows = sent;
+  Rng rng(62);
+  ch.transmit_rows(rows.data(), n_rows, dim, rng);
+
+  // Check 1: the bad-chunk fraction against the stationary probability,
+  // with the lag-one autocorrelation lambda inflating the variance.
+  const double n = static_cast<double>(n_rows * dim);
+  const double pi = p_gb / (p_gb + p_bg);
+  const double lambda = 1.0 - p_gb - p_bg;
+  const double sigma =
+      std::sqrt(pi * (1.0 - pi) * (1.0 + lambda) / ((1.0 - lambda) * n));
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) bad += rows[i] != sent[i];
+  EXPECT_NEAR(static_cast<double>(bad) / n, pi, 4.0 * sigma);
+
+  // Check 2: runs wholly inside a row (both ends observed) are geometric
+  // with mean 1/p_bg (bad) and 1/p_gb (good).
+  std::vector<double> runs[2];  // [0] good, [1] bad
+  for (std::size_t r = 0; r < n_rows; ++r) {
+    std::size_t start = 0;
+    for (std::size_t d = 1; d <= dim; ++d) {
+      const std::size_t i = r * dim + d;
+      const bool state = rows[i - 1] != sent[i - 1];
+      if (d < dim && (rows[i] != sent[i]) == state) continue;
+      if (start > 0 && d < dim)
+        runs[state].push_back(static_cast<double>(d - start));
+      start = d;
+    }
+  }
+  const double leave[2] = {p_gb, p_bg};
+  for (int state = 0; state < 2; ++state) {
+    const double p = leave[state];
+    const double m = static_cast<double>(runs[state].size());
+    ASSERT_GT(m, 100.0) << "state " << state;
+    double sum = 0.0;
+    for (const double len : runs[state]) sum += len;
+    const double run_sigma = std::sqrt((1.0 - p) / (p * p) / m);
+    EXPECT_NEAR(sum / m, 1.0 / p, 4.0 * run_sigma) << "state " << state;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transitions, BurstyChannelStatistics,
+                         ::testing::Values(std::make_pair(0.05, 0.5),
+                                           std::make_pair(0.2, 0.2)));
 
 TEST(ReliableUpload, DisabledOrZeroRetryIsPlainTransmit) {
   // The degenerate-protocol lock: bits, counters and RNG position all

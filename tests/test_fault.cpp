@@ -206,23 +206,22 @@ TEST(InjectInt8, TotalOverNonFiniteWeights) {
   // A corrupted float payload may carry ±Inf or NaN. The int8 image
   // calibrates over the finite magnitudes (here 3e38), saturates ±Inf to
   // ±127 and sends NaN to word 0 — through the image, its overlays, the
-  // in-place injector at both headrooms and the layer image.
+  // in-place injector at both headrooms and the layer image. The image's
+  // base is the words {127, -127, 0, 127, -127, 0} times the scale.
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const std::vector<float> w{inf, -inf, nan, 3e38f, -3e38f, 0.0f};
   const DeployedWeights image = DeployedWeights::int8_image(w);
-  EXPECT_FLOAT_EQ(image.int8_scale(), 3e38f / 127.0f);
-  EXPECT_EQ(image.int8_words(),
-            (std::vector<std::int8_t>{127, -127, 0, 127, -127, 0}));
+  const float s = 3e38f / 127.0f;
+  EXPECT_EQ(image.base(), (std::vector<float>{127.0f * s, -127.0f * s, 0.0f,
+                                              127.0f * s, -127.0f * s, 0.0f}));
   for (const float v : image.base()) EXPECT_TRUE(std::isfinite(v));
   for (const double ber : {0.0, 0.05, 1.0}) {
     FaultSpec spec;
     spec.ber = ber;
-    Rng ra(31), rb(31);
+    Rng ra(31);
     WeightOverlay overlay;
-    QuantOverlay quant;
     EXPECT_NO_THROW(image.inject(spec, ra, overlay));
-    EXPECT_NO_THROW(image.inject_quant(spec, rb, quant));
     for (const float v : overlay.values) EXPECT_TRUE(std::isfinite(v));
     for (const float headroom : {1.0f, 2.0f}) {
       std::vector<float> in_place = w;

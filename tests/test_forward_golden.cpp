@@ -1,9 +1,9 @@
 /// \file test_forward_golden.cpp
-/// Golden digests of single-sample inference through weight views and
-/// int8 word views on both paper policies. The digests were recorded from
-/// the dedicated single-sample view and quant forwards that the width-1
-/// batched entries replaced, so they pin the width-1 Network::forward_batch
-/// and Network::forward_batch_quant to that older code bit-for-bit.
+/// Golden digests of single-sample inference through weight views on both
+/// paper policies. The digests were recorded from the dedicated
+/// single-sample view forward that the width-1 batched entry replaced, so
+/// they pin the width-1 Network::forward_batch to that older code
+/// bit-for-bit.
 
 #include <gtest/gtest.h>
 
@@ -63,11 +63,6 @@ Tensor view_logits(Network& net, const Tensor& obs, const WeightView& view) {
   return net.forward_batch(as_batch(obs), 1, nullptr, lane);
 }
 
-Tensor quant_logits(Network& net, const Tensor& obs,
-                    const QuantWeightView& qview) {
-  return net.forward_batch_quant(as_batch(obs), 1, qview);
-}
-
 // True when this build reduces the packed-narrow GEMM's dot products with
 // the tree of the portable Release build the digests were recorded on (see
 // gemm.cpp). Sanitizer instrumentation keeps that reduction sequential, so
@@ -89,7 +84,7 @@ bool narrow_reduction_is_portable() {
 }
 
 struct Digests {
-  std::uint64_t clean_view, overlay_view, clean_quant, overlay_quant;
+  std::uint64_t clean_view, overlay_view;
 };
 
 Digests policy_digests(Network& net, const std::vector<Tensor>& obs) {
@@ -100,21 +95,12 @@ Digests policy_digests(Network& net, const std::vector<Tensor>& obs) {
   const WeightView clean{flat.data(), flat.size(), nullptr};
   const WeightView struck{flat.data(), flat.size(), &overlay};
 
-  const DeployedWeights deployed = DeployedWeights::int8_image(flat);
-  QuantOverlay words;
-  for (std::size_t i = 0; i < flat.size(); i += kOverlayStride)
-    words.add(i, static_cast<std::int8_t>(deployed.int8_words()[i] ^ 0x40));
-  const QuantWeightView clean_q = deployed.quant_view(nullptr);
-  const QuantWeightView struck_q = deployed.quant_view(&words);
-
-  LogitDigest dv, dov, dq, doq;
+  LogitDigest dv, dov;
   for (const Tensor& o : obs) {
     dv.add(view_logits(net, o, clean));
     dov.add(view_logits(net, o, struck));
-    dq.add(quant_logits(net, o, clean_q));
-    doq.add(quant_logits(net, o, struck_q));
   }
-  return {dv.value(), dov.value(), dq.value(), doq.value()};
+  return {dv.value(), dov.value()};
 }
 
 // The digests pin the portable build's rounding; an FMA-contracting
@@ -128,8 +114,6 @@ TEST(ForwardGolden, GridworldPolicyWidthOneForwards) {
   const Digests d = policy_digests(net, seeded_observations({10}, 7));
   EXPECT_EQ(d.clean_view, 0xB2AE66B6F5F6D0CBULL);
   EXPECT_EQ(d.overlay_view, 0x22D2F8A47666BF02ULL);
-  EXPECT_EQ(d.clean_quant, 0xBF38B34BE84DDA49ULL);
-  EXPECT_EQ(d.overlay_quant, 0x67EB77B165728791ULL);
 }
 
 TEST(ForwardGolden, DronePolicyWidthOneForwards) {
@@ -139,10 +123,8 @@ TEST(ForwardGolden, DronePolicyWidthOneForwards) {
   Rng init(2025);
   Network net = make_drone_policy(init);
   const Digests d = policy_digests(net, seeded_observations({3, 18, 32}, 8));
-  EXPECT_EQ(d.clean_quant, 0xDE74343059B4D4D1ULL);
-  EXPECT_EQ(d.overlay_quant, 0xBF72AC285031551FULL);
   if (!narrow_reduction_is_portable())
-    GTEST_SKIP() << "float digests are recorded for the portable build's "
+    GTEST_SKIP() << "digests are recorded for the portable build's "
                     "narrow-GEMM reduction tree";
   EXPECT_EQ(d.clean_view, 0x83BBA96FE51C4420ULL);
   EXPECT_EQ(d.overlay_view, 0x5F04CA8C68522DC7ULL);

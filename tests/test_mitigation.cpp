@@ -5,6 +5,8 @@
 #include "mitigation/checkpoint.hpp"
 #include "mitigation/range_detector.hpp"
 #include "mitigation/reward_monitor.hpp"
+#include "nn/activations.hpp"
+#include "nn/dense.hpp"
 
 namespace frlfi {
 namespace {
@@ -235,6 +237,23 @@ TEST(RangeDetector, TopologyMismatchThrows) {
   Network drone = make_drone_policy(rng);
   RangeAnomalyDetector det(grid, {.margin = 0.10});
   EXPECT_THROW(det.scan(drone), Error);
+  // Same depth, different width: the tensor counts agree, the sizes do
+  // not, and neither scan may walk the wider network against the narrow
+  // calibration.
+  const auto mlp = [&](std::size_t hidden) {
+    Network net;
+    net.add(std::make_unique<Dense>(4, hidden, rng, "fc0"));
+    net.add(std::make_unique<ReLU>());
+    net.add(std::make_unique<Dense>(hidden, 4, rng, "fc1"));
+    return net;
+  };
+  Network narrow = mlp(8);
+  Network wide = mlp(64);
+  RangeAnomalyDetector narrow_det(narrow, {.margin = 0.10});
+  const std::vector<float> before = wide.flat_parameters();
+  EXPECT_THROW(narrow_det.scan(wide), Error);
+  EXPECT_THROW(narrow_det.scan_and_suppress(wide), Error);
+  EXPECT_EQ(wide.flat_parameters(), before);
 }
 
 TEST(RangeDetector, ZeroMarginIsExactRange) {

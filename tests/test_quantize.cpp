@@ -63,7 +63,7 @@ TEST(Int8Quantizer, InvalidScaleThrows) {
 }
 
 // ---- Clamp-asymmetry contract (documented on Int8Quantizer): the fault
-// injectors and the int8 kernels' overflow analysis rely on these. ----
+// injectors rely on these. ----
 
 TEST(Int8QuantizerContract, CleanImageNeverContainsMinusFullScale) {
   // The clamp floor is -127, not -128: no input — in range, at the
@@ -85,13 +85,11 @@ TEST(Int8QuantizerContract, CleanImageNeverContainsMinusFullScale) {
 
 TEST(Int8QuantizerContract, AllZeroCalibrationUsesEpsilonFloorScale) {
   // An all-zero tensor calibrates to exactly the documented epsilon floor
-  // (1e-8 mapped to 127), and the activation-plane calibration shares the
-  // identical expression — so an all-zero layer input quantizes to
-  // all-zero words with a valid positive scale on both planes.
+  // (1e-8 mapped to 127), so it quantizes to all-zero words with a valid
+  // positive scale.
   const std::vector<float> zeros(16, 0.0f);
   const Int8Quantizer q = Int8Quantizer::calibrate(zeros);
   EXPECT_FLOAT_EQ(q.scale(), 1e-8f / 127.0f);
-  EXPECT_FLOAT_EQ(activation_scale(std::span<const float>(zeros)), q.scale());
 }
 
 TEST(Int8QuantizerContract, SaturatesExactlyAtCalibratedMax) {
@@ -106,8 +104,8 @@ TEST(Int8QuantizerContract, SaturatesExactlyAtCalibratedMax) {
 }
 
 TEST(Int8QuantizerContract, TiesRoundAwayFromZero) {
-  // std::round semantics, pinned so every requantization path (weights at
-  // deployment, activations per layer) lands ties on the same word.
+  // std::round semantics, pinned so every quantization of a value lands
+  // ties on the same word.
   const Int8Quantizer q(1.0f);
   EXPECT_EQ(q.quantize(0.5f), 1);
   EXPECT_EQ(q.quantize(-0.5f), -1);
@@ -115,36 +113,9 @@ TEST(Int8QuantizerContract, TiesRoundAwayFromZero) {
   EXPECT_EQ(q.quantize(-2.5f), -3);
 }
 
-TEST(ActivationRequant, InnerHelpersMatchPerSampleScalar) {
-  // activation_scales_inner / quantize_activations_inner over a
-  // batch-inner (features, B) block must equal per-sample
-  // activation_scale + quantize_activations of each gathered column —
-  // the property that makes batched quant forwards width-invariant.
-  const std::size_t features = 7, batch = 5;
-  std::vector<float> x(features * batch);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    x[i] = std::sin(static_cast<float>(i) * 1.3f) * 2.5f;
-  std::vector<float> scales(batch);
-  std::vector<std::int8_t> words(features * batch);
-  activation_scales_inner(x.data(), features, batch, scales.data());
-  quantize_activations_inner(x.data(), features, batch, scales.data(),
-                             words.data());
-  for (std::size_t b = 0; b < batch; ++b) {
-    std::vector<float> col(features);
-    for (std::size_t f = 0; f < features; ++f) col[f] = x[f * batch + b];
-    const float s = activation_scale(col);
-    EXPECT_EQ(scales[b], s);
-    std::vector<std::int8_t> colq(features);
-    quantize_activations(col, s, colq.data());
-    for (std::size_t f = 0; f < features; ++f)
-      EXPECT_EQ(words[f * batch + b], colq[f]);
-  }
-}
-
 TEST(Int8QuantizerContract, TotalOverNonFiniteValues) {
   // Calibration ranges over the finite magnitudes, NaN quantizes to word
-  // 0 and ±Inf saturates — and the activation plane (span and batch-inner
-  // forms) stays word-identical to the weight quantizer on such inputs.
+  // 0 and ±Inf saturates.
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const std::vector<float> x{inf, -inf, nan, 3e38f, -1.0f, nan};
@@ -154,26 +125,6 @@ TEST(Int8QuantizerContract, TotalOverNonFiniteValues) {
             (std::vector<std::int8_t>{127, -127, 0, 127, 0, 0}));
   EXPECT_EQ(Int8Quantizer::calibrate(std::vector<float>{nan, inf}).scale(),
             1e-8f / 127.0f);
-  EXPECT_EQ(activation_scale(x), q.scale());
-  std::vector<std::int8_t> words(x.size());
-  quantize_activations(x, q.scale(), words.data());
-  EXPECT_EQ(words, q.quantize(x));
-  // The same column in every lane of a batch-inner block wide enough for
-  // the 16-, 4- and 1-lane kernels.
-  const std::size_t batch = 21;
-  std::vector<float> block(x.size() * batch);
-  for (std::size_t f = 0; f < x.size(); ++f)
-    for (std::size_t b = 0; b < batch; ++b) block[f * batch + b] = x[f];
-  std::vector<float> scales(batch);
-  std::vector<std::int8_t> inner(block.size());
-  activation_scales_inner(block.data(), x.size(), batch, scales.data());
-  quantize_activations_inner(block.data(), x.size(), batch, scales.data(),
-                             inner.data());
-  for (std::size_t b = 0; b < batch; ++b) {
-    EXPECT_EQ(scales[b], q.scale());
-    for (std::size_t f = 0; f < x.size(); ++f)
-      EXPECT_EQ(inner[f * batch + b], words[f]) << "f " << f;
-  }
 }
 
 /// Property: round-trip error is at most scale/2 for any magnitude scale.
