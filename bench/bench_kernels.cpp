@@ -13,7 +13,7 @@
 ///  * federated training: GridWorld train() episode throughput at several
 ///    round-engine thread counts,
 ///  * degraded participation: a busy degraded communicate_round vs the
-///    synchronous communicate_rows at the same shapes,
+///    all-Present communicate_round at the same shapes,
 ///  * channel reliability: transmit_rows under the i.i.d. path vs the
 ///    Gilbert-Elliott burst plane vs the checksum/retry upload protocol.
 ///
@@ -99,7 +99,7 @@ struct TrainRoundRow {
 };
 struct ParticipationRow {
   std::size_t agents = 0, dim = 0;
-  double rows_us = 0.0, degraded_us = 0.0;
+  double all_present_us = 0.0, degraded_us = 0.0;
 };
 struct ChannelRow {
   std::size_t agents = 0, dim = 0;
@@ -356,13 +356,14 @@ void bench_train_round(bool quick, Report& report) {
 
 // The degraded-participation plane: a busy degraded communicate_round
 // (dropout + straggler + screened Byzantine row) timed against the
-// synchronous communicate_rows at the same shapes, both serial.
+// all-Present round a plan-free engine runs (post-aggregate hook on) at
+// the same shapes, both serial.
 void bench_participation(double min_time, Report& report) {
   std::printf(
-      "\n== Degraded participation: communicate_round vs communicate_rows "
-      "==\n");
+      "\n== Degraded participation: degraded vs all-Present "
+      "communicate_round ==\n");
   std::printf("(gridworld-policy dim, BER 1e-2, microseconds per round)\n");
-  std::printf("%-8s %8s %12s %12s\n", "agents", "dim", "rows us",
+  std::printf("%-8s %8s %12s %12s\n", "agents", "dim", "present us",
               "degraded us");
   Rng prng(41);
   const Network policy = make_gridworld_policy(prng);
@@ -375,12 +376,18 @@ void bench_participation(double min_time, Report& report) {
     const AlphaSchedule schedule(agents, 0.5);
     std::vector<float> matrix(agents * dim);
 
-    ParameterServer rows_server(agents, dim, schedule);
-    rows_server.channel().set_bit_error_rate(1e-2);
-    Rng rows_rng(43);
-    const double t_rows = time_per_call(min_time, [&] {
+    const std::vector<AgentRoundStatus> present(agents,
+                                                AgentRoundStatus::Present);
+    std::vector<std::size_t> everyone(agents);
+    for (std::size_t i = 0; i < agents; ++i) everyone[i] = i;
+    ParameterServer full_server(agents, dim, schedule);
+    full_server.channel().set_bit_error_rate(1e-2);
+    Rng full_rng(43);
+    const double t_full = time_per_call(min_time, [&] {
       std::copy(base.begin(), base.end(), matrix.begin());
-      rows_server.communicate_rows(matrix, rows_rng);
+      full_server.communicate_round(matrix, everyone, present,
+                                    ParameterServer::RobustRoundOptions{},
+                                    full_rng, /*run_post_hook=*/true);
     });
 
     // A busy degraded round: agent 0 dropped (it sends nothing, so the
@@ -408,13 +415,13 @@ void bench_participation(double min_time, Report& report) {
                                    deg_rng, /*run_post_hook=*/false);
     });
 
-    report.participation.push_back({agents, dim, t_rows * 1e6, t_deg * 1e6});
-    std::printf("%-8zu %8zu %12.2f %12.2f\n", agents, dim, t_rows * 1e6,
+    report.participation.push_back({agents, dim, t_full * 1e6, t_deg * 1e6});
+    std::printf("%-8zu %8zu %12.2f %12.2f\n", agents, dim, t_full * 1e6,
                 t_deg * 1e6);
   }
 }
 
-// A stormy Gilbert-Elliott channel: bursts, erasures and reordering.
+// A stormy Gilbert-Elliott channel: bursts and erasures.
 BurstyChannelConfig stormy_channel() {
   BurstyChannelConfig stormy;
   stormy.active = true;
@@ -423,7 +430,6 @@ BurstyChannelConfig stormy_channel() {
   stormy.p_good_to_bad = 0.2;
   stormy.p_bad_to_good = 0.25;
   stormy.erasure_rate = 0.05;
-  stormy.reorder_rate = 0.1;
   stormy.chunk_elems = 16;
   return stormy;
 }
@@ -551,9 +557,9 @@ void write_json(const Report& r, const char* path) {
               [&](const ParticipationRow& row) {
                 std::fprintf(f,
                              "\"agents\": %zu, \"dim\": %zu, "
-                             "\"rows_us\": %.4f, "
+                             "\"all_present_us\": %.4f, "
                              "\"degraded_round_us\": %.4f",
-                             row.agents, row.dim, row.rows_us,
+                             row.agents, row.dim, row.all_present_us,
                              row.degraded_us);
               });
   write_array(f, "channel_reliability", r.channel, [&](const ChannelRow& row) {

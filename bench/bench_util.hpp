@@ -7,15 +7,19 @@
 ///                paper uses 1000 for GridWorld and 100 for DroneNav)
 ///   --seed=N     base seed (default 42)
 ///   --fast       cut sweep resolution for smoke runs
-///   --threads=N  worker lanes for pool-parallel campaign cells
-///                (default 1 = serial; 0 = FRLFI_NUM_THREADS / hardware)
+///   --threads=N  worker lanes for pool-parallel heatmap cells
+///                (default 1 = serial; 0 = FRLFI_NUM_THREADS / hardware).
+///                Only the training-heatmap benches read it: fig3, fig5
+///                and fig7. Every other bench runs its cells serially.
 ///   --train-threads=N  worker lanes for the per-agent local episodes
 ///                inside each system's train() (the federated round
-///                engine; default 1 = serial, 0 = auto). Composes with
+///                engine; default 1 = serial, 0 = auto). Read by fig3,
+///                fig5, fig6a, fig7 and ablation_layers. Composes with
 ///                --threads: cells fan across the pool AND each cell's
 ///                training rounds fan their agents. Results are
 ///                bit-identical for every combination.
-/// and prints the table/figure it reproduces with paper-vs-measured notes.
+/// A bench that does not read a flag still validates it. Every bench
+/// prints the table/figure it reproduces with paper-vs-measured notes.
 
 #include <cstdint>
 #include <string>

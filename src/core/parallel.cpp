@@ -104,8 +104,6 @@ void ThreadPool::worker_loop(std::size_t lane) {
   }
 }
 
-bool ThreadPool::on_pool_thread() const { return inside_pool(this); }
-
 void ThreadPool::parallel_for(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
   FRLFI_CHECK(static_cast<bool>(body));
@@ -163,18 +161,12 @@ ThreadPool& ThreadPool::global() {
 }
 
 void dispatch_lanes(std::size_t threads, std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& body,
-                    std::size_t min_per_lane) {
+                    const std::function<void(std::size_t, std::size_t)>& body) {
   FRLFI_CHECK(static_cast<bool>(body));
   if (n == 0) return;
   // Resolve exactly once per dispatch (one FRLFI_NUM_THREADS read).
   const std::size_t resolved = threads == 1 ? 1 : resolve_thread_count(threads);
-  // Minimum-work-per-lane cap: splitting below min_per_lane items per lane
-  // costs more in dispatch than the lanes pay back (the measured
-  // shard-planner anchor), so small n stays unsplit.
-  const std::size_t work_cap =
-      min_per_lane > 1 ? std::max<std::size_t>(n / min_per_lane, 1) : n;
-  const std::size_t lanes = std::min(std::min(resolved, n), work_cap);
+  const std::size_t lanes = std::min(resolved, n);
   if (lanes <= 1) {
     body(0, n);
     return;

@@ -60,24 +60,16 @@ void shard_range(std::size_t n, std::size_t parts, std::size_t part,
                  std::size_t& begin, std::size_t& end);
 
 /// Run body(begin, end) over [0, n) under the campaign thread policy —
-/// the one rule shared by run_cell_campaign and the batched evaluation
-/// campaign. `threads` == 1: strictly serial on the calling thread; 0:
+/// the one rule shared by run_cell_campaign and the round engine's local
+/// episodes. `threads` == 1: strictly serial on the calling thread; 0:
 /// FRLFI_NUM_THREADS / hardware resolved afresh on this call, reusing the
 /// process-wide pool only while its pinned lane count still matches the
 /// resolved one (otherwise an explicit pool of the resolved size); N:
-/// an explicit pool of min(N, n) lanes. Never more lanes than n.
-///
-/// `min_per_lane` is the dispatch cost model (the same minimum-work-per-
-/// shard rule batch_shard_count applies to sharded forwards): lanes are
-/// additionally capped at n / min_per_lane so no lane carries fewer than
-/// min_per_lane items — BENCH_kernels.json showed that splits below the
-/// threshold lose more to dispatch than they gain from lanes. The lane
-/// partition never changes results (bodies must be partition-invariant),
-/// only how many threads share the work; min_per_lane == 1 is the
-/// historical split-on-width-alone behaviour.
+/// an explicit pool of min(N, n) lanes. Never more lanes than n. The
+/// lane partition never changes results (bodies must be
+/// partition-invariant), only how many threads share the work.
 void dispatch_lanes(std::size_t threads, std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& body,
-                    std::size_t min_per_lane = 1);
+                    const std::function<void(std::size_t, std::size_t)>& body);
 
 /// Fixed-size thread pool executing blocking parallel_for dispatches.
 class ThreadPool {
@@ -104,11 +96,6 @@ class ThreadPool {
   /// run unserialized); see the file comment.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& body);
-
-  /// True when the calling thread is currently executing a parallel_for
-  /// body of this pool (worker lane or the dispatcher's lane 0) — i.e. a
-  /// parallel_for issued right now would run inline.
-  bool on_pool_thread() const;
 
   /// Process-wide shared pool, sized by resolve_thread_count() at first
   /// use and *pinned* at that lane count for the rest of the process;

@@ -63,12 +63,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  FRLFI_CHECK_MSG(lo <= hi, "uniform_int with lo=" << lo << " hi=" << hi);
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform_index(span));
-}
-
 bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

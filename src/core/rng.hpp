@@ -107,9 +107,6 @@ class Rng {
   /// Uniform integer in [0, n) using Lemire's unbiased method. n > 0.
   std::uint64_t uniform_index(std::uint64_t n);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p);
 

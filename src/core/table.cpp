@@ -105,11 +105,6 @@ void Heatmap::set(std::size_t r, std::size_t c, double value) {
   cells_[r][c] = value;
 }
 
-double Heatmap::at(std::size_t r, std::size_t c) const {
-  FRLFI_CHECK(r < rows() && c < cols());
-  return cells_[r][c];
-}
-
 void Heatmap::print(std::ostream& os, int precision) const {
   std::size_t key_w = row_label_.size();
   for (const auto& k : row_keys_) key_w = std::max(key_w, k.size());

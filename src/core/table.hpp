@@ -67,9 +67,6 @@ class Heatmap {
   /// Set cell (r, c). Both indices must be within the configured keys.
   void set(std::size_t r, std::size_t c, double value);
 
-  /// Read cell (r, c).
-  double at(std::size_t r, std::size_t c) const;
-
   /// Render aligned grid to the stream.
   void print(std::ostream& os, int precision = 0) const;
 

@@ -13,12 +13,6 @@ DroneCamera::DroneCamera(Options opts) : opts_(opts) {
   FRLFI_CHECK(opts_.max_range > 1.0);
 }
 
-std::vector<double> DroneCamera::depth_scan(const ObstacleWorld& world,
-                                            Vec2 pose, double heading) const {
-  return depth_scan(ObstacleNeighbourhood(world, pose, opts_.max_range), pose,
-                    heading);
-}
-
 std::vector<double> DroneCamera::depth_scan(const ObstacleNeighbourhood& near,
                                             Vec2 pose, double heading) const {
   std::vector<double> depths(opts_.width);
@@ -30,12 +24,6 @@ std::vector<double> DroneCamera::depth_scan(const ObstacleNeighbourhood& near,
     depths[c] = near.cast_ray(pose, angle, opts_.max_range);
   }
   return depths;
-}
-
-Tensor DroneCamera::render(const ObstacleWorld& world, Vec2 pose,
-                           double heading) const {
-  return render(ObstacleNeighbourhood(world, pose, opts_.max_range), pose,
-                heading);
 }
 
 Tensor DroneCamera::render(const ObstacleNeighbourhood& near, Vec2 pose,

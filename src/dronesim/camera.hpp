@@ -36,20 +36,13 @@ class DroneCamera {
   explicit DroneCamera(Options opts);
 
   /// Per-column depths (width entries, left to right) from `pose` looking
-  /// along `heading`.
-  std::vector<double> depth_scan(const ObstacleWorld& world, Vec2 pose,
-                                 double heading) const;
-
-  /// depth_scan over a prebuilt neighbourhood (ideally centred on the
-  /// cell of `pose`); bit-identical to the ObstacleWorld overload.
+  /// along `heading`, ray-cast through a prebuilt neighbourhood (ideally
+  /// centred on the cell of `pose`, e.g.
+  /// ObstacleNeighbourhood(world, pose, options().max_range)).
   std::vector<double> depth_scan(const ObstacleNeighbourhood& near, Vec2 pose,
                                  double heading) const;
 
-  /// Full (3, H, W) render.
-  Tensor render(const ObstacleWorld& world, Vec2 pose, double heading) const;
-
-  /// render over a prebuilt neighbourhood; bit-identical to the
-  /// ObstacleWorld overload.
+  /// Full (3, H, W) render over a prebuilt neighbourhood.
   Tensor render(const ObstacleNeighbourhood& near, Vec2 pose,
                 double heading) const;
 

@@ -86,12 +86,6 @@ double ObstacleWorld::clearance(Vec2 p, double cap) const {
   return best;
 }
 
-double ObstacleWorld::cast_ray(Vec2 origin, double heading,
-                               double max_range) const {
-  return ObstacleNeighbourhood(*this, origin, max_range)
-      .cast_ray(origin, heading, max_range);
-}
-
 ObstacleNeighbourhood::ObstacleNeighbourhood(const ObstacleWorld& world,
                                              Vec2 centre, double max_range)
     : world_(world), cx_(world.cell_of(centre.x)), cy_(world.cell_of(centre.y)) {

@@ -65,11 +65,6 @@ class ObstacleWorld {
   /// reference that ObstacleNeighbourhood is held bit-identical to.
   double clearance(Vec2 p, double cap = 100.0) const;
 
-  /// March a ray from `origin` along `heading` (radians) and return the
-  /// distance to the first obstacle surface, or `max_range` if free.
-  /// Marches through an ObstacleNeighbourhood built around `origin`.
-  double cast_ray(Vec2 origin, double heading, double max_range) const;
-
   /// World seed (diagnostics).
   std::uint64_t seed() const { return seed_; }
 
@@ -102,7 +97,8 @@ class ObstacleNeighbourhood {
   /// Bit-identical to ObstacleWorld::clearance.
   double clearance(Vec2 p, double cap = 100.0) const;
 
-  /// Bit-identical to ObstacleWorld::cast_ray.
+  /// March a ray from `origin` along `heading` (radians) and return the
+  /// distance to the first obstacle surface, or `max_range` if free.
   double cast_ray(Vec2 origin, double heading, double max_range) const;
 
   /// True when `p` lies in the window's centre cell.

@@ -72,14 +72,6 @@ bool GridLayout::is_solvable() const {
   return false;
 }
 
-int GridLayout::hell_count() const {
-  int n = 0;
-  for (int r = 0; r < kN; ++r)
-    for (int c = 0; c < kN; ++c)
-      if (at(r, c) == Cell::Hell) ++n;
-  return n;
-}
-
 bool GridLayout::reactive_bot_solves(int order, int max_steps) const {
   FRLFI_CHECK(order >= 0 && order < 4);
   GridPos pos = source_;

@@ -61,9 +61,6 @@ class GridLayout {
   /// True when a hell-free path from source to goal exists (BFS).
   bool is_solvable() const;
 
-  /// Number of Hell cells.
-  int hell_count() const;
-
   /// Random solvable layout with the requested obstacle count. Retries
   /// internally; throws Error if it cannot produce a solvable maze (only
   /// possible for absurd obstacle counts).

@@ -22,8 +22,6 @@ std::string to_string(FaultSite s) {
       return "agent";
     case FaultSite::ServerFault:
       return "server";
-    case FaultSite::Activations:
-      return "activations";
   }
   return "?";
 }

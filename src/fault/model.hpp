@@ -44,8 +44,6 @@ enum class FaultSite {
   AgentFault,
   /// The server's aggregated parameters (or the downlink broadcast).
   ServerFault,
-  /// Layer activations during a forward pass (dynamic injection).
-  Activations,
 };
 
 /// Constrain which flip directions are allowed (the Fig. 3d study shows

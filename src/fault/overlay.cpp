@@ -24,18 +24,6 @@ void WeightOverlay::apply_to(std::span<float> weights) const {
   }
 }
 
-float WeightView::at(std::size_t i) const {
-  FRLFI_CHECK_MSG(i < params, "view index " << i << " in " << params);
-  if (overlay != nullptr) {
-    const auto it =
-        std::lower_bound(overlay->indices.begin(), overlay->indices.end(), i);
-    if (it != overlay->indices.end() && *it == i)
-      return overlay->values[static_cast<std::size_t>(
-          it - overlay->indices.begin())];
-  }
-  return base[i];
-}
-
 const float* WeightView::span(std::size_t offset, std::size_t count,
                               std::vector<float>& scratch) const {
   FRLFI_CHECK_MSG(offset + count <= params,

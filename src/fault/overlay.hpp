@@ -88,9 +88,6 @@ struct WeightView {
   /// Sparse corrections on top of base; null for a clean lane.
   const WeightOverlay* overlay = nullptr;
 
-  /// Effective value at flat index i.
-  float at(std::size_t i) const;
-
   /// Contiguous effective values for the span [offset, offset+count) —
   /// how a layer reads its parameters. When the overlay has no entry in
   /// the span this is a zero-copy pointer into base; otherwise the span

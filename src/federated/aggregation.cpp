@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/error.hpp"
-#include "tensor/gemm.hpp"
 
 namespace frlfi {
 
@@ -50,31 +49,6 @@ std::vector<std::vector<float>> smoothing_average(
   return out;
 }
 
-void smoothing_average_rows(const float* uploads, float* out,
-                            float* total_scratch, std::size_t n,
-                            std::size_t dim, double alpha) {
-  FRLFI_CHECK_MSG(n >= 2, "smoothing_average needs >= 2 agents");
-  FRLFI_CHECK_MSG(alpha > 0.0 && alpha < 1.0, "alpha " << alpha);
-  const float beta =
-      static_cast<float>((1.0 - alpha) / static_cast<double>(n - 1));
-  const auto alpha_f = static_cast<float>(alpha);
-
-  // Row sum in agent order (alpha = 1.0f multiplies exactly), so each
-  // coordinate's accumulation chain is the scalar reference's.
-  std::fill(total_scratch, total_scratch + dim, 0.0f);
-  for (std::size_t i = 0; i < n; ++i)
-    axpy(1.0f, uploads + i * dim, total_scratch, dim);
-
-  // Combine: each output row depends only on its own upload and the total.
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* FRLFI_RESTRICT self = uploads + i * dim;
-    float* FRLFI_RESTRICT dst = out + i * dim;
-#pragma omp simd
-    for (std::size_t d = 0; d < dim; ++d)
-      dst[d] = alpha_f * self[d] + beta * (total_scratch[d] - self[d]);
-  }
-}
-
 std::vector<float> mean_parameters(
     const std::vector<std::vector<float>>& uploads) {
   FRLFI_CHECK(!uploads.empty());
@@ -87,17 +61,6 @@ std::vector<float> mean_parameters(
   const auto inv = static_cast<float>(1.0 / static_cast<double>(uploads.size()));
   for (auto& v : mean) v *= inv;
   return mean;
-}
-
-void mean_parameters_rows(const float* rows, std::size_t n, std::size_t dim,
-                          float* mean) {
-  FRLFI_CHECK(n >= 1);
-  const auto inv = static_cast<float>(1.0 / static_cast<double>(n));
-  std::fill(mean, mean + dim, 0.0f);
-  for (std::size_t i = 0; i < n; ++i) axpy(1.0f, rows + i * dim, mean, dim);
-  float* FRLFI_RESTRICT out = mean;
-#pragma omp simd
-  for (std::size_t d = 0; d < dim; ++d) out[d] *= inv;
 }
 
 void trimmed_mean_rows(const float* const* rows, std::size_t m,

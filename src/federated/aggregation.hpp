@@ -38,30 +38,14 @@ class AlphaSchedule {
 /// One smoothing-average round: given each agent's uploaded parameter
 /// vector theta_i^{k-}, returns the n per-agent results theta_i^{k+}.
 /// All vectors must be the same length; n >= 2. This is the scalar golden
-/// reference the row-matrix kernel below is locked against.
+/// reference ParameterServer::communicate_round's full-participation
+/// aggregate is locked against.
 std::vector<std::vector<float>> smoothing_average(
     const std::vector<std::vector<float>>& uploads, double alpha);
-
-/// Batched smoothing average over a row-major n x dim upload matrix (row i
-/// = agent i's parameters), writing the n per-agent results into the
-/// row-major `out` (same shape; must not alias `uploads`). `total_scratch`
-/// must hold dim floats (the caller — ParameterServer — preallocates it so
-/// a round allocates nothing). The row sum accumulates the rows in agent
-/// order on the axpy kernel, the scalar reference's summation chain, so
-/// the results are bit-identical to smoothing_average of the same rows.
-void smoothing_average_rows(const float* uploads, float* out,
-                            float* total_scratch, std::size_t n,
-                            std::size_t dim, double alpha);
 
 /// Plain mean of the uploaded vectors (the consensus policy; used by the
 /// checkpointing scheme and the Table I spread statistic).
 std::vector<float> mean_parameters(const std::vector<std::vector<float>>& uploads);
-
-/// mean_parameters over a row-major n x dim matrix, written into `mean`
-/// (dim floats), with the same row-order accumulation per coordinate —
-/// bit-identical to the vector-of-vectors form.
-void mean_parameters_rows(const float* rows, std::size_t n, std::size_t dim,
-                          float* mean);
 
 /// Coordinate-wise trimmed mean over m (possibly non-contiguous) rows:
 /// for each coordinate, sort the m contributed values, drop the trim_k

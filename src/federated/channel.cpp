@@ -36,7 +36,6 @@ void CommChannel::set_bursty(const BurstyChannelConfig& cfg) {
     check_probability(cfg.p_good_to_bad, "bursty p_good_to_bad");
     check_probability(cfg.p_bad_to_good, "bursty p_bad_to_good");
     check_probability(cfg.erasure_rate, "bursty erasure_rate");
-    check_probability(cfg.reorder_rate, "bursty reorder_rate");
     FRLFI_CHECK_MSG(cfg.chunk_elems >= 1, "bursty chunk_elems 0");
   }
   bursty_ = cfg;
@@ -172,29 +171,6 @@ void CommChannel::transmit_row_bursty(float* row, std::size_t dim,
     const std::size_t lo = k * chunk;
     const std::size_t hi = std::min(dim, lo + chunk);
     std::fill(row + lo, row + hi, 0.0f);
-  }
-
-  // Reordering: chunks arrive as a random permutation and the receiver
-  // writes them back in arrival order (lengths preserved, so the tail
-  // chunk reshapes the boundaries — exactly the out-of-order damage a
-  // sequence-number-less transport suffers).
-  if (c.reorder_rate > 0.0 && n_chunks > 1 &&
-      state.bernoulli(c.reorder_rate)) {
-    perm_.resize(n_chunks);
-    for (std::size_t k = 0; k < n_chunks; ++k) perm_[k] = k;
-    state.shuffle(perm_);
-    reorder_.assign(row, row + dim);
-    std::size_t pos = 0;
-    for (std::size_t k = 0; k < n_chunks; ++k) {
-      const std::size_t src = perm_[k];
-      const std::size_t lo = src * chunk;
-      const std::size_t len = std::min(dim, lo + chunk) - lo;
-      std::copy(reorder_.begin() + static_cast<std::ptrdiff_t>(lo),
-                reorder_.begin() + static_cast<std::ptrdiff_t>(lo + len),
-                row + pos);
-      pos += len;
-    }
-    ++reordered_;
   }
 }
 

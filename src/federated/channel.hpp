@@ -14,13 +14,13 @@
 ///  * **The bursty/unreliable plane** (BurstyChannelConfig): a
 ///    Gilbert–Elliott two-state channel whose per-chunk BER switches
 ///    between a good and a bad state, plus chunk-level erasure (lost
-///    chunks arrive as zeros) and chunk reordering. All burst-plane
-///    draws — channel weather, erasure, reordering, and the flip noise
-///    itself — come from per-message streams derived off the caller's
+///    chunks arrive as zeros). All burst-plane draws — channel weather,
+///    erasure, and the flip noise itself — come from per-message streams
+///    derived off the caller's
 ///    RNG with the non-advancing split discipline, keyed by a persistent
 ///    transmit sequence number. The caller's stream is never advanced by
 ///    the bursty path, a degenerate config (equal-state BERs, no
-///    erasure/reordering) delegates verbatim to the i.i.d. path (bits,
+///    erasure) delegates verbatim to the i.i.d. path (bits,
 ///    counters and RNG stream position locked identical), and the
 ///    sequence number travels with the engine's TrainingState so a
 ///    mid-campaign resume replays the same channel weather.
@@ -48,7 +48,7 @@ inline constexpr std::uint64_t kChannelNoiseTag = 0xB17FULL;  // flip noise
 
 /// Gilbert–Elliott bursty-channel configuration. Inactive configs change
 /// nothing; an active config whose two states share one BER with erasure
-/// and reordering off is *degenerate* and takes the i.i.d. path verbatim.
+/// off is *degenerate* and takes the i.i.d. path verbatim.
 struct BurstyChannelConfig {
   bool active = false;
   /// Per-bit flip probability in the good / bad channel state.
@@ -62,9 +62,6 @@ struct BurstyChannelConfig {
   /// Per-chunk erasure probability: erased chunks never arrive and the
   /// receiver substitutes zeros.
   double erasure_rate = 0.0;
-  /// Per-message probability the chunks are delivered out of order
-  /// (a uniformly random permutation of the chunk sequence).
-  double reorder_rate = 0.0;
   /// Chunk size in parameters (elements), >= 1.
   std::size_t chunk_elems = 32;
   /// Tag of the burst RNG plane under the caller's stream.
@@ -74,8 +71,7 @@ struct BurstyChannelConfig {
 /// True when `cfg` perturbs nothing beyond i.i.d. flips at ber_good —
 /// the configuration the bursty path is locked bit-identical against.
 inline bool bursty_degenerate(const BurstyChannelConfig& cfg) {
-  return cfg.ber_good == cfg.ber_bad && cfg.erasure_rate == 0.0 &&
-         cfg.reorder_rate == 0.0;
+  return cfg.ber_good == cfg.ber_bad && cfg.erasure_rate == 0.0;
 }
 
 /// Checksum/retry/timeout upload protocol. The checksum is idealized: an
@@ -113,10 +109,12 @@ class CommChannel {
   ///        payload in transit (0 = clean channel).
   explicit CommChannel(double bit_error_rate = 0.0);
 
-  /// Transmit a parameter vector: quantize to int8, flip bits at the
-  /// channel BER, dequantize. Clean channels still round-trip through
-  /// int8 — the over-the-air representation is quantized either way.
-  /// This is the scalar golden reference transmit_rows is locked against.
+  /// Transmit a parameter vector over the int8 wire format: an element
+  /// that takes a bit flip at the channel BER materializes its corrupted
+  /// quantized word; every untouched element arrives losslessly (both
+  /// endpoints share the codec), so at BER 0 the payload comes back
+  /// unchanged and no draw is made. This is the scalar golden reference
+  /// transmit_rows is locked against.
   std::vector<float> transmit(const std::vector<float>& payload, Rng& rng);
 
   /// Transmit n_rows payloads held in a row-major n_rows x dim matrix, in
@@ -190,9 +188,8 @@ class CommChannel {
   /// bytes_sent — this is the Fig. 6b retry overhead, broken out).
   std::size_t retransmit_bytes() const { return retransmit_bytes_; }
 
-  /// Chunks erased / messages delivered out of order by the burst plane.
+  /// Chunks erased by the burst plane.
   std::size_t chunks_erased() const { return chunks_erased_; }
-  std::size_t messages_reordered() const { return reordered_; }
 
   /// The persistent transmit sequence number keying the burst plane's
   /// per-message derived streams. Unlike the cost counters it is
@@ -202,8 +199,8 @@ class CommChannel {
   void set_transmit_seq(std::uint64_t seq) { seq_ = seq; }
 
  private:
-  /// One message through the non-degenerate burst plane: weather/erasure/
-  /// reorder from the state stream, flips from the noise stream, both
+  /// One message through the non-degenerate burst plane: weather and
+  /// erasure from the state stream, flips from the noise stream, both
   /// derived (non-advancing) off `rng` and keyed by `seq`.
   void transmit_row_bursty(float* row, std::size_t dim, const Rng& rng,
                            std::uint64_t seq);
@@ -215,13 +212,10 @@ class CommChannel {
   std::size_t corrupted_ = 0;
   std::size_t retransmit_bytes_ = 0;
   std::size_t chunks_erased_ = 0;
-  std::size_t reordered_ = 0;
   std::uint64_t seq_ = 0;
   // Burst-plane and retry-protocol scratch, reused across messages.
   std::vector<std::uint8_t> chunk_bad_;
   std::vector<std::uint8_t> chunk_lost_;
-  std::vector<std::size_t> perm_;
-  std::vector<float> reorder_;
   std::vector<float> orig_;
 };
 

@@ -110,11 +110,6 @@ void FederatedRoundEngine::inject_training_fault_if_due() {
       }
       break;
     }
-    case FaultSite::Activations:
-      // Training-time activation faults are exercised through the Network
-      // activation hook by dedicated experiments; not part of the
-      // episode-indexed plan.
-      break;
   }
 }
 
@@ -177,13 +172,16 @@ void FederatedRoundEngine::communicate_if_due() {
     }
   }
 
-  // The post-aggregate hook only observes anything while a server fault
+  // The engine's own post-aggregate hook only acts while a server fault
   // is pending — skipping it otherwise lets a degraded round stay on
-  // compact O(participants) storage. (Synchronous rounds always run it.)
+  // compact O(participants) storage. A plan-free round always runs the
+  // hook, so a hook installed over the engine's (one that arms no plan)
+  // sees every round.
   Rng comm_rng = train_rng_.split(0xC0111 + episode_);
   const RoundParticipationReport rep = server_->communicate_round(
       std::span<float>(compact_matrix_.data(), m_send * dim), compact_agents_,
-      status_, opts, comm_rng, /*run_post_hook=*/server_fault_pending_);
+      status_, opts, comm_rng,
+      /*run_post_hook=*/server_fault_pending_ || !participation_.active);
 
   // Downlink lands only on receiving agents; dropped agents keep training
   // on their own stale parameters, stragglers keep the parameters whose

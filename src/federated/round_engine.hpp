@@ -19,10 +19,13 @@
 ///    preallocated participant-compacted row matrix (all n rows when
 ///    everyone is present; no per-agent flat_parameters() vectors),
 ///    ParameterServer::communicate_round runs uplink, aggregation, hook
-///    and downlink on row kernels, and downlinks scatter back to the
-///    receiving agents from the same rows. The round runs on the
-///    orchestration thread; its channel noise comes off a per-round comm
-///    stream split from the training stream.
+///    and downlink, and downlinks scatter back to the receiving agents
+///    from the same rows. The round runs on the orchestration thread; its
+///    channel noise comes off a per-round comm stream split from the
+///    training stream. The server's post-aggregate hook runs on every
+///    plan-free round (so a hook installed over the engine's sees each
+///    one) and, under an armed plan, only while a server fault is
+///    pending.
 ///  * **Training faults and §V-A mitigation.** Fault timing, victim
 ///    resolution, the post-aggregate server-fault row hook (in-place
 ///    int8 injection over the aggregate rows on the historical RNG
@@ -78,10 +81,10 @@ class FederatedRoundEngine {
     double alpha_tau = 150.0;
     /// Channel bit error rate (0 = clean links).
     double channel_ber = 0.0;
-    /// Bursty/unreliable channel plane (Gilbert–Elliott states, chunk
-    /// erasure and reordering); armed on the server's channel at
-    /// construction. When active it replaces channel_ber; a degenerate
-    /// config (equal-state BERs, no erasure/reordering) stays
+    /// Bursty/unreliable channel plane (Gilbert–Elliott states and chunk
+    /// erasure); armed on the server's channel at construction. When
+    /// active it replaces channel_ber; a degenerate config (equal-state
+    /// BERs, no erasure) stays
     /// bit-identical to the i.i.d. channel at ber_good.
     BurstyChannelConfig bursty_channel;
     /// Worker lanes for the per-agent local episodes: 1 = strictly serial

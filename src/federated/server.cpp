@@ -29,31 +29,6 @@ void ParameterServer::transmit_matrix(
                             reliable_mask, outcomes);
 }
 
-void ParameterServer::communicate_rows(std::span<float> rows, Rng& rng) {
-  FRLFI_CHECK_MSG(rows.size() == n_ * dim_,
-                  "round matrix holds " << rows.size() << " floats for " << n_
-                                        << " x " << dim_);
-  agg_.resize(n_ * dim_);
-  // Uplink: every agent's row through the (lossy) channel, in place.
-  transmit_matrix(rows.data(), n_, rng);
-
-  // Aggregate into the preallocated matrix; consensus is the
-  // post-aggregation row mean, as in the scalar round.
-  smoothing_average_rows(rows.data(), agg_.data(), total_.data(), n_, dim_,
-                         schedule_.at(round_));
-  consensus_.resize(dim_);
-  mean_parameters_rows(agg_.data(), n_, dim_, consensus_.data());
-
-  // Post-aggregation hook (fault injection, checkpoint restore).
-  if (rows_hook_) rows_hook_(round_, std::span<float>(agg_), dim_);
-
-  // Downlink: transmit the aggregates back, landing in the caller's rows.
-  transmit_matrix(agg_.data(), n_, rng);
-  std::copy(agg_.begin(), agg_.end(), rows.begin());
-
-  ++round_;
-}
-
 RoundParticipationReport ParameterServer::communicate_round(
     std::span<float> sender_rows, std::span<const std::size_t> sender_agents,
     std::span<const AgentRoundStatus> status, const RobustRoundOptions& opts,
@@ -72,9 +47,6 @@ RoundParticipationReport ParameterServer::communicate_round(
   RoundParticipationReport rep;
   rep.round = round_;
   rep.status.assign(status.begin(), status.end());
-  bool any_pending_due = false;
-  for (const PendingUpload& p : pending_)
-    any_pending_due |= p.deliver_round <= round_;
   for (AgentRoundStatus s : status) {
     switch (s) {
       case AgentRoundStatus::Present: ++rep.present; break;
@@ -99,20 +71,7 @@ RoundParticipationReport ParameterServer::communicate_round(
                                                << " senders");
   }
 
-  // Full participation with screening off and nothing stale due is
-  // exactly the synchronous round (the compact matrix IS the full
-  // matrix): take it verbatim. A retry-capable upload protocol forces the
-  // general path (a retransmission would change the stream); a disabled
-  // or zero-retry protocol does not.
-  const bool screening_on =
-      opts.screening.l2_norm || opts.screening.trimmed_mean;
   const bool reliable = reliable_upload_armed(opts.upload);
-  if (rep.present == n_ && !any_pending_due && !screening_on && !reliable) {
-    communicate_rows(sender_rows, rng);
-    rep.contributors = n_;
-    rep.aggregated = true;
-    return rep;
-  }
 
   // A late upload enters the staleness buffer, to be folded
   // `straggler_lag` rounds from now with weight stale_decay^lag.
@@ -260,8 +219,8 @@ RoundParticipationReport ParameterServer::communicate_round(
   const auto alpha_f = static_cast<float>(alpha);
 
   // Weighted contributor sum (weights are exactly 1.0f for on-time rows,
-  // so the all-contributing accumulation chain matches the synchronous
-  // kernel's): every coordinate sees the candidate-order chain.
+  // so the all-contributing accumulation chain is the scalar
+  // smoothing_average's): every coordinate sees the candidate-order chain.
   double weight_sum = 0.0;
   for (float w : cand_weights_) weight_sum += static_cast<double>(w);
   std::fill(total_.begin(), total_.end(), 0.0f);
@@ -293,8 +252,8 @@ RoundParticipationReport ParameterServer::communicate_round(
   // rounds it runs IN PLACE over the caller's compact sender rows and the
   // round retains no aggregate matrix at all. Only when the post-hook
   // must observe the full matrix does the zero-filled n x dim layout
-  // materialize (non-receiving rows stay deterministically zero; rare,
-  // fault-bearing rounds; grown lazily).
+  // materialize (non-receiving rows stay deterministically zero; plan-free
+  // and fault-bearing rounds; grown lazily).
   if (run_post_hook) agg_.assign(n_ * dim_, 0.0f);
   const auto agg_row = [&](std::size_t j) {
     return run_post_hook ? agg_.data() + sender_agents[j] * dim_
@@ -320,9 +279,9 @@ RoundParticipationReport ParameterServer::communicate_round(
     } else {
       // Partial-participation smoothing average: peers are the weighted
       // contributors minus the receiver's own on-time row. With every
-      // agent contributing at weight 1 this is byte-for-byte the
-      // synchronous combine (1.0f * self is exact; the peer count
-      // double is exact for any agent count).
+      // agent contributing at weight 1 this is byte-for-byte the scalar
+      // smoothing_average (1.0f * self is exact; the peer count double
+      // is exact for any agent count).
       const float wi = ontime_[i] ? 1.0f : 0.0f;
       const double peers = weight_sum - static_cast<double>(wi);
       if (peers > 0.0) {
@@ -339,7 +298,7 @@ RoundParticipationReport ParameterServer::communicate_round(
   }
 
   // Consensus over the receiving rows only (receiver-order chain per
-  // coordinate; the synchronous mean's order when everyone receives).
+  // coordinate; mean_parameters' order when everyone receives).
   if (!recv_idx_.empty()) {
     consensus_.assign(dim_, 0.0f);
     const auto inv =

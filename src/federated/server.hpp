@@ -7,11 +7,11 @@
 /// aggregated state (the paper's "server faults"), and the mitigation
 /// module attaches its checkpoint store here.
 ///
-/// A round enters through exactly one of two calls: communicate_rows
-/// (synchronous, every agent present) or communicate_round (degraded
-/// participation over the senders only). Both run on the calling thread,
-/// and their i.i.d. channel noise rides the caller's advancing RNG
-/// stream, message by message in agent order (see
+/// A round enters through one call, communicate_round: every agent's
+/// status (all Present when no participation plan is armed) decides who
+/// uploads, who is averaged and who gets the downlink. The round runs on
+/// the calling thread, and its i.i.d. channel noise rides the caller's
+/// advancing RNG stream, message by message in agent order (see
 /// CommChannel::transmit_uploads).
 
 #include <cstdint>
@@ -52,14 +52,6 @@ class ParameterServer {
   CommChannel& channel() { return channel_; }
   const CommChannel& channel() const { return channel_; }
 
-  /// The synchronous round: `rows` is a row-major n x dim matrix holding
-  /// agent i's upload in row i on entry and its downlink payload on
-  /// return. Uplink transmit, smoothing average, consensus, the
-  /// post-aggregation rows hook (fault injection / checkpoint restore,
-  /// run on every synchronous round) and downlink transmit all run on
-  /// preallocated row-major storage; the channel noise comes off `rng`.
-  void communicate_rows(std::span<float> rows, Rng& rng);
-
   /// Server-side knobs of one degraded round (engine-derived from the
   /// ParticipationPlan; the server never sees schedule probabilities,
   /// only resolved statuses).
@@ -90,35 +82,35 @@ class ParameterServer {
     std::vector<float> data;
   };
 
-  /// The degraded-participation round over participant-compacted
-  /// storage. `sender_rows` is a row-major n_senders x dim matrix holding,
-  /// in ascending agent order, the upload of every agent whose status
-  /// sends (Present / Straggler / Byzantine — `sender_agents[j]` is row
-  /// j's agent index). Only senders transmit uplink, straggler payloads
-  /// detour through the staleness buffer, the smoothing average runs over
-  /// the weighted contributor set (on-time survivors + due stale rows)
-  /// with optional Byzantine screening, and only receivers (a subset of
-  /// senders) get the downlink: on return row j holds agent
-  /// sender_agents[j]'s downlink payload when that agent receives, its
-  /// clean payload after a failed reliable upload, and its post-channel
-  /// upload otherwise (the caller must scatter receivers only). A round
-  /// whose statuses resolve to all-Present with screening off, no retry
-  /// protocol and nothing stale due is communicate_rows verbatim — bit-
-  /// identical aggregate, RNG consumption and channel counters. With the
-  /// retry protocol armed, on-time uploads go through the channel's retry
-  /// protocol; an upload that exhausts its budget is excluded from the
-  /// aggregate and the downlink, and its clean payload degrades into the
-  /// staleness buffer (or is dropped) — the failure is absorbed by the
-  /// participation machinery instead of poisoning the round. The channel
-  /// noise comes off `rng` as in communicate_rows.
+  /// The server round over participant-compacted storage. `sender_rows`
+  /// is a row-major n_senders x dim matrix holding, in ascending agent
+  /// order, the upload of every agent whose status sends (Present /
+  /// Straggler / Byzantine — `sender_agents[j]` is row j's agent index).
+  /// Only senders transmit uplink, straggler payloads detour through the
+  /// staleness buffer, the smoothing average runs over the weighted
+  /// contributor set (on-time survivors + due stale rows) with optional
+  /// Byzantine screening, and only receivers (a subset of senders) get the
+  /// downlink: on return row j holds agent sender_agents[j]'s downlink
+  /// payload when that agent receives, its clean payload after a failed
+  /// reliable upload, and its post-channel upload otherwise (the caller
+  /// must scatter receivers only). With every agent Present, screening
+  /// off, no retry protocol and nothing stale due, this is the paper's
+  /// synchronous round: every weight is 1, so the aggregate equals the
+  /// scalar smoothing_average of the post-channel uploads bit for bit.
+  /// With the retry protocol armed, on-time uploads go through the
+  /// channel's retry protocol; an upload that exhausts its budget is
+  /// excluded from the aggregate and the downlink, and its clean payload
+  /// degrades into the staleness buffer (or is dropped) — the failure is
+  /// absorbed by the participation machinery instead of poisoning the
+  /// round. The channel noise comes off `rng`.
   ///
   /// `run_post_hook` gates the post-aggregation hook: when false the
   /// aggregation combines IN PLACE over the caller's sender rows — no
   /// aggregate matrix is retained at all — because the caller asserts
-  /// the installed hook would not observe or mutate anything this round
-  /// (the round engine passes its server-fault-pending flag). When true
-  /// the full zero-filled n x dim aggregate matrix is built (grow-only,
-  /// only on such rounds) and the hook runs over it.
+  /// the installed hook would not observe or mutate anything this round.
+  /// When true the full zero-filled n x dim aggregate matrix is built
+  /// (grow-only) and the hook runs over it. The round engine passes true
+  /// on every plan-free round and while a server fault is pending.
   RoundParticipationReport communicate_round(
       std::span<float> sender_rows, std::span<const std::size_t> sender_agents,
       std::span<const AgentRoundStatus> status, const RobustRoundOptions& opts,
@@ -166,10 +158,9 @@ class ParameterServer {
   std::vector<float> consensus_;
   std::function<void(std::size_t, std::span<float>, std::size_t)> rows_hook_;
   // Round scratch, lazily grown and pooled across rounds: the full
-  // n x dim aggregate matrix (only materialized by synchronous rounds and
-  // hook-bearing degraded rounds — hook-free degraded rounds combine in
-  // place over the caller's sender rows and retain no aggregate matrix)
-  // and the smoothing row-sum (dim).
+  // n x dim aggregate matrix (only materialized by hook-bearing rounds —
+  // hook-free rounds combine in place over the caller's sender rows and
+  // retain no aggregate matrix) and the smoothing row-sum (dim).
   std::vector<float> agg_;
   std::vector<float> total_;
   // Degraded-round state and scratch: straggler uploads in flight plus

@@ -228,7 +228,7 @@ Network DroneFrlSystem::consensus_network() const {
 
 double DroneFrlSystem::evaluate_inference_fault(
     const InferenceFaultScenario& scenario, std::size_t episodes_per_drone,
-    std::uint64_t seed, std::size_t threads) {
+    std::uint64_t seed) {
   Network policy = consensus_network();
   Rng fault_rng = Rng(seed).split(0xFA53);
 
@@ -237,18 +237,17 @@ double DroneFrlSystem::evaluate_inference_fault(
   if (!trans1) apply_static_inference_fault(policy, scenario, fault_rng);
 
   // One policy serves every drone, so each decision step batches all
-  // still-flying drones' observations into a single forward, and episodes
-  // fan across worker lanes with per-lane env ownership over the shared
-  // read-only policy. Trans-1 joins the same batched step: each drone's
-  // single-read corruption rides a per-lane weight view, so striking and
-  // clean drones share one forward without any clone-and-restore.
+  // still-flying drones' observations into a single forward over the
+  // shared read-only policy. Trans-1 joins the same batched step: each
+  // drone's single-read corruption rides a per-lane weight view, so
+  // striking and clean drones share one forward without any
+  // clone-and-restore.
   BatchedCampaignSpec spec;
   spec.episodes = episodes_per_drone;
   spec.agents = cfg_.n_drones;
   spec.max_steps = cfg_.env.max_steps;
   spec.seed = seed;
   spec.rng_salt = 0xE7A2;
-  spec.threads = threads;
   if (trans1) spec.trans1 = &scenario;
   const std::vector<double> distances = run_batched_inference_campaign(
       policy, spec,

@@ -6,7 +6,7 @@
 /// conv policy online with REINFORCE after an offline pretraining phase,
 /// and periodically synchronizing through the smoothing-average server.
 ///
-/// Training orchestration (episode loop, fault timing, the batched server
+/// Training orchestration (episode loop, fault timing, the one server
 /// round, §V-A mitigation) lives in the shared FederatedRoundEngine; this
 /// class supplies the agent-local callbacks and the offline pretraining.
 ///
@@ -50,7 +50,7 @@ class DroneFrlSystem {
     /// Channel bit error rate (0 = clean links).
     double channel_ber = 0.0;
     /// Bursty/unreliable channel plane (Gilbert–Elliott states, chunk
-    /// erasure/reordering); when active it replaces channel_ber.
+    /// erasure); when active it replaces channel_ber.
     BurstyChannelConfig channel_bursty;
     /// Worker lanes for the per-drone local training episodes
     /// (FederatedRoundEngine::Config::threads): 1 = serial, 0 = auto, N =
@@ -127,14 +127,11 @@ class DroneFrlSystem {
   ///
   /// Runs as a batched inference campaign: every episode batches all
   /// still-flying drones' observations into one forward per decision step
-  /// — Trans-1 included, each striking drone riding its own weight view —
-  /// and episodes fan across `threads` worker lanes (1 = serial, 0 =
-  /// FRLFI_NUM_THREADS / hardware, N = exactly N), each lane owning
-  /// private environments over one shared read-only policy. Bit-identical
-  /// for every `threads` value (see run_batched_inference_campaign).
+  /// — Trans-1 included, each striking drone riding its own weight view
+  /// over one shared read-only policy (see run_batched_inference_campaign).
   double evaluate_inference_fault(const InferenceFaultScenario& scenario,
                                   std::size_t episodes_per_drone,
-                                  std::uint64_t seed, std::size_t threads = 1);
+                                  std::uint64_t seed);
 
   /// Capture / restore training state.
   Snapshot snapshot() const;

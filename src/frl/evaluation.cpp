@@ -105,7 +105,7 @@ struct LaneStrikes {
 /// argmax rule, lane retirement — bit-aligned forever.
 std::vector<EpisodeStats> lockstep_episodes(
     Network& policy, const std::vector<Environment*>& envs,
-    std::vector<Rng>& rngs, std::size_t max_steps, ThreadPool* pool,
+    std::vector<Rng>& rngs, std::size_t max_steps,
     const Trans1Strikes* strikes) {
   const std::size_t lanes = envs.size();
   FRLFI_CHECK_MSG(lanes >= 1 && rngs.size() == lanes && max_steps >= 1,
@@ -151,7 +151,7 @@ std::vector<EpisodeStats> lockstep_episodes(
     // (exactly what the serial path consumes at this step) and rides a
     // private view; the other lanes share the clean forward.
     const Tensor logits = policy.forward_batch(
-        batch, nb, pool, lane_strikes.apply(strike_rows, nb, strike));
+        batch, nb, nullptr, lane_strikes.apply(strike_rows, nb, strike));
     const std::size_t width = logits.size() / nb;
     std::vector<std::size_t> still_active;
     still_active.reserve(nb);
@@ -181,11 +181,17 @@ std::vector<EpisodeStats> lockstep_episodes(
 
 std::vector<EpisodeStats> greedy_episodes_batched(
     Network& policy, const std::vector<Environment*>& envs,
-    std::vector<Rng>& rngs, std::size_t max_steps, ThreadPool* pool) {
-  return lockstep_episodes(policy, envs, rngs, max_steps, pool, nullptr);
+    std::vector<Rng>& rngs, std::size_t max_steps) {
+  return lockstep_episodes(policy, envs, rngs, max_steps, nullptr);
 }
 
 namespace {
+
+/// Quantization-range headroom of the int8 deployment view: online-fine-
+/// tuned deployments keep a fixed scale with room for weight growth, so a
+/// high-bit flip can reach headroom * max|w|. Headroom 2 reproduces the
+/// paper's Fig. 4 degradation slope and Fig. 8a 3.3x mitigation factor.
+constexpr float kInt8Headroom = 2.0f;
 
 /// Corrupt a policy's weights per the scenario's deployment representation.
 InjectionReport corrupt_policy(Network& policy,
@@ -194,7 +200,7 @@ InjectionReport corrupt_policy(Network& policy,
   if (scenario.use_int8) {
     std::vector<float> flat = policy.flat_parameters();
     const InjectionReport report =
-        inject_int8(flat, scenario.spec, rng, scenario.int8_headroom);
+        inject_int8(flat, scenario.spec, rng, kInt8Headroom);
     policy.set_flat_parameters(flat);
     return report;
   }
@@ -211,7 +217,7 @@ DeployedWeights make_deployed_weights(const Network& policy,
                                       const InferenceFaultScenario& scenario) {
   const std::vector<float> flat = policy.flat_parameters();
   if (scenario.use_int8)
-    return DeployedWeights::int8_image(flat, scenario.int8_headroom);
+    return DeployedWeights::int8_image(flat, kInt8Headroom);
   return DeployedWeights::fixed_point_image(flat, scenario.fixed_format);
 }
 
@@ -230,8 +236,7 @@ std::vector<EpisodeStats> greedy_episodes_trans1_batched(
     Network& policy, const DeployedWeights& deployed,
     const InferenceFaultScenario& scenario,
     const std::vector<Environment*>& envs, std::vector<Rng>& rngs,
-    std::size_t max_steps, ThreadPool* pool,
-    const std::vector<std::size_t>* base_hits) {
+    std::size_t max_steps, const std::vector<std::size_t>* base_hits) {
   const std::size_t lanes = envs.size();
   FRLFI_CHECK_MSG(lanes >= 1 && rngs.size() == lanes && max_steps >= 1,
                   "batched trans1: " << lanes << " envs, " << rngs.size()
@@ -255,7 +260,7 @@ std::vector<EpisodeStats> greedy_episodes_trans1_batched(
   }
   // The scenario's detector screens the strike overlays (weight scan,
   // inside trans1_strike_overlay).
-  return lockstep_episodes(policy, envs, rngs, max_steps, pool, &strikes);
+  return lockstep_episodes(policy, envs, rngs, max_steps, &strikes);
 }
 
 EpisodeStats greedy_episode_trans1(Network& policy, Environment& env, Rng& rng,
@@ -296,53 +301,44 @@ std::vector<double> run_batched_inference_campaign(
   std::vector<double> metrics(spec.episodes * spec.agents);
   const Rng base(spec.seed);
 
-  // Nothing in the batched runners mutates parameters — Trans-1 corruption
-  // rides per-lane weight views over one shared deployed image — so every
-  // worker lane shares a single read-only working copy of the policy.
+  // Nothing in the batched runners mutates parameters — Trans-1
+  // corruption rides per-lane weight views over one shared deployed image
+  // — so every trial reads a single working copy of the policy.
   Network shared_policy = policy.clone();
   std::optional<DeployedWeights> deployed;
   std::vector<std::size_t> base_hits;
   if (spec.trans1 != nullptr) {
     deployed.emplace(make_deployed_weights(policy, *spec.trans1));
     // Detector precomputation, once per campaign: the deployed base and
-    // its out-of-range set are fixed across all trials and lanes.
+    // its out-of-range set are fixed across all trials.
     if (spec.trans1->detector != nullptr)
       base_hits = spec.trans1->detector->base_out_of_range(
           std::span<const float>(deployed->base()));
   }
-  // One worker lane: private environments (stateful), built once and
-  // reused across the lane's whole trial range. Trial streams depend only
-  // on (seed, salt, agent, trial), so any partition of trials over lanes
-  // produces identical bits.
-  const auto run_trials = [&](std::size_t t_begin, std::size_t t_end) {
-    std::vector<std::unique_ptr<Environment>> lane_envs;
-    std::vector<Environment*> lanes;
-    lane_envs.reserve(spec.agents);
-    for (std::size_t a = 0; a < spec.agents; ++a) {
-      lane_envs.push_back(make_env(a));
-      FRLFI_CHECK_MSG(lane_envs.back() != nullptr, "make_env returned null");
-      lanes.push_back(lane_envs.back().get());
-    }
-    std::vector<Rng> rngs(spec.agents, Rng(0));
-    for (std::size_t t = t_begin; t < t_end; ++t) {
-      for (std::size_t a = 0; a < spec.agents; ++a)
-        rngs[a] = base.derive_stream({spec.rng_salt + a, t});
-      const std::vector<EpisodeStats> stats =
-          spec.trans1 != nullptr
-              ? greedy_episodes_trans1_batched(shared_policy, *deployed,
-                                               *spec.trans1, lanes, rngs,
-                                               spec.max_steps,
-                                               /*pool=*/nullptr, &base_hits)
-              : greedy_episodes_batched(shared_policy, lanes, rngs,
-                                        spec.max_steps, /*pool=*/nullptr);
-      for (std::size_t a = 0; a < spec.agents; ++a)
-        metrics[t * spec.agents + a] = metric(a, *lanes[a], stats[a]);
-    }
-  };
-
-  // Same pool policy as run_cell_campaign (serial / global / explicit,
-  // FRLFI_NUM_THREADS re-resolved per call) via the shared rule.
-  dispatch_lanes(spec.threads, spec.episodes, run_trials);
+  // Environments are stateful: one private set, built once and reset by
+  // every trial. Trial streams depend only on (seed, salt, agent, trial).
+  std::vector<std::unique_ptr<Environment>> owned_envs;
+  std::vector<Environment*> envs;
+  owned_envs.reserve(spec.agents);
+  for (std::size_t a = 0; a < spec.agents; ++a) {
+    owned_envs.push_back(make_env(a));
+    FRLFI_CHECK_MSG(owned_envs.back() != nullptr, "make_env returned null");
+    envs.push_back(owned_envs.back().get());
+  }
+  std::vector<Rng> rngs(spec.agents, Rng(0));
+  for (std::size_t t = 0; t < spec.episodes; ++t) {
+    for (std::size_t a = 0; a < spec.agents; ++a)
+      rngs[a] = base.derive_stream({spec.rng_salt + a, t});
+    const std::vector<EpisodeStats> stats =
+        spec.trans1 != nullptr
+            ? greedy_episodes_trans1_batched(shared_policy, *deployed,
+                                             *spec.trans1, envs, rngs,
+                                             spec.max_steps, &base_hits)
+            : greedy_episodes_batched(shared_policy, envs, rngs,
+                                      spec.max_steps);
+    for (std::size_t a = 0; a < spec.agents; ++a)
+      metrics[t * spec.agents + a] = metric(a, *envs[a], stats[a]);
+  }
   return metrics;
 }
 

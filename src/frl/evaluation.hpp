@@ -12,7 +12,6 @@
 #include <memory>
 #include <optional>
 
-#include "core/parallel.hpp"
 #include "fault/injector.hpp"
 #include "mitigation/range_detector.hpp"
 #include "nn/network.hpp"
@@ -43,14 +42,9 @@ EpisodeStats greedy_episode(Network& policy, Environment& env, Rng& rng,
 /// tie and hence a trajectory). Lanes drop out of the batch as their
 /// episodes terminate. Requires all environments to share one observation
 /// shape and one policy (weight faults must be injected beforehand).
-///
-/// A non-null `pool` shards each decision step's forward_batch across the
-/// pool's lanes (Network::forward_batch's sharded path — bit-identical to
-/// the unsharded call for every thread count); safe even when the caller is
-/// itself a pool worker, where the nested dispatch runs inline.
 std::vector<EpisodeStats> greedy_episodes_batched(
     Network& policy, const std::vector<Environment*>& envs,
-    std::vector<Rng>& rngs, std::size_t max_steps, ThreadPool* pool = nullptr);
+    std::vector<Rng>& rngs, std::size_t max_steps);
 
 /// Configuration for an inference fault campaign on a deployed policy.
 ///
@@ -67,13 +61,9 @@ struct InferenceFaultScenario {
   FaultSpec spec;
   /// Deployed word format for injection.
   FixedPointFormat fixed_format = FixedPointFormat::q1_7_8();
-  /// Inject through the int8-quantized view instead of fixed_format.
+  /// Inject through the int8-quantized view (quantization headroom 2,
+  /// see evaluation.cpp) instead of fixed_format.
   bool use_int8 = false;
-  /// Quantization-range headroom for the int8 view: online-fine-tuned
-  /// deployments keep a fixed scale with room for weight growth, so a
-  /// high-bit flip can reach headroom * max|w|. Headroom 2 reproduces the
-  /// paper's Fig. 4 degradation slope and Fig. 8a 3.3x mitigation factor.
-  float int8_headroom = 2.0f;
   /// When set, run range-based anomaly detection + suppression after
   /// injection (the §V-B mitigation).
   const RangeAnomalyDetector* detector = nullptr;
@@ -129,8 +119,7 @@ std::vector<EpisodeStats> greedy_episodes_trans1_batched(
     Network& policy, const DeployedWeights& deployed,
     const InferenceFaultScenario& scenario,
     const std::vector<Environment*>& envs, std::vector<Rng>& rngs,
-    std::size_t max_steps, ThreadPool* pool = nullptr,
-    const std::vector<std::size_t>* base_hits = nullptr);
+    std::size_t max_steps, const std::vector<std::size_t>* base_hits = nullptr);
 
 /// Corrupt `policy` in place per the scenario (static injection, performed
 /// before inference execution begins) and, if configured, repair it with
@@ -140,17 +129,15 @@ InjectionReport apply_static_inference_fault(Network& policy,
                                              Rng& rng);
 
 /// A campaign of batched greedy-inference trials: `episodes` independent
-/// trials, each running one greedy episode per agent with all agents'
-/// decision steps batched through a single forward per step (the lockstep
-/// lane runner), fanned across the `core/parallel` pool.
+/// trials run in order on the calling thread, each running one greedy
+/// episode per agent with all agents' decision steps batched through a
+/// single forward per step (the lockstep lane runner).
 ///
 /// Trial e / agent a consumes the stream Rng(seed).derive_stream({rng_salt
-/// + a, e}) — independent across trials, so trials are exchangeable and
-/// the campaign is embarrassingly parallel: results are bit-identical for
-/// every `threads` value (each worker lane owns a private environment set;
-/// the policy is shared read-only across lanes — Trans-1 corruption rides
-/// per-lane weight views; metrics are folded in trial order by the caller
-/// from the returned trial-major vector).
+/// + a, e}) — independent across trials, so trials are exchangeable (the
+/// policy is shared read-only — Trans-1 corruption rides per-lane weight
+/// views; metrics are folded in trial order by the caller from the
+/// returned trial-major vector).
 struct BatchedCampaignSpec {
   /// Independent trials (one batched episode over all agents each).
   std::size_t episodes = 1;
@@ -163,13 +150,6 @@ struct BatchedCampaignSpec {
   /// Salt mixed into each agent's stream tag (keeps the per-agent streams
   /// aligned with the historical serial evaluators' split tags).
   std::uint64_t rng_salt = 0xE7A1;
-  /// Campaign fan-out: 1 = serial on the calling thread; 0 = the shared
-  /// global pool (FRLFI_NUM_THREADS re-resolved per call by
-  /// dispatch_lanes); N = an explicit pool of N lanes. Any choice yields
-  /// the same bits. Nested use from a worker of the *same* pool (0 = the
-  /// shared global pool) degrades to inline; a nested explicit count
-  /// spins its own pool (see parallel.hpp).
-  std::size_t threads = 1;
   /// When set, each trial runs the batched Trans-1 lockstep runner under
   /// this scenario (per-agent random-step corruption carried by per-lane
   /// weight views over one shared deployed image — the policy is never
@@ -178,13 +158,12 @@ struct BatchedCampaignSpec {
 };
 
 /// Run the campaign. `make_env(a)` builds a fresh environment equivalent
-/// to agent a's (each worker lane materializes its own set — environments
-/// are stateful and never shared across lanes; the policy is cloned once
-/// and shared read-only by every lane, nothing mutates it).
-/// `metric(a, env, stats)` maps agent a's finished episode (the
-/// environment still holds its terminal state) to the scalar of interest.
-/// Returns episodes x agents metrics indexed [trial * agents + agent] —
-/// deterministic in (spec, policy parameters) regardless of `threads`.
+/// to agent a's (one set, built once and reused by every trial; the
+/// policy is cloned once and nothing mutates it). `metric(a, env, stats)`
+/// maps agent a's finished episode (the environment still holds its
+/// terminal state) to the scalar of interest. Returns episodes x agents
+/// metrics indexed [trial * agents + agent] — deterministic in (spec,
+/// policy parameters).
 std::vector<double> run_batched_inference_campaign(
     const Network& policy, const BatchedCampaignSpec& spec,
     const std::function<std::unique_ptr<Environment>(std::size_t)>& make_env,

@@ -159,7 +159,7 @@ double GridWorldFrlSystem::consensus_action_stddev() const {
 
 double GridWorldFrlSystem::evaluate_inference_fault(
     const InferenceFaultScenario& scenario, std::size_t attempts_per_agent,
-    std::uint64_t seed, std::size_t threads) {
+    std::uint64_t seed) {
   Network policy = consensus_network();
   Rng fault_rng = Rng(seed).split(0xFA52);
 
@@ -170,16 +170,14 @@ double GridWorldFrlSystem::evaluate_inference_fault(
   // One consensus policy serves every agent: each attempt batches all
   // agents' decision steps into a single forward per step (the all-Dense
   // gridworld policy makes the batched logits bit-identical to the serial
-  // loop), and attempts fan across worker lanes, each owning a private
-  // environment set over the shared read-only policy. Trans-1 attempts
-  // join the same batched step via per-agent weight views.
+  // loop) over the shared read-only policy. Trans-1 attempts join the
+  // same batched step via per-agent weight views.
   BatchedCampaignSpec spec;
   spec.episodes = attempts_per_agent;
   spec.agents = cfg_.n_agents;
   spec.max_steps = cfg_.learner.max_steps;
   spec.seed = seed;
   spec.rng_salt = 0xE7A1;
-  spec.threads = threads;
   if (trans1) spec.trans1 = &scenario;
   const std::vector<double> successes = run_batched_inference_campaign(
       policy, spec,

@@ -7,7 +7,7 @@
 /// smoothing-average server. Exposes the fault-injection and mitigation
 /// hooks every GridWorld experiment in the paper is built from.
 ///
-/// Training orchestration (episode loop, fault timing, the batched server
+/// Training orchestration (episode loop, fault timing, the one server
 /// round, §V-A mitigation) lives in the shared FederatedRoundEngine; this
 /// class supplies the agent-local callbacks (Q-learning episode, parameter
 /// gather/scatter, weight injection) and everything evaluation-side.
@@ -41,7 +41,7 @@ class GridWorldFrlSystem {
     /// Channel bit error rate (0 = clean links).
     double channel_ber = 0.0;
     /// Bursty/unreliable channel plane (Gilbert–Elliott states, chunk
-    /// erasure/reordering); when active it replaces channel_ber.
+    /// erasure); when active it replaces channel_ber.
     BurstyChannelConfig channel_bursty;
     /// Worker lanes for the per-agent local training episodes
     /// (FederatedRoundEngine::Config::threads): 1 = serial, 0 = auto, N =
@@ -133,15 +133,12 @@ class GridWorldFrlSystem {
   /// consensus policy (static injection; Trans-1 handled per-episode) and
   /// returns the average success rate over all agents' environments.
   ///
-  /// Runs as a batched inference campaign (each attempt batches all
-  /// agents' decision steps into one forward per step) whose attempts fan
-  /// across `threads` worker lanes with per-lane environment ownership —
-  /// 1 = serial, 0 = FRLFI_NUM_THREADS / hardware, N = exactly N. The
-  /// result is bit-identical for every `threads` value (see
+  /// Runs as a batched inference campaign: each attempt batches all
+  /// agents' decision steps into one forward per step (see
   /// run_batched_inference_campaign).
   double evaluate_inference_fault(const InferenceFaultScenario& scenario,
                                   std::size_t attempts_per_agent,
-                                  std::uint64_t seed, std::size_t threads = 1);
+                                  std::uint64_t seed);
 
   /// Capture / restore training state (keeps config, RNG stream position
   /// is re-derived from the episode counter).

@@ -31,9 +31,7 @@ RangeAnomalyDetector::RangeAnomalyDetector(Network& healthy_network,
   FRLFI_CHECK_MSG(!ranges_.empty(), "network has no parameters to calibrate");
 }
 
-template <typename Fn>
-std::size_t RangeAnomalyDetector::for_each_out_of_range(Network& net,
-                                                        Fn&& fn) const {
+std::size_t RangeAnomalyDetector::scan_and_suppress(Network& net) const {
   auto params = net.parameters();
   FRLFI_CHECK_MSG(params.size() == ranges_.size(),
                   "topology mismatch: " << params.size() << " tensors vs "
@@ -52,19 +50,11 @@ std::size_t RangeAnomalyDetector::for_each_out_of_range(Network& net,
     for (float& w : params[t]->value.data()) {
       if (w < r.lo || w > r.hi) {
         ++hits;
-        fn(w);
+        w = 0.0f;
       }
     }
   }
   return hits;
-}
-
-std::size_t RangeAnomalyDetector::scan_and_suppress(Network& net) const {
-  return for_each_out_of_range(net, [](float& w) { w = 0.0f; });
-}
-
-std::size_t RangeAnomalyDetector::scan(Network& net) const {
-  return for_each_out_of_range(net, [](float&) {});
 }
 
 std::size_t RangeAnomalyDetector::scan_and_suppress(
@@ -150,11 +140,6 @@ std::vector<std::size_t> RangeAnomalyDetector::base_out_of_range(
       if (base[i] < r.lo || base[i] > r.hi) hits.push_back(i);
   }
   return hits;
-}
-
-std::pair<float, float> RangeAnomalyDetector::bounds(std::size_t t) const {
-  FRLFI_CHECK(t < ranges_.size());
-  return {ranges_[t].lo, ranges_[t].hi};
 }
 
 }  // namespace frlfi

@@ -36,9 +36,6 @@ class RangeAnomalyDetector {
   /// network.
   std::size_t scan_and_suppress(Network& net) const;
 
-  /// Scan without repairing; returns the number of out-of-range weights.
-  std::size_t scan(Network& net) const;
-
   /// Overlay-plane scan_and_suppress: walk the *effective* weights of the
   /// fault-overlay view (base + overlay; flat layout in calibration
   /// order) and record a zero-suppression in `overlay` for every
@@ -65,17 +62,11 @@ class RangeAnomalyDetector {
   /// Number of calibrated parameter tensors.
   std::size_t tensor_count() const { return ranges_.size(); }
 
-  /// Calibrated (low, high) bound for tensor t, margin included.
-  std::pair<float, float> bounds(std::size_t t) const;
-
  private:
   struct Range {
     float lo;
     float hi;
   };
-  template <typename Fn>
-  std::size_t for_each_out_of_range(Network& net, Fn&& fn) const;
-
   std::vector<Range> ranges_;
   std::vector<std::size_t> sizes_;  // scalars per calibrated tensor
 };

@@ -62,11 +62,6 @@ void RewardDropMonitor::acknowledge() {
   flagged_.clear();
 }
 
-double RewardDropMonitor::baseline(std::size_t agent) const {
-  FRLFI_CHECK(agent < n_);
-  return baseline_[agent];
-}
-
 RewardDropMonitor::State RewardDropMonitor::state() const {
   return State{baseline_, below_count_, seen_};
 }

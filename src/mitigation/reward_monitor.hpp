@@ -60,9 +60,6 @@ class RewardDropMonitor {
   /// detected fault cannot poison the recovery state.
   bool suspicious() const;
 
-  /// Running baseline for one agent (diagnostics/tests).
-  double baseline(std::size_t agent) const;
-
   /// Complete detector state: the running baselines, consecutive-drop
   /// counters and per-agent observation counts. This is what a training
   /// snapshot must carry — restoring it makes a resumed run's detection

@@ -14,8 +14,6 @@ double FixedPointFormat::max_value() const {
 
 double FixedPointFormat::min_value() const { return -std::pow(2.0, integer_bits); }
 
-double FixedPointFormat::resolution() const { return std::pow(2.0, -fraction_bits); }
-
 std::string FixedPointFormat::name() const {
   std::ostringstream os;
   os << "Q(1," << integer_bits << "," << fraction_bits << ")";
@@ -57,10 +55,6 @@ std::uint32_t FixedPointCodec::flip_bit(std::uint32_t raw, int bit) const {
   FRLFI_CHECK_MSG(bit >= 0 && bit < format_.word_bits(),
                   "bit " << bit << " outside " << format_.name());
   return (raw ^ (1u << bit)) & mask_;
-}
-
-double FixedPointCodec::with_bit_flipped(double value, int bit) const {
-  return decode(flip_bit(encode(value), bit));
 }
 
 }  // namespace frlfi

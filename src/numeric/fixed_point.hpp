@@ -30,9 +30,6 @@ struct FixedPointFormat {
   /// Smallest (most negative) representable value: -2^i.
   double min_value() const;
 
-  /// Value of one LSB: 2^-f.
-  double resolution() const;
-
   /// "Q(1,7,8)"-style display name.
   std::string name() const;
 
@@ -57,17 +54,15 @@ class FixedPointCodec {
   /// two's-complement word, right-aligned (upper bits zero).
   std::uint32_t encode(double value) const;
 
-  /// Decode a raw word back to double. Bits above word_bits() are ignored.
+  /// The word_bits() low bits set: the mask that keeps a raw word inside
+  /// the format.
   std::uint32_t word_mask() const { return mask_; }
 
-  /// Decode a raw word back to double.
+  /// Decode a raw word back to double. Bits above word_bits() are ignored.
   double decode(std::uint32_t raw) const;
 
   /// Flip bit `bit` (0 = LSB) of the raw word; bit must be < word_bits().
   std::uint32_t flip_bit(std::uint32_t raw, int bit) const;
-
-  /// Convenience: encode, flip one bit, decode.
-  double with_bit_flipped(double value, int bit) const;
 
  private:
   FixedPointFormat format_;

@@ -15,10 +15,6 @@ QLearner::QLearner(Network& net, Options opts)
   FRLFI_CHECK(opts_.max_steps >= 1);
 }
 
-std::size_t QLearner::greedy_action(const Tensor& observation) {
-  return net_->forward(observation).argmax();
-}
-
 EpisodeStats QLearner::run_episode(Environment& env, Rng& rng, double epsilon,
                                    bool learn) {
   EpisodeStats stats;

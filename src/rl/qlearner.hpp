@@ -41,9 +41,6 @@ class QLearner {
   EpisodeStats run_episode(Environment& env, Rng& rng, double epsilon,
                            bool learn);
 
-  /// Greedy action for an observation (argmax Q).
-  std::size_t greedy_action(const Tensor& observation);
-
   /// The options in force (mutable: lr decay etc.).
   Options& options() { return opts_; }
 

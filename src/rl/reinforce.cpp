@@ -17,10 +17,6 @@ ReinforceTrainer::ReinforceTrainer(Network& net, Options opts)
   FRLFI_CHECK(opts_.baseline_beta >= 0.0f && opts_.baseline_beta < 1.0f);
 }
 
-std::size_t ReinforceTrainer::greedy_action(const Tensor& observation) {
-  return net_->forward(observation).argmax();
-}
-
 EpisodeStats ReinforceTrainer::run_episode(Environment& env, Rng& rng,
                                            bool learn) {
   EpisodeStats stats;

@@ -35,9 +35,6 @@ class ReinforceTrainer {
   /// happens.
   EpisodeStats run_episode(Environment& env, Rng& rng, bool learn);
 
-  /// Greedy action (argmax of logits).
-  std::size_t greedy_action(const Tensor& observation);
-
   /// The options in force.
   Options& options() { return opts_; }
 

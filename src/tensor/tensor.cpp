@@ -1,7 +1,6 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 
 #include "core/error.hpp"
@@ -22,16 +21,6 @@ std::size_t shape_elements(const std::vector<std::size_t>& shape) {
 
 Tensor::Tensor(std::vector<std::size_t> shape)
     : shape_(std::move(shape)), data_(shape_elements(shape_), 0.0f) {}
-
-Tensor::Tensor(std::vector<std::size_t> shape, float fill_value)
-    : shape_(std::move(shape)), data_(shape_elements(shape_), fill_value) {}
-
-Tensor Tensor::from_vector(const std::vector<float>& values) {
-  FRLFI_CHECK(!values.empty());
-  Tensor t({values.size()});
-  t.data_ = values;
-  return t;
-}
 
 Tensor Tensor::random_uniform(std::vector<std::size_t> shape, Rng& rng,
                               float lo, float hi) {
@@ -118,41 +107,9 @@ Tensor Tensor::reshaped(std::vector<std::size_t> new_shape) && {
 
 void Tensor::fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
-Tensor& Tensor::operator+=(const Tensor& rhs) {
-  FRLFI_CHECK_MSG(shape_ == rhs.shape_, "shape mismatch " << shape_string()
-                                                          << " vs "
-                                                          << rhs.shape_string());
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
-  return *this;
-}
-
-Tensor& Tensor::operator-=(const Tensor& rhs) {
-  FRLFI_CHECK_MSG(shape_ == rhs.shape_, "shape mismatch " << shape_string()
-                                                          << " vs "
-                                                          << rhs.shape_string());
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
-  return *this;
-}
-
 Tensor& Tensor::operator*=(float s) {
   for (auto& v : data_) v *= s;
   return *this;
-}
-
-void Tensor::add_scaled(const Tensor& x, float a) {
-  FRLFI_CHECK_MSG(shape_ == x.shape_, "shape mismatch " << shape_string()
-                                                        << " vs "
-                                                        << x.shape_string());
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += a * x.data_[i];
-}
-
-float Tensor::sum() const {
-  return std::accumulate(data_.begin(), data_.end(), 0.0f);
-}
-
-float Tensor::min() const {
-  FRLFI_CHECK(!empty());
-  return *std::min_element(data_.begin(), data_.end());
 }
 
 float Tensor::max() const {
@@ -175,21 +132,12 @@ std::size_t Tensor::argmax() const {
   return argmax_row(data_.data(), size());
 }
 
-float Tensor::mean() const {
-  if (empty()) return 0.0f;
-  return sum() / static_cast<float>(size());
-}
-
 std::string Tensor::shape_string() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < shape_.size(); ++i)
     os << (i ? "x" : "") << shape_[i];
   if (shape_.empty()) os << "scalar";
   return os.str();
-}
-
-bool Tensor::equals(const Tensor& other) const {
-  return shape_ == other.shape_ && data_ == other.data_;
 }
 
 }  // namespace frlfi

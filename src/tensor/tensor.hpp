@@ -22,12 +22,6 @@ class Tensor {
   /// Zero-initialized tensor of the given shape. Every dim must be > 0.
   explicit Tensor(std::vector<std::size_t> shape);
 
-  /// Tensor of the given shape filled with `fill`.
-  Tensor(std::vector<std::size_t> shape, float fill);
-
-  /// 1-D tensor from values.
-  static Tensor from_vector(const std::vector<float>& values);
-
   /// Tensor of given shape with elements drawn uniformly from [lo, hi).
   static Tensor random_uniform(std::vector<std::size_t> shape, Rng& rng,
                                float lo, float hi);
@@ -81,25 +75,12 @@ class Tensor {
   /// Fill every element with v.
   void fill(float v);
 
-  /// In-place elementwise operations (shapes must match exactly).
-  Tensor& operator+=(const Tensor& rhs);
-  Tensor& operator-=(const Tensor& rhs);
+  /// In-place scalar product.
   Tensor& operator*=(float s);
 
-  /// Elementwise sum / difference / scalar product.
-  friend Tensor operator+(Tensor lhs, const Tensor& rhs) { return lhs += rhs; }
-  friend Tensor operator-(Tensor lhs, const Tensor& rhs) { return lhs -= rhs; }
+  /// Scalar product.
   friend Tensor operator*(Tensor lhs, float s) { return lhs *= s; }
   friend Tensor operator*(float s, Tensor rhs) { return rhs *= s; }
-
-  /// axpy: *this += a * x (shapes must match). Avoids a temporary.
-  void add_scaled(const Tensor& x, float a);
-
-  /// Sum of elements.
-  float sum() const;
-
-  /// Smallest element; requires non-empty.
-  float min() const;
 
   /// Largest element; requires non-empty.
   float max() const;
@@ -108,14 +89,8 @@ class Tensor {
   /// index. Exactly argmax_row over the flat data — see its NaN contract.
   std::size_t argmax() const;
 
-  /// Mean of elements; 0 for empty.
-  float mean() const;
-
   /// "3x18x32"-style shape string for diagnostics.
   std::string shape_string() const;
-
-  /// Exact equality of shape and all elements.
-  bool equals(const Tensor& other) const;
 
  private:
   std::vector<std::size_t> shape_;

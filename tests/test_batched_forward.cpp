@@ -25,6 +25,7 @@
 #include "nn/dense.hpp"
 #include "nn/flatten.hpp"
 #include "nn/network.hpp"
+#include "test_util.hpp"
 
 namespace frlfi {
 namespace {
@@ -156,7 +157,7 @@ TEST(BatchedForward, DefaultFallbackLoopsPerSample) {
 /// A parameterized layer without an infer override: forward() only.
 class ScaleLayer final : public Layer {
  public:
-  ScaleLayer() : scale_("scale", Tensor({1}, 2.0f)) {}
+  ScaleLayer() : scale_("scale", testing::filled({1}, 2.0f)) {}
   Tensor forward(const Tensor& input) override {
     return input * scale_.value[0];
   }
@@ -259,13 +260,13 @@ TEST(BatchedForward, DoesNotDisturbTrainingCaches) {
   const Tensor out = a.forward(x);
   b.forward(x);
   a.forward_batch(random_batch({3, 18, 32}, 4, 101), 4);  // must be inert
-  const Tensor g(out.shape(), 1.0f);
+  const Tensor g = testing::filled(out.shape(), 1.0f);
   const Tensor ga = a.backward(g);
   const Tensor gb = b.backward(g);
-  EXPECT_TRUE(ga.equals(gb));
+  EXPECT_EQ(ga.data(), gb.data());
   const auto pa = a.parameters(), pb = b.parameters();
   for (std::size_t t = 0; t < pa.size(); ++t)
-    EXPECT_TRUE(pa[t]->grad.equals(pb[t]->grad)) << "tensor " << t;
+    EXPECT_EQ(pa[t]->grad.data(), pb[t]->grad.data()) << "tensor " << t;
 }
 
 TEST(BatchedForward, Validation) {

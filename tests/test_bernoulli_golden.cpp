@@ -78,15 +78,15 @@ void add_counters(Digest& d, const CommChannel& ch) {
   d.u64(ch.bits_corrupted());
   d.u64(ch.retransmit_bytes());
   d.u64(ch.chunks_erased());
-  d.u64(ch.messages_reordered());
 }
 
 constexpr std::size_t kRows = 5;
 constexpr std::size_t kDim = 37;
 
 TEST(BernoulliGolden, BurstyRows) {
-  // The Gilbert–Elliott plane: good/bad state BERs, erasures, reordering,
-  // and the BER 0 (good) / BER 1 (bad) no-draw thresholds.
+  // The Gilbert–Elliott plane: good/bad state BERs, erasures, and the
+  // BER 0 (good) / BER 1 (bad) no-draw thresholds. Recorded on the last
+  // code with chunk reordering, with reordering off.
   Digest d;
   BurstyChannelConfig noisy;
   noisy.active = true;
@@ -95,7 +95,6 @@ TEST(BernoulliGolden, BurstyRows) {
   noisy.p_good_to_bad = 0.2;
   noisy.p_bad_to_good = 0.4;
   noisy.erasure_rate = 0.05;
-  noisy.reorder_rate = 0.3;
   noisy.chunk_elems = 8;
   BurstyChannelConfig extremes = noisy;
   extremes.ber_good = 0.0;
@@ -111,7 +110,7 @@ TEST(BernoulliGolden, BurstyRows) {
     add_counters(d, ch);
     d.u64(rng.next_u64());
   }
-  EXPECT_EQ(d.value(), 0x50B0256E8B2EE0B1ULL);
+  EXPECT_EQ(d.value(), 0xE93A1EAE4D5C42BAULL);
 }
 
 TEST(BernoulliGolden, StickBitsBer) {

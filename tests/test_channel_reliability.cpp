@@ -1,13 +1,13 @@
 /// \file test_channel_reliability.cpp
 /// The correlated-fault & unreliable-transport plane:
 ///  * a *degenerate* Gilbert–Elliott config (equal-state BERs, no
-///    erasure/reordering) is locked bit-identical to the i.i.d. channel —
+///    erasure) is locked bit-identical to the i.i.d. channel —
 ///    delivered bits, cost counters and RNG stream position — at the
 ///    channel level and through full engine training on both paper
 ///    systems across thread counts {1, 2, 7};
 ///  * the non-degenerate burst plane never advances the caller's RNG,
-///    replays deterministically from (stream, seq), erases and reorders
-///    chunks as configured, matches the Gilbert–Elliott chain's
+///    replays deterministically from (stream, seq), erases chunks as
+///    configured, matches the Gilbert–Elliott chain's
 ///    stationary bad fraction and geometric run lengths, and degraded
 ///    training under it is thread-count invariant;
 ///  * transmit_reliable: a disabled or zero-retry protocol is
@@ -26,7 +26,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -53,7 +52,7 @@ BurstyChannelConfig degenerate_ge(double ber) {
   BurstyChannelConfig cfg;
   cfg.active = true;
   cfg.ber_good = ber;
-  cfg.ber_bad = ber;  // equal states, no erasure/reorder: degenerate
+  cfg.ber_bad = ber;  // equal states, no erasure: degenerate
   return cfg;
 }
 
@@ -78,7 +77,7 @@ TEST(BurstyChannel, ValidatesConfig) {
 }
 
 TEST(BurstyChannel, DegenerateConfigIsBitIdenticalToIid) {
-  // The acceptance lock: equal-state GE with no erasure/reordering must
+  // The acceptance lock: equal-state GE with no erasure must
   // not change a single delivered bit, counter, or RNG draw vs the
   // i.i.d. channel at the same BER — the delegation is structural.
   const double kBer = 0.01;
@@ -106,7 +105,6 @@ TEST(BurstyChannel, DegenerateConfigIsBitIdenticalToIid) {
     EXPECT_EQ(iid.bits_corrupted(), ge.bits_corrupted());
     EXPECT_EQ(iid.transmit_seq(), ge.transmit_seq());
     EXPECT_EQ(ge.chunks_erased(), 0u);
-    EXPECT_EQ(ge.messages_reordered(), 0u);
     // RNG stream position: the delegated path consumed identical draws.
     EXPECT_EQ(rng_iid.next_u64(), rng_ge.next_u64());
   }
@@ -126,7 +124,6 @@ TEST(BurstyChannel, NonDegeneratePathNeverAdvancesCallerRng) {
   cfg.ber_good = 1e-3;
   cfg.ber_bad = 0.2;
   cfg.erasure_rate = 0.1;
-  cfg.reorder_rate = 0.3;
   cfg.chunk_elems = 8;
   CommChannel ch;
   ch.set_bursty(cfg);
@@ -177,35 +174,6 @@ TEST(BurstyChannel, ErasureZeroFillsLostChunks) {
   for (float v : row) EXPECT_EQ(v, 0.0f);
   EXPECT_EQ(ch.chunks_erased(), 8u);
   EXPECT_EQ(ch.bits_corrupted(), 0u);  // lost chunks draw no flip noise
-}
-
-TEST(BurstyChannel, ReorderPermutesChunks) {
-  BurstyChannelConfig cfg;
-  cfg.active = true;
-  cfg.reorder_rate = 1.0;
-  cfg.chunk_elems = 8;
-  CommChannel ch;
-  ch.set_bursty(cfg);
-  std::vector<float> row(64);
-  for (std::size_t i = 0; i < row.size(); ++i)
-    row[i] = static_cast<float>(i);
-  const auto orig = row;
-  Rng rng(12);
-  ch.transmit_rows(row.data(), 1, 64, rng);
-  EXPECT_EQ(ch.messages_reordered(), 1u);
-  EXPECT_NE(row, orig);
-  // No noise/erasure: the delivered elements are a chunk permutation.
-  auto sorted = row, sorted_orig = orig;
-  std::sort(sorted.begin(), sorted.end());
-  std::sort(sorted_orig.begin(), sorted_orig.end());
-  EXPECT_EQ(sorted, sorted_orig);
-  for (std::size_t k = 0; k < 8; ++k) {
-    // Each aligned 8-run is one original chunk, contiguous and in order.
-    const float base = row[k * 8];
-    EXPECT_EQ(std::fmod(base, 8.0f), 0.0f);
-    for (std::size_t d = 1; d < 8; ++d)
-      EXPECT_EQ(row[k * 8 + d], base + static_cast<float>(d));
-  }
 }
 
 // Gilbert–Elliott statistics: with a clean good state, an all-flipping
@@ -445,14 +413,13 @@ BurstyChannelConfig stormy_channel() {
   cfg.p_good_to_bad = 0.2;
   cfg.p_bad_to_good = 0.5;  // mean burst length 2 chunks
   cfg.erasure_rate = 0.05;
-  cfg.reorder_rate = 0.1;
   cfg.chunk_elems = 16;
   return cfg;
 }
 
 TEST(ChannelEngine, BurstyTrainingIsThreadCountInvariant) {
   std::vector<std::vector<float>> serial;
-  std::size_t serial_erased = 0, serial_reordered = 0, serial_corrupted = 0;
+  std::size_t serial_erased = 0, serial_corrupted = 0;
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
     GridWorldFrlSystem::Config cfg = grid_config(4, threads);
@@ -465,7 +432,6 @@ TEST(ChannelEngine, BurstyTrainingIsThreadCountInvariant) {
     if (threads == 1) {
       serial = params;
       serial_erased = ch->chunks_erased();
-      serial_reordered = ch->messages_reordered();
       serial_corrupted = ch->bits_corrupted();
       // The storm actually hit something at this seed.
       EXPECT_GT(serial_erased, 0u);
@@ -473,7 +439,6 @@ TEST(ChannelEngine, BurstyTrainingIsThreadCountInvariant) {
     } else {
       EXPECT_EQ(params, serial) << threads << " threads";
       EXPECT_EQ(ch->chunks_erased(), serial_erased);
-      EXPECT_EQ(ch->messages_reordered(), serial_reordered);
       EXPECT_EQ(ch->bits_corrupted(), serial_corrupted);
     }
   }

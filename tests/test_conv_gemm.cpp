@@ -6,6 +6,7 @@
 
 #include "nn/conv2d.hpp"
 #include "nn/im2col.hpp"
+#include "test_util.hpp"
 
 namespace frlfi {
 namespace {
@@ -82,7 +83,7 @@ TEST(ConvGemm, BackwardMatchesNaiveWithinTolerance) {
     Rng rng_a(200 + c.k), rng_b(200 + c.k);
     Conv2D fast(c.in_c, c.out_c, c.k, c.stride, c.pad, rng_a, "fast");
     Conv2D naive(c.in_c, c.out_c, c.k, c.stride, c.pad, rng_b, "naive");
-    ASSERT_TRUE(fast.weight().value.equals(naive.weight().value));
+    ASSERT_EQ(fast.weight().value.data(), naive.weight().value.data());
     const Tensor x = random_input(c, 77 + c.w);
     const Tensor g = random_grad(fast, c, 99 + c.k);
     fast.forward(x);
@@ -159,7 +160,7 @@ TEST(Im2Col, RoundTripAdjoint) {
 
 TEST(Im2Col, PaddingColumnsAreZero) {
   const ConvShape s{1, 3, 3, 3, 1, 1};
-  Tensor x({1, 3, 3}, 1.0f);
+  Tensor x = testing::filled({1, 3, 3}, 1.0f);
   std::vector<float> cols(s.rows() * s.cols());
   im2col(x.data().data(), s, cols.data());
   // Top-left output taps the (-1,-1) corner through kernel tap (0,0):

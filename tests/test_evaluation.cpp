@@ -24,7 +24,7 @@ Network always_right() {
   Network net;
   auto d = std::make_unique<Dense>(1, 2, rng);
   d->weight().value.fill(0.0f);
-  d->bias().value = Tensor::from_vector({0.0f, 1.0f});
+  d->bias().value = testing::tensor_of({0.0f, 1.0f});
   net.add(std::move(d));
   return net;
 }
@@ -91,7 +91,7 @@ TEST(StaticFault, CorruptsAndOptionallyRepairs) {
   scenario.detector = &detector;
   Rng rng2(5);
   apply_static_inference_fault(repaired, scenario, rng2);
-  EXPECT_EQ(detector.scan(repaired), 0u);
+  EXPECT_TRUE(detector.base_out_of_range(repaired.flat_parameters()).empty());
 }
 
 TEST(StaticFault, DefaultDeploymentIsFixedPoint16) {
@@ -127,7 +127,7 @@ TEST(ArgmaxRow, MatchesTensorArgmaxOnNaNAndInf) {
       {nan, nan, nan},   {-inf, -5.0f, -inf}, {inf, 3.0f, inf},
       {3.0f, 3.0f, 1.0f}, {-inf, nan, 2.0f}};
   for (const auto& row : rows) {
-    const Tensor t = Tensor::from_vector(row);
+    const Tensor t = testing::tensor_of(row);
     EXPECT_EQ(argmax_row(row.data(), row.size()), t.argmax())
         << "row starting " << row[0];
   }
@@ -144,9 +144,9 @@ TEST(GreedyBatched, NaNLogitsMatchSerialEpisode) {
   auto d = std::make_unique<Dense>(1, 4, rng);
   // Logits per step: [NaN, +Inf, finite, NaN-ish mix] via weight times a
   // positive observation plus bias.
-  d->weight().value = Tensor::from_vector({std::nanf(""), 0.0f, 1.0f, 0.0f});
+  d->weight().value = testing::tensor_of({std::nanf(""), 0.0f, 1.0f, 0.0f});
   d->weight().value = d->weight().value.reshaped({4, 1});
-  d->bias().value = Tensor::from_vector(
+  d->bias().value = testing::tensor_of(
       {0.0f, std::numeric_limits<float>::infinity(), 0.5f,
        -std::numeric_limits<float>::infinity()});
   net.add(std::move(d));
@@ -176,59 +176,64 @@ TEST(GreedyBatched, NaNLogitsMatchSerialEpisode) {
   }
 }
 
-TEST(BatchedCampaign, BitIdenticalAcrossThreadCounts) {
+TEST(BatchedCampaign, TrialsMatchSerialEpisodesOnDerivedStreams) {
   // High slip probability makes every trajectory depend heavily on its
-  // (agent, trial) RNG stream, so any mispartitioned stream would show.
+  // (agent, trial) RNG stream, so any misassigned stream would show.
   Rng init(30);
   Network policy = make_gridworld_policy(init);
   const std::vector<GridLayout> suite = GridLayout::paper_suite();
   GridWorldEnv::Options opts;
   opts.slip_probability = 0.35;
-  const auto run = [&](std::size_t threads) {
-    BatchedCampaignSpec spec;
-    spec.episodes = 9;
-    spec.agents = 5;
-    spec.max_steps = 30;
-    spec.seed = 77;
-    spec.threads = threads;
-    return run_batched_inference_campaign(
-        policy, spec,
-        [&](std::size_t a) {
-          return std::make_unique<GridWorldEnv>(suite[a % suite.size()], opts);
-        },
-        [](std::size_t, const Environment&, const EpisodeStats& stats) {
-          return static_cast<double>(stats.total_reward) +
-                 static_cast<double>(stats.steps);
-        });
+  const auto metric = [](const EpisodeStats& stats) {
+    return static_cast<double>(stats.total_reward) +
+           static_cast<double>(stats.steps);
   };
-  const std::vector<double> serial = run(1);
-  ASSERT_EQ(serial.size(), 9u * 5u);
+  BatchedCampaignSpec spec;
+  spec.episodes = 9;
+  spec.agents = 5;
+  spec.max_steps = 30;
+  spec.seed = 77;
+  const std::vector<double> campaign = run_batched_inference_campaign(
+      policy, spec,
+      [&](std::size_t a) {
+        return std::make_unique<GridWorldEnv>(suite[a % suite.size()], opts);
+      },
+      [&](std::size_t, const Environment&, const EpisodeStats& stats) {
+        return metric(stats);
+      });
+  ASSERT_EQ(campaign.size(), 9u * 5u);
   // The streams actually bite: not all lane-trials coincide.
   bool varied = false;
-  for (const double m : serial) varied = varied || m != serial[0];
+  for (const double m : campaign) varied = varied || m != campaign[0];
   EXPECT_TRUE(varied);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
-    const std::vector<double> parallel = run(threads);
-    EXPECT_EQ(parallel, serial) << "threads " << threads;
+  // Trial t / agent a is one serial greedy episode on the derived stream
+  // Rng(seed).derive_stream({rng_salt + a, t}).
+  for (std::size_t a = 0; a < spec.agents; ++a) {
+    GridWorldEnv env(suite[a % suite.size()], opts);
+    for (std::size_t t = 0; t < spec.episodes; ++t) {
+      Rng rng = Rng(spec.seed).derive_stream({spec.rng_salt + a, t});
+      EXPECT_EQ(campaign[t * spec.agents + a],
+                metric(greedy_episode(policy, env, rng, spec.max_steps)))
+          << "trial " << t << " agent " << a;
+    }
   }
 }
 
-TEST(BatchedCampaign, Trans1LanesUsePrivateClones) {
-  // Trans-1 corrupts a lane's policy mid-trial; the campaign must heal
-  // and isolate that per lane: the caller's policy is untouched and the
-  // metrics are thread-count independent.
+TEST(BatchedCampaign, Trans1LeavesPolicyUntouched) {
+  // Trans-1 corrupts a lane's weights for one read mid-trial; the
+  // campaign must isolate that per lane: the caller's policy is untouched
+  // and a rerun reproduces every metric.
   Network policy = always_right();  // 1-feature input, matching ChainEnv
   const std::vector<float> before = policy.flat_parameters();
   InferenceFaultScenario scenario;
   scenario.spec.model = FaultModel::TransientSingleStep;
   scenario.spec.ber = 0.2;
-  const auto run = [&](std::size_t threads) {
+  const auto run = [&] {
     BatchedCampaignSpec spec;
     spec.episodes = 6;
     spec.agents = 3;
     spec.max_steps = 25;
     spec.seed = 91;
-    spec.threads = threads;
     spec.trans1 = &scenario;
     return run_batched_inference_campaign(
         policy, spec,
@@ -237,9 +242,8 @@ TEST(BatchedCampaign, Trans1LanesUsePrivateClones) {
           return static_cast<double>(stats.steps);
         });
   };
-  const std::vector<double> serial = run(1);
-  const std::vector<double> parallel = run(4);
-  EXPECT_EQ(serial, parallel);
+  const std::vector<double> first = run();
+  EXPECT_EQ(run(), first);
   EXPECT_EQ(policy.flat_parameters(), before);
 }
 
@@ -256,7 +260,7 @@ TEST(StaticFault, FixedPointFlipsCreateOutOfRangeOutliers) {
   Network corrupted = net.clone();
   Rng rng(11);
   apply_static_inference_fault(corrupted, scenario, rng);
-  EXPECT_GT(detector.scan(corrupted), 0u);
+  EXPECT_FALSE(detector.base_out_of_range(corrupted.flat_parameters()).empty());
 }
 
 }  // namespace

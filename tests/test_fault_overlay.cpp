@@ -190,8 +190,6 @@ TEST(WeightView, SpanResolvesBaseAndPatchedRanges) {
   EXPECT_EQ(p[0], 1.f);
   EXPECT_EQ(p[1], -2.f);
   EXPECT_EQ(p[4], -5.f);
-  EXPECT_EQ(view.at(2), -2.f);
-  EXPECT_EQ(view.at(3), 3.f);
 }
 
 /// One sample through `view`: a width-1 batched forward.
@@ -345,8 +343,8 @@ TEST(WeightOverlay, DetectorSuppressionMatchesInPlaceScan) {
 TEST(BatchedTrans1, MatchesSerialCloneAndMutatePath) {
   // The acceptance lock: greedy_episodes_trans1_batched over per-lane
   // weight views reproduces the serial clone + WeightRestoreGuard loop
-  // bit-for-bit — same stats, same env end-states — for every sharding
-  // thread count, without ever touching the shared policy.
+  // bit-for-bit — same stats, same env end-states — without ever
+  // touching the shared policy.
   Rng init(71);
   Network policy = make_gridworld_policy(init);
   const std::vector<float> clean = policy.flat_parameters();
@@ -376,32 +374,25 @@ TEST(BatchedTrans1, MatchesSerialCloneAndMutatePath) {
           greedy_episode_trans1(lane_policy, env, rng, max_steps, scenario));
     }
 
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{7}}) {
-      ThreadPool pool(threads);
-      std::vector<std::unique_ptr<GridWorldEnv>> envs;
-      std::vector<Environment*> ptrs;
-      std::vector<Rng> rngs;
-      for (std::size_t i = 0; i < lanes; ++i) {
-        envs.push_back(
-            std::make_unique<GridWorldEnv>(suite[i % suite.size()], opts));
-        ptrs.push_back(envs.back().get());
-        rngs.push_back(lane_rng(i));
-      }
-      const std::vector<EpisodeStats> batched = greedy_episodes_trans1_batched(
-          policy, deployed, scenario, ptrs, rngs, max_steps, &pool);
-      ASSERT_EQ(batched.size(), serial.size());
-      for (std::size_t i = 0; i < lanes; ++i) {
-        EXPECT_EQ(batched[i].steps, serial[i].steps)
-            << "detector " << with_detector << " threads " << threads
-            << " lane " << i;
-        EXPECT_EQ(batched[i].success, serial[i].success)
-            << "detector " << with_detector << " threads " << threads
-            << " lane " << i;
-        EXPECT_EQ(batched[i].total_reward, serial[i].total_reward)
-            << "detector " << with_detector << " threads " << threads
-            << " lane " << i;
-      }
+    std::vector<std::unique_ptr<GridWorldEnv>> envs;
+    std::vector<Environment*> ptrs;
+    std::vector<Rng> rngs;
+    for (std::size_t i = 0; i < lanes; ++i) {
+      envs.push_back(
+          std::make_unique<GridWorldEnv>(suite[i % suite.size()], opts));
+      ptrs.push_back(envs.back().get());
+      rngs.push_back(lane_rng(i));
+    }
+    const std::vector<EpisodeStats> batched = greedy_episodes_trans1_batched(
+        policy, deployed, scenario, ptrs, rngs, max_steps);
+    ASSERT_EQ(batched.size(), serial.size());
+    for (std::size_t i = 0; i < lanes; ++i) {
+      EXPECT_EQ(batched[i].steps, serial[i].steps)
+          << "detector " << with_detector << " lane " << i;
+      EXPECT_EQ(batched[i].success, serial[i].success)
+          << "detector " << with_detector << " lane " << i;
+      EXPECT_EQ(batched[i].total_reward, serial[i].total_reward)
+          << "detector " << with_detector << " lane " << i;
     }
   }
   EXPECT_EQ(policy.flat_parameters(), clean);
@@ -601,17 +592,13 @@ TEST(BatchedTrans1, CampaignMatchesOldSerialTrans1Reference) {
     }
   }
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{7}}) {
-    spec.threads = threads;
-    const std::vector<double> got = run_batched_inference_campaign(
-        policy, spec,
-        [&](std::size_t a) {
-          return std::make_unique<GridWorldEnv>(suite[a % suite.size()], opts);
-        },
-        metric);
-    EXPECT_EQ(got, want) << "threads " << threads;
-  }
+  const std::vector<double> got = run_batched_inference_campaign(
+      policy, spec,
+      [&](std::size_t a) {
+        return std::make_unique<GridWorldEnv>(suite[a % suite.size()], opts);
+      },
+      metric);
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

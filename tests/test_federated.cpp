@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <span>
 #include <vector>
 
@@ -11,9 +12,12 @@
 #include "federated/channel.hpp"
 #include "federated/server.hpp"
 #include "numeric/quantize.hpp"
+#include "test_util.hpp"
 
 namespace frlfi {
 namespace {
+
+using testing::full_round;
 
 TEST(AlphaSchedule, StartsAtAlpha0AndApproachesLimit) {
   AlphaSchedule s(4, 0.6, 50.0);
@@ -107,10 +111,25 @@ TEST(CommChannel, NoisyChannelCorrupts) {
   EXPECT_GT(changed, 0u);
 }
 
-/// Statistical coverage of the i.i.d. channel: over a fixed matrix the
-/// flip count of transmit_rows is Binomial(8 * rows * dim, BER), and the
-/// flips spread uniformly over the 8 bit positions of a wire word.
-class ChannelBerProperty : public ::testing::TestWithParam<double> {};
+/// Statistical coverage of the channel's flip and erasure planes: over a
+/// fixed matrix the flip count of transmit_rows is Binomial(8 * rows *
+/// dim, BER), and the flips spread uniformly over the 8 bit positions of
+/// a wire word — on the i.i.d. plane and on the burst plane pinned to an
+/// all-bad Gilbert–Elliott chain (its flips come from the per-message
+/// noise stream at ber_bad). The burst plane's erasure cases (BER 0)
+/// check the erased-chunk count against Binomial(rows * chunks, rate).
+struct ChannelCase {
+  double ber = 0.0;
+  bool burst_plane = false;
+  double erasure_rate = 0.0;
+};
+
+std::ostream& operator<<(std::ostream& os, const ChannelCase& c) {
+  return os << (c.burst_plane ? "burst" : "iid") << " ber " << c.ber
+            << " erasure " << c.erasure_rate;
+}
+
+class ChannelBerProperty : public ::testing::TestWithParam<ChannelCase> {};
 
 // The wire word a delivered value decodes to under the row's codec. Plain
 // rounding rather than Int8Quantizer::quantize, whose clamp to +-127
@@ -120,25 +139,46 @@ std::uint8_t wire_word(float v, const Int8Quantizer& q) {
       static_cast<std::int8_t>(std::lround(v / q.scale())));
 }
 
+// |x - n p| within 4 sigma of Binomial(n, p).
+void expect_binomial(std::size_t x, double n, double p) {
+  const double mean = n * p;
+  const double sigma = std::sqrt(mean * (1.0 - p));
+  EXPECT_LE(std::abs(static_cast<double>(x) - mean), 4.0 * sigma)
+      << x << " hits of " << n << " trials at p " << p;
+}
+
 TEST_P(ChannelBerProperty, TransmitRowsFlipsAreBinomialAndUniformOverBits) {
-  const double ber = GetParam();
+  const ChannelCase c = GetParam();
   constexpr std::size_t kRows = 64;
   constexpr std::size_t kDim = 1000;
   std::vector<float> sent(kRows * kDim);
   Rng wrng(41);
   for (float& v : sent) v = static_cast<float>(wrng.uniform(-1.0, 1.0));
   std::vector<float> received = sent;
-  CommChannel ch(ber);
+  CommChannel ch(c.burst_plane ? 0.0 : c.ber);
+  BurstyChannelConfig burst;
+  if (c.burst_plane) {
+    burst.active = true;
+    burst.ber_good = 0.0;
+    burst.ber_bad = c.ber;
+    burst.p_good_to_bad = 1.0;  // starts bad and never leaves
+    burst.p_bad_to_good = 0.0;
+    burst.erasure_rate = c.erasure_rate;
+    ch.set_bursty(burst);
+  }
   Rng rng(42);
   ch.transmit_rows(received.data(), kRows, kDim, rng);
 
-  // 4 sigma of Binomial(n, ber).
-  const double n = 8.0 * kRows * kDim;
-  const double mean = n * ber;
-  const double sigma = std::sqrt(mean * (1.0 - ber));
-  EXPECT_LE(std::abs(static_cast<double>(ch.bits_corrupted()) - mean),
-            4.0 * sigma)
-      << ch.bits_corrupted() << " flips of " << n << " bits at ber " << ber;
+  if (c.erasure_rate > 0.0) {
+    const std::size_t chunks =
+        kRows * ((kDim + burst.chunk_elems - 1) / burst.chunk_elems);
+    expect_binomial(ch.chunks_erased(), static_cast<double>(chunks),
+                    c.erasure_rate);
+    EXPECT_EQ(ch.bits_corrupted(), 0u);
+    return;
+  }
+
+  expect_binomial(ch.bits_corrupted(), 8.0 * kRows * kDim, c.ber);
 
   // Per-bit-position hit counts from the recovered flip masks.
   std::vector<double> per_bit(8, 0.0);
@@ -161,11 +201,19 @@ TEST_P(ChannelBerProperty, TransmitRowsFlipsAreBinomialAndUniformOverBits) {
   for (const double o : per_bit)
     chi2 += (o - expected) * (o - expected) / expected;
   // Upper 1e-4 quantile of chi-square at 7 degrees of freedom.
-  EXPECT_LT(chi2, 29.88) << "ber " << ber;
+  EXPECT_LT(chi2, 29.88) << c;
 }
 
-INSTANTIATE_TEST_SUITE_P(Bers, ChannelBerProperty,
-                         ::testing::Values(1e-3, 1e-2, 0.1));
+INSTANTIATE_TEST_SUITE_P(
+    Bers, ChannelBerProperty,
+    ::testing::Values(ChannelCase{1e-3, false, 0.0},
+                      ChannelCase{1e-2, false, 0.0},
+                      ChannelCase{0.1, false, 0.0},
+                      ChannelCase{1e-3, true, 0.0},
+                      ChannelCase{1e-2, true, 0.0},
+                      ChannelCase{0.1, true, 0.0},
+                      ChannelCase{0.0, true, 0.05},
+                      ChannelCase{0.0, true, 0.2}));
 
 TEST(CommChannel, BerValidation) {
   CommChannel ch(0.0);
@@ -220,8 +268,8 @@ TEST(CommChannel, TransmitRowsMatchesScalarOnEdgeShapes) {
 }
 
 TEST(CommChannel, CleanTransmitRowsIsLosslessAndDrawsNothing) {
-  // BER=0 fast path: quantize/dequantize only, no Bernoulli draws — the
-  // RNG must come back at the same position an untouched twin holds.
+  // BER=0: the payload arrives untouched and nothing is drawn — the RNG
+  // must come back at the same position an untouched twin holds.
   CommChannel ch(0.0);
   Rng rng(23);
   Rng untouched(23);
@@ -239,7 +287,7 @@ TEST(ParameterServer, RoundTripAggregates) {
   ParameterServer server(3, 2, AlphaSchedule(3, 0.5));
   Rng rng(5);
   std::vector<float> rows{1.0f, 0.0f, 2.0f, 0.0f, 3.0f, 0.0f};
-  server.communicate_rows(rows, rng);
+  full_round(server, rows, rng);
   EXPECT_FLOAT_EQ(rows[0], 0.5f * 1 + 0.25f * (2 + 3));
   EXPECT_EQ(server.round(), 1u);
   EXPECT_EQ(server.channel().messages_sent(), 6u);  // 3 up + 3 down
@@ -255,7 +303,7 @@ TEST(ParameterServer, HookCanMutateAggregates) {
       });
   Rng rng(6);
   std::vector<float> rows{1.0f, 2.0f};
-  server.communicate_rows(rows, rng);
+  full_round(server, rows, rng);
   EXPECT_FLOAT_EQ(rows[0], 42.0f);
   EXPECT_FLOAT_EQ(rows[1], 42.0f);
 }
@@ -265,8 +313,8 @@ TEST(ParameterServer, ValidatesUploads) {
   Rng rng(7);
   std::vector<float> one_agent{1.0f, 2.0f};        // 1 upload for 2 agents
   std::vector<float> short_rows{1.0f, 1.0f, 1.0f};  // a row cut short
-  EXPECT_THROW(server.communicate_rows(one_agent, rng), Error);
-  EXPECT_THROW(server.communicate_rows(short_rows, rng), Error);
+  EXPECT_THROW(full_round(server, one_agent, rng), Error);
+  EXPECT_THROW(full_round(server, short_rows, rng), Error);
 }
 
 TEST(ParameterServer, SetRoundAffectsSchedule) {
@@ -276,7 +324,7 @@ TEST(ParameterServer, SetRoundAffectsSchedule) {
   // At round 1000 alpha ~= 0.5 (the consensus limit for n=2): outputs are
   // near the plain mean.
   std::vector<float> rows{0.0f, 10.0f};
-  server.communicate_rows(rows, rng);
+  full_round(server, rows, rng);
   EXPECT_NEAR(rows[0], 5.0f, 0.1f);
 }
 

@@ -233,18 +233,6 @@ TEST(DroneFrl, InferenceFaultDegradesWithBer) {
   EXPECT_LT(d_heavy, d_clean);
 }
 
-TEST(DroneFrl, InferenceFaultEvalIsThreadCountInvariant) {
-  // Same bit-invariance as the gridworld system, on the conv policy: the
-  // shard planner keeps sub-batch kernel selection fixed and trials fan
-  // across lanes with private envs, so threads cannot move the metric.
-  DroneFrlSystem sys(test_config(), kSeed);
-  InferenceFaultScenario fault;
-  fault.spec.model = FaultModel::TransientPersistent;
-  fault.spec.ber = 0.05;
-  const double serial = sys.evaluate_inference_fault(fault, 4, 5, 1);
-  EXPECT_EQ(sys.evaluate_inference_fault(fault, 4, 5, 3), serial);
-}
-
 TEST(DroneFrl, RangeDetectionRepairsFaultedPolicy) {
   DroneFrlSystem sys(test_config(), kSeed);
   sys.train(10);

@@ -176,23 +176,6 @@ TEST(GridWorldFrl, Trans1IsMilderThanTransM) {
   EXPECT_GT(sr_t1, 0.85);  // single-read faults barely matter (Fig. 4)
 }
 
-TEST(GridWorldFrl, InferenceFaultEvalIsThreadCountInvariant) {
-  // The campaign fan-out must not change the metric by a single bit —
-  // per-lane env ownership plus per-(agent, trial) streams make the
-  // partition of trials over worker lanes invisible.
-  GridWorldFrlSystem sys(test_config(), 17);
-  InferenceFaultScenario fault;
-  fault.spec.model = FaultModel::TransientPersistent;
-  fault.spec.ber = 0.02;
-  const double serial = sys.evaluate_inference_fault(fault, 6, 7, 1);
-  EXPECT_EQ(sys.evaluate_inference_fault(fault, 6, 7, 3), serial);
-  InferenceFaultScenario t1;
-  t1.spec.model = FaultModel::TransientSingleStep;
-  t1.spec.ber = 0.02;
-  const double t1_serial = sys.evaluate_inference_fault(t1, 6, 7, 1);
-  EXPECT_EQ(sys.evaluate_inference_fault(t1, 6, 7, 4), t1_serial);
-}
-
 TEST(GridWorldFrl, RangeDetectionRepairsInference) {
   GridWorldFrlSystem sys(test_config(), 13);
   sys.train(600);

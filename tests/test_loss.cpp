@@ -6,12 +6,13 @@
 
 #include "core/error.hpp"
 #include "nn/activations.hpp"
+#include "test_util.hpp"
 
 namespace frlfi {
 namespace {
 
 TEST(TdLoss, GradientOnlyOnChosenAction) {
-  const Tensor q = Tensor::from_vector({1.0f, 2.0f, 3.0f});
+  const Tensor q = testing::tensor_of({1.0f, 2.0f, 3.0f});
   float loss = 0.0f;
   const Tensor g = td_loss_grad(q, 1, 5.0f, &loss);
   EXPECT_FLOAT_EQ(g[0], 0.0f);
@@ -21,7 +22,7 @@ TEST(TdLoss, GradientOnlyOnChosenAction) {
 }
 
 TEST(TdLoss, ZeroErrorZeroGrad) {
-  const Tensor q = Tensor::from_vector({1.0f, 2.0f});
+  const Tensor q = testing::tensor_of({1.0f, 2.0f});
   const Tensor g = td_loss_grad(q, 0, 1.0f);
   EXPECT_FLOAT_EQ(g[0], 0.0f);
 }
@@ -31,7 +32,7 @@ TEST(TdLoss, RejectsBadAction) {
 }
 
 TEST(PolicyGradient, MatchesFiniteDifference) {
-  const Tensor logits = Tensor::from_vector({0.2f, -0.5f, 1.0f});
+  const Tensor logits = testing::tensor_of({0.2f, -0.5f, 1.0f});
   const std::size_t action = 2;
   const float advantage = 1.7f;
   const Tensor g = policy_gradient_grad(logits, action, advantage);
@@ -51,7 +52,7 @@ TEST(PolicyGradient, MatchesFiniteDifference) {
 
 TEST(PolicyGradient, ZeroAdvantageZeroGrad) {
   const Tensor g =
-      policy_gradient_grad(Tensor::from_vector({1.0f, 2.0f}), 0, 0.0f);
+      policy_gradient_grad(testing::tensor_of({1.0f, 2.0f}), 0, 0.0f);
   EXPECT_FLOAT_EQ(g[0], 0.0f);
   EXPECT_FLOAT_EQ(g[1], 0.0f);
 }
@@ -59,8 +60,8 @@ TEST(PolicyGradient, ZeroAdvantageZeroGrad) {
 TEST(PolicyGradient, GradSumsToZero) {
   // softmax - onehot always sums to zero; scaled by advantage it still does.
   const Tensor g = policy_gradient_grad(
-      Tensor::from_vector({0.3f, -0.9f, 2.2f, 0.0f}), 1, 2.5f);
-  EXPECT_NEAR(g.sum(), 0.0f, 1e-6);
+      testing::tensor_of({0.3f, -0.9f, 2.2f, 0.0f}), 1, 2.5f);
+  EXPECT_NEAR(testing::sum_of(g), 0.0f, 1e-6);
 }
 
 }  // namespace

@@ -66,9 +66,9 @@ TEST(RewardMonitor, WarmupSuppressesEarlyTriggers) {
 TEST(RewardMonitor, BaselineFrozenDuringDrop) {
   RewardDropMonitor mon(1, fast_detector());
   for (int ep = 0; ep < 20; ++ep) mon.observe({10});
-  const double base = mon.baseline(0);
+  const double base = mon.state().baseline[0];
   mon.observe({0.0});
-  EXPECT_EQ(mon.baseline(0), base);  // dropped episode not absorbed
+  EXPECT_EQ(mon.state().baseline[0], base);  // dropped episode not absorbed
 }
 
 TEST(RewardMonitor, AcknowledgeAndSuspicious) {
@@ -84,7 +84,6 @@ TEST(RewardMonitor, AcknowledgeAndSuspicious) {
 TEST(RewardMonitor, Validation) {
   RewardDropMonitor mon(2, fast_detector());
   EXPECT_THROW(mon.observe({1.0}), Error);
-  EXPECT_THROW(mon.baseline(2), Error);
   RewardDropMonitor::Options bad = fast_detector();
   bad.drop_percent = 0.0;
   EXPECT_THROW(RewardDropMonitor(2, bad), Error);
@@ -110,14 +109,12 @@ TEST(RewardMonitor, StateRoundTripReproducesUninterruptedVerdicts) {
   RewardDropMonitor resumed(3, fast_detector());
   resumed.set_state(mid);
   EXPECT_TRUE(resumed.suspicious());
-  for (std::size_t a = 0; a < 3; ++a)
-    EXPECT_EQ(resumed.baseline(a), mid.baseline[a]);
+  EXPECT_EQ(resumed.state().baseline, mid.baseline);
   std::vector<DetectedFault> replay;
   for (int ep = 0; ep < 4; ++ep) replay.push_back(resumed.observe({10, 2, 12}));
   EXPECT_EQ(replay, direct);
   EXPECT_EQ(resumed.flagged_agents(), mon.flagged_agents());
-  for (std::size_t a = 0; a < 3; ++a)
-    EXPECT_EQ(resumed.baseline(a), mon.baseline(a));
+  EXPECT_EQ(resumed.state().baseline, mon.state().baseline);
 }
 
 TEST(RewardMonitor, SetStateValidatesSizes) {
@@ -187,7 +184,7 @@ TEST(RangeDetector, CleanNetworkPasses) {
   Rng rng(1);
   Network net = make_gridworld_policy(rng);
   RangeAnomalyDetector det(net, {.margin = 0.10});
-  EXPECT_EQ(det.scan(net), 0u);
+  EXPECT_EQ(det.base_out_of_range(net.flat_parameters()).size(), 0u);
   EXPECT_EQ(det.scan_and_suppress(net), 0u);
 }
 
@@ -198,9 +195,15 @@ TEST(RangeDetector, BoundsIncludeMargin) {
   params[0]->value[0] = -1.0f;
   params[0]->value[1] = 2.0f;
   RangeAnomalyDetector det(net, {.margin = 0.10});
-  const auto [lo, hi] = det.bounds(0);
-  EXPECT_FLOAT_EQ(lo, -1.1f);
-  EXPECT_FLOAT_EQ(hi, 2.2f);
+  // Tensor 0's calibrated range is [-1.1, 2.2]: values just inside pass,
+  // values just outside are flagged.
+  const auto out_of_range = [&](float lo, float hi) {
+    params[0]->value[0] = lo;
+    params[0]->value[1] = hi;
+    return det.base_out_of_range(net.flat_parameters());
+  };
+  EXPECT_TRUE(out_of_range(-1.09f, 2.19f).empty());
+  EXPECT_EQ(out_of_range(-1.11f, 2.21f), (std::vector<std::size_t>{0, 1}));
 }
 
 TEST(RangeDetector, SuppressesOutliersToZero) {
@@ -211,11 +214,11 @@ TEST(RangeDetector, SuppressesOutliersToZero) {
   auto params = corrupted.parameters();
   params[0]->value[3] = 1000.0f;   // way out of range
   params[2]->value[0] = -500.0f;
-  EXPECT_EQ(det.scan(corrupted), 2u);
+  EXPECT_EQ(det.base_out_of_range(corrupted.flat_parameters()).size(), 2u);
   EXPECT_EQ(det.scan_and_suppress(corrupted), 2u);
   EXPECT_EQ(corrupted.parameters()[0]->value[3], 0.0f);
   EXPECT_EQ(corrupted.parameters()[2]->value[0], 0.0f);
-  EXPECT_EQ(det.scan(corrupted), 0u);
+  EXPECT_EQ(det.base_out_of_range(corrupted.flat_parameters()).size(), 0u);
 }
 
 TEST(RangeDetector, InRangeCorruptionIsInvisible) {
@@ -228,7 +231,7 @@ TEST(RangeDetector, InRangeCorruptionIsInvisible) {
   Network corrupted = net.clone();
   auto params = corrupted.parameters();
   params[0]->value[0] = params[0]->value[1];  // legal value, wrong place
-  EXPECT_EQ(det.scan(corrupted), 0u);
+  EXPECT_EQ(det.base_out_of_range(corrupted.flat_parameters()).size(), 0u);
 }
 
 TEST(RangeDetector, TopologyMismatchThrows) {
@@ -236,9 +239,9 @@ TEST(RangeDetector, TopologyMismatchThrows) {
   Network grid = make_gridworld_policy(rng);
   Network drone = make_drone_policy(rng);
   RangeAnomalyDetector det(grid, {.margin = 0.10});
-  EXPECT_THROW(det.scan(drone), Error);
+  EXPECT_THROW(det.scan_and_suppress(drone), Error);
   // Same depth, different width: the tensor counts agree, the sizes do
-  // not, and neither scan may walk the wider network against the narrow
+  // not, and the scan must not walk the wider network against the narrow
   // calibration.
   const auto mlp = [&](std::size_t hidden) {
     Network net;
@@ -251,7 +254,6 @@ TEST(RangeDetector, TopologyMismatchThrows) {
   Network wide = mlp(64);
   RangeAnomalyDetector narrow_det(narrow, {.margin = 0.10});
   const std::vector<float> before = wide.flat_parameters();
-  EXPECT_THROW(narrow_det.scan(wide), Error);
   EXPECT_THROW(narrow_det.scan_and_suppress(wide), Error);
   EXPECT_EQ(wide.flat_parameters(), before);
 }
@@ -260,10 +262,10 @@ TEST(RangeDetector, ZeroMarginIsExactRange) {
   Rng rng(6);
   Network net = make_gridworld_policy(rng);
   RangeAnomalyDetector det(net, {.margin = 0.0});
-  EXPECT_EQ(det.scan(net), 0u);
+  EXPECT_EQ(det.base_out_of_range(net.flat_parameters()).size(), 0u);
   Network c = net.clone();
   c.parameters()[0]->value[0] = c.parameters()[0]->value.max() * 1.01f;
-  EXPECT_EQ(det.scan(c), 1u);
+  EXPECT_EQ(det.base_out_of_range(c.flat_parameters()).size(), 1u);
 }
 
 }  // namespace

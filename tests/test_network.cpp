@@ -7,6 +7,7 @@
 #include "frl/policies.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
+#include "test_util.hpp"
 
 namespace frlfi {
 namespace {
@@ -23,15 +24,15 @@ TEST(Network, ForwardShapesAndLayerAccess) {
   Rng rng(1);
   Network net = small_net(rng);
   EXPECT_EQ(net.layer_count(), 3u);
-  const Tensor y = net.forward(Tensor({3}, 0.5f));
+  const Tensor y = net.forward(testing::filled({3}, 0.5f));
   EXPECT_EQ(y.size(), 2u);
   EXPECT_THROW(net.layer(3), Error);
 }
 
 TEST(Network, EmptyNetworkRejectsUse) {
   Network net;
-  EXPECT_THROW(net.forward(Tensor({1}, 0.0f)), Error);
-  EXPECT_THROW(net.backward(Tensor({1}, 0.0f)), Error);
+  EXPECT_THROW(net.forward(testing::filled({1}, 0.0f)), Error);
+  EXPECT_THROW(net.backward(testing::filled({1}, 0.0f)), Error);
   EXPECT_THROW(net.add(nullptr), Error);
 }
 
@@ -74,14 +75,14 @@ TEST(Network, CloneComputesSameOutputs) {
   Network net = small_net(rng);
   Network copy = net.clone();
   const Tensor x = Tensor::random_uniform({3}, rng, -1, 1);
-  EXPECT_TRUE(net.forward(x).equals(copy.forward(x)));
+  EXPECT_EQ(net.forward(x).data(), copy.forward(x).data());
 }
 
 TEST(Network, ZeroGradClearsAccumulators) {
   Rng rng(7);
   Network net = small_net(rng);
-  net.forward(Tensor({3}, 1.0f));
-  net.backward(Tensor({2}, 1.0f));
+  net.forward(testing::filled({3}, 1.0f));
+  net.backward(testing::filled({2}, 1.0f));
   bool any_nonzero = false;
   for (Parameter* p : net.parameters())
     for (float g : p->grad.data()) any_nonzero |= (g != 0.0f);
@@ -96,34 +97,34 @@ TEST(Network, ActivationHookSeesEveryLayer) {
   Network net = small_net(rng);
   std::vector<std::size_t> seen;
   net.set_activation_hook([&](std::size_t i, Tensor&) { seen.push_back(i); });
-  net.forward(Tensor({3}, 1.0f));
+  net.forward(testing::filled({3}, 1.0f));
   EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(Network, ActivationHookCanMutate) {
   Rng rng(9);
   Network net = small_net(rng);
-  const Tensor clean = net.forward(Tensor({3}, 1.0f));
+  const Tensor clean = net.forward(testing::filled({3}, 1.0f));
   net.set_activation_hook([](std::size_t i, Tensor& act) {
     if (i == 2) act.fill(0.0f);  // zero the final output
   });
-  const Tensor hooked = net.forward(Tensor({3}, 1.0f));
-  EXPECT_EQ(hooked.sum(), 0.0f);
+  const Tensor hooked = net.forward(testing::filled({3}, 1.0f));
+  EXPECT_EQ(testing::sum_of(hooked), 0.0f);
   net.set_activation_hook(nullptr);
-  EXPECT_TRUE(net.forward(Tensor({3}, 1.0f)).equals(clean));
+  EXPECT_EQ(net.forward(testing::filled({3}, 1.0f)).data(), clean.data());
 }
 
 TEST(Network, GridworldPolicyTopology) {
   Rng rng(12);
   Network net = make_gridworld_policy(rng);
-  const Tensor y = net.forward(Tensor({10}, 0.0f));
+  const Tensor y = net.forward(testing::filled({10}, 0.0f));
   EXPECT_EQ(y.size(), 4u);
 }
 
 TEST(Network, DronePolicyTopology) {
   Rng rng(13);
   Network net = make_drone_policy(rng);
-  const Tensor y = net.forward(Tensor({3, 18, 32}, 0.1f));
+  const Tensor y = net.forward(testing::filled({3, 18, 32}, 0.1f));
   EXPECT_EQ(y.size(), 25u);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/error.hpp"
@@ -8,6 +9,7 @@
 #include "nn/dense.hpp"
 #include "nn/flatten.hpp"
 #include "nn/network.hpp"
+#include "test_util.hpp"
 
 namespace frlfi {
 namespace {
@@ -17,13 +19,13 @@ namespace {
 double gradient_check(Network& net, const Tensor& input) {
   const double eps = 1e-3;
   const auto loss = [&](const Tensor& x) {
-    return static_cast<double>(net.forward(x).sum());
+    return static_cast<double>(testing::sum_of(net.forward(x)));
   };
 
   // Analytic gradients.
   net.zero_grad();
   const Tensor out = net.forward(input);
-  const Tensor grad_in = net.backward(Tensor(out.shape(), 1.0f));
+  const Tensor grad_in = net.backward(testing::filled(out.shape(), 1.0f));
 
   double max_err = 0.0;
   // Input gradient.
@@ -40,7 +42,7 @@ double gradient_check(Network& net, const Tensor& input) {
   // overwrote caches).
   net.zero_grad();
   net.forward(input);
-  net.backward(Tensor(out.shape(), 1.0f));
+  net.backward(testing::filled(out.shape(), 1.0f));
   for (Parameter* p : net.parameters()) {
     std::vector<float> analytic = p->grad.data();
     for (std::size_t i = 0; i < p->value.size(); ++i) {
@@ -62,9 +64,9 @@ double gradient_check(Network& net, const Tensor& input) {
 TEST(Dense, ForwardKnownValues) {
   Rng rng(1);
   Dense d(2, 2, rng, "d");
-  d.weight().value = Tensor::from_vector({1, 2, 3, 4}).reshaped({2, 2});
-  d.bias().value = Tensor::from_vector({0.5f, -0.5f});
-  const Tensor y = d.forward(Tensor::from_vector({1, 1}));
+  d.weight().value = testing::tensor_of({1, 2, 3, 4}).reshaped({2, 2});
+  d.bias().value = testing::tensor_of({0.5f, -0.5f});
+  const Tensor y = d.forward(testing::tensor_of({1, 1}));
   EXPECT_FLOAT_EQ(y[0], 3.5f);
   EXPECT_FLOAT_EQ(y[1], 6.5f);
 }
@@ -88,9 +90,11 @@ TEST(Dense, XavierInitBounded) {
   Rng rng(3);
   Dense d(100, 100, rng);
   const float bound = std::sqrt(6.0f / 200.0f);
-  EXPECT_GE(d.weight().value.min(), -bound);
+  EXPECT_GE(*std::min_element(d.weight().value.data().begin(),
+                              d.weight().value.data().end()),
+            -bound);
   EXPECT_LE(d.weight().value.max(), bound);
-  EXPECT_EQ(d.bias().value.sum(), 0.0f);
+  EXPECT_EQ(testing::sum_of(d.bias().value), 0.0f);
 }
 
 TEST(Conv2D, OutExtentFormula) {
@@ -104,8 +108,8 @@ TEST(Conv2D, OutExtentFormula) {
 TEST(Conv2D, ForwardIdentityKernel) {
   Rng rng(1);
   Conv2D c(1, 1, 1, 1, 0, rng);
-  c.weight().value = Tensor({1, 1, 1, 1}, 2.0f);
-  c.bias().value = Tensor({1}, 1.0f);
+  c.weight().value = testing::filled({1, 1, 1, 1}, 2.0f);
+  c.bias().value = testing::filled({1}, 1.0f);
   Tensor x({1, 2, 2});
   x.at3(0, 0, 0) = 1;
   x.at3(0, 1, 1) = 3;
@@ -118,8 +122,8 @@ TEST(Conv2D, ForwardIdentityKernel) {
 TEST(Conv2D, ForwardSumKernel) {
   Rng rng(1);
   Conv2D c(1, 1, 2, 1, 0, rng);
-  c.weight().value = Tensor({1, 1, 2, 2}, 1.0f);
-  c.bias().value = Tensor({1}, 0.0f);
+  c.weight().value = testing::filled({1, 1, 2, 2}, 1.0f);
+  c.bias().value = testing::filled({1}, 0.0f);
   Tensor x({1, 2, 3});
   for (std::size_t i = 0; i < 6; ++i) x[i] = static_cast<float>(i + 1);
   // x = [[1 2 3],[4 5 6]]; 2x2 sums: [1+2+4+5, 2+3+5+6] = [12, 16]
@@ -132,9 +136,9 @@ TEST(Conv2D, ForwardSumKernel) {
 TEST(Conv2D, PaddingContributesZeros) {
   Rng rng(1);
   Conv2D c(1, 1, 3, 1, 1, rng);
-  c.weight().value = Tensor({1, 1, 3, 3}, 1.0f);
-  c.bias().value = Tensor({1}, 0.0f);
-  const Tensor y = c.forward(Tensor({1, 2, 2}, 1.0f));
+  c.weight().value = testing::filled({1, 1, 3, 3}, 1.0f);
+  c.bias().value = testing::filled({1}, 0.0f);
+  const Tensor y = c.forward(testing::filled({1, 2, 2}, 1.0f));
   // Corner output touches 4 real pixels (others are padding).
   EXPECT_FLOAT_EQ(y.at3(0, 0, 0), 4.0f);
 }
@@ -155,10 +159,10 @@ TEST(Conv2D, RejectsWrongChannelCount) {
 
 TEST(ReLU, ForwardBackward) {
   ReLU r;
-  const Tensor y = r.forward(Tensor::from_vector({-1, 0, 2}));
+  const Tensor y = r.forward(testing::tensor_of({-1, 0, 2}));
   EXPECT_FLOAT_EQ(y[0], 0.0f);
   EXPECT_FLOAT_EQ(y[2], 2.0f);
-  const Tensor g = r.backward(Tensor::from_vector({5, 5, 5}));
+  const Tensor g = r.backward(testing::tensor_of({5, 5, 5}));
   EXPECT_FLOAT_EQ(g[0], 0.0f);
   EXPECT_FLOAT_EQ(g[1], 0.0f);  // gradient is zero at the kink's left side
   EXPECT_FLOAT_EQ(g[2], 5.0f);
@@ -166,7 +170,7 @@ TEST(ReLU, ForwardBackward) {
 
 TEST(Flatten, RoundTripsShape) {
   Flatten f;
-  const Tensor y = f.forward(Tensor({2, 3, 4}, 1.0f));
+  const Tensor y = f.forward(testing::filled({2, 3, 4}, 1.0f));
   EXPECT_EQ(y.rank(), 1u);
   EXPECT_EQ(y.size(), 24u);
   const Tensor g = f.backward(y);
@@ -174,20 +178,20 @@ TEST(Flatten, RoundTripsShape) {
 }
 
 TEST(Softmax, SumsToOneAndOrders) {
-  const Tensor p = softmax(Tensor::from_vector({1, 2, 3}));
-  EXPECT_NEAR(p.sum(), 1.0f, 1e-6);
+  const Tensor p = softmax(testing::tensor_of({1, 2, 3}));
+  EXPECT_NEAR(testing::sum_of(p), 1.0f, 1e-6);
   EXPECT_GT(p[2], p[1]);
   EXPECT_GT(p[1], p[0]);
 }
 
 TEST(Softmax, StableForHugeLogits) {
-  const Tensor p = softmax(Tensor::from_vector({1000.0f, 1001.0f}));
-  EXPECT_NEAR(p.sum(), 1.0f, 1e-6);
+  const Tensor p = softmax(testing::tensor_of({1000.0f, 1001.0f}));
+  EXPECT_NEAR(testing::sum_of(p), 1.0f, 1e-6);
   EXPECT_FALSE(std::isnan(p[0]));
 }
 
 TEST(LogSoftmaxAt, MatchesLogOfSoftmax) {
-  const Tensor logits = Tensor::from_vector({0.3f, -1.2f, 2.0f});
+  const Tensor logits = testing::tensor_of({0.3f, -1.2f, 2.0f});
   const Tensor p = softmax(logits);
   for (std::size_t i = 0; i < 3; ++i)
     EXPECT_NEAR(log_softmax_at(logits, i), std::log(p[i]), 1e-5);
@@ -196,13 +200,13 @@ TEST(LogSoftmaxAt, MatchesLogOfSoftmax) {
 TEST(Layers, CloneDropsCachesButKeepsParams) {
   Rng rng(7);
   Dense d(2, 2, rng);
-  d.forward(Tensor({2}, 1.0f));
+  d.forward(testing::filled({2}, 1.0f));
   auto copy = d.clone();
   // The clone must refuse backward before its own forward.
-  EXPECT_THROW(copy->backward(Tensor({2}, 1.0f)), Error);
+  EXPECT_THROW(copy->backward(testing::filled({2}, 1.0f)), Error);
   auto* dc = dynamic_cast<Dense*>(copy.get());
   ASSERT_NE(dc, nullptr);
-  EXPECT_TRUE(dc->weight().value.equals(d.weight().value));
+  EXPECT_EQ(dc->weight().value.data(), d.weight().value.data());
 }
 
 TEST(Layers, NamesDescribeConfiguration) {

@@ -6,6 +6,7 @@
 
 #include "core/error.hpp"
 #include "nn/dense.hpp"
+#include "test_util.hpp"
 
 namespace frlfi {
 namespace {
@@ -89,7 +90,7 @@ TEST(Sgd, ConvergesOnQuadratic) {
   Rng rng(6);
   Network net = one_dense(rng);
   SgdOptimizer opt(net, {.learning_rate = 0.1f, .momentum = 0.0f, .clip_norm = 0.0f});
-  const Tensor x({1}, 1.0f);
+  const Tensor x = testing::filled({1}, 1.0f);
   for (int i = 0; i < 200; ++i) {
     const Tensor y = net.forward(x);
     Tensor grad({1});

@@ -146,48 +146,6 @@ TEST(Parallel, ShardRangeIsContiguousPartition) {
   }
 }
 
-TEST(Parallel, DispatchLanesHonoursMinWorkPerLane) {
-  // The minimum-work-per-shard rule: with min_per_lane set, dispatch_lanes
-  // caps the lane count at n / min_per_lane so no lane receives less than
-  // the threshold's worth of work (same cost model as batch_shard_count).
-  const auto record_ranges = [](std::size_t threads, std::size_t n,
-                                std::size_t min_per_lane) {
-    std::mutex mu;
-    std::vector<std::pair<std::size_t, std::size_t>> ranges;
-    dispatch_lanes(
-        threads, n,
-        [&](std::size_t b, std::size_t e) {
-          std::lock_guard<std::mutex> lk(mu);
-          ranges.emplace_back(b, e);
-        },
-        min_per_lane);
-    std::sort(ranges.begin(), ranges.end());
-    return ranges;
-  };
-
-  // Too little work for even two lanes: collapses to one inline range.
-  auto small = record_ranges(8, 16, 32);
-  ASSERT_EQ(small.size(), 1u);
-  EXPECT_EQ(small[0], (std::pair<std::size_t, std::size_t>{0, 16}));
-
-  // Exactly two lanes' worth: splits into two, not eight.
-  auto mid = record_ranges(8, 64, 32);
-  ASSERT_EQ(mid.size(), 2u);
-  for (const auto& [b, e] : mid) EXPECT_GE(e - b, 32u);
-
-  // Default min_per_lane = 1 keeps the historical lane count.
-  EXPECT_EQ(record_ranges(8, 64, 1).size(), 8u);
-
-  // Every variant still partitions [0, n).
-  for (const auto& ranges : {small, mid}) {
-    std::size_t next = 0;
-    for (const auto& [b, e] : ranges) {
-      EXPECT_EQ(b, next);
-      next = e;
-    }
-  }
-}
-
 // Regression: a nested dispatch from inside a pool body used to block on
 // cv_done_ forever (the nested generation could never be picked up by the
 // lanes already running the outer body). It must run inline instead.
@@ -196,9 +154,10 @@ TEST(Parallel, NestedParallelForRunsInline) {
   std::atomic<std::size_t> inner_total{0};
   std::atomic<std::size_t> inline_nested{0};
   pool.parallel_for(4, [&](std::size_t b, std::size_t e) {
+    const std::thread::id lane = std::this_thread::get_id();
     for (std::size_t i = b; i < e; ++i) {
-      EXPECT_TRUE(pool.on_pool_thread());
       pool.parallel_for(8, [&](std::size_t ib, std::size_t ie) {
+        EXPECT_EQ(std::this_thread::get_id(), lane);  // inline on the lane
         inner_total.fetch_add(ie - ib);
       });
       inline_nested.fetch_add(1);
@@ -206,7 +165,6 @@ TEST(Parallel, NestedParallelForRunsInline) {
   });
   EXPECT_EQ(inner_total.load(), 4u * 8u);
   EXPECT_EQ(inline_nested.load(), 4u);
-  EXPECT_FALSE(pool.on_pool_thread());
   // Pool still healthy after the nested dispatches.
   std::atomic<std::size_t> count{0};
   pool.parallel_for(16, [&](std::size_t b, std::size_t e) {
@@ -222,13 +180,15 @@ TEST(Parallel, SameThreadChainAcrossPoolsRunsInline) {
   // (Cross-THREAD cycles — a worker of A waiting on B while a worker of B
   // waits on A — remain forbidden; see parallel.hpp.)
   ThreadPool a(2), b(2);
+  const std::thread::id outer = std::this_thread::get_id();
   std::atomic<std::size_t> total{0};
   a.parallel_for(1, [&](std::size_t, std::size_t) {
     // Single-part dispatch: runs inline on this thread with A active.
     b.parallel_for(2, [&](std::size_t, std::size_t) {
-      EXPECT_TRUE(b.on_pool_thread());
-      if (!a.on_pool_thread()) return;  // b's worker thread: A not active
+      // b's worker thread has no A body on its stack.
+      if (std::this_thread::get_id() != outer) return;
       a.parallel_for(4, [&](std::size_t ib, std::size_t ie) {
+        EXPECT_EQ(std::this_thread::get_id(), outer);  // ran inline
         total.fetch_add(ie - ib);
       });
     });

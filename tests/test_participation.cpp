@@ -2,11 +2,11 @@
 /// The degraded-participation plane:
 ///  * ParticipationPlan status resolution is deterministic, purely
 ///    functional in (seed, round, agent), and crash windows rejoin;
-///  * ParameterServer::communicate_round is locked bit-identical to
-///    communicate_rows for a full-participation round — through the fast
-///    path AND through the general weighted path (screening armed but
-///    excluding nothing, in place and with the aggregate matrix built for
-///    the hook) — RNG stream position and counters included;
+///  * a full-participation ParameterServer::communicate_round is locked
+///    bit-identical to the scalar round oracle (frozen_scalar_round) —
+///    with screening off and with screening armed but excluding nothing,
+///    in place and with the aggregate matrix built for the hook — RNG
+///    stream position and counters included;
 ///  * partial participation, staleness folding/discard, L2 screening and
 ///    the trimmed mean match hand-computed references;
 ///  * the engine with an active all-present plan is bit-identical to the
@@ -29,6 +29,7 @@
 #include "federated/server.hpp"
 #include "frl/drone_system.hpp"
 #include "frl/gridworld_system.hpp"
+#include "test_util.hpp"
 
 namespace frlfi {
 namespace {
@@ -183,21 +184,21 @@ RoundParticipationReport run_round(
   return rep;
 }
 
-/// Runs one all-present communicate_round and one communicate_rows over
-/// identical inputs and expects bit-identical everything.
-void expect_full_round_matches_rows(const ScreeningConfig& screening,
-                                    double ber) {
+/// Runs one all-present communicate_round and the scalar round oracle
+/// over identical inputs and expects bit-identical everything.
+void expect_full_round_matches_scalar(const ScreeningConfig& screening,
+                                      double ber) {
   const std::size_t n = 4, dim = 37;
   std::vector<std::vector<float>> uploads;
   for (std::size_t i = 0; i < n; ++i)
     uploads.push_back(random_row(dim, 3100 + i));
   const AlphaSchedule schedule(n, 0.6, 20.0);
 
-  ParameterServer ref(n, dim, schedule);
-  ref.channel().set_bit_error_rate(ber);
+  CommChannel ref_channel(ber);
   Rng ref_rng(11);
-  std::vector<float> ref_rows = pack_rows(uploads);
-  ref.communicate_rows(ref_rows, ref_rng);
+  std::vector<float> ref_consensus;
+  const std::vector<float> ref_rows = pack_rows(testing::frozen_scalar_round(
+      uploads, ref_channel, schedule.at(0), ref_rng, &ref_consensus));
 
   for (const bool run_post_hook : {false, true}) {
     ParameterServer srv(n, dim, schedule);
@@ -211,12 +212,11 @@ void expect_full_round_matches_rows(const ScreeningConfig& screening,
         run_round(srv, rows, status, opts, rng, run_post_hook);
 
     EXPECT_EQ(rows, ref_rows);
-    EXPECT_EQ(srv.consensus(), ref.consensus());
-    EXPECT_EQ(srv.round(), ref.round());
-    EXPECT_EQ(srv.channel().bytes_sent(), ref.channel().bytes_sent());
-    EXPECT_EQ(srv.channel().messages_sent(), ref.channel().messages_sent());
-    EXPECT_EQ(srv.channel().bits_corrupted(),
-              ref.channel().bits_corrupted());
+    EXPECT_EQ(srv.consensus(), ref_consensus);
+    EXPECT_EQ(srv.round(), 1u);
+    EXPECT_EQ(srv.channel().bytes_sent(), ref_channel.bytes_sent());
+    EXPECT_EQ(srv.channel().messages_sent(), ref_channel.messages_sent());
+    EXPECT_EQ(srv.channel().bits_corrupted(), ref_channel.bits_corrupted());
     Rng ref_next = ref_rng;
     EXPECT_EQ(rng.next_u64(), ref_next.next_u64());  // stream position
     EXPECT_EQ(rep.present, n);
@@ -225,20 +225,20 @@ void expect_full_round_matches_rows(const ScreeningConfig& screening,
   }
 }
 
-TEST(CommunicateRound, FullParticipationFastPathMatchesCommunicateRows) {
-  expect_full_round_matches_rows(ScreeningConfig{}, 0.0);
-  expect_full_round_matches_rows(ScreeningConfig{}, 0.01);
+TEST(CommunicateRound, FullParticipationMatchesScalarRound) {
+  expect_full_round_matches_scalar(ScreeningConfig{}, 0.0);
+  expect_full_round_matches_scalar(ScreeningConfig{}, 0.01);
 }
 
-TEST(CommunicateRound, FullParticipationGeneralPathMatchesCommunicateRows) {
-  // Arming the L2 screen with a factor excluding nothing forces the
-  // general weighted path — the partial-averaging arithmetic itself must
-  // reproduce the synchronous kernel bit-for-bit when every weight is 1.
+TEST(CommunicateRound, FullParticipationScreenedMatchesScalarRound) {
+  // Arming the L2 screen with a factor excluding nothing runs the norm
+  // screen over every row — the weighted arithmetic must still reproduce
+  // the scalar round bit-for-bit when every weight is 1.
   ScreeningConfig screening;
   screening.l2_norm = true;
   screening.l2_factor = 1e9;
-  expect_full_round_matches_rows(screening, 0.0);
-  expect_full_round_matches_rows(screening, 0.01);
+  expect_full_round_matches_scalar(screening, 0.0);
+  expect_full_round_matches_scalar(screening, 0.01);
 }
 
 /// Test-side replica of the degraded combine (same float expressions in

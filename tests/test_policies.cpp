@@ -1,4 +1,5 @@
 #include "frl/policies.hpp"
+#include "test_util.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@ TEST(GridworldPolicy, TopologyAndDeterminism) {
   Network nb = make_gridworld_policy(b);
   EXPECT_EQ(na.flat_parameters(), nb.flat_parameters());
   EXPECT_EQ(na.layer_count(), 5u);
-  const Tensor y = na.forward(Tensor({10}, 0.5f));
+  const Tensor y = na.forward(testing::filled({10}, 0.5f));
   EXPECT_EQ(y.size(), 4u);
 }
 
@@ -27,7 +28,7 @@ TEST(DronePolicy, TopologyMatchesPaper) {
   Rng rng(3);
   Network net = make_drone_policy(rng);
   EXPECT_EQ(net.layer_count(), 10u);  // convs, relus, flatten, denses
-  const Tensor y = net.forward(Tensor({3, 18, 32}, 0.2f));
+  const Tensor y = net.forward(testing::filled({3, 18, 32}, 0.2f));
   EXPECT_EQ(y.size(), 25u);
 }
 
@@ -40,8 +41,8 @@ TEST(DronePolicy, DifferentSeedsDifferentWeights) {
 TEST(DronePolicy, BackwardRunsThroughConvStack) {
   Rng rng(4);
   Network net = make_drone_policy(rng);
-  net.forward(Tensor({3, 18, 32}, 0.1f));
-  const Tensor g = net.backward(Tensor({25}, 1.0f));
+  net.forward(testing::filled({3, 18, 32}, 0.1f));
+  const Tensor g = net.backward(testing::filled({25}, 1.0f));
   EXPECT_EQ(g.shape(), (std::vector<std::size_t>{3, 18, 32}));
 }
 

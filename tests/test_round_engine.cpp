@@ -5,12 +5,13 @@
 ///    over an n_agents x threads grid;
 ///  * snapshot/restore composes with parallel training (restore + retrain
 ///    replays the same bits at any fan-out);
-///  * the batched server-round kernels (smoothing_average_rows,
-///    mean_parameters_rows, CommChannel::transmit_rows and
-///    ParameterServer::communicate_rows) are bit-identical to their
-///    scalar references, RNG stream position included;
+///  * CommChannel::transmit_rows and the all-Present
+///    ParameterServer::communicate_round (hook on and off) are
+///    bit-identical to the scalar transmit / smoothing_average /
+///    mean_parameters round, RNG stream position included;
 ///  * the engine's row-matrix server-fault hook reproduces the historical
-///    per-agent-vector hook;
+///    per-agent-vector hook, and a plan-free engine runs the server's
+///    post-aggregate hook on every round;
 ///  * at partial participation the round keeps O(participants) buffers.
 
 #include "federated/round_engine.hpp"
@@ -29,9 +30,13 @@
 #include "frl/drone_system.hpp"
 #include "frl/gridworld_system.hpp"
 #include "frl/policies.hpp"
+#include "test_util.hpp"
 
 namespace frlfi {
 namespace {
+
+using testing::frozen_scalar_round;
+using testing::full_round;
 
 std::vector<float> random_row(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -51,35 +56,6 @@ std::vector<float> pack_rows(const std::vector<std::vector<float>>& vov) {
   std::vector<float> rows;
   for (const auto& v : vov) rows.insert(rows.end(), v.begin(), v.end());
   return rows;
-}
-
-TEST(BatchedAggregation, SmoothingRowsMatchesScalarReference) {
-  for (const std::size_t n : {std::size_t{2}, std::size_t{5}, std::size_t{12}}) {
-    // Dims straddling SIMD widths, including a non-multiple-of-8 tail.
-    for (const std::size_t dim : {std::size_t{1}, std::size_t{37},
-                                  std::size_t{256}}) {
-      const auto uploads = random_uploads(n, dim, 100 + n + dim);
-      const auto rows = pack_rows(uploads);
-      for (const double alpha : {0.3, 0.5, 1.0 / static_cast<double>(n)}) {
-        std::vector<float> out(n * dim), total(dim);
-        smoothing_average_rows(rows.data(), out.data(), total.data(), n, dim,
-                               alpha);
-        EXPECT_EQ(out, pack_rows(smoothing_average(uploads, alpha)))
-            << n << "x" << dim << " a=" << alpha;
-      }
-    }
-  }
-}
-
-TEST(BatchedAggregation, MeanRowsMatchesScalarReference) {
-  for (const std::size_t n : {std::size_t{1}, std::size_t{4}, std::size_t{9}}) {
-    const std::size_t dim = 123;
-    const auto uploads = random_uploads(n, dim, 500 + n);
-    const auto rows = pack_rows(uploads);
-    std::vector<float> mean(dim);
-    mean_parameters_rows(rows.data(), n, dim, mean.data());
-    EXPECT_EQ(mean, mean_parameters(uploads)) << n;
-  }
 }
 
 TEST(BatchedChannel, TransmitRowsMatchesScalarTransmit) {
@@ -102,33 +78,10 @@ TEST(BatchedChannel, TransmitRowsMatchesScalarTransmit) {
   }
 }
 
-/// Frozen pre-refactor ParameterServer::communicate: the scalar
-/// primitives (CommChannel::transmit, smoothing_average, mean_parameters,
-/// hook, downlink transmits) composed exactly as the retired
-/// implementation. ParameterServer::communicate is a wrapper over
-/// communicate_rows now, so a round-level equivalence check must rebuild
-/// the reference from these still-independently-pinned pieces — comparing
-/// the wrapper against communicate_rows would be a tautology.
-std::vector<std::vector<float>> frozen_scalar_round(
-    const std::vector<std::vector<float>>& uploads, CommChannel& channel,
-    double alpha, Rng& rng, std::vector<float>* consensus_out,
-    const std::function<void(std::vector<std::vector<float>>&)>& hook =
-        nullptr) {
-  std::vector<std::vector<float>> up;
-  up.reserve(uploads.size());
-  for (const auto& p : uploads) up.push_back(channel.transmit(p, rng));
-  std::vector<std::vector<float>> agg = smoothing_average(up, alpha);
-  if (consensus_out != nullptr) *consensus_out = mean_parameters(agg);
-  if (hook) hook(agg);
-  std::vector<std::vector<float>> down;
-  down.reserve(agg.size());
-  for (const auto& p : agg) down.push_back(channel.transmit(p, rng));
-  return down;
-}
-
-TEST(BatchedServerRound, CommunicateRowsMatchesFrozenScalarRound) {
+TEST(BatchedServerRound, FullRoundMatchesFrozenScalarRound) {
   // A small round, then the gridworld policy's dimension at 4 and 12
-  // agents.
+  // agents; in place (hook off) and through the aggregate matrix (hook
+  // on, as every plan-free engine round runs).
   Rng init(31);
   const std::size_t grid_dim = make_gridworld_policy(init).parameter_count();
   const struct {
@@ -140,22 +93,30 @@ TEST(BatchedServerRound, CommunicateRowsMatchesFrozenScalarRound) {
     const auto uploads = random_uploads(c.n, c.dim, 1300);
     const AlphaSchedule schedule(c.n, c.alpha0, c.tau);
     CommChannel ref_channel(0.01);
-    ParameterServer rows_server(c.n, c.dim, schedule);
-    rows_server.channel().set_bit_error_rate(0.01);
-    Rng ref_rng(5), rows_rng(5);
+    Rng ref_rng(5);
     std::vector<float> ref_consensus;
     const auto down = frozen_scalar_round(uploads, ref_channel,
                                           schedule.at(0), ref_rng,
                                           &ref_consensus);
-    std::vector<float> rows = pack_rows(uploads);
-    rows_server.communicate_rows(rows, rows_rng);
-    EXPECT_EQ(rows, pack_rows(down)) << c.n << " x " << c.dim;
-    EXPECT_EQ(rows_server.consensus(), ref_consensus);
-    EXPECT_EQ(rows_server.round(), 1u);
-    EXPECT_EQ(rows_server.channel().bytes_sent(), ref_channel.bytes_sent());
-    EXPECT_EQ(rows_server.channel().bits_corrupted(),
-              ref_channel.bits_corrupted());
-    EXPECT_EQ(rows_rng.next_u64(), ref_rng.next_u64());
+    for (const bool run_post_hook : {false, true}) {
+      ParameterServer server(c.n, c.dim, schedule);
+      server.channel().set_bit_error_rate(0.01);
+      Rng rng(5);
+      std::vector<float> rows = pack_rows(uploads);
+      const RoundParticipationReport rep =
+          full_round(server, rows, rng, run_post_hook);
+      EXPECT_EQ(rows, pack_rows(down)) << c.n << " x " << c.dim;
+      EXPECT_EQ(server.consensus(), ref_consensus);
+      EXPECT_EQ(server.round(), 1u);
+      EXPECT_EQ(rep.contributors, c.n);
+      EXPECT_EQ(server.channel().messages_sent(),
+                ref_channel.messages_sent());
+      EXPECT_EQ(server.channel().bytes_sent(), ref_channel.bytes_sent());
+      EXPECT_EQ(server.channel().bits_corrupted(),
+                ref_channel.bits_corrupted());
+      Rng ref_next = ref_rng;
+      EXPECT_EQ(rng.next_u64(), ref_next.next_u64());
+    }
   }
 }
 
@@ -187,7 +148,7 @@ TEST(BatchedServerRound, RowsFaultHookMatchesFrozenLegacyHookRound) {
       });
   Rng rows_rng(9);
   std::vector<float> rows = pack_rows(uploads);
-  rows_srv.communicate_rows(rows, rows_rng);
+  full_round(rows_srv, rows, rows_rng);
   EXPECT_EQ(rows, pack_rows(down));
 }
 
@@ -356,8 +317,8 @@ struct FleetHarness {
   }
 };
 
-/// Stormy Gilbert–Elliott channel: bad-state flips, chunk erasure and
-/// reordering all active.
+/// Stormy Gilbert–Elliott channel: bad-state flips and chunk erasure
+/// both active.
 BurstyChannelConfig stormy_channel() {
   BurstyChannelConfig bursty;
   bursty.active = true;
@@ -366,7 +327,6 @@ BurstyChannelConfig stormy_channel() {
   bursty.p_good_to_bad = 0.2;
   bursty.p_bad_to_good = 0.25;
   bursty.erasure_rate = 0.05;
-  bursty.reorder_rate = 0.1;
   bursty.chunk_elems = 16;
   return bursty;
 }
@@ -396,6 +356,27 @@ ParticipationPlan thin_plan() {
   plan.screening.l2_norm = true;
   plan.screening.l2_factor = 3.0;
   return plan;
+}
+
+TEST(RoundEngine, PlanFreeRoundsRunTheServerHookEveryRound) {
+  // A hook installed on the server of an engine that arms no plan (how an
+  // outside harness fires its own server fault) must see every
+  // communication round, over the full n x dim aggregate.
+  const std::size_t agents = 4, dim = 8;
+  FleetHarness h(agents, dim);
+  FederatedRoundEngine::Config cfg;
+  cfg.n_agents = agents;
+  cfg.parameter_dim = dim;
+  cfg.comm_interval = 2;
+  FederatedRoundEngine engine(cfg, 7, 0x7E57, h.hooks());
+  std::vector<std::size_t> seen;
+  engine.server()->set_post_aggregate_rows_hook(
+      [&](std::size_t round, std::span<float> rows, std::size_t row_dim) {
+        EXPECT_EQ(rows.size(), agents * row_dim);
+        seen.push_back(round);
+      });
+  engine.train(10);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(FleetRound, RoundBufferMemoryScalesWithParticipants) {

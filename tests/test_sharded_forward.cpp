@@ -2,7 +2,7 @@
 /// Multi-core sharded Network::forward_batch: bit-identity vs the serial
 /// batched path and vs single-sample forwards, across thread counts and
 /// batch sizes, for clean and fault-injected policies — plus the shard
-/// planner's kernel-selection invariant and the sharded lockstep runner.
+/// planner's kernel-selection invariant.
 ///
 /// Contract under test (see Network::forward_batch): the sharded forward
 /// is bit-identical to the unsharded batched forward for EVERY pool size,
@@ -18,12 +18,9 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "core/parallel.hpp"
-#include "envs/gridworld.hpp"
-#include "frl/evaluation.hpp"
 #include "frl/policies.hpp"
 #include "nn/layer.hpp"
 #include "nn/network.hpp"
@@ -180,37 +177,6 @@ TEST(ShardedForward, HookSeesEveryLayerOncePerShard) {
   for (std::size_t l = 0; l < net.layer_count(); ++l) {
     EXPECT_EQ(calls[l].load(), shards) << "layer " << l;
     EXPECT_EQ(rows[l].load(), batch) << "layer " << l;
-  }
-}
-
-TEST(ShardedForward, LockstepRunnerBitIdenticalAcrossPools) {
-  // End-to-end: greedy_episodes_batched with a sharding pool must walk
-  // exactly the serial trajectories (sharding cannot flip an argmax).
-  Rng prng(9);
-  Network policy = make_gridworld_policy(prng);
-  const std::vector<GridLayout> suite = GridLayout::paper_suite();
-  const auto run = [&](ThreadPool* pool) {
-    std::vector<std::unique_ptr<GridWorldEnv>> envs;
-    std::vector<Environment*> lanes;
-    std::vector<Rng> rngs;
-    for (std::size_t i = 0; i < 12; ++i) {
-      envs.push_back(
-          std::make_unique<GridWorldEnv>(suite[i % suite.size()]));
-      lanes.push_back(envs.back().get());
-      rngs.emplace_back(Rng(40).split(i));
-    }
-    return greedy_episodes_batched(policy, lanes, rngs, 60, pool);
-  };
-  const std::vector<EpisodeStats> serial = run(nullptr);
-  for (const std::size_t threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    const std::vector<EpisodeStats> sharded = run(&pool);
-    ASSERT_EQ(sharded.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(sharded[i].steps, serial[i].steps) << "lane " << i;
-      EXPECT_EQ(sharded[i].total_reward, serial[i].total_reward) << "lane " << i;
-      EXPECT_EQ(sharded[i].success, serial[i].success) << "lane " << i;
-    }
   }
 }
 

@@ -2,11 +2,73 @@
 
 /// \file test_util.hpp
 /// Miniature deterministic environments for exercising the RL and
-/// evaluation machinery without the full navigation stacks.
+/// evaluation machinery without the full navigation stacks, plus small
+/// helpers that build test inputs and the scalar server-round oracle from
+/// the library's public API.
 
+#include <functional>
+#include <numeric>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "federated/server.hpp"
 #include "rl/env.hpp"
 
 namespace frlfi::testing {
+
+/// A 1-D tensor holding `values`.
+inline Tensor tensor_of(std::vector<float> values) {
+  Tensor t({values.size()});
+  t.data() = std::move(values);
+  return t;
+}
+
+/// A tensor of `shape` with every element `v`.
+inline Tensor filled(std::vector<std::size_t> shape, float v) {
+  Tensor t(std::move(shape));
+  t.fill(v);
+  return t;
+}
+
+/// Sum of a tensor's elements in storage order.
+inline float sum_of(const Tensor& t) {
+  return std::accumulate(t.data().begin(), t.data().end(), 0.0f);
+}
+
+/// One round with every agent Present (the plan-free engine's round):
+/// `rows` holds agent i's upload in row i on entry and its downlink
+/// payload on return.
+inline RoundParticipationReport full_round(ParameterServer& srv,
+                                           std::span<float> rows, Rng& rng,
+                                           bool run_post_hook = true) {
+  std::vector<std::size_t> agents(srv.agent_count());
+  std::iota(agents.begin(), agents.end(), std::size_t{0});
+  const std::vector<AgentRoundStatus> status(srv.agent_count(),
+                                             AgentRoundStatus::Present);
+  return srv.communicate_round(rows, agents, status, {}, rng, run_post_hook);
+}
+
+/// The synchronous round composed from the scalar primitives
+/// (CommChannel::transmit, smoothing_average, mean_parameters, hook,
+/// downlink transmits), each pinned independently — the oracle the
+/// all-Present communicate_round is locked against.
+inline std::vector<std::vector<float>> frozen_scalar_round(
+    const std::vector<std::vector<float>>& uploads, CommChannel& channel,
+    double alpha, Rng& rng, std::vector<float>* consensus_out,
+    const std::function<void(std::vector<std::vector<float>>&)>& hook =
+        nullptr) {
+  std::vector<std::vector<float>> up;
+  up.reserve(uploads.size());
+  for (const auto& p : uploads) up.push_back(channel.transmit(p, rng));
+  std::vector<std::vector<float>> agg = smoothing_average(up, alpha);
+  if (consensus_out != nullptr) *consensus_out = mean_parameters(agg);
+  if (hook) hook(agg);
+  std::vector<std::vector<float>> down;
+  down.reserve(agg.size());
+  for (const auto& p : agg) down.push_back(channel.transmit(p, rng));
+  return down;
+}
 
 /// A length-N chain: state x in [0, N]; action 1 moves right (+1), action
 /// 0 moves left (-1, floored at 0). Reaching N is success (+1 reward);
@@ -59,14 +121,14 @@ class BanditEnv final : public Environment {
  public:
   BanditEnv(std::size_t arms, std::size_t best) : arms_(arms), best_(best) {}
 
-  Tensor reset(Rng& /*rng*/) override { return Tensor({1}, 1.0f); }
+  Tensor reset(Rng& /*rng*/) override { return filled({1}, 1.0f); }
 
   StepResult step(std::size_t action, Rng& /*rng*/) override {
     StepResult r;
     r.reward = action == best_ ? 1.0f : 0.0f;
     r.done = true;
     r.success = action == best_;
-    r.observation = Tensor({1}, 1.0f);
+    r.observation = filled({1}, 1.0f);
     return r;
   }
 

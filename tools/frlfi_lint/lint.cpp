@@ -429,7 +429,7 @@ void check_lambda_draws(Ctx& ctx, const Lambda& lam,
     for (std::size_t pos = body.find(stem); pos != std::string::npos;
          pos = body.find(stem, pos + stem.size())) {
       // Stem match: boundary on the left only, so suffixed forms
-      // (uniform_index, uniform_int, next_u64, ...) are caught too.
+      // (uniform_index, next_u64, ...) are caught too.
       if (pos == 0 || !is_ident_char(body[pos - 1])) stem_hits.push_back(pos);
     }
     for (std::size_t mpos : stem_hits) {
