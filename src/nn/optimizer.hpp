@@ -22,11 +22,16 @@ class SgdOptimizer {
   /// Bind to a network's parameters.
   SgdOptimizer(Network& net, Options opts);
 
-  /// Apply one update from the accumulated gradients, then zero them.
+  /// Apply one update from the accumulated gradients, then zero them
+  /// (to +0.0f).
   void step();
 
   /// Current options (mutable to allow lr decay schedules).
   Options& options() { return opts_; }
+
+  /// Momentum buffers, parallel to the network's parameters (empty when
+  /// momentum is 0).
+  const std::vector<Tensor>& velocity() const { return velocity_; }
 
  private:
   Network* net_;

@@ -36,7 +36,9 @@
 // bit-reproducibility while roughly doubling hot-loop throughput on AVX2
 // parts. Kernels with reductions (packed narrow dots, the transposed
 // GEMMs, gemv_bias) must NOT be cloned: their reduction-tree shape follows
-// the vector width. Disabled under ThreadSanitizer: target_clones emits IFUNC
+// the vector width. The one exception is a sum whose value only feeds a
+// bound that holds for every tree (SgdOptimizer's clip-norm screen).
+// Disabled under ThreadSanitizer: target_clones emits IFUNC
 // resolvers that run before the TSan runtime initializes, crashing any
 // binary that links a cloned kernel at load time (dispatch is identical
 // either way, so sanitizer builds just lose the wider vectors).

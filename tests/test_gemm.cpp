@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -103,17 +105,31 @@ TEST(Gemm, TnMatchesTransposedReference) {
 
 TEST(Gemm, GemvVariants) {
   Rng rng(12);
+  // gemv_bias is bit-identical to the ordered per-row chain at every row
+  // count: whole 8-row blocks, the rows left over, and both together.
+  std::vector<std::size_t> rows;
+  for (std::size_t m = 1; m <= 17; ++m) rows.push_back(m);
+  rows.insert(rows.end(), {32, 33});
+  for (const std::size_t m : rows) {
+    for (const std::size_t n : {1, 10, 32}) {
+      const auto w = random_matrix(m, n, rng);
+      const auto x = random_matrix(n, 1, rng);
+      const auto bias = random_matrix(m, 1, rng);
+      std::vector<float> yb(m, 5.0f);  // gemv_bias overwrites
+      gemv_bias(w.data(), x.data(), bias.data(), yb.data(), m, n);
+      for (std::size_t i = 0; i < m; ++i) {
+        float acc = bias[i];
+        for (std::size_t j = 0; j < n; ++j) acc += w[i * n + j] * x[j];
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(yb[i]),
+                  std::bit_cast<std::uint32_t>(acc))
+            << "m=" << m << " n=" << n << " row " << i;
+      }
+    }
+  }
+
   const std::size_t m = 14, n = 23;
   const auto w = random_matrix(m, n, rng);
   const auto x = random_matrix(n, 1, rng);
-  const auto bias = random_matrix(m, 1, rng);
-  std::vector<float> want(m, 0.0f);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) want[i] += w[i * n + j] * x[j];
-
-  std::vector<float> yb(m, 5.0f);  // gemv_bias overwrites
-  gemv_bias(w.data(), x.data(), bias.data(), yb.data(), m, n);
-  for (std::size_t i = 0; i < m; ++i) EXPECT_NEAR(yb[i], want[i] + bias[i], 1e-5f);
 
   // y2 += Wᵀ g
   const auto g = random_matrix(m, 1, rng);
