@@ -106,6 +106,7 @@ std::vector<float> DroneFrlSystem::pretrain(const Config& cfg,
                            .momentum = 0.9f,
                            .clip_norm = 5.0f});
     std::size_t batch = 0;
+    Tape tape;
     for (std::size_t ep = 0; ep < cfg.imitation_episodes; ++ep) {
       Rng ep_rng = rng.split(1000 + ep);
       const double p_student =
@@ -114,8 +115,9 @@ std::vector<float> DroneFrlSystem::pretrain(const Config& cfg,
       Tensor obs = env.reset(ep_rng);
       for (std::size_t t = 0; t < cfg.env.max_steps; ++t) {
         const std::size_t teacher = pilot.act(env);
-        const Tensor logits = net.forward(obs);
-        net.backward(policy_gradient_grad(logits, teacher, 1.0f));
+        tape.clear();
+        const Tensor logits = net.forward(obs, tape);
+        net.backward(policy_gradient_grad(logits, teacher, 1.0f), tape, 0);
         if (++batch % 16 == 0) opt.step();
         const std::size_t drive =
             ep_rng.bernoulli(p_student) ? logits.argmax() : teacher;

@@ -8,12 +8,15 @@
 namespace frlfi {
 
 /// Rectified linear unit, y = max(0, x), any tensor shape.
-class ReLU final : public Layer {
+class ReLU final : public TapedLayer {
  public:
   explicit ReLU(std::string layer_name = "relu");
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  using TapedLayer::backward;
+  using TapedLayer::forward;
+  Tensor forward(const Tensor& input, Tape& tape) override;
+  Tensor backward(const Tensor& grad_output, Tape& tape,
+                  bool need_input_grad) override;
 
   /// Elementwise in place on the moved-in batch-inner buffer
   /// (layout-agnostic); bit-identical to the per-sample path, no backward
@@ -25,7 +28,6 @@ class ReLU final : public Layer {
   std::unique_ptr<Layer> clone() const override;
 
  private:
-  Tensor cached_input_;
   std::string label_;
 };
 

@@ -154,8 +154,10 @@ std::size_t Conv2D::out_extent(std::size_t in_extent) const {
   return (in_extent + 2 * pad_ - k_) / stride_ + 1;
 }
 
-ConvShape Conv2D::shape_for(const Tensor& input) const {
-  return ConvShape{in_c_, input.dim(1), input.dim(2), k_, stride_, pad_};
+ConvShape Conv2D::shape_for(std::size_t h, std::size_t w) const {
+  out_extent(h);  // validates extent >= kernel with the layer's message
+  out_extent(w);
+  return ConvShape{in_c_, h, w, k_, stride_, pad_};
 }
 
 void Conv2D::check_grad_shape(const Tensor& grad_output, std::size_t oh,
@@ -165,23 +167,18 @@ void Conv2D::check_grad_shape(const Tensor& grad_output, std::size_t oh,
                   label_ << ": bad grad shape " << grad_output.shape_string());
 }
 
-Tensor Conv2D::forward(const Tensor& input) {
+Tensor Conv2D::forward(const Tensor& input, Tape& tape) {
   FRLFI_CHECK_MSG(input.rank() == 3 && input.dim(0) == in_c_,
                   label_ << ": bad input shape " << input.shape_string());
-  cached_input_ = input;
-  const ConvShape s = shape_for(input);
-  out_extent(s.h);  // validates extent >= kernel with the layer's message
-  out_extent(s.w);
-  const std::size_t oh = s.out_h(), ow = s.out_w();
+  const ConvShape s = shape_for(input.dim(1), input.dim(2));
   const std::size_t rows = s.rows(), ncols = s.cols();
-  cols_.resize(rows * ncols);
-  im2col(input.data().data(), s, cols_.data());
-  cols_fresh_ = true;
-  Tensor out({out_c_, oh, ow});
+  float* cols = tape.record_floats(input, rows * ncols);
+  im2col(input.data().data(), s, cols);
+  Tensor out({out_c_, s.out_h(), s.out_w()});
   // Bias-seeded fused GEMM: the per-element accumulation chain (bias first,
   // taps in increasing order) matches forward_naive exactly, so the two
   // paths agree bit-for-bit on wide outputs.
-  gemm_bias_rows(weight_.value.data().data(), cols_.data(),
+  gemm_bias_rows(weight_.value.data().data(), cols,
                  bias_.value.data().data(), out.data().data(), out_c_, rows,
                  ncols);
   return out;
@@ -193,9 +190,7 @@ Tensor Conv2D::batch_inner_with(Tensor input, std::size_t batch,
                       input.dim(3) == batch,
                   label_ << ": bad batch-inner input " << input.shape_string()
                          << " for batch " << batch);
-  const ConvShape s{in_c_, input.dim(1), input.dim(2), k_, stride_, pad_};
-  out_extent(s.h);  // validates extent >= kernel with the layer's message
-  out_extent(s.w);
+  const ConvShape s = shape_for(input.dim(1), input.dim(2));
   const std::size_t oh = s.out_h(), ow = s.out_w();
   Tensor out({out_c_, oh, ow, batch});
   // Below the SIMD-worthwhile width the direct kernel's B-wide saxpy
@@ -245,19 +240,14 @@ Tensor Conv2D::infer(Tensor input, std::size_t batch,
   return batch_inner_with(std::move(input), batch, wb.weight, wb.bias);
 }
 
-Tensor Conv2D::backward(const Tensor& grad_output) {
-  FRLFI_CHECK_MSG(!cached_input_.empty(), label_ << ": backward before forward");
-  const ConvShape s = shape_for(cached_input_);
-  const std::size_t oh = s.out_h(), ow = s.out_w();
-  check_grad_shape(grad_output, oh, ow);
+Tensor Conv2D::backward(const Tensor& grad_output, Tape& tape,
+                        bool need_input_grad) {
+  const Tape::Record& r = tape.pop();
+  const ConvShape s = shape_for(r.dim(1), r.dim(2));
+  check_grad_shape(grad_output, s.out_h(), s.out_w());
   const std::size_t rows = s.rows(), ncols = s.cols();
-  // Reuse the patch matrix left by forward(); recompute only when the last
-  // forward ran the naive path (or a clone dropped the workspace).
-  if (!cols_fresh_ || cols_.size() != rows * ncols) {
-    cols_.resize(rows * ncols);
-    im2col(cached_input_.data().data(), s, cols_.data());
-    cols_fresh_ = true;
-  }
+  FRLFI_CHECK_MSG(r.size() == rows * ncols,
+                  label_ << ": record is not a forward() patch matrix");
   const auto& g = grad_output.data();
   // Bias gradient: row sums of the output gradient.
   for (std::size_t oc = 0; oc < out_c_; ++oc) {
@@ -267,14 +257,15 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
     bias_.grad[oc] += acc;
   }
   // Weight gradient: dW (out_c x rows) += G (out_c x ncols) · colsᵀ.
-  gemm_nt_accumulate(g.data(), cols_.data(), weight_.grad.data().data(),
+  gemm_nt_accumulate(g.data(), r.values(), weight_.grad.data().data(),
                      out_c_, ncols, rows);
+  if (!need_input_grad) return {};
   // Input gradient in patch space: gcols (rows x ncols) = Wᵀ · G, then
   // scatter back onto the image with col2im.
   gcols_.resize(rows * ncols);
   gemm_tn(weight_.value.data().data(), g.data(), gcols_.data(), rows, out_c_,
           ncols);
-  Tensor grad_input(cached_input_.shape());
+  Tensor grad_input(r.shape());
   col2im_accumulate(gcols_.data(), s, grad_input.data().data());
   return grad_input;
 }
@@ -282,10 +273,11 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
 Tensor Conv2D::forward_naive(const Tensor& input) {
   FRLFI_CHECK_MSG(input.rank() == 3 && input.dim(0) == in_c_,
                   label_ << ": bad input shape " << input.shape_string());
-  cached_input_ = input;
-  cols_fresh_ = false;
   const std::size_t h = input.dim(1), w = input.dim(2);
   const std::size_t oh = out_extent(h), ow = out_extent(w);
+  last_.clear();
+  last_.begin_step();
+  last_.record(input);
   Tensor out({out_c_, oh, ow});
   const auto& x = input.data();
   const auto& wt = weight_.value.data();
@@ -318,12 +310,16 @@ Tensor Conv2D::forward_naive(const Tensor& input) {
 }
 
 Tensor Conv2D::backward_naive(const Tensor& grad_output) {
-  FRLFI_CHECK_MSG(!cached_input_.empty(), label_ << ": backward before forward");
-  const std::size_t h = cached_input_.dim(1), w = cached_input_.dim(2);
+  FRLFI_CHECK_MSG(last_.steps() == 1, label_ << ": backward before forward");
+  last_.rewind(0);
+  const Tape::Record& r = last_.pop();
+  const std::size_t h = r.dim(1), w = r.dim(2);
+  FRLFI_CHECK_MSG(r.size() == in_c_ * h * w,
+                  label_ << ": backward_naive needs forward_naive");
   const std::size_t oh = out_extent(h), ow = out_extent(w);
   check_grad_shape(grad_output, oh, ow);
-  Tensor grad_input(cached_input_.shape());
-  const auto& x = cached_input_.data();
+  Tensor grad_input(r.shape());
+  const float* x = r.values();
   const auto& wt = weight_.value.data();
   auto& gw = weight_.grad.data();
   auto& gx = grad_input.data();
@@ -367,12 +363,7 @@ std::string Conv2D::name() const {
 }
 
 std::unique_ptr<Layer> Conv2D::clone() const {
-  auto copy = std::make_unique<Conv2D>(*this);
-  copy->cached_input_ = Tensor();
-  copy->cols_.clear();
-  copy->gcols_.clear();
-  copy->cols_fresh_ = false;
-  return copy;
+  return std::make_unique<Conv2D>(*this);
 }
 
 }  // namespace frlfi

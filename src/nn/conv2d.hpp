@@ -4,10 +4,12 @@
 /// 2-D convolution over CHW single-sample tensors — the building block of
 /// the DroneNav perception policy (3 Conv layers in the paper).
 ///
-/// forward()/backward() run on an im2col + blocked-GEMM path with reusable
-/// per-layer scratch workspaces (no allocations in the steady state). The
-/// original 7-deep loop nest is retained as forward_naive()/backward_naive()
-/// as the golden reference for equivalence tests and before/after benches.
+/// forward()/backward() run on an im2col + blocked-GEMM path: forward()
+/// builds the patch matrix straight into the tape, where backward() reads
+/// it for the weight gradient; the input gradient (gemm_tn + col2im into
+/// a reusable workspace) is skipped when it is not needed. The original
+/// 7-deep loop nest is retained as forward_naive()/backward_naive() as the
+/// golden reference for equivalence tests and before/after benches.
 /// The GEMM forward is bit-identical to the naive forward (bias-seeded
 /// accumulation in the same tap order, padding taps contributing exact
 /// zeros) whenever the output has >= 8 spatial positions; tiny outputs use
@@ -24,15 +26,18 @@ namespace frlfi {
 /// 2-D convolution. Input: (in_channels, H, W); output:
 /// (out_channels, H', W') with H' = (H + 2*pad - k)/stride + 1.
 /// Weights Xavier-uniform, biases zero.
-class Conv2D final : public Layer {
+class Conv2D final : public TapedLayer {
  public:
   /// Construct with square kernels.
   Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
          std::size_t stride, std::size_t padding, Rng& rng,
          std::string layer_name = "conv");
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  using TapedLayer::backward;
+  using TapedLayer::forward;
+  Tensor forward(const Tensor& input, Tape& tape) override;
+  Tensor backward(const Tensor& grad_output, Tape& tape,
+                  bool need_input_grad) override;
 
   /// Batch-inner inference over (in_c, H, W, B). Wide batches
   /// (>= kBatchInnerWideKernelMin) run a direct blocked convolution —
@@ -53,11 +58,12 @@ class Conv2D final : public Layer {
   std::unique_ptr<Layer> clone() const override;
 
   /// Reference forward: the direct 7-deep loop nest. Same contract and
-  /// caching behavior as forward(); kept for golden tests and benches.
+  /// caching behavior as the cached forward(); kept for golden tests and
+  /// benches.
   Tensor forward_naive(const Tensor& input);
 
-  /// Reference backward matching forward_naive. Accumulates parameter
-  /// gradients and returns the input gradient, like backward().
+  /// Reference backward of the last forward_naive(). Accumulates parameter
+  /// gradients and returns the input gradient, like the cached backward().
   Tensor backward_naive(const Tensor& grad_output);
 
   /// Output spatial size for an input spatial size.
@@ -70,7 +76,8 @@ class Conv2D final : public Layer {
   Parameter& bias() { return bias_; }
 
  private:
-  ConvShape shape_for(const Tensor& input) const;
+  // The (validated) geometry of an input of spatial size h x w.
+  ConvShape shape_for(std::size_t h, std::size_t w) const;
   void check_grad_shape(const Tensor& grad_output, std::size_t oh,
                         std::size_t ow) const;
   // infer()'s float compute with resolved weight and bias pointers (the
@@ -81,12 +88,9 @@ class Conv2D final : public Layer {
   std::size_t in_c_, out_c_, k_, stride_, pad_;
   Parameter weight_;  // (out_c, in_c, k, k)
   Parameter bias_;    // (out_c)
-  Tensor cached_input_;
-  // Scratch workspaces for the im2col/GEMM path, reused across calls so the
-  // hot loop performs no allocations once warmed up.
-  std::vector<float> cols_;   // im2col patch matrix, rows() x cols()
-  std::vector<float> gcols_;  // patch-space input gradient, same extents
-  bool cols_fresh_ = false;   // cols_ matches cached_input_ (set by forward)
+  // Patch-space input gradient, rows() x cols(), reused across calls so
+  // the hot loop performs no allocations once warmed up.
+  std::vector<float> gcols_;
   std::string label_;
 };
 

@@ -20,12 +20,12 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng,
   bias_ = Parameter(label_ + ".bias", Tensor({out_}));
 }
 
-Tensor Dense::forward(const Tensor& input) {
+Tensor Dense::forward(const Tensor& input, Tape& tape) {
   FRLFI_CHECK_MSG(input.size() == in_, label_ << ": input size " << input.size()
                                               << " != " << in_);
-  cached_input_ = input.reshaped({in_});
+  tape.record(input);
   Tensor out({out_});
-  gemv_bias(weight_.value.data().data(), cached_input_.data().data(),
+  gemv_bias(weight_.value.data().data(), input.data().data(),
             bias_.value.data().data(), out.data().data(), out_, in_);
   return out;
 }
@@ -74,16 +74,17 @@ Tensor Dense::infer(Tensor input, std::size_t batch, const ParamSource& src) {
   return batch_inner_with(std::move(input), batch, wb.weight, wb.bias);
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
+Tensor Dense::backward(const Tensor& grad_output, Tape& tape,
+                       bool need_input_grad) {
   FRLFI_CHECK_MSG(grad_output.size() == out_, label_ << ": grad size mismatch");
-  FRLFI_CHECK_MSG(!cached_input_.empty(), label_ << ": backward before forward");
-  Tensor grad_input({in_});
+  const Tape::Record& r = tape.pop();
   const auto& g = grad_output.data();
   for (std::size_t o = 0; o < out_; ++o) bias_.grad[o] += g[o];
   // dW += g · xᵀ (rank-1 GEMM-accumulate); dx += Wᵀ · g. Both kernels keep
   // the reference accumulation order, so results match the old loops.
-  ger_accumulate(g.data(), cached_input_.data().data(),
-                 weight_.grad.data().data(), out_, in_);
+  ger_accumulate(g.data(), r.values(), weight_.grad.data().data(), out_, in_);
+  if (!need_input_grad) return {};
+  Tensor grad_input({in_});
   gemv_t_accumulate(weight_.value.data().data(), g.data(),
                     grad_input.data().data(), out_, in_);
   return grad_input;
@@ -96,9 +97,7 @@ std::string Dense::name() const {
 }
 
 std::unique_ptr<Layer> Dense::clone() const {
-  auto copy = std::make_unique<Dense>(*this);
-  copy->cached_input_ = Tensor();
-  return copy;
+  return std::make_unique<Dense>(*this);
 }
 
 }  // namespace frlfi

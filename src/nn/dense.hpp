@@ -10,14 +10,17 @@ namespace frlfi {
 /// Fully-connected (affine) layer. Input: rank-1 tensor of `in_features`;
 /// output: rank-1 tensor of `out_features`. Weights are Xavier-uniform
 /// initialized; biases start at zero.
-class Dense final : public Layer {
+class Dense final : public TapedLayer {
  public:
   /// Construct with explicit dimensions and an RNG for initialization.
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng,
         std::string layer_name = "dense");
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  using TapedLayer::backward;
+  using TapedLayer::forward;
+  Tensor forward(const Tensor& input, Tape& tape) override;
+  Tensor backward(const Tensor& grad_output, Tape& tape,
+                  bool need_input_grad) override;
 
   /// Batch-inner inference: the (in, B) input IS the Xᵀ operand, so the
   /// bias-seeded GEMM consumes and produces the transposed layout with no
@@ -54,7 +57,6 @@ class Dense final : public Layer {
   std::size_t in_, out_;
   Parameter weight_;  // (out, in)
   Parameter bias_;    // (out)
-  Tensor cached_input_;
   std::string label_;
 };
 

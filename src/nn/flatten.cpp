@@ -6,9 +6,9 @@ namespace frlfi {
 
 Flatten::Flatten(std::string layer_name) : label_(std::move(layer_name)) {}
 
-Tensor Flatten::forward(const Tensor& input) {
+Tensor Flatten::forward(const Tensor& input, Tape& tape) {
   FRLFI_CHECK(!input.empty());
-  input_shape_ = input.shape();
+  tape.record_shape(input);
   return input.reshaped({input.size()});
 }
 
@@ -20,9 +20,11 @@ Tensor Flatten::infer(Tensor input, std::size_t batch, const ParamSource&) {
   return std::move(input).reshaped({features, batch});
 }
 
-Tensor Flatten::backward(const Tensor& grad_output) {
-  FRLFI_CHECK_MSG(!input_shape_.empty(), label_ << ": backward before forward");
-  return grad_output.reshaped(input_shape_);
+Tensor Flatten::backward(const Tensor& grad_output, Tape& tape,
+                         bool need_input_grad) {
+  const Tape::Record& r = tape.pop();
+  if (!need_input_grad) return {};
+  return grad_output.reshaped(r.shape());
 }
 
 std::string Flatten::name() const { return label_ + "(Flatten)"; }

@@ -8,12 +8,15 @@
 namespace frlfi {
 
 /// Flattens any input tensor to rank-1; backward restores the input shape.
-class Flatten final : public Layer {
+class Flatten final : public TapedLayer {
  public:
   explicit Flatten(std::string layer_name = "flatten");
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  using TapedLayer::backward;
+  using TapedLayer::forward;
+  Tensor forward(const Tensor& input, Tape& tape) override;
+  Tensor backward(const Tensor& grad_output, Tape& tape,
+                  bool need_input_grad) override;
 
   /// (..., B) -> (prod(...), B): in batch-inner layout flattening is a
   /// zero-copy reshape of the moved-in tensor; no cache written.
@@ -24,7 +27,6 @@ class Flatten final : public Layer {
   std::unique_ptr<Layer> clone() const override;
 
  private:
-  std::vector<std::size_t> input_shape_;
   std::string label_;
 };
 

@@ -1,12 +1,109 @@
 #include "nn/layer.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 #include "core/error.hpp"
 #include "tensor/gemm.hpp"  // FRLFI_RESTRICT
 
 namespace frlfi {
+
+template <typename T, std::size_t kMin, std::size_t kMax>
+T* Tape::Arena<T, kMin, kMax>::take(std::size_t n) {
+  while (block_ < blocks_.size() && used_ + n > blocks_[block_].capacity) {
+    ++block_;
+    used_ = 0;
+  }
+  if (block_ == blocks_.size()) {
+    const std::size_t capacity = std::max(n, std::clamp(total_, kMin, kMax));
+    blocks_.push_back({std::make_unique_for_overwrite<T[]>(capacity), capacity});
+    total_ += capacity;
+  }
+  T* p = blocks_[block_].data.get() + used_;
+  used_ += n;
+  return p;
+}
+
+void Tape::clear() {
+  values_.reset();
+  bits_.reset();
+  step_begin_.clear();
+  count_ = read_begin_ = cursor_ = 0;
+}
+
+void Tape::begin_step() { step_begin_.push_back(count_); }
+
+void Tape::push(const Tensor& x, const void* data, std::size_t size) {
+  FRLFI_CHECK_MSG(!step_begin_.empty(), "tape: record before begin_step");
+  FRLFI_CHECK_MSG(x.rank() <= kMaxRank && size <= UINT32_MAX,
+                  "tape: cannot record " << x.shape_string());
+  if (count_ == pages_.size() * kPageRecords)
+    pages_.push_back(std::make_unique<Record[]>(kPageRecords));
+  Record& r = at(count_++);
+  r.data_ = data;
+  r.size_ = static_cast<std::uint32_t>(size);
+  r.rank_ = static_cast<std::uint32_t>(x.rank());
+  for (std::size_t d = 0; d < x.rank(); ++d) {
+    FRLFI_CHECK(x.dim(d) <= UINT32_MAX);
+    r.dims_[d] = static_cast<std::uint32_t>(x.dim(d));
+  }
+}
+
+float* Tape::record_floats(const Tensor& x, std::size_t n) {
+  float* v = values_.take(n);
+  push(x, v, n);
+  return v;
+}
+
+void Tape::record(const Tensor& x) {
+  std::copy(x.data().begin(), x.data().end(), record_floats(x, x.size()));
+}
+
+void Tape::record_shape(const Tensor& x) { push(x, nullptr, 0); }
+
+std::uint64_t* Tape::record_bits(const Tensor& x) {
+  std::uint64_t* words = bits_.take((x.size() + 63) / 64);
+  push(x, words, x.size());
+  return words;
+}
+
+void Tape::rewind(std::size_t step) {
+  FRLFI_CHECK_MSG(step < steps(),
+                  "tape: step " << step << " of " << steps() << " recorded");
+  read_begin_ = step_begin_[step];
+  cursor_ = step + 1 < steps() ? step_begin_[step + 1] : count_;
+}
+
+const Tape::Record& Tape::pop() {
+  FRLFI_CHECK_MSG(cursor_ > read_begin_, "tape: no record left in the step");
+  return at(--cursor_);
+}
+
+Tensor Layer::forward(const Tensor& input, Tape& tape) {
+  tape.record(input);
+  return forward(input);
+}
+
+Tensor Layer::backward(const Tensor& grad_output, Tape& tape, bool) {
+  const Tape::Record& r = tape.pop();
+  Tensor input(r.shape());
+  std::copy_n(r.values(), r.size(), input.data().begin());
+  forward(input);
+  return backward(grad_output);
+}
+
+Tensor TapedLayer::forward(const Tensor& input) {
+  last_.clear();
+  last_.begin_step();
+  return forward(input, last_);
+}
+
+Tensor TapedLayer::backward(const Tensor& grad_output) {
+  FRLFI_CHECK_MSG(last_.steps() == 1, name() << ": backward before forward");
+  last_.rewind(0);
+  return backward(grad_output, last_, /*need_input_grad=*/true);
+}
 
 Tensor Layer::infer(Tensor input, std::size_t batch, const ParamSource& src) {
   FRLFI_CHECK_MSG(src.own() || parameters().empty(),

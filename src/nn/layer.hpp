@@ -6,18 +6,40 @@
 /// The networks here are small (the paper's policies are a 2-layer MLP for
 /// GridWorld and a 3-Conv + 2-FC net for DroneNav) and trained online, one
 /// sample at a time, so the training path processes single CHW/flat
-/// samples. Each layer caches what it needs during forward() so a
-/// following backward() can produce input gradients and accumulate
-/// parameter gradients.
+/// samples.
+///
+/// Training state lives on a caller-owned Tape, not in the layers.
+/// forward(x, tape) appends one Record per layer holding exactly what that
+/// layer's backward reads: Conv2D its im2col patch matrix (built straight
+/// into the tape), Dense the input values, ReLU one bit per element
+/// (input <= 0), Flatten the input shape. backward(g, tape, need) pops
+/// that record, accumulates parameter gradients and, when `need` is set,
+/// returns dLoss/dInput. A tape holds any number of steps, so a learner
+/// can act through forward(x, tape) and differentiate every step later
+/// without a second forward. For the DroneNav policy one step records
+/// 3056 floats (12224 B, of which conv0's patches are 9600 B), 72 B of
+/// ReLU bits, 10 records of 32 B and an 8 B step index: 12624 B per step.
+/// The GridWorld policy's step is 480 B. Storage comes in blocks that
+/// never move (no geometric-growth copies), and clear() keeps them for
+/// reuse.
+///
+/// The cached forward(x)/backward(g) pair remains for decorators, tests
+/// and single-step callers. The in-tree layers (TapedLayer) run it on a
+/// one-step tape member, so each has one compute path. A decorator that
+/// overrides only the cached pair still works on a tape through the
+/// Layer defaults, which record its input and re-run forward() before
+/// backward().
 ///
 /// Inference runs on a separate, cache-free entry: infer() maps a
 /// *batch-inner* tensor — the batch as the innermost (fastest-moving)
 /// dimension, (C, H, W, B) for image stages and (features, B) for flat
 /// stages — to the batch-inner output, reading parameters from a
 /// ParamSource: the layer's own tensors or a fault-overlay WeightView.
-/// infer() never touches the backward() caches, so interleaving
-/// evaluation with training is safe.
+/// infer() touches no tape, so interleaving evaluation with training is
+/// safe.
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,6 +91,114 @@ struct Parameter {
   void zero_grad() { grad.fill(0.0f); }
 };
 
+/// Caller-owned record of training forwards, step by step (see the file
+/// comment). Network::forward(x, tape) opens a step and every layer
+/// appends one Record; Network::backward(g, tape, step) rewinds to that
+/// step and every layer pops its Record, last layer first. Steps can be
+/// differentiated in any order and clear() starts over. Move-only.
+class Tape {
+ public:
+  /// Largest input rank a Record keeps the shape of (Tensor's own limit).
+  static constexpr std::size_t kMaxRank = 4;
+
+  /// One layer's record of one forward: the shape of the layer input it
+  /// describes plus, by how it was made, floats (record, record_floats),
+  /// one bit per input element (record_bits) or nothing (record_shape).
+  class Record {
+   public:
+    std::size_t dim(std::size_t d) const { return dims_[d]; }
+    /// Payload length: floats, bits, or 0 for record_shape().
+    std::size_t size() const { return size_; }
+    std::vector<std::size_t> shape() const {
+      return {dims_.begin(), dims_.begin() + rank_};
+    }
+    /// The recorded floats.
+    const float* values() const { return static_cast<const float*>(data_); }
+    /// Bit i of element i, packed 64 per word (records made by
+    /// record_bits()).
+    const std::uint64_t* bits() const {
+      return static_cast<const std::uint64_t*>(data_);
+    }
+
+   private:
+    friend class Tape;
+    const void* data_ = nullptr;
+    std::uint32_t size_ = 0;
+    std::uint32_t rank_ = 0;
+    std::array<std::uint32_t, kMaxRank> dims_{};
+  };
+
+  /// Drop every step; the storage stays for the next recording.
+  void clear();
+
+  /// Open step steps(): the records that follow belong to it.
+  void begin_step();
+
+  /// Steps recorded since clear().
+  std::size_t steps() const { return step_begin_.size(); }
+
+  /// Records appended since clear().
+  std::size_t records() const { return count_; }
+
+  /// Append a record of `x`'s shape holding a copy of its values.
+  void record(const Tensor& x);
+
+  /// Append a record of `x`'s shape with `n` floats, which the caller must
+  /// fill; returns them.
+  float* record_floats(const Tensor& x, std::size_t n);
+
+  /// Append a record of `x`'s shape with no payload.
+  void record_shape(const Tensor& x);
+
+  /// Append a record of `x`'s shape with one bit per element. Returns the
+  /// ceil(x.size() / 64) words, which the caller must fill.
+  std::uint64_t* record_bits(const Tensor& x);
+
+  /// Place the read cursor after the last record of `step`.
+  void rewind(std::size_t step);
+
+  /// The last record of the rewound step not yet popped.
+  const Record& pop();
+
+  /// True when every record of the rewound step has been popped.
+  bool step_consumed() const { return cursor_ == read_begin_; }
+
+ private:
+  // Blocks of T that never move once allocated. take(n) hands out n
+  // contiguous elements; a block that cannot hold them is skipped. A new
+  // block holds max(n, total so far clamped to [kMin, kMax]) elements and
+  // is allocated uninitialized, so its untouched pages stay unresident.
+  template <typename T, std::size_t kMin, std::size_t kMax>
+  class Arena {
+   public:
+    T* take(std::size_t n);
+    void reset() { block_ = used_ = 0; }
+
+   private:
+    struct Block {
+      std::unique_ptr<T[]> data;
+      std::size_t capacity;
+    };
+    std::vector<Block> blocks_;
+    std::size_t block_ = 0, used_ = 0, total_ = 0;
+  };
+
+  // Records live in fixed pages, so record i is at a fixed place.
+  static constexpr std::size_t kPageRecords = 64;
+
+  void push(const Tensor& x, const void* data, std::size_t size);
+  Record& at(std::size_t i) {
+    return pages_[i / kPageRecords][i % kPageRecords];
+  }
+
+  Arena<float, 1024, 65536> values_;
+  Arena<std::uint64_t, 64, 8192> bits_;
+  std::vector<std::unique_ptr<Record[]>> pages_;
+  std::vector<std::size_t> step_begin_;
+  std::size_t count_ = 0;
+  std::size_t read_begin_ = 0, cursor_ = 0;
+};
+
 /// Base class for all network layers.
 class Layer {
  public:
@@ -81,6 +211,19 @@ class Layer {
   /// Given dLoss/dOutput, accumulate parameter gradients and return
   /// dLoss/dInput for the layer below.
   virtual Tensor backward(const Tensor& grad_output) = 0;
+
+  /// Training forward: forward() of one sample, appending one Record to
+  /// `tape` with what backward(g, tape, ...) reads. The default records
+  /// the input values, then calls forward(input).
+  virtual Tensor forward(const Tensor& input, Tape& tape);
+
+  /// Pop this layer's record from `tape`, accumulate parameter gradients
+  /// and return dLoss/dInput — or an empty tensor when `need_input_grad`
+  /// is false and the layer can skip it. The default re-runs
+  /// forward(recorded input), then backward(grad_output), and always
+  /// returns the input gradient.
+  virtual Tensor backward(const Tensor& grad_output, Tape& tape,
+                          bool need_input_grad);
 
   /// Inference forward over `batch` samples in batch-inner layout:
   /// `input` is (d1..dk, B), the result (e1..em, B), column b computing
@@ -107,6 +250,25 @@ class Layer {
 
   /// Deep copy (parameters included, caches excluded).
   virtual std::unique_ptr<Layer> clone() const = 0;
+};
+
+/// Base of the in-tree layers: the compute lives in the tape entries, and
+/// the cached forward()/backward() run them on a one-step tape member.
+/// Copies start with an empty tape (caches are never copied).
+class TapedLayer : public Layer {
+ public:
+  Tensor forward(const Tensor& input) final;
+  Tensor backward(const Tensor& grad_output) final;
+  Tensor forward(const Tensor& input, Tape& tape) override = 0;
+  Tensor backward(const Tensor& grad_output, Tape& tape,
+                  bool need_input_grad) override = 0;
+
+ protected:
+  TapedLayer() = default;
+  TapedLayer(const TapedLayer&) : Layer() {}
+
+  /// The last cached forward()'s record (one step).
+  Tape last_;
 };
 
 /// (B, d1..dk) -> (d1..dk, B): gather each feature's B values contiguous.

@@ -49,6 +49,30 @@ Tensor Network::forward(const Tensor& input) {
   return x;
 }
 
+Tensor Network::forward(const Tensor& input, Tape& tape) {
+  FRLFI_CHECK_MSG(!layers_.empty(), "forward on empty network");
+  tape.begin_step();
+  const std::size_t first = tape.records();
+  Tensor x;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    x = layers_[i]->forward(i == 0 ? input : x, tape);
+    FRLFI_CHECK_MSG(tape.records() == first + i + 1,
+                    layers_[i]->name() << ": tape forward must record once");
+    if (activation_hook_) activation_hook_(i, x);
+  }
+  return x;
+}
+
+void Network::backward(const Tensor& grad_output, Tape& tape,
+                       std::size_t step) {
+  FRLFI_CHECK_MSG(!layers_.empty(), "backward on empty network");
+  tape.rewind(step);
+  Tensor g = grad_output;
+  for (std::size_t i = layers_.size(); i-- > 0;)
+    g = layers_[i]->backward(g, tape, /*need_input_grad=*/i > 0);
+  FRLFI_CHECK_MSG(tape.step_consumed(), "tape step " << step << " not consumed");
+}
+
 std::size_t batch_shard_count(std::size_t batch, std::size_t lanes) {
   static_assert(kBatchShardMinPerShard % kBatchInnerWideKernelMin == 0,
                 "cost cap must subsume the wide-kernel bit-identity cap");
@@ -175,13 +199,6 @@ Tensor Network::forward_batch(const Tensor& input, std::size_t batch,
                          return infer_stack(std::move(x), nb,
                                             ParamSource{view, 0});
                        });
-}
-
-Tensor Network::backward(const Tensor& grad_output) {
-  FRLFI_CHECK_MSG(!layers_.empty(), "backward on empty network");
-  Tensor g = grad_output;
-  for (std::size_t i = layers_.size(); i-- > 0;) g = layers_[i]->backward(g);
-  return g;
 }
 
 std::vector<Parameter*> Network::parameters() {

@@ -2,7 +2,7 @@
 
 /// \file network.hpp
 /// Sequential network container with the two facilities the FI framework
-/// needs beyond plain forward/backward:
+/// needs beyond the training forward/backward:
 ///  * flat parameter import/export (what the federated server aggregates
 ///    and the communication channel transports), and
 ///  * a per-layer activation hook (where per-layer instrumentation such as
@@ -47,9 +47,19 @@ class Network {
   void set_activation_hook(
       std::function<void(std::size_t, Tensor&)> hook);
 
-  /// Run the full training forward pass on one sample: every layer caches
-  /// what a following backward() needs.
+  /// Run the full forward pass on one sample through every layer's cached
+  /// forward() (the layers keep this one step; nothing reads it back here).
   Tensor forward(const Tensor& input);
+
+  /// Training forward on one sample: opens step tape.steps() on `tape`,
+  /// where every layer records what its backward reads (see Tape).
+  /// Bit-identical to forward().
+  Tensor forward(const Tensor& input, Tape& tape);
+
+  /// Backward of recorded step `step` from dLoss/dOutput: accumulates
+  /// parameter gradients. Layer 0's input gradient (for the policies, the
+  /// gradient with respect to the observation) is never computed.
+  void backward(const Tensor& grad_output, Tape& tape, std::size_t step);
 
   /// Run the full inference forward pass over `batch` stacked samples
   /// (leading dim = batch; rank-4 (B,C,H,W) for conv stacks, rank-2
@@ -59,8 +69,8 @@ class Network {
   /// the activation hook, when set, receives each layer's activations as a
   /// *batch-inner* tensor — (C,H,W,B)/(features,B) — which elementwise
   /// consumers like the range screen scan in one pass over the whole
-  /// batch. Nothing is cached: a following backward() still differentiates
-  /// the last forward(), unless a layer relies on the Layer::infer default.
+  /// batch. Nothing is recorded: layer caches and tapes are untouched,
+  /// unless a layer relies on the Layer::infer default.
   /// A single sample runs as a [1, ...] batch: at width 1 the batch-inner
   /// tensors are the sample itself, and the result is bit-identical to
   /// forward().
@@ -95,10 +105,6 @@ class Network {
   Tensor forward_batch(const Tensor& input, std::size_t batch,
                        ThreadPool* pool = nullptr,
                        std::span<const WeightView* const> lane_views = {});
-
-  /// Run backward from dLoss/dOutput; accumulates parameter gradients and
-  /// returns dLoss/dInput.
-  Tensor backward(const Tensor& grad_output);
 
   /// All trainable parameters, in layer order.
   std::vector<Parameter*> parameters();

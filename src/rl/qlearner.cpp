@@ -17,12 +17,16 @@ QLearner::QLearner(Network& net, Options opts)
 
 EpisodeStats QLearner::run_episode(Environment& env, Rng& rng, double epsilon,
                                    bool learn) {
+  // One step on the tape at a time; per thread, reused across steps,
+  // episodes and learners.
+  thread_local Tape tape;
   EpisodeStats stats;
   Tensor obs = env.reset(rng);
   const std::size_t n_actions = env.action_count();
 
   for (std::size_t t = 0; t < opts_.max_steps; ++t) {
-    const Tensor q = net_->forward(obs);
+    tape.clear();
+    const Tensor q = learn ? net_->forward(obs, tape) : net_->forward(obs);
     std::size_t action;
     if (learn && rng.bernoulli(epsilon))
       action = static_cast<std::size_t>(rng.uniform_index(n_actions));
@@ -37,13 +41,16 @@ EpisodeStats QLearner::run_episode(Environment& env, Rng& rng, double epsilon,
       float target = result.reward;
       if (!result.done) {
         // Bootstrap from the current network (no target network: the
-        // problems here are small enough for vanilla TD(0)).
-        target += opts_.gamma * net_->forward(result.observation).max();
+        // problems here are small enough for vanilla TD(0)) through the
+        // cache-free width-1 forward, bit-identical to forward(); the tape
+        // keeps the acting step for the gradient.
+        std::vector<std::size_t> one{1};
+        one.insert(one.end(), result.observation.shape().begin(),
+                   result.observation.shape().end());
+        target += opts_.gamma *
+                  net_->forward_batch(result.observation.reshaped(one), 1).max();
       }
-      // Re-run forward on the acting observation so layer caches match the
-      // state the gradient refers to.
-      const Tensor q_cur = net_->forward(obs);
-      net_->backward(td_loss_grad(q_cur, action, target));
+      net_->backward(td_loss_grad(q, action, target), tape, 0);
       optimizer_.step();
     }
 

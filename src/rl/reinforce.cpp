@@ -1,5 +1,7 @@
 #include "rl/reinforce.hpp"
 
+#include <algorithm>
+
 #include "core/error.hpp"
 #include "nn/activations.hpp"
 #include "nn/loss.hpp"
@@ -19,14 +21,20 @@ ReinforceTrainer::ReinforceTrainer(Network& net, Options opts)
 
 EpisodeStats ReinforceTrainer::run_episode(Environment& env, Rng& rng,
                                            bool learn) {
+  // The acting forwards record the episode on the tape, and the learn pass
+  // differentiates it from there. One tape per thread, shared by every
+  // trainer on it and reused across episodes: it holds the longest
+  // episode's records once per thread, not once per trainer.
+  thread_local Tape tape;
+  tape.clear();
   EpisodeStats stats;
-  std::vector<Tensor> observations;
+  std::vector<float> step_logits;  // the acting logits, step after step
   std::vector<std::size_t> actions;
   std::vector<float> rewards;
 
   Tensor obs = env.reset(rng);
   for (std::size_t t = 0; t < opts_.max_steps; ++t) {
-    const Tensor logits = net_->forward(obs);
+    const Tensor logits = learn ? net_->forward(obs, tape) : net_->forward(obs);
     std::size_t action;
     if (learn) {
       const Tensor probs = softmax(logits);
@@ -41,7 +49,8 @@ EpisodeStats ReinforceTrainer::run_episode(Environment& env, Rng& rng,
     ++stats.steps;
 
     if (learn) {
-      observations.push_back(obs);
+      step_logits.insert(step_logits.end(), logits.data().begin(),
+                         logits.data().end());
       actions.push_back(action);
       rewards.push_back(result.reward);
     }
@@ -73,12 +82,18 @@ EpisodeStats ReinforceTrainer::run_episode(Environment& env, Rng& rng,
                          (1.0f - opts_.baseline_beta) * mean_return;
     }
 
+    // Steps in order t = 0..T-1, so the gradients accumulate in the same
+    // order as when each step was forwarded again here.
     net_->zero_grad();
     const float inv_t = 1.0f / static_cast<float>(returns.size());
+    Tensor logits({step_logits.size() / returns.size()});
     for (std::size_t t = 0; t < returns.size(); ++t) {
-      const Tensor logits = net_->forward(observations[t]);
+      std::copy_n(step_logits.begin() +
+                      static_cast<std::ptrdiff_t>(t * logits.size()),
+                  logits.size(), logits.data().begin());
       const float advantage = (returns[t] - reward_baseline_) * inv_t;
-      net_->backward(policy_gradient_grad(logits, actions[t], advantage));
+      net_->backward(policy_gradient_grad(logits, actions[t], advantage), tape,
+                     t);
     }
     optimizer_.step();
   }

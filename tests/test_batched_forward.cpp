@@ -250,8 +250,8 @@ TEST(BatchedForward, FaultInjectedWeightsStillMatch) {
 }
 
 TEST(BatchedForward, DoesNotDisturbTrainingCaches) {
-  // forward() ... forward_batch() ... backward() must differentiate the
-  // forward(), not the batched call.
+  // forward() ... forward_batch() ... the layers' backward() must
+  // differentiate the forward(), not the batched call.
   Rng rng_a(8), rng_b(8);
   Network a = make_drone_policy(rng_a);
   Network b = make_drone_policy(rng_b);
@@ -261,8 +261,8 @@ TEST(BatchedForward, DoesNotDisturbTrainingCaches) {
   b.forward(x);
   a.forward_batch(random_batch({3, 18, 32}, 4, 101), 4);  // must be inert
   const Tensor g = testing::filled(out.shape(), 1.0f);
-  const Tensor ga = a.backward(g);
-  const Tensor gb = b.backward(g);
+  const Tensor ga = testing::backward_through_layers(a, g);
+  const Tensor gb = testing::backward_through_layers(b, g);
   EXPECT_EQ(ga.data(), gb.data());
   const auto pa = a.parameters(), pb = b.parameters();
   for (std::size_t t = 0; t < pa.size(); ++t)

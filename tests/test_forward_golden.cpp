@@ -14,7 +14,7 @@
 #include "fault/overlay.hpp"
 #include "frl/policies.hpp"
 #include "nn/network.hpp"
-#include "tensor/gemm.hpp"
+#include "test_util.hpp"
 
 namespace frlfi {
 namespace {
@@ -63,26 +63,6 @@ Tensor view_logits(Network& net, const Tensor& obs, const WeightView& view) {
   return net.forward_batch(as_batch(obs), 1, nullptr, lane);
 }
 
-// True when this build reduces the packed-narrow GEMM's dot products with
-// the tree of the portable Release build the digests were recorded on (see
-// gemm.cpp). Sanitizer instrumentation keeps that reduction sequential, so
-// the drone policy's conv2 stage (3 output positions, the narrow kernel)
-// rounds differently there; the other digests do not touch the kernel.
-bool narrow_reduction_is_portable() {
-  constexpr std::size_t k = 64;
-  std::vector<float> a(k), b(k);
-  for (std::size_t p = 0; p < k; ++p) {
-    a[p] = 1.0f + 0.001f * static_cast<float>(p);
-    b[p] = (p % 3 == 0 ? 3.0e3f : 1.7e-2f) * (p % 2 ? -1.0f : 1.0f);
-  }
-  const float bias = 0.0f;
-  float c = 0.0f;
-  gemm_bias_rows(a.data(), b.data(), &bias, &c, 1, k, 1);
-  std::uint32_t bits;
-  std::memcpy(&bits, &c, sizeof bits);
-  return bits == 0xC2C5FF00u;  // the sequential chain gives 0xC2C5FF60
-}
-
 struct Digests {
   std::uint64_t clean_view, overlay_view;
 };
@@ -123,7 +103,7 @@ TEST(ForwardGolden, DronePolicyWidthOneForwards) {
   Rng init(2025);
   Network net = make_drone_policy(init);
   const Digests d = policy_digests(net, seeded_observations({3, 18, 32}, 8));
-  if (!narrow_reduction_is_portable())
+  if (!testing::narrow_reduction_is_portable())
     GTEST_SKIP() << "digests are recorded for the portable build's "
                     "narrow-GEMM reduction tree";
   EXPECT_EQ(d.clean_view, 0x83BBA96FE51C4420ULL);

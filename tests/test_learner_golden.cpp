@@ -1,0 +1,136 @@
+/// \file test_learner_golden.cpp
+/// Golden digests of the two learners' training bits on the real
+/// environments: a few REINFORCE episodes of the drone policy on
+/// DroneNavEnv, the offline drone pretraining (DAgger imitation with
+/// momentum SGD, then a REINFORCE polish), and TD(0) QLearner episodes of
+/// the GridWorld policy on GridWorldEnv. Each digest folds the trained
+/// parameters, every EpisodeStats field, the learner state and the next
+/// draw of the training stream, so a change to the forward, the backward,
+/// the gradient accumulation order or the learners' RNG consumption shows
+/// as a digest change.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "core/rng.hpp"
+#include "dronesim/drone_env.hpp"
+#include "envs/gridworld.hpp"
+#include "frl/drone_system.hpp"
+#include "frl/policies.hpp"
+#include "rl/qlearner.hpp"
+#include "rl/reinforce.hpp"
+#include "test_util.hpp"
+
+namespace frlfi {
+namespace {
+
+// FNV-1a over raw bytes.
+class Digest {
+ public:
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= b[i];
+      h_ *= 0x100000001B3ULL;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void f32(float v) { bytes(&v, sizeof v); }
+  void floats(std::span<const float> v) {
+    bytes(v.data(), v.size() * sizeof(float));
+  }
+  void stats(const EpisodeStats& s) {
+    f32(s.total_reward);
+    u64(s.steps);
+    u64(s.success ? 1 : 0);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+// The digests pin the portable build's rounding; an FMA-contracting
+// native build computes different (equally valid) bits.
+#ifdef __FMA__
+#define SKIP_ON_FMA() \
+  GTEST_SKIP() << "digests are recorded for the portable (no-FMA) build"
+#else
+#define SKIP_ON_FMA() (void)0
+#endif
+
+// The drone digests cross the conv stack's narrow GEMM kernels, whose
+// reduction tree sanitizer builds do not share.
+#define SKIP_UNLESS_PORTABLE_NARROW_REDUCTION()                         \
+  if (!testing::narrow_reduction_is_portable())                        \
+  GTEST_SKIP() << "digests are recorded for the portable build's "     \
+                  "narrow-GEMM reduction tree"
+
+TEST(LearnerGolden, ReinforceDronePolicyOnDroneNav) {
+  SKIP_ON_FMA();
+  SKIP_UNLESS_PORTABLE_NARROW_REDUCTION();
+  const DroneFrlSystem::Config cfg;  // the fine-tuning learner and env
+  Rng init(31);
+  Network net = make_drone_policy(init);
+  DroneNavEnv env(0xD0E5, cfg.env, DroneCamera::Options{});
+  ReinforceTrainer trainer(net, cfg.learner);
+  Rng rng(77);
+  Digest d;
+  std::size_t steps = 0;
+  for (int ep = 0; ep < 8; ++ep) {
+    const EpisodeStats s = trainer.run_episode(env, rng, /*learn=*/true);
+    steps += s.steps;
+    d.stats(s);
+    const ReinforceTrainer::BaselineState b = trainer.baseline_state();
+    d.f32(b.value);
+    d.u64(b.initialized ? 1 : 0);
+  }
+  d.stats(trainer.run_episode(env, rng, /*learn=*/false));
+  d.floats(net.flat_parameters());
+  d.u64(rng.next_u64());
+  EXPECT_GT(steps, 400u);  // the digest covers real learn passes
+  EXPECT_EQ(d.value(), 0xC2FF17A924B82A40ULL);
+}
+
+TEST(LearnerGolden, DronePretraining) {
+  SKIP_ON_FMA();
+  SKIP_UNLESS_PORTABLE_NARROW_REDUCTION();
+  DroneFrlSystem::Config cfg;
+  cfg.imitation_episodes = 4;
+  cfg.pretrain_reinforce_episodes = 2;
+  cfg.env.max_steps = 90;
+  cfg.learner.max_steps = 90;
+  Digest d;
+  d.floats(DroneFrlSystem::pretrained_parameters(cfg, 5150));
+  EXPECT_EQ(d.value(), 0xB87A311A20F9297EULL);
+}
+
+TEST(LearnerGolden, QLearnerGridPolicyOnGridWorld) {
+  SKIP_ON_FMA();
+  Rng layout_rng(8);
+  const GridLayout layout = GridLayout::random(layout_rng, 12);
+  GridWorldEnv env(layout);
+  Rng init(41);
+  Network net = make_gridworld_policy(init);
+  QLearner learner(net, {});
+  Rng rng(99);
+  Digest d;
+  std::size_t steps = 0;
+  for (int ep = 0; ep < 30; ++ep) {
+    const EpisodeStats s =
+        learner.run_episode(env, rng, /*epsilon=*/0.3, /*learn=*/true);
+    steps += s.steps;
+    d.stats(s);
+  }
+  d.stats(learner.run_episode(env, rng, 0.0, /*learn=*/false));
+  d.floats(net.flat_parameters());
+  d.u64(rng.next_u64());
+  EXPECT_GT(steps, 1000u);
+  EXPECT_EQ(d.value(), 0xFFB551FF9B9C4392ULL);
+}
+
+}  // namespace
+}  // namespace frlfi

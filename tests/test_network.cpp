@@ -32,7 +32,9 @@ TEST(Network, ForwardShapesAndLayerAccess) {
 TEST(Network, EmptyNetworkRejectsUse) {
   Network net;
   EXPECT_THROW(net.forward(testing::filled({1}, 0.0f)), Error);
-  EXPECT_THROW(net.backward(testing::filled({1}, 0.0f)), Error);
+  Tape tape;
+  EXPECT_THROW(net.forward(testing::filled({1}, 0.0f), tape), Error);
+  EXPECT_THROW(net.backward(testing::filled({1}, 0.0f), tape, 0), Error);
   EXPECT_THROW(net.add(nullptr), Error);
 }
 
@@ -81,8 +83,9 @@ TEST(Network, CloneComputesSameOutputs) {
 TEST(Network, ZeroGradClearsAccumulators) {
   Rng rng(7);
   Network net = small_net(rng);
-  net.forward(testing::filled({3}, 1.0f));
-  net.backward(testing::filled({2}, 1.0f));
+  Tape tape;
+  net.forward(testing::filled({3}, 1.0f), tape);
+  net.backward(testing::filled({2}, 1.0f), tape, 0);
   bool any_nonzero = false;
   for (Parameter* p : net.parameters())
     for (float g : p->grad.data()) any_nonzero |= (g != 0.0f);

@@ -25,7 +25,8 @@ double gradient_check(Network& net, const Tensor& input) {
   // Analytic gradients.
   net.zero_grad();
   const Tensor out = net.forward(input);
-  const Tensor grad_in = net.backward(testing::filled(out.shape(), 1.0f));
+  const Tensor grad_in =
+      testing::backward_through_layers(net, testing::filled(out.shape(), 1.0f));
 
   double max_err = 0.0;
   // Input gradient.
@@ -38,11 +39,11 @@ double gradient_check(Network& net, const Tensor& input) {
                        std::max(1.0, std::abs(num) + std::abs(grad_in[i]));
     max_err = std::max(max_err, err);
   }
-  // Parameter gradients (recompute analytic after the perturbing passes
-  // overwrote caches).
+  // Parameter gradients, through the training path (a tape step).
   net.zero_grad();
-  net.forward(input);
-  net.backward(testing::filled(out.shape(), 1.0f));
+  Tape tape;
+  net.forward(input, tape);
+  net.backward(testing::filled(out.shape(), 1.0f), tape, 0);
   for (Parameter* p : net.parameters()) {
     std::vector<float> analytic = p->grad.data();
     for (std::size_t i = 0; i < p->value.size(); ++i) {

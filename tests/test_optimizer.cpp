@@ -288,11 +288,13 @@ TEST(Sgd, ConvergesOnQuadratic) {
   Network net = one_dense(rng);
   SgdOptimizer opt(net, {.learning_rate = 0.1f, .momentum = 0.0f, .clip_norm = 0.0f});
   const Tensor x = testing::filled({1}, 1.0f);
+  Tape tape;
   for (int i = 0; i < 200; ++i) {
-    const Tensor y = net.forward(x);
+    tape.clear();
+    const Tensor y = net.forward(x, tape);
     Tensor grad({1});
     grad[0] = 2.0f * (y[0] - 3.0f);
-    net.backward(grad);
+    net.backward(grad, tape, 0);
     opt.step();
   }
   EXPECT_NEAR(net.forward(x)[0], 3.0f, 1e-3);

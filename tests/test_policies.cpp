@@ -42,7 +42,8 @@ TEST(DronePolicy, BackwardRunsThroughConvStack) {
   Rng rng(4);
   Network net = make_drone_policy(rng);
   net.forward(testing::filled({3, 18, 32}, 0.1f));
-  const Tensor g = net.backward(testing::filled({25}, 1.0f));
+  const Tensor g =
+      testing::backward_through_layers(net, testing::filled({25}, 1.0f));
   EXPECT_EQ(g.shape(), (std::vector<std::size_t>{3, 18, 32}));
 }
 

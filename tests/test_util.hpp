@@ -6,6 +6,8 @@
 /// helpers that build test inputs and the scalar server-round oracle from
 /// the library's public API.
 
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <numeric>
 #include <span>
@@ -13,7 +15,9 @@
 #include <vector>
 
 #include "federated/server.hpp"
+#include "nn/network.hpp"
 #include "rl/env.hpp"
+#include "tensor/gemm.hpp"
 
 namespace frlfi::testing {
 
@@ -34,6 +38,35 @@ inline Tensor filled(std::vector<std::size_t> shape, float v) {
 /// Sum of a tensor's elements in storage order.
 inline float sum_of(const Tensor& t) {
   return std::accumulate(t.data().begin(), t.data().end(), 0.0f);
+}
+
+/// True when this build reduces the packed-narrow GEMM's dot products with
+/// the tree of the portable Release build the golden digests were recorded
+/// on (see gemm.cpp). Sanitizer instrumentation keeps that reduction
+/// sequential, so digests that cross a narrow kernel (the drone policy's
+/// conv2 stage, 3 output positions) round differently there.
+inline bool narrow_reduction_is_portable() {
+  constexpr std::size_t k = 64;
+  std::vector<float> a(k), b(k);
+  for (std::size_t p = 0; p < k; ++p) {
+    a[p] = 1.0f + 0.001f * static_cast<float>(p);
+    b[p] = (p % 3 == 0 ? 3.0e3f : 1.7e-2f) * (p % 2 ? -1.0f : 1.0f);
+  }
+  const float bias = 0.0f;
+  float c = 0.0f;
+  gemm_bias_rows(a.data(), b.data(), &bias, &c, 1, k, 1);
+  std::uint32_t bits;
+  std::memcpy(&bits, &c, sizeof bits);
+  return bits == 0xC2C5FF00u;  // the sequential chain gives 0xC2C5FF60
+}
+
+/// dLoss/dInput of the last cached net.forward(): every layer's cached
+/// backward, last layer first. (Network's training backward skips layer
+/// 0's input gradient, so this is where the input gradient comes from.)
+inline Tensor backward_through_layers(Network& net, Tensor grad_output) {
+  for (std::size_t i = net.layer_count(); i-- > 0;)
+    grad_output = net.layer(i).backward(grad_output);
+  return grad_output;
 }
 
 /// One round with every agent Present (the plan-free engine's round):
