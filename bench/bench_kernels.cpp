@@ -183,9 +183,9 @@ void bench_conv(double min_time, Report& report) {
         Tensor::random_uniform({s.in_c, s.h, s.w}, xr, -1.0f, 1.0f);
     const Tensor g = Tensor::random_uniform(
         {s.out_c, conv.out_extent(s.h), conv.out_extent(s.w)}, xr, -1.0f, 1.0f);
-    conv.forward(x);
     const double t_naive =
-        time_per_call(min_time, [&] { conv.backward_naive(g); });
+        time_per_call(min_time, [&] { conv.backward_naive(x, g); });
+    conv.forward(x);
     const double t_gemm = time_per_call(min_time, [&] { conv.backward(g); });
     report.conv_backward.push_back(
         {s.label, t_naive * 1e3, t_gemm * 1e3, t_naive / t_gemm});

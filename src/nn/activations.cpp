@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 
 #include "core/error.hpp"
 #include "tensor/gemm.hpp"  // FRLFI_TARGET_CLONES
@@ -25,19 +24,9 @@ void relu_inplace(float* FRLFI_RESTRICT v, std::size_t n) {
 ReLU::ReLU(std::string layer_name) : label_(std::move(layer_name)) {}
 
 Tensor ReLU::forward(const Tensor& input, Tape& tape) {
-  // Backward reads only which inputs were <= 0 (NaN is not): one bit each.
-  const std::size_t n = input.size();
-  const float* x = input.data().data();
-  std::uint64_t* bits = tape.record_bits(input);
-  for (std::size_t w = 0; w * 64 < n; ++w) {
-    const std::size_t lo = w * 64, hi = std::min(n, lo + 64);
-    std::uint64_t word = 0;
-    for (std::size_t i = lo; i < hi; ++i)
-      word |= static_cast<std::uint64_t>(x[i] <= 0.0f) << (i - lo);
-    bits[w] = word;
-  }
+  tape.record(input);
   Tensor out = input;
-  relu_inplace(out.data().data(), n);
+  relu_inplace(out.data().data(), out.size());
   return out;
 }
 
@@ -47,16 +36,12 @@ Tensor ReLU::backward(const Tensor& grad_output, Tape& tape,
   FRLFI_CHECK(grad_output.size() == r.size());
   if (!need_input_grad) return {};
   Tensor grad_input = grad_output;
-  const std::size_t n = grad_input.size();
   float* g = grad_input.data().data();
-  const std::uint64_t* bits = r.bits();
-  // A select, not a branch: the bits are as unpredictable as the signs.
-  for (std::size_t w = 0; w * 64 < n; ++w) {
-    const std::size_t lo = w * 64, hi = std::min(n, lo + 64);
-    const std::uint64_t word = bits[w];
-    for (std::size_t i = lo; i < hi; ++i)
-      g[i] = ((word >> (i - lo)) & 1u) != 0 ? 0.0f : g[i];
-  }
+  const float* x = r.values();
+  // A select, not a branch: the signs are unpredictable. NaN inputs pass
+  // the gradient, both zeros block it.
+  for (std::size_t i = 0; i < grad_input.size(); ++i)
+    g[i] = x[i] <= 0.0f ? 0.0f : g[i];
   return grad_input;
 }
 

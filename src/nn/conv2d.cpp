@@ -270,14 +270,11 @@ Tensor Conv2D::backward(const Tensor& grad_output, Tape& tape,
   return grad_input;
 }
 
-Tensor Conv2D::forward_naive(const Tensor& input) {
+Tensor Conv2D::forward_naive(const Tensor& input) const {
   FRLFI_CHECK_MSG(input.rank() == 3 && input.dim(0) == in_c_,
                   label_ << ": bad input shape " << input.shape_string());
   const std::size_t h = input.dim(1), w = input.dim(2);
   const std::size_t oh = out_extent(h), ow = out_extent(w);
-  last_.clear();
-  last_.begin_step();
-  last_.record(input);
   Tensor out({out_c_, oh, ow});
   const auto& x = input.data();
   const auto& wt = weight_.value.data();
@@ -309,17 +306,15 @@ Tensor Conv2D::forward_naive(const Tensor& input) {
   return out;
 }
 
-Tensor Conv2D::backward_naive(const Tensor& grad_output) {
-  FRLFI_CHECK_MSG(last_.steps() == 1, label_ << ": backward before forward");
-  last_.rewind(0);
-  const Tape::Record& r = last_.pop();
-  const std::size_t h = r.dim(1), w = r.dim(2);
-  FRLFI_CHECK_MSG(r.size() == in_c_ * h * w,
-                  label_ << ": backward_naive needs forward_naive");
+Tensor Conv2D::backward_naive(const Tensor& input,
+                              const Tensor& grad_output) {
+  FRLFI_CHECK_MSG(input.rank() == 3 && input.dim(0) == in_c_,
+                  label_ << ": bad input shape " << input.shape_string());
+  const std::size_t h = input.dim(1), w = input.dim(2);
   const std::size_t oh = out_extent(h), ow = out_extent(w);
   check_grad_shape(grad_output, oh, ow);
-  Tensor grad_input(r.shape());
-  const float* x = r.values();
+  Tensor grad_input(input.shape());
+  const auto& x = input.data();
   const auto& wt = weight_.value.data();
   auto& gw = weight_.grad.data();
   auto& gx = grad_input.data();

@@ -57,14 +57,15 @@ class Conv2D final : public TapedLayer {
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;
 
-  /// Reference forward: the direct 7-deep loop nest. Same contract and
-  /// caching behavior as the cached forward(); kept for golden tests and
+  /// Reference forward: the direct 7-deep loop nest, the same output
+  /// contract as forward() but cache-free; kept for golden tests and
   /// benches.
-  Tensor forward_naive(const Tensor& input);
+  Tensor forward_naive(const Tensor& input) const;
 
-  /// Reference backward of the last forward_naive(). Accumulates parameter
-  /// gradients and returns the input gradient, like the cached backward().
-  Tensor backward_naive(const Tensor& grad_output);
+  /// Reference backward at `input`, the direct loop nest, cache-free:
+  /// accumulates parameter gradients and returns the input gradient, like
+  /// backward() after forward(input).
+  Tensor backward_naive(const Tensor& input, const Tensor& grad_output);
 
   /// Output spatial size for an input spatial size.
   std::size_t out_extent(std::size_t in_extent) const;

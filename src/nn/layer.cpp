@@ -9,38 +9,37 @@
 
 namespace frlfi {
 
-template <typename T, std::size_t kMin, std::size_t kMax>
-T* Tape::Arena<T, kMin, kMax>::take(std::size_t n) {
+float* Tape::Arena::take(std::size_t n) {
   while (block_ < blocks_.size() && used_ + n > blocks_[block_].capacity) {
     ++block_;
     used_ = 0;
   }
   if (block_ == blocks_.size()) {
-    const std::size_t capacity = std::max(n, std::clamp(total_, kMin, kMax));
-    blocks_.push_back({std::make_unique_for_overwrite<T[]>(capacity), capacity});
+    const std::size_t capacity =
+        std::max(n, std::clamp<std::size_t>(total_, 1024, 65536));
+    blocks_.push_back(
+        {std::make_unique_for_overwrite<float[]>(capacity), capacity});
     total_ += capacity;
   }
-  T* p = blocks_[block_].data.get() + used_;
+  float* p = blocks_[block_].data.get() + used_;
   used_ += n;
   return p;
 }
 
 void Tape::clear() {
   values_.reset();
-  bits_.reset();
+  records_.clear();
   step_begin_.clear();
-  count_ = read_begin_ = cursor_ = 0;
+  read_begin_ = cursor_ = 0;
 }
 
-void Tape::begin_step() { step_begin_.push_back(count_); }
+void Tape::begin_step() { step_begin_.push_back(records_.size()); }
 
-void Tape::push(const Tensor& x, const void* data, std::size_t size) {
+void Tape::push(const Tensor& x, const float* data, std::size_t size) {
   FRLFI_CHECK_MSG(!step_begin_.empty(), "tape: record before begin_step");
   FRLFI_CHECK_MSG(x.rank() <= kMaxRank && size <= UINT32_MAX,
                   "tape: cannot record " << x.shape_string());
-  if (count_ == pages_.size() * kPageRecords)
-    pages_.push_back(std::make_unique<Record[]>(kPageRecords));
-  Record& r = at(count_++);
+  Record& r = records_.emplace_back();
   r.data_ = data;
   r.size_ = static_cast<std::uint32_t>(size);
   r.rank_ = static_cast<std::uint32_t>(x.rank());
@@ -62,22 +61,16 @@ void Tape::record(const Tensor& x) {
 
 void Tape::record_shape(const Tensor& x) { push(x, nullptr, 0); }
 
-std::uint64_t* Tape::record_bits(const Tensor& x) {
-  std::uint64_t* words = bits_.take((x.size() + 63) / 64);
-  push(x, words, x.size());
-  return words;
-}
-
 void Tape::rewind(std::size_t step) {
   FRLFI_CHECK_MSG(step < steps(),
                   "tape: step " << step << " of " << steps() << " recorded");
   read_begin_ = step_begin_[step];
-  cursor_ = step + 1 < steps() ? step_begin_[step + 1] : count_;
+  cursor_ = step + 1 < steps() ? step_begin_[step + 1] : records_.size();
 }
 
-const Tape::Record& Tape::pop() {
+Tape::Record Tape::pop() {
   FRLFI_CHECK_MSG(cursor_ > read_begin_, "tape: no record left in the step");
-  return at(--cursor_);
+  return records_[--cursor_];
 }
 
 Tensor Layer::forward(const Tensor& input, Tape& tape) {

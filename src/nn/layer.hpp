@@ -11,17 +11,16 @@
 /// Training state lives on a caller-owned Tape, not in the layers.
 /// forward(x, tape) appends one Record per layer holding exactly what that
 /// layer's backward reads: Conv2D its im2col patch matrix (built straight
-/// into the tape), Dense the input values, ReLU one bit per element
-/// (input <= 0), Flatten the input shape. backward(g, tape, need) pops
-/// that record, accumulates parameter gradients and, when `need` is set,
-/// returns dLoss/dInput. A tape holds any number of steps, so a learner
-/// can act through forward(x, tape) and differentiate every step later
-/// without a second forward. For the DroneNav policy one step records
-/// 3056 floats (12224 B, of which conv0's patches are 9600 B), 72 B of
-/// ReLU bits, 10 records of 32 B and an 8 B step index: 12624 B per step.
-/// The GridWorld policy's step is 480 B. Storage comes in blocks that
-/// never move (no geometric-growth copies), and clear() keeps them for
-/// reuse.
+/// into the tape), Dense and ReLU the input values, Flatten the input
+/// shape. backward(g, tape, need) pops that record, accumulates parameter
+/// gradients and, when `need` is set, returns dLoss/dInput. A tape holds
+/// any number of steps, so a learner can act through forward(x, tape) and
+/// differentiate every step later without a second forward. For the
+/// DroneNav policy one step records 3532 floats (14128 B, of which conv0's
+/// patches are 9600 B), 10 records of 32 B and an 8 B step index: 14456 B
+/// per step. The GridWorld policy's step is 720 B. The floats live in
+/// blocks that never move (no geometric-growth copies of the payload), and
+/// clear() keeps every block and the record capacity for reuse.
 ///
 /// The cached forward(x)/backward(g) pair remains for decorators, tests
 /// and single-step callers. The in-tree layers (TapedLayer) run it on a
@@ -102,27 +101,22 @@ class Tape {
   static constexpr std::size_t kMaxRank = 4;
 
   /// One layer's record of one forward: the shape of the layer input it
-  /// describes plus, by how it was made, floats (record, record_floats),
-  /// one bit per input element (record_bits) or nothing (record_shape).
+  /// describes plus, by how it was made, floats (record, record_floats)
+  /// or nothing (record_shape).
   class Record {
    public:
     std::size_t dim(std::size_t d) const { return dims_[d]; }
-    /// Payload length: floats, bits, or 0 for record_shape().
+    /// Number of recorded floats (0 for record_shape()).
     std::size_t size() const { return size_; }
     std::vector<std::size_t> shape() const {
       return {dims_.begin(), dims_.begin() + rank_};
     }
     /// The recorded floats.
-    const float* values() const { return static_cast<const float*>(data_); }
-    /// Bit i of element i, packed 64 per word (records made by
-    /// record_bits()).
-    const std::uint64_t* bits() const {
-      return static_cast<const std::uint64_t*>(data_);
-    }
+    const float* values() const { return data_; }
 
    private:
     friend class Tape;
-    const void* data_ = nullptr;
+    const float* data_ = nullptr;
     std::uint32_t size_ = 0;
     std::uint32_t rank_ = 0;
     std::array<std::uint32_t, kMaxRank> dims_{};
@@ -138,7 +132,7 @@ class Tape {
   std::size_t steps() const { return step_begin_.size(); }
 
   /// Records appended since clear().
-  std::size_t records() const { return count_; }
+  std::size_t records() const { return records_.size(); }
 
   /// Append a record of `x`'s shape holding a copy of its values.
   void record(const Tensor& x);
@@ -150,52 +144,39 @@ class Tape {
   /// Append a record of `x`'s shape with no payload.
   void record_shape(const Tensor& x);
 
-  /// Append a record of `x`'s shape with one bit per element. Returns the
-  /// ceil(x.size() / 64) words, which the caller must fill.
-  std::uint64_t* record_bits(const Tensor& x);
-
   /// Place the read cursor after the last record of `step`.
   void rewind(std::size_t step);
 
   /// The last record of the rewound step not yet popped.
-  const Record& pop();
+  Record pop();
 
   /// True when every record of the rewound step has been popped.
   bool step_consumed() const { return cursor_ == read_begin_; }
 
  private:
-  // Blocks of T that never move once allocated. take(n) hands out n
-  // contiguous elements; a block that cannot hold them is skipped. A new
-  // block holds max(n, total so far clamped to [kMin, kMax]) elements and
+  // Float blocks that never move once allocated. take(n) hands out n
+  // contiguous floats; a block that cannot hold them is skipped. A new
+  // block holds max(n, total so far clamped to [1024, 65536]) floats and
   // is allocated uninitialized, so its untouched pages stay unresident.
-  template <typename T, std::size_t kMin, std::size_t kMax>
   class Arena {
    public:
-    T* take(std::size_t n);
+    float* take(std::size_t n);
     void reset() { block_ = used_ = 0; }
 
    private:
     struct Block {
-      std::unique_ptr<T[]> data;
+      std::unique_ptr<float[]> data;
       std::size_t capacity;
     };
     std::vector<Block> blocks_;
     std::size_t block_ = 0, used_ = 0, total_ = 0;
   };
 
-  // Records live in fixed pages, so record i is at a fixed place.
-  static constexpr std::size_t kPageRecords = 64;
+  void push(const Tensor& x, const float* data, std::size_t size);
 
-  void push(const Tensor& x, const void* data, std::size_t size);
-  Record& at(std::size_t i) {
-    return pages_[i / kPageRecords][i % kPageRecords];
-  }
-
-  Arena<float, 1024, 65536> values_;
-  Arena<std::uint64_t, 64, 8192> bits_;
-  std::vector<std::unique_ptr<Record[]>> pages_;
+  Arena values_;
+  std::vector<Record> records_;
   std::vector<std::size_t> step_begin_;
-  std::size_t count_ = 0;
   std::size_t read_begin_ = 0, cursor_ = 0;
 };
 

@@ -41,14 +41,8 @@ EpisodeStats QLearner::run_episode(Environment& env, Rng& rng, double epsilon,
       float target = result.reward;
       if (!result.done) {
         // Bootstrap from the current network (no target network: the
-        // problems here are small enough for vanilla TD(0)) through the
-        // cache-free width-1 forward, bit-identical to forward(); the tape
-        // keeps the acting step for the gradient.
-        std::vector<std::size_t> one{1};
-        one.insert(one.end(), result.observation.shape().begin(),
-                   result.observation.shape().end());
-        target += opts_.gamma *
-                  net_->forward_batch(result.observation.reshaped(one), 1).max();
+        // problems here are small enough for vanilla TD(0)).
+        target += opts_.gamma * net_->forward(result.observation).max();
       }
       net_->backward(td_loss_grad(q, action, target), tape, 0);
       optimizer_.step();

@@ -87,9 +87,8 @@ TEST(ConvGemm, BackwardMatchesNaiveWithinTolerance) {
     const Tensor x = random_input(c, 77 + c.w);
     const Tensor g = random_grad(fast, c, 99 + c.k);
     fast.forward(x);
-    naive.forward_naive(x);
     const Tensor gx_fast = fast.backward(g);
-    const Tensor gx_naive = naive.backward_naive(g);
+    const Tensor gx_naive = naive.backward_naive(x, g);
     expect_tensor_near(gx_fast, gx_naive, 1e-5f, "input grad");
     expect_tensor_near(fast.weight().grad, naive.weight().grad, 1e-5f,
                        "weight grad");
@@ -107,9 +106,8 @@ TEST(ConvGemm, BackwardAccumulatesAcrossSteps) {
     const Tensor x = random_input(c, 300 + step);
     const Tensor g = random_grad(fast, c, 400 + step);
     fast.forward(x);
-    naive.forward_naive(x);
     fast.backward(g);
-    naive.backward_naive(g);
+    naive.backward_naive(x, g);
   }
   expect_tensor_near(fast.weight().grad, naive.weight().grad, 1e-5f,
                      "accumulated weight grad");
@@ -130,9 +128,8 @@ TEST(ConvGemm, GradZeroSparsityStillExact) {
   for (std::size_t i = 0; i < g.size(); ++i)
     if (mask.uniform() < 0.8) g[i] = 0.0f;
   fast.forward(x);
-  naive.forward_naive(x);
   const Tensor gx_fast = fast.backward(g);
-  const Tensor gx_naive = naive.backward_naive(g);
+  const Tensor gx_naive = naive.backward_naive(x, g);
   expect_tensor_near(gx_fast, gx_naive, 1e-5f, "sparse input grad");
   expect_tensor_near(fast.weight().grad, naive.weight().grad, 1e-5f,
                      "sparse weight grad");

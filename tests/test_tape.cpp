@@ -133,7 +133,7 @@ TEST(Tape, ReluMatchesCachedOnSpecialValues) {
   const std::vector<float> special = {nan,  -nan, 0.0f, -0.0f, inf,
                                       -inf, tiny, -tiny, 1.0f, -1.0f};
   const ReLU relu("relu");
-  // Sizes around the 64-bit word boundaries of the recorded mask.
+  // Sizes below, at and across a few SIMD vector widths.
   for (const std::size_t n : {1u, 10u, 63u, 64u, 65u, 130u}) {
     std::vector<Tensor> xs, gs;
     random_steps(3, {n}, {n}, n, xs, gs);
