@@ -35,16 +35,16 @@ class DroneCamera {
   /// Camera with explicit geometry.
   explicit DroneCamera(Options opts);
 
-  /// Per-column depths (width entries, left to right) from `pose` looking
-  /// along `heading`, ray-cast through a prebuilt neighbourhood (ideally
-  /// centred on the cell of `pose`, e.g.
-  /// ObstacleNeighbourhood(world, pose, options().max_range)).
-  std::vector<double> depth_scan(const ObstacleNeighbourhood& near, Vec2 pose,
-                                 double heading) const;
+  /// Per-column depths (width entries, left to right) seen from the fan's
+  /// pose looking along `heading`, written into `depths` (resized to
+  /// width). The fan must be cast to the camera's max_range, e.g.
+  /// ObstacleNeighbourhood(world, pose, options().max_range).fan(pose,
+  /// options().max_range).
+  void depth_scan(const ObstacleNeighbourhood::Fan& fan, double heading,
+                  std::vector<double>& depths) const;
 
-  /// Full (3, H, W) render over a prebuilt neighbourhood.
-  Tensor render(const ObstacleNeighbourhood& near, Vec2 pose,
-                double heading) const;
+  /// Full (3, H, W) render of a depth scan.
+  Tensor render(const std::vector<double>& depths) const;
 
   /// Geometry in force.
   const Options& options() const { return opts_; }

@@ -51,13 +51,13 @@ Tensor DroneNavEnv::reset(Rng& rng) {
   // clearest (with a small random jitter). A blind random heading next to
   // the tight spawn clearance would make even perfect pilots start boxed
   // in against an obstacle.
+  const auto fan = near_.fan(state_.position, camera_.options().max_range);
   constexpr double kTau = 2.0 * 3.14159265358979323846;
   double best_heading = 0.0, best_depth = -1.0;
   const double phase = rng.uniform(0.0, kTau);
   for (int k = 0; k < 16; ++k) {
     const double h = phase + kTau * k / 16.0;
-    const double d =
-        near_.cast_ray(state_.position, h, camera_.options().max_range);
+    const double d = fan.cast(h);
     if (d > best_depth) {
       best_depth = d;
       best_heading = h;
@@ -68,7 +68,12 @@ Tensor DroneNavEnv::reset(Rng& rng) {
   done_ = false;
   stall_anchor_ = state_.position;
   stall_anchor_step_ = 0;
-  return camera_.render(near_, state_.position, state_.heading);
+  return frame(fan);
+}
+
+Tensor DroneNavEnv::frame(const ObstacleNeighbourhood::Fan& fan) {
+  camera_.depth_scan(fan, state_.heading, depths_);
+  return camera_.render(depths_);
 }
 
 StepResult DroneNavEnv::step(std::size_t action, Rng& rng) {
@@ -104,6 +109,7 @@ StepResult DroneNavEnv::step(std::size_t action, Rng& rng) {
   if (!near_.centred_on(state_.position))
     near_ = ObstacleNeighbourhood(world_, state_.position,
                                   camera_.options().max_range);
+  const auto fan = near_.fan(state_.position, camera_.options().max_range);
 
   if (crashed) {
     result.reward = opts_.crash_penalty;
@@ -112,8 +118,7 @@ StepResult DroneNavEnv::step(std::size_t action, Rng& rng) {
   } else {
     // Depth-based reward: forward progress weighted by clearance ahead,
     // encouraging the drone to stay away from obstacles (§IV-B.1).
-    const double ahead = near_.cast_ray(state_.position, state_.heading,
-                                        camera_.options().max_range);
+    const double ahead = fan.cast(state_.heading);
     const double clearance_norm = ahead / camera_.options().max_range;
     const double speed_norm = speed / opts_.max_speed;
     result.reward = static_cast<float>(
@@ -139,8 +144,7 @@ StepResult DroneNavEnv::step(std::size_t action, Rng& rng) {
     }
   }
   done_ = result.done;
-  result.observation =
-      camera_.render(near_, state_.position, state_.heading);
+  result.observation = frame(fan);
   return result;
 }
 

@@ -8,6 +8,7 @@
 /// episode's distance budget).
 
 #include <cstdint>
+#include <vector>
 
 #include "dronesim/camera.hpp"
 #include "dronesim/world.hpp"
@@ -86,9 +87,9 @@ class DroneNavEnv final : public Environment {
   /// The world currently being flown.
   const ObstacleWorld& world() const { return world_; }
 
-  /// The obstacles around the drone's current lattice cell, sized for the
-  /// camera's range; every env query reads from it.
-  const ObstacleNeighbourhood& neighbourhood() const { return near_; }
+  /// The camera's per-column depths of the latest frame (the observation
+  /// reset() or step() last returned); empty before the first reset().
+  const std::vector<double>& frame_depths() const { return depths_; }
 
   /// The camera (shared by the heuristic pilot).
   const DroneCamera& camera() const { return camera_; }
@@ -100,13 +101,21 @@ class DroneNavEnv final : public Environment {
   const Options& options() const { return opts_; }
 
  private:
+  /// Scan the frame at the drone's heading through `fan` (cast from the
+  /// drone's pose) into depths_ and render it.
+  Tensor frame(const ObstacleNeighbourhood::Fan& fan);
+
   std::uint64_t base_seed_;
   Options opts_;
   DroneCamera camera_;
   ObstacleWorld world_;
   DroneState state_;
-  /// Rebuilt only when the world is re-drawn or the drone changes cell.
+  /// The obstacles around the drone's lattice cell, sized for the
+  /// camera's range; every env query reads from it. Rebuilt only when the
+  /// world is re-drawn or the drone changes cell.
   ObstacleNeighbourhood near_;
+  /// The latest frame's depth scan, reused frame after frame.
+  std::vector<double> depths_;
   std::size_t steps_ = 0;
   bool done_ = true;
   Vec2 stall_anchor_;

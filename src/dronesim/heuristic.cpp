@@ -11,9 +11,9 @@ HeuristicPilot::HeuristicPilot(const DroneNavEnv& env)
       width_(env.camera().options().width) {}
 
 std::size_t HeuristicPilot::act(const DroneNavEnv& env) const {
-  const std::vector<double> depths = env.camera().depth_scan(
-      env.neighbourhood(), env.state().position, env.state().heading);
-  return act_from_depths(depths);
+  FRLFI_CHECK_MSG(!env.frame_depths().empty(),
+                  "act() on an env that has not been reset");
+  return act_from_depths(env.frame_depths());
 }
 
 std::size_t HeuristicPilot::act_from_depths(

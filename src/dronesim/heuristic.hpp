@@ -21,8 +21,9 @@ class HeuristicPilot {
   /// \param env the environment whose camera/action geometry to use.
   explicit HeuristicPilot(const DroneNavEnv& env);
 
-  /// Action for the current true state of `env` (uses a fresh depth scan,
-  /// not the rendered image).
+  /// Action for the current true state of `env`, from the depth scan of
+  /// its latest frame (not the rendered image). Throws before the env's
+  /// first reset().
   std::size_t act(const DroneNavEnv& env) const;
 
   /// Action from a raw per-column depth scan (exposed for tests).

@@ -105,12 +105,16 @@ bool ObstacleNeighbourhood::centred_on(Vec2 p) const {
   return world_.cell_of(p.x) == cx_ && world_.cell_of(p.y) == cy_;
 }
 
+bool ObstacleNeighbourhood::block_in_window(Vec2 p, std::int64_t& ox,
+                                            std::int64_t& oy) const {
+  ox = world_.cell_of(p.x) - (cx_ - reach_);
+  oy = world_.cell_of(p.y) - (cy_ - reach_);
+  return ox >= 2 && oy >= 2 && ox <= side_ - 3 && oy <= side_ - 3;
+}
+
 double ObstacleNeighbourhood::clearance(Vec2 p, double cap) const {
-  // Offsets of p's cell from the window's lowest cell.
-  const std::int64_t ox = world_.cell_of(p.x) - (cx_ - reach_);
-  const std::int64_t oy = world_.cell_of(p.y) - (cy_ - reach_);
-  if (ox < 2 || oy < 2 || ox > side_ - 3 || oy > side_ - 3)
-    return world_.clearance(p, cap);
+  std::int64_t ox = 0, oy = 0;
+  if (!block_in_window(p, ox, oy)) return world_.clearance(p, cap);
   // Same cells, same dx-outer/dy-inner order and same arithmetic as
   // ObstacleWorld::clearance. A cell is skipped without the sqrt when its
   // Chebyshev bound already loses: the rounded sqrt(dx^2 + dy^2) is never
@@ -131,21 +135,87 @@ double ObstacleNeighbourhood::clearance(Vec2 p, double cap) const {
   return best;
 }
 
-double ObstacleNeighbourhood::cast_ray(Vec2 origin, double heading,
-                                       double max_range) const {
+ObstacleNeighbourhood::Fan::Fan(const ObstacleNeighbourhood& near, Vec2 pose,
+                                double max_range)
+    : near_(&near), pose_(pose), max_range_(max_range) {
   FRLFI_CHECK(max_range > 0.0);
+  // Pruning margin. Let u = 2^-53 and let B be `bound`: it is at least
+  // every coordinate of a window disk's centre or of a march point
+  // (|pose| + t with t < max_range), so it bounds every distance (their L1
+  // norm), radius, ray parameter t and running best (<= max_range) in
+  // play. Errors, each a few roundings of at most u times a quantity
+  // below 3B:
+  //  * a computed dist() is within (1 +- u)^3 of the exact distance of
+  //    the points it is given (difference, square, sum, and a root that
+  //    halves its argument's error): off by at most 4uB;
+  //  * so d0 = dist(pose, c) - r is at most |pose - c| - r + 6uB;
+  //  * a march point p = pose + dir * t lies within t + 8uB of the pose
+  //    (|dir| <= 1 + 3u, as cos and sin are within an ulp; 3uB of
+  //    rounding per coordinate);
+  //  * by the triangle inequality the disk's value at p, dist(p, c) - r,
+  //    is at least |pose - c| - t - r - 14uB >= d0 - t - 20uB;
+  //  * the computed test d0 - t - margin_ exceeds the exact one by at
+  //    most 5uB.
+  // So when the test reaches `best`, the disk's value is at least
+  // best + margin_ - 25uB >= best: std::min would keep `best`. The margin
+  // is 2^-40 B, over 300 times the 25uB needed (B itself is computed to
+  // within a few u). Disks later in the list have larger d0, so their
+  // test reaches `best` too and the scan stops. A disk with
+  // d0 >= 2 max_range + margin_ is left out: as t < max_range, its value
+  // stays above max_range >= best on every step.
+  const double cell = near.world_.options().cell_size;
+  const double bound =
+      std::abs(pose.x) + std::abs(pose.y) + 2.0 * max_range +
+      cell * static_cast<double>(std::abs(near.cx_) + near.reach_ + 1) +
+      cell * static_cast<double>(std::abs(near.cy_) + near.reach_ + 1);
+  margin_ = 0x1.0p-40 * bound;
+  const double reach = 2.0 * max_range + margin_;
+  disks_.reserve(near.slots_.size());
+  for (std::int64_t i = 0; i < near.side_; ++i)
+    for (std::int64_t j = 0; j < near.side_; ++j) {
+      const auto& ob = near.slots_[static_cast<std::size_t>(i * near.side_ + j)];
+      if (!ob) continue;
+      const double d0 = dist(pose, ob->center) - ob->radius;
+      if (d0 < reach) disks_.push_back({d0, i, j, *ob});
+    }
+  // Ties may land in either order: a march step's result is std::min over
+  // finite values, none of them -0 (a difference of two positive
+  // doubles rounds an exact zero to +0), so it is the same whatever order
+  // the disks are visited in.
+  std::sort(disks_.begin(), disks_.end(),
+            [](const Disk& a, const Disk& b) { return a.d0 < b.d0; });
+  first_ = clearance_at(pose, 0.0);
+}
+
+double ObstacleNeighbourhood::Fan::clearance_at(Vec2 p, double t) const {
+  std::int64_t ox = 0, oy = 0;
+  if (!near_->block_in_window(p, ox, oy))
+    return near_->world_.clearance(p, max_range_);
+  // The disks of p's 5x5 block, with the arithmetic of
+  // ObstacleWorld::clearance, until the lower bound d0 - t proves (see the
+  // margin in the constructor) that no further disk can lower `best`.
+  double best = max_range_;
+  for (const Disk& d : disks_) {
+    if (d.d0 - t - margin_ >= best) break;
+    if (std::abs(d.i - ox) > 2 || std::abs(d.j - oy) > 2) continue;
+    best = std::min(best, dist(p, d.ob.center) - d.ob.radius);
+  }
+  return best;
+}
+
+double ObstacleNeighbourhood::Fan::cast(double heading) const {
   const Vec2 dir{std::cos(heading), std::sin(heading)};
   // Coarse march with sphere-tracing acceleration: step by the clearance
   // (never less than a fine floor), which is exact for circular obstacles.
-  double t = 0.0;
+  // The step at t = 0 is the fan's shared one.
   constexpr double kFloor = 0.25;
-  while (t < max_range) {
-    const Vec2 p{origin.x + dir.x * t, origin.y + dir.y * t};
-    const double c = clearance(p, max_range);
-    if (c <= 0.0) return t;
+  double t = 0.0;
+  for (double c = first_; c > 0.0;
+       c = clearance_at({pose_.x + dir.x * t, pose_.y + dir.y * t}, t)) {
     t += std::max(c, kFloor);
+    if (t >= max_range_) return max_range_;
   }
-  return max_range;
+  return t;
 }
 
 }  // namespace frlfi

@@ -88,6 +88,46 @@ class ObstacleWorld {
 /// never a pointer, so it stays valid when its owner is copied or moved.
 class ObstacleNeighbourhood {
  public:
+  /// The rays cast from one pose: a camera frame, the look-ahead ray and
+  /// reset's launch scan all start at the drone's pose with one range. A
+  /// fan computes their shared first march step once and lists the
+  /// window's disks nearest-first, so a march step stops scanning at the
+  /// first disk that provably cannot be the nearest. Every cast is
+  /// bit-identical to a sphere-tracing march over ObstacleWorld::clearance.
+  /// Refers to its neighbourhood, which must outlive it.
+  class Fan {
+   public:
+    /// March a ray from the fan's pose along `heading` (radians) and return
+    /// the distance to the first obstacle surface, or max_range() if free.
+    double cast(double heading) const;
+
+    /// Range every ray is marched to.
+    double max_range() const { return max_range_; }
+
+   private:
+    friend class ObstacleNeighbourhood;
+
+    /// A window disk and d0 = |pose - centre| - r, its clearance from the
+    /// pose; from a point at ray parameter t it is at least d0 - t.
+    struct Disk {
+      double d0;
+      std::int64_t i, j;  // window cell, as in the slot index
+      Obstacle ob;
+    };
+
+    Fan(const ObstacleNeighbourhood& near, Vec2 pose, double max_range);
+
+    /// clearance(p, max_range) for p at ray parameter t from the pose.
+    double clearance_at(Vec2 p, double t) const;
+
+    const ObstacleNeighbourhood* near_;
+    Vec2 pose_;
+    double max_range_;
+    double margin_ = 0.0;  // rounding bound of the pruning test
+    double first_ = 0.0;   // clearance(pose, max_range): every ray's first step
+    std::vector<Disk> disks_;  // ascending d0
+  };
+
   /// Window around the cell containing `centre`, sized for rays of
   /// length `max_range`: centre cell +- (2 + ceil(max_range / cell_size)),
   /// at most +- 16 cells.
@@ -97,14 +137,19 @@ class ObstacleNeighbourhood {
   /// Bit-identical to ObstacleWorld::clearance.
   double clearance(Vec2 p, double cap = 100.0) const;
 
-  /// March a ray from `origin` along `heading` (radians) and return the
-  /// distance to the first obstacle surface, or `max_range` if free.
-  double cast_ray(Vec2 origin, double heading, double max_range) const;
+  /// The fan of rays of length `max_range` cast from `pose`.
+  Fan fan(Vec2 pose, double max_range) const {
+    return Fan(*this, pose, max_range);
+  }
 
   /// True when `p` lies in the window's centre cell.
   bool centred_on(Vec2 p) const;
 
  private:
+  /// Offsets of p's cell from the window's lowest cell, and whether p's
+  /// 5x5 block lies inside the window.
+  bool block_in_window(Vec2 p, std::int64_t& ox, std::int64_t& oy) const;
+
   ObstacleWorld world_;
   std::int64_t cx_ = 0, cy_ = 0;  // centre cell
   std::int64_t reach_ = 0;        // half-width in cells

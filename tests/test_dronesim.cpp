@@ -17,6 +17,39 @@
 namespace frlfi {
 namespace {
 
+// Exact bit equality, so +0.0 vs -0.0 or a last-ulp drift fails.
+template <typename T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+// A frame's depth scan and render from `pose` over the window `near`.
+std::vector<double> scan(const DroneCamera& cam,
+                         const ObstacleNeighbourhood& near, Vec2 pose,
+                         double heading) {
+  std::vector<double> depths;
+  cam.depth_scan(near.fan(pose, cam.options().max_range), heading, depths);
+  return depths;
+}
+
+Tensor render(const DroneCamera& cam, const ObstacleNeighbourhood& near,
+              Vec2 pose, double heading) {
+  return cam.render(scan(cam, near, pose, heading));
+}
+
+// A frame centred on its own pose, as the env renders it.
+Tensor render(const DroneCamera& cam, const ObstacleWorld& w, Vec2 pose,
+              double heading) {
+  return render(cam, ObstacleNeighbourhood(w, pose, cam.options().max_range),
+                pose, heading);
+}
+
 TEST(ObstacleWorld, DeterministicPerSeed) {
   ObstacleWorld a(42), b(42), c(43);
   int same = 0, diff = 0;
@@ -99,7 +132,7 @@ TEST(ObstacleWorld, RayHitsKnownObstacle) {
     // Cast from just left of the obstacle straight at its centre.
     const Vec2 origin{ob->center.x - 20.0, ob->center.y};
     const double d =
-        ObstacleNeighbourhood(w, origin, 100.0).cast_ray(origin, 0.0, 100.0);
+        ObstacleNeighbourhood(w, origin, 100.0).fan(origin, 100.0).cast(0.0);
     EXPECT_NEAR(d, 20.0 - ob->radius, 0.5);
     return;
   }
@@ -111,7 +144,7 @@ TEST(ObstacleWorld, RayReturnsMaxRangeInFreeSpace) {
   opts.density = 0.0;
   ObstacleWorld w(1, opts);
   const ObstacleNeighbourhood near(w, {0, 0}, 60.0);
-  EXPECT_DOUBLE_EQ(near.cast_ray({0, 0}, 1.0, 60.0), 60.0);
+  EXPECT_DOUBLE_EQ(near.fan({0, 0}, 60.0).cast(1.0), 60.0);
 }
 
 TEST(ObstacleWorld, RejectsBadOptions) {
@@ -123,8 +156,7 @@ TEST(ObstacleWorld, RejectsBadOptions) {
 TEST(DroneCamera, RenderShapeAndChannels) {
   DroneCamera cam;
   ObstacleWorld w(3);
-  const Tensor img = cam.render(
-      ObstacleNeighbourhood(w, {0, 0}, cam.options().max_range), {0, 0}, 0.0);
+  const Tensor img = render(cam, w, {0, 0}, 0.0);
   ASSERT_EQ(img.shape(),
             (std::vector<std::size_t>{3, cam.options().height,
                                       cam.options().width}));
@@ -133,11 +165,22 @@ TEST(DroneCamera, RenderShapeAndChannels) {
   EXPECT_LE(img.max(), 1.0f);
 }
 
+TEST(DroneCamera, RejectsMismatchedFanAndScan) {
+  const DroneCamera cam;
+  const ObstacleWorld w(3);
+  const ObstacleNeighbourhood near(w, {0, 0}, 90.0);
+  std::vector<double> depths;
+  EXPECT_THROW(cam.depth_scan(near.fan({0, 0}, 90.0), 0.0, depths), Error);
+  EXPECT_THROW(cam.render(std::vector<double>(cam.options().width - 1, 1.0)),
+               Error);
+}
+
 TEST(DroneCamera, DepthScanMatchesRayCast) {
   DroneCamera cam;
   ObstacleWorld w(5);
-  const auto depths = cam.depth_scan(
-      ObstacleNeighbourhood(w, {0, 0}, cam.options().max_range), {0, 0}, 0.5);
+  const auto depths = scan(
+      cam, ObstacleNeighbourhood(w, {0, 0}, cam.options().max_range), {0, 0},
+      0.5);
   ASSERT_EQ(depths.size(), cam.options().width);
   for (double d : depths) {
     EXPECT_GT(d, 0.0);
@@ -150,8 +193,7 @@ TEST(DroneCamera, FreeWorldRendersNoObstaclePixels) {
   wopts.density = 0.0;
   ObstacleWorld w(1, wopts);
   DroneCamera cam;
-  const Tensor img = cam.render(
-      ObstacleNeighbourhood(w, {0, 0}, cam.options().max_range), {0, 0}, 0.0);
+  const Tensor img = render(cam, w, {0, 0}, 0.0);
   // Channel 0 (obstacle intensity) must be all zero.
   for (std::size_t r = 0; r < cam.options().height; ++r)
     for (std::size_t c = 0; c < cam.options().width; ++c)
@@ -169,8 +211,7 @@ TEST(DroneCamera, CloserObstacleLooksBigger) {
     DroneCamera cam;
     const auto count_px = [&](double dist) {
       const Vec2 pose{ob->center.x - dist, ob->center.y};
-      const Tensor img = cam.render(
-          ObstacleNeighbourhood(w, pose, cam.options().max_range), pose, 0.0);
+      const Tensor img = render(cam, w, pose, 0.0);
       int n = 0;
       for (std::size_t i = 0; i < img.size() / 3; ++i)
         n += img[i] > 0.0f;
@@ -292,6 +333,54 @@ TEST(HeuristicPilot, SlowsWhenBoxedIn) {
   (void)yaw;
 }
 
+TEST(HeuristicPilot, ActBeforeResetThrows) {
+  const DroneNavEnv env(8);
+  const HeuristicPilot pilot(env);
+  EXPECT_THROW(pilot.act(env), Error);
+}
+
+// act() reads the depths the env scanned for its latest frame; they must be
+// the ones a fresh scan of the drone's pose and heading gives, after
+// resets, crashes and cell changes alike.
+TEST(HeuristicPilot, FrameDepthsMatchFreshScan) {
+  DroneNavEnv::Options opts;
+  opts.max_steps = 90;
+  DroneNavEnv env(14, opts, DroneCamera::Options{});
+  const HeuristicPilot pilot(env);
+  const DroneCamera& cam = env.camera();
+  Rng rng(6);
+  SplitMix64 script(12);
+  const auto fresh_scan = [&] {
+    const DroneState& s = env.state();
+    return scan(cam, ObstacleNeighbourhood(env.world(), s.position,
+                                           cam.options().max_range),
+                s.position, s.heading);
+  };
+  env.reset(rng);
+  int resets = 0, crashes = 0;
+  for (int t = 0; t < 400; ++t) {
+    const std::vector<double> fresh = fresh_scan();
+    ASSERT_EQ(env.frame_depths().size(), fresh.size());
+    for (std::size_t c = 0; c < fresh.size(); ++c)
+      ASSERT_TRUE(same_bits(env.frame_depths()[c], fresh[c])) << "step " << t;
+    const std::size_t action = pilot.act(env);
+    ASSERT_EQ(action, pilot.act_from_depths(fresh));
+    // Three steps in four fly a scripted random action, so episodes end
+    // in crashes as well as at the step cap.
+    const std::size_t drive = script.next() % 4 == 0
+                                  ? action
+                                  : static_cast<std::size_t>(script.next() % 25);
+    const StepResult r = env.step(drive, rng);
+    if (r.done) {
+      crashes += r.reward == opts.crash_penalty;
+      env.reset(rng);
+      ++resets;
+    }
+  }
+  EXPECT_GE(resets, 4);
+  EXPECT_GE(crashes, 1);
+}
+
 TEST(HeuristicPilot, FliesFarInDefaultWorld) {
   DroneNavEnv env(10);
   HeuristicPilot pilot(env);
@@ -307,20 +396,8 @@ TEST(HeuristicPilot, FliesFarInDefaultWorld) {
   EXPECT_GT(total / kEpisodes, 400.0);
 }
 
-// Exact bit equality, so +0.0 vs -0.0 or a last-ulp drift fails.
-template <typename T>
-bool same_bits(T a, T b) {
-  return std::memcmp(&a, &b, sizeof(T)) == 0;
-}
-
-bool same_bits(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data().data(), b.data().data(),
-                     a.size() * sizeof(float)) == 0;
-}
-
 // The ray march as it stood before the neighbourhood cache, driven by the
-// per-query ObstacleWorld::clearance: the oracle for every cast_ray.
+// per-query ObstacleWorld::clearance: the oracle for every fan cast.
 double reference_cast_ray(const ObstacleWorld& w, Vec2 origin, double heading,
                           double max_range) {
   const Vec2 dir{std::cos(heading), std::sin(heading)};
@@ -413,26 +490,79 @@ TEST(ObstacleNeighbourhood, ClearanceBitIdenticalToWorld) {
   EXPECT_GT(checked, 10000);
 }
 
-TEST(ObstacleNeighbourhood, CastRayBitIdenticalToReferenceMarch) {
+TEST(ObstacleNeighbourhood, FanCastBitIdenticalToReferenceMarch) {
   Rng rng(23);
   for (const ObstacleWorld& w : equivalence_worlds()) {
     const double cell = w.options().cell_size;
-    for (const double range : {60.0, 33.0, 100.0}) {
+    for (const double range : {20.0, 60.0, 130.0}) {
       for (int k = 0; k < 10; ++k) {
         const Vec2 centre{rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0)};
         const ObstacleNeighbourhood near(w, centre, range);
-        for (int q = 0; q < 40; ++q) {
-          // Origins mostly in the centre cell (the env's case), some a few
+        for (int q = 0; q < 10; ++q) {
+          // Poses mostly in the centre cell (the env's case), some a few
           // cells away so rays leave the window.
           const double spread = q % 4 == 0 ? 3.0 * cell : 0.5 * cell;
           const Vec2 o = probe_point(rng, centre, spread, cell);
-          const double h = rng.uniform(-7.0, 7.0);
-          const double ref = reference_cast_ray(w, o, h, range);
-          ASSERT_TRUE(same_bits(near.cast_ray(o, h, range), ref));
+          const auto fan = near.fan(o, range);
+          for (int r = 0; r < 6; ++r) {
+            const double h = rng.uniform(-7.0, 7.0);
+            ASSERT_TRUE(same_bits(fan.cast(h), reference_cast_ray(w, o, h, range)))
+                << "o=(" << o.x << ", " << o.y << ") h=" << h;
+          }
         }
       }
     }
   }
+}
+
+// Rays that skim a disk: the heading to each nearby centre turned by
+// +-asin(r / d), the exact tangent, and nudged an ulp either way. Poses sit
+// on cell edges and corners (where floor() decides the cell) as well as
+// inside cells, and each is cast through a window centred on it and
+// through one two cells off, whose edge makes late steps fall back to
+// hashing.
+TEST(ObstacleNeighbourhood, FanGrazingRaysBitIdenticalToReferenceMarch) {
+  Rng rng(41);
+  int grazing = 0;
+  for (const ObstacleWorld& w : equivalence_worlds()) {
+    const double cell = w.options().cell_size;
+    for (const double range : {20.0, 60.0, 130.0}) {
+      for (int k = 0; k < 12; ++k) {
+        Vec2 pose{rng.uniform(-250.0, 250.0), rng.uniform(-250.0, 250.0)};
+        if (k % 3 == 1) pose.x = std::round(pose.x / cell) * cell;
+        if (k % 3 == 2)
+          pose = {std::round(pose.x / cell) * cell,
+                  std::round(pose.y / cell) * cell};
+        const ObstacleNeighbourhood centred(w, pose, range);
+        const ObstacleNeighbourhood off(
+            w, Vec2{pose.x + 2.0 * cell, pose.y - 2.0 * cell}, range);
+        const auto fan = centred.fan(pose, range);
+        const auto off_fan = off.fan(pose, range);
+        const std::int64_t pcx = w.cell_of(pose.x), pcy = w.cell_of(pose.y);
+        for (std::int64_t dx = -3; dx <= 3; ++dx)
+          for (std::int64_t dy = -3; dy <= 3; ++dy) {
+            const auto ob = w.obstacle_in_cell(pcx + dx, pcy + dy);
+            if (!ob) continue;
+            const double ex = ob->center.x - pose.x, ey = ob->center.y - pose.y;
+            const double d = std::sqrt(ex * ex + ey * ey);
+            if (d <= ob->radius || d - ob->radius >= range) continue;
+            const double bearing = std::atan2(ey, ex);
+            const double half = std::asin(ob->radius / d);
+            for (const double edge : {bearing + half, bearing - half}) {
+              for (const double h :
+                   {std::nextafter(edge, -10.0), edge, std::nextafter(edge, 10.0)}) {
+                const double ref = reference_cast_ray(w, pose, h, range);
+                ASSERT_TRUE(same_bits(fan.cast(h), ref))
+                    << "pose=(" << pose.x << ", " << pose.y << ") h=" << h;
+                ASSERT_TRUE(same_bits(off_fan.cast(h), ref));
+                ++grazing;
+              }
+            }
+          }
+      }
+    }
+  }
+  EXPECT_GT(grazing, 500);
 }
 
 TEST(ObstacleNeighbourhood, CappedWindowFallsBackForLongRays) {
@@ -448,7 +578,7 @@ TEST(ObstacleNeighbourhood, CappedWindowFallsBackForLongRays) {
     const double h = rng.uniform(-4.0, 4.0);
     const ObstacleNeighbourhood near(w, o, 400.0);
     const double ref = reference_cast_ray(w, o, h, 400.0);
-    ASSERT_TRUE(same_bits(near.cast_ray(o, h, 400.0), ref));
+    ASSERT_TRUE(same_bits(near.fan(o, 400.0).cast(h), ref));
   }
 }
 
@@ -482,7 +612,7 @@ TEST(DroneCamera, NeighbourhoodScanAndRenderBitIdentical) {
         const double heading = rng.uniform(-4.0, 4.0);
         // Reference depths column by column from the golden march.
         const ObstacleNeighbourhood centred(w, pose, copts.max_range);
-        const auto depths = cam.depth_scan(centred, pose, heading);
+        const auto depths = scan(cam, centred, pose, heading);
         ASSERT_EQ(depths.size(), copts.width);
         for (std::size_t c = 0; c < copts.width; ++c) {
           const double frac = (static_cast<double>(c) + 0.5) /
@@ -495,11 +625,11 @@ TEST(DroneCamera, NeighbourhoodScanAndRenderBitIdentical) {
         // centred one.
         const ObstacleNeighbourhood near(
             w, Vec2{pose.x + 2 * cell, pose.y - cell}, copts.max_range);
-        const auto nd = cam.depth_scan(near, pose, heading);
+        const auto nd = scan(cam, near, pose, heading);
         for (std::size_t c = 0; c < copts.width; ++c)
           ASSERT_TRUE(same_bits(nd[c], depths[c]));
-        ASSERT_TRUE(same_bits(cam.render(near, pose, heading),
-                              cam.render(centred, pose, heading)));
+        ASSERT_TRUE(same_bits(render(cam, near, pose, heading),
+                              render(cam, centred, pose, heading)));
       }
     }
   }
