@@ -11,6 +11,7 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <vector>
@@ -46,10 +47,11 @@ class SplitMix64 {
 ///    bernoulli(p) hits iff k·2^-53 < p for the 53-bit integer
 ///    k = next_u64() >> 11, and k·2^-53 < p <=> k < p·2^53 <=> k < T
 ///    (ldexp is exact, so p·2^53 is exact; k is an integer).
-/// One integer compare per draw instead of an int->double convert, a
-/// multiply and a double compare behind an out-of-line call. The
-/// constructor checks p ∈ [0, 1] (NaN included), so every loop built on
-/// it validates its rate.
+/// Every per-bit loop draws its trials in bulk through
+/// Rng::bernoulli_hits, which walks the same draws in parallel lanes;
+/// the one-trial bernoulli(thr) is its oracle. The constructor checks
+/// p ∈ [0, 1] (NaN included), so every loop built on it validates its
+/// rate.
 class BernoulliThreshold {
  public:
   explicit BernoulliThreshold(double p);
@@ -85,18 +87,8 @@ class Rng {
   result_type operator()() { return next_u64(); }
 
   /// Next raw 64-bit value. Inline so the xoshiro step folds into the
-  /// per-bit loops of other translation units.
-  std::uint64_t next_u64() {
-    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = std::rotl(s_[3], 45);
-    return result;
-  }
+  /// loops of other translation units.
+  std::uint64_t next_u64() { return step(s_); }
 
   /// Uniform double in [0, 1).
   double uniform();
@@ -117,20 +109,21 @@ class Rng {
     return (next_u64() >> 11) < thr.threshold();
   }
 
-  /// `nbits` (0..32) trials of bernoulli(thr) in order; bit b of the
-  /// result is set iff trial b hits.
-  std::uint32_t bernoulli_mask(const BernoulliThreshold& thr, int nbits) {
-    if (!thr.draws())
-      return thr.certain()
-                 ? static_cast<std::uint32_t>((std::uint64_t{1} << nbits) - 1)
-                 : 0u;
-    std::uint32_t mask = 0;
-    for (int b = 0; b < nbits; ++b)
-      mask |= static_cast<std::uint32_t>((next_u64() >> 11) <
-                                         thr.threshold())
-              << b;
-    return mask;
-  }
+  /// n trials of bernoulli(thr) at once: appends to `hits`, in increasing
+  /// order, the index (0..n-1) of every trial that hits. Results, draws
+  /// and the final stream position equal n bernoulli(thr) calls. Runs of
+  /// kLaneSegment draws are walked kLaneCount at a time from jumped copies
+  /// of the state (see rng.cpp), the rest serially. Rejects n >= 2^32
+  /// before drawing anything.
+  void bernoulli_hits(const BernoulliThreshold& thr, std::size_t n,
+                      std::vector<std::uint32_t>& hits);
+
+  /// bernoulli_hits' lane geometry: up to kLaneCount segments of
+  /// kLaneSegment consecutive draws are walked at once; kLaneGroup draws
+  /// fill every lane.
+  static constexpr std::size_t kLaneCount = 8;
+  static constexpr std::size_t kLaneSegment = 1536;
+  static constexpr std::size_t kLaneGroup = kLaneCount * kLaneSegment;
 
   /// Sample an index from an (unnormalized, non-negative) weight vector.
   /// Falls back to uniform choice when the total weight is ~0.
@@ -165,7 +158,22 @@ class Rng {
   }
 
  private:
-  std::array<std::uint64_t, 4> s_{};
+  using State = std::array<std::uint64_t, 4>;
+
+  /// The xoshiro256** step: advance `s` once and return its output.
+  static std::uint64_t step(State& s) {
+    const std::uint64_t result = std::rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = std::rotl(s[3], 45);
+    return result;
+  }
+
+  State s_{};
   std::uint64_t seed_origin_ = 0;  // remembered for split()
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
+#include <vector>
 
 #include "core/error.hpp"
 #include "numeric/bitutil.hpp"
@@ -10,8 +12,8 @@ namespace frlfi {
 
 namespace {
 
-// One body for every word type: the per-word mask draw and the model /
-// direction filter of corrupt_words.
+// One body for every word type: the bulk per-bit draw, grouped per word,
+// and the model / direction filter of corrupt_words.
 template <typename Word>
 std::size_t corrupt_words_impl(std::span<Word> words, int word_bits,
                                const FaultSpec& spec, Rng& rng) {
@@ -32,13 +34,29 @@ std::size_t corrupt_words_impl(std::span<Word> words, int word_bits,
   const bool only_clear =
       spec.model == FaultModel::StuckAt1 ||
       (transient && spec.direction == FlipDirection::ZeroToOne);
+  const auto bits = static_cast<std::size_t>(word_bits);
+  // Chunks of whole lane groups: hit lists stay bounded (and their
+  // indices 32-bit) however large the buffer.
+  const std::size_t chunk = Rng::kLaneGroup / std::gcd(Rng::kLaneGroup, bits);
+  std::vector<std::uint32_t> hits;
   std::size_t changed = 0;
-  for (Word& w : words) {
-    std::uint32_t mask = rng.bernoulli_mask(thr, word_bits);
-    if (only_set) mask &= w;
-    if (only_clear) mask &= ~static_cast<std::uint32_t>(w);
-    w = static_cast<Word>(w ^ mask);
-    changed += static_cast<std::size_t>(std::popcount(mask));
+  for (std::size_t lo = 0; lo < words.size(); lo += chunk) {
+    const std::size_t len = std::min(chunk, words.size() - lo);
+    hits.clear();
+    rng.bernoulli_hits(thr, len * bits, hits);
+    // Trial b of word w is hit index w·word_bits + b (LSB first, words in
+    // order): gather each word's hits into one mask.
+    for (std::size_t h = 0; h < hits.size();) {
+      const std::size_t w = hits[h] / bits;
+      std::uint32_t mask = 0;
+      for (; h < hits.size() && hits[h] / bits == w; ++h)
+        mask |= std::uint32_t{1} << (hits[h] - w * bits);
+      Word& word = words[lo + w];
+      if (only_set) mask &= word;
+      if (only_clear) mask &= ~static_cast<std::uint32_t>(word);
+      word = static_cast<Word>(word ^ mask);
+      changed += static_cast<std::size_t>(std::popcount(mask));
+    }
   }
   return changed;
 }

@@ -29,14 +29,13 @@
 namespace frlfi {
 
 /// The bit-level fault rule of model.hpp over a buffer of deployed words.
-/// Each word draws one Rng::bernoulli_mask over its low `word_bits` bits
-/// (one Bernoulli(spec.ber) trial per bit, LSB first, words in order),
-/// keeps the hits the spec's model and direction allow against the
-/// word's current bits, and XORs them in. Over bytes at width 8 that is
-/// one trial per bit in the LSB-first, byte-major order of get_bit /
-/// flip_bit. Bits above `word_bits` are never touched. Checks spec.ber in
-/// [0, 1] and word_bits in [1, bits of the word type]. Returns the number
-/// of bits changed.
+/// One Bernoulli(spec.ber) trial per bit, LSB first, words in order,
+/// drawn in bulk by Rng::bernoulli_hits; each word's hits are kept where
+/// the spec's model and direction allow them against the word's current
+/// bits, and XORed in. Over bytes at width 8 that is one trial per bit in
+/// the LSB-first, byte-major order of get_bit / flip_bit. Bits above
+/// `word_bits` are never touched. Checks spec.ber in [0, 1] and word_bits
+/// in [1, bits of the word type]. Returns the number of bits changed.
 std::size_t corrupt_words(std::span<std::uint8_t> words, int word_bits,
                           const FaultSpec& spec, Rng& rng);
 std::size_t corrupt_words(std::span<std::uint32_t> words, int word_bits,

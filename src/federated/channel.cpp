@@ -1,14 +1,14 @@
 #include "federated/channel.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <span>
 
 #include "core/error.hpp"
 #include "fault/injector.hpp"
 #include "numeric/quantize.hpp"
-#include "tensor/gemm.hpp"  // FRLFI_RESTRICT
 
 namespace frlfi {
 
@@ -95,22 +95,31 @@ void CommChannel::transmit_rows(float* rows, std::size_t n_rows,
       continue;
     }
     if (ber <= 0.0) continue;
-    float* FRLFI_RESTRICT row = rows + r * dim;
-    // Per-row calibration, exactly the scalar transmit's codec (and its
-    // finite-scale check), run on every row.
-    const Int8Quantizer q =
-        Int8Quantizer::calibrate(std::span<const float>(row, dim));
-    for (std::size_t d = 0; d < dim; ++d) {
-      // Draws exactly what the scalar loop's 8 bernoulli(ber) calls draw;
-      // hits collected into one mask and applied with one XOR. quantize is
-      // pure, so only a hit element needs its word.
-      const auto mask = static_cast<std::uint8_t>(rng.bernoulli_mask(thr, 8));
-      if (mask != 0) {
-        corrupted_ += static_cast<std::size_t>(std::popcount(mask));
-        const auto word = static_cast<std::uint8_t>(q.quantize(row[d]));
-        row[d] = q.dequantize(static_cast<std::int8_t>(word ^ mask));
-      }
-    }
+    // The 8·dim wire-bit trials of the scalar loop, in its order.
+    hits_.clear();
+    rng.bernoulli_hits(thr, 8 * dim, hits_);
+    flip_wire_hits(rows + r * dim, dim);
+  }
+}
+
+void CommChannel::flip_wire_hits(float* row, std::size_t dim) {
+  if (hits_.empty()) return;
+  // Per-row calibration, exactly the scalar transmit's codec, run only on
+  // rows a flip hits. Skipping it elsewhere changes nothing: it reads the
+  // row before any flip, and its scale max(finite |x|, 1e-8)/127 is
+  // always finite and positive, so its check cannot throw.
+  const Int8Quantizer q =
+      Int8Quantizer::calibrate(std::span<const float>(row, dim));
+  corrupted_ += hits_.size();
+  // quantize is pure, so only a hit element needs its word: gather its
+  // hits into one mask and apply them with one XOR.
+  for (std::size_t h = 0; h < hits_.size();) {
+    const std::size_t d = hits_[h] / 8;
+    std::uint8_t mask = 0;
+    for (; h < hits_.size() && hits_[h] / 8 == d; ++h)
+      mask = static_cast<std::uint8_t>(mask | (1u << (hits_[h] % 8)));
+    const auto word = static_cast<std::uint8_t>(q.quantize(row[d]));
+    row[d] = q.dequantize(static_cast<std::int8_t>(word ^ mask));
   }
 }
 
@@ -143,26 +152,25 @@ void CommChannel::transmit_row_bursty(float* row, std::size_t dim,
     for (std::size_t k = 0; k < n_chunks; ++k)
       chunk_lost_[k] = state.bernoulli(c.erasure_rate) ? 1 : 0;
 
-  // Flips: the same per-element 8-draw mask discipline as the i.i.d.
-  // path, but at the chunk's state BER and from the per-message noise
-  // stream. Lost chunks never arrive, so they draw no noise.
-  const Int8Quantizer q =
-      Int8Quantizer::calibrate(std::span<const float>(row, dim));
+  // Flips: the same 8 wire-bit trials per element as the i.i.d. path, but
+  // at the chunk's state BER and from the per-message noise stream. Lost
+  // chunks never arrive, so they draw no noise.
+  FRLFI_CHECK_MSG(dim <= std::numeric_limits<std::uint32_t>::max() / 8,
+                  "bursty row of " << dim << " elements");
   const BernoulliThreshold thr_good(c.ber_good);
   const BernoulliThreshold thr_bad(c.ber_bad);
-  for (std::size_t d = 0; d < dim; ++d) {
-    const std::size_t k = d / chunk;
+  hits_.clear();
+  for (std::size_t k = 0; k < n_chunks; ++k) {
     if (chunk_lost_[k]) continue;
-    // Draws exactly what 8 noise.bernoulli(ber) calls at the chunk's
-    // state BER draw (none at BER 0).
-    const auto mask = static_cast<std::uint8_t>(noise.bernoulli_mask(
-        chunk_bad_[k] ? thr_bad : thr_good, 8));
-    if (mask != 0) {
-      corrupted_ += static_cast<std::size_t>(std::popcount(mask));
-      row[d] = q.dequantize(static_cast<std::int8_t>(
-          static_cast<std::uint8_t>(q.quantize(row[d])) ^ mask));
-    }
+    const std::size_t lo = k * chunk;
+    const std::size_t hi = std::min(dim, lo + chunk);
+    const std::size_t first = hits_.size();
+    noise.bernoulli_hits(chunk_bad_[k] ? thr_bad : thr_good, 8 * (hi - lo),
+                         hits_);
+    for (std::size_t h = first; h < hits_.size(); ++h)
+      hits_[h] += static_cast<std::uint32_t>(8 * lo);
   }
+  flip_wire_hits(row, dim);
 
   // Erasure: the receiver substitutes zeros for chunks that never came.
   for (std::size_t k = 0; k < n_chunks; ++k) {

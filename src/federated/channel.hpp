@@ -205,6 +205,11 @@ class CommChannel {
   void transmit_row_bursty(float* row, std::size_t dim, const Rng& rng,
                            std::uint64_t seq);
 
+  /// Apply the wire-bit hits in hits_ (hit h: bit h % 8 of element h / 8,
+  /// increasing) to `row`'s int8 words through the row's calibration, and
+  /// count them.
+  void flip_wire_hits(float* row, std::size_t dim);
+
   double ber_;
   BurstyChannelConfig bursty_;
   std::size_t messages_ = 0;
@@ -213,7 +218,8 @@ class CommChannel {
   std::size_t retransmit_bytes_ = 0;
   std::size_t chunks_erased_ = 0;
   std::uint64_t seq_ = 0;
-  // Burst-plane and retry-protocol scratch, reused across messages.
+  // Noise, burst-plane and retry-protocol scratch, reused across messages.
+  std::vector<std::uint32_t> hits_;
   std::vector<std::uint8_t> chunk_bad_;
   std::vector<std::uint8_t> chunk_lost_;
   std::vector<float> orig_;

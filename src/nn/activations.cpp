@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "core/error.hpp"
-#include "tensor/gemm.hpp"  // FRLFI_TARGET_CLONES
+#include "core/codegen.hpp"  // FRLFI_TARGET_CLONES
 
 namespace frlfi {
 namespace {
@@ -12,7 +12,7 @@ namespace {
 // Branchless in-place clamp for the batched path: the per-sample loop's
 // `if (v < 0)` store-under-branch mispredicts on random activations, while
 // the ternary compiles to a vector max. Elementwise, so the AVX2 clone is
-// bit-identical (see gemm.hpp).
+// bit-identical (see core/codegen.hpp).
 FRLFI_TARGET_CLONES
 void relu_inplace(float* FRLFI_RESTRICT v, std::size_t n) {
 #pragma omp simd

@@ -32,7 +32,8 @@ struct ConvTap {
 // order, the same chain as the per-sample GEMM forward, so results match
 // it bit-for-bit wherever that path runs the ordered wide kernel;
 // out-of-bounds taps are skipped (they contribute exact zeros there).
-// Reduction-free, so the wider-vector clones are bit-identical (gemm.hpp).
+// Reduction-free, so the wider-vector clones are bit-identical
+// (core/codegen.hpp).
 FRLFI_TARGET_CLONES
 void conv_batch_inner(const float* FRLFI_RESTRICT x,
                       const float* FRLFI_RESTRICT wt,

@@ -5,7 +5,7 @@
 #include <cstring>
 
 #include "core/error.hpp"
-#include "tensor/gemm.hpp"  // FRLFI_RESTRICT
+#include "core/codegen.hpp"  // FRLFI_RESTRICT
 
 namespace frlfi {
 

@@ -135,6 +135,78 @@ TEST(FlipBitsBer, InvalidBerThrows) {
   EXPECT_THROW(corrupt_words(words, 33, flip_spec(0.1), rng), Error);
 }
 
+TEST(CorruptWords, MatchesPerBitLoopAcrossLaneGroups) {
+  // Buffers of two or more lane groups plus a tail, so the bulk draw's
+  // full groups, partial groups and serial tail all run; the oracle is one
+  // bernoulli(thr) trial per bit, LSB first, applied bit by bit.
+  const struct {
+    int width;
+    std::size_t words;
+  } shapes[] = {{8, 3 * Rng::kLaneGroup / 8 + 5},
+                {7, 2 * Rng::kLaneGroup / 7 + 3},
+                {12, 2500},
+                {32, 2 * Rng::kLaneGroup / 32 + 1}};
+  const struct {
+    FaultModel model;
+    FlipDirection direction;
+  } rules[] = {{FaultModel::TransientSingleStep, FlipDirection::Any},
+               {FaultModel::TransientPersistent, FlipDirection::Any},
+               {FaultModel::TransientPersistent, FlipDirection::ZeroToOne},
+               {FaultModel::TransientPersistent, FlipDirection::OneToZero},
+               {FaultModel::StuckAt0, FlipDirection::Any},
+               {FaultModel::StuckAt1, FlipDirection::Any}};
+  for (const auto& shape : shapes) {
+    for (const auto& rule : rules) {
+      for (const double ber : {1e-3, 0.3}) {
+        const FaultSpec spec = flip_spec(ber, rule.direction, rule.model);
+        std::vector<std::uint32_t> values(shape.words);
+        Rng data(shape.words);
+        const std::uint32_t low = shape.width == 32
+                                      ? ~std::uint32_t{0}
+                                      : (std::uint32_t{1} << shape.width) - 1;
+        for (auto& v : values)
+          v = static_cast<std::uint32_t>(data.next_u64()) & low;
+
+        std::vector<std::uint32_t> expected = values;
+        std::size_t expected_changed = 0;
+        Rng oracle(61);
+        const BernoulliThreshold thr(ber);
+        for (auto& v : expected) {
+          for (int b = 0; b < shape.width; ++b) {
+            if (!oracle.bernoulli(thr)) continue;
+            const bool set = (v >> b) & 1u;
+            const bool allowed =
+                rule.model == FaultModel::StuckAt0   ? set
+                : rule.model == FaultModel::StuckAt1 ? !set
+                : rule.direction == FlipDirection::ZeroToOne ? !set
+                : rule.direction == FlipDirection::OneToZero ? set
+                                                             : true;
+            if (allowed) {
+              v ^= std::uint32_t{1} << b;
+              ++expected_changed;
+            }
+          }
+        }
+
+        Rng rng(61);
+        std::size_t changed = 0;
+        if (shape.width <= 8) {
+          std::vector<std::uint8_t> bytes(values.begin(), values.end());
+          changed = corrupt_words(bytes, shape.width, spec, rng);
+          values.assign(bytes.begin(), bytes.end());
+        } else {
+          changed = corrupt_words(values, shape.width, spec, rng);
+        }
+        EXPECT_EQ(values, expected)
+            << "width " << shape.width << " model " << to_string(rule.model)
+            << " ber " << ber;
+        EXPECT_EQ(changed, expected_changed);
+        EXPECT_EQ(rng.next_u64(), oracle.next_u64());
+      }
+    }
+  }
+}
+
 TEST(FlipBitsExact, FlipsExactlyNDistinctBits) {
   std::vector<std::uint8_t> buf(16, 0);
   Rng rng(7);

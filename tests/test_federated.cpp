@@ -225,12 +225,14 @@ TEST(CommChannel, TransmitRowsMatchesScalarOnEdgeShapes) {
   // The batched path is locked to the scalar golden reference on the
   // shapes most likely to break a vectorized implementation: a single
   // row (n_agents=1) and dims not divisible by any SIMD width — bits,
-  // counters and RNG stream position all identical. The BERs cover the
+  // counters and RNG stream position all identical. Dim 4131 is a drone
+  // row: its 8·4131 wire bits span two full lane groups of the bulk
+  // Bernoulli draw, a partial group and a serial tail. The BERs cover the
   // no-draw thresholds (0 and 1), a tiny p and two ordinary ones.
   for (const double ber : {0.0, 1e-4, 0.02, 0.5, 1.0}) {
     for (const std::size_t dim :
          {std::size_t{1}, std::size_t{3}, std::size_t{17}, std::size_t{37},
-          std::size_t{63}}) {
+          std::size_t{63}, std::size_t{4131}}) {
       for (const std::size_t n_rows : {std::size_t{1}, std::size_t{3}}) {
         std::vector<std::vector<float>> payloads;
         Rng data_rng(9000 + dim * 10 + n_rows);

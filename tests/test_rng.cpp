@@ -9,9 +9,38 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/parallel.hpp"
 
 namespace frlfi {
 namespace {
+
+// Kept first in the file so it makes the process's first lane-group
+// call: the jump table is built on first use, and four pool lanes race
+// for it here (the TSan job runs this binary). Each lane's hit list must
+// equal a serial one-trial loop over the same stream.
+TEST(Rng, BernoulliHitsFirstUseFromFourLanes) {
+  const BernoulliThreshold thr(1e-2);
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kN = 2 * Rng::kLaneGroup + 5;
+  std::vector<std::vector<std::uint32_t>> got(kLanes);
+  std::vector<std::uint64_t> next(kLanes);
+  ThreadPool pool(kLanes);
+  pool.parallel_for(kLanes, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t lane = begin; lane < end; ++lane) {
+      Rng rng(100 + lane);
+      rng.bernoulli_hits(thr, kN, got[lane]);
+      next[lane] = rng.next_u64();
+    }
+  });
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    Rng rng(100 + lane);
+    std::vector<std::uint32_t> expected;
+    for (std::size_t i = 0; i < kN; ++i)
+      if (rng.bernoulli(thr)) expected.push_back(static_cast<std::uint32_t>(i));
+    EXPECT_EQ(got[lane], expected) << "lane " << lane;
+    EXPECT_EQ(next[lane], rng.next_u64()) << "lane " << lane;
+  }
+}
 
 TEST(SplitMix64, KnownFirstOutputsDiffer) {
   SplitMix64 a(1), b(2);
@@ -117,15 +146,6 @@ TEST(Rng, BernoulliThresholdIsExact) {
     for (int i = 0; i < 100000; ++i)
       ASSERT_EQ(a.bernoulli(thr), b.bernoulli(p)) << p << " draw " << i;
     EXPECT_EQ(a.next_u64(), b.next_u64()) << p;
-
-    Rng c(72), d(72);
-    for (int i = 0; i < 1000; ++i) {
-      std::uint32_t expected = 0;
-      for (int bit = 0; bit < 8; ++bit)
-        if (d.bernoulli(p)) expected |= 1u << bit;
-      ASSERT_EQ(c.bernoulli_mask(thr, 8), expected) << p << " word " << i;
-    }
-    EXPECT_EQ(c.next_u64(), d.next_u64()) << p;
   }
   // The tiny thresholds: denorm_min and 2^-53 hit only k = 0; one ulp
   // above 2^-53 also hits k = 1.
@@ -135,6 +155,76 @@ TEST(Rng, BernoulliThresholdIsExact) {
   EXPECT_EQ(BernoulliThreshold(kTwoM53).threshold(), 1u);
   EXPECT_EQ(BernoulliThreshold(std::nextafter(kTwoM53, 1.0)).threshold(), 2u);
   EXPECT_EQ(BernoulliThreshold(std::nextafter(1.0, 0.0)).threshold(), kMaxK);
+}
+
+TEST(Rng, BernoulliHitsMatchesOneTrialLoop) {
+  // Lengths around the lane-group edges (G draws fill every lane; runs of
+  // fewer whole segments than a group take partial groups or the serial
+  // loop), rates from the no-draw constants through the tiny thresholds
+  // to the largest one below 1.
+  constexpr std::size_t kG = Rng::kLaneGroup;
+  const std::size_t ns[] = {0, 1, 31, kG - 1, kG, kG + 1, 3 * kG + 17};
+  const double ps[] = {0.0,
+                       std::numeric_limits<double>::denorm_min(),
+                       0x1.0p-53,
+                       1e-4,
+                       1e-2,
+                       0.5,
+                       std::nextafter(1.0, 0.0),
+                       1.0};
+  for (const double p : ps) {
+    const BernoulliThreshold thr(p);
+    for (const std::size_t n : ns) {
+      Rng a(81 + n), b(81 + n);
+      // Appends after what the list already holds.
+      std::vector<std::uint32_t> got{7u};
+      a.bernoulli_hits(thr, n, got);
+      std::vector<std::uint32_t> expected{7u};
+      for (std::size_t i = 0; i < n; ++i)
+        if (b.bernoulli(thr)) expected.push_back(static_cast<std::uint32_t>(i));
+      ASSERT_EQ(got, expected) << "p " << p << " n " << n;
+      EXPECT_EQ(a.next_u64(), b.next_u64()) << "p " << p << " n " << n;
+    }
+  }
+
+  // The exact edge: a lane-walked draw whose 53-bit k equals the
+  // threshold must miss, and k = T - 1 must hit. Draws whose low 11 bits
+  // are zero put the lane compare out < T·2^11 right on its boundary.
+  constexpr std::size_t kN = 2 * kG;
+  Rng scan(83);
+  bool found = false;
+  for (std::size_t i = 0; i < kN && !found; ++i) {
+    const std::uint64_t out = scan.next_u64();
+    if (i < Rng::kLaneSegment || (out & 0x7FF) != 0 || (out >> 11) < 2)
+      continue;
+    for (const std::uint64_t t : {out >> 11, (out >> 11) + 1}) {
+      const BernoulliThreshold thr(std::ldexp(static_cast<double>(t), -53));
+      ASSERT_EQ(thr.threshold(), t);
+      Rng a(83), b(83);
+      std::vector<std::uint32_t> got;
+      a.bernoulli_hits(thr, kN, got);
+      std::vector<std::uint32_t> expected;
+      for (std::size_t j = 0; j < kN; ++j)
+        if (b.bernoulli(thr)) expected.push_back(static_cast<std::uint32_t>(j));
+      EXPECT_EQ(got, expected) << "draw " << i << " threshold " << t;
+      EXPECT_EQ(std::count(got.begin(), got.end(), i), t > (out >> 11));
+    }
+    found = true;
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(Rng, BernoulliHitsRejectsIndexOverflow) {
+  // 2^32 trials would need a 33-bit index: rejected before any draw or
+  // allocation, at every rate (the no-draw constants included).
+  for (const double p : {0.0, 0.5, 1.0}) {
+    const BernoulliThreshold thr(p);
+    Rng a(5), b(5);
+    std::vector<std::uint32_t> hits;
+    EXPECT_THROW(a.bernoulli_hits(thr, std::size_t{1} << 32, hits), Error);
+    EXPECT_EQ(hits.capacity(), 0u);
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+  }
 }
 
 TEST(Rng, BernoulliThresholdRejectsInvalidP) {
