@@ -238,12 +238,12 @@ double DroneFrlSystem::evaluate_inference_fault(
       scenario.spec.model == FaultModel::TransientSingleStep;
   if (!trans1) apply_static_inference_fault(policy, scenario, fault_rng);
 
-  // One policy serves every drone, so each decision step batches all
-  // still-flying drones' observations into a single forward over the
-  // shared read-only policy. Trans-1 joins the same batched step: each
-  // drone's single-read corruption rides a per-lane weight view, so
-  // striking and clean drones share one forward without any
-  // clone-and-restore.
+  // One policy serves every drone, so all episodes of all drones run as
+  // one lockstep: each decision step batches every still-flying lane's
+  // observation into a single forward over the shared read-only policy.
+  // Trans-1 joins the same batched step: each lane's single-read
+  // corruption rides a per-lane weight view, so striking and clean lanes
+  // share one forward without any clone-and-restore.
   BatchedCampaignSpec spec;
   spec.episodes = episodes_per_drone;
   spec.agents = cfg_.n_drones;

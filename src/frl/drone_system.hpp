@@ -125,10 +125,11 @@ class DroneFrlSystem {
   /// Evaluate inference under a fault scenario on the consensus policy;
   /// returns average safe flight distance [m].
   ///
-  /// Runs as a batched inference campaign: every episode batches all
-  /// still-flying drones' observations into one forward per decision step
-  /// — Trans-1 included, each striking drone riding its own weight view
-  /// over one shared read-only policy (see run_batched_inference_campaign).
+  /// Runs as a batched inference campaign: every episode of every drone
+  /// is one lane of a single lockstep, all still-flying lanes'
+  /// observations batched into one forward per decision step — Trans-1
+  /// included, each striking lane riding its own weight view over one
+  /// shared read-only policy (see run_batched_inference_campaign).
   double evaluate_inference_fault(const InferenceFaultScenario& scenario,
                                   std::size_t episodes_per_drone,
                                   std::uint64_t seed);

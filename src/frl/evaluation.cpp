@@ -298,47 +298,50 @@ std::vector<double> run_batched_inference_campaign(
                   "batched campaign: " << spec.episodes << " episodes, "
                                        << spec.agents << " agents");
   FRLFI_CHECK(static_cast<bool>(make_env) && static_cast<bool>(metric));
-  std::vector<double> metrics(spec.episodes * spec.agents);
   const Rng base(spec.seed);
 
   // Nothing in the batched runners mutates parameters — Trans-1
   // corruption rides per-lane weight views over one shared deployed image
-  // — so every trial reads a single working copy of the policy.
+  // — so every lane reads a single working copy of the policy.
   Network shared_policy = policy.clone();
   std::optional<DeployedWeights> deployed;
   std::vector<std::size_t> base_hits;
   if (spec.trans1 != nullptr) {
     deployed.emplace(make_deployed_weights(policy, *spec.trans1));
     // Detector precomputation, once per campaign: the deployed base and
-    // its out-of-range set are fixed across all trials.
+    // its out-of-range set are fixed across all lanes.
     if (spec.trans1->detector != nullptr)
       base_hits = spec.trans1->detector->base_out_of_range(
           std::span<const float>(deployed->base()));
   }
-  // Environments are stateful: one private set, built once and reset by
-  // every trial. Trial streams depend only on (seed, salt, agent, trial).
+  // Every (trial, agent) lane runs in one lockstep: lanes that finish
+  // early leave the batch while the rest stay wide, instead of each trial
+  // walking its slowest agent alone. Lane t * agents + a gets its own
+  // environment and the stream its trial would have used.
+  const std::size_t lanes = spec.episodes * spec.agents;
   std::vector<std::unique_ptr<Environment>> owned_envs;
   std::vector<Environment*> envs;
-  owned_envs.reserve(spec.agents);
-  for (std::size_t a = 0; a < spec.agents; ++a) {
-    owned_envs.push_back(make_env(a));
-    FRLFI_CHECK_MSG(owned_envs.back() != nullptr, "make_env returned null");
-    envs.push_back(owned_envs.back().get());
-  }
-  std::vector<Rng> rngs(spec.agents, Rng(0));
+  std::vector<Rng> rngs;
+  owned_envs.reserve(lanes);
+  envs.reserve(lanes);
+  rngs.reserve(lanes);
   for (std::size_t t = 0; t < spec.episodes; ++t) {
-    for (std::size_t a = 0; a < spec.agents; ++a)
-      rngs[a] = base.derive_stream({spec.rng_salt + a, t});
-    const std::vector<EpisodeStats> stats =
-        spec.trans1 != nullptr
-            ? greedy_episodes_trans1_batched(shared_policy, *deployed,
-                                             *spec.trans1, envs, rngs,
-                                             spec.max_steps, &base_hits)
-            : greedy_episodes_batched(shared_policy, envs, rngs,
-                                      spec.max_steps);
-    for (std::size_t a = 0; a < spec.agents; ++a)
-      metrics[t * spec.agents + a] = metric(a, *envs[a], stats[a]);
+    for (std::size_t a = 0; a < spec.agents; ++a) {
+      owned_envs.push_back(make_env(a));
+      FRLFI_CHECK_MSG(owned_envs.back() != nullptr, "make_env returned null");
+      envs.push_back(owned_envs.back().get());
+      rngs.push_back(base.derive_stream({spec.rng_salt + a, t}));
+    }
   }
+  const std::vector<EpisodeStats> stats =
+      spec.trans1 != nullptr
+          ? greedy_episodes_trans1_batched(shared_policy, *deployed,
+                                           *spec.trans1, envs, rngs,
+                                           spec.max_steps, &base_hits)
+          : greedy_episodes_batched(shared_policy, envs, rngs, spec.max_steps);
+  std::vector<double> metrics(lanes);
+  for (std::size_t i = 0; i < lanes; ++i)
+    metrics[i] = metric(i % spec.agents, *envs[i], stats[i]);
   return metrics;
 }
 

@@ -36,12 +36,13 @@ EpisodeStats greedy_episode(Network& policy, Environment& env, Rng& rng,
 /// lockstep, batching the observations of all still-active lanes into a
 /// single Network::forward_batch per decision step. Lane i consumes
 /// envs[i] and rngs[i] exactly as a serial greedy_episode(policy, *envs[i],
-/// rngs[i], max_steps) would, so per-lane results match the serial loop
-/// (bit-identical for MLP policies; conv policies with tiny layers may
-/// diverge within the batched-GEMM ulp tolerance, which can flip an argmax
-/// tie and hence a trajectory). Lanes drop out of the batch as their
-/// episodes terminate. Requires all environments to share one observation
-/// shape and one policy (weight faults must be injected beforehand).
+/// rngs[i], max_steps) would, and per-lane results match the serial loop
+/// bit for bit: every in-tree layer's batched forward gives forward()'s
+/// bits at every width (Layer::infer), so neither the lane count nor which
+/// lanes are still active can move a logit. Lanes drop out of the batch
+/// as their episodes terminate. Requires all environments to share one
+/// observation shape and one policy (weight faults must be injected
+/// beforehand).
 std::vector<EpisodeStats> greedy_episodes_batched(
     Network& policy, const std::vector<Environment*>& envs,
     std::vector<Rng>& rngs, std::size_t max_steps);
@@ -108,9 +109,8 @@ InjectionReport trans1_strike_overlay(
 /// through Network::forward_batch instead of mutating the policy: clean
 /// lanes share the batched forward while each striking lane's rows read
 /// its own corrupted weights. Per-lane results match the serial Trans-1
-/// loop under the same batch-width equivalence contract as
-/// greedy_episodes_batched (bit-identical for MLP policies and for conv
-/// policies at sub-wide-kernel fleet sizes). `policy` is never mutated and
+/// loop bit for bit at any lane count, as in greedy_episodes_batched.
+/// `policy` is never mutated and
 /// never cloned — the deletion of the per-lane clone + restore-guard
 /// machinery this runner replaces. `base_hits` (the detector's
 /// base_out_of_range over deployed.base()) lets a multi-trial campaign
@@ -129,19 +129,20 @@ InjectionReport apply_static_inference_fault(Network& policy,
                                              Rng& rng);
 
 /// A campaign of batched greedy-inference trials: `episodes` independent
-/// trials run in order on the calling thread, each running one greedy
-/// episode per agent with all agents' decision steps batched through a
-/// single forward per step (the lockstep lane runner).
+/// trials of one greedy episode per agent, run on the calling thread as a
+/// single lockstep over all episodes x agents lanes — every still-active
+/// lane's decision step batched through one forward per step, so the
+/// lanes that run long share their forwards across trials.
 ///
-/// Trial e / agent a consumes the stream Rng(seed).derive_stream({rng_salt
-/// + a, e}) — independent across trials, so trials are exchangeable (the
-/// policy is shared read-only — Trans-1 corruption rides per-lane weight
-/// views; metrics are folded in trial order by the caller from the
-/// returned trial-major vector).
+/// Trial e / agent a is one lane with its own environment, consuming the
+/// stream Rng(seed).derive_stream({rng_salt + a, e}) — independent across
+/// trials, so trials are exchangeable (the policy is shared read-only —
+/// Trans-1 corruption rides per-lane weight views; metrics are folded in
+/// trial order by the caller from the returned trial-major vector).
 struct BatchedCampaignSpec {
-  /// Independent trials (one batched episode over all agents each).
+  /// Independent trials (one episode per agent each).
   std::size_t episodes = 1;
-  /// Lockstep lanes batched per decision step.
+  /// Agents per trial; the lockstep runs episodes x agents lanes.
   std::size_t agents = 1;
   /// Per-episode step cap.
   std::size_t max_steps = 1;
@@ -150,20 +151,21 @@ struct BatchedCampaignSpec {
   /// Salt mixed into each agent's stream tag (keeps the per-agent streams
   /// aligned with the historical serial evaluators' split tags).
   std::uint64_t rng_salt = 0xE7A1;
-  /// When set, each trial runs the batched Trans-1 lockstep runner under
-  /// this scenario (per-agent random-step corruption carried by per-lane
+  /// When set, the lanes run the batched Trans-1 lockstep runner under
+  /// this scenario (per-lane random-step corruption carried by per-lane
   /// weight views over one shared deployed image — the policy is never
   /// mutated) instead of the clean batched step.
   const InferenceFaultScenario* trans1 = nullptr;
 };
 
 /// Run the campaign. `make_env(a)` builds a fresh environment equivalent
-/// to agent a's (one set, built once and reused by every trial; the
-/// policy is cloned once and nothing mutates it). `metric(a, env, stats)`
-/// maps agent a's finished episode (the environment still holds its
-/// terminal state) to the scalar of interest. Returns episodes x agents
-/// metrics indexed [trial * agents + agent] — deterministic in (spec,
-/// policy parameters).
+/// to agent a's; it is called once per lane, episodes x agents times, in
+/// trial-major order (the policy is cloned once and nothing mutates it).
+/// `metric(a, env, stats)` maps a lane of agent a's finished episode (its
+/// own environment still holds the terminal state) to the scalar of
+/// interest; it runs once per lane, in lane order. Returns episodes x agents metrics indexed [trial * agents +
+/// agent] — deterministic in (spec, policy parameters), and equal to
+/// serial greedy episodes on the same streams.
 std::vector<double> run_batched_inference_campaign(
     const Network& policy, const BatchedCampaignSpec& spec,
     const std::function<std::unique_ptr<Environment>(std::size_t)>& make_env,

@@ -167,11 +167,12 @@ double GridWorldFrlSystem::evaluate_inference_fault(
       scenario.spec.model == FaultModel::TransientSingleStep;
   if (!trans1) apply_static_inference_fault(policy, scenario, fault_rng);
 
-  // One consensus policy serves every agent: each attempt batches all
-  // agents' decision steps into a single forward per step (the all-Dense
-  // gridworld policy makes the batched logits bit-identical to the serial
-  // loop) over the shared read-only policy. Trans-1 attempts join the
-  // same batched step via per-agent weight views.
+  // One consensus policy serves every agent: all attempts of all agents
+  // run as one lockstep, a single forward per step over the shared
+  // read-only policy (bit-identical to the serial loop at any width).
+  // Trans-1 attempts join the same batched step via per-lane weight
+  // views. Each lane copies its agent's validated environment; reset()
+  // overwrites all of its episode state.
   BatchedCampaignSpec spec;
   spec.episodes = attempts_per_agent;
   spec.agents = cfg_.n_agents;
@@ -182,7 +183,7 @@ double GridWorldFrlSystem::evaluate_inference_fault(
   const std::vector<double> successes = run_batched_inference_campaign(
       policy, spec,
       [this](std::size_t a) {
-        return std::make_unique<GridWorldEnv>(envs_[a]->layout(), cfg_.env);
+        return std::make_unique<GridWorldEnv>(*envs_[a]);
       },
       [](std::size_t, const Environment&, const EpisodeStats& stats) {
         return stats.success ? 1.0 : 0.0;

@@ -133,8 +133,8 @@ class GridWorldFrlSystem {
   /// consensus policy (static injection; Trans-1 handled per-episode) and
   /// returns the average success rate over all agents' environments.
   ///
-  /// Runs as a batched inference campaign: each attempt batches all
-  /// agents' decision steps into one forward per step (see
+  /// Runs as a batched inference campaign: every attempt of every agent
+  /// is one lane of a single lockstep, one forward per decision step (see
   /// run_batched_inference_campaign).
   double evaluate_inference_fault(const InferenceFaultScenario& scenario,
                                   std::size_t attempts_per_agent,

@@ -11,29 +11,19 @@
 namespace frlfi {
 namespace {
 
-// One valid kernel tap for a fixed output row oy: weight index, the
-// x pointer at (ic, iy, 0), the (possibly negative) kx - pad column
-// offset so the ox'th output reads row + (ox*stride + off)*B, and the ox
-// range where that read stays in bounds.
-struct ConvTap {
-  std::size_t r;
-  const float* row;
-  std::ptrdiff_t off;
-  std::size_t ox_lo, ox_hi;
-};
-
-// Direct batch-inner convolution kernel: x is (in_c, h, w, B), y is
-// (out_c, oh, ow, B) — no im2col, no patch matrix. For each output
+// Direct batch-inner convolution kernel over an unpadded input (a padded
+// layer's input is zero-padded into scratch first): x is (in_c, h, w, B),
+// y is (out_c, oh, ow, B) — no im2col, no patch matrix. For each output
 // (oc, oy, ox) the batch is processed in fixed 16-float chunks whose
 // accumulator lives in registers across the whole tap loop, so y is
 // written exactly once and each tap costs one x-vector load plus one
 // mul/add — instead of a load+store of y per tap. Per output element the
-// accumulation runs bias-first then taps in increasing (ic, ky, kx)
-// order, the same chain as the per-sample GEMM forward, so results match
-// it bit-for-bit wherever that path runs the ordered wide kernel;
-// out-of-bounds taps are skipped (they contribute exact zeros there).
-// Reduction-free, so the wider-vector clones are bit-identical
-// (core/codegen.hpp).
+// accumulation runs bias-first then every tap in increasing (ic, ky, kx)
+// order, padding taps adding w·(+0.0f) just as im2col's zeros do: the
+// chain of forward()'s ordered GEMM, so wherever forward() runs that
+// kernel the results match it bit-for-bit, signed zeros and non-finite
+// weights included. Reduction-free, so the wider-vector clones are
+// bit-identical (core/codegen.hpp).
 FRLFI_TARGET_CLONES
 void conv_batch_inner(const float* FRLFI_RESTRICT x,
                       const float* FRLFI_RESTRICT wt,
@@ -43,86 +33,46 @@ void conv_batch_inner(const float* FRLFI_RESTRICT x,
   const std::size_t oh = s.out_h(), ow = s.out_w();
   const std::size_t taps = s.in_c * s.k * s.k;
   constexpr std::size_t kChunk = 16;
-  std::vector<ConvTap> row_taps;
-  row_taps.reserve(taps);
+  // Offset of tap r = (ic, ky, kx) from its output's top-left input.
+  std::vector<std::size_t> tap_off;
+  tap_off.reserve(taps);
+  for (std::size_t ic = 0; ic < s.in_c; ++ic)
+    for (std::size_t ky = 0; ky < s.k; ++ky)
+      for (std::size_t kx = 0; kx < s.k; ++kx)
+        tap_off.push_back(((ic * s.h + ky) * s.w + kx) * batch);
   for (std::size_t oy = 0; oy < oh; ++oy) {
-    // Collect this output row's in-bounds taps once (ascending r).
-    row_taps.clear();
-    std::size_t lo_all = 0, hi_all = ow;
-    std::size_t r = 0;
-    for (std::size_t ic = 0; ic < s.in_c; ++ic) {
-      for (std::size_t ky = 0; ky < s.k; ++ky) {
-        const std::ptrdiff_t iy =
-            static_cast<std::ptrdiff_t>(oy * s.stride + ky) -
-            static_cast<std::ptrdiff_t>(s.pad);
-        const bool iy_ok = iy >= 0 && iy < static_cast<std::ptrdiff_t>(s.h);
-        for (std::size_t kx = 0; kx < s.k; ++kx, ++r) {
-          if (!iy_ok) continue;
-          std::size_t ox_lo, ox_hi;
-          conv_valid_ox_range(s, kx, ow, ox_lo, ox_hi);
-          if (ox_lo >= ox_hi) continue;
-          const float* row =
-              x + (ic * s.h + static_cast<std::size_t>(iy)) * s.w * batch;
-          const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(kx) -
-                                     static_cast<std::ptrdiff_t>(s.pad);
-          row_taps.push_back({r, row, off, ox_lo, ox_hi});
-          lo_all = std::max(lo_all, ox_lo);
-          hi_all = std::min(hi_all, ox_hi);
-        }
-      }
-    }
-    if (lo_all > hi_all) hi_all = lo_all;
     for (std::size_t oc = 0; oc < out_c; ++oc) {
       const float* FRLFI_RESTRICT wrow = wt + oc * taps;
       const float bv = bias[oc];
       float* FRLFI_RESTRICT yrow = y + (oc * oh + oy) * ow * batch;
       for (std::size_t ox = 0; ox < ow; ++ox) {
+        const float* FRLFI_RESTRICT xo =
+            x + (oy * s.stride * s.w + ox * s.stride) * batch;
         float* FRLFI_RESTRICT yv = yrow + ox * batch;
-        const std::ptrdiff_t xox =
-            static_cast<std::ptrdiff_t>(ox * s.stride);
-        const bool interior = ox >= lo_all && ox < hi_all;
-        for (std::size_t b0 = 0; b0 < batch; b0 += kChunk) {
-          const std::size_t blen = std::min(kChunk, batch - b0);
-          if (blen == kChunk) {
-            float acc[kChunk];
-            for (std::size_t l = 0; l < kChunk; ++l) acc[l] = bv;
-            if (interior) {
-              for (const ConvTap& t : row_taps) {
-                const float wv = wrow[t.r];
-                const float* FRLFI_RESTRICT xv =
-                    t.row + (xox + t.off) * static_cast<std::ptrdiff_t>(batch) +
-                    static_cast<std::ptrdiff_t>(b0);
+        std::size_t b0 = 0;
+        for (; b0 + kChunk <= batch; b0 += kChunk) {
+          float acc[kChunk];
+          for (std::size_t l = 0; l < kChunk; ++l) acc[l] = bv;
+          for (std::size_t r = 0; r < taps; ++r) {
+            const float wv = wrow[r];
+            const float* FRLFI_RESTRICT xv = xo + tap_off[r] + b0;
 #pragma omp simd
-                for (std::size_t l = 0; l < kChunk; ++l) acc[l] += wv * xv[l];
-              }
-            } else {
-              for (const ConvTap& t : row_taps) {
-                if (ox < t.ox_lo || ox >= t.ox_hi) continue;
-                const float wv = wrow[t.r];
-                const float* FRLFI_RESTRICT xv =
-                    t.row + (xox + t.off) * static_cast<std::ptrdiff_t>(batch) +
-                    static_cast<std::ptrdiff_t>(b0);
-#pragma omp simd
-                for (std::size_t l = 0; l < kChunk; ++l) acc[l] += wv * xv[l];
-              }
-            }
-            for (std::size_t l = 0; l < kChunk; ++l) yv[b0 + l] = acc[l];
-          } else {
-            // Ragged tail chunk (batch not a multiple of 16).
-            float acc[kChunk];
-            for (std::size_t l = 0; l < blen; ++l) acc[l] = bv;
-            for (const ConvTap& t : row_taps) {
-              if (ox < t.ox_lo || ox >= t.ox_hi) continue;
-              const float wv = wrow[t.r];
-              const float* FRLFI_RESTRICT xv =
-                    t.row + (xox + t.off) * static_cast<std::ptrdiff_t>(batch) +
-                    static_cast<std::ptrdiff_t>(b0);
-#pragma omp simd
-              for (std::size_t l = 0; l < blen; ++l) acc[l] += wv * xv[l];
-            }
-            for (std::size_t l = 0; l < blen; ++l) yv[b0 + l] = acc[l];
+            for (std::size_t l = 0; l < kChunk; ++l) acc[l] += wv * xv[l];
           }
+          for (std::size_t l = 0; l < kChunk; ++l) yv[b0 + l] = acc[l];
         }
+        if (b0 == batch) continue;
+        // Ragged tail chunk (batch not a multiple of 16).
+        const std::size_t blen = batch - b0;
+        float acc[kChunk];
+        for (std::size_t l = 0; l < blen; ++l) acc[l] = bv;
+        for (std::size_t r = 0; r < taps; ++r) {
+          const float wv = wrow[r];
+          const float* FRLFI_RESTRICT xv = xo + tap_off[r] + b0;
+#pragma omp simd
+          for (std::size_t l = 0; l < blen; ++l) acc[l] += wv * xv[l];
+        }
+        for (std::size_t l = 0; l < blen; ++l) yv[b0 + l] = acc[l];
       }
     }
   }
@@ -193,39 +143,52 @@ Tensor Conv2D::batch_inner_with(Tensor input, std::size_t batch,
                          << " for batch " << batch);
   const ConvShape s = shape_for(input.dim(1), input.dim(2));
   const std::size_t oh = s.out_h(), ow = s.out_w();
+  const std::size_t ncols = oh * ow;
   Tensor out({out_c_, oh, ow, batch});
-  // Below the SIMD-worthwhile width the direct kernel's B-wide saxpy
-  // degenerates: gather each sample out of the batch-inner layout and run
-  // the per-sample im2col+GEMM kernels instead — the exact forward()
-  // compute (bit-identical to it at every geometry), minus its caching.
-  // At width 1 the batch-inner tensors ARE the sample and its output, so
-  // the kernels run on them in place.
-  if (batch < kBatchInnerWideKernelMin) {
-    thread_local std::vector<float> xs, cols, ys;
-    const std::size_t sample = in_c_ * s.h * s.w;
-    const std::size_t ncols = oh * ow;
-    cols.resize(s.rows() * ncols);
-    const float* x = input.data().data();
-    float* y = out.data().data();
-    if (batch == 1) {
-      im2col(x, s, cols.data());
-      gemm_bias_rows(wt, cols.data(), bias, y, out_c_, s.rows(), ncols);
+  const float* x = input.data().data();
+  float* y = out.data().data();
+  // The direct kernel runs forward()'s ordered chain, so it serves every
+  // batch wide enough to pay for it whose samples forward() also runs
+  // ordered (>= kGemmNarrowN output positions). Every other batch gathers
+  // each sample out of the batch-inner layout and runs forward()'s
+  // im2col+GEMM kernels on it — the exact forward() compute, minus its
+  // caching. Either way every output bit is forward()'s, at every width.
+  if (batch >= kBatchInnerWideKernelMin && ncols >= kGemmNarrowN) {
+    if (s.pad == 0) {
+      conv_batch_inner(x, wt, bias, s, out_c_, batch, y);
       return out;
     }
-    xs.resize(sample);
-    ys.resize(out_c_ * ncols);
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t f = 0; f < sample; ++f) xs[f] = x[f * batch + b];
-      im2col(xs.data(), s, cols.data());
-      gemm_bias_rows(wt, cols.data(), bias, ys.data(), out_c_, s.rows(),
-                     ncols);
-      for (std::size_t f = 0; f < out_c_ * ncols; ++f)
-        y[f * batch + b] = ys[f];
-    }
+    // Zero-pad into scratch so the padding taps join the chain as the
+    // +0.0f values im2col writes for them.
+    thread_local std::vector<float> xpad;
+    const ConvShape p{in_c_, s.h + 2 * s.pad, s.w + 2 * s.pad, k_, stride_, 0};
+    xpad.assign(in_c_ * p.h * p.w * batch, 0.0f);
+    for (std::size_t ic = 0; ic < in_c_; ++ic)
+      for (std::size_t iy = 0; iy < s.h; ++iy)
+        std::copy_n(x + (ic * s.h + iy) * s.w * batch, s.w * batch,
+                    xpad.data() +
+                        ((ic * p.h + iy + s.pad) * p.w + s.pad) * batch);
+    conv_batch_inner(xpad.data(), wt, bias, p, out_c_, batch, y);
     return out;
   }
-  conv_batch_inner(input.data().data(), wt, bias, s, out_c_, batch,
-                   out.data().data());
+  thread_local std::vector<float> xs, cols, ys;
+  cols.resize(s.rows() * ncols);
+  // At width 1 the batch-inner tensors ARE the sample and its output, so
+  // the kernels run on them in place.
+  if (batch == 1) {
+    im2col(x, s, cols.data());
+    gemm_bias_rows(wt, cols.data(), bias, y, out_c_, s.rows(), ncols);
+    return out;
+  }
+  const std::size_t sample = in_c_ * s.h * s.w;
+  xs.resize(sample);
+  ys.resize(out_c_ * ncols);
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t f = 0; f < sample; ++f) xs[f] = x[f * batch + b];
+    im2col(xs.data(), s, cols.data());
+    gemm_bias_rows(wt, cols.data(), bias, ys.data(), out_c_, s.rows(), ncols);
+    for (std::size_t f = 0; f < out_c_ * ncols; ++f) y[f * batch + b] = ys[f];
+  }
   return out;
 }
 

@@ -12,9 +12,10 @@
 /// golden reference for equivalence tests and before/after benches.
 /// The GEMM forward is bit-identical to the naive forward (bias-seeded
 /// accumulation in the same tap order, padding taps contributing exact
-/// zeros) whenever the output has >= 8 spatial positions; tiny outputs use
-/// gemm's packed narrow kernel and the GEMM backward vectorizes its
-/// reductions, so those may differ from the reference in the last ulps.
+/// zeros) whenever the output has >= kGemmNarrowN spatial positions; tiny
+/// outputs use gemm's packed narrow kernel and the GEMM backward vectorizes
+/// its reductions, so those may differ from the reference in the last ulps.
+/// infer() reproduces forward()'s bits at every batch width and geometry.
 
 #include <vector>
 
@@ -39,17 +40,17 @@ class Conv2D final : public TapedLayer {
   Tensor backward(const Tensor& grad_output, Tape& tape,
                   bool need_input_grad) override;
 
-  /// Batch-inner inference over (in_c, H, W, B). Wide batches
-  /// (>= kBatchInnerWideKernelMin) run a direct blocked convolution —
-  /// every tap a unit-stride saxpy across the batch, output written
-  /// straight into (out_c, OH, OW, B), no im2col. Narrow batches run
+  /// Batch-inner inference over (in_c, H, W, B); column b is forward() of
+  /// sample b, bit for bit, at every batch width and geometry. Batches of
+  /// >= kBatchInnerWideKernelMin samples with >= kGemmNarrowN output
+  /// positions each (where forward() runs the ordered GEMM chain) take a
+  /// direct blocked convolution — every tap a unit-stride saxpy across the
+  /// batch, output written straight into (out_c, OH, OW, B), no im2col; a
+  /// padded layer zero-pads the batch into scratch first, so padding taps
+  /// add the same +0.0f terms as im2col's. Every other batch runs
   /// forward()'s im2col+GEMM kernels per sample (on the input in place at
-  /// width 1), so they match forward() bit-for-bit at every geometry; wide
-  /// batches match it whenever a sample has >= 8 output positions, and
-  /// tiny outputs differ in the last ulps because only the per-sample path
-  /// reassociates through the packed narrow kernel. A WeightView source
-  /// reads weight and bias through the view (zero-copy when its overlay
-  /// misses this layer's span).
+  /// width 1). A WeightView source reads weight and bias through the view
+  /// (zero-copy when its overlay misses this layer's span).
   Tensor infer(Tensor input, std::size_t batch,
                const ParamSource& src) override;
 

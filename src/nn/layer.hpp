@@ -66,11 +66,11 @@ struct ParamSource {
 
 /// Batch width at which the batch-inner layers switch from the per-sample
 /// gather kernels to the wide B-stride SIMD kernels (Conv2D's direct
-/// batch-inner convolution, Dense's ordered batched GEMM). Shared between
-/// the layers and Network's batch sharding: a sharded forward keeps every
-/// sub-batch on the same side of this threshold as the undivided batch, so
-/// each element's accumulation chain — and therefore every output bit — is
-/// unchanged by sharding.
+/// batch-inner convolution, Dense's ordered batched GEMM). A speed
+/// threshold only: both sides run each element's accumulation chain in
+/// forward()'s order, so every in-tree layer gives the same bits at every
+/// width, and neither sharding nor the lane count of a lockstep campaign
+/// can change a result.
 inline constexpr std::size_t kBatchInnerWideKernelMin = 8;
 
 /// A trainable tensor with its gradient accumulator.
@@ -208,8 +208,9 @@ class Layer {
 
   /// Inference forward over `batch` samples in batch-inner layout:
   /// `input` is (d1..dk, B), the result (e1..em, B), column b computing
-  /// forward() of sample b — bit-identical wherever the layer's width
-  /// contract holds (see kBatchInnerWideKernelMin and the overrides).
+  /// forward() of sample b. Every in-tree override is bit-identical to
+  /// forward() at every width B, so a sample's output cannot depend on
+  /// which or how many samples share its batch.
   /// Parameters are read from `src`; taking the tensor by value lets
   /// elementwise layers run in place on the moved-in buffer.
   ///

@@ -75,7 +75,7 @@ void Network::backward(const Tensor& grad_output, Tape& tape,
 
 std::size_t batch_shard_count(std::size_t batch, std::size_t lanes) {
   static_assert(kBatchShardMinPerShard % kBatchInnerWideKernelMin == 0,
-                "cost cap must subsume the wide-kernel bit-identity cap");
+                "every shard of a sharded batch must stay on the wide kernels");
   if (lanes <= 1) return 1;
   const std::size_t max_shards = batch / kBatchShardMinPerShard;
   return max_shards <= 1 ? 1 : std::min(lanes, max_shards);

@@ -78,9 +78,8 @@ class Network {
   /// With a non-null `pool`, the batch is sharded into contiguous
   /// per-lane sub-batches and the full layer stack runs per shard across
   /// the pool — bit-identical to the unsharded call for every thread
-  /// count, because the batch-inner kernels are width-independent and the
-  /// shard planner never moves a sub-batch across the wide-kernel
-  /// threshold (see kBatchInnerWideKernelMin and batch_shard_count). Each
+  /// count, because every in-tree layer's infer gives the same bits at
+  /// every width (see Layer::infer and batch_shard_count). Each
   /// lane owns its shard's tensors and scratch end to end; the activation
   /// hook is then invoked once per (layer, shard), possibly concurrently,
   /// with that shard's batch-inner activations — hooks must be
@@ -154,23 +153,17 @@ class Network {
 /// kShardNetLossBatch below). A shard narrower than this doesn't pay for
 /// its dispatch + transpose overhead, so batches under 2x this stay
 /// unsharded and wider batches split into at most batch / this shards.
-/// A multiple of kBatchInnerWideKernelMin, so the cost cap subsumes the
-/// wide-kernel bit-identity cap.
+/// A multiple of kBatchInnerWideKernelMin, so every shard of a sharded
+/// batch stays on the wide kernels.
 inline constexpr std::size_t kBatchShardMinPerShard = 32;
 
 /// Sub-batch count a sharded Network::forward_batch uses for `batch`
-/// samples on `lanes` pool lanes. Two caps compose:
-///
-///  * **Bit identity.** No sub-batch crosses the layers' wide-kernel
-///    threshold relative to the undivided batch: every shard of a batch
-///    >= kBatchInnerWideKernelMin stays >= it (same wide kernels, whose
-///    per-element chains are width-independent) — so sharding can never
-///    change a bit.
-///  * **Cost model.** Every shard carries at least kBatchShardMinPerShard
-///    rows, so small batches (e.g. B=16 across 2 threads, a measured
-///    3.5x loss) are declined outright and mid-size batches split onto
-///    fewer lanes than the pool offers. Since the per-shard minimum is a
-///    multiple of the wide-kernel threshold, this cap subsumes the first.
+/// samples on `lanes` pool lanes: a cost model only, since the layers give
+/// the same bits at every width (sharding can never change a bit). Every
+/// shard carries at least kBatchShardMinPerShard rows, so small batches
+/// (e.g. B=16 across 2 threads, a measured 3.5x loss) are declined
+/// outright and mid-size batches split onto fewer lanes than the pool
+/// offers.
 std::size_t batch_shard_count(std::size_t batch, std::size_t lanes);
 
 /// Measured shard-planner anchor: BENCH_kernels.json's sharded_inference

@@ -1,7 +1,6 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 namespace frlfi {
@@ -15,14 +14,13 @@ constexpr std::size_t kBlockI = 64;
 constexpr std::size_t kBlockK = 256;
 constexpr std::size_t kBlockJ = 512;
 
-// Narrow-output kernel for n < kNarrowN: with only a few columns the
+// Narrow-output kernel for n < kGemmNarrowN: with only a few columns the
 // saxpy form degenerates to scalar loop overhead, so pack Bᵀ (n rows of k
 // contiguous floats, rebuilt in a reused thread-local scratch) and compute
 // each output as a SIMD dot product. The `reduction` vectorizes the k-chain
 // as a tree, so this path may differ from the reference order in the last
 // ulps — the one place gemm_bias_rows trades exact ordering for
 // throughput (see the header contract).
-constexpr std::size_t kNarrowN = 8;
 
 inline void accumulate_narrow(const float* FRLFI_RESTRICT a,
                               const float* FRLFI_RESTRICT b,
@@ -123,7 +121,7 @@ void accumulate_blocked_from(const float* FRLFI_RESTRICT a,
 
 void gemm_bias_rows(const float* a, const float* b, const float* bias,
                     float* c, std::size_t m, std::size_t k, std::size_t n) {
-  if (n < kNarrowN) {
+  if (n < kGemmNarrowN) {
     for (std::size_t i = 0; i < m; ++i) {
       const float bi = bias[i];
       float* FRLFI_RESTRICT crow = c + i * n;
@@ -163,7 +161,7 @@ void gemm_nt_accumulate(const float* a, const float* b, float* c,
   // few reduction terms the per-output SIMD dot degenerates to loop
   // overhead, so unpack Bᵀ back to (k x n) once and stream saxpy rows —
   // contiguous j-vectorization with the k-chain in increasing p order.
-  if (k < kNarrowN && n >= kNarrowN) {
+  if (k < kGemmNarrowN && n >= kGemmNarrowN) {
     thread_local std::vector<float> scratch;
     scratch.resize(k * n);
     float* FRLFI_RESTRICT bn = scratch.data();
@@ -194,47 +192,107 @@ void gemm_nt_accumulate(const float* a, const float* b, float* c,
   }
 }
 
-void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
-             std::size_t k, std::size_t n) {
-  // Narrow-n path: the j-vectorized saxpy below degenerates when a row of C
-  // holds only a few elements, so pack both operands k-contiguous (Aᵀ is
-  // stored (k x m), B is (k x n)) and compute each output as a SIMD dot —
-  // the same shape of fix as gemm_bias_rows's packed narrow kernel.
-  if (n < kNarrowN && k >= kNarrowN) {
-    thread_local std::vector<float> scratch;
-    scratch.resize((m + n) * k);
-    float* FRLFI_RESTRICT at = scratch.data();
-    float* FRLFI_RESTRICT bt = scratch.data() + m * k;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float* FRLFI_RESTRICT arow = a + p * m;
-      for (std::size_t i = 0; i < m; ++i) at[i * k + p] = arow[i];
-      const float* FRLFI_RESTRICT brow = b + p * n;
-      for (std::size_t j = 0; j < n; ++j) bt[j * k + p] = brow[j];
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* FRLFI_RESTRICT arow = at + i * k;
-      float* FRLFI_RESTRICT crow = c + i * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        const float* FRLFI_RESTRICT brow = bt + j * k;
-        float acc = 0.0f;
-#pragma omp simd reduction(+ : acc)  // frlfi-lint: allow(R4) fixed-ISA portable build pins the tree shape; locked vs naive golden refs by test_gemm
-        for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-        crow[j] = acc;
-      }
-    }
-    return;
-  }
-  std::memset(c, 0, m * n * sizeof(float));
+namespace {
+
+// gemm_tn for n < kGemmNarrowN <= k: the j-vectorized saxpy degenerates
+// when a row of C holds only a few elements, so pack both operands
+// k-contiguous (Aᵀ is stored (k x m), B is (k x n)) and compute each
+// output as a SIMD dot — the same shape of fix as gemm_bias_rows's packed
+// narrow kernel. Its reduction tree follows the vector width, so it stays
+// out of the clones.
+void gemm_tn_narrow(const float* a, const float* b, float* c, std::size_t m,
+                    std::size_t k, std::size_t n) {
+  thread_local std::vector<float> scratch;
+  scratch.resize((m + n) * k);
+  float* FRLFI_RESTRICT at = scratch.data();
+  float* FRLFI_RESTRICT bt = scratch.data() + m * k;
   for (std::size_t p = 0; p < k; ++p) {
     const float* FRLFI_RESTRICT arow = a + p * m;
+    for (std::size_t i = 0; i < m; ++i) at[i * k + p] = arow[i];
     const float* FRLFI_RESTRICT brow = b + p * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      float* FRLFI_RESTRICT crow = c + i * n;
-#pragma omp simd
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    for (std::size_t j = 0; j < n; ++j) bt[j * k + p] = brow[j];
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* FRLFI_RESTRICT arow = at + i * k;
+    float* FRLFI_RESTRICT crow = c + i * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* FRLFI_RESTRICT brow = bt + j * k;
+      float acc = 0.0f;
+#pragma omp simd reduction(+ : acc)  // frlfi-lint: allow(R4) fixed-ISA portable build pins the tree shape; locked vs naive golden refs by test_gemm
+      for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
+      crow[j] = acc;
     }
   }
+}
+
+// gemm_tn's ordered kernel: every element's k-chain starts at +0.0f and
+// runs in increasing p. C is walked in 8-column strips; four rows of a
+// strip keep their accumulators in registers over the whole chain, so C
+// is written once instead of reloaded and stored per p. Reduction-free,
+// so the clones are bit-identical (core/codegen.hpp).
+FRLFI_TARGET_CLONES
+void gemm_tn_ordered(const float* FRLFI_RESTRICT a,
+                     const float* FRLFI_RESTRICT b, float* FRLFI_RESTRICT c,
+                     std::size_t m, std::size_t k, std::size_t n) {
+  constexpr std::size_t kCols = 8;
+  std::size_t j0 = 0;
+  for (; j0 + kCols <= n; j0 += kCols) {
+    std::size_t i = 0;
+    for (; i + 4 <= m; i += 4) {
+      float acc0[kCols] = {}, acc1[kCols] = {}, acc2[kCols] = {},
+            acc3[kCols] = {};
+      for (std::size_t p = 0; p < k; ++p) {
+        const float* FRLFI_RESTRICT arow = a + p * m + i;
+        const float a0 = arow[0], a1 = arow[1], a2 = arow[2], a3 = arow[3];
+        const float* FRLFI_RESTRICT brow = b + p * n + j0;
+#pragma omp simd
+        for (std::size_t l = 0; l < kCols; ++l) {
+          acc0[l] += a0 * brow[l];
+          acc1[l] += a1 * brow[l];
+          acc2[l] += a2 * brow[l];
+          acc3[l] += a3 * brow[l];
+        }
+      }
+      for (std::size_t l = 0; l < kCols; ++l) {
+        c[(i + 0) * n + j0 + l] = acc0[l];
+        c[(i + 1) * n + j0 + l] = acc1[l];
+        c[(i + 2) * n + j0 + l] = acc2[l];
+        c[(i + 3) * n + j0 + l] = acc3[l];
+      }
+    }
+    for (; i < m; ++i) {
+      float acc[kCols] = {};
+      for (std::size_t p = 0; p < k; ++p) {
+        const float av = a[p * m + i];
+        const float* FRLFI_RESTRICT brow = b + p * n + j0;
+#pragma omp simd
+        for (std::size_t l = 0; l < kCols; ++l) acc[l] += av * brow[l];
+      }
+      for (std::size_t l = 0; l < kCols; ++l) c[i * n + j0 + l] = acc[l];
+    }
+  }
+  if (j0 == n) return;
+  // The last n % 8 columns.
+  const std::size_t jlen = n - j0;
+  for (std::size_t i = 0; i < m; ++i) {
+    float acc[kCols] = {};
+    for (std::size_t p = 0; p < k; ++p) {
+      const float av = a[p * m + i];
+      const float* FRLFI_RESTRICT brow = b + p * n + j0;
+      for (std::size_t l = 0; l < jlen; ++l) acc[l] += av * brow[l];
+    }
+    for (std::size_t l = 0; l < jlen; ++l) c[i * n + j0 + l] = acc[l];
+  }
+}
+
+}  // namespace
+
+void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
+             std::size_t k, std::size_t n) {
+  if (n < kGemmNarrowN && k >= kGemmNarrowN)
+    gemm_tn_narrow(a, b, c, m, k, n);
+  else
+    gemm_tn_ordered(a, b, c, m, k, n);
 }
 
 FRLFI_TARGET_CLONES

@@ -15,16 +15,22 @@
 ///    of independent output elements.
 /// Two deliberate exceptions trade exact ordering for throughput (always
 /// deterministic for a given shape, just not reference-ordered):
-///  * gemm_bias_rows with n < 8 switches to a packed SIMD dot-product
-///    kernel (the saxpy form degenerates to scalar loop overhead there);
-///  * the transposed kernels (`gemm_nt_accumulate`, `gemm_tn`) use SIMD
-///    reductions.
+///  * gemm_bias_rows with n < kGemmNarrowN switches to a packed SIMD
+///    dot-product kernel (the saxpy form degenerates to scalar loop
+///    overhead there);
+///  * `gemm_nt_accumulate`, and `gemm_tn` with n < kGemmNarrowN <= k, use
+///    SIMD reductions.
 
 #include <cstddef>
 
 #include "core/codegen.hpp"  // FRLFI_RESTRICT, FRLFI_TARGET_CLONES
 
 namespace frlfi {
+
+/// Output width below which gemm_bias_rows leaves the ordered chain for
+/// the packed (reassociating) narrow kernel. Conv2D::infer reads it to
+/// run its direct batch kernel only where forward() runs the ordered one.
+inline constexpr std::size_t kGemmNarrowN = 8;
 
 /// C (m x n) = row-bias + A·B: c[i][j] = bias[i] + sum_p a[i][p]·b[p][j],
 /// the accumulator seeded from bias[i] before the k-chain — the exact
@@ -48,7 +54,9 @@ void gemm_bias_rows_ordered(const float* a, const float* b, const float* bias,
 void gemm_nt_accumulate(const float* a, const float* b, float* c,
                         std::size_t m, std::size_t k, std::size_t n);
 
-/// C (m x n) = Aᵀ · B where A is stored (k x m) and B is (k x n).
+/// C (m x n) = Aᵀ · B where A is stored (k x m) and B is (k x n). For
+/// n >= kGemmNarrowN or k < kGemmNarrowN each element is the ordered chain
+/// +0.0f + a[0][i]·b[0][j] + a[1][i]·b[1][j] + ... in increasing p.
 void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
              std::size_t k, std::size_t n);
 

@@ -4,16 +4,18 @@
 /// base-class infer default, and source validation.
 ///
 /// Contract under test (see Layer::infer): column b of a batch-inner
-/// inference equals forward() of sample b — bit-identical wherever the
-/// GEMM ordering contract holds (Dense always; Conv2D when a sample has
-/// >= 8 output positions; elementwise/flatten always), and within 1e-5
-/// relative tolerance at tiny conv outputs where the single-sample path
-/// runs the reassociating packed narrow kernel.
+/// inference equals forward() of sample b bit for bit, for every in-tree
+/// layer at every batch width — Conv2D included, at tiny outputs (where
+/// forward() runs the reassociating packed narrow kernel) and padded
+/// geometries with signed-zero and infinite weights.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/error.hpp"
@@ -31,6 +33,22 @@ namespace frlfi {
 namespace {
 
 const std::size_t kBatches[] = {1, 3, 64};
+
+/// Every width from 1 to 20 (both sides of kBatchInnerWideKernelMin and
+/// of the 16-lane chunk, with ragged tails) plus 64.
+std::vector<std::size_t> all_widths() {
+  std::vector<std::size_t> w;
+  for (std::size_t b = 1; b <= 20; ++b) w.push_back(b);
+  w.push_back(64);
+  return w;
+}
+
+/// Bit equality; NaNs match any NaN (IEEE leaves unspecified which
+/// operand's payload an add propagates).
+bool same_bits(float a, float b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
 
 /// Stack `batch` random samples of `sample_shape` into one tensor.
 Tensor random_batch(const std::vector<std::size_t>& sample_shape,
@@ -51,9 +69,8 @@ Tensor slice_sample(const Tensor& batched, std::size_t batch, std::size_t b) {
 }
 
 /// Per-sample forwards must match the corresponding rows of one batched
-/// infer() over the same samples.
-void expect_rows_match(Layer& layer, const Tensor& batched, bool exact,
-                       const char* what) {
+/// infer() over the same samples, bit for bit.
+void expect_rows_match(Layer& layer, const Tensor& batched, const char* what) {
   const std::size_t batch = batched.dim(0);
   const Tensor out = batch_to_major(
       layer.infer(batch_to_inner(batched, batch), batch, {}), batch);
@@ -62,16 +79,10 @@ void expect_rows_match(Layer& layer, const Tensor& batched, bool exact,
     const Tensor single = layer.forward(slice_sample(batched, batch, b));
     const Tensor row = slice_sample(out, batch, b);
     ASSERT_EQ(row.shape(), single.shape()) << what;
-    for (std::size_t i = 0; i < single.size(); ++i) {
-      if (exact) {
-        EXPECT_EQ(row[i], single[i])
-            << what << " batch " << batch << " sample " << b << " elem " << i;
-      } else {
-        EXPECT_NEAR(row[i], single[i],
-                    1e-5f * std::max(1.0f, std::fabs(single[i])))
-            << what << " batch " << batch << " sample " << b << " elem " << i;
-      }
-    }
+    for (std::size_t i = 0; i < single.size(); ++i)
+      EXPECT_TRUE(same_bits(row[i], single[i]))
+          << what << " batch " << batch << " sample " << b << " elem " << i
+          << ": " << row[i] << " vs " << single[i];
   }
 }
 
@@ -79,45 +90,83 @@ TEST(BatchedForward, DenseBitIdentical) {
   Rng rng(1);
   Dense dense(48, 32, rng, "fc");
   for (const std::size_t batch : kBatches)
-    expect_rows_match(dense, random_batch({48}, batch, 10 + batch), true,
+    expect_rows_match(dense, random_batch({48}, batch, 10 + batch),
                       "dense");
 }
 
 TEST(BatchedForward, ConvWideOutputBitIdentical) {
-  // Drone conv0 geometry: 60 output positions per sample -> both paths run
+  // Drone conv0 geometry: 50 output positions per sample -> both paths run
   // the ordered wide kernel.
   Rng rng(2);
   Conv2D conv(3, 6, 4, 3, 0, rng, "conv0");
   for (const std::size_t batch : kBatches)
-    expect_rows_match(conv, random_batch({3, 18, 32}, batch, 20 + batch), true,
+    expect_rows_match(conv, random_batch({3, 18, 32}, batch, 20 + batch),
                       "conv wide");
 }
 
-TEST(BatchedForward, ConvTinyOutputWithinTolerance) {
-  // Drone conv2 geometry: 3 output positions per sample -> the
-  // single-sample path reassociates through the packed narrow kernel while
-  // the batched GEMM is wide, so rows agree to tolerance, not bits.
+TEST(BatchedForward, ConvTinyOutputBitIdentical) {
+  // Drone conv2 geometry: 3 output positions per sample -> forward() runs
+  // the packed narrow kernel, so infer() runs it per sample at every width.
   Rng rng(3);
   Conv2D conv(12, 16, 2, 1, 0, rng, "conv2");
-  for (const std::size_t batch : kBatches)
-    expect_rows_match(conv, random_batch({12, 2, 4}, batch, 30 + batch), false,
+  for (const std::size_t batch : all_widths())
+    expect_rows_match(conv, random_batch({12, 2, 4}, batch, 30 + batch),
                       "conv tiny");
 }
 
+/// Weight patterns for the padded grid cases.
+enum class Weights { kRandom, kSignedZeros, kInfinities };
+
+/// Set `conv`'s parameters per `pattern`. kSignedZeros: bias -0, each
+/// kernel's top row positive and every other weight negative, so on an
+/// all-zero sample the sign of an output on the top edge says whether the
+/// padding taps above it joined its chain as +0.0f, as im2col's do.
+/// kInfinities: +Inf and -Inf weights, which meet exact zeros in the
+/// padding and the inputs and turn them into NaN.
+void set_pattern(Conv2D& conv, Weights pattern, std::size_t k) {
+  if (pattern == Weights::kRandom) return;
+  Tensor& w = conv.weight().value;
+  if (pattern == Weights::kSignedZeros) {
+    conv.bias().value.fill(-0.0f);
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      const float mag = std::fabs(w[i]) + 0.01f;
+      w[i] = (i % (k * k) < k) ? mag : -mag;
+    }
+    return;
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < w.size(); i += 5) w[i] = (i % 2 == 0) ? inf : -inf;
+}
+
 TEST(BatchedForward, ConvStridePaddingGrid) {
+  // Unpadded and padded geometries on both sides of the 8-position
+  // threshold, including kernels wider than the input and outputs whose
+  // taps are mostly padding. Padded cases also run with signed-zero and
+  // infinite weights over inputs that hold exact zeros.
   const struct {
     std::size_t in_c, out_c, h, w, k, stride, pad;
   } cases[] = {
       {1, 2, 6, 6, 3, 1, 1}, {2, 3, 7, 9, 3, 2, 1}, {6, 12, 5, 10, 3, 2, 0},
+      {3, 4, 3, 3, 3, 1, 1}, {2, 5, 2, 3, 2, 2, 1}, {1, 3, 4, 4, 5, 1, 2},
+      {2, 2, 1, 9, 3, 1, 1}, {2, 3, 4, 7, 3, 3, 2},
   };
   for (const auto& c : cases) {
-    Rng rng(40 + c.k);
-    Conv2D conv(c.in_c, c.out_c, c.k, c.stride, c.pad, rng, "conv");
-    for (const std::size_t batch : kBatches) {
-      const std::size_t ncols = conv.out_extent(c.h) * conv.out_extent(c.w);
-      expect_rows_match(conv,
-                        random_batch({c.in_c, c.h, c.w}, batch, 50 + batch),
-                        ncols >= 8, "conv grid");
+    for (const Weights pattern :
+         {Weights::kRandom, Weights::kSignedZeros, Weights::kInfinities}) {
+      if (c.pad == 0 && pattern != Weights::kRandom) continue;
+      Rng rng(40 + c.k);
+      Conv2D conv(c.in_c, c.out_c, c.k, c.stride, c.pad, rng, "conv");
+      set_pattern(conv, pattern, c.k);
+      for (const std::size_t batch : all_widths()) {
+        Tensor x = random_batch({c.in_c, c.h, c.w}, batch, 50 + batch);
+        if (pattern != Weights::kRandom) {
+          // Every third sample all zeros, the rest with zeros sprinkled.
+          const std::size_t sample = x.size() / batch;
+          for (std::size_t i = 0; i < x.size(); ++i)
+            if ((i / sample) % 3 == 0 || i % 4 == 0) x[i] = 0.0f;
+        }
+        expect_rows_match(conv, x, "conv grid");
+      }
     }
   }
 }
@@ -127,8 +176,8 @@ TEST(BatchedForward, ElementwiseAndShapeLayersBitIdentical) {
   Flatten flat("flat");
   for (const std::size_t batch : kBatches) {
     const Tensor x = random_batch({4, 6, 8}, batch, 60 + batch);
-    expect_rows_match(relu, x, true, "relu");
-    expect_rows_match(flat, x, true, "flatten");
+    expect_rows_match(relu, x, "relu");
+    expect_rows_match(flat, x, "flatten");
   }
 }
 
@@ -150,7 +199,7 @@ class HalfLayer final : public Layer {
 TEST(BatchedForward, DefaultFallbackLoopsPerSample) {
   HalfLayer half;
   for (const std::size_t batch : kBatches)
-    expect_rows_match(half, random_batch({4, 6, 8}, batch, 70 + batch), true,
+    expect_rows_match(half, random_batch({4, 6, 8}, batch, 70 + batch),
                       "default fallback");
 }
 
@@ -179,7 +228,7 @@ TEST(BatchedForward, DefaultRejectsViewsOnParameterizedLayers) {
   // run the layer's own weights instead, so it throws.
   ScaleLayer layer;
   const Tensor xb = random_batch({5}, 3, 75);
-  expect_rows_match(layer, xb, true, "own weights");
+  expect_rows_match(layer, xb, "own weights");
   const Tensor x = batch_to_inner(xb, 3);
   const std::vector<float> base(1, 3.0f);
   const WeightView view{base.data(), base.size(), nullptr};
@@ -190,46 +239,46 @@ TEST(BatchedForward, DefaultRejectsViewsOnParameterizedLayers) {
   EXPECT_NO_THROW(half.infer(x, 3, {&view, 0}));
 }
 
+/// Rows of one forward_batch over `x` must be forward() of each sample,
+/// bit for bit.
+void expect_network_rows_match(Network& net, const Tensor& x,
+                               const char* what) {
+  const std::size_t batch = x.dim(0);
+  const Tensor out = net.forward_batch(x, batch);
+  ASSERT_EQ(out.dim(0), batch) << what;
+  for (std::size_t b = 0; b < batch; ++b) {
+    const Tensor single = net.forward(slice_sample(x, batch, b));
+    ASSERT_EQ(out.size() / batch, single.size()) << what;
+    for (std::size_t i = 0; i < single.size(); ++i)
+      EXPECT_TRUE(same_bits(out[b * single.size() + i], single[i]))
+          << what << " batch " << batch << " sample " << b << " elem " << i;
+  }
+}
+
 TEST(BatchedForward, GridworldPolicyBitIdentical) {
   // All-Dense stack: the batched network forward is bit-identical to the
   // per-sample path at every batch size.
   Rng rng(5);
   Network net = make_gridworld_policy(rng);
-  for (const std::size_t batch : kBatches) {
-    const Tensor x = random_batch({10}, batch, 71 + batch);
-    const Tensor out = net.forward_batch(x, batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const Tensor single = net.forward(slice_sample(x, batch, b));
-      for (std::size_t i = 0; i < single.size(); ++i)
-        EXPECT_EQ(out[b * single.size() + i], single[i])
-            << "batch " << batch << " sample " << b;
-    }
-  }
+  for (const std::size_t batch : all_widths())
+    expect_network_rows_match(net, random_batch({10}, batch, 71 + batch),
+                              "gridworld");
 }
 
-TEST(BatchedForward, DronePolicyWithinTolerance) {
-  // Full 3-Conv + 2-FC stack; the tiny conv2 stage makes this a tolerance
-  // (not bit) comparison.
+TEST(BatchedForward, DronePolicyBitIdentical) {
+  // Full 3-Conv + 2-FC stack, tiny conv2 stage included: the batched
+  // network forward is bit-identical to the per-sample path at every
+  // width.
   Rng rng(6);
   Network net = make_drone_policy(rng);
-  for (const std::size_t batch : kBatches) {
-    const Tensor x = random_batch({3, 18, 32}, batch, 80 + batch);
-    const Tensor out = net.forward_batch(x, batch);
-    ASSERT_EQ(out.dim(0), batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const Tensor single = net.forward(slice_sample(x, batch, b));
-      ASSERT_EQ(out.size() / batch, single.size());
-      for (std::size_t i = 0; i < single.size(); ++i)
-        EXPECT_NEAR(out[b * single.size() + i], single[i],
-                    1e-4f * std::max(1.0f, std::fabs(single[i])))
-            << "batch " << batch << " sample " << b << " elem " << i;
-    }
-  }
+  for (const std::size_t batch : all_widths())
+    expect_network_rows_match(
+        net, random_batch({3, 18, 32}, batch, 80 + batch), "drone");
 }
 
 TEST(BatchedForward, FaultInjectedWeightsStillMatch) {
-  // Batched inference under weight corruption must track the per-sample
-  // path through the same corrupted parameters.
+  // Batched inference under weight corruption must reproduce the
+  // per-sample path through the same corrupted parameters.
   Rng rng(7);
   Network net = make_drone_policy(rng);
   FaultSpec spec;
@@ -237,16 +286,9 @@ TEST(BatchedForward, FaultInjectedWeightsStillMatch) {
   spec.ber = 1e-3;
   Rng fault_rng(99);
   inject_network_weights(net, spec, fault_rng);
-  const std::size_t batch = 5;
-  const Tensor x = random_batch({3, 18, 32}, batch, 90);
-  const Tensor out = net.forward_batch(x, batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const Tensor single = net.forward(slice_sample(x, batch, b));
-    for (std::size_t i = 0; i < single.size(); ++i)
-      EXPECT_NEAR(out[b * single.size() + i], single[i],
-                  1e-4f * std::max(1.0f, std::fabs(single[i])))
-          << "sample " << b << " elem " << i;
-  }
+  for (const std::size_t batch : {std::size_t{5}, std::size_t{19}})
+    expect_network_rows_match(net, random_batch({3, 18, 32}, batch, 90),
+                              "injected");
 }
 
 TEST(BatchedForward, DoesNotDisturbTrainingCaches) {

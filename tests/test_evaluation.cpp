@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "envs/gridworld.hpp"
 #include "frl/policies.hpp"
@@ -178,7 +179,10 @@ TEST(GreedyBatched, NaNLogitsMatchSerialEpisode) {
 
 TEST(BatchedCampaign, TrialsMatchSerialEpisodesOnDerivedStreams) {
   // High slip probability makes every trajectory depend heavily on its
-  // (agent, trial) RNG stream, so any misassigned stream would show.
+  // (agent, trial) RNG stream, so any misassigned stream would show. The
+  // shapes run the one lockstep narrow throughout (2 x 3), from exactly
+  // the wide-kernel width down (1 x 8), and from wide to narrow as lanes
+  // land (9 x 5).
   Rng init(30);
   Network policy = make_gridworld_policy(init);
   const std::vector<GridLayout> suite = GridLayout::paper_suite();
@@ -188,33 +192,36 @@ TEST(BatchedCampaign, TrialsMatchSerialEpisodesOnDerivedStreams) {
     return static_cast<double>(stats.total_reward) +
            static_cast<double>(stats.steps);
   };
-  BatchedCampaignSpec spec;
-  spec.episodes = 9;
-  spec.agents = 5;
-  spec.max_steps = 30;
-  spec.seed = 77;
-  const std::vector<double> campaign = run_batched_inference_campaign(
-      policy, spec,
-      [&](std::size_t a) {
-        return std::make_unique<GridWorldEnv>(suite[a % suite.size()], opts);
-      },
-      [&](std::size_t, const Environment&, const EpisodeStats& stats) {
-        return metric(stats);
-      });
-  ASSERT_EQ(campaign.size(), 9u * 5u);
-  // The streams actually bite: not all lane-trials coincide.
-  bool varied = false;
-  for (const double m : campaign) varied = varied || m != campaign[0];
-  EXPECT_TRUE(varied);
-  // Trial t / agent a is one serial greedy episode on the derived stream
-  // Rng(seed).derive_stream({rng_salt + a, t}).
-  for (std::size_t a = 0; a < spec.agents; ++a) {
-    GridWorldEnv env(suite[a % suite.size()], opts);
-    for (std::size_t t = 0; t < spec.episodes; ++t) {
-      Rng rng = Rng(spec.seed).derive_stream({spec.rng_salt + a, t});
-      EXPECT_EQ(campaign[t * spec.agents + a],
-                metric(greedy_episode(policy, env, rng, spec.max_steps)))
-          << "trial " << t << " agent " << a;
+  const std::pair<std::size_t, std::size_t> shapes[] = {{9, 5}, {2, 3}, {1, 8}};
+  for (const auto& [episodes, agents] : shapes) {
+    BatchedCampaignSpec spec;
+    spec.episodes = episodes;
+    spec.agents = agents;
+    spec.max_steps = 30;
+    spec.seed = 77;
+    const std::vector<double> campaign = run_batched_inference_campaign(
+        policy, spec,
+        [&](std::size_t a) {
+          return std::make_unique<GridWorldEnv>(suite[a % suite.size()], opts);
+        },
+        [&](std::size_t, const Environment&, const EpisodeStats& stats) {
+          return metric(stats);
+        });
+    ASSERT_EQ(campaign.size(), episodes * agents);
+    // The streams actually bite: not all lane-trials coincide.
+    bool varied = false;
+    for (const double m : campaign) varied = varied || m != campaign[0];
+    EXPECT_TRUE(varied);
+    // Trial t / agent a is one serial greedy episode on the derived stream
+    // Rng(seed).derive_stream({rng_salt + a, t}).
+    for (std::size_t a = 0; a < agents; ++a) {
+      GridWorldEnv env(suite[a % suite.size()], opts);
+      for (std::size_t t = 0; t < episodes; ++t) {
+        Rng rng = Rng(spec.seed).derive_stream({spec.rng_salt + a, t});
+        EXPECT_EQ(campaign[t * agents + a],
+                  metric(greedy_episode(policy, env, rng, spec.max_steps)))
+            << episodes << "x" << agents << " trial " << t << " agent " << a;
+      }
     }
   }
 }

@@ -13,10 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.hpp"
+#include "dronesim/drone_env.hpp"
 #include "envs/gridworld.hpp"
 #include "fault/injector.hpp"
 #include "frl/evaluation.hpp"
@@ -599,6 +603,64 @@ TEST(BatchedTrans1, CampaignMatchesOldSerialTrans1Reference) {
       },
       metric);
   EXPECT_EQ(got, want);
+}
+
+TEST(BatchedTrans1, DroneCampaignLanesMatchSerialEpisodes) {
+  // The campaign runs every (trial, agent) lane of the conv policy in one
+  // lockstep whose width falls through the wide-kernel threshold as lanes
+  // land. Each lane's EpisodeStats and end state must equal a serial
+  // Trans-1 episode (clone, strike in place, detector screen) on a fresh
+  // environment and the lane's derived stream.
+  Rng init(73);
+  Network policy = make_drone_policy(init);
+  const RangeAnomalyDetector detector(policy, {.margin = 0.10});
+  InferenceFaultScenario scenario;
+  scenario.spec.model = FaultModel::TransientSingleStep;
+  scenario.spec.ber = 1e-3;
+  scenario.detector = &detector;
+  const auto make_env = [](std::size_t a) {
+    return std::make_unique<DroneNavEnv>(0xD0 + a, DroneNavEnv::Options{},
+                                         DroneCamera::Options{});
+  };
+  const std::pair<std::size_t, std::size_t> shapes[] = {{3, 4}, {5, 2}};
+  for (const auto& [episodes, agents] : shapes) {
+    BatchedCampaignSpec spec;
+    spec.episodes = episodes;
+    spec.agents = agents;
+    spec.max_steps = 60;
+    spec.seed = 321;
+    spec.trans1 = &scenario;
+    std::vector<EpisodeStats> got;  // the metric runs in lane order
+    const std::vector<double> distance = run_batched_inference_campaign(
+        policy, spec, make_env,
+        [&](std::size_t, const Environment& env, const EpisodeStats& stats) {
+          got.push_back(stats);
+          return static_cast<const DroneNavEnv&>(env).flight_distance();
+        });
+    ASSERT_EQ(got.size(), episodes * agents);
+    ASSERT_EQ(distance.size(), episodes * agents);
+    const Rng base(spec.seed);
+    for (std::size_t t = 0; t < episodes; ++t) {
+      for (std::size_t a = 0; a < agents; ++a) {
+        const std::size_t i = t * agents + a;
+        Network lane_policy = policy.clone();
+        const auto env = make_env(a);
+        Rng rng = base.derive_stream({spec.rng_salt + a, t});
+        const EpisodeStats want = greedy_episode_trans1(
+            lane_policy, *env, rng, spec.max_steps, scenario);
+        EXPECT_EQ(got[i].steps, want.steps) << episodes << "x" << agents
+                                            << " trial " << t << " agent " << a;
+        EXPECT_EQ(got[i].success, want.success) << "lane " << i;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i].total_reward),
+                  std::bit_cast<std::uint32_t>(want.total_reward))
+            << "lane " << i;
+        EXPECT_EQ(distance[i], env->flight_distance()) << "lane " << i;
+      }
+    }
+    // The lanes fly different episodes, so a swapped lane would show.
+    EXPECT_NE(std::count(distance.begin(), distance.end(), distance[0]),
+              static_cast<std::ptrdiff_t>(distance.size()));
+  }
 }
 
 }  // namespace

@@ -103,6 +103,45 @@ TEST(Gemm, TnMatchesTransposedReference) {
   }
 }
 
+TEST(Gemm, TnOrderedMatchesZeroSeededChain) {
+  // Outside the narrow-n dot path, every element of gemm_tn is the chain
+  // +0.0f + a[0][i]·b[0][j] + a[1][i]·b[1][j] + ... in increasing p, bit
+  // for bit: whole 8-column strips, 4-row blocks, leftover rows and
+  // columns, and n < 8 with k < 8. Signed zeros pin the +0.0f seed: a
+  // chain of -0 products must round to +0 as it would from a zeroed C.
+  Rng rng(11);
+  std::vector<std::size_t> widths{8, 9, 16, 17};
+  for (std::size_t m = 1; m <= 13; ++m) {
+    for (const std::size_t k : {1, 5, 12}) {
+      std::vector<std::size_t> ns = widths;
+      if (k < 8) ns.push_back(3);
+      for (const std::size_t n : ns) {
+        auto at = random_matrix(k, m, rng);  // A stored transposed (k x m)
+        auto b = random_matrix(k, n, rng);
+        for (std::size_t e = 0; e < at.size(); e += 3)
+          at[e] = (e % 2 == 0) ? -0.0f : 0.0f;
+        // Column 0 of B is all zeros, half of them negative: with A's
+        // negative entries its products are -0 or +0 in a mix.
+        for (std::size_t p = 0; p < k; ++p)
+          b[p * n] = (p % 2 == 0) ? -0.0f : 0.0f;
+        std::vector<float> c(m * n, -3.0f);  // gemm_tn overwrites
+        gemm_tn(at.data(), b.data(), c.data(), m, k, n);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (std::size_t p = 0; p < k; ++p)
+              acc += at[p * m + i] * b[p * n + j];
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(c[i * n + j]),
+                      std::bit_cast<std::uint32_t>(acc))
+                << "m=" << m << " k=" << k << " n=" << n << " (" << i << ","
+                << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Gemm, GemvVariants) {
   Rng rng(12);
   // gemv_bias is bit-identical to the ordered per-row chain at every row

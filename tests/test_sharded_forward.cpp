@@ -86,9 +86,8 @@ TEST(ShardedForward, ShardPlannerAppliesCostModel) {
   EXPECT_EQ(batch_shard_count(64, 16), 2u);
   EXPECT_EQ(batch_shard_count(128, 16), 4u);
   EXPECT_EQ(batch_shard_count(256, 4), 4u);  // lane cap binds again
-  // The cost cap subsumes the wide-kernel bit-identity cap: no shard of
-  // a batch >= kBatchInnerWideKernelMin may drop below it (that would
-  // change kernel selection, hence bits).
+  // No shard of a batch >= kBatchInnerWideKernelMin drops below it, so
+  // sharding never moves a sample off the wide kernels.
   for (const std::size_t batch : {3u, 12u, 64u, 65u, 96u, 256u}) {
     for (const std::size_t lanes : {2u, 7u, 16u}) {
       const std::size_t shards = batch_shard_count(batch, lanes);
