@@ -24,16 +24,15 @@
 /// that is already executing a job of the *same* pool (a worker lane, or
 /// the dispatching thread's own lane-0 body) runs the nested body inline on
 /// that thread — nested parallelism degrades to sequential instead of
-/// deadlocking on the pool's completion latch, so sharded forwards compose
-/// with parallel campaigns. Distinct external threads dispatching
-/// *multi-lane* jobs on one pool are serialized through an internal mutex,
-/// which protects the pool's shared job state (dispatches on distinct
-/// pools must not form a waiting cycle). Dispatches that degrade to
-/// inline — nested ones, and single-part jobs (n or lane count <= 1) —
-/// touch no shared job state, take no lock, and are therefore NOT
-/// mutually excluded with other dispatches: a body that callers may
-/// dispatch concurrently must tolerate concurrent full-range execution,
-/// not just disjoint ranges.
+/// deadlocking on the pool's completion latch. Distinct external threads
+/// dispatching *multi-lane* jobs on one pool are serialized through an
+/// internal mutex, which protects the pool's shared job state
+/// (dispatches on distinct pools must not form a waiting cycle).
+/// Dispatches that degrade to inline — nested ones, and single-part jobs
+/// (n or lane count <= 1) — touch no shared job state, take no lock, and
+/// are therefore NOT mutually excluded with other dispatches: a body that
+/// callers may dispatch concurrently must tolerate concurrent full-range
+/// execution, not just disjoint ranges.
 
 #include <condition_variable>
 #include <cstddef>
@@ -54,8 +53,8 @@ std::size_t resolve_thread_count(std::size_t requested = 0);
 
 /// Contiguous static partition of [0, n) into `parts` ranges: part `part`
 /// gets [begin, end), the first n % parts parts taking one extra element.
-/// The same split parallel_for uses; exposed so batch sharding and tests
-/// can reproduce lane boundaries exactly.
+/// The same split parallel_for uses; exposed so tests can reproduce lane
+/// boundaries exactly.
 void shard_range(std::size_t n, std::size_t parts, std::size_t part,
                  std::size_t& begin, std::size_t& end);
 

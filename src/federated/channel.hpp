@@ -91,9 +91,6 @@ struct UploadProtocolConfig {
   /// Total simulated time budget per upload (attempts + backoff); an
   /// upload stops retrying once the next attempt would overrun it.
   double deadline = 16.0;
-  /// When an upload exhausts its budget: fold the clean payload into the
-  /// staleness buffer straggler_lag rounds late (true) or drop it (false).
-  bool exhausted_to_stale = true;
 };
 
 /// True when the protocol can actually retry (and therefore changes the

@@ -101,7 +101,7 @@ struct ParticipationPlan {
   /// Checksum/retry/backoff upload protocol for on-time senders. An
   /// upload that exhausts its retry/deadline budget degrades into this
   /// plane: its clean payload folds in straggler_lag rounds late through
-  /// the staleness buffer (exhausted_to_stale) or is dropped. A
+  /// the staleness buffer, or is dropped past max_staleness. A
   /// zero-retry protocol is locked bit-identical to the plain plan path.
   UploadProtocolConfig upload;
   /// Tag of the participation RNG plane: all participation draws come

@@ -112,8 +112,7 @@ RoundParticipationReport ParameterServer::communicate_round(
       const std::size_t i = sender_agents[j];
       upload_failed_[i] = 1;
       ++rep.uploads_failed;
-      if (opts.upload.exhausted_to_stale &&
-          opts.straggler_lag <= opts.max_staleness) {
+      if (opts.straggler_lag <= opts.max_staleness) {
         defer(i, j);
         ++rep.failed_stale;
       } else {

@@ -69,8 +69,8 @@ struct ParamSource {
 /// batch-inner convolution, Dense's ordered batched GEMM). A speed
 /// threshold only: both sides run each element's accumulation chain in
 /// forward()'s order, so every in-tree layer gives the same bits at every
-/// width, and neither sharding nor the lane count of a lockstep campaign
-/// can change a result.
+/// width, and the lane count of a lockstep campaign cannot change a
+/// result.
 inline constexpr std::size_t kBatchInnerWideKernelMin = 8;
 
 /// A trainable tensor with its gradient accumulator.
@@ -215,11 +215,11 @@ class Layer {
   /// elementwise layers run in place on the moved-in buffer.
   ///
   /// Overrides must be cache-free and reentrant (per-thread scratch only):
-  /// Network's sharded and per-lane forwards call this concurrently on one
-  /// layer object. The base-class default transposes to batch-major, loops
-  /// forward() per sample and transposes back — it therefore *does* write
-  /// the backward caches, is not shardable, and throws frlfi::Error for a
-  /// view source on a layer with parameters.
+  /// callers on different threads may run forwards through one layer
+  /// object at once. The base-class default transposes to batch-major,
+  /// loops forward() per sample and transposes back — it therefore *does*
+  /// write the backward caches, is not reentrant, and throws frlfi::Error
+  /// for a view source on a layer with parameters.
   virtual Tensor infer(Tensor input, std::size_t batch,
                        const ParamSource& src);
 

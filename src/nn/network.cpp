@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 #include "fault/overlay.hpp"
 
 namespace frlfi {
@@ -73,14 +72,6 @@ void Network::backward(const Tensor& grad_output, Tape& tape,
   FRLFI_CHECK_MSG(tape.step_consumed(), "tape step " << step << " not consumed");
 }
 
-std::size_t batch_shard_count(std::size_t batch, std::size_t lanes) {
-  static_assert(kBatchShardMinPerShard % kBatchInnerWideKernelMin == 0,
-                "every shard of a sharded batch must stay on the wide kernels");
-  if (lanes <= 1) return 1;
-  const std::size_t max_shards = batch / kBatchShardMinPerShard;
-  return max_shards <= 1 ? 1 : std::min(lanes, max_shards);
-}
-
 namespace {
 
 // True when any lane view is set; checks the lane count and that every
@@ -102,80 +93,6 @@ bool check_lane_views(std::span<const WeightView* const> lane_views,
   return any;
 }
 
-// Row-range task engine of the batched forward: contiguous runs of rows
-// sharing one view pointer (no lane views: the whole batch, effective view
-// null), each run split by the
-// width-preserving shard planner. Each task takes a contiguous slice of
-// batch-major rows, transposes it to batch-inner, runs
-// `run_stack(x, nb, view)` on its own tensors (per-task workspace; nothing
-// below is shared but the read-only weights/views and the hook), and
-// transposes back. Task outputs are stitched afterwards so no lane writes
-// into a shared buffer; a single task skips the slice and stitch copies.
-template <typename RunStack>
-Tensor run_row_tasks(const Tensor& input, std::size_t batch,
-                     std::size_t lanes, ThreadPool* pool,
-                     std::span<const WeightView* const> lane_views,
-                     RunStack&& run_stack) {
-  struct RowTask {
-    std::size_t b0, b1;
-    const WeightView* view;
-  };
-  const bool grouped = !lane_views.empty();
-  std::vector<RowTask> tasks;
-  std::size_t run0 = 0;
-  for (std::size_t b = 1; b <= batch; ++b) {
-    if (b < batch && (!grouped || lane_views[b] == lane_views[run0])) continue;
-    const std::size_t run = b - run0;
-    const std::size_t shards = batch_shard_count(run, lanes);
-    for (std::size_t s = 0; s < shards; ++s) {
-      std::size_t r0, r1;
-      shard_range(run, shards, s, r0, r1);
-      tasks.push_back(
-          {run0 + r0, run0 + r1, grouped ? lane_views[run0] : nullptr});
-    }
-    run0 = b;
-  }
-  if (tasks.size() == 1)
-    return batch_to_major(
-        run_stack(batch_to_inner(input, batch), batch, tasks[0].view), batch);
-  const std::size_t sample = input.size() / batch;
-  const std::vector<std::size_t> sample_shape(input.shape().begin() + 1,
-                                              input.shape().end());
-  std::vector<Tensor> task_out(tasks.size());
-  const auto run_task = [&](std::size_t t_begin, std::size_t t_end) {
-    for (std::size_t t = t_begin; t < t_end; ++t) {
-      const RowTask& task = tasks[t];
-      const std::size_t nb = task.b1 - task.b0;
-      std::vector<std::size_t> sub_shape{nb};
-      sub_shape.insert(sub_shape.end(), sample_shape.begin(),
-                       sample_shape.end());
-      Tensor sub(std::move(sub_shape));
-      std::copy_n(
-          input.data().begin() + static_cast<std::ptrdiff_t>(task.b0 * sample),
-          nb * sample, sub.data().begin());
-      Tensor x = run_stack(batch_to_inner(sub, nb), nb, task.view);
-      task_out[t] = batch_to_major(x, nb);
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(tasks.size(), run_task);
-  } else {
-    run_task(0, tasks.size());
-  }
-  std::vector<std::size_t> out_shape = task_out[0].shape();
-  out_shape[0] = batch;
-  const std::size_t out_sample = task_out[0].size() / task_out[0].dim(0);
-  Tensor out(std::move(out_shape));
-  std::size_t row = 0;
-  for (const Tensor& part : task_out) {
-    std::copy_n(part.data().begin(), part.size(),
-                out.data().begin() +
-                    static_cast<std::ptrdiff_t>(row * out_sample));
-    row += part.dim(0);
-  }
-  return out;
-}
-
 }  // namespace
 
 Tensor Network::infer_stack(Tensor x, std::size_t batch, ParamSource src) {
@@ -188,17 +105,53 @@ Tensor Network::infer_stack(Tensor x, std::size_t batch, ParamSource src) {
 }
 
 Tensor Network::forward_batch(const Tensor& input, std::size_t batch,
-                              ThreadPool* pool,
+                              std::nullptr_t,
                               std::span<const WeightView* const> lane_views) {
   FRLFI_CHECK_MSG(!layers_.empty(), "forward_batch on empty network");
   FRLFI_CHECK_MSG(batch >= 1 && input.dim(0) == batch,
                   "bad batch input " << input.shape_string());
   if (!check_lane_views(lane_views, batch, param_total_)) lane_views = {};
-  return run_row_tasks(input, batch, pool ? pool->size() : 1, pool, lane_views,
-                       [&](Tensor x, std::size_t nb, const WeightView* view) {
-                         return infer_stack(std::move(x), nb,
-                                            ParamSource{view, 0});
-                       });
+  // `nb` batch-major rows through one view: transpose to batch-inner, run
+  // the stack, transpose back.
+  const auto run = [&](const Tensor& rows, std::size_t nb,
+                       const WeightView* view) {
+    return batch_to_major(
+        infer_stack(batch_to_inner(rows, nb), nb, ParamSource{view, 0}), nb);
+  };
+  const auto run_end = [&](std::size_t b0) {
+    std::size_t b1 = b0 + 1;
+    while (b1 < batch && lane_views[b1] == lane_views[b0]) ++b1;
+    return b1;
+  };
+  // One view for the whole batch: no slice or stitch copies.
+  if (lane_views.empty()) return run(input, batch, nullptr);
+  if (run_end(0) == batch) return run(input, batch, lane_views[0]);
+  // Contiguous rows sharing one view run as one sub-batch, each written
+  // into its rows of the output.
+  const std::size_t sample = input.size() / batch;
+  std::vector<std::size_t> sub_shape = input.shape();
+  Tensor out;
+  std::size_t out_sample = 0;
+  for (std::size_t b0 = 0; b0 < batch;) {
+    const std::size_t b1 = run_end(b0);
+    const std::size_t nb = b1 - b0;
+    sub_shape[0] = nb;
+    Tensor sub(sub_shape);
+    std::copy_n(input.data().begin() + static_cast<std::ptrdiff_t>(b0 * sample),
+                nb * sample, sub.data().begin());
+    const Tensor part = run(sub, nb, lane_views[b0]);
+    if (b0 == 0) {
+      std::vector<std::size_t> out_shape = part.shape();
+      out_shape[0] = batch;
+      out = Tensor(std::move(out_shape));
+      out_sample = part.size() / nb;
+    }
+    std::copy_n(part.data().begin(), part.size(),
+                out.data().begin() +
+                    static_cast<std::ptrdiff_t>(b0 * out_sample));
+    b0 = b1;
+  }
+  return out;
 }
 
 std::vector<Parameter*> Network::parameters() {

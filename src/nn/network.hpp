@@ -8,6 +8,7 @@
 ///  * a per-layer activation hook (where per-layer instrumentation such as
 ///    layer timing attaches).
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <span>
@@ -15,8 +16,6 @@
 #include "nn/layer.hpp"
 
 namespace frlfi {
-
-class ThreadPool;
 
 /// A stack of layers executed in order. Movable, deep-clonable.
 class Network {
@@ -75,34 +74,19 @@ class Network {
   /// tensors are the sample itself, and the result is bit-identical to
   /// forward().
   ///
-  /// With a non-null `pool`, the batch is sharded into contiguous
-  /// per-lane sub-batches and the full layer stack runs per shard across
-  /// the pool — bit-identical to the unsharded call for every thread
-  /// count, because every in-tree layer's infer gives the same bits at
-  /// every width (see Layer::infer and batch_shard_count). Each
-  /// lane owns its shard's tensors and scratch end to end; the activation
-  /// hook is then invoked once per (layer, shard), possibly concurrently,
-  /// with that shard's batch-inner activations — hooks must be
-  /// thread-safe under sharding (the range screen's elementwise suppressor
-  /// is). Precondition of the sharded path: every layer's infer must be
-  /// safe to call concurrently on the same layer object — true for all
-  /// in-tree layers, but NOT for a layer relying on the Layer::infer
-  /// default, which falls back through per-sample forward() and mutates
-  /// the backward caches. Calling this from inside a pool job is safe: the
-  /// nested dispatch runs inline (see parallel.hpp).
-  ///
   /// `lane_views` (empty, or one entry per batch row) is the fault-overlay
   /// plane: row b reads its parameters through *lane_views[b] (null =
   /// the layer's own weights), so one batched forward serves N lanes with
   /// N different corrupted weight sets — batched Trans-1. Every view must
   /// span parameter_count() values. Contiguous rows sharing a view run as
-  /// one sub-batch through the batch-inner stack (sharded by the same
-  /// width-preserving planner); each distinct-view run computes exactly
+  /// one sub-batch through the batch-inner stack, the activation hook then
+  /// seeing each layer once per run; each distinct-view run computes exactly
   /// what forward_batch of those rows on a network holding that view's
   /// effective weights would — at width 1, bit-identical to
   /// mutate-forward-restore — but nothing is ever written.
+  // Unnamed nullptr_t slot: frlbench still passes nullptr as a pool here.
   Tensor forward_batch(const Tensor& input, std::size_t batch,
-                       ThreadPool* pool = nullptr,
+                       std::nullptr_t = nullptr,
                        std::span<const WeightView* const> lane_views = {});
 
   /// All trainable parameters, in layer order.
@@ -147,34 +131,5 @@ class Network {
   mutable std::vector<Parameter*> param_cache_;
   mutable bool param_cache_valid_ = false;
 };
-
-/// Minimum rows of work per shard before the planner will split a batch:
-/// the cost model distilled from the sharded_inference bench (see
-/// kShardNetLossBatch below). A shard narrower than this doesn't pay for
-/// its dispatch + transpose overhead, so batches under 2x this stay
-/// unsharded and wider batches split into at most batch / this shards.
-/// A multiple of kBatchInnerWideKernelMin, so every shard of a sharded
-/// batch stays on the wide kernels.
-inline constexpr std::size_t kBatchShardMinPerShard = 32;
-
-/// Sub-batch count a sharded Network::forward_batch uses for `batch`
-/// samples on `lanes` pool lanes: a cost model only, since the layers give
-/// the same bits at every width (sharding can never change a bit). Every
-/// shard carries at least kBatchShardMinPerShard rows, so small batches
-/// (e.g. B=16 across 2 threads, a measured 3.5x loss) are declined
-/// outright and mid-size batches split onto fewer lanes than the pool
-/// offers.
-std::size_t batch_shard_count(std::size_t batch, std::size_t lanes);
-
-/// Measured shard-planner anchor: BENCH_kernels.json's sharded_inference
-/// section shows that sharding a B=16 drone-policy forward across 2
-/// threads is a net *loss* (oversubscription aside — the split itself
-/// doesn't pay for its dispatch at that width). The cost-model pass
-/// landed as kBatchShardMinPerShard: batch_shard_count now declines
-/// exactly these configurations (B <= kShardNetLossBatch never shards).
-/// These constants stay as the measured break-even anchor the model is
-/// calibrated against.
-inline constexpr std::size_t kShardNetLossBatch = 16;
-inline constexpr std::size_t kShardNetLossThreads = 2;
 
 }  // namespace frlfi

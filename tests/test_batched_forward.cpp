@@ -289,6 +289,21 @@ TEST(BatchedForward, FaultInjectedWeightsStillMatch) {
   for (const std::size_t batch : {std::size_t{5}, std::size_t{19}})
     expect_network_rows_match(net, random_batch({3, 18, 32}, batch, 90),
                               "injected");
+
+  // Large-magnitude "high-bit flip" outliers plus NaN and +-Inf weights.
+  Rng outlier_rng(3);
+  Network outliers = make_drone_policy(outlier_rng);
+  std::vector<float> flat = outliers.flat_parameters();
+  for (std::size_t i = 0; i < flat.size(); i += 97) flat[i] *= -1024.0f;
+  flat[11] = std::numeric_limits<float>::quiet_NaN();
+  flat[201] = std::numeric_limits<float>::infinity();
+  flat[401] = -std::numeric_limits<float>::infinity();
+  outliers.set_flat_parameters(flat);
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{16}, std::size_t{64}})
+    expect_network_rows_match(outliers,
+                              random_batch({3, 18, 32}, batch, 100 + batch),
+                              "NaN/Inf outliers");
 }
 
 TEST(BatchedForward, DoesNotDisturbTrainingCaches) {

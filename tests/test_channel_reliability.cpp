@@ -555,16 +555,19 @@ TEST(ChannelEngine, ExhaustedUploadDegradesIntoParticipationPlane) {
     for (float v : params) EXPECT_TRUE(std::isfinite(v));
 }
 
-TEST(ChannelEngine, FailedUploadsDropWhenStaleFoldDisabled) {
+TEST(ChannelEngine, FailedUploadsDropPastMaxStaleness) {
+  // A late fold straggler_lag rounds out would exceed max_staleness, so
+  // every exhausted upload is dropped instead.
   GridWorldFrlSystem::Config cfg = grid_config(3, 1);
   cfg.channel_bursty = stormy_channel();
   cfg.channel_bursty.erasure_rate = 1.0;
   GridWorldFrlSystem sys(cfg, 707);
   ParticipationPlan plan;
   plan.active = true;
+  plan.straggler_lag = 5;
+  plan.max_staleness = 4;
   plan.upload.enabled = true;
   plan.upload.max_retries = 1;
-  plan.upload.exhausted_to_stale = false;
   sys.set_participation_plan(plan);
   sys.train(6);
   const ParticipationStats& stats = sys.participation_stats();

@@ -4,9 +4,9 @@
 /// the scalar per-bit oracles (reference_inject_int8 below,
 /// inject_fixed_point_reference) — at the weight level across
 /// representations and BERs, at the forward level through views
-/// (single-sample, batched, sharded over {1,2,7} threads), and at the
-/// trajectory level for batched Trans-1 vs the serial clone-and-mutate
-/// reference.
+/// (single-sample, and batched with distinct and shared lane views), and
+/// at the trajectory level for batched Trans-1 vs the serial
+/// clone-and-mutate reference.
 
 #include "fault/overlay.hpp"
 
@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "dronesim/drone_env.hpp"
 #include "envs/gridworld.hpp"
 #include "fault/injector.hpp"
@@ -250,9 +249,9 @@ TEST(WeightView, ForwardMatchesMutateRestoreConv) {
 }
 
 TEST(WeightView, BatchedPerLaneViewsMatchPerLaneMutateForwards) {
-  // One batched forward, every lane reading a *different* corrupted weight
-  // set, must equal the per-lane mutate-and-forward loop — for every
-  // sharding thread count.
+  // One batched forward, every lane reading its own corrupted weight set,
+  // must equal the per-lane mutate-and-forward loop; lanes that share a
+  // view run as one sub-batch.
   Rng init(41);
   Network net = make_drone_policy(init);
   const std::vector<float> clean = net.flat_parameters();
@@ -268,41 +267,65 @@ TEST(WeightView, BatchedPerLaneViewsMatchPerLaneMutateForwards) {
 
   std::vector<WeightOverlay> overlays(lanes);
   std::vector<WeightView> views;
-  std::vector<const WeightView*> lane_views;
   for (std::size_t l = 0; l < lanes; ++l) {
     Rng rng(500 + l);
     deployed.inject(scenario.spec, rng, overlays[l]);
     views.push_back(deployed.view(&overlays[l]));
   }
-  // Lane 3 stays clean (null view) to exercise mixed batches.
-  for (std::size_t l = 0; l < lanes; ++l)
-    lane_views.push_back(l == 3 ? nullptr : &views[l]);
 
-  // Reference: per-lane mutate + single-sample forward.
+  // Reference: lane l's sample through `overlay` (null: clean weights) by
+  // mutate + single-sample forward.
   const std::size_t sample = 3 * 18 * 32;
-  std::vector<Tensor> want;
-  for (std::size_t l = 0; l < lanes; ++l) {
+  const auto mutate_forward = [&](std::size_t l,
+                                  const WeightOverlay* overlay) {
     Tensor obs({3, 18, 32});
     std::copy_n(xb.data().begin() + static_cast<std::ptrdiff_t>(l * sample),
                 sample, obs.data().begin());
-    if (lane_views[l] != nullptr) {
+    if (overlay != nullptr) {
       std::vector<float> corrupted = deployed.base();
-      overlays[l].apply_to(corrupted);
+      overlay->apply_to(corrupted);
       net.set_flat_parameters(corrupted);
     }
-    want.push_back(net.forward(obs));
+    Tensor y = net.forward(obs);
     net.set_flat_parameters(clean);
-  }
+    return y;
+  };
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{7}}) {
-    ThreadPool pool(threads);
-    const Tensor got = net.forward_batch(xb, lanes, &pool, lane_views);
+  // Lane -> view index (-1: null view), and the view runs the hook must
+  // see: every lane distinct with lane 3 clean, then [A, A, null, B, B, B].
+  struct Layout {
+    std::vector<int> view_of;
+    std::vector<std::size_t> runs;
+  };
+  const Layout layouts[] = {{{0, 1, 2, -1, 4, 5}, {1, 1, 1, 1, 1, 1}},
+                            {{0, 0, -1, 4, 4, 4}, {2, 1, 3}}};
+  for (const Layout& layout : layouts) {
+    std::vector<const WeightView*> lane_views;
+    for (const int v : layout.view_of)
+      lane_views.push_back(v < 0 ? nullptr
+                                 : &views[static_cast<std::size_t>(v)]);
+    std::vector<std::vector<std::size_t>> widths(net.layer_count());
+    net.set_activation_hook([&](std::size_t layer, Tensor& act) {
+      // Batch-inner: the innermost dimension is the run's width.
+      widths[layer].push_back(act.dim(act.rank() - 1));
+    });
+    const Tensor got = net.forward_batch(xb, lanes, nullptr, lane_views);
+    net.set_activation_hook({});
+    // Once per (layer, view run), in lane order; the widths add up to the
+    // batch.
+    for (std::size_t layer = 0; layer < net.layer_count(); ++layer)
+      EXPECT_EQ(widths[layer], layout.runs) << "layer " << layer;
+
     const std::size_t width = got.size() / lanes;
-    for (std::size_t l = 0; l < lanes; ++l)
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const int v = layout.view_of[l];
+      const Tensor want = mutate_forward(
+          l, v < 0 ? nullptr : &overlays[static_cast<std::size_t>(v)]);
       for (std::size_t j = 0; j < width; ++j)
-        EXPECT_EQ(got[l * width + j], want[l][j])
-            << "threads " << threads << " lane " << l << " elem " << j;
+        EXPECT_EQ(got[l * width + j], want[j])
+            << "runs " << layout.runs.size() << " lane " << l << " elem "
+            << j;
+    }
   }
   EXPECT_EQ(net.flat_parameters(), clean);
 }

@@ -234,13 +234,12 @@ Scenario trimmed() {
   return sc;
 }
 
-Scenario retry(bool exhausted_to_stale) {
+Scenario retry() {
   Scenario sc;
   sc.plan.active = true;
   sc.plan.straggler_rate = 0.1;
   sc.plan.upload.enabled = true;
   sc.plan.upload.max_retries = 3;
-  sc.plan.upload.exhausted_to_stale = exhausted_to_stale;
   sc.channel_ber = 4e-3;
   return sc;
 }
@@ -274,18 +273,10 @@ TEST(RoundGolden, TrimmedMeanRounds) {
 
 TEST(RoundGolden, RetryProtocolExhaustedToStale) {
   SKIP_ON_FMA();
-  const Outcome o = run(retry(true));
+  const Outcome o = run(retry());
   EXPECT_GT(o.stats.failed_stale, 0u);
   EXPECT_GT(o.stats.upload_attempts, o.stats.present);
   EXPECT_EQ(o.digest, 0x7E2BF40BBE14AE79ULL);
-}
-
-TEST(RoundGolden, RetryProtocolExhaustedDropped) {
-  SKIP_ON_FMA();
-  const Outcome o = run(retry(false));
-  EXPECT_GT(o.stats.failed_dropped, 0u);
-  EXPECT_EQ(o.stats.failed_stale, 0u);
-  EXPECT_EQ(o.digest, 0x81B8EE99FE300EDEULL);
 }
 
 TEST(RoundGolden, PlanFreeRoundsWithServerFaultAndMitigation) {

@@ -14,7 +14,7 @@
 # N is exact: -fno-inline keeps every called function out of line, so each
 # function the binaries run leaves its own symbol behind (without it, a
 # function inlined into all of its callers would count as unreached).
-# bench_kernels and the tests are deliberately not counted as users.
+# The tests are deliberately not counted as users.
 # The script only reports and always exits 0 once the build succeeds; CI's
 # static-analysis job fails when N rises above the ceiling it pins.
 #
