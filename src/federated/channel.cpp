@@ -130,8 +130,10 @@ void CommChannel::transmit_row_bursty(float* row, std::size_t dim,
   // caller's RNG — split/derive never advance it, so arming the burst
   // plane cannot move the training stream, and the (snapshotted) sequence
   // key makes a restored campaign replay the same weather.
-  Rng state = rng.derive_stream({c.stream_tag, kChannelStateTag, seq});
-  Rng noise = rng.derive_stream({c.stream_tag, kChannelNoiseTag, seq});
+  Rng state =
+      rng.derive_stream({kBurstyChannelStreamTag, kChannelStateTag, seq});
+  Rng noise =
+      rng.derive_stream({kBurstyChannelStreamTag, kChannelNoiseTag, seq});
 
   const std::size_t chunk = c.chunk_elems;
   const std::size_t n_chunks = (dim + chunk - 1) / chunk;

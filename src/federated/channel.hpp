@@ -41,8 +41,10 @@
 
 namespace frlfi {
 
-/// Sub-stream kinds of the bursty-channel RNG plane (derived as
-/// rng.derive_stream({stream_tag, kind, transmit_seq})).
+/// Tag of the bursty-channel RNG plane under the caller's stream, and its
+/// sub-stream kinds (derived as rng.derive_stream({kBurstyChannelStreamTag,
+/// kind, transmit_seq})).
+inline constexpr std::uint64_t kBurstyChannelStreamTag = 0xC4A2'77B1ULL;
 inline constexpr std::uint64_t kChannelStateTag = 0x6E15ULL;  // weather
 inline constexpr std::uint64_t kChannelNoiseTag = 0xB17FULL;  // flip noise
 
@@ -64,8 +66,6 @@ struct BurstyChannelConfig {
   double erasure_rate = 0.0;
   /// Chunk size in parameters (elements), >= 1.
   std::size_t chunk_elems = 32;
-  /// Tag of the burst RNG plane under the caller's stream.
-  std::uint64_t stream_tag = 0xC4A2'77B1ULL;
 };
 
 /// True when `cfg` perturbs nothing beyond i.i.d. flips at ber_good —

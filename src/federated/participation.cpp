@@ -17,8 +17,6 @@ void validate_participation_plan(const ParticipationPlan& plan,
   FRLFI_CHECK_MSG(plan.straggler_lag >= 1, "straggler_lag must be >= 1");
   FRLFI_CHECK_MSG(plan.stale_decay > 0.0 && plan.stale_decay <= 1.0,
                   "stale_decay " << plan.stale_decay);
-  FRLFI_CHECK_MSG(plan.byzantine_magnitude > 0.0,
-                  "byzantine_magnitude " << plan.byzantine_magnitude);
   for (std::size_t agent : plan.byzantine_agents)
     FRLFI_CHECK_MSG(agent < n_agents,
                     "byzantine agent " << agent << " of " << n_agents);

@@ -92,10 +92,9 @@ struct ParticipationPlan {
   double stale_decay = 0.5;
   /// Uploads later than this many rounds are discarded, not folded.
   std::size_t max_staleness = 4;
-  /// Fixed set of garbage senders (see pick_byzantine_agents).
+  /// Fixed set of garbage senders (see pick_byzantine_agents); their
+  /// rows are uniform in [-kByzantineMagnitude, +kByzantineMagnitude].
   std::vector<std::size_t> byzantine_agents;
-  /// Garbage rows are uniform in [-byzantine_magnitude, +magnitude].
-  double byzantine_magnitude = 10.0;
   /// Server-side robust-aggregation screening.
   ScreeningConfig screening;
   /// Checksum/retry/backoff upload protocol for on-time senders. An
@@ -104,13 +103,17 @@ struct ParticipationPlan {
   /// the staleness buffer, or is dropped past max_staleness. A
   /// zero-retry protocol is locked bit-identical to the plain plan path.
   UploadProtocolConfig upload;
-  /// Tag of the participation RNG plane: all participation draws come
-  /// from train_rng.split(stream_tag).derive_stream({kind, round, agent}),
-  /// never from the training stream itself.
-  std::uint64_t stream_tag = 0x9A47'1C17ULL;
 };
 
-/// Sub-stream kinds under ParticipationPlan::stream_tag.
+/// Magnitude bound of a Byzantine sender's garbage row.
+inline constexpr double kByzantineMagnitude = 10.0;
+
+/// Tag of the participation RNG plane: all participation draws come from
+/// train_rng.split(kParticipationStreamTag).derive_stream({kind, round,
+/// agent}), never from the training stream itself.
+inline constexpr std::uint64_t kParticipationStreamTag = 0x9A47'1C17ULL;
+
+/// Sub-stream kinds under kParticipationStreamTag.
 inline constexpr std::uint64_t kParticipationDropTag = 0xD801ULL;
 inline constexpr std::uint64_t kParticipationStragglerTag = 0x57A6ULL;
 inline constexpr std::uint64_t kParticipationByzantineTag = 0xBAD0ULL;
@@ -120,9 +123,9 @@ void validate_participation_plan(const ParticipationPlan& plan,
                                  std::size_t n_agents);
 
 /// Resolve one agent's status for one round. `participation_base` is
-/// train_rng.split(plan.stream_tag); `byzantine` marks membership in the
-/// plan's fixed Byzantine set (which overrides schedule outcomes — a
-/// garbage sender is garbage every round it is up). Purely functional in
+/// train_rng.split(kParticipationStreamTag); `byzantine` marks membership
+/// in the plan's fixed Byzantine set (which overrides schedule outcomes —
+/// a garbage sender is garbage every round it is up). Purely functional in
 /// (plan, seed, round, agent): no cross-round state.
 AgentRoundStatus resolve_agent_round_status(const ParticipationPlan& plan,
                                             const Rng& participation_base,

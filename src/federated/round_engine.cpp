@@ -7,6 +7,14 @@
 #include "fault/injector.hpp"
 
 namespace frlfi {
+namespace {
+
+// What an inactive plan hands the server: the defaults, so nothing a
+// disarmed plan still holds can switch on screening, staleness or the
+// upload protocol.
+const ParticipationPlan kPlanFree{};
+
+}  // namespace
 
 FederatedRoundEngine::FederatedRoundEngine(const Config& cfg,
                                            std::uint64_t seed,
@@ -37,9 +45,11 @@ FederatedRoundEngine::FederatedRoundEngine(const Config& cfg,
         AlphaSchedule(cfg_.n_agents, cfg_.alpha0, cfg_.alpha_tau));
     server_->channel().set_bit_error_rate(cfg_.channel_ber);
     server_->channel().set_bursty(cfg_.bursty_channel);
+    round_matrix_.assign(cfg_.n_agents * cfg_.parameter_dim, 0.0f);
     // Server faults corrupt the aggregated rows in place, row by row on
     // one stream — the exact arithmetic and RNG order of the historical
-    // per-agent-vector hook (inject_int8 is span-based now).
+    // per-agent-vector hook (inject_int8 is span-based now). The hook
+    // runs on every round and acts only while a fault is pending.
     server_->set_post_aggregate_rows_hook(
         [this](std::size_t /*round*/, std::span<float> rows,
                std::size_t dim) {
@@ -124,7 +134,7 @@ void FederatedRoundEngine::communicate_if_due() {
   // never advances train_rng_, so an all-present resolution leaves the
   // training stream exactly where the plan-free engine has it. An
   // inactive plan resolves everyone Present without a draw.
-  const Rng part_base = train_rng_.split(participation_.stream_tag);
+  const Rng part_base = train_rng_.split(kParticipationStreamTag);
   status_.resize(cfg_.n_agents);
   for (std::size_t i = 0; i < cfg_.n_agents; ++i)
     status_[i] = participation_.active
@@ -133,67 +143,40 @@ void FederatedRoundEngine::communicate_if_due() {
                                                   byzantine_mask_[i] != 0)
                      : AgentRoundStatus::Present;
 
-  ParameterServer::RobustRoundOptions opts;
-  if (participation_.active) {
-    opts.straggler_lag = participation_.straggler_lag;
-    opts.stale_decay = participation_.stale_decay;
-    opts.max_staleness = participation_.max_staleness;
-    opts.screening = participation_.screening;
-    opts.upload = participation_.upload;
-  }
-
-  // Gather only the sending agents into the compact matrix (ascending
-  // agent order — the server's compaction contract), so a round at 10%
-  // participation allocates ~n/10 rows.
-  compact_agents_.clear();
-  for (std::size_t i = 0; i < cfg_.n_agents; ++i)
-    if (sends_upload(status_[i])) compact_agents_.push_back(i);
-  const std::size_t m_send = compact_agents_.size();
-  // Exact reserve: participant counts wobble round to round, and the
-  // default geometric growth would otherwise hold ~2x the peak round's
-  // rows — the difference between O(participants) and double it.
-  if (compact_matrix_.capacity() < m_send * dim)
-    compact_matrix_.reserve(m_send * dim);
-  compact_matrix_.resize(m_send * dim);
-  for (std::size_t j = 0; j < m_send; ++j) {
-    const std::size_t i = compact_agents_[j];
-    std::span<float> row(compact_matrix_.data() + j * dim, dim);
+  // Gather each sending agent into its own row. The rows of agents that
+  // send nothing keep what an earlier round left there; the server
+  // neither reads nor delivers them.
+  for (std::size_t i = 0; i < cfg_.n_agents; ++i) {
+    if (!sends_upload(status_[i])) continue;
+    std::span<float> row(round_matrix_.data() + i * dim, dim);
     if (status_[i] == AgentRoundStatus::Byzantine) {
       // Garbage upload from the participation plane (deterministic in
       // (seed, round, agent), independent of the training stream).
       Rng garbage =
           part_base.derive_stream({kParticipationByzantineTag, round, i});
       for (float& v : row)
-        v = static_cast<float>(garbage.uniform(
-            -participation_.byzantine_magnitude,
-            participation_.byzantine_magnitude));
+        v = static_cast<float>(
+            garbage.uniform(-kByzantineMagnitude, kByzantineMagnitude));
     } else {
       hooks_.gather_params(i, row);
     }
   }
 
-  // The engine's own post-aggregate hook only acts while a server fault
-  // is pending — skipping it otherwise lets a degraded round stay on
-  // compact O(participants) storage. A plan-free round always runs the
-  // hook, so a hook installed over the engine's (one that arms no plan)
-  // sees every round.
   Rng comm_rng = train_rng_.split(0xC0111 + episode_);
   const RoundParticipationReport rep = server_->communicate_round(
-      std::span<float>(compact_matrix_.data(), m_send * dim), compact_agents_,
-      status_, opts, comm_rng,
-      /*run_post_hook=*/server_fault_pending_ || !participation_.active);
+      round_matrix_, status_,
+      participation_.active ? participation_ : kPlanFree, comm_rng);
 
   // Downlink lands only on receiving agents; dropped agents keep training
   // on their own stale parameters, stragglers keep the parameters whose
   // update is still in flight, and an agent whose upload exhausted its
   // retry budget got no downlink either (its row holds its own clean
   // payload, not a server aggregate).
-  for (std::size_t j = 0; j < m_send; ++j) {
-    const std::size_t i = compact_agents_[j];
+  for (std::size_t i = 0; i < cfg_.n_agents; ++i) {
     if (!receives_downlink(status_[i])) continue;
     if (i < rep.upload_failed.size() && rep.upload_failed[i]) continue;
     hooks_.scatter_params(
-        i, std::span<const float>(compact_matrix_.data() + j * dim, dim));
+        i, std::span<const float>(round_matrix_.data() + i * dim, dim));
   }
 
   part_stats_.accumulate(rep);
@@ -207,14 +190,6 @@ void FederatedRoundEngine::communicate_if_due() {
     if (checkpoints_.offer(server_->round(), server_->consensus()))
       ++mit_stats_.checkpoints_taken;
   }
-}
-
-std::size_t FederatedRoundEngine::round_buffer_bytes() const {
-  std::size_t bytes =
-      compact_matrix_.capacity() * sizeof(float) +
-      compact_agents_.capacity() * sizeof(std::size_t);
-  if (server_) bytes += server_->round_buffer_bytes();
-  return bytes;
 }
 
 void FederatedRoundEngine::apply_mitigation(

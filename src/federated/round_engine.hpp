@@ -15,17 +15,15 @@
 ///    dispatch_lanes (Config::threads: 1 serial, 0 auto, N explicit)
 ///    produces bit-identical training for every thread count.
 ///  * **One server round.** Every communication round is one gather →
-///    round → scatter: the sending agents' uploads gather straight into a
-///    preallocated participant-compacted row matrix (all n rows when
-///    everyone is present; no per-agent flat_parameters() vectors),
-///    ParameterServer::communicate_round runs uplink, aggregation, hook
-///    and downlink, and downlinks scatter back to the receiving agents
-///    from the same rows. The round runs on the orchestration thread; its
-///    channel noise comes off a per-round comm stream split from the
-///    training stream. The server's post-aggregate hook runs on every
-///    plan-free round (so a hook installed over the engine's sees each
-///    one) and, under an armed plan, only while a server fault is
-///    pending.
+///    round → scatter over one agent-indexed n x dim round matrix,
+///    allocated at construction (row i is agent i's; no per-agent
+///    flat_parameters() vectors): the sending agents' uploads gather
+///    straight into their own rows, ParameterServer::communicate_round
+///    runs uplink, the in-place combine, hook and downlink, and downlinks
+///    scatter back to the receiving agents from the same rows. The round
+///    runs on the orchestration thread; its channel noise comes off a
+///    per-round comm stream split from the training stream. The server's
+///    post-aggregate hook runs on every round, over the whole matrix.
 ///  * **Training faults and §V-A mitigation.** Fault timing, victim
 ///    resolution, the post-aggregate server-fault row hook (in-place
 ///    int8 injection over the aggregate rows on the historical RNG
@@ -211,11 +209,6 @@ class FederatedRoundEngine {
   /// The configuration in force.
   const Config& config() const { return cfg_; }
 
-  /// Bytes currently retained by the engine + server round buffers (round
-  /// matrices, aggregates, scratch). At partial participation this scales
-  /// with the participants of a round, not the agent roster.
-  std::size_t round_buffer_bytes() const;
-
  private:
   void run_training_episode();
   void inject_training_fault_if_due();
@@ -238,11 +231,8 @@ class FederatedRoundEngine {
   std::optional<RewardDropMonitor> monitor_;
   CheckpointStore checkpoints_;
   MitigationStats mit_stats_;
-  // The round matrix, lazily grown and pooled across rounds: the
-  // participant-compacted sender matrix (~participants x dim; n x dim on
-  // a synchronous round) and its agent index map.
-  std::vector<float> compact_matrix_;
-  std::vector<std::size_t> compact_agents_;
+  // The agent-indexed n x dim round matrix (empty without a server).
+  std::vector<float> round_matrix_;
   std::vector<double> rewards_;
   // Persistent episode pool for an explicit Config::threads > 1 — built
   // once so the per-episode dispatch never spawns threads on the hot

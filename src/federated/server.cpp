@@ -13,77 +13,48 @@ ParameterServer::ParameterServer(std::size_t n_agents, std::size_t parameter_dim
     : n_(n_agents), dim_(parameter_dim), schedule_(schedule) {
   FRLFI_CHECK_MSG(n_ >= 2, "ParameterServer needs >= 2 agents");
   FRLFI_CHECK(dim_ > 0);
-  // The n x dim aggregate matrix is grown lazily by the paths that need
-  // it — a round at partial participation pays for its participants, not
-  // the roster.
   total_.resize(dim_);
 }
 
-void ParameterServer::transmit_matrix(
-    float* rows, std::size_t n_rows, Rng& rng,
-    const UploadProtocolConfig* proto, const std::uint8_t* reliable_mask,
-    CommChannel::UploadOutcome* outcomes) {
-  upload_ptrs_.resize(n_rows);
-  for (std::size_t r = 0; r < n_rows; ++r) upload_ptrs_[r] = rows + r * dim_;
-  channel_.transmit_uploads(upload_ptrs_.data(), n_rows, dim_, rng, proto,
-                            reliable_mask, outcomes);
-}
-
 RoundParticipationReport ParameterServer::communicate_round(
-    std::span<float> sender_rows, std::span<const std::size_t> sender_agents,
-    std::span<const AgentRoundStatus> status, const RobustRoundOptions& opts,
-    Rng& rng, bool run_post_hook) {
+    std::span<float> rows, std::span<const AgentRoundStatus> status,
+    const ParticipationPlan& plan, Rng& rng) {
   FRLFI_CHECK_MSG(status.size() == n_,
                   "got " << status.size() << " statuses for " << n_
                          << " agents");
-  FRLFI_CHECK(opts.straggler_lag >= 1);
-  FRLFI_CHECK(opts.stale_decay > 0.0 && opts.stale_decay <= 1.0);
-  const std::size_t m_send = sender_agents.size();
-  FRLFI_CHECK_MSG(sender_rows.size() == m_send * dim_,
-                  "sender matrix holds " << sender_rows.size()
-                                         << " floats for " << m_send << " x "
-                                         << dim_);
+  FRLFI_CHECK_MSG(rows.size() == n_ * dim_,
+                  "round matrix holds " << rows.size() << " floats for "
+                                        << n_ << " x " << dim_);
+  FRLFI_CHECK(plan.straggler_lag >= 1);
+  FRLFI_CHECK(plan.stale_decay > 0.0 && plan.stale_decay <= 1.0);
+  const auto row = [&](std::size_t i) { return rows.data() + i * dim_; };
 
   RoundParticipationReport rep;
   rep.round = round_;
   rep.status.assign(status.begin(), status.end());
-  for (AgentRoundStatus s : status) {
-    switch (s) {
+  senders_.clear();
+  for (std::size_t i = 0; i < n_; ++i) {
+    switch (status[i]) {
       case AgentRoundStatus::Present: ++rep.present; break;
       case AgentRoundStatus::Dropped: ++rep.dropped; break;
       case AgentRoundStatus::Straggler: ++rep.stragglers; break;
       case AgentRoundStatus::Byzantine: ++rep.byzantine; break;
     }
+    if (sends_upload(status[i])) senders_.push_back(i);
   }
+  const std::size_t m_send = senders_.size();
 
-  // The compaction contract: row j is the upload of the j-th sending
-  // agent in ascending agent order, nothing missing, nothing extra.
-  {
-    std::size_t j = 0;
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (!sends_upload(status[i])) continue;
-      FRLFI_CHECK_MSG(j < m_send && sender_agents[j] == i,
-                      "sender compaction mismatch at agent " << i);
-      ++j;
-    }
-    FRLFI_CHECK_MSG(j == m_send,
-                    "sender compaction holds " << m_send << " rows for " << j
-                                               << " senders");
-  }
-
-  const bool reliable = reliable_upload_armed(opts.upload);
+  const bool reliable = reliable_upload_armed(plan.upload);
 
   // A late upload enters the staleness buffer, to be folded
   // `straggler_lag` rounds from now with weight stale_decay^lag.
-  const auto defer = [&](std::size_t agent, std::size_t j) {
+  const auto defer = [&](std::size_t agent) {
     PendingUpload p;
     p.agent = agent;
-    p.deliver_round = round_ + opts.straggler_lag;
+    p.deliver_round = round_ + plan.straggler_lag;
     p.weight = static_cast<float>(
-        std::pow(opts.stale_decay, static_cast<double>(opts.straggler_lag)));
-    p.data.assign(
-        sender_rows.begin() + static_cast<std::ptrdiff_t>(j * dim_),
-        sender_rows.begin() + static_cast<std::ptrdiff_t>((j + 1) * dim_));
+        std::pow(plan.stale_decay, static_cast<double>(plan.straggler_lag)));
+    p.data.assign(row(agent), row(agent) + dim_);
     pending_.push_back(std::move(p));
   };
 
@@ -94,26 +65,29 @@ RoundParticipationReport ParameterServer::communicate_round(
   // plane right here — its clean payload (what the eventual late
   // retransmission delivers) enters the staleness buffer with the
   // straggler fold weight, or is dropped past max_staleness.
+  upload_ptrs_.resize(m_send);
+  for (std::size_t j = 0; j < m_send; ++j) upload_ptrs_[j] = row(senders_[j]);
   upload_failed_.assign(n_, 0);
   if (reliable) {
     upload_mask_.assign(m_send, 0);
     for (std::size_t j = 0; j < m_send; ++j)
       upload_mask_[j] =
-          status[sender_agents[j]] != AgentRoundStatus::Straggler ? 1 : 0;
+          status[senders_[j]] != AgentRoundStatus::Straggler ? 1 : 0;
     upload_outcomes_.assign(m_send, CommChannel::UploadOutcome{});
-    transmit_matrix(sender_rows.data(), m_send, rng, &opts.upload,
-                    upload_mask_.data(), upload_outcomes_.data());
+    channel_.transmit_uploads(upload_ptrs_.data(), m_send, dim_, rng,
+                              &plan.upload, upload_mask_.data(),
+                              upload_outcomes_.data());
     for (std::size_t j = 0; j < m_send; ++j) {
       if (!upload_mask_[j]) continue;
       const CommChannel::UploadOutcome& out = upload_outcomes_[j];
       rep.upload_attempts += out.attempts;
       rep.backoff_seconds += out.backoff;
       if (out.delivered) continue;
-      const std::size_t i = sender_agents[j];
+      const std::size_t i = senders_[j];
       upload_failed_[i] = 1;
       ++rep.uploads_failed;
-      if (opts.straggler_lag <= opts.max_staleness) {
-        defer(i, j);
+      if (plan.straggler_lag <= plan.max_staleness) {
+        defer(i);
         ++rep.failed_stale;
       } else {
         ++rep.failed_dropped;
@@ -121,19 +95,18 @@ RoundParticipationReport ParameterServer::communicate_round(
     }
     rep.upload_failed.assign(upload_failed_.begin(), upload_failed_.end());
   } else {
-    transmit_matrix(sender_rows.data(), m_send, rng);
+    channel_.transmit_uploads(upload_ptrs_.data(), m_send, dim_, rng);
   }
 
   // Stragglers: the post-channel payload enters the staleness buffer — or
   // is discarded outright past max_staleness.
-  for (std::size_t j = 0; j < m_send; ++j) {
-    const std::size_t i = sender_agents[j];
+  for (std::size_t i = 0; i < n_; ++i) {
     if (status[i] != AgentRoundStatus::Straggler) continue;
-    if (opts.straggler_lag > opts.max_staleness) {
+    if (plan.straggler_lag > plan.max_staleness) {
       ++rep.stale_discarded;
       continue;
     }
-    defer(i, j);
+    defer(i);
   }
 
   // Contributor set: on-time uploads in agent order, then due stale rows
@@ -146,13 +119,12 @@ RoundParticipationReport ParameterServer::communicate_round(
   ontime_.assign(n_, 0);
   // Candidate j's agent when it is an on-time row; kStaleRow for stale rows.
   constexpr std::size_t kStaleRow = static_cast<std::size_t>(-1);
-  for (std::size_t j = 0; j < m_send; ++j) {
-    const std::size_t i = sender_agents[j];
+  for (std::size_t i = 0; i < n_; ++i) {
     if (status[i] != AgentRoundStatus::Present &&
         status[i] != AgentRoundStatus::Byzantine)
       continue;
     if (upload_failed_[i]) continue;  // checksum never passed: no upload
-    cand_rows_.push_back(sender_rows.data() + j * dim_);
+    cand_rows_.push_back(row(i));
     cand_weights_.push_back(1.0f);
     cand_agents_.push_back(i);
     ontime_[i] = 1;
@@ -169,14 +141,14 @@ RoundParticipationReport ParameterServer::communicate_round(
   // contributor norm by more than l2_factor in either direction, plus any
   // non-finite row. The median row itself always survives, so the screen
   // can never empty a finite candidate set.
-  if (opts.screening.l2_norm && !cand_rows_.empty()) {
+  if (plan.screening.l2_norm && !cand_rows_.empty()) {
     const std::size_t m = cand_rows_.size();
     norms_.resize(m);
     for (std::size_t j = 0; j < m; ++j) {
       double s = 0.0;
-      const float* row = cand_rows_[j];
+      const float* cand = cand_rows_[j];
       for (std::size_t d = 0; d < dim_; ++d)
-        s += static_cast<double>(row[d]) * static_cast<double>(row[d]);
+        s += static_cast<double>(cand[d]) * static_cast<double>(cand[d]);
       norms_[j] = std::sqrt(s);
     }
     norms_sorted_ = norms_;
@@ -188,7 +160,7 @@ RoundParticipationReport ParameterServer::communicate_round(
                 return a < b;
               });
     const double median = norms_sorted_[(m - 1) / 2];
-    const double f = opts.screening.l2_factor;
+    const double f = plan.screening.l2_factor;
     std::size_t kept = 0;
     for (std::size_t j = 0; j < m; ++j) {
       const bool excluded =
@@ -226,46 +198,29 @@ RoundParticipationReport ParameterServer::communicate_round(
   for (std::size_t j = 0; j < cand_rows_.size(); ++j)
     axpy(cand_weights_[j], cand_rows_[j], total_.data(), dim_);
 
-  const bool trim = opts.screening.trimmed_mean &&
-                    cand_rows_.size() > 2 * opts.screening.trim_k;
+  const bool trim = plan.screening.trimmed_mean &&
+                    cand_rows_.size() > 2 * plan.screening.trim_k;
   if (trim) {
     trim_out_.resize(dim_);
     trim_scratch_.resize(cand_rows_.size());
     trimmed_mean_rows(cand_rows_.data(), cand_rows_.size(), dim_,
-                      opts.screening.trim_k, trim_scratch_.data(),
+                      plan.screening.trim_k, trim_scratch_.data(),
                       trim_out_.data());
   }
 
   // Receivers (a subset of senders), in agent order. A failed uploader's
   // link is the thing that failed: it gets no downlink this round either
   // (the Dropped semantics it degraded into).
-  recv_idx_.clear();
-  for (std::size_t j = 0; j < m_send; ++j) {
-    const std::size_t i = sender_agents[j];
+  receivers_.clear();
+  for (const std::size_t i : senders_)
     if (receives_downlink(status[i]) && !upload_failed_[i])
-      recv_idx_.push_back(j);
-  }
+      receivers_.push_back(i);
 
-  // Aggregate storage: the combine for a row reads only that row's own
-  // elements and the precomputed totals, element-wise — so outside hook
-  // rounds it runs IN PLACE over the caller's compact sender rows and the
-  // round retains no aggregate matrix at all. Only when the post-hook
-  // must observe the full matrix does the zero-filled n x dim layout
-  // materialize (non-receiving rows stay deterministically zero; plan-free
-  // and fault-bearing rounds; grown lazily).
-  if (run_post_hook) agg_.assign(n_ * dim_, 0.0f);
-  const auto agg_row = [&](std::size_t j) {
-    return run_post_hook ? agg_.data() + sender_agents[j] * dim_
-                         : sender_rows.data() + j * dim_;
-  };
-
-  // Per-receiver combine. `dst` may alias `self` (the in-place case);
-  // each element depends only on its own index, so the element-wise loops
-  // are alias-safe.
-  for (const std::size_t j : recv_idx_) {
-    const std::size_t i = sender_agents[j];
-    const float* self = sender_rows.data() + j * dim_;
-    float* dst = agg_row(j);
+  // Per-receiver combine, in place over the receiver's own row: each
+  // element depends only on its own index, the precomputed totals and the
+  // trimmed mean, so no row reads another row's combined value.
+  for (const std::size_t i : receivers_) {
+    float* r = row(i);
     if (trim) {
       // Robust peer estimate: the self term keeps its alpha weight, the
       // peer mass goes to the coordinate-wise trimmed mean (self
@@ -274,13 +229,14 @@ RoundParticipationReport ParameterServer::communicate_round(
       const float* FRLFI_RESTRICT tm = trim_out_.data();
 #pragma omp simd
       for (std::size_t d = 0; d < dim_; ++d)
-        dst[d] = alpha_f * self[d] + om * tm[d];
+        r[d] = alpha_f * r[d] + om * tm[d];
     } else {
       // Partial-participation smoothing average: peers are the weighted
       // contributors minus the receiver's own on-time row. With every
       // agent contributing at weight 1 this is byte-for-byte the scalar
       // smoothing_average (1.0f * self is exact; the peer count double
-      // is exact for any agent count).
+      // is exact for any agent count). With no peer mass at all the
+      // receiver keeps its own upload.
       const float wi = ontime_[i] ? 1.0f : 0.0f;
       const double peers = weight_sum - static_cast<double>(wi);
       if (peers > 0.0) {
@@ -288,46 +244,33 @@ RoundParticipationReport ParameterServer::communicate_round(
         const float* FRLFI_RESTRICT tot = total_.data();
 #pragma omp simd
         for (std::size_t d = 0; d < dim_; ++d)
-          dst[d] = alpha_f * self[d] + beta * (tot[d] - wi * self[d]);
-      } else if (dst != self) {
-        // No peer mass at all: the receiver keeps its own upload.
-        std::copy(self, self + dim_, dst);
+          r[d] = alpha_f * r[d] + beta * (tot[d] - wi * r[d]);
       }
     }
   }
 
   // Consensus over the receiving rows only (receiver-order chain per
   // coordinate; mean_parameters' order when everyone receives).
-  if (!recv_idx_.empty()) {
+  if (!receivers_.empty()) {
     consensus_.assign(dim_, 0.0f);
     const auto inv =
-        static_cast<float>(1.0 / static_cast<double>(recv_idx_.size()));
-    for (const std::size_t j : recv_idx_)
-      axpy(1.0f, agg_row(j), consensus_.data(), dim_);
+        static_cast<float>(1.0 / static_cast<double>(receivers_.size()));
+    for (const std::size_t i : receivers_)
+      axpy(1.0f, row(i), consensus_.data(), dim_);
     float* FRLFI_RESTRICT c = consensus_.data();
 #pragma omp simd
     for (std::size_t d = 0; d < dim_; ++d) c[d] *= inv;
   }
 
-  if (run_post_hook && rows_hook_)
-    rows_hook_(round_, std::span<float>(agg_), dim_);
+  if (rows_hook_) rows_hook_(round_, rows, dim_);
 
-  // Downlink to the receivers in agent order. In the in-place case the
-  // delivered payloads already sit in the caller's compact rows; after a
-  // hook round they copy back from the full aggregate matrix.
-  if (!recv_idx_.empty()) {
-    upload_ptrs_.resize(recv_idx_.size());
-    for (std::size_t r = 0; r < recv_idx_.size(); ++r)
-      upload_ptrs_[r] = agg_row(recv_idx_[r]);
-    channel_.transmit_uploads(upload_ptrs_.data(), recv_idx_.size(), dim_,
+  // Downlink to the receivers in agent order, straight from their rows.
+  if (!receivers_.empty()) {
+    upload_ptrs_.resize(receivers_.size());
+    for (std::size_t r = 0; r < receivers_.size(); ++r)
+      upload_ptrs_[r] = row(receivers_[r]);
+    channel_.transmit_uploads(upload_ptrs_.data(), receivers_.size(), dim_,
                               rng);
-    if (run_post_hook) {
-      for (const std::size_t j : recv_idx_) {
-        const float* src = agg_row(j);
-        std::copy(src, src + dim_,
-                  sender_rows.begin() + static_cast<std::ptrdiff_t>(j * dim_));
-      }
-    }
   }
 
   // Folded stale rows leave the buffer (their storage outlived the
@@ -338,12 +281,6 @@ RoundParticipationReport ParameterServer::communicate_round(
 
   ++round_;
   return rep;
-}
-
-std::size_t ParameterServer::round_buffer_bytes() const {
-  return (agg_.capacity() + total_.capacity() + trim_out_.capacity() +
-          trim_scratch_.capacity() + consensus_.capacity()) *
-         sizeof(float);
 }
 
 void ParameterServer::set_pending_uploads(std::vector<PendingUpload> pending) {

@@ -498,21 +498,17 @@ TEST(ChannelEngine, ZeroRetryProtocolIsBitIdenticalToPlanPath) {
   const AlphaSchedule schedule(agents, 0.5);
   const std::vector<AgentRoundStatus> all_present(agents,
                                                   AgentRoundStatus::Present);
-  std::vector<std::size_t> everyone(agents);
-  for (std::size_t i = 0; i < agents; ++i) everyone[i] = i;
   ParameterServer plain_server(agents, dim, schedule);
   ParameterServer zero_server(agents, dim, schedule);
   plain_server.channel().set_bursty(stormy);
   zero_server.channel().set_bursty(stormy);
-  ParameterServer::RobustRoundOptions plain_opts, zero_opts;
-  zero_opts.upload.enabled = true;
-  zero_opts.upload.max_retries = 0;
+  ParticipationPlan plain_plan, zero_plan;
+  zero_plan.upload.enabled = true;
+  zero_plan.upload.max_retries = 0;
   Rng rp(46), rz(46);
   std::vector<float> mp = base, mz = base;
-  plain_server.communicate_round(mp, everyone, all_present, plain_opts, rp,
-                                 /*run_post_hook=*/false);
-  zero_server.communicate_round(mz, everyone, all_present, zero_opts, rz,
-                                /*run_post_hook=*/false);
+  plain_server.communicate_round(mp, all_present, plain_plan, rp);
+  zero_server.communicate_round(mz, all_present, zero_plan, rz);
   EXPECT_EQ(mz, mp);
   EXPECT_EQ(zero_server.consensus(), plain_server.consensus());
   EXPECT_EQ(rz.next_u64(), rp.next_u64());

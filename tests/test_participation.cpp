@@ -4,11 +4,12 @@
 ///    functional in (seed, round, agent), and crash windows rejoin;
 ///  * a full-participation ParameterServer::communicate_round is locked
 ///    bit-identical to the scalar round oracle (frozen_scalar_round) —
-///    with screening off and with screening armed but excluding nothing,
-///    in place and with the aggregate matrix built for the hook — RNG
-///    stream position and counters included;
+///    with screening off and with screening armed but excluding nothing —
+///    RNG stream position and counters included;
 ///  * partial participation, staleness folding/discard, L2 screening and
-///    the trimmed mean match hand-computed references;
+///    the trimmed mean match hand-computed references, and what sits in
+///    a Dropped agent's row of the round matrix reaches no result of a
+///    degraded round, with or without a server-fault hook;
 ///  * the engine with an active all-present plan is bit-identical to the
 ///    plan-free engine across thread counts {1, 2, 7} on both paper
 ///    systems, and degraded training is thread-count invariant;
@@ -20,10 +21,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/error.hpp"
+#include "fault/injector.hpp"
 #include "federated/aggregation.hpp"
 #include "federated/round_engine.hpp"
 #include "federated/server.hpp"
@@ -70,7 +74,7 @@ TEST(ParticipationPlan, ResolutionIsDeterministicAndFunctional) {
   plan.active = true;
   plan.dropout_rate = 0.3;
   plan.straggler_rate = 0.3;
-  const Rng base = Rng(99).split(plan.stream_tag);
+  const Rng base = Rng(99).split(kParticipationStreamTag);
   for (std::size_t round = 0; round < 20; ++round)
     for (std::size_t agent = 0; agent < 5; ++agent) {
       const AgentRoundStatus a =
@@ -95,7 +99,7 @@ TEST(ParticipationPlan, CrashWindowKeepsAgentOutThenRejoins) {
   ParticipationPlan one;
   one.active = true;
   one.dropout_rate = 0.25;
-  const Rng base = Rng(7).split(one.stream_tag);
+  const Rng base = Rng(7).split(kParticipationStreamTag);
   ParticipationPlan windowed = one;
   windowed.crash_rounds = 3;
   bool exercised = false;
@@ -156,34 +160,6 @@ TEST(TrimmedMean, MatchesHandComputedAndRanksNonFiniteLast) {
       Error);
 }
 
-/// One serial degraded round over a full n x dim matrix: compacts the
-/// sending agents' rows (the server's input contract), runs
-/// communicate_round and writes every sender row back, so the rows of
-/// agents that send nothing stay untouched.
-RoundParticipationReport run_round(
-    ParameterServer& srv, std::vector<float>& rows,
-    const std::vector<AgentRoundStatus>& status,
-    const ParameterServer::RobustRoundOptions& opts, Rng& rng,
-    bool run_post_hook = false) {
-  const std::size_t dim = srv.parameter_dim();
-  std::vector<std::size_t> agents;
-  std::vector<float> compact;
-  for (std::size_t i = 0; i < status.size(); ++i) {
-    if (!sends_upload(status[i])) continue;
-    agents.push_back(i);
-    compact.insert(compact.end(),
-                   rows.begin() + static_cast<std::ptrdiff_t>(i * dim),
-                   rows.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim));
-  }
-  const RoundParticipationReport rep = srv.communicate_round(
-      compact, agents, status, opts, rng, run_post_hook);
-  for (std::size_t j = 0; j < agents.size(); ++j)
-    std::copy(compact.begin() + static_cast<std::ptrdiff_t>(j * dim),
-              compact.begin() + static_cast<std::ptrdiff_t>((j + 1) * dim),
-              rows.begin() + static_cast<std::ptrdiff_t>(agents[j] * dim));
-  return rep;
-}
-
 /// Runs one all-present communicate_round and the scalar round oracle
 /// over identical inputs and expects bit-identical everything.
 void expect_full_round_matches_scalar(const ScreeningConfig& screening,
@@ -200,29 +176,27 @@ void expect_full_round_matches_scalar(const ScreeningConfig& screening,
   const std::vector<float> ref_rows = pack_rows(testing::frozen_scalar_round(
       uploads, ref_channel, schedule.at(0), ref_rng, &ref_consensus));
 
-  for (const bool run_post_hook : {false, true}) {
-    ParameterServer srv(n, dim, schedule);
-    srv.channel().set_bit_error_rate(ber);
-    Rng rng(11);
-    std::vector<float> rows = pack_rows(uploads);
-    const std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
-    ParameterServer::RobustRoundOptions opts;
-    opts.screening = screening;
-    const RoundParticipationReport rep =
-        run_round(srv, rows, status, opts, rng, run_post_hook);
+  ParameterServer srv(n, dim, schedule);
+  srv.channel().set_bit_error_rate(ber);
+  Rng rng(11);
+  std::vector<float> rows = pack_rows(uploads);
+  const std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
+  ParticipationPlan plan;
+  plan.screening = screening;
+  const RoundParticipationReport rep =
+      srv.communicate_round(rows, status, plan, rng);
 
-    EXPECT_EQ(rows, ref_rows);
-    EXPECT_EQ(srv.consensus(), ref_consensus);
-    EXPECT_EQ(srv.round(), 1u);
-    EXPECT_EQ(srv.channel().bytes_sent(), ref_channel.bytes_sent());
-    EXPECT_EQ(srv.channel().messages_sent(), ref_channel.messages_sent());
-    EXPECT_EQ(srv.channel().bits_corrupted(), ref_channel.bits_corrupted());
-    Rng ref_next = ref_rng;
-    EXPECT_EQ(rng.next_u64(), ref_next.next_u64());  // stream position
-    EXPECT_EQ(rep.present, n);
-    EXPECT_EQ(rep.contributors, n);
-    EXPECT_TRUE(rep.aggregated);
-  }
+  EXPECT_EQ(rows, ref_rows);
+  EXPECT_EQ(srv.consensus(), ref_consensus);
+  EXPECT_EQ(srv.round(), 1u);
+  EXPECT_EQ(srv.channel().bytes_sent(), ref_channel.bytes_sent());
+  EXPECT_EQ(srv.channel().messages_sent(), ref_channel.messages_sent());
+  EXPECT_EQ(srv.channel().bits_corrupted(), ref_channel.bits_corrupted());
+  Rng ref_next = ref_rng;
+  EXPECT_EQ(rng.next_u64(), ref_next.next_u64());  // stream position
+  EXPECT_EQ(rep.present, n);
+  EXPECT_EQ(rep.contributors, n);
+  EXPECT_TRUE(rep.aggregated);
 }
 
 TEST(CommunicateRound, FullParticipationMatchesScalarRound) {
@@ -279,8 +253,7 @@ TEST(CommunicateRound, PartialParticipationMatchesHandComputedAverage) {
   std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
   status[1] = AgentRoundStatus::Dropped;
   const std::vector<float> before = rows;
-  const RoundParticipationReport rep = run_round(
-      srv, rows, status, ParameterServer::RobustRoundOptions{}, rng);
+  const RoundParticipationReport rep = srv.communicate_round(rows, status, ParticipationPlan{}, rng);
 
   EXPECT_EQ(rep.present, 3u);
   EXPECT_EQ(rep.dropped, 1u);
@@ -321,15 +294,16 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   const AlphaSchedule schedule(n, 0.6, 20.0);
   ParameterServer srv(n, dim, schedule);
   Rng rng(17);
-  ParameterServer::RobustRoundOptions opts;
-  opts.straggler_lag = 1;
-  opts.stale_decay = 0.5;
+  ParticipationPlan plan;
+  plan.straggler_lag = 1;
+  plan.stale_decay = 0.5;
 
   // Round 0: agent 2 straggles — no fold yet, one pending upload.
   std::vector<float> rows = pack_rows(uploads);
   std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
   status[2] = AgentRoundStatus::Straggler;
-  RoundParticipationReport rep0 = run_round(srv, rows, status, opts, rng);
+  RoundParticipationReport rep0 =
+      srv.communicate_round(rows, status, plan, rng);
   EXPECT_EQ(rep0.stragglers, 1u);
   EXPECT_EQ(rep0.stale_folded, 0u);
   EXPECT_EQ(rep0.contributors, 2u);
@@ -348,7 +322,7 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   const std::vector<AgentRoundStatus> all_present(n,
                                                   AgentRoundStatus::Present);
   RoundParticipationReport rep1 =
-      run_round(srv, rows1, all_present, opts, rng);
+      srv.communicate_round(rows1, all_present, plan, rng);
   EXPECT_EQ(rep1.stale_folded, 1u);
   EXPECT_EQ(rep1.contributors, 4u);  // 3 on-time + 1 stale
   EXPECT_TRUE(srv.pending_uploads().empty());
@@ -360,7 +334,7 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   fresh.set_round(1);
   Rng fresh_rng(1234);
   std::vector<float> rows1b = pack_rows(uploads1);
-  run_round(fresh, rows1b, all_present, opts, fresh_rng);
+  fresh.communicate_round(rows1b, all_present, plan, fresh_rng);
   EXPECT_NE(rows1, rows1b);
 
   // And a mirror server restored from the captured pending state replays
@@ -375,18 +349,18 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   mirror.set_pending_uploads({carried});
   Rng mirror_rng(4321);
   std::vector<float> rows1c = pack_rows(uploads1);
-  run_round(mirror, rows1c, all_present, opts, mirror_rng);
+  mirror.communicate_round(rows1c, all_present, plan, mirror_rng);
   EXPECT_EQ(rows1c, rows1);
   EXPECT_TRUE(mirror.pending_uploads().empty());
 
   // Discard: lag beyond max_staleness never enters the buffer.
   ParameterServer srv2(n, dim, schedule);
-  opts.straggler_lag = 5;
-  opts.max_staleness = 4;
+  plan.straggler_lag = 5;
+  plan.max_staleness = 4;
   Rng rng2(19);
   std::vector<float> rows2 = pack_rows(uploads);
   RoundParticipationReport rep2 =
-      run_round(srv2, rows2, status, opts, rng2);
+      srv2.communicate_round(rows2, status, plan, rng2);
   EXPECT_EQ(rep2.stale_discarded, 1u);
   EXPECT_TRUE(srv2.pending_uploads().empty());
 }
@@ -404,11 +378,11 @@ TEST(CommunicateRound, L2ScreenExcludesNormOutlier) {
   std::vector<float> rows = pack_rows(uploads);
   std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
   status[3] = AgentRoundStatus::Byzantine;
-  ParameterServer::RobustRoundOptions opts;
-  opts.screening.l2_norm = true;
-  opts.screening.l2_factor = 3.0;
+  ParticipationPlan plan;
+  plan.screening.l2_norm = true;
+  plan.screening.l2_factor = 3.0;
   const RoundParticipationReport rep =
-      run_round(srv, rows, status, opts, rng);
+      srv.communicate_round(rows, status, plan, rng);
   EXPECT_EQ(rep.byzantine, 1u);
   EXPECT_EQ(rep.screened_out, 1u);
   EXPECT_EQ(rep.contributors, 3u);
@@ -445,10 +419,10 @@ TEST(CommunicateRound, TrimmedMeanReplacesPeerAverage) {
   Rng rng(29);
   std::vector<float> rows = pack_rows(uploads);
   const std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
-  ParameterServer::RobustRoundOptions opts;
-  opts.screening.trimmed_mean = true;
-  opts.screening.trim_k = 1;
-  run_round(srv, rows, status, opts, rng);
+  ParticipationPlan plan;
+  plan.screening.trimmed_mean = true;
+  plan.screening.trim_k = 1;
+  srv.communicate_round(rows, status, plan, rng);
 
   CommChannel ch(0.0);
   Rng ref_rng(29);
@@ -475,6 +449,99 @@ TEST(CommunicateRound, TrimmedMeanReplacesPeerAverage) {
     const std::vector<float> down = ch.transmit(agg, ref_rng);
     for (std::size_t d = 0; d < dim; ++d)
       EXPECT_EQ(rows[i * dim + d], down[d]) << "agent " << i << " dim " << d;
+  }
+}
+
+TEST(CommunicateRound, RowsOutsideTheRoundNeverReachItsResults) {
+  // The round matrix contract: a degraded round (a dropout, a straggler,
+  // an exhausted reliable upload) reads only its senders' rows, so what
+  // sits in the Dropped agent's row — zeros, or the NaN and garbage an
+  // earlier round may leave there — changes no receiver's downlink, the
+  // consensus, the staleness buffer or the stream position. The same
+  // holds with a server-fault hook striking the whole matrix: the int8
+  // strike draws the same trials per row whatever the row holds.
+  const std::size_t n = 6, dim = 24;
+  std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
+  status[1] = AgentRoundStatus::Dropped;
+  status[4] = AgentRoundStatus::Straggler;
+  ParticipationPlan plan;
+  plan.upload.enabled = true;
+  plan.upload.max_retries = 1;
+  FaultSpec spec;
+  spec.ber = 0.05;
+  const float garbage[] = {std::nanf(""),
+                           std::numeric_limits<float>::infinity(), -1e30f,
+                           3.0f};
+
+  struct Outcome {
+    RoundParticipationReport rep;
+    std::vector<float> downlinks;  // receivers' rows, in agent order
+    std::vector<float> consensus;
+    std::vector<ParameterServer::PendingUpload> pending;
+    std::uint64_t next_draw = 0;
+    std::uint64_t next_fault_draw = 0;
+  };
+  const auto run = [&](bool filled_with_garbage, bool hook) {
+    ParameterServer srv(n, dim, AlphaSchedule(n, 0.6, 20.0));
+    srv.channel().set_bit_error_rate(0.0025);
+    Rng fault_rng(4242);
+    if (hook)
+      srv.set_post_aggregate_rows_hook(
+          [&](std::size_t, std::span<float> rows, std::size_t row_dim) {
+            for (std::size_t i = 0; i < n; ++i)
+              inject_int8(rows.subspan(i * row_dim, row_dim), spec,
+                          fault_rng);
+          });
+    std::vector<float> rows(n * dim, 0.0f);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (sends_upload(status[i])) {
+        const std::vector<float> up = random_row(dim, 9100 + i);
+        std::copy(up.begin(), up.end(),
+                  rows.begin() + static_cast<std::ptrdiff_t>(i * dim));
+      } else if (filled_with_garbage) {
+        for (std::size_t d = 0; d < dim; ++d)
+          rows[i * dim + d] = garbage[d % 4];
+      }
+    }
+    Rng rng(31);
+    Outcome o;
+    o.rep = srv.communicate_round(rows, status, plan, rng);
+    for (std::size_t i = 0; i < n; ++i)
+      if (receives_downlink(status[i]) && !o.rep.upload_failed[i])
+        o.downlinks.insert(
+            o.downlinks.end(),
+            rows.begin() + static_cast<std::ptrdiff_t>(i * dim),
+            rows.begin() + static_cast<std::ptrdiff_t>((i + 1) * dim));
+    o.consensus = srv.consensus();
+    o.pending = srv.pending_uploads();
+    o.next_draw = rng.next_u64();
+    o.next_fault_draw = fault_rng.next_u64();
+    return o;
+  };
+
+  for (const bool hook : {false, true}) {
+    const Outcome zeros = run(false, hook);
+    const Outcome junk = run(true, hook);
+    // The round really is degraded: one dropout, one straggler, and an
+    // exhausted upload that left other receivers standing.
+    ASSERT_EQ(zeros.rep.dropped, 1u);
+    ASSERT_EQ(zeros.rep.stragglers, 1u);
+    ASSERT_GE(zeros.rep.uploads_failed, 1u);
+    ASSERT_FALSE(zeros.downlinks.empty());
+
+    EXPECT_EQ(junk.downlinks, zeros.downlinks) << "hook " << hook;
+    EXPECT_EQ(junk.consensus, zeros.consensus) << "hook " << hook;
+    EXPECT_EQ(junk.rep.upload_failed, zeros.rep.upload_failed);
+    EXPECT_EQ(junk.next_draw, zeros.next_draw) << "hook " << hook;
+    EXPECT_EQ(junk.next_fault_draw, zeros.next_fault_draw) << "hook " << hook;
+    ASSERT_EQ(junk.pending.size(), zeros.pending.size());
+    EXPECT_EQ(zeros.pending.size(), 1 + zeros.rep.uploads_failed);
+    for (std::size_t p = 0; p < zeros.pending.size(); ++p) {
+      EXPECT_EQ(junk.pending[p].agent, zeros.pending[p].agent);
+      EXPECT_EQ(junk.pending[p].deliver_round, zeros.pending[p].deliver_round);
+      EXPECT_EQ(junk.pending[p].weight, zeros.pending[p].weight);
+      EXPECT_EQ(junk.pending[p].data, zeros.pending[p].data);
+    }
   }
 }
 

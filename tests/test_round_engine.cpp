@@ -6,13 +6,13 @@
 ///  * snapshot/restore composes with parallel training (restore + retrain
 ///    replays the same bits at any fan-out);
 ///  * CommChannel::transmit_rows and the all-Present
-///    ParameterServer::communicate_round (hook on and off) are
-///    bit-identical to the scalar transmit / smoothing_average /
-///    mean_parameters round, RNG stream position included;
+///    ParameterServer::communicate_round are bit-identical to the scalar
+///    transmit / smoothing_average / mean_parameters round, RNG stream
+///    position included;
 ///  * the engine's row-matrix server-fault hook reproduces the historical
-///    per-agent-vector hook, and a plan-free engine runs the server's
-///    post-aggregate hook on every round;
-///  * at partial participation the round keeps O(participants) buffers.
+///    per-agent-vector hook, and the engine runs the server's
+///    post-aggregate hook on every round over the whole n x dim matrix,
+///    with or without a participation plan.
 
 #include "federated/round_engine.hpp"
 
@@ -80,8 +80,7 @@ TEST(BatchedChannel, TransmitRowsMatchesScalarTransmit) {
 
 TEST(BatchedServerRound, FullRoundMatchesFrozenScalarRound) {
   // A small round, then the gridworld policy's dimension at 4 and 12
-  // agents; in place (hook off) and through the aggregate matrix (hook
-  // on, as every plan-free engine round runs).
+  // agents.
   Rng init(31);
   const std::size_t grid_dim = make_gridworld_policy(init).parameter_count();
   const struct {
@@ -98,25 +97,21 @@ TEST(BatchedServerRound, FullRoundMatchesFrozenScalarRound) {
     const auto down = frozen_scalar_round(uploads, ref_channel,
                                           schedule.at(0), ref_rng,
                                           &ref_consensus);
-    for (const bool run_post_hook : {false, true}) {
-      ParameterServer server(c.n, c.dim, schedule);
-      server.channel().set_bit_error_rate(0.01);
-      Rng rng(5);
-      std::vector<float> rows = pack_rows(uploads);
-      const RoundParticipationReport rep =
-          full_round(server, rows, rng, run_post_hook);
-      EXPECT_EQ(rows, pack_rows(down)) << c.n << " x " << c.dim;
-      EXPECT_EQ(server.consensus(), ref_consensus);
-      EXPECT_EQ(server.round(), 1u);
-      EXPECT_EQ(rep.contributors, c.n);
-      EXPECT_EQ(server.channel().messages_sent(),
-                ref_channel.messages_sent());
-      EXPECT_EQ(server.channel().bytes_sent(), ref_channel.bytes_sent());
-      EXPECT_EQ(server.channel().bits_corrupted(),
-                ref_channel.bits_corrupted());
-      Rng ref_next = ref_rng;
-      EXPECT_EQ(rng.next_u64(), ref_next.next_u64());
-    }
+    ParameterServer server(c.n, c.dim, schedule);
+    server.channel().set_bit_error_rate(0.01);
+    Rng rng(5);
+    std::vector<float> rows = pack_rows(uploads);
+    const RoundParticipationReport rep = full_round(server, rows, rng);
+    EXPECT_EQ(rows, pack_rows(down)) << c.n << " x " << c.dim;
+    EXPECT_EQ(server.consensus(), ref_consensus);
+    EXPECT_EQ(server.round(), 1u);
+    EXPECT_EQ(rep.contributors, c.n);
+    EXPECT_EQ(server.channel().messages_sent(), ref_channel.messages_sent());
+    EXPECT_EQ(server.channel().bytes_sent(), ref_channel.bytes_sent());
+    EXPECT_EQ(server.channel().bits_corrupted(),
+              ref_channel.bits_corrupted());
+    Rng ref_next = ref_rng;
+    EXPECT_EQ(rng.next_u64(), ref_next.next_u64());
   }
 }
 
@@ -285,10 +280,9 @@ TEST(RoundEngine, ValidatesHooksAndConfig) {
   EXPECT_THROW(FederatedRoundEngine(cfg, 1, 2, hooks), Error);
 }
 
-/// Synthetic agent for the large-roster engine test: flat per-agent
-/// parameter rows, an "episode" that nudges one coordinate
-/// deterministically — rounds aggregate changing data at zero NN cost, so
-/// the test can afford 10^3-agent rosters.
+/// Synthetic agents for the engine hook test: flat per-agent parameter
+/// rows, an "episode" that nudges one coordinate deterministically —
+/// rounds aggregate changing data at zero NN cost.
 struct FleetHarness {
   std::size_t n, dim;
   std::vector<float> params;
@@ -317,32 +311,8 @@ struct FleetHarness {
   }
 };
 
-/// Stormy Gilbert–Elliott channel: bad-state flips and chunk erasure
-/// both active.
-BurstyChannelConfig stormy_channel() {
-  BurstyChannelConfig bursty;
-  bursty.active = true;
-  bursty.ber_good = 1e-4;
-  bursty.ber_bad = 0.05;
-  bursty.p_good_to_bad = 0.2;
-  bursty.p_bad_to_good = 0.25;
-  bursty.erasure_rate = 0.05;
-  bursty.chunk_elems = 16;
-  return bursty;
-}
-
-FederatedRoundEngine::Config fleet_config(std::size_t agents,
-                                          std::size_t dim) {
-  FederatedRoundEngine::Config cfg;
-  cfg.n_agents = agents;
-  cfg.parameter_dim = dim;
-  cfg.comm_interval = 1;
-  cfg.bursty_channel = stormy_channel();
-  return cfg;
-}
-
-/// Everything degraded at once: dropout windows thinning each round to
-/// ~10% participation, stragglers, Byzantine senders and L2 screening.
+/// Everything degraded at once: dropout windows thinning most rounds,
+/// stragglers, Byzantine senders and L2 screening.
 ParticipationPlan thin_plan() {
   ParticipationPlan plan;
   plan.active = true;
@@ -359,43 +329,31 @@ ParticipationPlan thin_plan() {
 }
 
 TEST(RoundEngine, PlanFreeRoundsRunTheServerHookEveryRound) {
-  // A hook installed on the server of an engine that arms no plan (how an
-  // outside harness fires its own server fault) must see every
-  // communication round, over the full n x dim aggregate.
+  // A hook installed on the server of an engine (how an outside harness
+  // fires its own server fault) must see every communication round, over
+  // the full n x dim round matrix — plan-free, and under an armed plan
+  // whose rounds drop, delay and screen agents.
   const std::size_t agents = 4, dim = 8;
-  FleetHarness h(agents, dim);
-  FederatedRoundEngine::Config cfg;
-  cfg.n_agents = agents;
-  cfg.parameter_dim = dim;
-  cfg.comm_interval = 2;
-  FederatedRoundEngine engine(cfg, 7, 0x7E57, h.hooks());
-  std::vector<std::size_t> seen;
-  engine.server()->set_post_aggregate_rows_hook(
-      [&](std::size_t round, std::span<float> rows, std::size_t row_dim) {
-        EXPECT_EQ(rows.size(), agents * row_dim);
-        seen.push_back(round);
-      });
-  engine.train(10);
-  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(FleetRound, RoundBufferMemoryScalesWithParticipants) {
-  // The O(participants) acceptance gate: at ~10% participation the
-  // engine's retained round buffers must stay under a quarter of the full
-  // n x dim matrix.
-  const struct {
-    std::size_t agents, dim;
-  } cases[] = {{1024, 64}, {64, 256}, {4096, 256}};
-  for (const auto& c : cases) {
-    const std::size_t full_bytes = c.agents * c.dim * sizeof(float);
-    FleetHarness h(c.agents, c.dim);
-    FederatedRoundEngine sys(fleet_config(c.agents, c.dim), 41, 0xF1EE7,
-                             h.hooks());
-    sys.set_participation_plan(thin_plan());
-    sys.train(6);
-    EXPECT_GT(sys.participation_stats().dropped, 0u);
-    EXPECT_LT(sys.round_buffer_bytes(), full_bytes / 4)
-        << c.agents << " agents: round buffers must scale with participants";
+  for (const bool armed : {false, true}) {
+    FleetHarness h(agents, dim);
+    FederatedRoundEngine::Config cfg;
+    cfg.n_agents = agents;
+    cfg.parameter_dim = dim;
+    cfg.comm_interval = 2;
+    FederatedRoundEngine engine(cfg, 7, 0x7E57, h.hooks());
+    if (armed) engine.set_participation_plan(thin_plan());
+    std::vector<std::size_t> seen;
+    engine.server()->set_post_aggregate_rows_hook(
+        [&](std::size_t round, std::span<float> rows, std::size_t row_dim) {
+          EXPECT_EQ(rows.size(), agents * row_dim);
+          seen.push_back(round);
+        });
+    engine.train(10);
+    EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3, 4}))
+        << (armed ? "armed plan" : "plan-free");
+    if (armed) {
+      EXPECT_GT(engine.participation_stats().dropped, 0u);
+    }
   }
 }
 

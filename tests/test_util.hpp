@@ -73,13 +73,10 @@ inline Tensor backward_through_layers(Network& net, Tensor grad_output) {
 /// `rows` holds agent i's upload in row i on entry and its downlink
 /// payload on return.
 inline RoundParticipationReport full_round(ParameterServer& srv,
-                                           std::span<float> rows, Rng& rng,
-                                           bool run_post_hook = true) {
-  std::vector<std::size_t> agents(srv.agent_count());
-  std::iota(agents.begin(), agents.end(), std::size_t{0});
+                                           std::span<float> rows, Rng& rng) {
   const std::vector<AgentRoundStatus> status(srv.agent_count(),
                                              AgentRoundStatus::Present);
-  return srv.communicate_round(rows, agents, status, {}, rng, run_post_hook);
+  return srv.communicate_round(rows, status, ParticipationPlan{}, rng);
 }
 
 /// The synchronous round composed from the scalar primitives
