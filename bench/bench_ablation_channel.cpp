@@ -82,18 +82,21 @@ int main(int argc, char** argv) {
                 {"channel BER", "SR %", "bits corrupted / round-trip"});
     for (double ber : bers) {
       RunningStats sr;
+      GridWorldFrlSystem::Config cfg;
+      cfg.channel_ber = ber;
+      std::size_t params = 0;
       for (std::size_t t = 0; t < args.trials; ++t) {
-        GridWorldFrlSystem::Config cfg;
-        cfg.channel_ber = ber;
         GridWorldFrlSystem sys(cfg, args.seed + t);
         sys.train(episodes);
         sr.add(100.0 * sys.evaluate_success_rate(8, args.seed + 7777 + t));
+        params = sys.agent_network(0).parameter_count();
       }
       std::ostringstream os;
       os << ber;
       // Expected corrupted bits per round-trip: 2 directions x n agents x
       // params x 8 bits x BER.
-      const double expected = 2.0 * 12.0 * 1540.0 * 8.0 * ber;
+      const double expected = 2.0 * static_cast<double>(cfg.n_agents) *
+                              static_cast<double>(params) * 8.0 * ber;
       table.row().cell(os.str()).num(sr.mean(), 1).num(expected, 1);
     }
     table.print();
@@ -126,10 +129,8 @@ int main(int argc, char** argv) {
           ParticipationPlan plan;
           plan.active = true;
           if (std::string(mode) == "L2") plan.screening.l2_norm = true;
-          if (std::string(mode) == "trimmed") {
+          if (std::string(mode) == "trimmed")
             plan.screening.trimmed_mean = true;
-            plan.screening.trim_k = 1;
-          }
           const CellResult cell = run_cell(args, episodes, cfg, plan);
           table.row()
               .num(len, 0)

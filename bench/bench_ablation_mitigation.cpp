@@ -1,5 +1,5 @@
 /// \file bench_ablation_mitigation.cpp
-/// Ablations over the mitigation design choices DESIGN.md calls out:
+/// Ablations over the §V mitigation design choices:
 ///  * server checkpoint interval (paper fixes 5 communication rounds),
 ///  * reward-drop detector (p, k),
 ///  * range-detector margin (paper fixes 10%).

@@ -97,8 +97,6 @@ int main(int argc, char** argv) {
       plan.active = true;
       plan.straggler_rate = 0.3;
       plan.straggler_lag = lag;
-      plan.stale_decay = 0.5;
-      plan.max_staleness = 4;
       const CellResult cell = run_cell(args, episodes, plan);
       table.row()
           .cell(std::to_string(lag))
@@ -121,10 +119,8 @@ int main(int argc, char** argv) {
             sweep_config().n_agents, fraction, args.seed + 17);
         if (mode == 1) {
           plan.screening.l2_norm = true;
-          plan.screening.l2_factor = 3.0;
         } else if (mode == 2) {
           plan.screening.trimmed_mean = true;
-          plan.screening.trim_k = 1;
         }
         const CellResult cell = run_cell(args, episodes, plan);
         table.row()

@@ -5,8 +5,8 @@
 /// benches: (fault episode) x (BER) safe-flight-distance heatmaps.
 ///
 /// Scale note: the paper fine-tunes for 6000 episodes; the default here is
-/// 150 (a 40x scale-down recorded in EXPERIMENTS.md). Columns are placed
-/// proportionally across the fine-tuning span.
+/// 150, a 40x scale-down for runtime. Columns are placed proportionally
+/// across the fine-tuning span.
 
 #include <cstdint>
 #include <vector>

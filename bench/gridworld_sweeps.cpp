@@ -12,8 +12,8 @@ std::vector<std::size_t> default_columns(std::size_t episodes) {
   // Fault-episode columns, densified toward the end of training: this
   // implementation's TD learner re-converges roughly an order of magnitude
   // faster than the paper's setup, so the paper's late-episode degradation
-  // gradient is compressed into the last few percent of the budget (see
-  // EXPERIMENTS.md). Percentages of the episode budget:
+  // gradient is compressed into the last few percent of the budget.
+  // Percentages of the episode budget:
   const double fractions[] = {0.0,  0.20, 0.40, 0.60, 0.80,
                               0.90, 0.94, 0.96, 0.98, 0.999};
   std::vector<std::size_t> cols;

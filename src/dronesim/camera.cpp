@@ -47,7 +47,7 @@ Tensor DroneCamera::render(const std::vector<double>& depths) const {
                static_cast<float>(depth_norm),
                d >= opts_.max_range
                    ? 0.0
-                   : std::min(horizon, opts_.size_k / std::max(d, 1.0))};
+                   : std::min(horizon, kSizeK / std::max(d, 1.0))};
   }
 
   Tensor img({3, h, w});

@@ -25,9 +25,10 @@ class DroneCamera {
     double fov = 1.5708;
     /// Maximum sensed depth [m].
     double max_range = 60.0;
-    /// Apparent-size constant: an obstacle at depth d spans ~size_k/d rows.
-    double size_k = 36.0;
   };
+
+  /// Apparent-size constant: an obstacle at depth d spans ~kSizeK/d rows.
+  static constexpr double kSizeK = 36.0;
 
   /// Camera with default geometry.
   DroneCamera() : DroneCamera(Options{}) {}

@@ -28,8 +28,7 @@ std::pair<double, double> DroneNavEnv::decode_action(std::size_t action) const {
   FRLFI_CHECK_MSG(action < 25, "action " << action);
   const std::size_t yaw_idx = action / 5;    // 0..4
   const std::size_t speed_idx = action % 5;  // 0..4
-  const double yaw =
-      opts_.max_yaw_step * (static_cast<double>(yaw_idx) - 2.0) / 2.0;
+  const double yaw = kMaxYawStep * (static_cast<double>(yaw_idx) - 2.0) / 2.0;
   const double speed =
       opts_.min_speed + (opts_.max_speed - opts_.min_speed) *
                             static_cast<double>(speed_idx) / 4.0;
@@ -37,16 +36,13 @@ std::pair<double, double> DroneNavEnv::decode_action(std::size_t action) const {
 }
 
 Tensor DroneNavEnv::reset(Rng& rng) {
-  if (opts_.randomize_world) {
-    // New world variant each episode, derived purely from the caller's
-    // RNG stream so a replayed stream reproduces the same worlds.
-    const std::uint64_t variant = base_seed_ ^ rng.next_u64();
-    world_ = ObstacleWorld(variant, world_.options());
-  }
+  // New world variant each episode, derived purely from the caller's RNG
+  // stream so a replayed stream reproduces the same worlds.
+  const std::uint64_t variant = base_seed_ ^ rng.next_u64();
+  world_ = ObstacleWorld(variant, world_.options());
   state_ = DroneState{};
-  if (opts_.randomize_world || !near_.centred_on(state_.position))
-    near_ = ObstacleNeighbourhood(world_, state_.position,
-                                  camera_.options().max_range);
+  near_ = ObstacleNeighbourhood(world_, state_.position,
+                                camera_.options().max_range);
   // Launch toward open space: scan 16 candidate headings and take the
   // clearest (with a small random jitter). A blind random heading next to
   // the tight spawn clearance would make even perfect pilots start boxed
@@ -89,12 +85,12 @@ StepResult DroneNavEnv::step(std::size_t action, Rng& rng) {
   StepResult result;
   bool crashed = false;
   const int sub_steps =
-      std::max(1, static_cast<int>(std::ceil(travel / opts_.body_radius)));
+      std::max(1, static_cast<int>(std::ceil(travel / kBodyRadius)));
   for (int s = 1; s <= sub_steps && !crashed; ++s) {
     const double t = travel * static_cast<double>(s) /
                      static_cast<double>(sub_steps);
     const Vec2 p{state_.position.x + dir.x * t, state_.position.y + dir.y * t};
-    if (near_.clearance(p, 10.0) < opts_.body_radius) {
+    if (near_.clearance(p, 10.0) < kBodyRadius) {
       crashed = true;
       state_.position = p;
       state_.distance += t;
@@ -129,10 +125,10 @@ StepResult DroneNavEnv::step(std::size_t action, Rng& rng) {
     } else if (steps_ >= opts_.max_steps) {
       result.done = true;
       result.success = false;
-    } else if (steps_ - stall_anchor_step_ >= opts_.stall_window_steps) {
+    } else if (steps_ - stall_anchor_step_ >= kStallWindowSteps) {
       const double dx = state_.position.x - stall_anchor_.x;
       const double dy = state_.position.y - stall_anchor_.y;
-      if (std::sqrt(dx * dx + dy * dy) < opts_.stall_min_displacement) {
+      if (std::sqrt(dx * dx + dy * dy) < kStallMinDisplacement) {
         // Spinning/stalled: the navigation mission has failed even though
         // nothing was hit.
         result.done = true;

@@ -29,12 +29,23 @@ struct DroneState {
 /// action space: 5 yaw-rate commands x 5 forward-speed commands.
 class DroneNavEnv final : public Environment {
  public:
-  /// Task parameters.
+  /// The 5 yaw commands span [-kMaxYawStep, kMaxYawStep] [rad per step].
+  static constexpr double kMaxYawStep = 0.70;
+  /// Drone body radius for collision tests [m].
+  static constexpr double kBodyRadius = 0.5;
+  /// Stall detection: a navigation mission fails when the drone's net
+  /// displacement over kStallWindowSteps steps stays below
+  /// kStallMinDisplacement metres. This terminates degenerate behaviours
+  /// (a faulted policy spinning in place would otherwise accrue unbounded
+  /// "safe" distance without ever meeting an obstacle).
+  static constexpr std::size_t kStallWindowSteps = 40;
+  static constexpr double kStallMinDisplacement = 6.0;
+
+  /// Task parameters. Every reset() flies a fresh world variant drawn
+  /// from the reset RNG.
   struct Options {
     /// Simulation step [s].
     double dt = 0.5;
-    /// The 5 yaw commands [rad per step].
-    double max_yaw_step = 0.70;
     /// The 5 speed commands span [min_speed, max_speed] [m/s].
     double min_speed = 1.0;
     double max_speed = 5.0;
@@ -45,18 +56,6 @@ class DroneNavEnv final : public Environment {
     std::size_t max_steps = 400;
     /// Collision penalty in the reward.
     float crash_penalty = -4.0f;
-    /// Drone body radius for collision tests [m].
-    double body_radius = 0.5;
-    /// Each episode uses a fresh world variant (drawn from the reset RNG)
-    /// when true; a fixed world when false.
-    bool randomize_world = true;
-    /// Stall detection: a navigation mission fails when the drone's net
-    /// displacement over `stall_window_steps` steps stays below
-    /// `stall_min_displacement` metres. This terminates degenerate
-    /// behaviours (a faulted policy spinning in place would otherwise
-    /// accrue unbounded "safe" distance without ever meeting an obstacle).
-    std::size_t stall_window_steps = 40;
-    double stall_min_displacement = 6.0;
     /// Obstacle-field statistics.
     ObstacleWorld::Options world;
   };

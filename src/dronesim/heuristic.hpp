@@ -4,7 +4,7 @@
 /// A depth-greedy reference pilot. Two uses:
 ///  * teacher for the offline imitation phase of DroneNav policy
 ///    pretraining (the substitution for PEDRA's long offline REINFORCE
-///    run — see DESIGN.md), and
+///    run — see DroneFrlSystem in frl/drone_system.hpp), and
 ///  * a model-based baseline to sanity-check the learned policy against.
 
 #include <cstddef>

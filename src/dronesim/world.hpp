@@ -2,8 +2,9 @@
 
 /// \file world.hpp
 /// The drone's flight world: an unbounded 2.5-D plane scattered with
-/// cylindrical obstacles (tree trunks / poles / building corners), the
-/// substitution for PEDRA's Unreal environments documented in DESIGN.md.
+/// cylindrical obstacles (tree trunks / poles / building corners). It
+/// stands in for PEDRA's Unreal environments, which a laptop-scale,
+/// bit-reproducible campaign cannot run.
 /// Obstacles are generated procedurally and *deterministically* from the
 /// world seed via coordinate hashing, so the world is infinite, needs no
 /// storage, and every (seed, position) query is reproducible.

@@ -6,7 +6,7 @@
 /// reach goal avoiding hells. Rewards: -1 crash, +1 goal, +0.1 moving
 /// closer to the goal (Manhattan), -0.1 moving away.
 ///
-/// Faithfulness note (also recorded in DESIGN.md): the paper describes the
+/// Faithfulness note: the paper describes the
 /// observation as only the four neighbouring cells (|S| = 3^4 = 81). That
 /// observation is not sufficient to navigate toward an unseen goal, so — to
 /// reach the paper's ~98% baseline success rate — the observation here is

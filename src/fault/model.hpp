@@ -72,7 +72,7 @@ struct FaultSpec {
 /// Display name of a fault model ("Trans-M", "Stuck-at-0", ...).
 std::string to_string(FaultModel m);
 
-/// Display name of a fault site ("agent", "server", "activations").
+/// Display name of a fault site ("agent", "server").
 std::string to_string(FaultSite s);
 
 }  // namespace frlfi

@@ -64,11 +64,8 @@ std::vector<float> mean_parameters(
 }
 
 void trimmed_mean_rows(const float* const* rows, std::size_t m,
-                       std::size_t dim, std::size_t trim_k, float* scratch,
-                       float* out) {
-  FRLFI_CHECK_MSG(m > 2 * trim_k,
-                  "trimmed mean needs > 2k rows, got " << m << " for k "
-                                                       << trim_k);
+                       std::size_t dim, float* scratch, float* out) {
+  FRLFI_CHECK_MSG(m > 2, "trimmed mean needs > 2 rows, got " << m);
   // Non-finite values (NaN from a corrupted row breaks std::sort's strict
   // weak ordering) rank above every finite value, landing in the trimmed
   // upper tail.
@@ -78,13 +75,12 @@ void trimmed_mean_rows(const float* const* rows, std::size_t m,
     if (!fa) return false;
     return a < b;
   };
-  const auto inv =
-      static_cast<float>(1.0 / static_cast<double>(m - 2 * trim_k));
+  const auto inv = static_cast<float>(1.0 / static_cast<double>(m - 2));
   for (std::size_t d = 0; d < dim; ++d) {
     for (std::size_t j = 0; j < m; ++j) scratch[j] = rows[j][d];
     std::sort(scratch, scratch + m, less);
     float acc = 0.0f;
-    for (std::size_t j = trim_k; j < m - trim_k; ++j) acc += scratch[j];
+    for (std::size_t j = 1; j < m - 1; ++j) acc += scratch[j];
     out[d] = acc * inv;
   }
 }

@@ -48,15 +48,13 @@ std::vector<std::vector<float>> smoothing_average(
 std::vector<float> mean_parameters(const std::vector<std::vector<float>>& uploads);
 
 /// Coordinate-wise trimmed mean over m (possibly non-contiguous) rows:
-/// for each coordinate, sort the m contributed values, drop the trim_k
-/// smallest and trim_k largest, and average the rest in sorted order.
-/// Non-finite values sort to the top end, so a NaN/Inf garbage row is
-/// among the first trimmed. Requires m > 2 * trim_k; `out` holds dim
-/// floats. This is the robust-aggregation peer estimate used by
-/// ScreeningConfig::trimmed_mean. `scratch` must hold m floats (the
-/// per-coordinate gather buffer).
+/// for each coordinate, sort the m contributed values, drop the smallest
+/// and the largest, and average the rest in sorted order. Non-finite
+/// values sort to the top end, so a NaN/Inf garbage row is the first
+/// trimmed. Requires m > 2; `out` holds dim floats. This is the
+/// robust-aggregation peer estimate used by ScreeningConfig::trimmed_mean.
+/// `scratch` must hold m floats (the per-coordinate gather buffer).
 void trimmed_mean_rows(const float* const* rows, std::size_t m,
-                       std::size_t dim, std::size_t trim_k, float* scratch,
-                       float* out);
+                       std::size_t dim, float* scratch, float* out);
 
 }  // namespace frlfi

@@ -213,14 +213,15 @@ CommChannel::UploadOutcome CommChannel::transmit_reliable(
   const auto clean = [&] {
     return std::equal(row, row + dim, orig_.begin());
   };
-  double elapsed = cfg.attempt_timeout;
+  double elapsed = kUploadAttemptSeconds;
   transmit_rows(row, 1, dim, rng);
   while (!clean()) {
     if (out.attempts > cfg.max_retries) break;
-    const double backoff =
-        cfg.backoff_base * std::ldexp(1.0, static_cast<int>(out.attempts) - 1);
-    if (elapsed + backoff + cfg.attempt_timeout > cfg.deadline) break;
-    elapsed += backoff + cfg.attempt_timeout;
+    const double backoff = kUploadBackoffSeconds *
+                           std::ldexp(1.0, static_cast<int>(out.attempts) - 1);
+    if (elapsed + backoff + kUploadAttemptSeconds > kUploadDeadlineSeconds)
+      break;
+    elapsed += backoff + kUploadAttemptSeconds;
     out.backoff += backoff;
     ++out.attempts;
     retransmit_bytes_ += dim + sizeof(float);

@@ -74,6 +74,17 @@ inline bool bursty_degenerate(const BurstyChannelConfig& cfg) {
   return cfg.ber_good == cfg.ber_bad && cfg.erasure_rate == 0.0;
 }
 
+/// Simulated seconds charged per upload transmit attempt.
+inline constexpr double kUploadAttemptSeconds = 1.0;
+
+/// Backoff before upload retry k is kUploadBackoffSeconds * 2^(k-1)
+/// simulated seconds.
+inline constexpr double kUploadBackoffSeconds = 0.5;
+
+/// Total simulated time budget per upload (attempts + backoff); an upload
+/// stops retrying once the next attempt would overrun it.
+inline constexpr double kUploadDeadlineSeconds = 16.0;
+
 /// Checksum/retry/timeout upload protocol. The checksum is idealized: an
 /// attempt is delivered iff the payload arrived bit-exact (a CRC over the
 /// quantized wire words detecting every corruption). With max_retries ==
@@ -82,15 +93,9 @@ inline bool bursty_degenerate(const BurstyChannelConfig& cfg) {
 /// byte-for-byte the plain transmit path (the degenerate lock).
 struct UploadProtocolConfig {
   bool enabled = false;
-  /// Retransmissions allowed after the first attempt.
+  /// Retransmissions allowed after the first attempt, within
+  /// kUploadDeadlineSeconds.
   std::size_t max_retries = 3;
-  /// Simulated seconds charged per transmit attempt.
-  double attempt_timeout = 1.0;
-  /// Backoff before retry k is backoff_base * 2^(k-1) simulated seconds.
-  double backoff_base = 0.5;
-  /// Total simulated time budget per upload (attempts + backoff); an
-  /// upload stops retrying once the next attempt would overrun it.
-  double deadline = 16.0;
 };
 
 /// True when the protocol can actually retry (and therefore changes the

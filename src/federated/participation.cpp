@@ -15,24 +15,9 @@ void validate_participation_plan(const ParticipationPlan& plan,
                   "straggler_rate " << plan.straggler_rate);
   FRLFI_CHECK_MSG(plan.crash_rounds >= 1, "crash_rounds must be >= 1");
   FRLFI_CHECK_MSG(plan.straggler_lag >= 1, "straggler_lag must be >= 1");
-  FRLFI_CHECK_MSG(plan.stale_decay > 0.0 && plan.stale_decay <= 1.0,
-                  "stale_decay " << plan.stale_decay);
   for (std::size_t agent : plan.byzantine_agents)
     FRLFI_CHECK_MSG(agent < n_agents,
                     "byzantine agent " << agent << " of " << n_agents);
-  if (plan.screening.l2_norm)
-    FRLFI_CHECK_MSG(plan.screening.l2_factor > 1.0,
-                    "l2_factor " << plan.screening.l2_factor);
-  if (plan.screening.trimmed_mean)
-    FRLFI_CHECK_MSG(plan.screening.trim_k >= 1, "trim_k must be >= 1");
-  if (plan.upload.enabled) {
-    FRLFI_CHECK_MSG(plan.upload.attempt_timeout > 0.0,
-                    "upload attempt_timeout " << plan.upload.attempt_timeout);
-    FRLFI_CHECK_MSG(plan.upload.backoff_base >= 0.0,
-                    "upload backoff_base " << plan.upload.backoff_base);
-    FRLFI_CHECK_MSG(plan.upload.deadline > 0.0,
-                    "upload deadline " << plan.upload.deadline);
-  }
 }
 
 AgentRoundStatus resolve_agent_round_status(const ParticipationPlan& plan,

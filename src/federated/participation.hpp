@@ -41,7 +41,7 @@ enum class AgentRoundStatus : std::uint8_t {
   Dropped,
   /// Uploaded, but the payload spends `straggler_lag` rounds in flight;
   /// no downlink this round. The server folds the stale row in on arrival
-  /// with weight stale_decay^lag (or discards it past max_staleness).
+  /// with weight kStaleDecay^lag (or discards it past kMaxStaleness).
   Straggler,
   /// Uploaded garbage (a fault, not a schedule): aggregated unless
   /// screening excludes it; still receives the downlink.
@@ -58,20 +58,29 @@ inline bool receives_downlink(AgentRoundStatus s) {
   return s == AgentRoundStatus::Present || s == AgentRoundStatus::Byzantine;
 }
 
+/// Fold weight of a stale row is kStaleDecay^lag.
+inline constexpr double kStaleDecay = 0.5;
+
+/// Uploads later than this many rounds are discarded, not folded.
+inline constexpr std::size_t kMaxStaleness = 4;
+
+/// The L2 screen excludes a row whose norm is more than this factor
+/// times the (lower) median contributor norm away in either direction.
+inline constexpr double kL2ScreenFactor = 3.0;
+
 /// Server-side Byzantine screening configuration (§ robust aggregation).
 struct ScreeningConfig {
-  /// Exclude contributed rows whose L2 norm is more than `l2_factor`
-  /// times the (lower) median contributor norm away in either direction,
+  /// Exclude contributed rows whose L2 norm is off the (lower) median
+  /// contributor norm by more than kL2ScreenFactor in either direction,
   /// and any non-finite row. Median zero disables the ratio test.
   bool l2_norm = false;
-  double l2_factor = 3.0;
   /// Replace the peer average with the coordinate-wise trimmed mean over
-  /// all contributors (self included), dropping the `trim_k` smallest and
-  /// largest values per coordinate. Needs > 2*trim_k contributors; rounds
-  /// below that fall back to the weighted average. Stale-row fold weights
-  /// are ignored under trimming (rank statistics have no natural weights).
+  /// all contributors (self included), dropping the smallest and largest
+  /// value per coordinate (trimmed_mean_rows). Needs > 2 contributors;
+  /// rounds below that fall back to the weighted average. Stale-row fold
+  /// weights are ignored under trimming (rank statistics have no natural
+  /// weights).
   bool trimmed_mean = false;
-  std::size_t trim_k = 1;
 };
 
 /// Declarative degraded-participation scenario. Inactive plans change
@@ -86,12 +95,9 @@ struct ParticipationPlan {
   std::size_t crash_rounds = 1;
   /// Per-(round, agent) probability an upload is delayed.
   double straggler_rate = 0.0;
-  /// Rounds late a delayed upload arrives.
+  /// Rounds late a delayed upload arrives; past kMaxStaleness the upload
+  /// is discarded.
   std::size_t straggler_lag = 1;
-  /// Fold weight of a stale row is stale_decay^lag, in (0, 1].
-  double stale_decay = 0.5;
-  /// Uploads later than this many rounds are discarded, not folded.
-  std::size_t max_staleness = 4;
   /// Fixed set of garbage senders (see pick_byzantine_agents); their
   /// rows are uniform in [-kByzantineMagnitude, +kByzantineMagnitude].
   std::vector<std::size_t> byzantine_agents;
@@ -100,7 +106,7 @@ struct ParticipationPlan {
   /// Checksum/retry/backoff upload protocol for on-time senders. An
   /// upload that exhausts its retry/deadline budget degrades into this
   /// plane: its clean payload folds in straggler_lag rounds late through
-  /// the staleness buffer, or is dropped past max_staleness. A
+  /// the staleness buffer, or is dropped past kMaxStaleness. A
   /// zero-retry protocol is locked bit-identical to the plain plan path.
   UploadProtocolConfig upload;
 };

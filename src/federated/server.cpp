@@ -26,7 +26,6 @@ RoundParticipationReport ParameterServer::communicate_round(
                   "round matrix holds " << rows.size() << " floats for "
                                         << n_ << " x " << dim_);
   FRLFI_CHECK(plan.straggler_lag >= 1);
-  FRLFI_CHECK(plan.stale_decay > 0.0 && plan.stale_decay <= 1.0);
   const auto row = [&](std::size_t i) { return rows.data() + i * dim_; };
 
   RoundParticipationReport rep;
@@ -47,13 +46,13 @@ RoundParticipationReport ParameterServer::communicate_round(
   const bool reliable = reliable_upload_armed(plan.upload);
 
   // A late upload enters the staleness buffer, to be folded
-  // `straggler_lag` rounds from now with weight stale_decay^lag.
+  // `straggler_lag` rounds from now with weight kStaleDecay^lag.
   const auto defer = [&](std::size_t agent) {
     PendingUpload p;
     p.agent = agent;
     p.deliver_round = round_ + plan.straggler_lag;
     p.weight = static_cast<float>(
-        std::pow(plan.stale_decay, static_cast<double>(plan.straggler_lag)));
+        std::pow(kStaleDecay, static_cast<double>(plan.straggler_lag)));
     p.data.assign(row(agent), row(agent) + dim_);
     pending_.push_back(std::move(p));
   };
@@ -64,7 +63,7 @@ RoundParticipationReport ParameterServer::communicate_round(
   // exhausts its retry/deadline budget degrades into the participation
   // plane right here — its clean payload (what the eventual late
   // retransmission delivers) enters the staleness buffer with the
-  // straggler fold weight, or is dropped past max_staleness.
+  // straggler fold weight, or is dropped past kMaxStaleness.
   upload_ptrs_.resize(m_send);
   for (std::size_t j = 0; j < m_send; ++j) upload_ptrs_[j] = row(senders_[j]);
   upload_failed_.assign(n_, 0);
@@ -86,7 +85,7 @@ RoundParticipationReport ParameterServer::communicate_round(
       const std::size_t i = senders_[j];
       upload_failed_[i] = 1;
       ++rep.uploads_failed;
-      if (plan.straggler_lag <= plan.max_staleness) {
+      if (plan.straggler_lag <= kMaxStaleness) {
         defer(i);
         ++rep.failed_stale;
       } else {
@@ -99,10 +98,10 @@ RoundParticipationReport ParameterServer::communicate_round(
   }
 
   // Stragglers: the post-channel payload enters the staleness buffer — or
-  // is discarded outright past max_staleness.
+  // is discarded outright past kMaxStaleness.
   for (std::size_t i = 0; i < n_; ++i) {
     if (status[i] != AgentRoundStatus::Straggler) continue;
-    if (plan.straggler_lag > plan.max_staleness) {
+    if (plan.straggler_lag > kMaxStaleness) {
       ++rep.stale_discarded;
       continue;
     }
@@ -138,9 +137,9 @@ RoundParticipationReport ParameterServer::communicate_round(
   }
 
   // L2-norm screen: exclude rows whose norm is off the (lower-)median
-  // contributor norm by more than l2_factor in either direction, plus any
-  // non-finite row. The median row itself always survives, so the screen
-  // can never empty a finite candidate set.
+  // contributor norm by more than kL2ScreenFactor in either direction,
+  // plus any non-finite row. The median row itself always survives, so
+  // the screen can never empty a finite candidate set.
   if (plan.screening.l2_norm && !cand_rows_.empty()) {
     const std::size_t m = cand_rows_.size();
     norms_.resize(m);
@@ -160,13 +159,13 @@ RoundParticipationReport ParameterServer::communicate_round(
                 return a < b;
               });
     const double median = norms_sorted_[(m - 1) / 2];
-    const double f = plan.screening.l2_factor;
     std::size_t kept = 0;
     for (std::size_t j = 0; j < m; ++j) {
       const bool excluded =
           !std::isfinite(norms_[j]) ||
           (std::isfinite(median) && median > 0.0 &&
-           (norms_[j] > f * median || norms_[j] * f < median));
+           (norms_[j] > kL2ScreenFactor * median ||
+            norms_[j] * kL2ScreenFactor < median));
       if (excluded) {
         ++rep.screened_out;
         // Clear the on-time flag so the agent's receiver combine no
@@ -198,14 +197,12 @@ RoundParticipationReport ParameterServer::communicate_round(
   for (std::size_t j = 0; j < cand_rows_.size(); ++j)
     axpy(cand_weights_[j], cand_rows_[j], total_.data(), dim_);
 
-  const bool trim = plan.screening.trimmed_mean &&
-                    cand_rows_.size() > 2 * plan.screening.trim_k;
+  const bool trim = plan.screening.trimmed_mean && cand_rows_.size() > 2;
   if (trim) {
     trim_out_.resize(dim_);
     trim_scratch_.resize(cand_rows_.size());
     trimmed_mean_rows(cand_rows_.data(), cand_rows_.size(), dim_,
-                      plan.screening.trim_k, trim_scratch_.data(),
-                      trim_out_.data());
+                      trim_scratch_.data(), trim_out_.data());
   }
 
   // Receivers (a subset of senders), in agent order. A failed uploader's

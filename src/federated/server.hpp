@@ -57,7 +57,7 @@ class ParameterServer {
 
   /// A straggler upload in flight: the post-channel payload of `agent`'s
   /// round-r upload, folded into round `deliver_round`'s aggregate with
-  /// `weight` = stale_decay^lag. Part of the server's training state —
+  /// `weight` = kStaleDecay^lag. Part of the server's training state —
   /// the engine captures/restores it across snapshots.
   struct PendingUpload {
     std::size_t agent = 0;
@@ -78,9 +78,9 @@ class ParameterServer {
   /// down: on return it holds the agent's downlink payload. A sender that
   /// does not receive keeps its post-channel upload (its clean payload
   /// after a failed reliable upload); the caller scatters receivers only.
-  /// `plan` supplies the straggler lag, stale decay, staleness bound,
-  /// screening and upload protocol; the server reads nothing else of it
-  /// (statuses arrive resolved). With every agent Present, screening off,
+  /// `plan` supplies the straggler lag, screening and upload protocol;
+  /// the server reads nothing else of it (statuses arrive resolved).
+  /// With every agent Present, screening off,
   /// no retry protocol and nothing stale due, this is the paper's
   /// synchronous round: every weight is 1, so the aggregate equals the
   /// scalar smoothing_average of the post-channel uploads bit for bit.

@@ -17,12 +17,16 @@
 namespace frlfi {
 namespace {
 
+/// Momentum-SGD learning rate of the offline imitation phase.
+constexpr float kImitationLearningRate = 5e-3f;
+
 /// Cache key over every knob pretrain() consumes, absorbed field by field
 /// through the shared tag mixer (floats/doubles by bit pattern). Distinct
 /// configs must never alias one slot — under pool-parallel campaign
 /// cells an alias would make which config wins the call_once fill
 /// thread-schedule dependent. When pretrain() grows a new input, add it
-/// here.
+/// here. The learner options are not inputs: pretraining runs no
+/// REINFORCE episode.
 std::uint64_t pretraining_cache_key(const DroneFrlSystem::Config& cfg,
                                     std::uint64_t seed) {
   const auto f = [](float v) {
@@ -31,16 +35,11 @@ std::uint64_t pretraining_cache_key(const DroneFrlSystem::Config& cfg,
   const auto d = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   const DroneNavEnv::Options& e = cfg.env;
   const ObstacleWorld::Options& w = e.world;
-  const ReinforceTrainer::Options& l = cfg.learner;
   return Rng::mix_tags(
-      seed,
-      {cfg.imitation_episodes, cfg.pretrain_reinforce_episodes,
-       f(cfg.imitation_lr), f(l.gamma), f(l.learning_rate), l.max_steps,
-       f(l.baseline_beta), d(e.dt), d(e.max_yaw_step), d(e.min_speed),
-       d(e.max_speed), d(e.max_distance), e.max_steps, f(e.crash_penalty),
-       d(e.body_radius), static_cast<std::uint64_t>(e.randomize_world),
-       e.stall_window_steps, d(e.stall_min_displacement), d(w.cell_size),
-       d(w.density), d(w.min_radius), d(w.max_radius), d(w.spawn_clearance)});
+      seed, {cfg.imitation_episodes, d(e.dt), d(e.min_speed), d(e.max_speed),
+             d(e.max_distance), e.max_steps, f(e.crash_penalty),
+             d(w.cell_size), d(w.density), d(w.min_radius), d(w.max_radius),
+             d(w.spawn_clearance)});
 }
 
 }  // namespace
@@ -50,7 +49,8 @@ DroneFrlSystem::Config::Config() {
   learner.gamma = 0.97f;
   learner.learning_rate = 2e-4f;
   // Default fine-tuning environment: faster steps so a 750 m flight fits
-  // in a few hundred decisions (see DESIGN.md runtime budget).
+  // in a few hundred decisions (~135 at top speed), which keeps an
+  // episode, and so every drone bench, cheap.
   env.dt = 0.75;
   env.min_speed = 1.5;
   env.max_speed = 7.5;
@@ -96,49 +96,36 @@ std::vector<float> DroneFrlSystem::pretrain(const Config& cfg,
   DroneNavEnv env(seed ^ 0x0FF11E5EEDULL, cfg.env, DroneCamera::Options{});
   HeuristicPilot pilot(env);
 
-  // Phase 1: DAgger-style imitation. The *student* increasingly drives
-  // (so training covers the states the student will actually visit — plain
-  // behaviour cloning suffers compounding drift), while every visited
-  // state is labelled by the teacher and regressed with cross-entropy
+  // DAgger-style imitation. The *student* increasingly drives (so training
+  // covers the states the student will actually visit — plain behaviour
+  // cloning suffers compounding drift), while every visited state is
+  // labelled by the teacher and regressed with cross-entropy
   // (policy-gradient grad at advantage 1).
-  {
-    SgdOptimizer opt(net, {.learning_rate = cfg.imitation_lr,
-                           .momentum = 0.9f,
-                           .clip_norm = 5.0f});
-    std::size_t batch = 0;
-    Tape tape;
-    for (std::size_t ep = 0; ep < cfg.imitation_episodes; ++ep) {
-      Rng ep_rng = rng.split(1000 + ep);
-      const double p_student =
-          0.9 * static_cast<double>(ep) /
-          static_cast<double>(std::max<std::size_t>(1, cfg.imitation_episodes));
-      Tensor obs = env.reset(ep_rng);
-      for (std::size_t t = 0; t < cfg.env.max_steps; ++t) {
-        const std::size_t teacher = pilot.act(env);
-        tape.clear();
-        const Tensor logits = net.forward(obs, tape);
-        net.backward(policy_gradient_grad(logits, teacher, 1.0f), tape, 0);
-        if (++batch % 16 == 0) opt.step();
-        const std::size_t drive =
-            ep_rng.bernoulli(p_student) ? logits.argmax() : teacher;
-        StepResult r = env.step(drive, ep_rng);
-        if (r.done) break;
-        obs = std::move(r.observation);
-      }
-      opt.step();
+  SgdOptimizer opt(net, {.learning_rate = kImitationLearningRate,
+                         .momentum = 0.9f,
+                         .clip_norm = 5.0f});
+  std::size_t batch = 0;
+  Tape tape;
+  for (std::size_t ep = 0; ep < cfg.imitation_episodes; ++ep) {
+    Rng ep_rng = rng.split(1000 + ep);
+    const double p_student =
+        0.9 * static_cast<double>(ep) /
+        static_cast<double>(std::max<std::size_t>(1, cfg.imitation_episodes));
+    Tensor obs = env.reset(ep_rng);
+    for (std::size_t t = 0; t < cfg.env.max_steps; ++t) {
+      const std::size_t teacher = pilot.act(env);
+      tape.clear();
+      const Tensor logits = net.forward(obs, tape);
+      net.backward(policy_gradient_grad(logits, teacher, 1.0f), tape, 0);
+      if (++batch % 16 == 0) opt.step();
+      const std::size_t drive =
+          ep_rng.bernoulli(p_student) ? logits.argmax() : teacher;
+      StepResult r = env.step(drive, ep_rng);
+      if (r.done) break;
+      obs = std::move(r.observation);
     }
+    opt.step();
   }
-
-  // Phase 2: REINFORCE polish so the policy optimizes the task reward it
-  // will keep fine-tuning on.
-  {
-    ReinforceTrainer trainer(net, cfg.learner);
-    for (std::size_t ep = 0; ep < cfg.pretrain_reinforce_episodes; ++ep) {
-      Rng ep_rng = rng.split(5000 + ep);
-      trainer.run_episode(env, ep_rng, /*learn=*/true);
-    }
-  }
-
   return net.flat_parameters();
 }
 

@@ -10,14 +10,14 @@
 /// round, §V-A mitigation) lives in the shared FederatedRoundEngine; this
 /// class supplies the agent-local callbacks and the offline pretraining.
 ///
-/// Offline pretraining substitution (documented in DESIGN.md): PEDRA
-/// pretrains with a long offline REINFORCE run on Unreal environments;
-/// here the offline phase is imitation of a depth-greedy reference pilot
-/// followed by a short REINFORCE polish. The resulting policy plays the
-/// same role — a competent initial policy that online FRL fine-tunes —
-/// at a laptop-compatible cost. Pretrained parameters are cached
-/// per-seed within the process so campaign cells share the (deterministic)
-/// offline phase, exactly as the paper shares one pretrained model.
+/// Offline pretraining substitution: PEDRA pretrains with a long offline
+/// REINFORCE run on Unreal environments; here the offline phase is DAgger
+/// imitation of a depth-greedy reference pilot (HeuristicPilot). The
+/// resulting policy plays the same role — a competent initial policy that
+/// online FRL fine-tunes with REINFORCE — at a laptop-compatible cost.
+/// Pretrained parameters are cached per-seed within the process so
+/// campaign cells share the (deterministic) offline phase, exactly as the
+/// paper shares one pretrained model.
 
 #include <memory>
 #include <optional>
@@ -33,8 +33,9 @@ namespace frlfi {
 /// End-to-end DroneNav FRL system.
 class DroneFrlSystem {
  public:
-  /// System configuration. `fine_tune_episodes` at paper scale is 6000;
-  /// benches scale it down and say so in EXPERIMENTS.md.
+  /// System configuration. The online fine-tuning length is the train()
+  /// argument: 6000 episodes at paper scale, 150 by default in the drone
+  /// sweeps (bench/drone_sweeps.hpp).
   struct Config {
     /// Number of drones; 1 selects the single-drone system of Fig. 5c.
     std::size_t n_drones = 4;
@@ -60,11 +61,8 @@ class DroneFrlSystem {
     ReinforceTrainer::Options learner;
     /// Environment/task parameters.
     DroneNavEnv::Options env;
-    /// Offline phase: DAgger imitation episodes and REINFORCE polish
-    /// episodes (polish off by default; fine-tuning continues online).
+    /// Offline phase: DAgger imitation episodes.
     std::size_t imitation_episodes = 120;
-    std::size_t pretrain_reinforce_episodes = 0;
-    float imitation_lr = 5e-3f;
 
     Config();
   };
@@ -170,7 +168,7 @@ class DroneFrlSystem {
                                                          std::uint64_t seed);
 
  private:
-  /// Run the offline phase (imitation + REINFORCE polish) from scratch.
+  /// Run the offline imitation phase from scratch.
   static std::vector<float> pretrain(const Config& cfg, std::uint64_t seed);
 
   Config cfg_;

@@ -293,9 +293,6 @@ TEST(ReliableUpload, ExhaustsRetriesAndRestoresCleanPayload) {
   UploadProtocolConfig cfg;
   cfg.enabled = true;
   cfg.max_retries = 3;
-  cfg.attempt_timeout = 1.0;
-  cfg.backoff_base = 0.5;
-  cfg.deadline = 16.0;
   const std::size_t dim = 24;
   auto row = random_row(dim, 13);
   const auto orig = row;
@@ -305,7 +302,7 @@ TEST(ReliableUpload, ExhaustsRetriesAndRestoresCleanPayload) {
   const auto out = ch.transmit_reliable(row.data(), dim, rng, cfg);
   EXPECT_FALSE(out.delivered);
   EXPECT_EQ(out.attempts, 4u);
-  EXPECT_EQ(out.backoff, 0.5 + 1.0 + 2.0);  // backoff_base * 2^(k-1)
+  EXPECT_EQ(out.backoff, 0.5 + 1.0 + 2.0);  // 0.5 s * 2^(k-1)
   EXPECT_EQ(row, orig);  // what the late retransmission delivers
   EXPECT_EQ(ch.retransmit_bytes(), 3 * (dim + sizeof(float)));
   EXPECT_EQ(ch.bytes_sent(), 4 * (dim + sizeof(float)));
@@ -318,18 +315,17 @@ TEST(ReliableUpload, DeadlineBoundsAttempts) {
   bursty.erasure_rate = 1.0;
   UploadProtocolConfig cfg;
   cfg.enabled = true;
-  cfg.max_retries = 10;
-  cfg.attempt_timeout = 1.0;
-  cfg.backoff_base = 0.5;
-  cfg.deadline = 3.0;  // 1 + (0.5 + 1) fits; the next retry would not
+  cfg.max_retries = 10;  // the 16 s deadline runs out first
   auto row = random_row(16, 2);
   CommChannel ch;
   ch.set_bursty(bursty);
   Rng rng(1);
   const auto out = ch.transmit_reliable(row.data(), 16, rng, cfg);
+  // Attempts end at 1, 2.5, 4.5, 7.5 and 12.5 s; a sixth would end at
+  // 12.5 + 8 + 1 = 21.5 s, past the deadline.
   EXPECT_FALSE(out.delivered);
-  EXPECT_EQ(out.attempts, 2u);
-  EXPECT_EQ(out.backoff, 0.5);
+  EXPECT_EQ(out.attempts, 5u);
+  EXPECT_EQ(out.backoff, 0.5 + 1.0 + 2.0 + 4.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -453,8 +449,6 @@ ParticipationPlan retry_plan() {
   plan.crash_rounds = 2;
   plan.straggler_rate = 0.2;
   plan.straggler_lag = 2;
-  plan.stale_decay = 0.5;
-  plan.max_staleness = 4;
   plan.upload.enabled = true;
   plan.upload.max_retries = 2;
   return plan;
@@ -552,7 +546,7 @@ TEST(ChannelEngine, ExhaustedUploadDegradesIntoParticipationPlane) {
 }
 
 TEST(ChannelEngine, FailedUploadsDropPastMaxStaleness) {
-  // A late fold straggler_lag rounds out would exceed max_staleness, so
+  // A late fold straggler_lag rounds out would exceed kMaxStaleness, so
   // every exhausted upload is dropped instead.
   GridWorldFrlSystem::Config cfg = grid_config(3, 1);
   cfg.channel_bursty = stormy_channel();
@@ -560,8 +554,7 @@ TEST(ChannelEngine, FailedUploadsDropPastMaxStaleness) {
   GridWorldFrlSystem sys(cfg, 707);
   ParticipationPlan plan;
   plan.active = true;
-  plan.straggler_lag = 5;
-  plan.max_staleness = 4;
+  plan.straggler_lag = kMaxStaleness + 1;
   plan.upload.enabled = true;
   plan.upload.max_retries = 1;
   sys.set_participation_plan(plan);
@@ -570,20 +563,6 @@ TEST(ChannelEngine, FailedUploadsDropPastMaxStaleness) {
   EXPECT_GT(stats.uploads_failed, 0u);
   EXPECT_EQ(stats.failed_dropped, stats.uploads_failed);
   EXPECT_EQ(stats.failed_stale, 0u);
-}
-
-TEST(ChannelEngine, ValidatesUploadProtocolPlan) {
-  GridWorldFrlSystem sys(grid_config(2, 1), 1);
-  ParticipationPlan plan;
-  plan.active = true;
-  plan.upload.enabled = true;
-  plan.upload.attempt_timeout = 0.0;
-  EXPECT_THROW(sys.set_participation_plan(plan), Error);
-  plan.upload.attempt_timeout = 1.0;
-  plan.upload.deadline = 0.0;
-  EXPECT_THROW(sys.set_participation_plan(plan), Error);
-  plan.upload.deadline = 8.0;
-  sys.set_participation_plan(plan);  // sane protocol passes
 }
 
 // ---------------------------------------------------------------------------

@@ -287,6 +287,34 @@ TEST(DroneNavEnv, StepCapFails) {
   EXPECT_THROW(env.step(0, rng), Error);
 }
 
+// A drone that spins in place fails the mission once a whole stall window
+// passes with too little net displacement; a straight flight does not.
+TEST(DroneNavEnv, SpinningInPlaceStallsAtTheWindow) {
+  DroneNavEnv::Options opts;
+  opts.world.density = 0.0;  // nothing to crash into
+  constexpr std::size_t kSpin = 4 * 5 + 0;      // full left yaw, slowest
+  constexpr std::size_t kStraight = 2 * 5 + 0;  // no yaw, slowest
+  ASSERT_EQ(DroneNavEnv::kStallWindowSteps, 40u);
+
+  DroneNavEnv spin(15, opts, DroneCamera::Options{});
+  Rng rng(1);
+  spin.reset(rng);
+  for (std::size_t t = 1; t < 40; ++t)
+    ASSERT_FALSE(spin.step(kSpin, rng).done) << "step " << t;
+  const StepResult stalled = spin.step(kSpin, rng);
+  EXPECT_TRUE(stalled.done);
+  EXPECT_FALSE(stalled.success);
+  // Spinning still racks up path length; the stall rule is what ends it.
+  EXPECT_GT(spin.flight_distance(), DroneNavEnv::kStallMinDisplacement);
+
+  DroneNavEnv straight(15, opts, DroneCamera::Options{});
+  Rng rng2(1);
+  straight.reset(rng2);
+  StepResult r;
+  for (std::size_t t = 1; t <= 40; ++t) r = straight.step(kStraight, rng2);
+  EXPECT_FALSE(r.done);
+}
+
 TEST(DroneNavEnv, FlyingIntoObstacleCrashes) {
   DroneNavEnv env(6);
   Rng rng(2);

@@ -60,9 +60,6 @@ TEST(ParticipationPlan, ValidatesParameters) {
   plan.crash_rounds = 0;
   EXPECT_THROW(validate_participation_plan(plan, 4), Error);
   plan.crash_rounds = 2;
-  plan.stale_decay = 0.0;
-  EXPECT_THROW(validate_participation_plan(plan, 4), Error);
-  plan.stale_decay = 0.5;
   plan.byzantine_agents = {7};
   EXPECT_THROW(validate_participation_plan(plan, 4), Error);
   plan.byzantine_agents = {3};
@@ -143,8 +140,7 @@ TEST(TrimmedMean, MatchesHandComputedAndRanksNonFiniteLast) {
   std::vector<const float*> ptrs;
   for (const auto& r : rows) ptrs.push_back(r.data());
   std::vector<float> scratch(rows.size()), out(2);
-  trimmed_mean_rows(ptrs.data(), rows.size(), 2, 1, scratch.data(),
-                    out.data());
+  trimmed_mean_rows(ptrs.data(), rows.size(), 2, scratch.data(), out.data());
   EXPECT_FLOAT_EQ(out[0], 3.0f);  // mean(2,3,4)
   EXPECT_FLOAT_EQ(out[1], 1.0f);  // mean(0,1,2)
   // A NaN row ranks above every finite value: trimmed with the top tail.
@@ -153,10 +149,10 @@ TEST(TrimmedMean, MatchesHandComputedAndRanksNonFiniteLast) {
   ptrs.clear();
   for (const auto& r : with_nan) ptrs.push_back(r.data());
   scratch.assign(4, 0.0f);
-  trimmed_mean_rows(ptrs.data(), 4, 1, 1, scratch.data(), out.data());
+  trimmed_mean_rows(ptrs.data(), 4, 1, scratch.data(), out.data());
   EXPECT_FLOAT_EQ(out[0], 2.5f);  // mean(2,3); NaN and 1 trimmed
   EXPECT_THROW(
-      trimmed_mean_rows(ptrs.data(), 2, 1, 1, scratch.data(), out.data()),
+      trimmed_mean_rows(ptrs.data(), 2, 1, scratch.data(), out.data()),
       Error);
 }
 
@@ -195,6 +191,7 @@ void expect_full_round_matches_scalar(const ScreeningConfig& screening,
   Rng ref_next = ref_rng;
   EXPECT_EQ(rng.next_u64(), ref_next.next_u64());  // stream position
   EXPECT_EQ(rep.present, n);
+  EXPECT_EQ(rep.screened_out, 0u);
   EXPECT_EQ(rep.contributors, n);
   EXPECT_TRUE(rep.aggregated);
 }
@@ -205,12 +202,11 @@ TEST(CommunicateRound, FullParticipationMatchesScalarRound) {
 }
 
 TEST(CommunicateRound, FullParticipationScreenedMatchesScalarRound) {
-  // Arming the L2 screen with a factor excluding nothing runs the norm
-  // screen over every row — the weighted arithmetic must still reproduce
-  // the scalar round bit-for-bit when every weight is 1.
+  // The L2 screen runs over every row and excludes none (every norm is
+  // within kL2ScreenFactor of the median) — the weighted arithmetic must
+  // still reproduce the scalar round bit-for-bit when every weight is 1.
   ScreeningConfig screening;
   screening.l2_norm = true;
-  screening.l2_factor = 1e9;
   expect_full_round_matches_scalar(screening, 0.0);
   expect_full_round_matches_scalar(screening, 0.01);
 }
@@ -296,7 +292,6 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   Rng rng(17);
   ParticipationPlan plan;
   plan.straggler_lag = 1;
-  plan.stale_decay = 0.5;
 
   // Round 0: agent 2 straggles — no fold yet, one pending upload.
   std::vector<float> rows = pack_rows(uploads);
@@ -353,10 +348,9 @@ TEST(CommunicateRound, StalenessBufferFoldsLateRowsWithDecay) {
   EXPECT_EQ(rows1c, rows1);
   EXPECT_TRUE(mirror.pending_uploads().empty());
 
-  // Discard: lag beyond max_staleness never enters the buffer.
+  // Discard: lag beyond kMaxStaleness never enters the buffer.
   ParameterServer srv2(n, dim, schedule);
-  plan.straggler_lag = 5;
-  plan.max_staleness = 4;
+  plan.straggler_lag = kMaxStaleness + 1;
   Rng rng2(19);
   std::vector<float> rows2 = pack_rows(uploads);
   RoundParticipationReport rep2 =
@@ -380,7 +374,6 @@ TEST(CommunicateRound, L2ScreenExcludesNormOutlier) {
   status[3] = AgentRoundStatus::Byzantine;
   ParticipationPlan plan;
   plan.screening.l2_norm = true;
-  plan.screening.l2_factor = 3.0;
   const RoundParticipationReport rep =
       srv.communicate_round(rows, status, plan, rng);
   EXPECT_EQ(rep.byzantine, 1u);
@@ -421,7 +414,6 @@ TEST(CommunicateRound, TrimmedMeanReplacesPeerAverage) {
   const std::vector<AgentRoundStatus> status(n, AgentRoundStatus::Present);
   ParticipationPlan plan;
   plan.screening.trimmed_mean = true;
-  plan.screening.trim_k = 1;
   srv.communicate_round(rows, status, plan, rng);
 
   CommChannel ch(0.0);
@@ -645,11 +637,8 @@ ParticipationPlan busy_plan() {
   plan.crash_rounds = 2;
   plan.straggler_rate = 0.3;
   plan.straggler_lag = 2;
-  plan.stale_decay = 0.5;
-  plan.max_staleness = 4;
   plan.byzantine_agents = {1};
   plan.screening.l2_norm = true;
-  plan.screening.l2_factor = 3.0;
   return plan;
 }
 

@@ -320,11 +320,8 @@ ParticipationPlan thin_plan() {
   plan.crash_rounds = 1;
   plan.straggler_rate = 0.1;
   plan.straggler_lag = 2;
-  plan.stale_decay = 0.5;
-  plan.max_staleness = 4;
   plan.byzantine_agents = {1, 3};
   plan.screening.l2_norm = true;
-  plan.screening.l2_factor = 3.0;
   return plan;
 }
 

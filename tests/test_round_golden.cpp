@@ -214,11 +214,8 @@ Scenario busy() {
   sc.plan.crash_rounds = 2;
   sc.plan.straggler_rate = 0.2;
   sc.plan.straggler_lag = 2;
-  sc.plan.stale_decay = 0.5;
-  sc.plan.max_staleness = 4;
   sc.plan.byzantine_agents = {4};
   sc.plan.screening.l2_norm = true;
-  sc.plan.screening.l2_factor = 3.0;
   sc.server_fault = true;
   return sc;
 }
@@ -230,7 +227,6 @@ Scenario trimmed() {
   sc.plan.straggler_rate = 0.15;
   sc.plan.byzantine_agents = {1};
   sc.plan.screening.trimmed_mean = true;
-  sc.plan.screening.trim_k = 1;
   return sc;
 }
 
