@@ -8,16 +8,16 @@
 ///   --seed=N     base seed (default 42)
 ///   --fast       cut sweep resolution for smoke runs
 ///   --threads=N  worker lanes for pool-parallel heatmap cells
-///                (default 1 = serial; 0 = FRLFI_NUM_THREADS / hardware).
+///                (default 1 = serial; 0 = every hardware thread).
 ///                Only the training-heatmap benches read it: fig3, fig5
 ///                and fig7. Every other bench runs its cells serially.
 ///   --train-threads=N  worker lanes for the per-agent local episodes
 ///                inside each system's train() (the federated round
-///                engine; default 1 = serial, 0 = auto). Read by fig3,
-///                fig5, fig6a, fig7 and ablation_layers. Composes with
-///                --threads: cells fan across the pool AND each cell's
-///                training rounds fan their agents. Results are
-///                bit-identical for every combination.
+///                engine; default 1 = serial, 0 = every hardware thread).
+///                Read by fig3, fig5, fig6a, fig7 and ablation_layers.
+///                Composes with --threads: cells fan across the pool AND
+///                each cell's training rounds fan their agents. Results
+///                are bit-identical for every combination.
 /// A bench that does not read a flag still validates it. Every bench
 /// prints the table/figure it reproduces with paper-vs-measured notes.
 
@@ -31,11 +31,13 @@ struct BenchArgs {
   std::size_t trials = 1;
   std::uint64_t seed = 42;
   bool fast = false;
-  /// Campaign-cell fan-out (heatmap sweeps): 1 serial, 0 auto, N explicit.
+  /// Campaign-cell fan-out (heatmap sweeps): 1 serial, 0 every hardware
+  /// thread, N explicit.
   /// Results are bit-identical for every value.
   std::size_t threads = 1;
   /// Per-agent episode fan-out inside train() (round engine): 1 serial,
-  /// 0 auto, N explicit. Also bit-identical for every value.
+  /// 0 every hardware thread, N explicit. Also bit-identical for every
+  /// value.
   std::size_t train_threads = 1;
 
   /// Parse argv; an unknown flag or a malformed number (empty, signed,

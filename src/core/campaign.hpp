@@ -18,8 +18,8 @@ namespace frlfi {
 /// (plus thread-safe shared state: the drone pretraining cache is), so
 /// the returned cell-order metrics are bit-identical for every thread
 /// policy. `threads` follows the campaign rule (dispatch_lanes): 1 =
-/// strictly serial on the calling thread, 0 = FRLFI_NUM_THREADS /
-/// hardware re-resolved on this call, N = an explicit pool of N lanes.
+/// strictly serial on the calling thread, 0 = a pool of every hardware
+/// thread, N = a pool of N lanes (never more lanes than cells).
 /// With more than one lane `cell_fn` runs concurrently. Nested use —
 /// `cell_fn` itself dispatching on a pool — never deadlocks (see
 /// parallel.hpp).

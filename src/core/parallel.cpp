@@ -1,9 +1,7 @@
 #include "core/parallel.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
-#include "core/cli.hpp"
 #include "core/error.hpp"
 
 namespace frlfi {
@@ -30,9 +28,6 @@ bool inside_pool(const ThreadPool* pool) {
          t_active_pools.end();
 }
 
-// Largest lane count FRLFI_NUM_THREADS may request.
-constexpr std::size_t kMaxEnvThreads = 4096;
-
 }  // namespace
 
 void shard_range(std::size_t n, std::size_t parts, std::size_t part,
@@ -45,12 +40,6 @@ void shard_range(std::size_t n, std::size_t parts, std::size_t part,
 
 std::size_t resolve_thread_count(std::size_t requested) {
   if (requested > 0) return requested;
-  // Strict parse: a signed, padded, trailing-character, zero or
-  // out-of-range value is malformed and falls through to the hardware.
-  std::size_t v = 0;
-  if (const char* env = std::getenv("FRLFI_NUM_THREADS");
-      env != nullptr && parse_number(env, v) && v > 0 && v <= kMaxEnvThreads)
-    return v;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }
@@ -155,33 +144,17 @@ void ThreadPool::parallel_for(
   }
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool(0);
-  return pool;
-}
-
 void dispatch_lanes(std::size_t threads, std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& body) {
   FRLFI_CHECK(static_cast<bool>(body));
   if (n == 0) return;
-  // Resolve exactly once per dispatch (one FRLFI_NUM_THREADS read).
-  const std::size_t resolved = threads == 1 ? 1 : resolve_thread_count(threads);
-  const std::size_t lanes = std::min(resolved, n);
+  const std::size_t lanes = std::min(resolve_thread_count(threads), n);
   if (lanes <= 1) {
     body(0, n);
     return;
   }
-  if (threads == 0 && resolved == ThreadPool::global().size()) {
-    // Auto mode reuses the process-wide pool so back-to-back campaigns
-    // don't pay thread spawn/join each time. The global pool's lane count
-    // is pinned at its first use, so FRLFI_NUM_THREADS is re-read on
-    // every call here and a changed environment falls through to an
-    // explicit pool of the freshly resolved size instead.
-    ThreadPool::global().parallel_for(n, body);
-  } else {
-    ThreadPool pool(lanes);
-    pool.parallel_for(n, body);
-  }
+  ThreadPool pool(lanes);
+  pool.parallel_for(n, body);
 }
 
 }  // namespace frlfi

@@ -6,14 +6,7 @@
 /// of worker threads, with the caller participating as lane 0.
 ///
 /// Thread count resolution (resolve_thread_count): an explicit request wins;
-/// otherwise the FRLFI_NUM_THREADS environment variable (re-read on every
-/// call, so callers that resolve per dispatch pick up changes); otherwise
-/// std::thread::hardware_concurrency(). Note that ThreadPool::global() sizes
-/// itself by resolve_thread_count() once, at first use, and keeps that lane
-/// count for the life of the process — setting FRLFI_NUM_THREADS afterwards
-/// does not resize it (dispatch_lanes compensates by re-resolving per call
-/// and spinning an explicit pool when the global pool's size no longer
-/// matches).
+/// 0 means every hardware thread (std::thread::hardware_concurrency()).
 ///
 /// The pool uses static contiguous partitioning — the right shape for
 /// exchangeable trials whose cost is roughly uniform. Exceptions thrown by
@@ -46,9 +39,7 @@
 namespace frlfi {
 
 /// Resolve an effective worker-lane count. `requested` > 0 is taken as-is;
-/// 0 consults FRLFI_NUM_THREADS (read afresh on every call; it must be a
-/// plain decimal in [1, 4096], anything else is ignored), then
-/// hardware_concurrency(), floored at 1.
+/// 0 is hardware_concurrency(), floored at 1.
 std::size_t resolve_thread_count(std::size_t requested = 0);
 
 /// Contiguous static partition of [0, n) into `parts` ranges: part `part`
@@ -60,11 +51,9 @@ void shard_range(std::size_t n, std::size_t parts, std::size_t part,
 
 /// Run body(begin, end) over [0, n) under the campaign thread policy —
 /// the one rule shared by run_cell_campaign and the round engine's local
-/// episodes. `threads` == 1: strictly serial on the calling thread; 0:
-/// FRLFI_NUM_THREADS / hardware resolved afresh on this call, reusing the
-/// process-wide pool only while its pinned lane count still matches the
-/// resolved one (otherwise an explicit pool of the resolved size); N:
-/// an explicit pool of min(N, n) lanes. Never more lanes than n. The
+/// episodes. `threads` == 1: strictly serial on the calling thread; 0: a
+/// pool of min(hardware threads, n) lanes; N: a pool of min(N, n) lanes.
+/// The
 /// lane partition never changes results (bodies must be
 /// partition-invariant), only how many threads share the work.
 void dispatch_lanes(std::size_t threads, std::size_t n,
@@ -95,13 +84,6 @@ class ThreadPool {
   /// run unserialized); see the file comment.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& body);
-
-  /// Process-wide shared pool, sized by resolve_thread_count() at first
-  /// use and *pinned* at that lane count for the rest of the process;
-  /// later FRLFI_NUM_THREADS changes do not resize it. Callers that must
-  /// honour a changed environment (dispatch_lanes does) re-resolve per call
-  /// and fall back to an explicit pool on mismatch.
-  static ThreadPool& global();
 
  private:
   void worker_loop(std::size_t lane);

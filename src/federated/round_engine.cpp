@@ -32,12 +32,12 @@ FederatedRoundEngine::FederatedRoundEngine(const Config& cfg,
                       hooks_.scatter_params && hooks_.inject_agent,
                   "round engine needs all four agent hooks");
   rewards_.resize(cfg_.n_agents);
-  // Same lane count dispatch_lanes would pick for an explicit request
-  // (min(N, n), never more lanes than agents), but the pool persists
-  // across every episode of the training run.
-  if (cfg_.threads > 1 && cfg_.n_agents > 1)
-    episode_pool_ = std::make_unique<ThreadPool>(
-        std::min(cfg_.threads, cfg_.n_agents));
+  // The lane count dispatch_lanes would pick (never more lanes than
+  // agents), resolved once: the pool persists across every episode of
+  // the training run.
+  const std::size_t lanes =
+      std::min(resolve_thread_count(cfg_.threads), cfg_.n_agents);
+  if (lanes > 1) episode_pool_ = std::make_unique<ThreadPool>(lanes);
 
   if (cfg_.n_agents >= 2) {
     server_.emplace(
@@ -227,12 +227,9 @@ void FederatedRoundEngine::run_training_episode() {
     }
   };
   if (episode_pool_) {
-    // parallel_for's static partition is the same shard_range split
-    // dispatch_lanes would produce — and the partition is invisible
-    // anyway (see above).
     episode_pool_->parallel_for(cfg_.n_agents, body);
   } else {
-    dispatch_lanes(cfg_.threads, cfg_.n_agents, body);
+    body(0, cfg_.n_agents);
   }
   inject_training_fault_if_due();
   communicate_if_due();

@@ -3,17 +3,19 @@
 /// \file round_engine.hpp
 /// The shared federated training-round engine: one implementation of the
 /// episode → fault → communicate → mitigation orchestration that both
-/// paper systems (GridWorldFrlSystem, DroneFrlSystem) used to duplicate.
-/// A concrete system supplies four agent-local callbacks — run one local
+/// paper systems (GridWorldFrlSystem, DroneFrlSystem) train through, by
+/// way of their shared FrlSystem shell (frl/system.hpp). A concrete
+/// system supplies four agent-local callbacks — run one local
 /// training episode, gather/scatter its flat parameters, and corrupt one
 /// agent in place — and the engine owns everything between them:
 ///
 ///  * **Pool-parallel local episodes.** Agents own disjoint env/network/
 ///    learner state and every episode draws the derived stream
 ///    `train_rng.split(episode * 1000003 + agent)`; Rng::split never
-///    advances the parent, so fanning agents across core/parallel's
-///    dispatch_lanes (Config::threads: 1 serial, 0 auto, N explicit)
-///    produces bit-identical training for every thread count.
+///    advances the parent, so fanning agents across a persistent
+///    core/parallel pool (Config::threads: 1 serial, 0 every hardware
+///    thread, N explicit) produces bit-identical training for every
+///    thread count.
 ///  * **One server round.** Every communication round is one gather →
 ///    round → scatter over one agent-indexed n x dim round matrix,
 ///    allocated at construction (row i is agent i's; no per-agent
@@ -86,8 +88,9 @@ class FederatedRoundEngine {
     /// bit-identical to the i.i.d. channel at ber_good.
     BurstyChannelConfig bursty_channel;
     /// Worker lanes for the per-agent local episodes: 1 = strictly serial
-    /// on the calling thread (the historical loop), 0 = FRLFI_NUM_THREADS /
-    /// hardware, N = exactly N. train() results are bit-identical for
+    /// on the calling thread (the historical loop), 0 = every hardware
+    /// thread, N = exactly N (never more than n_agents; resolved once, at
+    /// construction). train() results are bit-identical for
     /// every value — per-(episode, agent) derived RNG streams plus
     /// disjoint agent state make the lane partition invisible.
     std::size_t threads = 1;
@@ -234,10 +237,9 @@ class FederatedRoundEngine {
   // The agent-indexed n x dim round matrix (empty without a server).
   std::vector<float> round_matrix_;
   std::vector<double> rewards_;
-  // Persistent episode pool for an explicit Config::threads > 1 — built
-  // once so the per-episode dispatch never spawns threads on the hot
-  // path (threads == 1 runs serial; 0 goes through dispatch_lanes, which
-  // re-resolves FRLFI_NUM_THREADS per call and reuses the global pool).
+  // Persistent episode pool whenever the resolved lane count is above 1
+  // — built once so the per-episode dispatch never spawns threads on the
+  // hot path (null: the episodes run serially on the calling thread).
   std::unique_ptr<ThreadPool> episode_pool_;
   std::size_t episode_ = 0;
   bool server_fault_pending_ = false;

@@ -8,8 +8,6 @@
 
 #include "core/error.hpp"
 #include "dronesim/heuristic.hpp"
-#include "fault/injector.hpp"
-#include "federated/aggregation.hpp"
 #include "frl/policies.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -19,6 +17,14 @@ namespace {
 
 /// Momentum-SGD learning rate of the offline imitation phase.
 constexpr float kImitationLearningRate = 5e-3f;
+
+/// Salt of the per-drone greedy-evaluation streams.
+constexpr std::uint64_t kEvalSalt = 0xE7A2;
+
+/// World seed of drone i's environment.
+std::uint64_t drone_world_seed(std::uint64_t seed, std::size_t i) {
+  return seed ^ (0xD60E'0000ULL + i);
+}
 
 /// Cache key over every knob pretrain() consumes, absorbed field by field
 /// through the shared tag mixer (floats/doubles by bit pattern). Distinct
@@ -130,7 +136,7 @@ std::vector<float> DroneFrlSystem::pretrain(const Config& cfg,
 }
 
 DroneFrlSystem::DroneFrlSystem(Config cfg, std::uint64_t seed)
-    : cfg_(cfg), seed_(seed) {
+    : cfg_(cfg) {
   FRLFI_CHECK_MSG(cfg_.n_drones >= 1, "need at least one drone");
   FRLFI_CHECK(cfg_.comm_interval >= 1);
   FRLFI_CHECK(cfg_.comm_interval_boost >= 1);
@@ -142,7 +148,7 @@ DroneFrlSystem::DroneFrlSystem(Config cfg, std::uint64_t seed)
   Rng init_rng = Rng(seed).split(0x1718);
   for (std::size_t i = 0; i < cfg_.n_drones; ++i) {
     envs_.push_back(std::make_unique<DroneNavEnv>(
-        seed ^ (0xD60E'0000ULL + i), cfg_.env, DroneCamera::Options{}));
+        drone_world_seed(seed, i), cfg_.env, DroneCamera::Options{}));
     Rng net_rng = init_rng.split(i);
     nets_.push_back(std::make_unique<Network>(make_drone_policy(net_rng)));
     nets_.back()->set_flat_parameters(pretrained);
@@ -151,8 +157,6 @@ DroneFrlSystem::DroneFrlSystem(Config cfg, std::uint64_t seed)
   }
 
   FederatedRoundEngine::Config ecfg;
-  ecfg.n_agents = cfg_.n_drones;
-  ecfg.parameter_dim = nets_[0]->parameter_count();
   ecfg.comm_interval = cfg_.comm_interval;
   ecfg.boost_after_episode = cfg_.boost_after_episode;
   ecfg.comm_interval_boost = cfg_.comm_interval_boost;
@@ -161,42 +165,35 @@ DroneFrlSystem::DroneFrlSystem(Config cfg, std::uint64_t seed)
   ecfg.channel_ber = cfg_.channel_ber;
   ecfg.bursty_channel = cfg_.channel_bursty;
   ecfg.threads = cfg_.threads;
-  engine_ = std::make_unique<FederatedRoundEngine>(
+  start_engine(
       ecfg, seed, /*stream_tag=*/0xD201E,
-      FederatedRoundEngine::Hooks{
-          [this](std::size_t i, std::size_t /*episode*/, Rng& rng) {
-            return learners_[i]
-                ->run_episode(*envs_[i], rng, /*learn=*/true)
-                .total_reward;
-          },
-          [this](std::size_t i, std::span<float> out) {
-            nets_[i]->copy_flat_parameters(out);
-          },
-          [this](std::size_t i, std::span<const float> params) {
-            nets_[i]->set_flat_parameters(params);
-          },
-          [this](std::size_t victim, const FaultSpec& spec, Rng& rng) {
-            inject_network_weights(*nets_[victim], spec, rng);
-          },
-          /*on_round=*/nullptr});
+      [this](std::size_t i, std::size_t /*episode*/, Rng& rng) {
+        return learners_[i]
+            ->run_episode(*envs_[i], rng, /*learn=*/true)
+            .total_reward;
+      },
+      InferenceCampaign{
+          .fault_tag = 0xFA53,
+          .rng_salt = kEvalSalt,
+          .max_steps = cfg_.env.max_steps,
+          .make_env =
+              [this, seed](std::size_t i) {
+                return std::make_unique<DroneNavEnv>(
+                    drone_world_seed(seed, i), cfg_.env,
+                    DroneCamera::Options{});
+              },
+          .metric =
+              [](std::size_t, const Environment& env, const EpisodeStats&) {
+                return static_cast<const DroneNavEnv&>(env).flight_distance();
+              }});
 }
-
-void DroneFrlSystem::set_fault_plan(const TrainingFaultPlan& plan) {
-  engine_->set_fault_plan(plan);
-}
-
-void DroneFrlSystem::set_mitigation(const MitigationPlan& plan) {
-  engine_->set_mitigation(plan);
-}
-
-void DroneFrlSystem::train(std::size_t episodes) { engine_->train(episodes); }
 
 double DroneFrlSystem::evaluate_flight_distance(std::size_t episodes_per_drone,
                                                 std::uint64_t seed) {
   FRLFI_CHECK(episodes_per_drone >= 1);
   double total = 0.0;
   for (std::size_t i = 0; i < cfg_.n_drones; ++i) {
-    Rng eval_rng = Rng(seed).split(0xE7A2 + i);
+    Rng eval_rng = Rng(seed).split(kEvalSalt + i);
     for (std::size_t e = 0; e < episodes_per_drone; ++e) {
       greedy_episode(*nets_[i], *envs_[i], eval_rng, cfg_.env.max_steps);
       total += envs_[i]->flight_distance();
@@ -206,69 +203,17 @@ double DroneFrlSystem::evaluate_flight_distance(std::size_t episodes_per_drone,
          static_cast<double>(cfg_.n_drones * episodes_per_drone);
 }
 
-Network DroneFrlSystem::consensus_network() const {
-  std::vector<std::vector<float>> all;
-  all.reserve(nets_.size());
-  for (const auto& n : nets_) all.push_back(n->flat_parameters());
-  Network net = nets_[0]->clone();
-  net.set_flat_parameters(mean_parameters(all));
-  return net;
-}
-
-double DroneFrlSystem::evaluate_inference_fault(
-    const InferenceFaultScenario& scenario, std::size_t episodes_per_drone,
-    std::uint64_t seed) {
-  Network policy = consensus_network();
-  Rng fault_rng = Rng(seed).split(0xFA53);
-
-  const bool trans1 =
-      scenario.spec.model == FaultModel::TransientSingleStep;
-  if (!trans1) apply_static_inference_fault(policy, scenario, fault_rng);
-
-  // One policy serves every drone, so all episodes of all drones run as
-  // one lockstep: each decision step batches every still-flying lane's
-  // observation into a single forward over the shared read-only policy.
-  // Trans-1 joins the same batched step: each lane's single-read
-  // corruption rides a per-lane weight view, so striking and clean lanes
-  // share one forward without any clone-and-restore.
-  BatchedCampaignSpec spec;
-  spec.episodes = episodes_per_drone;
-  spec.agents = cfg_.n_drones;
-  spec.max_steps = cfg_.env.max_steps;
-  spec.seed = seed;
-  spec.rng_salt = 0xE7A2;
-  if (trans1) spec.trans1 = &scenario;
-  const std::vector<double> distances = run_batched_inference_campaign(
-      policy, spec,
-      [this](std::size_t i) {
-        return std::make_unique<DroneNavEnv>(seed_ ^ (0xD60E'0000ULL + i),
-                                             cfg_.env, DroneCamera::Options{});
-      },
-      [](std::size_t, const Environment& env, const EpisodeStats&) {
-        return static_cast<const DroneNavEnv&>(env).flight_distance();
-      });
-  double total = 0.0;
-  for (const double d : distances) total += d;
-  return total / static_cast<double>(distances.size());
-}
-
 DroneFrlSystem::Snapshot DroneFrlSystem::snapshot() const {
-  Snapshot snap;
-  snap.engine = engine_->training_state();
-  for (const auto& n : nets_) snap.drone_params.push_back(n->flat_parameters());
+  Snapshot snap{FrlSystem::snapshot(), {}};
   for (const auto& l : learners_) snap.baselines.push_back(l->baseline_state());
   return snap;
 }
 
 void DroneFrlSystem::restore(const Snapshot& snap) {
-  FRLFI_CHECK_MSG(snap.drone_params.size() == nets_.size(),
-                  "snapshot drone count mismatch");
-  for (std::size_t i = 0; i < nets_.size(); ++i)
-    nets_[i]->set_flat_parameters(snap.drone_params[i]);
   FRLFI_CHECK(snap.baselines.size() == learners_.size());
+  FrlSystem::restore(snap);
   for (std::size_t i = 0; i < learners_.size(); ++i)
     learners_[i]->set_baseline_state(snap.baselines[i]);
-  engine_->restore_training_state(snap.engine);
 }
 
 Network& DroneFrlSystem::drone_network(std::size_t drone) {

@@ -6,9 +6,12 @@
 /// conv policy online with REINFORCE after an offline pretraining phase,
 /// and periodically synchronizing through the smoothing-average server.
 ///
-/// Training orchestration (episode loop, fault timing, the one server
-/// round, §V-A mitigation) lives in the shared FederatedRoundEngine; this
-/// class supplies the agent-local callbacks and the offline pretraining.
+/// The shared FrlSystem shell (frl/system.hpp) owns the networks, the
+/// round engine and everything both systems do alike (forwarders,
+/// consensus policy, inference fault campaign, snapshot/restore); this
+/// class adds the worlds and REINFORCE learners, the fine-tuning episode
+/// hook, the flight-distance evaluation, the learners' baselines in its
+/// snapshots, and the offline pretraining.
 ///
 /// Offline pretraining substitution: PEDRA pretrains with a long offline
 /// REINFORCE run on Unreal environments; here the offline phase is DAgger
@@ -20,18 +23,15 @@
 /// paper shares one pretrained model.
 
 #include <memory>
-#include <optional>
 
 #include "dronesim/drone_env.hpp"
-#include "federated/round_engine.hpp"
-#include "frl/evaluation.hpp"
-#include "frl/plans.hpp"
+#include "frl/system.hpp"
 #include "rl/reinforce.hpp"
 
 namespace frlfi {
 
 /// End-to-end DroneNav FRL system.
-class DroneFrlSystem {
+class DroneFrlSystem : public FrlSystem {
  public:
   /// System configuration. The online fine-tuning length is the train()
   /// argument: 6000 episodes at paper scale, 150 by default in the drone
@@ -67,87 +67,25 @@ class DroneFrlSystem {
     Config();
   };
 
-  /// Training-state snapshot for shared-prefix sweeps. Carries the
-  /// engine-side state (position, staleness buffer, pending server fault,
-  /// mitigation history) besides parameters and baselines.
-  struct Snapshot {
-    std::vector<std::vector<float>> drone_params;
+  /// Training-state snapshot for shared-prefix sweeps: the shell's
+  /// (parameters and engine-side state) plus the learners' REINFORCE
+  /// baselines.
+  struct Snapshot : FrlSystem::Snapshot {
     std::vector<ReinforceTrainer::BaselineState> baselines;
-    FederatedRoundEngine::TrainingState engine;
   };
 
   /// Build the system (runs or reuses the cached offline pretraining).
   DroneFrlSystem(Config cfg, std::uint64_t seed);
-
-  // Not movable: the round engine's hooks capture `this`.
-  DroneFrlSystem(DroneFrlSystem&&) = delete;
-  DroneFrlSystem& operator=(DroneFrlSystem&&) = delete;
-
-  /// Arm/disarm a training-time fault.
-  void set_fault_plan(const TrainingFaultPlan& plan);
-
-  /// Enable/disable the §V-A mitigation scheme.
-  void set_mitigation(const MitigationPlan& plan);
-
-  /// Arm/disarm the degraded-participation plane (dropout, stragglers,
-  /// Byzantine drones and server-side robust aggregation).
-  void set_participation_plan(const ParticipationPlan& plan) {
-    engine_->set_participation_plan(plan);
-  }
-
-  /// Accumulated participation totals since the plan was set.
-  const ParticipationStats& participation_stats() const {
-    return engine_->participation_stats();
-  }
-
-  /// Observe each communication round's participation report.
-  void set_round_observer(
-      std::function<void(const RoundParticipationReport&)> observer) {
-    engine_->set_round_observer(std::move(observer));
-  }
-
-  /// Fine-tune online for `episodes` more episodes.
-  void train(std::size_t episodes);
-
-  /// Fine-tuning episodes completed so far.
-  std::size_t episode() const { return engine_->episode(); }
 
   /// Average greedy safe flight distance [m] over all drones,
   /// `episodes_per_drone` each — the paper's DroneNav metric.
   double evaluate_flight_distance(std::size_t episodes_per_drone,
                                   std::uint64_t seed);
 
-  /// A fresh network holding the consensus (mean) policy parameters.
-  Network consensus_network() const;
-
-  /// Evaluate inference under a fault scenario on the consensus policy;
-  /// returns average safe flight distance [m].
-  ///
-  /// Runs as a batched inference campaign: every episode of every drone
-  /// is one lane of a single lockstep, all still-flying lanes'
-  /// observations batched into one forward per decision step — Trans-1
-  /// included, each striking lane riding its own weight view over one
-  /// shared read-only policy (see run_batched_inference_campaign).
-  double evaluate_inference_fault(const InferenceFaultScenario& scenario,
-                                  std::size_t episodes_per_drone,
-                                  std::uint64_t seed);
-
-  /// Capture / restore training state.
+  /// Capture / restore training state, the baselines included (these
+  /// hide the shell's parameter-and-engine versions).
   Snapshot snapshot() const;
   void restore(const Snapshot& snap);
-
-  /// Mitigation counters.
-  const MitigationStats& mitigation_stats() const {
-    return engine_->mitigation_stats();
-  }
-
-  /// Uplink+downlink communication bytes so far (0 for single drone).
-  std::size_t communication_bytes() const {
-    return engine_->communication_bytes();
-  }
-
-  /// Communication rounds so far (0 for single drone).
-  std::size_t communication_rounds() const { return engine_->round(); }
 
   /// Direct access to a drone's network.
   Network& drone_network(std::size_t drone);
@@ -172,13 +110,8 @@ class DroneFrlSystem {
   static std::vector<float> pretrain(const Config& cfg, std::uint64_t seed);
 
   Config cfg_;
-  std::uint64_t seed_;
   std::vector<std::unique_ptr<DroneNavEnv>> envs_;
-  std::vector<std::unique_ptr<Network>> nets_;
   std::vector<std::unique_ptr<ReinforceTrainer>> learners_;
-  // Owns the training plane; hooks capture `this` (moves deleted above so
-  // the captured pointer can never dangle).
-  std::unique_ptr<FederatedRoundEngine> engine_;
 };
 
 }  // namespace frlfi

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <vector>
 
 #include "core/error.hpp"
@@ -54,9 +53,7 @@ TEST(CellCampaign, MetricsAreCellOrderedAndThreadCountInvariant) {
     EXPECT_EQ(run_cell_campaign(23, threads, cell_fn), serial)
         << "threads " << threads;
   }
-  setenv("FRLFI_NUM_THREADS", "3", 1);
-  EXPECT_EQ(run_cell_campaign(23, 0, cell_fn), serial);
-  unsetenv("FRLFI_NUM_THREADS");
+  EXPECT_EQ(run_cell_campaign(23, 0, cell_fn), serial);  // every hw thread
 }
 
 TEST(CellCampaign, ParallelBitIdenticalToSerialAcrossThreadCounts) {
@@ -76,14 +73,6 @@ TEST(CellCampaign, ParallelFewerCellsThanThreads) {
   EXPECT_EQ(run_cell_campaign(3, 16, cell_fn),
             run_cell_campaign(3, 1, cell_fn));
   EXPECT_EQ(run_cell_campaign(1, 4, cell_fn), run_cell_campaign(1, 1, cell_fn));
-}
-
-TEST(CellCampaign, AutoThreadsHonorsEnvKnob) {
-  const auto cell_fn = synthetic_cell(5);
-  const std::vector<double> serial = run_cell_campaign(40, 1, cell_fn);
-  setenv("FRLFI_NUM_THREADS", "3", 1);
-  EXPECT_EQ(run_cell_campaign(40, 0, cell_fn), serial);
-  unsetenv("FRLFI_NUM_THREADS");
 }
 
 TEST(CellCampaign, RejectsInvalidArguments) {

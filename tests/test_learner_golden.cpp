@@ -27,47 +27,13 @@
 namespace frlfi {
 namespace {
 
-// FNV-1a over raw bytes.
-class Digest {
- public:
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void f32(float v) { bytes(&v, sizeof v); }
-  void floats(std::span<const float> v) {
-    bytes(v.data(), v.size() * sizeof(float));
-  }
-  void stats(const EpisodeStats& s) {
-    f32(s.total_reward);
-    u64(s.steps);
-    u64(s.success ? 1 : 0);
-  }
-  std::uint64_t value() const { return h_; }
+using testing::Digest;
 
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
-
-// The digests pin the portable build's rounding; an FMA-contracting
-// native build computes different (equally valid) bits.
-#ifdef __FMA__
-#define SKIP_ON_FMA() \
-  GTEST_SKIP() << "digests are recorded for the portable (no-FMA) build"
-#else
-#define SKIP_ON_FMA() (void)0
-#endif
-
-// The drone digests cross the conv stack's narrow GEMM kernels, whose
-// reduction tree sanitizer builds do not share.
-#define SKIP_UNLESS_PORTABLE_NARROW_REDUCTION()                         \
-  if (!testing::narrow_reduction_is_portable())                        \
-  GTEST_SKIP() << "digests are recorded for the portable build's "     \
-                  "narrow-GEMM reduction tree"
+void add_stats(Digest& d, const EpisodeStats& s) {
+  d.f32(s.total_reward);
+  d.u64(s.steps);
+  d.u64(s.success ? 1 : 0);
+}
 
 TEST(LearnerGolden, ReinforceDronePolicyOnDroneNav) {
   SKIP_ON_FMA();
@@ -83,12 +49,12 @@ TEST(LearnerGolden, ReinforceDronePolicyOnDroneNav) {
   for (int ep = 0; ep < 8; ++ep) {
     const EpisodeStats s = trainer.run_episode(env, rng, /*learn=*/true);
     steps += s.steps;
-    d.stats(s);
+    add_stats(d, s);
     const ReinforceTrainer::BaselineState b = trainer.baseline_state();
     d.f32(b.value);
     d.u64(b.initialized ? 1 : 0);
   }
-  d.stats(trainer.run_episode(env, rng, /*learn=*/false));
+  add_stats(d, trainer.run_episode(env, rng, /*learn=*/false));
   d.floats(net.flat_parameters());
   d.u64(rng.next_u64());
   EXPECT_GT(steps, 400u);  // the digest covers real learn passes
@@ -121,9 +87,9 @@ TEST(LearnerGolden, QLearnerGridPolicyOnGridWorld) {
     const EpisodeStats s =
         learner.run_episode(env, rng, /*epsilon=*/0.3, /*learn=*/true);
     steps += s.steps;
-    d.stats(s);
+    add_stats(d, s);
   }
-  d.stats(learner.run_episode(env, rng, 0.0, /*learn=*/false));
+  add_stats(d, learner.run_episode(env, rng, 0.0, /*learn=*/false));
   d.floats(net.flat_parameters());
   d.u64(rng.next_u64());
   EXPECT_GT(steps, 1000u);

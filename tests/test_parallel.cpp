@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -106,24 +105,16 @@ TEST(Parallel, RejectsEmptyBody) {
 
 TEST(Parallel, ResolveThreadCountPrecedence) {
   EXPECT_EQ(resolve_thread_count(3), 3u);
-  setenv("FRLFI_NUM_THREADS", "5", 1);
-  EXPECT_EQ(resolve_thread_count(0), 5u);
-  EXPECT_EQ(resolve_thread_count(2), 2u);  // explicit beats env
-  setenv("FRLFI_NUM_THREADS", "not-a-number", 1);
-  const std::size_t hw = resolve_thread_count(0);  // malformed env -> hardware
-  EXPECT_GE(hw, 1u);
-  for (const char* bad : {"", "-1", "+2", " 2", "2 ", "2x", "0",
-                          "18446744073709551615", "99999999999999999999"}) {
-    setenv("FRLFI_NUM_THREADS", bad, 1);
-    EXPECT_EQ(resolve_thread_count(0), hw) << "FRLFI_NUM_THREADS='" << bad << "'";
-  }
-  unsetenv("FRLFI_NUM_THREADS");
-  EXPECT_GE(resolve_thread_count(0), 1u);
+  EXPECT_EQ(resolve_thread_count(2), 2u);
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(resolve_thread_count(0), hw > 0 ? hw : 1u);
 }
 
-TEST(Parallel, GlobalPoolIsUsable) {
+TEST(Parallel, AutoSizedPoolIsUsable) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.size(), resolve_thread_count(0));
   std::atomic<std::size_t> count{0};
-  ThreadPool::global().parallel_for(16, [&](std::size_t b, std::size_t e) {
+  pool.parallel_for(16, [&](std::size_t b, std::size_t e) {
     count.fetch_add(e - b);
   });
   EXPECT_EQ(count.load(), 16u);
@@ -196,11 +187,12 @@ TEST(Parallel, SameThreadChainAcrossPoolsRunsInline) {
   EXPECT_EQ(total.load(), 4u);
 }
 
-TEST(Parallel, NestedGlobalPoolAndCampaignDoNotDeadlock) {
-  // run_cell_campaign with threads == 0 dispatches on the global pool;
-  // called from inside a global-pool body it must complete inline.
+TEST(Parallel, NestedPoolAndCampaignDoNotDeadlock) {
+  // run_cell_campaign with threads == 0 dispatches on a pool of its own;
+  // called from inside another pool's body it must still complete.
+  ThreadPool pool(0);
   std::atomic<std::size_t> cells_run{0};
-  ThreadPool::global().parallel_for(8, [&](std::size_t b, std::size_t e) {
+  pool.parallel_for(8, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
       const std::vector<double> metrics =
           run_cell_campaign(5, 0, [&](std::size_t c) {
@@ -227,20 +219,6 @@ TEST(Parallel, ConcurrentExternalDispatchersAreSerialized) {
   }
   for (auto& t : dispatchers) t.join();
   EXPECT_EQ(total.load(), 4u * 25u * 8u);
-}
-
-TEST(Parallel, CampaignReresolvesEnvThreadsPerCall) {
-  // The global pool's lane count pins at first use, but run_cell_campaign
-  // must re-read FRLFI_NUM_THREADS per call and still produce
-  // serial-identical metrics (via an explicit pool when the global size
-  // no longer matches).
-  ThreadPool::global().size();  // force the pin
-  const auto cell = [](std::size_t c) { return Rng(11).split(c).uniform(); };
-  const std::vector<double> want = run_cell_campaign(40, 1, cell);
-  setenv("FRLFI_NUM_THREADS", "3", 1);
-  const std::vector<double> got = run_cell_campaign(40, 0, cell);
-  unsetenv("FRLFI_NUM_THREADS");
-  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 /// \file test_round_engine.cpp
 /// The federated round engine's invariants:
-///  * train() is bit-identical across thread counts (1, 2, 7) on both
-///    paper systems — faults, noisy channels and mitigation included —
-///    over an n_agents x threads grid;
+///  * train() is bit-identical across thread counts (1, 2, 7, and 0 =
+///    every hardware thread) on both paper systems — faults, noisy
+///    channels and mitigation included — over an n_agents x threads grid;
 ///  * snapshot/restore composes with parallel training (restore + retrain
 ///    replays the same bits at any fan-out);
 ///  * CommChannel::transmit_rows and the all-Present
@@ -177,8 +177,9 @@ TEST(RoundEngine, GridWorldTrainIsThreadCountInvariant) {
     std::vector<std::vector<float>> serial;
     MitigationStats serial_stats;
     std::size_t serial_bytes = 0;
-    for (const std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{7}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{0},
+                                      std::size_t{2}, std::size_t{4},
+                                      std::size_t{7}}) {
       GridWorldFrlSystem sys(grid_config(n_agents, threads), 31);
       TrainingFaultPlan plan;
       plan.active = true;

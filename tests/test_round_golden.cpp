@@ -20,30 +20,12 @@
 #include "core/rng.hpp"
 #include "fault/injector.hpp"
 #include "federated/round_engine.hpp"
+#include "test_util.hpp"
 
 namespace frlfi {
 namespace {
 
-// FNV-1a over raw bytes.
-class Digest {
- public:
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void f64(double v) { bytes(&v, sizeof v); }
-  void floats(std::span<const float> v) {
-    bytes(v.data(), v.size() * sizeof(float));
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
+using testing::Digest;
 
 constexpr std::size_t kAgents = 6;
 constexpr std::size_t kDim = 40;
@@ -239,15 +221,6 @@ Scenario retry() {
   sc.channel_ber = 4e-3;
   return sc;
 }
-
-// The digests pin the portable build's rounding; an FMA-contracting
-// native build computes different (equally valid) bits.
-#ifdef __FMA__
-#define SKIP_ON_FMA() \
-  GTEST_SKIP() << "digests are recorded for the portable (no-FMA) build"
-#else
-#define SKIP_ON_FMA() (void)0
-#endif
 
 TEST(RoundGolden, DegradedRoundsWithServerFaultAndMitigation) {
   SKIP_ON_FMA();

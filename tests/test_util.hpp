@@ -60,6 +60,28 @@ inline bool narrow_reduction_is_portable() {
   return bits == 0xC2C5FF00u;  // the sequential chain gives 0xC2C5FF60
 }
 
+/// FNV-1a over raw bytes: the golden digests' hash.
+class Digest {
+ public:
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= b[i];
+      h_ *= 0x100000001B3ULL;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void f32(float v) { bytes(&v, sizeof v); }
+  void f64(double v) { bytes(&v, sizeof v); }
+  void floats(std::span<const float> v) {
+    bytes(v.data(), v.size() * sizeof(float));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
 /// dLoss/dInput of the last cached net.forward(): every layer's cached
 /// backward, last layer first. (Network's training backward skips layer
 /// 0's input gradient, so this is where the input gradient comes from.)
@@ -170,3 +192,19 @@ class BanditEnv final : public Environment {
 };
 
 }  // namespace frlfi::testing
+
+// The golden digests pin the portable build's rounding; an FMA-contracting
+// native build computes different (equally valid) bits.
+#ifdef __FMA__
+#define SKIP_ON_FMA() \
+  GTEST_SKIP() << "digests are recorded for the portable (no-FMA) build"
+#else
+#define SKIP_ON_FMA() (void)0
+#endif
+
+// Digests that cross the conv stack's narrow GEMM kernels, whose reduction
+// tree sanitizer builds do not share.
+#define SKIP_UNLESS_PORTABLE_NARROW_REDUCTION()                          \
+  if (!::frlfi::testing::narrow_reduction_is_portable())                \
+  GTEST_SKIP() << "digests are recorded for the portable build's "      \
+                  "narrow-GEMM reduction tree"
