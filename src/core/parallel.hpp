@@ -49,12 +49,11 @@ std::size_t resolve_thread_count(std::size_t requested = 0);
 void shard_range(std::size_t n, std::size_t parts, std::size_t part,
                  std::size_t& begin, std::size_t& end);
 
-/// Run body(begin, end) over [0, n) under the campaign thread policy —
-/// the one rule shared by run_cell_campaign and the round engine's local
-/// episodes. `threads` == 1: strictly serial on the calling thread; 0: a
+/// Run body(begin, end) over [0, n) under the campaign thread policy
+/// (run_cell_campaign's; the round engine sizes its persistent pool by the
+/// same rule). `threads` == 1: strictly serial on the calling thread; 0: a
 /// pool of min(hardware threads, n) lanes; N: a pool of min(N, n) lanes.
-/// The
-/// lane partition never changes results (bodies must be
+/// The lane partition never changes results (bodies must be
 /// partition-invariant), only how many threads share the work.
 void dispatch_lanes(std::size_t threads, std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& body);
