@@ -48,7 +48,7 @@ CellResult run_cell(const BenchArgs& args, std::size_t episodes,
   CellResult out;
   for (std::size_t t = 0; t < args.trials; ++t) {
     GridWorldFrlSystem sys(cfg, args.seed + 1000 * t);
-    if (plan.active) sys.set_participation_plan(plan);
+    sys.set_participation_plan(plan);
     sys.train(episodes);
     sr.add(100.0 * sys.evaluate_success_rate(6, args.seed + 7777 + t));
     if (t == 0) {
@@ -127,7 +127,6 @@ int main(int argc, char** argv) {
           cfg.channel_bursty.p_bad_to_good = 1.0 / len;
           cfg.channel_bursty.chunk_elems = 16;
           ParticipationPlan plan;
-          plan.active = true;
           if (std::string(mode) == "L2") plan.screening.l2_norm = true;
           if (std::string(mode) == "trimmed")
             plan.screening.trimmed_mean = true;
@@ -164,8 +163,6 @@ int main(int argc, char** argv) {
         cfg.channel_bursty.erasure_rate = erasure;
         cfg.channel_bursty.chunk_elems = 16;
         ParticipationPlan plan;
-        plan.active = true;
-        plan.upload.enabled = true;
         plan.upload.max_retries = max_retries;
         const CellResult cell = run_cell(args, episodes, cfg, plan);
         table.row()

@@ -18,8 +18,8 @@
 #include "bench_util.hpp"
 #include "core/stats.hpp"
 #include "core/table.hpp"
-#include "drone_sweeps.hpp"
 #include "fault/injector.hpp"
+#include "frl/drone_system.hpp"
 #include "frl/gridworld_system.hpp"
 
 using namespace frlfi;
@@ -99,7 +99,8 @@ int main(int argc, char** argv) {
 
   {
     std::cout << "\n--- DroneNav policy (flight distance [m]) ---\n";
-    DroneFrlSystem::Config dcfg = bench_drone_config(2);
+    DroneFrlSystem::Config dcfg;
+    dcfg.n_drones = 2;
     dcfg.threads = args.train_threads;
     DroneFrlSystem sys(dcfg, args.seed);
     sys.train(args.fast ? 30 : 60);

@@ -11,7 +11,7 @@
 #include "bench_util.hpp"
 #include "core/stats.hpp"
 #include "core/table.hpp"
-#include "frl/gridworld_system.hpp"
+#include "sweeps.hpp"
 
 using namespace frlfi;
 using namespace frlfi::bench;
@@ -24,15 +24,9 @@ double run_with_mitigation(const BenchArgs& args, std::size_t episodes,
   RunningStats stats;
   const std::size_t trials = std::max<std::size_t>(args.trials, 2);
   for (std::size_t t = 0; t < trials; ++t) {
-    GridWorldFrlSystem::Config cfg;
-    GridWorldFrlSystem sys(cfg, args.seed + t);
-    TrainingFaultPlan plan;
-    plan.active = true;
-    plan.spec.site = FaultSite::ServerFault;
-    plan.spec.model = FaultModel::TransientPersistent;
-    plan.spec.ber = 0.02;
-    plan.spec.episode = episodes * 9 / 10;
-    sys.set_fault_plan(plan);
+    GridWorldFrlSystem sys({}, args.seed + t);
+    sys.set_fault_plan(
+        training_fault(FaultSite::ServerFault, 0.02, episodes * 9 / 10));
     MitigationPlan mit;
     mit.enabled = true;
     mit.checkpoint_interval = checkpoint_interval;

@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
                 {"dropout rate", "SR %", "dropped/agent-rounds"});
     for (const double rate : rates) {
       ParticipationPlan plan;
-      plan.active = true;
       plan.dropout_rate = rate;
       plan.crash_rounds = 2;
       const CellResult cell = run_cell(args, episodes, plan);
@@ -94,7 +93,6 @@ int main(int argc, char** argv) {
                 {"lag [rounds]", "SR %", "folded", "discarded"});
     for (const std::size_t lag : lags) {
       ParticipationPlan plan;
-      plan.active = true;
       plan.straggler_rate = 0.3;
       plan.straggler_lag = lag;
       const CellResult cell = run_cell(args, episodes, plan);
@@ -114,7 +112,6 @@ int main(int argc, char** argv) {
     for (const double fraction : fractions) {
       for (int mode = 0; mode < 3; ++mode) {
         ParticipationPlan plan;
-        plan.active = true;
         plan.byzantine_agents = pick_byzantine_agents(
             sweep_config().n_agents, fraction, args.seed + 17);
         if (mode == 1) {

@@ -11,7 +11,7 @@
 #include "bench_util.hpp"
 #include "core/stats.hpp"
 #include "core/table.hpp"
-#include "drone_sweeps.hpp"
+#include "frl/drone_system.hpp"
 #include "frl/gridworld_system.hpp"
 
 using namespace frlfi;
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
   {
     std::cout << "\n--- DroneNav (flight distance [m]) ---\n";
-    DroneFrlSystem sys(bench_drone_config(4), args.seed);
+    DroneFrlSystem sys(DroneFrlSystem::Config{}, args.seed);
     sys.train(args.fast ? 40 : 100);
     const std::size_t trials = std::max<std::size_t>(args.trials, 5);
     std::vector<double> bers{0.0, 1e-5, 1e-4, 1e-3};

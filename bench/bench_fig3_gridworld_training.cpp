@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "gridworld_sweeps.hpp"
+#include "sweeps.hpp"
 
 using namespace frlfi;
 using namespace frlfi::bench;
@@ -20,29 +20,20 @@ int main(int argc, char** argv) {
                "GridWorld training fault heatmaps (SR %, higher is better)",
                args);
 
-  GridSweepConfig cfg;
-  cfg.trials = args.trials;
-  cfg.seed = args.seed;
-  cfg.threads = args.threads;
-  cfg.train_threads = args.train_threads;
-  if (args.fast) {
-    cfg.episodes = 500;
-    cfg.columns = {0, 250, 450};
-    cfg.bers_percent = {0.4, 1.2, 2.0};
-  }
+  Sweep sweep = gridworld_panel(args);
+  GridWorldFrlSystem::Config cfg;
+  cfg.threads = args.train_threads;
 
   std::cout << "\n--- Fig. 3a: FRL, agent faults (paper: mild, SR >= 92) ---\n";
-  cfg.site = FaultSite::AgentFault;
-  cfg.n_agents = 12;
-  run_gridworld_training_sweep(cfg).print(0);
+  sweep.site = FaultSite::AgentFault;
+  sweep_heatmap(cfg, sweep).print(0);
 
   std::cout << "\n--- Fig. 3b: FRL, server faults (paper: down to ~57) ---\n";
-  cfg.site = FaultSite::ServerFault;
-  run_gridworld_training_sweep(cfg).print(0);
+  sweep.site = FaultSite::ServerFault;
+  sweep_heatmap(cfg, sweep).print(0);
 
   std::cout << "\n--- Fig. 3c: single-agent, no server (paper: down to ~40) ---\n";
-  cfg.site = FaultSite::ServerFault;  // hits the lone agent directly
-  cfg.n_agents = 1;
-  run_gridworld_training_sweep(cfg).print(0);
+  cfg.n_agents = 1;  // the server fault hits the lone agent directly
+  sweep_heatmap(cfg, sweep).print(0);
   return 0;
 }

@@ -10,7 +10,7 @@
 #include "bench_util.hpp"
 #include "core/stats.hpp"
 #include "core/table.hpp"
-#include "frl/gridworld_system.hpp"
+#include "sweeps.hpp"
 
 using namespace frlfi;
 using namespace frlfi::bench;
@@ -31,15 +31,9 @@ int main(int argc, char** argv) {
     for (const FaultSite site : {FaultSite::AgentFault, FaultSite::ServerFault}) {
       RunningStats stats;
       for (std::size_t t = 0; t < args.trials; ++t) {
-        GridWorldFrlSystem::Config cfg;
-        GridWorldFrlSystem sys(cfg, args.seed + t);
-        TrainingFaultPlan plan;
-        plan.active = true;
-        plan.spec.site = site;
-        plan.spec.model = FaultModel::TransientPersistent;
-        plan.spec.ber = ber_pct / 100.0;
-        plan.spec.episode = fault_episode;
-        sys.set_fault_plan(plan);
+        GridWorldFrlSystem sys({}, args.seed + t);
+        sys.set_fault_plan(
+            training_fault(site, ber_pct / 100.0, fault_episode));
         sys.train(fault_episode + 1);  // fault fires during this episode
         stats.add(static_cast<double>(
             sys.episodes_to_recover(0.96, 10, 8, max_extra, args.seed + t)));

@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "drone_sweeps.hpp"
+#include "sweeps.hpp"
 
 using namespace frlfi;
 using namespace frlfi::bench;
@@ -22,27 +22,20 @@ int main(int argc, char** argv) {
                "paper fine-tunes 6000 episodes, here 150 — 40x scale-down)",
                args);
 
-  DroneSweepConfig cfg;
-  cfg.trials = args.trials;
-  cfg.seed = args.seed;
-  cfg.threads = args.threads;
-  cfg.train_threads = args.train_threads;
-  if (args.fast) {
-    cfg.episodes = 60;
-    cfg.bers = {0.0, 1e-2, 1e-1};
-  }
+  Sweep sweep = drone_panel(args);
+  DroneFrlSystem::Config cfg;
+  cfg.threads = args.train_threads;
 
   std::cout << "\n--- Fig. 5a: FRL, agent faults (paper: 722 -> 649 worst) ---\n";
-  cfg.site = FaultSite::AgentFault;
-  cfg.n_drones = 4;
-  run_drone_training_sweep(cfg).print(0);
+  sweep.site = FaultSite::AgentFault;
+  sweep_heatmap(cfg, sweep).print(0);
 
   std::cout << "\n--- Fig. 5b: FRL, server faults (paper: 722 -> 582 worst) ---\n";
-  cfg.site = FaultSite::ServerFault;
-  run_drone_training_sweep(cfg).print(0);
+  sweep.site = FaultSite::ServerFault;
+  sweep_heatmap(cfg, sweep).print(0);
 
   std::cout << "\n--- Fig. 5c: single-drone (paper: 713 -> 571 worst) ---\n";
   cfg.n_drones = 1;
-  run_drone_training_sweep(cfg).print(0);
+  sweep_heatmap(cfg, sweep).print(0);
   return 0;
 }

@@ -14,7 +14,7 @@
 #include "bench_util.hpp"
 #include "core/stats.hpp"
 #include "core/table.hpp"
-#include "drone_sweeps.hpp"
+#include "sweeps.hpp"
 
 using namespace frlfi;
 using namespace frlfi::bench;
@@ -58,19 +58,13 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < scenarios.size(); ++s) {
       RunningStats stats;
       for (std::size_t t = 0; t < args.trials; ++t) {
-        DroneFrlSystem::Config cfg = bench_drone_config(4);
+        DroneFrlSystem::Config cfg;
         cfg.boost_after_episode = boost_at;
         cfg.comm_interval_boost = boost;
         DroneFrlSystem sys(cfg, args.seed + 1000 * t);
-        if (scenarios[s].fault) {
-          TrainingFaultPlan plan;
-          plan.active = true;
-          plan.spec.site = scenarios[s].site;
-          plan.spec.model = FaultModel::TransientPersistent;
-          plan.spec.ber = fault_ber;
-          plan.spec.episode = fault_episode;
-          sys.set_fault_plan(plan);
-        }
+        if (scenarios[s].fault)
+          sys.set_fault_plan(
+              training_fault(scenarios[s].site, fault_ber, fault_episode));
         sys.train(episodes);
         stats.add(sys.evaluate_flight_distance(4, args.seed + 7777 + t));
         if (s == 0) comm_bytes = static_cast<double>(sys.communication_bytes());

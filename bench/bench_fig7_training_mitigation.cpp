@@ -7,8 +7,7 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "drone_sweeps.hpp"
-#include "gridworld_sweeps.hpp"
+#include "sweeps.hpp"
 
 using namespace frlfi;
 using namespace frlfi::bench;
@@ -21,35 +20,20 @@ int main(int argc, char** argv) {
                args);
 
   std::cout << "\n--- Fig. 7a: GridWorld, server faults, mitigation ON ---\n";
-  GridSweepConfig gcfg;
-  gcfg.site = FaultSite::ServerFault;
-  gcfg.mitigation = true;
-  gcfg.trials = args.trials;
-  gcfg.seed = args.seed;
-  gcfg.threads = args.threads;
-  gcfg.train_threads = args.train_threads;
-  if (args.fast) {
-    gcfg.episodes = 500;
-    gcfg.columns = {0, 250, 450};
-    gcfg.bers_percent = {0.4, 1.2, 2.0};
-  }
-  run_gridworld_training_sweep(gcfg).print(0);
+  Sweep grid = gridworld_panel(args);
+  grid.mitigation = true;
+  GridWorldFrlSystem::Config gcfg;
+  gcfg.threads = args.train_threads;
+  sweep_heatmap(gcfg, grid).print(0);
   std::cout << "(compare against the unmitigated Fig. 3b panel from "
                "bench_fig3_gridworld_training)\n";
 
   std::cout << "\n--- Fig. 7b: DroneNav, server faults, mitigation ON ---\n";
-  DroneSweepConfig dcfg;
-  dcfg.site = FaultSite::ServerFault;
-  dcfg.mitigation = true;
-  dcfg.trials = args.trials;
-  dcfg.seed = args.seed;
-  dcfg.threads = args.threads;
-  dcfg.train_threads = args.train_threads;
-  if (args.fast) {
-    dcfg.episodes = 60;
-    dcfg.bers = {0.0, 1e-2, 1e-1};
-  }
-  run_drone_training_sweep(dcfg).print(0);
+  Sweep drone = drone_panel(args);
+  drone.mitigation = true;
+  DroneFrlSystem::Config dcfg;
+  dcfg.threads = args.train_threads;
+  sweep_heatmap(dcfg, drone).print(0);
   std::cout << "(compare against the unmitigated Fig. 5b panel from "
                "bench_fig5_drone_training)\n";
   return 0;

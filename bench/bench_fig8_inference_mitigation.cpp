@@ -12,7 +12,7 @@
 #include "bench_util.hpp"
 #include "core/stats.hpp"
 #include "core/table.hpp"
-#include "drone_sweeps.hpp"
+#include "frl/drone_system.hpp"
 #include "frl/gridworld_system.hpp"
 
 using namespace frlfi;
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
 
   {
     std::cout << "\n--- Fig. 8b: DroneNav inference (flight distance [m]) ---\n";
-    DroneFrlSystem sys(bench_drone_config(4), args.seed);
+    DroneFrlSystem sys(DroneFrlSystem::Config{}, args.seed);
     sys.train(args.fast ? 40 : 100);
     Network healthy = sys.consensus_network();
     const RangeAnomalyDetector detector(healthy, {.margin = 0.10});

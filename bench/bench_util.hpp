@@ -9,8 +9,9 @@
 ///   --fast       cut sweep resolution for smoke runs
 ///   --threads=N  worker lanes for pool-parallel heatmap cells
 ///                (default 1 = serial; 0 = every hardware thread).
-///                Only the training-heatmap benches read it: fig3, fig5
-///                and fig7. Every other bench runs its cells serially.
+///                Only the training-fault sweeps read it: fig3, fig5,
+///                fig6a and fig7. Every other bench runs its cells
+///                serially.
 ///   --train-threads=N  worker lanes for the per-agent local episodes
 ///                inside each system's train() (the federated round
 ///                engine; default 1 = serial, 0 = every hardware thread).

@@ -204,7 +204,7 @@ CommChannel::UploadOutcome CommChannel::transmit_reliable(
     float* row, std::size_t dim, Rng& rng, const UploadProtocolConfig& cfg) {
   UploadOutcome out;
   if (!reliable_upload_armed(cfg)) {
-    // Disabled or zero-retry: a single unverified attempt — byte-for-byte
+    // Zero-retry: a single unverified attempt — byte-for-byte
     // the plain transmit (nothing could be done about corruption anyway).
     transmit_rows(row, 1, dim, rng);
     return out;

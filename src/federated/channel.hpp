@@ -90,18 +90,18 @@ inline constexpr double kUploadDeadlineSeconds = 16.0;
 /// quantized wire words detecting every corruption). With max_retries ==
 /// 0 a single attempt is accepted as-is — no verification is possible
 /// without the ability to retransmit — so a zero-retry protocol is
-/// byte-for-byte the plain transmit path (the degenerate lock).
+/// byte-for-byte the plain transmit path (the degenerate lock), and the
+/// default protocol is off.
 struct UploadProtocolConfig {
-  bool enabled = false;
   /// Retransmissions allowed after the first attempt, within
   /// kUploadDeadlineSeconds.
-  std::size_t max_retries = 3;
+  std::size_t max_retries = 0;
 };
 
 /// True when the protocol can actually retry (and therefore changes the
-/// round path); disabled or zero-retry protocols take the plain path.
+/// round path); zero-retry protocols take the plain path.
 inline bool reliable_upload_armed(const UploadProtocolConfig& cfg) {
-  return cfg.enabled && cfg.max_retries > 0;
+  return cfg.max_retries > 0;
 }
 
 /// A lossy parameter transport with cost accounting.

@@ -83,12 +83,11 @@ struct ScreeningConfig {
   bool trimmed_mean = false;
 };
 
-/// Declarative degraded-participation scenario. Inactive plans change
-/// nothing; an active plan with zero rates, no Byzantine agents and
-/// screening disabled resolves to full participation and is locked
-/// bit-identical to the inactive path.
+/// Declarative degraded-participation scenario. The default plan (zero
+/// rates, no Byzantine agents, screening and upload protocol off)
+/// resolves to full participation without a draw and is locked
+/// bit-identical to an engine that was never given a plan.
 struct ParticipationPlan {
-  bool active = false;
   /// Per-(round, agent) crash probability.
   double dropout_rate = 0.0;
   /// Consecutive rounds a crashed agent stays out before rejoining.

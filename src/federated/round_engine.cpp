@@ -7,14 +7,6 @@
 #include "fault/injector.hpp"
 
 namespace frlfi {
-namespace {
-
-// What an inactive plan hands the server: the defaults, so nothing a
-// disarmed plan still holds can switch on screening, staleness or the
-// upload protocol.
-const ParticipationPlan kPlanFree{};
-
-}  // namespace
 
 FederatedRoundEngine::FederatedRoundEngine(const Config& cfg,
                                            std::uint64_t seed,
@@ -32,6 +24,7 @@ FederatedRoundEngine::FederatedRoundEngine(const Config& cfg,
                       hooks_.scatter_params && hooks_.inject_agent,
                   "round engine needs all four agent hooks");
   rewards_.resize(cfg_.n_agents);
+  byzantine_mask_.assign(cfg_.n_agents, 0);
   // The lane count dispatch_lanes would pick (never more lanes than
   // agents), resolved once: the pool persists across every episode of
   // the training run.
@@ -83,13 +76,11 @@ void FederatedRoundEngine::set_mitigation(const MitigationPlan& plan) {
 
 void FederatedRoundEngine::set_participation_plan(
     const ParticipationPlan& plan) {
-  if (plan.active) validate_participation_plan(plan, cfg_.n_agents);
+  validate_participation_plan(plan, cfg_.n_agents);
   participation_ = plan;
   part_stats_ = ParticipationStats{};
   byzantine_mask_.assign(cfg_.n_agents, 0);
-  if (plan.active)
-    for (std::size_t agent : plan.byzantine_agents)
-      byzantine_mask_[agent] = 1;
+  for (std::size_t agent : plan.byzantine_agents) byzantine_mask_[agent] = 1;
 }
 
 std::size_t FederatedRoundEngine::effective_comm_interval() const {
@@ -132,16 +123,13 @@ void FederatedRoundEngine::communicate_if_due() {
 
   // Participation outcomes live on their own derived RNG plane — split
   // never advances train_rng_, so an all-present resolution leaves the
-  // training stream exactly where the plan-free engine has it. An
-  // inactive plan resolves everyone Present without a draw.
+  // training stream exactly where the plan-free engine has it. The
+  // default plan resolves everyone Present without a draw.
   const Rng part_base = train_rng_.split(kParticipationStreamTag);
   status_.resize(cfg_.n_agents);
   for (std::size_t i = 0; i < cfg_.n_agents; ++i)
-    status_[i] = participation_.active
-                     ? resolve_agent_round_status(participation_, part_base,
-                                                  round, i,
-                                                  byzantine_mask_[i] != 0)
-                     : AgentRoundStatus::Present;
+    status_[i] = resolve_agent_round_status(participation_, part_base, round,
+                                            i, byzantine_mask_[i] != 0);
 
   // Gather each sending agent into its own row. The rows of agents that
   // send nothing keep what an earlier round left there; the server
@@ -164,8 +152,7 @@ void FederatedRoundEngine::communicate_if_due() {
 
   Rng comm_rng = train_rng_.split(0xC0111 + episode_);
   const RoundParticipationReport rep = server_->communicate_round(
-      round_matrix_, status_,
-      participation_.active ? participation_ : kPlanFree, comm_rng);
+      round_matrix_, status_, participation_, comm_rng);
 
   // Downlink lands only on receiving agents; dropped agents keep training
   // on their own stale parameters, stragglers keep the parameters whose

@@ -30,9 +30,9 @@
 ///    resolution, the post-aggregate server-fault row hook (in-place
 ///    int8 injection over the aggregate rows on the historical RNG
 ///    stream), the reward-drop monitor and the checkpoint store.
-///  * **The degraded-participation plane.** An armed ParticipationPlan
+///  * **The degraded-participation plane.** The ParticipationPlan in force
 ///    resolves per-(round, agent) statuses on its own derived RNG plane
-///    (never the training stream; an inactive plan resolves everyone
+///    (never the training stream; the default plan resolves everyone
 ///    Present without a draw), which drive the round's partial
 ///    averaging, staleness buffer and Byzantine screening, and surfaces
 ///    per-round reports via the optional on_round hook. A plan resolving
@@ -116,7 +116,7 @@ class FederatedRoundEngine {
     std::function<void(std::size_t victim, const FaultSpec& spec, Rng& rng)>
         inject_agent;
     /// Optional fifth hook: observe each communication round's
-    /// participation report (plan-inactive rounds report all-present).
+    /// participation report (default-plan rounds report all-present).
     /// Invoked on the orchestration thread, after the round's scatter.
     std::function<void(const RoundParticipationReport& report)> on_round;
   };
@@ -133,10 +133,11 @@ class FederatedRoundEngine {
   /// Enable/disable the §V-A mitigation scheme (resets its state).
   void set_mitigation(const MitigationPlan& plan);
 
-  /// Arm (or disarm, with plan.active = false) the degraded-participation
-  /// plane; validates the plan against the agent count and resets the
-  /// accumulated participation stats. Without a server (single-agent
-  /// system) there are no communication rounds and the plan is inert.
+  /// Set the degraded-participation plan (the default plan is full
+  /// participation); validates the plan against the agent count and
+  /// resets the accumulated participation stats. Without a server
+  /// (single-agent system) there are no communication rounds and the plan
+  /// is inert.
   void set_participation_plan(const ParticipationPlan& plan);
 
   /// The plan in force.

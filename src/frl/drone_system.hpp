@@ -34,8 +34,8 @@ namespace frlfi {
 class DroneFrlSystem : public FrlSystem {
  public:
   /// System configuration. The online fine-tuning length is the train()
-  /// argument: 6000 episodes at paper scale, 150 by default in the drone
-  /// sweeps (bench/drone_sweeps.hpp).
+  /// argument: 6000 episodes at paper scale, 150 in the paper's drone
+  /// panels (bench/sweeps.hpp).
   struct Config {
     /// Number of drones; 1 selects the single-drone system of Fig. 5c.
     std::size_t n_drones = 4;

@@ -53,8 +53,9 @@ class FrlSystem {
     engine_->set_mitigation(plan);
   }
 
-  /// Arm/disarm the degraded-participation plane (dropout, stragglers,
-  /// Byzantine agents and server-side robust aggregation).
+  /// Set the degraded-participation plan (dropout, stragglers, Byzantine
+  /// agents and server-side robust aggregation); the default plan is full
+  /// participation.
   void set_participation_plan(const ParticipationPlan& plan) {
     engine_->set_participation_plan(plan);
   }

@@ -21,37 +21,22 @@
 #include "fault/injector.hpp"
 #include "federated/channel.hpp"
 #include "frl/policies.hpp"
+#include "test_util.hpp"
 
 namespace frlfi {
 namespace {
 
-// FNV-1a over raw bytes.
-class Digest {
- public:
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void floats(const std::vector<float>& v) {
-    bytes(v.data(), v.size() * sizeof(float));
-  }
-  void report(const InjectionReport& r) {
-    u64(r.bits_flipped);
-    u64(r.bits_total);
-  }
-  void overlay(const WeightOverlay& o) {
-    for (const std::size_t i : o.indices) u64(i);
-    floats(o.values);
-  }
-  std::uint64_t value() const { return h_; }
+using testing::Digest;
 
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
+void add_report(Digest& d, const InjectionReport& r) {
+  d.u64(r.bits_flipped);
+  d.u64(r.bits_total);
+}
+
+void add_overlay(Digest& d, const WeightOverlay& o) {
+  for (const std::size_t i : o.indices) d.u64(i);
+  d.floats(o.values);
+}
 
 // Payloads in [-2, 2) built from integer draws by exact scaling, so the
 // inputs carry no float rounding of their own (FMA contraction included).
@@ -157,7 +142,7 @@ TEST(BernoulliGolden, WeightInjectors) {
         for (const float headroom : {1.0f, 2.0f}) {
           std::vector<float> w = clean;
           Rng rng(74);
-          int8.report(inject_int8(w, spec, rng, headroom));
+          add_report(int8, inject_int8(w, spec, rng, headroom));
           int8.floats(w);
           int8.u64(rng.next_u64());
         }
@@ -165,15 +150,15 @@ TEST(BernoulliGolden, WeightInjectors) {
              {FixedPointFormat::q1_7_8(), FixedPointFormat{2, 9}}) {
           std::vector<float> w = clean;
           Rng rng(75);
-          fixed.report(inject_fixed_point(w, fmt, spec, rng));
+          add_report(fixed, inject_fixed_point(w, fmt, spec, rng));
           fixed.floats(w);
           fixed.u64(rng.next_u64());
         }
         {
           WeightOverlay out;
           Rng rng(76);
-          overlay.report(image.inject(spec, rng, out));
-          overlay.overlay(out);
+          add_report(overlay, image.inject(spec, rng, out));
+          add_overlay(overlay, out);
           overlay.u64(rng.next_u64());
         }
         for (std::size_t li = 0; li < net.layer_count(); ++li) {
@@ -181,19 +166,19 @@ TEST(BernoulliGolden, WeightInjectors) {
           const LayerDeployedWeights deployed(net, li);
           WeightOverlay out;
           Rng rng(78);
-          layer.report(deployed.inject(spec, rng, out));
-          layer.overlay(out);
+          add_report(layer, deployed.inject(spec, rng, out));
+          add_overlay(layer, out);
           layer.u64(rng.next_u64());
           Network victim = net.clone();
           Rng in_place(78);
-          layer.report(inject_layer_weights(victim, li, spec, in_place));
+          add_report(layer, inject_layer_weights(victim, li, spec, in_place));
           layer.floats(victim.flat_parameters());
           layer.u64(in_place.next_u64());
         }
         {
           Network victim = net.clone();
           Rng rng(79);
-          network.report(inject_network_weights(victim, spec, rng));
+          add_report(network, inject_network_weights(victim, spec, rng));
           network.floats(victim.flat_parameters());
           network.u64(rng.next_u64());
         }

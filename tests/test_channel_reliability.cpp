@@ -246,31 +246,28 @@ TEST(ReliableUpload, DisabledOrZeroRetryIsPlainTransmit) {
   // The degenerate-protocol lock: bits, counters and RNG position all
   // match the plain path.
   const std::size_t dim = 50;
-  for (const bool enabled : {false, true}) {
-    UploadProtocolConfig cfg;
-    cfg.enabled = enabled;
-    cfg.max_retries = 0;
-    auto plain = random_row(dim, 31);
-    auto reliable = plain;
-    CommChannel a(0.02), b(0.02);
-    Rng ra(6), rb(6);
-    a.transmit_rows(plain.data(), 1, dim, ra);
-    const CommChannel::UploadOutcome out =
-        b.transmit_reliable(reliable.data(), dim, rb, cfg);
-    EXPECT_EQ(plain, reliable);
-    EXPECT_EQ(out.attempts, 1u);
-    EXPECT_TRUE(out.delivered);
-    EXPECT_EQ(out.backoff, 0.0);
-    EXPECT_EQ(a.bytes_sent(), b.bytes_sent());
-    EXPECT_EQ(a.bits_corrupted(), b.bits_corrupted());
-    EXPECT_EQ(b.retransmit_bytes(), 0u);
-    EXPECT_EQ(ra.next_u64(), rb.next_u64());
-  }
+  UploadProtocolConfig cfg;
+  cfg.max_retries = 0;
+  auto plain = random_row(dim, 31);
+  auto reliable = plain;
+  CommChannel a(0.02), b(0.02);
+  Rng ra(6), rb(6);
+  a.transmit_rows(plain.data(), 1, dim, ra);
+  const CommChannel::UploadOutcome out =
+      b.transmit_reliable(reliable.data(), dim, rb, cfg);
+  EXPECT_EQ(plain, reliable);
+  EXPECT_EQ(out.attempts, 1u);
+  EXPECT_TRUE(out.delivered);
+  EXPECT_EQ(out.backoff, 0.0);
+  EXPECT_EQ(a.bytes_sent(), b.bytes_sent());
+  EXPECT_EQ(a.bits_corrupted(), b.bits_corrupted());
+  EXPECT_EQ(b.retransmit_bytes(), 0u);
+  EXPECT_EQ(ra.next_u64(), rb.next_u64());
 }
 
 TEST(ReliableUpload, CleanChannelDeliversFirstAttempt) {
   UploadProtocolConfig cfg;
-  cfg.enabled = true;
+  cfg.max_retries = 3;
   auto row = random_row(40, 77);
   const auto orig = row;
   CommChannel ch;  // BER 0
@@ -291,7 +288,6 @@ TEST(ReliableUpload, ExhaustsRetriesAndRestoresCleanPayload) {
   bursty.erasure_rate = 1.0;
   bursty.chunk_elems = 8;
   UploadProtocolConfig cfg;
-  cfg.enabled = true;
   cfg.max_retries = 3;
   const std::size_t dim = 24;
   auto row = random_row(dim, 13);
@@ -314,7 +310,6 @@ TEST(ReliableUpload, DeadlineBoundsAttempts) {
   bursty.active = true;
   bursty.erasure_rate = 1.0;
   UploadProtocolConfig cfg;
-  cfg.enabled = true;
   cfg.max_retries = 10;  // the 16 s deadline runs out first
   auto row = random_row(16, 2);
   CommChannel ch;
@@ -444,12 +439,10 @@ TEST(ChannelEngine, BurstyTrainingIsThreadCountInvariant) {
 /// protocol armed on top.
 ParticipationPlan retry_plan() {
   ParticipationPlan plan;
-  plan.active = true;
   plan.dropout_rate = 0.2;
   plan.crash_rounds = 2;
   plan.straggler_rate = 0.2;
   plan.straggler_lag = 2;
-  plan.upload.enabled = true;
   plan.upload.max_retries = 2;
   return plan;
 }
@@ -497,7 +490,6 @@ TEST(ChannelEngine, ZeroRetryProtocolIsBitIdenticalToPlanPath) {
   plain_server.channel().set_bursty(stormy);
   zero_server.channel().set_bursty(stormy);
   ParticipationPlan plain_plan, zero_plan;
-  zero_plan.upload.enabled = true;
   zero_plan.upload.max_retries = 0;
   Rng rp(46), rz(46);
   std::vector<float> mp = base, mz = base;
@@ -518,8 +510,6 @@ TEST(ChannelEngine, ExhaustedUploadDegradesIntoParticipationPlane) {
   cfg.channel_bursty.erasure_rate = 1.0;
   GridWorldFrlSystem sys(cfg, 606);
   ParticipationPlan plan;
-  plan.active = true;
-  plan.upload.enabled = true;
   plan.upload.max_retries = 2;
   sys.set_participation_plan(plan);
   std::vector<RoundParticipationReport> reports;
@@ -553,9 +543,7 @@ TEST(ChannelEngine, FailedUploadsDropPastMaxStaleness) {
   cfg.channel_bursty.erasure_rate = 1.0;
   GridWorldFrlSystem sys(cfg, 707);
   ParticipationPlan plan;
-  plan.active = true;
   plan.straggler_lag = kMaxStaleness + 1;
-  plan.upload.enabled = true;
   plan.upload.max_retries = 1;
   sys.set_participation_plan(plan);
   sys.train(6);

@@ -13,6 +13,7 @@
 #include "dronesim/drone_env.hpp"
 #include "dronesim/heuristic.hpp"
 #include "dronesim/world.hpp"
+#include "test_util.hpp"
 
 namespace frlfi {
 namespace {
@@ -700,52 +701,31 @@ TEST(DroneNavEnv, CopiedEnvKeepsProducingIdenticalFrames) {
     EXPECT_TRUE(same_bits(env.flight_distance(), twin.first->flight_distance()));
 }
 
-// FNV-1a over the raw bytes of a value: a digest of exact bit patterns.
-class BitDigest {
- public:
-  void add_bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  template <typename T>
-  void add(T v) {
-    add_bytes(&v, sizeof v);
-  }
-  void add(const Tensor& t) { add_bytes(t.data().data(), t.size() * sizeof(float)); }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
-
 // Fly a fixed-seed env through a scripted 300-step action sequence,
 // resetting whenever an episode ends, and digest every observation, every
 // reward and each episode's final distance and pose.
 std::uint64_t scripted_flight_digest(DroneNavEnv& env, std::uint64_t seed) {
   Rng rng(seed);
   SplitMix64 script(seed * 31 + 7);
-  BitDigest digest;
-  digest.add(env.reset(rng));
+  testing::Digest digest;
+  testing::add_tensor(digest, env.reset(rng));
   int resets = 0;
   for (int t = 0; t < 300; ++t) {
     const std::size_t action = static_cast<std::size_t>(script.next() % 25);
     const StepResult r = env.step(action, rng);
-    digest.add(r.observation);
-    digest.add(r.reward);
-    digest.add(r.done);
+    testing::add_tensor(digest, r.observation);
+    digest.f32(r.reward);
+    digest.bytes(&r.done, sizeof r.done);
     if (r.done) {
-      digest.add(env.flight_distance());
-      digest.add(env.state().position.x);
-      digest.add(env.state().position.y);
-      digest.add(env.state().heading);
-      digest.add(env.reset(rng));
+      digest.f64(env.flight_distance());
+      digest.f64(env.state().position.x);
+      digest.f64(env.state().position.y);
+      digest.f64(env.state().heading);
+      testing::add_tensor(digest, env.reset(rng));
       ++resets;
     }
   }
-  digest.add(env.flight_distance());
+  digest.f64(env.flight_distance());
   EXPECT_GE(resets, 2);  // the script must cross several episodes
   return digest.value();
 }

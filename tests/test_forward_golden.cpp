@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "fault/overlay.hpp"
@@ -18,25 +17,6 @@
 
 namespace frlfi {
 namespace {
-
-// FNV-1a over the raw bit patterns of every logit.
-class LogitDigest {
- public:
-  void add(const Tensor& t) {
-    for (const float v : t.data()) {
-      std::uint32_t bits;
-      std::memcpy(&bits, &v, sizeof bits);
-      for (int k = 0; k < 4; ++k) {
-        h_ ^= (bits >> (8 * k)) & 0xFFu;
-        h_ *= 0x100000001B3ULL;
-      }
-    }
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
 
 constexpr std::size_t kObservations = 8;
 // Every 53rd parameter is overlaid: the stride is below every weight span
@@ -75,10 +55,10 @@ Digests policy_digests(Network& net, const std::vector<Tensor>& obs) {
   const WeightView clean{flat.data(), flat.size(), nullptr};
   const WeightView struck{flat.data(), flat.size(), &overlay};
 
-  LogitDigest dv, dov;
+  testing::Digest dv, dov;
   for (const Tensor& o : obs) {
-    dv.add(view_logits(net, o, clean));
-    dov.add(view_logits(net, o, struck));
+    testing::add_tensor(dv, view_logits(net, o, clean));
+    testing::add_tensor(dov, view_logits(net, o, struck));
   }
   return {dv.value(), dov.value()};
 }

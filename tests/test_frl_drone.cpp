@@ -67,7 +67,7 @@ TEST(DroneFrl, PretrainingCacheIsConcurrencySafe) {
 }
 
 TEST(DroneFrl, HeatmapCellsPoolParallelAreThreadCountInvariant) {
-  // A miniature training-phase heatmap campaign (the drone_sweeps shape):
+  // A miniature training-phase heatmap campaign (bench/sweeps.cpp's shape):
   // cells build whole systems — sharing only the pretraining cache — train
   // under distinct fault plans, and evaluate. Cell metrics must not
   // depend on the fan-out.

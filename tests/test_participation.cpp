@@ -53,7 +53,6 @@ std::vector<float> pack_rows(const std::vector<std::vector<float>>& vov) {
 
 TEST(ParticipationPlan, ValidatesParameters) {
   ParticipationPlan plan;
-  plan.active = true;
   plan.dropout_rate = 1.5;
   EXPECT_THROW(validate_participation_plan(plan, 4), Error);
   plan.dropout_rate = 0.1;
@@ -68,7 +67,6 @@ TEST(ParticipationPlan, ValidatesParameters) {
 
 TEST(ParticipationPlan, ResolutionIsDeterministicAndFunctional) {
   ParticipationPlan plan;
-  plan.active = true;
   plan.dropout_rate = 0.3;
   plan.straggler_rate = 0.3;
   const Rng base = Rng(99).split(kParticipationStreamTag);
@@ -82,7 +80,6 @@ TEST(ParticipationPlan, ResolutionIsDeterministicAndFunctional) {
     }
   // Zero rates resolve everyone Present; the Byzantine flag overrides.
   ParticipationPlan calm;
-  calm.active = true;
   EXPECT_EQ(resolve_agent_round_status(calm, base, 3, 1, false),
             AgentRoundStatus::Present);
   EXPECT_EQ(resolve_agent_round_status(calm, base, 3, 1, true),
@@ -94,7 +91,6 @@ TEST(ParticipationPlan, CrashWindowKeepsAgentOutThenRejoins) {
   // agent Dropped for rounds [r0, r0+K) and it rejoins afterwards
   // (unless a later draw fires).
   ParticipationPlan one;
-  one.active = true;
   one.dropout_rate = 0.25;
   const Rng base = Rng(7).split(kParticipationStreamTag);
   ParticipationPlan windowed = one;
@@ -457,7 +453,6 @@ TEST(CommunicateRound, RowsOutsideTheRoundNeverReachItsResults) {
   status[1] = AgentRoundStatus::Dropped;
   status[4] = AgentRoundStatus::Straggler;
   ParticipationPlan plan;
-  plan.upload.enabled = true;
   plan.upload.max_retries = 1;
   FaultSpec spec;
   spec.ber = 0.05;
@@ -568,10 +563,10 @@ std::vector<std::vector<float>> grid_params(GridWorldFrlSystem& sys,
 }
 
 TEST(ParticipationEngine, FullParticipationPlanIsBitIdenticalToInactive) {
-  // The acceptance lock: an active plan resolving to all-present with
-  // screening off must not change a single bit vs the plan-free engine —
-  // RNG stream position included (checked by training past the compare
-  // point) — at thread counts 1, 2 and 7.
+  // The acceptance lock: setting the default plan (full participation)
+  // must not change a single bit vs an engine that was never given a
+  // plan — RNG stream position included (checked by training past the
+  // compare point) — at thread counts 1, 2 and 7.
   GridWorldFrlSystem reference(grid_config(4, 1), 77);
   reference.train(30);
   const auto ref_params = grid_params(reference, 4);
@@ -582,9 +577,7 @@ TEST(ParticipationEngine, FullParticipationPlanIsBitIdenticalToInactive) {
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
     GridWorldFrlSystem sys(grid_config(4, threads), 77);
-    ParticipationPlan plan;
-    plan.active = true;  // zero rates, no Byzantine set, screening off
-    sys.set_participation_plan(plan);
+    sys.set_participation_plan(ParticipationPlan{});
     sys.train(30);
     EXPECT_EQ(grid_params(sys, 4), ref_params) << threads << " threads";
     EXPECT_EQ(sys.communication_bytes(), ref_bytes);
@@ -617,7 +610,6 @@ TEST(ParticipationEngine, DroneFullParticipationPlanIsBitIdentical) {
        {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
     DroneFrlSystem sys(drone_config(3, threads), 57);
     ParticipationPlan plan;
-    plan.active = true;
     sys.set_participation_plan(plan);
     sys.train(8);
     std::vector<std::vector<float>> params;
@@ -632,7 +624,6 @@ TEST(ParticipationEngine, DroneFullParticipationPlanIsBitIdentical) {
 /// screened Byzantine agent at once.
 ParticipationPlan busy_plan() {
   ParticipationPlan plan;
-  plan.active = true;
   plan.dropout_rate = 0.2;
   plan.crash_rounds = 2;
   plan.straggler_rate = 0.3;

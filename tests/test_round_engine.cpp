@@ -316,7 +316,6 @@ struct FleetHarness {
 /// stragglers, Byzantine senders and L2 screening.
 ParticipationPlan thin_plan() {
   ParticipationPlan plan;
-  plan.active = true;
   plan.dropout_rate = 0.9;
   plan.crash_rounds = 1;
   plan.straggler_rate = 0.1;

@@ -82,7 +82,7 @@ struct Harness {
 };
 
 struct Scenario {
-  ParticipationPlan plan;  // inactive = plan-free rounds
+  ParticipationPlan plan;  // default = full participation
   bool server_fault = false;
   double channel_ber = 2e-3;
 };
@@ -191,7 +191,6 @@ Outcome run(const Scenario& sc) {
 // L2 screen, and a server fault with mitigation on.
 Scenario busy() {
   Scenario sc;
-  sc.plan.active = true;
   sc.plan.dropout_rate = 0.15;
   sc.plan.crash_rounds = 2;
   sc.plan.straggler_rate = 0.2;
@@ -204,7 +203,6 @@ Scenario busy() {
 
 Scenario trimmed() {
   Scenario sc;
-  sc.plan.active = true;
   sc.plan.dropout_rate = 0.1;
   sc.plan.straggler_rate = 0.15;
   sc.plan.byzantine_agents = {1};
@@ -214,9 +212,7 @@ Scenario trimmed() {
 
 Scenario retry() {
   Scenario sc;
-  sc.plan.active = true;
   sc.plan.straggler_rate = 0.1;
-  sc.plan.upload.enabled = true;
   sc.plan.upload.max_retries = 3;
   sc.channel_ber = 4e-3;
   return sc;

@@ -82,6 +82,9 @@ class Digest {
   std::uint64_t h_ = 0xCBF29CE484222325ULL;
 };
 
+/// Fold a tensor's elements, in storage order, into `d`.
+inline void add_tensor(Digest& d, const Tensor& t) { d.floats(t.data()); }
+
 /// dLoss/dInput of the last cached net.forward(): every layer's cached
 /// backward, last layer first. (Network's training backward skips layer
 /// 0's input gradient, so this is where the input gradient comes from.)
