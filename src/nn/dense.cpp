@@ -43,21 +43,8 @@ Tensor Dense::batch_inner_with(Tensor input, std::size_t batch,
     gemv_bias(wt, input.data().data(), bias, out.data().data(), out_, in_);
     return out;
   }
-  if (batch < kBatchInnerWideKernelMin) {
-    // Keep the exact gemv chain below the wide-GEMM threshold: gather each
-    // sample's strided column, run the per-sample kernel, scatter back.
-    // Reused scratch: this path runs per decision step in small-fleet
-    // evaluation loops.
-    thread_local std::vector<float> xs, ys;
-    xs.resize(in_);
-    ys.resize(out_);
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t j = 0; j < in_; ++j) xs[j] = input[j * batch + b];
-      gemv_bias(wt, xs.data(), bias, ys.data(), out_, in_);
-      for (std::size_t o = 0; o < out_; ++o) out[o * batch + b] = ys[o];
-    }
-    return out;
-  }
+  // Every wider batch: one ordered strip kernel, whose per-element chain
+  // is gemv_bias's.
   gemm_bias_rows_ordered(wt, input.data().data(), bias, out.data().data(),
                          out_, in_, batch);
   return out;

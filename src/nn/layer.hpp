@@ -64,13 +64,12 @@ struct ParamSource {
   bool own() const { return view == nullptr; }
 };
 
-/// Batch width at which the batch-inner layers switch from the per-sample
-/// gather kernels to the wide B-stride SIMD kernels (Conv2D's direct
-/// batch-inner convolution, Dense's ordered batched GEMM). A speed
-/// threshold only: both sides run each element's accumulation chain in
-/// forward()'s order, so every in-tree layer gives the same bits at every
-/// width, and the lane count of a lockstep campaign cannot change a
-/// result.
+/// Batch width at which Conv2D's batch-inner path switches from per-sample
+/// forwards to its direct B-stride convolution (Dense runs its one ordered
+/// strip kernel at every width >= 2). A speed threshold only: both sides
+/// run each element's accumulation chain in forward()'s order, so every
+/// in-tree layer gives the same bits at every width, and the lane count of
+/// a lockstep campaign cannot change a result.
 inline constexpr std::size_t kBatchInnerWideKernelMin = 8;
 
 /// A trainable tensor with its gradient accumulator.

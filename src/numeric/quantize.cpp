@@ -41,8 +41,20 @@ inline std::int8_t quantize_word(float x, float scale) {
 }  // namespace
 
 Int8Quantizer Int8Quantizer::calibrate(std::span<const float> data) {
+  // Every term is a finite non-negative float or +0 (finite_magnitude maps
+  // NaN and ±Inf to 0), and a max over such terms is exact in any order:
+  // kLanes independent running maxima, combined in a fixed order, give the
+  // one scalar chain's result bit for bit without its latency chain.
+  constexpr std::size_t kLanes = 16;
+  float lanes[kLanes] = {};
+  const std::size_t n = data.size();
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes)
+    for (std::size_t l = 0; l < kLanes; ++l)
+      lanes[l] = std::max(lanes[l], finite_magnitude(data[i + l]));
   float max_abs = 0.0f;
-  for (float x : data) max_abs = std::max(max_abs, finite_magnitude(x));
+  for (; i < n; ++i) max_abs = std::max(max_abs, finite_magnitude(data[i]));
+  for (const float m : lanes) max_abs = std::max(max_abs, m);
   constexpr float kMinScaleNumerator = 1e-8f;
   return Int8Quantizer(std::max(max_abs, kMinScaleNumerator) / 127.0f);
 }

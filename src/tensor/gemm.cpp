@@ -1,18 +1,10 @@
 #include "tensor/gemm.hpp"
 
-#include <algorithm>
+#include <cstring>
 #include <vector>
 
 namespace frlfi {
 namespace {
-
-// Block sizes sized for typical L1/L2: a kBlockK x kBlockJ panel of B
-// (~256 KiB upper bound at floats) plus a kBlockI x kBlockK panel of A.
-// The policy-network matrices here are small enough to fit in one block;
-// the blocking exists so campaign-scale batched shapes keep streaming.
-constexpr std::size_t kBlockI = 64;
-constexpr std::size_t kBlockK = 256;
-constexpr std::size_t kBlockJ = 512;
 
 // Narrow-output kernel for n < kGemmNarrowN: with only a few columns the
 // saxpy form degenerates to scalar loop overhead, so pack Bᵀ (n rows of k
@@ -44,76 +36,73 @@ inline void accumulate_narrow(const float* FRLFI_RESTRICT a,
   }
 }
 
-// Wide-output kernel: six accumulator rows share every load of the b-row,
-// streamed across j under `omp simd`. GCC vectorizes the j loop without
-// reassociating the per-element k-chain, so for each c[i][j] the reduction
-// runs in strictly increasing p order — bit-identical to the naive loops.
-inline void saxpy_rows6(const float* FRLFI_RESTRICT a,
-                        const float* FRLFI_RESTRICT b, float* FRLFI_RESTRICT c,
-                        std::size_t i0, std::size_t imax, std::size_t p0,
-                        std::size_t pmax, std::size_t j0, std::size_t jlen,
-                        std::size_t k, std::size_t n) {
-  std::size_t i = i0;
-  for (; i + 6 <= imax; i += 6) {
-    const float* FRLFI_RESTRICT a0 = a + (i + 0) * k;
-    const float* FRLFI_RESTRICT a1 = a + (i + 1) * k;
-    const float* FRLFI_RESTRICT a2 = a + (i + 2) * k;
-    const float* FRLFI_RESTRICT a3 = a + (i + 3) * k;
-    const float* FRLFI_RESTRICT a4 = a + (i + 4) * k;
-    const float* FRLFI_RESTRICT a5 = a + (i + 5) * k;
-    float* FRLFI_RESTRICT c0 = c + (i + 0) * n + j0;
-    float* FRLFI_RESTRICT c1 = c + (i + 1) * n + j0;
-    float* FRLFI_RESTRICT c2 = c + (i + 2) * n + j0;
-    float* FRLFI_RESTRICT c3 = c + (i + 3) * n + j0;
-    float* FRLFI_RESTRICT c4 = c + (i + 4) * n + j0;
-    float* FRLFI_RESTRICT c5 = c + (i + 5) * n + j0;
-    for (std::size_t p = p0; p < pmax; ++p) {
-      const float av0 = a0[p], av1 = a1[p], av2 = a2[p];
-      const float av3 = a3[p], av4 = a4[p], av5 = a5[p];
-      const float* FRLFI_RESTRICT brow = b + p * n + j0;
-#pragma omp simd
-      for (std::size_t j = 0; j < jlen; ++j) {
-        const float bv = brow[j];
-        c0[j] += av0 * bv;
-        c1[j] += av1 * bv;
-        c2[j] += av2 * bv;
-        c3[j] += av3 * bv;
-        c4[j] += av4 * bv;
-        c5[j] += av5 * bv;
-      }
-    }
+// gemm_bias_rows_ordered's strips: kStripRows rows of C by kStrip columns
+// (one AVX-512 vector; two AVX2 or four SSE vectors). Each strip's
+// accumulators are seeded from bias[i], run the whole increasing-p chain in
+// registers and are written once.
+constexpr std::size_t kStrip = 16;
+constexpr std::size_t kStripRows = 4;
+typedef float StripVec __attribute__((vector_size(kStrip * sizeof(float))));
+
+// One column strip: row p of B is read at b + p * ld for p < bsplit and at
+// btail + (p - bsplit) * ld after; row i of C is written at c + i * ld for
+// i < csplit and at ctail + (i - csplit) * ld after. Every read and write
+// is a whole StripVec.
+struct Strip {
+  const float* b;
+  const float* btail;
+  std::size_t bsplit;
+  float* c;
+  float* ctail;
+  std::size_t csplit;
+  std::size_t ld;
+};
+
+// Rows i .. i+R-1 of one strip. Reduction-free: per lane the chain is
+// bias[i], then + a[i][p]·b[p][j] for p = 0, 1, ..., k-1.
+template <std::size_t R>
+[[gnu::always_inline]] inline void ordered_strip(
+    const float* FRLFI_RESTRICT a, const float* FRLFI_RESTRICT bias,
+    const Strip& s, std::size_t i, std::size_t k) {
+  StripVec acc[R];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r)
+    for (std::size_t l = 0; l < kStrip; ++l) acc[r][l] = bias[i + r];
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* brow =
+        p < s.bsplit ? s.b + p * s.ld : s.btail + (p - s.bsplit) * s.ld;
+    StripVec bv;
+    std::memcpy(&bv, brow, sizeof bv);
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) acc[r] += a[(i + r) * k + p] * bv;
   }
-  for (; i < imax; ++i) {
-    float* FRLFI_RESTRICT crow = c + i * n + j0;
-    const float* FRLFI_RESTRICT arow = a + i * k;
-    for (std::size_t p = p0; p < pmax; ++p) {
-      const float av = arow[p];
-      const float* FRLFI_RESTRICT brow = b + p * n + j0;
-#pragma omp simd
-      for (std::size_t j = 0; j < jlen; ++j) crow[j] += av * brow[j];
-    }
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+    float* crow = i + r < s.csplit ? s.c + (i + r) * s.ld
+                                   : s.ctail + (i + r - s.csplit) * s.ld;
+    std::memcpy(crow, &acc[r], sizeof acc[r]);
   }
 }
 
-// Out-of-line so the saxpy loops inline into each target clone and the
-// whole wide-GEMM path gets the AVX2 codegen (see FRLFI_TARGET_CLONES:
-// every loop in here is an ordered saxpy chain, so the clones are
-// bit-identical).
-FRLFI_TARGET_CLONES
-void accumulate_blocked_from(const float* FRLFI_RESTRICT a,
-                             const float* FRLFI_RESTRICT b,
-                             float* FRLFI_RESTRICT c, std::size_t m,
-                             std::size_t k, std::size_t n,
-                             std::size_t p_begin) {
-  for (std::size_t i0 = 0; i0 < m; i0 += kBlockI) {
-    const std::size_t imax = std::min(i0 + kBlockI, m);
-    for (std::size_t p0 = p_begin; p0 < k; p0 += kBlockK) {
-      const std::size_t pmax = std::min(p0 + kBlockK, k);
-      for (std::size_t j0 = 0; j0 < n; j0 += kBlockJ) {
-        const std::size_t jlen = std::min(j0 + kBlockJ, n) - j0;
-        saxpy_rows6(a, b, c, i0, imax, p0, pmax, j0, jlen, k, n);
-      }
-    }
+// Every row of one strip, in increasing i: kStripRows groups, then the rest.
+[[gnu::always_inline]] inline void ordered_strip_rows(
+    const float* FRLFI_RESTRICT a, const float* FRLFI_RESTRICT bias,
+    const Strip& s, std::size_t m, std::size_t k) {
+  std::size_t i = 0;
+  for (; i + kStripRows <= m; i += kStripRows)
+    ordered_strip<kStripRows>(a, bias, s, i, k);
+  switch (m - i) {
+    case 3:
+      ordered_strip<3>(a, bias, s, i, k);
+      break;
+    case 2:
+      ordered_strip<2>(a, bias, s, i, k);
+      break;
+    case 1:
+      ordered_strip<1>(a, bias, s, i, k);
+      break;
+    default:
+      break;
   }
 }
 
@@ -133,21 +122,40 @@ void gemm_bias_rows(const float* a, const float* b, const float* bias,
   gemm_bias_rows_ordered(a, b, bias, c, m, k, n);
 }
 
+// The last n % kStrip columns run first, as one more strip over the same
+// rows of B and C: its vector loads and stores run on past the live
+// columns into the rows below. Rows are stored in increasing i, so what a
+// row's store spills into is a later row's own strip (n < kStrip) or whole
+// strips (n > kStrip), and both are stored afterwards. Only the last rows,
+// whose loads or stores would leave B or C, go through two small tails:
+// the end of B copied into zeros, and a C tile copied out once. So every
+// width below kStrip is a single strip, and no operand is repacked.
 FRLFI_TARGET_CLONES
 void gemm_bias_rows_ordered(const float* a, const float* b, const float* bias,
                             float* c, std::size_t m, std::size_t k,
                             std::size_t n) {
-  // Seed with the p = 0 term fused onto the bias (one write pass instead of
-  // a bias fill followed by a read-modify-write), then accumulate the rest.
-  for (std::size_t i = 0; i < m; ++i) {
-    const float bi = bias[i];
-    const float av = a[i * k];
-    const float* FRLFI_RESTRICT brow = b;
-    float* FRLFI_RESTRICT crow = c + i * n;
-#pragma omp simd
-    for (std::size_t j = 0; j < n; ++j) crow[j] = bi + av * brow[j];
+  const std::size_t live = n % kStrip;
+  if (live != 0) {
+    const std::size_t j0 = n - live;
+    // First of `rows` rows whose kStrip floats at row * n + j0 run past the
+    // matrix end. From there to the end is under 2 * kStrip floats.
+    const auto first_past_end = [&](std::size_t rows) {
+      return rows * n >= j0 + kStrip ? (rows * n - j0 - kStrip) / n + 1 : 0;
+    };
+    const std::size_t bsplit = first_past_end(k), csplit = first_past_end(m);
+    alignas(64) float btail[2 * kStrip] = {};
+    alignas(64) float ctail[2 * kStrip];
+    std::memcpy(btail, b + bsplit * n + j0,
+                ((k - bsplit) * n - j0) * sizeof(float));
+    ordered_strip_rows(a, bias,
+                       Strip{b + j0, btail, bsplit, c + j0, ctail, csplit, n},
+                       m, k);
+    std::memcpy(c + csplit * n + j0, ctail,
+                ((m - csplit) * n - j0) * sizeof(float));
   }
-  if (k > 1) accumulate_blocked_from(a, b, c, m, k, n, 1);
+  for (std::size_t j0 = 0; j0 + kStrip <= n; j0 += kStrip)
+    ordered_strip_rows(
+        a, bias, Strip{b + j0, nullptr, k, c + j0, nullptr, m, n}, m, k);
 }
 
 // gemm_nt_accumulate starts on a 32-byte boundary, so where its short

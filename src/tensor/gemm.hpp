@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file gemm.hpp
-/// Cache-blocked row-major float GEMM/GEMV kernels: the compute substrate
-/// under `Dense` and the im2col path of `Conv2D`.
+/// Row-major float GEMM/GEMV kernels: the compute substrate under `Dense`
+/// and the im2col path of `Conv2D`.
 ///
 /// All kernels take raw pointers into row-major storage and make two
 /// ordering guarantees that the rest of the library leans on:
@@ -11,8 +11,8 @@
 ///    order, so the GEMM-backed layer paths are bit-identical to the naive
 ///    reference loops they replaced (padding contributes exact +0.0f
 ///    terms);
-///  * blocking never reorders that per-element chain, only the traversal
-///    of independent output elements.
+///  * register tiling never reorders that per-element chain, only the
+///    traversal of independent output elements.
 /// Two deliberate exceptions trade exact ordering for throughput (always
 /// deterministic for a given shape, just not reference-ordered):
 ///  * gemm_bias_rows with n < kGemmNarrowN switches to a packed SIMD
@@ -35,15 +35,19 @@ inline constexpr std::size_t kGemmNarrowN = 8;
 /// C (m x n) = row-bias + A·B: c[i][j] = bias[i] + sum_p a[i][p]·b[p][j],
 /// the accumulator seeded from bias[i] before the k-chain — the exact
 /// summation order of the naive convolution loops. C is overwritten.
-/// Fused form used by Conv2D::forward (k must be >= 1).
+/// Fused form used by Conv2D::forward (m and k must be >= 1).
 void gemm_bias_rows(const float* a, const float* b, const float* bias,
                     float* c, std::size_t m, std::size_t k, std::size_t n);
 
-/// gemm_bias_rows that always runs the ordered saxpy kernel, even below
-/// the narrow-n threshold where gemm_bias_rows would switch to the packed
-/// (reassociating) dot kernel. Used by Dense's batch-inner GEMM (n = B)
-/// so its per-element chain is reference-ordered at every width, and a
-/// sample's result cannot depend on how many samples share its batch.
+/// gemm_bias_rows that always runs the ordered kernel, even below the
+/// narrow-n threshold where gemm_bias_rows would switch to the packed
+/// (reassociating) dot kernel. Groups of rows by one vector-width column
+/// strip keep their bias-seeded increasing-p chains in registers and
+/// write C once; a width below the strip runs as one strip. Reduction-free,
+/// so it carries the wider-vector clones (core/codegen.hpp). Used by
+/// Dense's batch-inner GEMM (n = B) at every width >= 2, so its
+/// per-element chain is gemv_bias's and a sample's result cannot depend
+/// on how many samples share its batch. m and k must be >= 1.
 void gemm_bias_rows_ordered(const float* a, const float* b, const float* bias,
                             float* c, std::size_t m, std::size_t k,
                             std::size_t n);

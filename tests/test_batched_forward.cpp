@@ -35,11 +35,12 @@ namespace {
 const std::size_t kBatches[] = {1, 3, 64};
 
 /// Every width from 1 to 20 (both sides of kBatchInnerWideKernelMin and
-/// of the 16-lane chunk, with ragged tails) plus 64.
+/// of the 16-lane strip, with ragged tails), then 31-33, 48, 50, 64 and
+/// 120 (strip multiples and their neighbours).
 std::vector<std::size_t> all_widths() {
   std::vector<std::size_t> w;
   for (std::size_t b = 1; b <= 20; ++b) w.push_back(b);
-  w.push_back(64);
+  w.insert(w.end(), {31, 32, 33, 48, 50, 64, 120});
   return w;
 }
 
@@ -89,9 +90,66 @@ void expect_rows_match(Layer& layer, const Tensor& batched, const char* what) {
 TEST(BatchedForward, DenseBitIdentical) {
   Rng rng(1);
   Dense dense(48, 32, rng, "fc");
-  for (const std::size_t batch : kBatches)
+  for (const std::size_t batch : all_widths())
     expect_rows_match(dense, random_batch({48}, batch, 10 + batch),
                       "dense");
+}
+
+TEST(BatchedForward, DenseViewRunsOfWidthsTwoToSeven) {
+  // Struck campaign lanes split a lockstep into runs: contiguous lanes
+  // sharing one WeightView run as one sub-batch. Runs of every width from
+  // 1 to 7 alternate between clean lanes and two struck int8 images; each
+  // lane must equal forward() through its own effective weights.
+  Rng init(12);
+  Network net = make_gridworld_policy(init);
+  const std::vector<float> clean = net.flat_parameters();
+  const DeployedWeights image = DeployedWeights::int8_image(clean);
+  FaultSpec spec;
+  spec.model = FaultModel::TransientSingleStep;
+  spec.ber = 0.02;
+  WeightOverlay overlays[2];
+  std::vector<WeightView> views;
+  for (std::size_t v = 0; v < 2; ++v) {
+    Rng strike(300 + v);
+    image.inject(spec, strike, overlays[v]);
+    ASSERT_FALSE(overlays[v].empty());
+    views.push_back(image.view(&overlays[v]));
+  }
+  // Run widths and views in lane order (-1: clean).
+  const std::size_t runs[] = {2, 1, 3, 2, 4, 1, 5, 6, 7};
+  const int run_view[] = {-1, 0, -1, 1, -1, 0, -1, 1, -1};
+  std::vector<int> view_of;
+  for (std::size_t r = 0; r < std::size(runs); ++r)
+    view_of.insert(view_of.end(), runs[r], run_view[r]);
+  const std::size_t lanes = view_of.size();
+  std::vector<const WeightView*> lane_views;
+  for (const int v : view_of)
+    lane_views.push_back(v < 0 ? nullptr
+                               : &views[static_cast<std::size_t>(v)]);
+
+  std::vector<std::size_t> seen;
+  net.set_activation_hook([&](std::size_t layer, Tensor& act) {
+    if (layer == 0) seen.push_back(act.dim(act.rank() - 1));
+  });
+  const Tensor xb = random_batch({10}, lanes, 77);
+  const Tensor got = net.forward_batch(xb, lanes, nullptr, lane_views);
+  net.set_activation_hook({});
+  EXPECT_EQ(seen, std::vector<std::size_t>(std::begin(runs), std::end(runs)));
+
+  const std::size_t width = got.size() / lanes;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    std::vector<float> effective = clean;
+    if (view_of[l] >= 0) {
+      effective = image.base();
+      overlays[static_cast<std::size_t>(view_of[l])].apply_to(effective);
+    }
+    net.set_flat_parameters(effective);
+    const Tensor want = net.forward(slice_sample(xb, lanes, l));
+    for (std::size_t j = 0; j < width; ++j)
+      EXPECT_TRUE(same_bits(got[l * width + j], want[j]))
+          << "lane " << l << " logit " << j;
+  }
+  net.set_flat_parameters(clean);
 }
 
 TEST(BatchedForward, ConvWideOutputBitIdentical) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/campaign.hpp"
 #include "envs/gridworld.hpp"
 #include "frl/policies.hpp"
 #include "mitigation/range_detector.hpp"
@@ -252,6 +253,43 @@ TEST(BatchedCampaign, Trans1LeavesPolicyUntouched) {
   const std::vector<double> first = run();
   EXPECT_EQ(run(), first);
   EXPECT_EQ(policy.flat_parameters(), before);
+}
+
+TEST(BatchedCampaign, NarrowLockstepsOnPoolLanesMatchSerial) {
+  // Campaign cells on four pool lanes, each a lockstep of 2 to 7 lanes
+  // (the Dense strip kernel's single-strip widths), half of them under
+  // Trans-1 strikes that split the lockstep into per-view runs. Every
+  // cell's metrics must equal the same cells run serially.
+  Rng init(31);
+  const Network policy = make_gridworld_policy(init);
+  const std::vector<GridLayout> suite = GridLayout::paper_suite();
+  GridWorldEnv::Options opts;
+  opts.slip_probability = 0.35;
+  InferenceFaultScenario scenario;
+  scenario.spec.model = FaultModel::TransientSingleStep;
+  scenario.spec.ber = 0.02;
+  scenario.use_int8 = true;
+  const auto cell = [&](std::size_t c) {
+    BatchedCampaignSpec spec;
+    spec.episodes = 2 + c % 6;
+    spec.max_steps = 30;
+    spec.seed = 500 + c;
+    spec.trans1 = c % 2 == 0 ? &scenario : nullptr;
+    const std::vector<double> metrics = run_batched_inference_campaign(
+        policy, spec,
+        [&](std::size_t) {
+          return std::make_unique<GridWorldEnv>(suite[c % suite.size()], opts);
+        },
+        [](std::size_t, const Environment&, const EpisodeStats& stats) {
+          return static_cast<double>(stats.total_reward) +
+                 1e-3 * static_cast<double>(stats.steps);
+        });
+    double acc = 0.0;
+    for (std::size_t l = 0; l < metrics.size(); ++l)
+      acc += metrics[l] * static_cast<double>(l + 1);
+    return acc;
+  };
+  EXPECT_EQ(run_cell_campaign(12, 4, cell), run_cell_campaign(12, 1, cell));
 }
 
 TEST(StaticFault, FixedPointFlipsCreateOutOfRangeOutliers) {

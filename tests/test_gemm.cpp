@@ -5,9 +5,12 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/rng.hpp"
+#include "test_util.hpp"
 
 namespace frlfi {
 namespace {
@@ -60,6 +63,77 @@ TEST(Gemm, BiasRowsMatchesReferenceAcrossSizes) {
     gemm_bias_rows_ordered(a.data(), b.data(), bias.data(), ordered.data(), m,
                            k, n);
     expect_near(ordered, want);
+  }
+}
+
+/// Overwrite `count` entries of `v`, at positions drawn from `rng`, with
+/// the values an ordered chain must carry through exactly: NaN, ±Inf, -0
+/// and subnormals of both signs.
+void salt(std::vector<float>& v, std::size_t count, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float sub = std::numeric_limits<float>::denorm_min() * 1234.0f;
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            inf,
+                            -inf,
+                            -0.0f,
+                            sub,
+                            -sub,
+                            std::numeric_limits<float>::min() / 2.0f};
+  for (std::size_t s = 0; s < count; ++s) {
+    const auto at = static_cast<std::size_t>(
+        rng.uniform(0.0, static_cast<double>(v.size())));
+    v[at < v.size() ? at : v.size() - 1] = specials[s % std::size(specials)];
+  }
+}
+
+TEST(Gemm, BiasRowsOrderedMatchesBiasSeededChainBitwise) {
+  // Every element of gemm_bias_rows_ordered is the chain bias[i] +
+  // a[i][0]·b[0][j] + a[i][1]·b[1][j] + ... in increasing p, bit for bit:
+  // whole strips, ragged tail strips of every width, row groups with their
+  // leftover rows, and tails whose last rows run past the end of B and C.
+  // Operands carry NaN, ±Inf, -0 and subnormals; C is checked whole with
+  // memcmp, and the floats after it must be untouched.
+  SKIP_ON_FMA();
+  Rng rng(13);
+  std::vector<std::size_t> widths;
+  for (std::size_t n = 1; n <= 17; ++n) widths.push_back(n);
+  widths.insert(widths.end(), {31, 32, 33, 50, 63, 64, 65, 120, 513});
+  constexpr std::size_t kGuard = 40;
+  constexpr float kSentinel = 42.0f;
+  for (const std::size_t m : {1, 2, 4, 5, 6, 7, 12, 25, 32, 65}) {
+    for (const std::size_t k : {1, 10, 32, 48, 54, 257}) {
+      for (const std::size_t n : widths) {
+        auto a = random_matrix(m, k, rng);
+        auto b = random_matrix(k, n, rng);
+        auto bias = random_matrix(m, 1, rng);
+        salt(a, 6, rng);
+        salt(b, 6, rng);
+        salt(bias, 2, rng);
+        std::vector<float> want(m * n);
+        for (std::size_t i = 0; i < m; ++i)
+          for (std::size_t j = 0; j < n; ++j) {
+            float acc = bias[i];
+            for (std::size_t p = 0; p < k; ++p)
+              acc += a[i * k + p] * b[p * n + j];
+            want[i * n + j] = acc;
+          }
+        std::vector<float> got(m * n + kGuard, kSentinel);
+        gemm_bias_rows_ordered(a.data(), b.data(), bias.data(), got.data(), m,
+                               k, n);
+        if (std::memcmp(got.data(), want.data(), m * n * sizeof(float)) != 0) {
+          std::size_t e = 0;
+          while (std::bit_cast<std::uint32_t>(got[e]) ==
+                 std::bit_cast<std::uint32_t>(want[e]))
+            ++e;
+          ADD_FAILURE() << "m=" << m << " k=" << k << " n=" << n << " ("
+                        << e / n << "," << e % n << "): " << got[e] << " vs "
+                        << want[e];
+        }
+        for (std::size_t g = m * n; g < got.size(); ++g)
+          ASSERT_EQ(got[g], kSentinel)
+              << "m=" << m << " k=" << k << " n=" << n << " wrote past C";
+      }
+    }
   }
 }
 

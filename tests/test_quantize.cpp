@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
 
 namespace frlfi {
 namespace {
@@ -125,6 +129,50 @@ TEST(Int8QuantizerContract, TotalOverNonFiniteValues) {
             (std::vector<std::int8_t>{127, -127, 0, 127, 0, 0}));
   EXPECT_EQ(Int8Quantizer::calibrate(std::vector<float>{nan, inf}).scale(),
             1e-8f / 127.0f);
+}
+
+TEST(Int8QuantizerContract, CalibrationMatchesScalarMaxChain) {
+  // calibrate's lane-parallel max gives the one running max over the
+  // finite magnitudes, bit for bit: rows of every length around the lane
+  // count, salted with NaN, ±Inf, -0 and subnormals, all-zero rows, and
+  // rows whose lone maximum is the first or the last element.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float sub = std::numeric_limits<float>::denorm_min() * 77.0f;
+  const auto scalar_scale = [](const std::vector<float>& row) {
+    float max_abs = 0.0f;
+    for (const float x : row) {
+      const float a = std::abs(x);
+      if (a <= std::numeric_limits<float>::max())
+        max_abs = std::max(max_abs, a);
+    }
+    return std::max(max_abs, 1e-8f) / 127.0f;
+  };
+  Rng rng(5);
+  for (const std::size_t n : {1, 2, 15, 16, 17, 31, 32, 33, 100, 1540}) {
+    std::vector<std::vector<float>> rows;
+    rows.emplace_back(n, 0.0f);
+    rows.emplace_back(n, -0.0f);
+    std::vector<float> tiny(n, sub);
+    tiny.back() = -2.0f * sub;
+    rows.push_back(tiny);
+    std::vector<float> salted(n);
+    for (float& x : salted) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const float specials[] = {nan, inf, -inf, -0.0f, sub, -sub};
+    for (std::size_t s = 0; s < std::size(specials); ++s)
+      salted[(s * 7 + 3) % n] = specials[s];
+    rows.push_back(salted);
+    salted.back() = -3.5f;  // lone maximum, last element
+    rows.push_back(salted);
+    salted.back() = nan;
+    salted.front() = 2.5f;  // lone maximum, first element
+    rows.push_back(salted);
+    for (const std::vector<float>& row : rows)
+      EXPECT_EQ(
+          std::bit_cast<std::uint32_t>(Int8Quantizer::calibrate(row).scale()),
+          std::bit_cast<std::uint32_t>(scalar_scale(row)))
+          << "n=" << n;
+  }
 }
 
 /// Property: round-trip error is at most scale/2 for any magnitude scale.
